@@ -48,9 +48,8 @@ void register_suite_flags(CliParser& cli, int default_stride,
 
 void register_observability_flags(CliParser& cli) {
   cli.add_option("trace",
-                 "record the run (solve phases, device launches, shard "
-                 "rounds) as chrome://tracing JSON to this path (empty = "
-                 "off)",
+                 "record the run (solve phases, device launches) as "
+                 "chrome://tracing JSON to this path (empty = off)",
                  "");
   cli.add_option("metrics",
                  "snapshot the global metrics registry as JSON to this path "
@@ -142,13 +141,12 @@ std::vector<BuiltInstance> build_massive_suite(const SuiteOptions& opt) {
   };
   std::vector<Massive> metas;
   // Hubby shape: a hub column every 500 columns (~0.4% of rows each) over
-  // a sparse background — the straggler shape intra-item min-combine and
-  // the edge-balanced shard cut exist for.
+  // a sparse background — the straggler shape intra-item min-combine
+  // exists for.
   metas.push_back({101, "massive_hubs",
                    graph::gen::huge_bipartite(sized(920e3), sized(1e6), 6.0,
                                               0.004, 500, opt.seed + 101)});
-  // Uniform control: same scale, no hubs — shard scaling with nothing for
-  // balancing to fix.
+  // Uniform control: same scale, no hubs — nothing for balancing to fix.
   metas.push_back({102, "massive_uniform",
                    graph::gen::huge_bipartite(sized(960e3), sized(1e6), 13.0,
                                               0.0, 0, opt.seed + 102)});
@@ -323,22 +321,14 @@ PipelineReport run_grid(const std::vector<BuiltInstance>& suite,
 
 AlgoResult run_solver(const Solver& solver, device::Device& dev,
                       const BuiltInstance& bi, unsigned threads) {
-  return run_solver(solver, SolveContext{.device = &dev, .threads = threads},
-                    bi);
-}
-
-AlgoResult run_solver(const Solver& solver, const SolveContext& ctx,
-                      const BuiltInstance& bi) {
   // Phase attribution: the tracer's per-phase totals are cumulative, so
   // this run's breakdown is the difference across the solve.
-  obs::Tracer* const tracer =
-      ctx.tracer != nullptr
-          ? ctx.tracer
-          : ctx.device != nullptr ? ctx.device->tracer() : nullptr;
+  obs::Tracer* const tracer = dev.tracer();
   const bool tracing = tracer != nullptr && tracer->enabled();
   std::map<std::string, double> before;
   if (tracing) before = tracer->totals_ms("phase");
-  const SolveResult result = solver.run(ctx, bi.g, bi.init);
+  const SolveResult result = solver.run(
+      SolveContext{.device = &dev, .threads = threads}, bi.g, bi.init);
   AlgoResult r;
   if (tracing) {
     for (const auto& [phase, ms] : tracer->totals_ms("phase")) {
@@ -419,7 +409,6 @@ JsonRecord to_json_record(const std::string& instance,
                     {"m", static_cast<double>(features->cols)},
                     {"density", features->density},
                     {"skew", features->degree_skew},
-                    {"hub_mass", features->hub_mass},
                     {"deficiency_est", features->deficiency_est}};
   }
   return rec;

@@ -51,8 +51,8 @@ struct SuiteOptions {
   /// `write_json`).  Empty = off.  This is how BENCH_*.json perf
   /// trajectories are recorded.
   std::string json_path;
-  /// `--trace <path>`: record the whole harness run — solve phases,
-  /// device launches, shard fleet rounds — into a chrome://tracing JSON
+  /// `--trace <path>`: record the whole harness run — solve phases and
+  /// device launches — into a chrome://tracing JSON
   /// written by `write_observability`.  Empty = tracing off (the hot
   /// paths see a single disabled-tracer check).
   std::string trace_path;
@@ -128,14 +128,14 @@ void compute_instance_features(BuiltInstance& bi);
 [[nodiscard]] BuiltInstance build_instance(const graph::Instance& meta,
                                            const SuiteOptions& opt);
 
-/// The shard-scaling `massive` suite: instances ~10x the edge count of
-/// the largest Table I analogue at default scale, built with the
-/// streamed `gen::huge_bipartite` (no intermediate edge list, so peak
-/// memory is the final CSR).  `opt.scale` multiplies the default-size
-/// vertex counts relative to 1.0 (NOT the 1/64 Table I convention —
-/// massive instances are already sized absolutely); `opt.seed` feeds the
-/// generator.  Ground truth is computed like every other suite's, so
-/// shard-scaling results stay oracle-verified.
+/// The `massive` suite: instances ~10x the edge count of the largest
+/// Table I analogue at default scale, built with the streamed
+/// `gen::huge_bipartite` (no intermediate edge list, so peak memory is
+/// the final CSR).  `opt.scale` multiplies the default-size vertex counts
+/// relative to 1.0 (NOT the 1/64 Table I convention — massive instances
+/// are already sized absolutely); `opt.seed` feeds the generator.  Ground
+/// truth is computed like every other suite's, so results on it stay
+/// oracle-verified.
 [[nodiscard]] std::vector<BuiltInstance> build_massive_suite(
     const SuiteOptions& opt);
 
@@ -151,8 +151,7 @@ struct PolicyInstance {
 /// (meshes, road networks, co-author graphs — near-perfect greedy inits
 /// where the augmenting-path family beats push-relabel, at
 /// `structured_scale` of the paper sizes; 0 skips the group), plus —
-/// when `massive_scale > 0` — the shard-scaling massive suite at that
-/// scale.  Calibration and evaluation MUST agree on this suite: the
+/// when `massive_scale > 0` — the massive suite at that scale.  Calibration and evaluation MUST agree on this suite: the
 /// committed cost model's buckets are only meaningful for the shapes they
 /// were measured on, and the headline auto-vs-oracle comparison
 /// re-generates the same shapes (different seeds still land in the same
@@ -190,13 +189,6 @@ struct AlgoResult {
 [[nodiscard]] AlgoResult run_solver(const Solver& solver, device::Device& dev,
                                     const BuiltInstance& bi,
                                     unsigned threads = 0);
-
-/// Full-context variant: the caller builds the `SolveContext` (device,
-/// threads, engine fleet) — how `shard_scaling` hands sharded solvers a
-/// multi-engine fleet.
-[[nodiscard]] AlgoResult run_solver(const Solver& solver,
-                                    const SolveContext& ctx,
-                                    const BuiltInstance& bi);
 
 /// Registry-name convenience: `run_solver(*registry.create(name), ...)`.
 [[nodiscard]] AlgoResult run_solver(const std::string& name,
@@ -243,8 +235,7 @@ struct JsonRecord {
   /// `"phases"` sub-object when non-empty, so records stay byte-identical
   /// to pre-tracing ones when tracing is off.
   std::map<std::string, double> phases;
-  /// Policy features of the instance (n, m, density, skew, hub_mass,
-  /// deficiency_est) — a `"features"` sub-object on every record since
+  /// Policy features of the instance (n, m, density, skew, deficiency_est) — a `"features"` sub-object on every record since
   /// schema 2, so downstream tooling can correlate timings with instance
   /// shape without regenerating the graphs.
   std::map<std::string, double> features;

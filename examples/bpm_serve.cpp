@@ -71,7 +71,6 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "serve/service.hpp"
@@ -100,9 +99,6 @@ int main(int argc, char** argv) {
                  "engine routing policy (round-robin | least-loaded | "
                  "affinity | backend-fit)",
                  "least-loaded");
-  cli.add_flag("numa",
-               "spread the engines' numa_node hints across the machine's "
-               "NUMA nodes (each engine's pool and arenas stay node-local)");
   cli.add_flag("no-coalesce",
                "serve every request as its own dispatch instead of "
                "batching same-instance queued requests");
@@ -150,17 +146,6 @@ int main(int argc, char** argv) {
     opt.verify = !cli.get_flag("no-verify");
     opt.engines = static_cast<unsigned>(cli.get_int("engines"));
     opt.routing = serve::parse_routing(cli.get_string("routing"));
-    if (cli.get_flag("numa")) {
-      // Explicit descriptors: engine e pinned to NUMA node e % nodes, so a
-      // sharded solve's shard-local arenas land on the engine's socket.
-      const std::vector<std::vector<int>> nodes = device::numa_topology();
-      for (unsigned e = 0; e < opt.engines; ++e)
-        opt.engine_descriptors.push_back(device::EngineDescriptor{
-            .backend = opt.backend,
-            .mode = opt.device_mode,
-            .threads = opt.device_threads,
-            .numa_node = static_cast<int>(e % nodes.size())});
-    }
     opt.coalesce = !cli.get_flag("no-coalesce");
     opt.coalesce_limit =
         static_cast<std::size_t>(cli.get_int("coalesce-limit"));

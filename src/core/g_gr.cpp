@@ -2,6 +2,40 @@
 
 namespace bpm::gpu {
 
+namespace {
+
+/// G-GR-KRNL: one launch per BFS level over the given label arrays.  Every
+/// row at `c_level` relaxes its unvisited column neighbours to c_level+1
+/// and their consistently matched rows (µ(v) > −1 and µ(µ(v)) = v) to
+/// c_level+2.  The returned work units (frontier adjacency entries) feed
+/// the device time model.  Returns true when a row joined the next level.
+bool gr_level(device::Device& dev, const BipartiteGraph& g, index_t c_level,
+              const device::relaxed_vector<index_t>& mu_row,
+              const device::relaxed_vector<index_t>& mu_col,
+              device::relaxed_vector<index_t>& psi_row,
+              device::relaxed_vector<index_t>& psi_col) {
+  const index_t psi_inf = g.psi_infinity();
+  device::device_flag u_added;
+  dev.launch_accounted(g.num_rows(), [&](std::int64_t i) -> std::int64_t {
+    const auto u = static_cast<std::size_t>(i);
+    if (psi_row.load(u) != c_level) return 0;
+    for (index_t v : g.row_neighbors(static_cast<index_t>(i))) {
+      const auto vz = static_cast<std::size_t>(v);
+      if (psi_col.load(vz) != psi_inf) continue;
+      psi_col.store(vz, c_level + 1);
+      const index_t w = mu_col.load(vz);
+      if (w > -1 && mu_row.load(static_cast<std::size_t>(w)) == v) {
+        psi_row.store(static_cast<std::size_t>(w), c_level + 2);
+        u_added.raise();
+      }
+    }
+    return g.row_degree(static_cast<index_t>(i));
+  });
+  return u_added.is_raised();
+}
+
+}  // namespace
+
 GrResult g_gr(device::Device& dev, const BipartiteGraph& g, DeviceState& st) {
   const index_t psi_inf = g.psi_infinity();
 
@@ -15,31 +49,12 @@ GrResult g_gr(device::Device& dev, const BipartiteGraph& g, DeviceState& st) {
   });
 
   GrResult result;
-  device::device_flag u_added;
   index_t c_level = 0;
   bool added = true;
   while (added) {
-    u_added.reset();
-    // G-GR-KRNL: one launch per BFS level; rows at cLevel expand.  The
-    // returned work units (frontier adjacency entries) feed the device
-    // time model.
-    dev.launch_accounted(g.num_rows(), [&](std::int64_t i) -> std::int64_t {
-      const auto u = static_cast<std::size_t>(i);
-      if (st.psi_row.load(u) != c_level) return 0;
-      for (index_t v : g.row_neighbors(static_cast<index_t>(i))) {
-        const auto vz = static_cast<std::size_t>(v);
-        if (st.psi_col.load(vz) != psi_inf) continue;
-        st.psi_col.store(vz, c_level + 1);
-        const index_t w = st.mu_col.load(vz);
-        if (w > -1 && st.mu_row.load(static_cast<std::size_t>(w)) == v) {
-          st.psi_row.store(static_cast<std::size_t>(w), c_level + 2);
-          u_added.raise();
-        }
-      }
-      return g.row_degree(static_cast<index_t>(i));
-    });
+    added = gr_level(dev, g, c_level, st.mu_row, st.mu_col, st.psi_row,
+                     st.psi_col);
     ++result.level_kernels;
-    added = u_added.is_raised();
     c_level += 2;
   }
   result.max_level = c_level;
@@ -72,26 +87,10 @@ void AsyncGlobalRelabel::start(device::Device& dev, const BipartiteGraph& g,
 }
 
 bool AsyncGlobalRelabel::step(device::Device& dev, const BipartiteGraph& g) {
-  const index_t psi_inf = g.psi_infinity();
-  device::device_flag u_added;
-  const index_t c_level = c_level_;
-  dev.launch_accounted(g.num_rows(), [&](std::int64_t i) -> std::int64_t {
-    const auto u = static_cast<std::size_t>(i);
-    if (psi_row_shadow_.load(u) != c_level) return 0;
-    for (index_t v : g.row_neighbors(static_cast<index_t>(i))) {
-      const auto vz = static_cast<std::size_t>(v);
-      if (psi_col_shadow_.load(vz) != psi_inf) continue;
-      psi_col_shadow_.store(vz, c_level + 1);
-      const index_t w = mu_col_snap_.load(vz);
-      if (w > -1 && mu_row_snap_.load(static_cast<std::size_t>(w)) == v) {
-        psi_row_shadow_.store(static_cast<std::size_t>(w), c_level + 2);
-        u_added.raise();
-      }
-    }
-    return g.row_degree(static_cast<index_t>(i));
-  });
+  const bool added = gr_level(dev, g, c_level_, mu_row_snap_, mu_col_snap_,
+                              psi_row_shadow_, psi_col_shadow_);
   c_level_ += 2;
-  if (!u_added.is_raised()) {
+  if (!added) {
     running_ = false;
     return true;
   }

@@ -29,17 +29,6 @@ struct DeviceState {
         mu_col(static_cast<std::size_t>(num_cols), -1),
         psi_row(static_cast<std::size_t>(num_rows), 0),
         psi_col(static_cast<std::size_t>(num_cols), 1) {}
-
-  /// Allocates without touching any page: the sharded driver first-touch
-  /// constructs each shard's column slice on that shard's engine arena
-  /// (and the row arrays interleaved across all arenas) before any kernel
-  /// runs.  Every cell must be constructed before use — see
-  /// `device::uninitialized_t`.
-  DeviceState(device::uninitialized_t, index_t num_rows, index_t num_cols)
-      : mu_row(device::uninitialized, static_cast<std::size_t>(num_rows)),
-        mu_col(device::uninitialized, static_cast<std::size_t>(num_cols)),
-        psi_row(device::uninitialized, static_cast<std::size_t>(num_rows)),
-        psi_col(device::uninitialized, static_cast<std::size_t>(num_cols)) {}
 };
 
 /// Outcome of one G-GR invocation.

@@ -330,8 +330,7 @@ void run_balanced(device::Device& dev, const BipartiteGraph& g,
         push_sp.arg("active", len);
       }
       detail::balanced_push(dev, col_adj, st, f, i_a, loop_stamp, psi_inf,
-                            options.split_grain, displaced,
-                            /*pushed_row=*/nullptr, stats);
+                            options.split_grain, displaced, stats);
     }
     stats.push_ms += timer.elapsed_ms();
     if (observer) observer->on_loop_end(loop, st);

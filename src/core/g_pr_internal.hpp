@@ -1,10 +1,10 @@
 #pragma once
 
-// Shared internals of the G-PR drivers (core/g_pr.cpp) and the sharded
-// execution path (core/shard.cpp): the activity test, the Γ(v) argmin
-// scan, the SHRKRNL-shaped stream compaction, the relabel scheduler, and
-// the edge-balanced push with intra-item min-combine.  Internal header —
-// nothing here is part of the public solver surface.
+// Shared internals of the G-PR drivers (core/g_pr.cpp): the activity
+// test, the Γ(v) argmin scan, the SHRKRNL-shaped stream compaction, the
+// relabel scheduler, and the edge-balanced push with intra-item
+// min-combine.  Internal header — nothing here is part of the public
+// solver surface.
 
 #include <cstdint>
 #include <span>
@@ -255,14 +255,12 @@ struct BalancedFrontier {
 /// intra-item-combine path: given column v's scanned minimum, perform the
 /// single/double push (guarded by the iA conflict stamp) or retire v.
 /// `displaced_slot` receives the captured double-push column (−1 for a
-/// single push, untouched when the push is blocked); `pushed_row_slot`,
-/// when non-null, receives the row pushed onto — the sharded driver's
-/// reconciliation reads it.  Returns model work units.
+/// single push, untouched when the push is blocked).  Returns model work
+/// units.
 inline std::int64_t apply_push(DeviceState& st,
                                device::relaxed_vector<index_t>& i_a,
                                index_t loop_stamp, index_t psi_inf, index_t v,
-                               const MinScan& r, index_t* displaced_slot,
-                               index_t* pushed_row_slot) {
+                               const MinScan& r, index_t& displaced_slot) {
   std::int64_t work = 0;
   if (r.psi_min < psi_inf) {
     // Capture the displaced column *before* overwriting µ(u)
@@ -277,8 +275,7 @@ inline std::int64_t apply_push(DeviceState& st,
       st.psi_col.store(static_cast<std::size_t>(v), r.psi_min + 1);
       st.psi_row.store(static_cast<std::size_t>(r.u_min), r.psi_min + 2);
       st.mu_dirty.raise();
-      *displaced_slot = w;
-      if (pushed_row_slot != nullptr) *pushed_row_slot = r.u_min;
+      displaced_slot = w;
       work += 2;  // scattered µ(u), ψ(u) writes
     }
     // else: µ(u)'s holder is active this loop — pushing would let one
@@ -321,29 +318,26 @@ inline std::int64_t resolve_split_grain(const device::Device& dev,
 /// on the straggler critical path: no lane — model lane or host slot —
 /// ever owns more than ~grain edges of a single column.
 ///
-/// `displaced[i]` and (optionally) `pushed_row[i]` are slot-parallel
-/// outputs over frontier items, exactly as in the unsplit kernel.
-/// Builds the degree prefix sum internally (device scan).  Charges the
-/// scan passes and the deferred combine to the model; updates the split
-/// counters in `stats`.
+/// `displaced[i]` is the slot-parallel output over frontier items, exactly
+/// as in the unsplit kernel.  Builds the degree prefix sum internally
+/// (device scan).  Charges the scan passes and the deferred combine to the
+/// model; updates the split counters in `stats`.
 inline void balanced_push(device::Device& dev, const index_t* col_adj,
                           DeviceState& st, const BalancedFrontier& f,
                           device::relaxed_vector<index_t>& i_a,
                           index_t loop_stamp, index_t psi_inf,
                           std::int64_t grain_option,
-                          std::vector<index_t>& displaced,
-                          std::vector<index_t>* pushed_row, GprStats& stats) {
+                          std::vector<index_t>& displaced, GprStats& stats) {
   const std::int64_t n = f.size();
   if (n == 0) return;
 
   const auto full_item = [&](std::int64_t i) -> std::int64_t {
     const auto iz = static_cast<std::size_t>(i);
-    const index_t v = f.cols[iz];
     const MinScan r = scan_min_row(col_adj + f.adj_begin[iz], f.degree[iz],
                                    st, f.psi[iz], psi_inf);
     return r.scanned +
-           apply_push(st, i_a, loop_stamp, psi_inf, v, r, &displaced[iz],
-                      pushed_row != nullptr ? &(*pushed_row)[iz] : nullptr);
+           apply_push(st, i_a, loop_stamp, psi_inf, f.cols[iz], r,
+                      displaced[iz]);
   };
 
   const std::vector<std::int64_t> offsets =
@@ -425,10 +419,8 @@ inline void balanced_push(device::Device& dev, const index_t* col_adj,
       }
     }
     combine_work += fe - fb;
-    combine_work +=
-        apply_push(st, i_a, loop_stamp, psi_inf, f.cols[iz], best,
-                   &displaced[iz],
-                   pushed_row != nullptr ? &(*pushed_row)[iz] : nullptr);
+    combine_work += apply_push(st, i_a, loop_stamp, psi_inf, f.cols[iz], best,
+                               displaced[iz]);
   }
   dev.charge_work(combine_work);
 }

@@ -49,22 +49,6 @@ enum class BalanceMode {
   kAuto,
 };
 
-/// How the sharded solver runs its K per-shard drivers.
-enum class ShardDrivers {
-  /// Parallel when the engines bring more than one worker in total,
-  /// sequential otherwise (K shard drivers on one core only add barrier
-  /// overhead to an identical instruction stream).
-  kAuto,
-  /// One coordinator thread iterates the shards phase by phase — the
-  /// deterministic-schedule mode (interleavings within a shard's launch
-  /// still race as usual).
-  kSequential,
-  /// K persistent driver threads synchronised by a barrier per phase —
-  /// the real multi-engine execution shape; forced by the TSan
-  /// reconciliation stress tests.
-  kParallel,
-};
-
 struct GprOptions {
   GprVariant variant = GprVariant::kShrink;
   RelabelStrategy strategy = RelabelStrategy::kAdaptive;
@@ -115,16 +99,6 @@ struct GprOptions {
   /// the main loop exceeds `64·(m+n) + 1024` iterations.  0 disables.
   std::int64_t max_loops = -1;  ///< -1 = use the default bound
 
-  /// Top-level column shard count (core/shard.hpp): 1 = unsharded (the
-  /// drivers above), 0 = auto (one shard per available engine, grown
-  /// until every shard fits the tightest engine memory budget), K > 1 =
-  /// exactly K shards.  Sweepable on any G-PR spec as `shards=K|auto`;
-  /// the `g-pr-sh` registration defaults to auto.
-  int shards = 1;
-
-  /// Shard driver threading (see ShardDrivers); `shard-drivers=auto|seq|par`.
-  ShardDrivers shard_drivers = ShardDrivers::kAuto;
-
   /// Intra-item min-combine grain for the balanced push (edges per
   /// fragment): a frontier column whose degree exceeds twice this is
   /// chopped into fragments that scan independently — per-fragment argmin
@@ -159,25 +133,11 @@ inline std::string to_string(BalanceMode b) {
   return "?";
 }
 
-inline std::string to_string(ShardDrivers d) {
-  switch (d) {
-    case ShardDrivers::kAuto: return "auto";
-    case ShardDrivers::kSequential: return "seq";
-    case ShardDrivers::kParallel: return "par";
-  }
-  return "?";
-}
-
 inline std::string GprOptions::describe() const {
   const std::string wb = balance == BalanceMode::kOn     ? "+WB"
                          : balance == BalanceMode::kAuto ? "+WB?"
                                                          : "";
-  const std::string sh =
-      shards == 1 ? ""
-                  : "+SH(" + (shards == 0 ? std::string("auto")
-                                          : std::to_string(shards)) +
-                        ")";
-  return to_string(variant) + wb + sh + " (" + to_string(strategy) + ", " +
+  return to_string(variant) + wb + " (" + to_string(strategy) + ", " +
          std::to_string(k) + ")";
 }
 

@@ -51,7 +51,6 @@ AdmittedJobResult run_admitted_job(
   Timer timer;
   const SolveContext ctx{.device = &stream(),
                          .threads = options.solver_threads,
-                         .engines = options.engines,
                          .tracer = options.tracer};
   out.outcome = run_verified(*job.solver, ctx, inst.graph, inst.init,
                              options.verify ? inst.maximum_cardinality : -1);

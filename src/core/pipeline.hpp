@@ -55,11 +55,6 @@ struct PipelineOptions {
   /// How the shared init is built; defaults to the paper's cheap greedy
   /// heuristic (set e.g. matching::karp_sipser for a stronger start).
   std::function<matching::Matching(const graph::BipartiteGraph&)> init_builder;
-  /// Engine fleet handed to every job's `SolveContext::engines`: sharded
-  /// solvers (`g-pr-sh`, `shards=K|auto`) spread one massive instance over
-  /// these engines, one shard per engine round-robin.  Empty (the default)
-  /// lets sharded jobs fall back to the job's own stream engine.
-  std::vector<std::shared_ptr<device::Engine>> engines;
   /// Optional trace sink: each admitted job records a `"job"` span (solver
   /// spec, instance fingerprint, cache outcome) and hands the tracer to its
   /// solve (`SolveContext::tracer`), so one timeline shows the scheduler's
@@ -87,8 +82,8 @@ struct PipelineInstance {
   /// Dispatchers use it to route skewed instances to engines whose
   /// backend thrives on balanced kernels (`serve::Routing::kBackendFit`).
   double degree_skew = 0.0;
-  /// The full feature vector behind `degree_skew` (size, density, hub
-  /// mass, deficiency), computed once at admission: what
+  /// The full feature vector behind `degree_skew` (size, density,
+  /// deficiency), computed once at admission: what
   /// `policy::AutoSolver` resolves against at dispatch time.  Cached here
   /// means cached on `serve::InstanceStore` entries, which dedup by
   /// `fingerprint`.

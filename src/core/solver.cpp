@@ -8,7 +8,6 @@
 #include "core/g_hk.hpp"
 #include "core/g_pr.hpp"
 #include "core/options.hpp"
-#include "core/shard.hpp"
 #include "matching/greedy.hpp"
 #include "matching/hkdw.hpp"
 #include "matching/hopcroft_karp.hpp"
@@ -53,12 +52,10 @@ device::Device& required_device(const SolveContext& ctx,
 class GprSolver final : public Solver {
  public:
   GprSolver(std::string name, gpu::GprVariant variant,
-            gpu::BalanceMode balance = gpu::BalanceMode::kOff,
-            int shards = 1)
+            gpu::BalanceMode balance = gpu::BalanceMode::kOff)
       : name_(std::move(name)) {
     options_.variant = variant;
     options_.balance = balance;
-    options_.shards = shards;
   }
 
   [[nodiscard]] std::string name() const override { return name_; }
@@ -66,10 +63,7 @@ class GprSolver final : public Solver {
   [[nodiscard]] SolverCaps caps() const override {
     return {.needs_device = true, .multicore = false, .deterministic = false,
             .exact = true,
-            // The sharded driver's per-shard push is the edge-balanced one.
-            .balanced = options_.balance != gpu::BalanceMode::kOff ||
-                        options_.shards != 1,
-            .sharded = options_.shards != 1};
+            .balanced = options_.balance != gpu::BalanceMode::kOff};
   }
 
   bool set_option(std::string_view key, std::string_view value) override {
@@ -97,24 +91,6 @@ class GprSolver final : public Solver {
                                                   : gpu::BalanceMode::kOff;
     } else if (key == "balance-skew") {
       options_.balance_skew_threshold = parse_double(key, value);
-    } else if (key == "shards") {
-      if (value == "auto")
-        options_.shards = 0;
-      else if (const int k = static_cast<int>(parse_double(key, value));
-               k >= 1)
-        options_.shards = k;
-      else
-        throw std::invalid_argument("option 'shards' wants K>=1 or auto");
-    } else if (key == "shard-drivers") {
-      if (value == "auto")
-        options_.shard_drivers = gpu::ShardDrivers::kAuto;
-      else if (value == "seq" || value == "sequential")
-        options_.shard_drivers = gpu::ShardDrivers::kSequential;
-      else if (value == "par" || value == "parallel")
-        options_.shard_drivers = gpu::ShardDrivers::kParallel;
-      else
-        throw std::invalid_argument(
-            "option 'shard-drivers' wants auto|seq|par");
     } else if (key == "split") {
       if (value == "auto")
         options_.split_grain = 0;
@@ -137,34 +113,15 @@ class GprSolver final : public Solver {
                                 const matching::Matching& init) const override {
     device::Device& dev = required_device(ctx, name_);
     // The context's tracer rides on the device stream: the per-launch and
-    // phase spans read it from there, and the sharded path propagates it
-    // to every per-shard stream.
+    // phase spans read it from there.
     if (ctx.tracer != nullptr && dev.tracer() == nullptr)
       dev.set_tracer(ctx.tracer);
     Timer t;
-    gpu::GprResult r;
-    if (options_.shards != 1) {
-      // Sharded execution: spread over the context's engine fleet, or —
-      // when the caller handed none — shard on this device's own engine.
-      std::vector<std::shared_ptr<device::Engine>> engines = ctx.engines;
-      if (engines.empty()) engines.push_back(dev.engine());
-      r = gpu::g_pr_sharded(engines, g, init, options_,
-                            ctx.tracer != nullptr ? ctx.tracer : dev.tracer());
-    } else {
-      r = gpu::g_pr(dev, g, init, options_);
-    }
+    gpu::GprResult r = gpu::g_pr(dev, g, init, options_);
     SolveResult out{std::move(r.matching), {}};
     out.stats.wall_ms = t.elapsed_ms();
     out.stats.cardinality = out.matching.cardinality();
-    // Sharded host runs report the measured K-engine-fleet critical path
-    // as their modeled time (GprStats::shard_critical_ms): the shards
-    // time-share this machine's cores, so their flat summed wall is not
-    // the number a one-engine-per-shard deployment would see.
-    out.stats.modeled_ms = r.stats.modeled_ms > 0.0
-                               ? r.stats.modeled_ms
-                               : (r.stats.shards > 1
-                                      ? r.stats.shard_critical_ms
-                                      : 0.0);
+    out.stats.modeled_ms = r.stats.modeled_ms;
     out.stats.device_launches = r.stats.device_launches;
     out.stats.iterations = r.stats.loops;
     std::ostringstream d;
@@ -173,13 +130,8 @@ class GprSolver final : public Solver {
     if (options_.balance == gpu::BalanceMode::kAuto)
       d << "skew " << r.stats.balance_skew << " -> "
         << (r.stats.balanced ? "balanced" : "vertex-parallel") << ", ";
-    if (r.stats.balanced || r.stats.shards > 1)
+    if (r.stats.balanced)
       d << r.stats.frontier_builds << " frontier builds, ";
-    if (r.stats.shards > 1)
-      d << r.stats.shards << " shards, " << r.stats.shard_rounds
-        << " rounds, " << r.stats.shard_conflicts << " conflicts, "
-        << r.stats.shard_transfers << " transfers, critical "
-        << r.stats.shard_critical_ms << " ms, ";
     if (r.stats.split_items > 0)
       d << r.stats.split_items << " split items ("
         << r.stats.split_fragments << " fragments), ";
@@ -510,15 +462,6 @@ SolverRegistry::SolverRegistry() {
     // balance=1 / balance=0.
     return std::make_unique<GprSolver>("g-pr-wb", gpu::GprVariant::kShrink,
                                        gpu::BalanceMode::kAuto);
-  });
-  add("g-pr-sh", [] {
-    // Sharded G-PR: the columns are cut into edge-balanced shards (auto =
-    // one per engine, grown until each fits an engine's memory budget),
-    // each driven on its own device stream with min-combine boundary
-    // reconciliation between rounds.  Any G-PR spec can opt in with
-    // shards=K; this name just defaults to auto.
-    return std::make_unique<GprSolver>("g-pr-sh", gpu::GprVariant::kShrink,
-                                       gpu::BalanceMode::kOff, /*shards=*/0);
   });
   add("g-hk", [] { return std::make_unique<GhkSolver>("g-hk", false); });
   add("g-hkdw", [] { return std::make_unique<GhkSolver>("g-hkdw", true); });

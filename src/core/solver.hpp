@@ -36,12 +36,6 @@ struct SolverCaps {
   /// skewed instances and on the host backend's work-partitioned chunks
   /// (`serve::Routing::kBackendFit`).
   bool balanced = false;
-  /// Cuts the instance into column shards and spreads them over
-  /// `SolveContext::engines` (`g-pr-sh`, or `shards=K|auto` on a G-PR
-  /// spec).  Dispatchers hand such solvers their whole engine fleet and
-  /// pin the coordinator stream shard-local
-  /// (`serve::DispatchProfile::preferred_engine`).
-  bool sharded = false;
 };
 
 /// Unified per-run statistics every solver reports, regardless of backend.
@@ -66,17 +60,10 @@ struct SolveResult {
 struct SolveContext {
   device::Device* device = nullptr;  ///< required when caps().needs_device
   unsigned threads = 0;  ///< workers for multicore solvers (0 = hardware)
-  /// Engine fleet for sharded solvers (`shards=K|auto`, `g-pr-sh`): shard
-  /// k runs on `engines[k % size]`, so a serving process hands its whole
-  /// `EngineGroup` here and one massive instance spreads across every
-  /// engine.  Empty = shard on `device`'s own engine (still correct; the
-  /// shards just time-share it).
-  std::vector<std::shared_ptr<device::Engine>> engines;
   /// Optional trace collector (`obs::Tracer`): when set and enabled, the
   /// run records solve-phase spans (push / global-relabel / frontier
-  /// compaction), per-launch device spans, and the sharded driver's
-  /// per-shard round timelines.  Must outlive the run; tracing must not
-  /// change the result (the conformance tests assert it).
+  /// compaction) and per-launch device spans.  Must outlive the run;
+  /// tracing must not change the result (the conformance tests assert it).
   obs::Tracer* tracer = nullptr;
 };
 

@@ -30,18 +30,6 @@ struct GprStats {
   std::int64_t split_items = 0;
   std::int64_t split_fragments = 0;
 
-  /// Sharded execution (core/shard.hpp; all 0 for unsharded runs).
-  int shards = 0;                      ///< shard count actually used
-  std::int64_t shard_rounds = 0;       ///< barrier-synchronised rounds
-  std::int64_t shard_conflicts = 0;    ///< rows claimed by >1 shard, min-combined
-  std::int64_t shard_transfers = 0;    ///< displaced columns routed cross-shard
-  /// Per-round critical path across the shard streams plus coordinator
-  /// work — the modeled wall time of a K-engine fleet, which is what the
-  /// shard-scaling bench reports (on one box the shards time-share the
-  /// same cores, so the flat measured wall says nothing about fleet
-  /// scaling).
-  double shard_critical_ms = 0.0;
-
   double gr_ms = 0.0;     ///< time in global relabeling
   double push_ms = 0.0;   ///< time in INIT/PUSH/SHR kernels
   double fix_ms = 0.0;    ///< FIXMATCHING + host transfers

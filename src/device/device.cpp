@@ -1,12 +1,8 @@
 #include "device/device.hpp"
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 namespace bpm::device {
 
@@ -41,63 +37,8 @@ std::string EngineDescriptor::summary() const {
   out += backend == Backend::kHost ? "(workers=" : "(lanes=";
   out += std::to_string(lanes);
   if (mode == ExecMode::kSequential) out += ",seq";
-  if (numa_node >= 0) out += ",numa=" + std::to_string(numa_node);
   out += ')';
   return out;
-}
-
-namespace {
-
-/// Parses a sysfs cpulist ("0-3,8,10-11") into CPU ids; malformed pieces
-/// are skipped rather than fatal — sysfs is advisory input.
-std::vector<int> parse_cpulist(const std::string& text) {
-  std::vector<int> cpus;
-  std::stringstream ss(text);
-  std::string piece;
-  while (std::getline(ss, piece, ',')) {
-    if (piece.empty()) continue;
-    const auto dash = piece.find('-');
-    try {
-      if (dash == std::string::npos) {
-        cpus.push_back(std::stoi(piece));
-      } else {
-        const int lo = std::stoi(piece.substr(0, dash));
-        const int hi = std::stoi(piece.substr(dash + 1));
-        for (int c = lo; c <= hi; ++c) cpus.push_back(c);
-      }
-    } catch (const std::exception&) {
-    }
-  }
-  return cpus;
-}
-
-}  // namespace
-
-std::vector<std::vector<int>> numa_topology() {
-  std::vector<std::vector<int>> nodes;
-#if defined(__linux__)
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  for (int node = 0;; ++node) {
-    const fs::path dir =
-        "/sys/devices/system/node/node" + std::to_string(node);
-    if (!fs::exists(dir, ec) || ec) break;
-    std::ifstream in(dir / "cpulist");
-    std::string line;
-    if (in && std::getline(in, line)) {
-      std::vector<int> cpus = parse_cpulist(line);
-      if (!cpus.empty()) nodes.push_back(std::move(cpus));
-    }
-  }
-#endif
-  if (nodes.empty()) {
-    // No sysfs tree (or not Linux): one node holding every CPU.
-    const unsigned n = std::max(1u, std::thread::hardware_concurrency());
-    std::vector<int> all(n);
-    for (unsigned c = 0; c < n; ++c) all[c] = static_cast<int>(c);
-    nodes.push_back(std::move(all));
-  }
-  return nodes;
 }
 
 std::vector<std::int64_t> balanced_partition(
@@ -114,8 +55,8 @@ std::vector<std::int64_t> balanced_partition(
   bounds.back() = n;
   if (total == 0) {
     // No work at all: fall back to near-equal *item* chunks so callers that
-    // partition by chunk (shard cuts) still get every item spread out
-    // instead of one chunk holding everything.
+    // partition by chunk still get every item spread out instead of one
+    // chunk holding everything.
     for (std::int64_t p = 1; p < parts; ++p)
       bounds[static_cast<std::size_t>(p)] = n * p / parts;
     return bounds;
@@ -125,7 +66,7 @@ std::vector<std::int64_t> balanced_partition(
     // overshoots the ideal by at most the work of its final item.  The
     // target is the *ceiling* of total*p/parts: a floor target rounds to 0
     // when total < parts and every leading chunk collapses onto item 0,
-    // which a shard cut must never see (shard 0 would own no columns).
+    // leaving the leading chunks empty while later ones hold all the work.
     const std::int64_t target = (total * p + parts - 1) / parts;
     const auto it = std::lower_bound(offsets.begin(), offsets.end(), target);
     bounds[static_cast<std::size_t>(p)] =
@@ -145,22 +86,8 @@ Engine::Engine(ExecMode mode, unsigned num_threads)
                               .threads = num_threads}) {}
 
 Engine::Engine(EngineDescriptor descriptor) : descriptor_(descriptor) {
-  if (descriptor_.mode == ExecMode::kConcurrent) {
-    std::vector<int> pin_cpus;
-    if (descriptor_.backend == Backend::kHost && descriptor_.numa_node >= 0) {
-      // A NUMA-pinned host engine keeps its workers on the hinted node so
-      // first-touch allocations through its pool land there.  A hint
-      // beyond the topology wraps — callers can number engines without
-      // probing the node count first.
-      const auto nodes = numa_topology();
-      pin_cpus = nodes[static_cast<std::size_t>(descriptor_.numa_node) %
-                       nodes.size()];
-      if (descriptor_.threads == 0)
-        descriptor_.threads = static_cast<unsigned>(pin_cpus.size());
-    }
-    pool_ =
-        std::make_unique<ThreadPool>(descriptor_.threads, std::move(pin_cpus));
-  }
+  if (descriptor_.mode == ExecMode::kConcurrent)
+    pool_ = std::make_unique<ThreadPool>(descriptor_.threads);
   if (descriptor_.backend == Backend::kHost)
     descriptor_.lanes = static_cast<int>(num_workers());
 }

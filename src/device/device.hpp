@@ -109,21 +109,12 @@ struct EngineDescriptor {
   /// (`DeviceModel::lanes`); the host backend's resolved worker count
   /// (filled in by the engine once its pool exists).
   int lanes = 448;
-  /// Advisory device memory budget in bytes (0 = unbounded).  The host
-  /// backend shares host RAM, so this is a routing hint, not a limit.
-  std::size_t memory_budget = 0;
   /// Host backend: the smallest per-slot item count worth a pool
   /// dispatch.  Launches whose per-slot share would fall below it run
   /// inline on the calling thread (the serial cutoff every real host
   /// runtime applies); lower it to force fan-out on tiny grids (the TSan
   /// tests do).
   std::int64_t host_grain = 16384;
-  /// NUMA node this engine is pinned to (-1 = unpinned).  A pinned host
-  /// engine builds its pool with the node's CPU list (`numa_topology`),
-  /// so worker threads — and every page they first-touch through an
-  /// `EngineArena` — stay on that node's socket.  Routing hints only on
-  /// non-Linux platforms and sim engines.
-  int numa_node = -1;
 
   /// One-line human-readable form, e.g. "host(workers=8)" or
   /// "sim(lanes=448)".
@@ -170,13 +161,6 @@ struct alignas(64) PaddedLaneTally {
 /// non-exclusive-prefix `offsets` span or `parts < 1`.
 [[nodiscard]] std::vector<std::int64_t> balanced_partition(
     std::span<const std::int64_t> offsets, std::int64_t parts);
-
-/// CPU ids per NUMA node, parsed from `/sys/devices/system/node/node*/
-/// cpulist` (Linux).  Always returns at least one node: machines without
-/// the sysfs tree (or non-Linux builds) report a single node holding every
-/// CPU id `[0, hardware_concurrency)`.  This is what `EngineGroup` callers
-/// use to spread engine descriptors' `numa_node` hints across sockets.
-[[nodiscard]] std::vector<std::vector<int>> numa_topology();
 
 /// Lifetime aggregates of one engine: how many streams it has served and
 /// the launch/model totals those streams retired into it.  This is the
@@ -347,15 +331,9 @@ class Device {
   /// records a span annotated with the backend and its grid/work shape
   /// (the sim adds the straggler-lane tally); when null or disabled the
   /// entire cost is one pointer check per launch.  The tracer must
-  /// outlive the stream; streams propagate it to whatever they spawn
-  /// (the sharded driver hands it to each per-shard stream).
+  /// outlive the stream.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
-
-  /// Timeline row for this stream's launch spans.  Defaults to the
-  /// recording thread's own row; the sharded driver pins each shard
-  /// stream to `tid == shard id` so launches line up under their shard.
-  void set_trace_tid(std::uint32_t tid) { trace_tid_ = tid; }
 
   /// The stream's timing model — read-only; drivers that pre-split work
   /// host-side (the intra-item min-combine) size their fragments from
@@ -566,7 +544,7 @@ class Device {
   /// Span for one launch (inert when no tracer is attached or tracing is
   /// off), pre-annotated with the backend and grid size.
   [[nodiscard]] obs::Span launch_span(std::string_view name, std::int64_t n) {
-    auto sp = obs::span(tracer_, name, "device", trace_tid_);
+    auto sp = obs::span(tracer_, name, "device");
     if (sp) {
       sp.arg("backend", backend_name(backend()));
       sp.arg("n", n);
@@ -780,7 +758,6 @@ class Device {
   double modeled_us_ = 0.0;
   double native_us_ = 0.0;  ///< host backend: measured in-kernel wall time
   obs::Tracer* tracer_ = nullptr;
-  std::uint32_t trace_tid_ = obs::Tracer::kSelfTid;
   obs::Counter* launch_counter_ = nullptr;  ///< lazy, process-wide registry
 };
 

@@ -2,13 +2,10 @@
 
 #include <atomic>
 #include <cstddef>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "device/device.hpp"
 
 namespace bpm::device {
 
@@ -47,20 +44,6 @@ class relaxed_cell {
   }
   void store(T v) noexcept { value_.store(v, std::memory_order_relaxed); }
 
-  /// Atomically lowers the cell to `min(current, v)`; returns the value
-  /// observed before the update (relaxed CAS loop, lock-free).  The one
-  /// RMW in the codebase, and deliberately so: it implements the sharded
-  /// solver's deterministic boundary min-combine — the paper's push path
-  /// itself stays free of RMW instructions.
-  T store_min(T v) noexcept {
-    T cur = value_.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed,
-                                         std::memory_order_relaxed)) {
-    }
-    return cur;
-  }
-
   /// Sequentially-consistent accessors for the race-cost ablation.
   [[nodiscard]] T load_seq_cst() const noexcept { return value_.load(); }
   void store_seq_cst(T v) noexcept { value_.store(v); }
@@ -69,31 +52,16 @@ class relaxed_cell {
   std::atomic<T> value_;
 };
 
-/// Tag selecting the *uninitialized* `relaxed_vector` constructor: storage
-/// is allocated but no cell is constructed, so the pages are not yet
-/// touched.  `construct_range` then places cells — on whatever thread runs
-/// it, which is how `EngineArena` performs NUMA first-touch on an engine's
-/// (possibly pinned) worker pool.
-struct uninitialized_t {
-  explicit uninitialized_t() = default;
-};
-inline constexpr uninitialized_t uninitialized{};
-
 /// Fixed-capacity array of racy cells — "device memory".  The interface is
 /// deliberately narrow: size, element access, bulk fill, host snapshot.
 ///
-/// Storage is raw aligned memory rather than `std::vector`, so that cell
-/// construction (the first write to each page) can be deferred and placed
-/// on specific threads: on a first-touch NUMA policy, the thread that
-/// constructs a page decides which node backs it.  The cell type must be
-/// trivially destructible (it is, for the trivially-copyable `T`s device
-/// state uses), which keeps destruction allocation-shaped: no per-cell
-/// destructor walk over gigabytes of state.
+/// Storage is raw aligned memory rather than `std::vector`: the cell type
+/// must be trivially destructible (it is, for the trivially-copyable `T`s
+/// device state uses), which keeps destruction allocation-shaped — no
+/// per-cell destructor walk over gigabytes of state.
 ///
 /// Copying/moving and the bulk operations are host-side only (no kernel in
-/// flight), like every non-atomic operation on device memory here; copying
-/// an incompletely-constructed vector (uninitialized ctor without a full
-/// `construct_range`) is undefined.
+/// flight), like every non-atomic operation on device memory here.
 template <typename T>
 class relaxed_vector {
   static_assert(std::is_trivially_destructible_v<relaxed_cell<T>>,
@@ -102,15 +70,12 @@ class relaxed_vector {
  public:
   relaxed_vector() = default;
   explicit relaxed_vector(std::size_t n, T init = T{})
-      : relaxed_vector(uninitialized, n) {
-    construct_range(0, n, init);
+      : relaxed_vector(Uninitialized{}, n) {
+    for (std::size_t i = 0; i < n; ++i) new (cells_ + i) relaxed_cell<T>(init);
   }
-  /// Allocates without constructing — see `uninitialized_t`.
-  relaxed_vector(uninitialized_t, std::size_t n)
-      : cells_(allocate(n)), size_(n) {}
 
   relaxed_vector(const relaxed_vector& other)
-      : cells_(allocate(other.size_)), size_(other.size_) {
+      : relaxed_vector(Uninitialized{}, other.size_) {
     for (std::size_t i = 0; i < size_; ++i)
       new (cells_ + i) relaxed_cell<T>(other.cells_[i].load());
   }
@@ -134,14 +99,6 @@ class relaxed_vector {
   }
   ~relaxed_vector() { deallocate(cells_); }
 
-  /// Constructs (first-touches) cells `[begin, end)` with `init`.  Safe to
-  /// call concurrently on disjoint ranges — this is the parallel
-  /// first-touch entry point `EngineArena` fans out over a pool.
-  void construct_range(std::size_t begin, std::size_t end, T init) {
-    for (std::size_t i = begin; i < end; ++i)
-      new (cells_ + i) relaxed_cell<T>(init);
-  }
-
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
@@ -156,15 +113,13 @@ class relaxed_vector {
     return cells_[i].load();
   }
   void store(std::size_t i, T v) noexcept { cells_[i].store(v); }
-  /// See `relaxed_cell::store_min`.
-  T store_min(std::size_t i, T v) noexcept { return cells_[i].store_min(v); }
 
   /// Host-side bulk operations (no kernel may be in flight).
   void fill(T v) {
     for (std::size_t i = 0; i < size_; ++i) cells_[i].store(v);
   }
   void assign_from(const std::vector<T>& host) {
-    relaxed_vector fresh(uninitialized, host.size());
+    relaxed_vector fresh(Uninitialized{}, host.size());
     for (std::size_t i = 0; i < host.size(); ++i)
       new (fresh.cells_ + i) relaxed_cell<T>(host[i]);
     swap(fresh);
@@ -176,6 +131,12 @@ class relaxed_vector {
   }
 
  private:
+  /// Allocates storage for `n` cells without constructing any; every
+  /// caller constructs all `n` before the vector is used.
+  struct Uninitialized {};
+  relaxed_vector(Uninitialized, std::size_t n)
+      : cells_(allocate(n)), size_(n) {}
+
   static relaxed_cell<T>* allocate(std::size_t n) {
     if (n == 0) return nullptr;
     return static_cast<relaxed_cell<T>*>(::operator new(
@@ -185,10 +146,8 @@ class relaxed_vector {
     if (p != nullptr) ::operator delete(p, std::align_val_t{kAlignment});
   }
 
-  /// Cache-line alignment: the arrays are sliced across shards, and a
-  /// shared line at a slice boundary is tolerable (benign races), but the
-  /// *start* of each array staying line-aligned keeps false sharing with
-  /// unrelated allocations out of the picture.
+  /// Cache-line alignment keeps false sharing with unrelated allocations
+  /// away from the start of each array.
   static constexpr std::size_t kAlignment =
       alignof(relaxed_cell<T>) > 64 ? alignof(relaxed_cell<T>) : 64;
 
@@ -220,63 +179,6 @@ class device_flag {
 
  private:
   std::atomic<bool> flag_{false};
-};
-
-/// Engine-pinned allocation arena: constructs `relaxed_vector` ranges on a
-/// specific engine's worker pool so that, under Linux's default
-/// first-touch policy, the backing pages land on that engine's NUMA node
-/// (the engine's workers are CPU-pinned when its descriptor carries a
-/// `numa_node` hint).  This is how a sharded solve gives each shard's
-/// column-side state to the engine that will run the shard's kernels,
-/// instead of every page landing on whichever node ran the allocator.
-///
-/// On engines without a pool (sequential mode) the touch simply runs
-/// inline — correct everywhere, NUMA-beneficial where it can be.
-class EngineArena {
- public:
-  explicit EngineArena(std::shared_ptr<Engine> engine)
-      : engine_(std::move(engine)) {}
-
-  [[nodiscard]] const std::shared_ptr<Engine>& engine() const {
-    return engine_;
-  }
-
-  /// First-touch constructs cells `[begin, end)` of `v` with `init`,
-  /// fanned out in page-multiple chunks over the engine's pool.  The
-  /// range must not have been constructed before (see `uninitialized_t`).
-  template <typename T>
-  void first_touch(relaxed_vector<T>& v, std::size_t begin, std::size_t end,
-                   T init) const {
-    if (begin >= end) return;
-    ThreadPool* pool = engine_ ? engine_->pool() : nullptr;
-    const std::size_t n = end - begin;
-    // 16 KiB of cells per chunk: a multiple of every page size that
-    // matters, small enough to spread a shard slice over all workers.
-    const std::size_t chunk =
-        std::max<std::size_t>(16384 / sizeof(relaxed_cell<T>), 1);
-    const std::size_t slots = (n + chunk - 1) / chunk;
-    if (pool == nullptr || slots <= 1) {
-      v.construct_range(begin, end, init);
-      return;
-    }
-    pool->run_tasks(static_cast<unsigned>(slots), [&](unsigned s) {
-      const std::size_t b = begin + static_cast<std::size_t>(s) * chunk;
-      const std::size_t e = std::min(end, b + chunk);
-      v.construct_range(b, e, init);
-    });
-  }
-
-  /// Convenience: a fully constructed vector whose every page was
-  /// first-touched on this arena's engine.
-  template <typename T>
-  [[nodiscard]] relaxed_vector<T> make(std::size_t n, T init = T{}) const {
-    relaxed_vector<T> v(uninitialized, n);
-    first_touch(v, 0, n, init);
-    return v;
-  }
-
- private:
-  std::shared_ptr<Engine> engine_;
 };
 
 }  // namespace bpm::device

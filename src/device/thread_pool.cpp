@@ -2,43 +2,14 @@
 
 #include <algorithm>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace bpm::device {
 
-namespace {
-
-void pin_current_thread(int cpu) {
-#if defined(__linux__)
-  if (cpu < 0 || cpu >= CPU_SETSIZE) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  // Best-effort: an id outside the process's affinity mask just fails,
-  // leaving the worker where the scheduler put it.
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)cpu;
-#endif
-}
-
-}  // namespace
-
-ThreadPool::ThreadPool(unsigned num_threads, std::vector<int> pin_cpus) {
+ThreadPool::ThreadPool(unsigned num_threads) {
   if (num_threads == 0)
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   workers_.reserve(num_threads);
-  for (unsigned id = 0; id < num_threads; ++id) {
-    const int cpu =
-        pin_cpus.empty() ? -1 : pin_cpus[id % pin_cpus.size()];
-    workers_.emplace_back([this, cpu] {
-      if (cpu >= 0) pin_current_thread(cpu);
-      worker_loop();
-    });
-  }
+  for (unsigned id = 0; id < num_threads; ++id)
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {

@@ -37,13 +37,7 @@ class ThreadPool {
  public:
   /// Creates `num_threads` workers.  `num_threads == 0` selects
   /// `std::thread::hardware_concurrency()`.
-  ///
-  /// A non-empty `pin_cpus` pins worker `i` to CPU `pin_cpus[i % size]`
-  /// (Linux only; silently ignored elsewhere) — how a NUMA-pinned engine
-  /// keeps its workers, and therefore its first-touched pages, on one
-  /// node.  Pinning is best-effort: an invalid CPU id leaves the worker
-  /// unpinned rather than failing pool construction.
-  explicit ThreadPool(unsigned num_threads = 0, std::vector<int> pin_cpus = {});
+  explicit ThreadPool(unsigned num_threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

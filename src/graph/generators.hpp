@@ -105,7 +105,7 @@ namespace bpm::graph::gen {
                                      index_t num_communities,
                                      double avg_community, std::uint64_t seed);
 
-/// Massive-instance generator for shard scaling: ~`avg_degree` random
+/// Massive-instance generator (the `massive` suite): ~`avg_degree` random
 /// rows per column, plus a hub column every `hub_every` columns with
 /// ~`hub_fraction · num_rows` neighbours (0 disables hubs).  Unlike the
 /// other generators there is NO intermediate edge list: columns are
@@ -114,8 +114,8 @@ namespace bpm::graph::gen {
 /// counting pass — peak memory is the final graph plus O(max degree), so
 /// instances ~10x the rest of the suite build without a memory spike.
 /// Hubs stay on their natural ids (no scatter permutation — permuting
-/// would materialise an edge list again); the shard cut still spreads
-/// them because they recur every `hub_every` columns.
+/// would materialise an edge list again); they still spread over the
+/// column range because they recur every `hub_every` columns.
 [[nodiscard]] BipartiteGraph huge_bipartite(index_t num_rows, index_t num_cols,
                                             double avg_degree,
                                             double hub_fraction,

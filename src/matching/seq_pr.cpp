@@ -40,15 +40,28 @@ struct PrState {
     gap_threshold = std::numeric_limits<index_t>::max();
   }
 
-  /// Move column v from label `from` to label `to`, detecting gaps.
-  void move_label(index_t v, index_t from, index_t to, SeqPrStats* stats) {
+  /// Move column v from label `from` to label `to`, detecting gaps.  A
+  /// move that keeps v's label must not pass through an empty count, or a
+  /// column alone at its label would record a gap it never left.
+  void move_label(index_t v, index_t from, index_t to) {
+    if (from == to) return;
     psi_col[static_cast<std::size_t>(v)] = to;
     if (from < psi_inf) {
       auto& cnt = label_count[static_cast<std::size_t>(from)];
       if (--cnt == 0 && from < gap_threshold) gap_threshold = from;
     }
     if (to < psi_inf) ++label_count[static_cast<std::size_t>(to)];
-    (void)stats;
+  }
+
+  /// Whether ψ(v) = `psi_v` lies beyond a label no column holds.  A
+  /// recorded gap that a later push has filled again is no gap: forget it.
+  bool beyond_gap(index_t psi_v) {
+    if (psi_v <= gap_threshold) return false;
+    if (label_count[static_cast<std::size_t>(gap_threshold)] != 0) {
+      gap_threshold = std::numeric_limits<index_t>::max();
+      return false;
+    }
+    return true;
   }
 
   /// Algorithm 2 (GR): exact distances via BFS from all unmatched rows.
@@ -128,11 +141,11 @@ Matching seq_push_relabel(const BipartiteGraph& g, Matching init,
       continue;  // matched meanwhile (re-queued stale entry)
 
     const index_t psi_v = st.psi_col[static_cast<std::size_t>(v)];
-    if (options.gap_relabeling && psi_v > st.gap_threshold) {
+    if (options.gap_relabeling && st.beyond_gap(psi_v)) {
       // Unreachable: a label below ψ(v) has no columns, so no alternating
       // path can descend past the gap.
       st.m.col_match[static_cast<std::size_t>(v)] = kUnmatchable;
-      st.move_label(v, psi_v, psi_inf, stats);
+      st.move_label(v, psi_v, psi_inf);
       ++stats->gap_retired;
       continue;
     }
@@ -152,7 +165,7 @@ Matching seq_push_relabel(const BipartiteGraph& g, Matching init,
 
     if (psi_min >= psi_inf) {
       st.m.col_match[static_cast<std::size_t>(v)] = kUnmatchable;
-      st.move_label(v, psi_v, psi_inf, stats);
+      st.move_label(v, psi_v, psi_inf);
       continue;
     }
 
@@ -165,7 +178,7 @@ Matching seq_push_relabel(const BipartiteGraph& g, Matching init,
     }
     st.m.row_match[static_cast<std::size_t>(u_min)] = v;
     st.m.col_match[static_cast<std::size_t>(v)] = u_min;
-    st.move_label(v, psi_v, psi_min + 1, stats);
+    st.move_label(v, psi_v, psi_min + 1);
     st.psi_row[static_cast<std::size_t>(u_min)] = psi_min + 2;
     ++stats->pushes;
     ++pushes_since_gr;

@@ -95,7 +95,7 @@ class Histogram {
   [[nodiscard]] static std::vector<double> exponential_bounds(
       double start, double factor, std::size_t count);
   /// 0.05 ms … ~52 s in ×2 steps: covers a cache hit through a massive
-  /// sharded solve.
+  /// solve.
   [[nodiscard]] static std::vector<double> default_latency_bounds_ms();
 
  private:

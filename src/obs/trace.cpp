@@ -135,11 +135,6 @@ void Tracer::complete(std::string name, std::string cat, std::uint64_t ts_us,
                     .args = std::move(args)});
 }
 
-void Tracer::name_tid(std::uint32_t tid, std::string name) {
-  std::lock_guard lock(mutex_);
-  tid_names_[tid] = std::move(name);
-}
-
 std::vector<TraceEvent> Tracer::events() const {
   std::vector<TraceEvent> all;
   {
@@ -179,16 +174,7 @@ std::map<std::string, double> Tracer::totals_ms(std::string_view cat) const {
 
 std::string Tracer::json() const {
   const std::vector<TraceEvent> all = events();
-  std::map<std::uint32_t, std::string> names;
-  std::uint64_t drops = 0;
-  {
-    std::lock_guard lock(mutex_);
-    names = tid_names_;
-    for (const auto& ring : rings_) {
-      std::lock_guard ring_lock(ring->mutex);
-      drops += ring->dropped;
-    }
-  }
+  const std::uint64_t drops = dropped();
   std::string out;
   out.reserve(128 + all.size() * 96);
   out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
@@ -200,14 +186,6 @@ std::string Tracer::json() const {
   };
   emit("{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
        "\"args\":{\"name\":\"bpm\"}}");
-  for (const auto& [tid, name] : names) {
-    std::string line = "{\"ph\":\"M\",\"pid\":1,\"tid\":";
-    line += std::to_string(tid);
-    line += ",\"name\":\"thread_name\",\"args\":{\"name\":";
-    line += quoted(name);
-    line += "}}";
-    emit(line);
-  }
   for (const TraceEvent& ev : all) {
     std::string line = "{\"name\":";
     line += quoted(ev.name);

@@ -24,7 +24,7 @@ struct TraceEvent {
   char ph = 'X';
   std::uint64_t ts_us = 0;   ///< start, µs since the tracer's epoch
   std::uint64_t dur_us = 0;  ///< complete events only
-  std::uint32_t tid = 0;     ///< timeline row (thread, shard, or engine id)
+  std::uint32_t tid = 0;     ///< timeline row (thread or caller-chosen id)
   std::string args;
 };
 
@@ -38,13 +38,12 @@ struct TraceEvent {
 /// (load the file at chrome://tracing or https://ui.perfetto.dev).
 ///
 /// Each recording thread appends into its own bounded ring (registered on
-/// first use), so concurrent spans from the shard fleet, the service
-/// workers, and the device pool never contend on one buffer; a full ring
-/// drops the newest events and counts the drops instead of blocking the
-/// solve.  Rows (`tid`) default to a per-thread id handed out in
-/// registration order (starting at `kThreadTidBase`), but callers that own
-/// a logical timeline — shard k, engine e — pass an explicit small tid so
-/// the trace shows the *fleet* layout rather than the pool's.
+/// first use), so concurrent spans from the service workers and the device
+/// pool never contend on one buffer; a full ring drops the newest events
+/// and counts the drops instead of blocking the solve.  Rows (`tid`)
+/// default to a per-thread id handed out in registration order (starting
+/// at `kThreadTidBase`); callers that own a logical timeline may pass an
+/// explicit tid below that base instead.
 ///
 /// The disabled path is the whole design: `obs::span(tracer, ...)` is one
 /// null/flag check when tracing is off (or the tracer absent), so the
@@ -87,10 +86,6 @@ class Tracer {
                 std::uint64_t dur_us, std::string args = {},
                 std::uint32_t tid = kSelfTid);
 
-  /// Names a timeline row ("shard 0 (engine 1)"); emitted as chrome
-  /// thread_name metadata so Perfetto labels the fleet rows.
-  void name_tid(std::uint32_t tid, std::string name);
-
   /// All recorded events merged across rings, sorted by (ts, tid, -dur,
   /// name) — a deterministic order in which an enclosing span precedes
   /// the spans it contains.
@@ -128,10 +123,9 @@ class Tracer {
   const std::size_t capacity_;
   std::atomic<bool> enabled_{false};
   std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mutex_;  ///< guards rings_/thread_index_/tid_names_
+  mutable std::mutex mutex_;  ///< guards rings_/thread_index_
   std::vector<std::unique_ptr<Ring>> rings_;
   std::map<std::thread::id, Ring*> thread_index_;
-  std::map<std::uint32_t, std::string> tid_names_;
 };
 
 /// RAII span: records one complete event from construction to `end()` (or

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <span>
-
-#include "device/device.hpp"
 
 namespace bpm::policy {
 
@@ -30,24 +27,6 @@ InstanceFeatures compute_features(const graph::BipartiteGraph& g,
   if (nonempty > 0) {
     f.avg_degree = static_cast<double>(f.edges) / static_cast<double>(nonempty);
     f.degree_skew = static_cast<double>(max_deg) / f.avg_degree;
-  }
-
-  // Hub mass via the same edge-balanced cut machinery the balanced
-  // kernels use: split the column-degree prefix sum (the CSR col_ptr IS
-  // that prefix sum) into up to 256 equal-work chunks and sum the edges
-  // of every chunk a single column monopolises.  A column only gets a
-  // chunk to itself when its degree reaches ~edges/256, so this measures
-  // exactly the straggler mass `Device::launch_balanced` exists for.
-  if (f.edges > 0 && f.cols > 0) {
-    const std::int64_t parts = std::min<std::int64_t>(256, f.cols);
-    const std::vector<std::int64_t> bounds = device::balanced_partition(
-        std::span<const std::int64_t>(col_ptr.data(), col_ptr.size()), parts);
-    std::int64_t hub_edges = 0;
-    for (std::size_t p = 0; p + 1 < bounds.size(); ++p)
-      if (bounds[p + 1] - bounds[p] == 1)
-        hub_edges += col_ptr[static_cast<std::size_t>(bounds[p]) + 1] -
-                     col_ptr[static_cast<std::size_t>(bounds[p])];
-    f.hub_mass = static_cast<double>(hub_edges) / static_cast<double>(f.edges);
   }
 
   const std::int64_t side = std::min(f.rows, f.cols);

@@ -30,12 +30,6 @@ struct InstanceFeatures {
   /// uniform, hub instances run to 10+.  Identical to the admission-time
   /// `PipelineInstance::degree_skew` the backend-fit router uses.
   double degree_skew = 0.0;
-  /// Fraction of all edges owned by columns heavy enough to monopolise a
-  /// chunk of the edge-balanced partition (`device::balanced_partition`
-  /// over the column-degree prefix sum): the mass the straggler problem is
-  /// made of.  0 for uniform instances, approaching the hub block's edge
-  /// share on hubby ones.
-  double hub_mass = 0.0;
   /// 1 - init_cardinality / min(rows, cols): how far the shared greedy
   /// init left the instance from trivially saturated.  Near 0 means the
   /// solver mostly verifies; a few percent means real augmenting work.
@@ -43,9 +37,8 @@ struct InstanceFeatures {
 };
 
 /// Computes the features of `g` given the shared init's cardinality.
-/// Deterministic in the graph structure; invariant under vertex
-/// relabeling except `hub_mass`, whose balanced-cut boundaries move with
-/// column order (tests allow it a generous tolerance).
+/// Deterministic in the graph structure and invariant under vertex
+/// relabeling.
 [[nodiscard]] InstanceFeatures compute_features(
     const graph::BipartiteGraph& g, graph::index_t init_cardinality);
 

@@ -123,12 +123,6 @@ unsigned EngineGroup::backend_fit_locked(
 }
 
 unsigned EngineGroup::pick_locked(const DispatchProfile& profile) {
-  // Shard-local placement first: a sharded dispatch's coordinator belongs
-  // with the engine that hosts shard 0's arena, whatever the policy says.
-  if (profile.preferred_engine >= 0 &&
-      static_cast<std::size_t>(profile.preferred_engine) < engines_.size() &&
-      !retired_[static_cast<std::size_t>(profile.preferred_engine)])
-    return static_cast<unsigned>(profile.preferred_engine);
   const std::uint64_t fingerprint = profile.fingerprint;
   switch (options_.routing) {
     case Routing::kRoundRobin: {
@@ -188,17 +182,6 @@ EngineGroup::Lease EngineGroup::acquire(std::uint64_t fingerprint,
                                         double estimated_work) {
   return acquire(DispatchProfile{.fingerprint = fingerprint,
                                  .estimated_work = estimated_work});
-}
-
-std::vector<std::shared_ptr<device::Engine>> EngineGroup::live_engines()
-    const {
-  const std::scoped_lock lock(mutex_);
-  std::vector<std::shared_ptr<device::Engine>> out;
-  out.reserve(engines_.size());
-  for (std::size_t i = 0; i < engines_.size(); ++i)
-    if (!retired_[i]) out.push_back(engines_[i]);
-  if (out.empty()) out = engines_;
-  return out;
 }
 
 void EngineGroup::retire(unsigned index) {

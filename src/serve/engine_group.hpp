@@ -75,12 +75,6 @@ struct DispatchProfile {
   std::int64_t edges = 0;       ///< instance edge count
   double degree_skew = 0.0;     ///< PipelineInstance::degree_skew
   bool balanced_kernels = false;  ///< solver runs edge-balanced launches
-  /// Shard-local placement hint: a sharded dispatch runs shard k on engine
-  /// `k % fleet` of the fleet it is handed, so its coordinator stream (and
-  /// the load charge) belongs on that same engine — routing honours a
-  /// valid, live preferred engine before any policy pick.  -1 = no
-  /// preference.
-  int preferred_engine = -1;
 };
 
 /// One engine's dispatch counters, next to its device odometer.
@@ -178,12 +172,6 @@ class EngineGroup {
   [[nodiscard]] unsigned size() const {
     return static_cast<unsigned>(engines_.size());
   }
-  /// The live (non-retired) engines in index order — the fleet a sharded
-  /// solve spreads over (`SolveContext::engines`).  Falls back to the full
-  /// pool when everything is retired, mirroring `acquire`'s never-fail
-  /// rule.
-  [[nodiscard]] std::vector<std::shared_ptr<device::Engine>> live_engines()
-      const;
   [[nodiscard]] const std::shared_ptr<device::Engine>& engine(
       unsigned index) const {
     return engines_.at(index);

@@ -260,16 +260,8 @@ void MatchingService::serve_batch(
         .estimated_work = estimated_work,
         .edges = static_cast<std::int64_t>(inst.graph.num_edges()),
         .degree_skew = inst.degree_skew};
-    bool sharded = false;
-    for (const std::size_t i : live) {
-      const SolverCaps caps = batch[i]->solver->caps();
-      if (caps.balanced) profile.balanced_kernels = true;
-      sharded = sharded || caps.sharded;
-    }
-    // A sharded dispatch spreads shard k over engine k of the live fleet,
-    // so pin its coordinator stream (and the load charge) on the engine
-    // that hosts shard 0's arena instead of letting the policy scatter it.
-    if (sharded) profile.preferred_engine = 0;
+    for (const std::size_t i : live)
+      if (batch[i]->solver->caps().balanced) profile.balanced_kernels = true;
     const std::function<device::Device&()> provider =
         [&]() -> device::Device& {
       if (!stream) {
@@ -289,10 +281,6 @@ void MatchingService::serve_batch(
     run.verify = options_.verify;
     run.solver_threads = options_.solver_threads;
     run.tracer = tracer;
-    // Sharded jobs spread one massive instance across the whole live
-    // fleet (shard k on engine k); everyone else ignores the fleet and
-    // stays on the leased stream.
-    if (sharded) run.engines = group_.live_engines();
     std::vector<AdmittedJobResult> results =
         run_admitted_jobs(jobs, provider, options_.cache.get(), run);
     // Retire the stream (folding its launches into the engine odometer)

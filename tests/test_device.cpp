@@ -354,11 +354,10 @@ TEST(BalancedPartition, DegenerateInputs) {
 }
 
 TEST(BalancedPartition, LeadingChunksNeverEmptyWhileWorkRemains) {
-  // Regression (sharding): floor targets used to hand chunk 0 an empty
-  // range when an all-zero-degree tail (or total < parts) dragged the
-  // average below 1 — an empty *leading* shard while later shards held
-  // all the work.  Ceil targets keep every leading chunk non-empty until
-  // the items run out.
+  // Regression: floor targets used to hand chunk 0 an empty range when an
+  // all-zero-degree tail (or total < parts) dragged the average below 1 —
+  // an empty *leading* chunk while later chunks held all the work.  Ceil
+  // targets keep every leading chunk non-empty until the items run out.
   const std::vector<std::int64_t> tail_zeros{3, 2, 0, 0, 0, 0, 0, 0};
   const auto bounds = balanced_partition(offsets_of(tail_zeros), 4);
   EXPECT_GT(bounds[1], 0) << "leading chunk must own at least one item";
@@ -402,57 +401,6 @@ TEST(BalancedPartition, ZeroTotalWorkSpreadsItemsEvenly) {
     EXPECT_GE(items, 2);
     EXPECT_LE(items, 3);
   }
-}
-
-// ------------------------------------------------------- EngineArena ----
-
-TEST(Mem, EngineArenaFirstTouchConstructsEveryCell) {
-  const auto engine = std::make_shared<Engine>(
-      EngineDescriptor{.backend = Backend::kHost,
-                       .mode = ExecMode::kConcurrent,
-                       .threads = 4});
-  const EngineArena arena(engine);
-  // Big enough to fan out over several 16 KiB first-touch chunks.
-  const std::size_t n = 3 * 16384 / sizeof(relaxed_cell<std::int64_t>) + 7;
-  const relaxed_vector<std::int64_t> v = arena.make<std::int64_t>(n, 42);
-  ASSERT_EQ(v.size(), n);
-  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(v.load(i), 42);
-}
-
-TEST(Mem, EngineArenaPartialRangesComposeIntoFullCoverage) {
-  // Interleaved block construction — the sharded solve's pattern for the
-  // shared row-side arrays (K even blocks, one per arena).
-  const auto engine = std::make_shared<Engine>(
-      EngineDescriptor{.backend = Backend::kHost, .threads = 2});
-  const EngineArena arena(engine);
-  relaxed_vector<int> v(uninitialized, 1000);
-  arena.first_touch(v, 500, 1000, 2);
-  arena.first_touch(v, 0, 500, 1);
-  for (std::size_t i = 0; i < 1000; ++i)
-    ASSERT_EQ(v.load(i), i < 500 ? 1 : 2);
-}
-
-TEST(Mem, EngineArenaWithoutEngineRunsInline) {
-  const EngineArena arena(nullptr);
-  const relaxed_vector<int> v = arena.make<int>(100, 7);
-  for (std::size_t i = 0; i < 100; ++i) ASSERT_EQ(v.load(i), 7);
-}
-
-TEST(Device, NumaTopologyIsWellFormed) {
-  // Shape-only sanity: at least one node, every node non-empty, CPU ids
-  // distinct across nodes (this box may well be single-node).
-  const auto topo = numa_topology();
-  ASSERT_GE(topo.size(), 1u);
-  std::vector<int> seen;
-  for (const auto& node : topo) {
-    EXPECT_FALSE(node.empty());
-    for (const int cpu : node) {
-      EXPECT_GE(cpu, 0);
-      seen.push_back(cpu);
-    }
-  }
-  std::sort(seen.begin(), seen.end());
-  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
 }
 
 class BalancedLaunchModes : public ::testing::TestWithParam<ExecMode> {};

@@ -378,40 +378,6 @@ TEST(HostBackendFit, RetiredHostEngineFallsBackToLiveEngines) {
   EXPECT_EQ(skewed.index(), 1u);
 }
 
-TEST(HostBackendFit, PreferredEngineOverridesThePolicyPick) {
-  serve::EngineGroup group(mixed_pool());
-  // A skewed heavy dispatch would go to the host engine (2) — but a
-  // sharded dispatch pins its coordinator on shard 0's engine.
-  const auto pinned = group.acquire(serve::DispatchProfile{
-      .fingerprint = 8, .estimated_work = 5e5, .edges = 100'000,
-      .degree_skew = 12.0, .preferred_engine = 0});
-  EXPECT_EQ(pinned.index(), 0u);
-  // Retired or out-of-range preferences fall back to the policy pick.
-  group.retire(0);
-  const auto fallback = group.acquire(serve::DispatchProfile{
-      .fingerprint = 9, .estimated_work = 5e5, .edges = 100'000,
-      .degree_skew = 12.0, .preferred_engine = 0});
-  EXPECT_EQ(fallback.index(), 2u);
-  const auto bogus = group.acquire(serve::DispatchProfile{
-      .fingerprint = 10, .estimated_work = 5e5, .edges = 100'000,
-      .degree_skew = 12.0, .preferred_engine = 99});
-  EXPECT_EQ(bogus.index(), 2u);
-}
-
-TEST(HostBackendFit, LiveEnginesSkipRetiredUntilNoneRemain) {
-  serve::EngineGroup group(mixed_pool());
-  EXPECT_EQ(group.live_engines().size(), 3u);
-  group.retire(1);
-  const auto live = group.live_engines();
-  ASSERT_EQ(live.size(), 2u);
-  EXPECT_EQ(live[0], group.engine(0));
-  EXPECT_EQ(live[1], group.engine(2));
-  group.retire(0);
-  group.retire(2);
-  // All retired: the fleet falls back to the full pool (never-fail rule).
-  EXPECT_EQ(group.live_engines().size(), 3u);
-}
-
 TEST(HostBackendFit, StatsReportEachEngineDescriptor) {
   serve::EngineGroup group(mixed_pool());
   const auto stats = group.stats();

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "core/g_pr.hpp"
-#include "core/shard.hpp"
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
 #include "matching/verify.hpp"
@@ -33,10 +31,7 @@
 namespace bpm::obs {
 namespace {
 
-using device::Backend;
 using device::Device;
-using device::Engine;
-using device::EngineDescriptor;
 using device::ExecMode;
 using graph::BipartiteGraph;
 namespace gen = graph::gen;
@@ -327,21 +322,19 @@ TEST(Trace, MovedFromSpanDoesNotDoubleRecord) {
   EXPECT_EQ(t.events().size(), 1u);
 }
 
-TEST(Trace, ExplicitTidsAndRowNamesReachJson) {
+TEST(Trace, ExplicitTidsReachJson) {
   Tracer t;
   t.enable();
-  t.name_tid(0, "shard 0 (sim)");
-  t.name_tid(96, "coordinator");
-  t.complete("push", "shard", 10, 5, arg_json("round", std::int64_t{1}), 0);
-  t.instant("barrier", "shard", /*args=*/{}, 96);
+  t.complete("push", "phase", 10, 5, arg_json("round", std::int64_t{1}), 0);
+  t.instant("barrier", "phase", /*args=*/{}, 96);
   const std::vector<TraceEvent> evs = t.events();
   ASSERT_EQ(evs.size(), 2u);
   for (const TraceEvent& ev : evs)
     EXPECT_EQ(ev.tid, ev.name == "push" ? 0u : 96u) << ev.name;
   const std::string json = t.json();
   for (const char* needle :
-       {"thread_name", "shard 0 (sim)", "coordinator", "\"ph\":\"X\"",
-        "\"ph\":\"i\"", "\"round\":1"})
+       {"\"tid\":0", "\"tid\":96", "\"ph\":\"X\"", "\"ph\":\"i\"",
+        "\"round\":1"})
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
   EXPECT_EQ(json, t.json());  // deterministic for a fixed event set
 }
@@ -459,58 +452,6 @@ TEST(TraceConformance, GprTracedSolveMatchesUntracedAndRecordsPhases) {
   for (const auto& [name, ms] : tracer.totals_ms("phase")) {
     EXPECT_GE(ms, 0.0) << name;
   }
-}
-
-TEST(TraceConformance, ShardedTracedSolveMatchesAndShowsFleetTimeline) {
-  const BipartiteGraph g = gen::random_uniform(400, 420, 3600, 11);
-  const matching::Matching init(g);  // empty start → several shard rounds
-
-  std::vector<std::shared_ptr<Engine>> engines;
-  for (int i = 0; i < 2; ++i)
-    engines.push_back(std::make_shared<Engine>(EngineDescriptor{
-        .backend = Backend::kSim,
-        .mode = ExecMode::kConcurrent,
-        .threads = 2}));
-
-  gpu::GprOptions options;
-  options.shards = 2;
-  const gpu::GprResult base = gpu::g_pr_sharded(engines, g, init, options);
-
-  Tracer tracer;
-  tracer.enable();
-  const gpu::GprResult obs_run =
-      gpu::g_pr_sharded(engines, g, init, options, &tracer);
-
-  ASSERT_TRUE(obs_run.matching.is_valid(g));
-  EXPECT_EQ(obs_run.matching.cardinality(), base.matching.cardinality());
-  EXPECT_TRUE(matching::is_maximum(g, obs_run.matching));
-
-  const std::vector<TraceEvent> evs = tracer.events();
-  const std::set<std::string> shard_spans = names_in(evs, "shard");
-  for (const char* expected :
-       {"compact", "push", "apply", "outbox-exchange",
-        "global-relabel-barrier"})
-    EXPECT_TRUE(shard_spans.count(expected)) << expected;
-
-  // Per-shard work lands on the shard's own timeline row (tid == shard
-  // id), and the coordinator's barriers land on a separate row — that
-  // separation is what makes the fleet timeline readable.
-  std::set<std::uint32_t> worker_tids, coordinator_tids;
-  for (const TraceEvent& ev : evs) {
-    if (ev.cat != "shard") continue;
-    if (ev.name == "outbox-exchange" || ev.name == "global-relabel-barrier")
-      coordinator_tids.insert(ev.tid);
-    else
-      worker_tids.insert(ev.tid);
-  }
-  EXPECT_EQ(worker_tids, (std::set<std::uint32_t>{0u, 1u}));
-  ASSERT_EQ(coordinator_tids.size(), 1u);
-  EXPECT_FALSE(worker_tids.count(*coordinator_tids.begin()));
-
-  // The fleet rows are labeled for Perfetto.
-  const std::string json = tracer.json();
-  for (const char* needle : {"shard 0", "shard 1", "coordinator"})
-    EXPECT_NE(json.find(needle), std::string::npos) << needle;
 }
 
 }  // namespace

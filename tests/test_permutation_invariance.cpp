@@ -7,7 +7,6 @@
 
 #include "core/g_hk.hpp"
 #include "core/g_pr.hpp"
-#include "core/shard.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
@@ -48,19 +47,6 @@ index_t cardinality_of(const std::string& algo, const BipartiteGraph& g) {
     Device dev({.mode = ExecMode::kConcurrent, .num_threads = 4});
     return gpu::g_hk(dev, g, init).matching.cardinality();
   }
-  if (algo == "g_pr_sh") {
-    // The sharded driver across 3 engines: the shard cut moves with the
-    // permutation, so the invariant also exercises the boundary
-    // reconciliation.
-    std::vector<std::shared_ptr<device::Engine>> engines;
-    for (int e = 0; e < 3; ++e)
-      engines.push_back(std::make_shared<device::Engine>(
-          device::EngineDescriptor{.mode = ExecMode::kConcurrent,
-                                   .threads = 2}));
-    gpu::GprOptions opt;
-    opt.shards = 3;
-    return gpu::g_pr_sharded(engines, g, init, opt).matching.cardinality();
-  }
   ADD_FAILURE() << "unknown algo " << algo;
   return -1;
 }
@@ -89,7 +75,7 @@ TEST_P(PermutationInvariance, CardinalityStableUnderRelabeling) {
 INSTANTIATE_TEST_SUITE_P(Algorithms, PermutationInvariance,
                          ::testing::Values("seq_pr", "hk", "pf", "hkdw",
                                            "pdbfs", "g_pr", "g_pr_wb",
-                                           "g_pr_sh", "g_hkdw"),
+                                           "g_hkdw"),
                          [](const auto& param_info) {
                            return std::string(param_info.param);
                          });

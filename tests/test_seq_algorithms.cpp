@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/instances.hpp"
 #include "matching/greedy.hpp"
 #include "matching/hkdw.hpp"
 #include "matching/hopcroft_karp.hpp"
@@ -111,6 +113,19 @@ TEST_P(SeqSolvers, PowerLawWithIsolatedVertices) {
 TEST_P(SeqSolvers, RoadLattice) { check(gen::road_network(12, 12, 0.85, 2)); }
 
 TEST_P(SeqSolvers, TraceStrip) { check(gen::trace_mesh(64, 3, 0.05, 2)); }
+
+TEST_P(SeqSolvers, AmazonAnalogueSeeds) {
+  // Seeds on which seq-pr's gap heuristic once retired matchable columns:
+  // a push that left ψ(v) unchanged recorded a false gap, and a recorded
+  // gap was never rechecked after a later push refilled its label.
+  const auto& all = graph::paper_instances();
+  const auto amazon = std::find_if(all.begin(), all.end(), [](const auto& in) {
+    return in.name == "amazon0505";
+  });
+  ASSERT_NE(amazon, all.end());
+  for (const std::uint64_t seed : {226, 300, 323, 351, 389})
+    check(amazon->build(0.005, seed));
+}
 
 INSTANTIATE_TEST_SUITE_P(
     All, SeqSolvers,

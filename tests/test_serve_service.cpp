@@ -526,24 +526,5 @@ TEST(Service, EngineOdometerTracksSolvedRequestsLive) {
   EXPECT_EQ(two.launches, one.launches);  // no device work on a CPU run
 }
 
-TEST(Service, ShardedSolverSpreadsOverTheServiceFleet) {
-  // A sharded dispatch gets the whole live fleet (shard k on engine k)
-  // and pins its coordinator on engine 0; the result is verified like any
-  // other solver's.
-  MatchingService svc({.workers = 1, .engines = 3});
-  const auto g = gen::skewed_hubs(220, 260, 5, 0.3, 2.5, 23);
-  const auto handle = svc.add_instance("hubs", g).handle;
-
-  const Response r =
-      svc.submit(request(handle, "g-pr-sh:shards=3")).future.get();
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_NE(r.stats.detail.find("3 shards"), std::string::npos)
-      << r.stats.detail;
-  // The coordinator lease landed shard-local: engine 0 took the dispatch.
-  const auto stats = svc.engine_group().stats();
-  ASSERT_EQ(stats.size(), 3u);
-  EXPECT_EQ(stats[0].dispatches, 1u);
-}
-
 }  // namespace
 }  // namespace bpm::serve

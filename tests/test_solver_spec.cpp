@@ -82,26 +82,40 @@ TEST(SolverSpec, MalformedSpecsFailWithTheRegistryListing) {
 }
 
 TEST(SolverSpec, UnknownNameFailsWithTheRegistryListing) {
-  const SolverSpec spec = SolverSpec::parse("no-such-solver:k=2");
-  try {
-    (void)spec.instantiate();
-    FAIL() << "unknown solver should have thrown";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("no-such-solver"), std::string::npos);
-    EXPECT_NE(msg.find("have:"), std::string::npos);
-    EXPECT_NE(msg.find("g-pr-shr"), std::string::npos);
+  for (const std::string name : {"no-such-solver", "g-pr-sh"}) {
+    const SolverSpec spec = SolverSpec::parse(name + ":k=2");
+    try {
+      (void)spec.instantiate();
+      ADD_FAILURE() << "unknown solver " << name << " should have thrown";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'" + name + "'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("have:"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("g-pr-shr"), std::string::npos) << msg;
+    }
   }
 }
 
 TEST(SolverSpec, UnknownOptionKeyFailsNamingTheSolver) {
-  try {
-    (void)SolverSpec::parse("hk:k=1.5").instantiate();
-    FAIL() << "hk has no options; should have thrown";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("hk"), std::string::npos);
-    EXPECT_NE(msg.find("'k'"), std::string::npos);
+  struct Case {
+    const char* spec;
+    const char* solver;
+    const char* key;
+  };
+  for (const Case& c : {Case{"hk:k=1.5", "hk", "'k'"},
+                        Case{"g-pr-shr:shards=2", "g-pr-shr", "'shards'"},
+                        Case{"g-pr-wb:shard-drivers=par", "g-pr-wb",
+                             "'shard-drivers'"}}) {
+    try {
+      (void)SolverSpec::parse(c.spec).instantiate();
+      ADD_FAILURE() << c.spec << " has an unknown option; should have thrown";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(std::string("solver '") + c.solver + "'"),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find(c.key), std::string::npos) << msg;
+    }
   }
 }
 
