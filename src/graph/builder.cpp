@@ -8,53 +8,66 @@
 
 namespace bpm::graph {
 
-namespace {
-
-/// Counting-sort one CSR direction from a deduplicated edge list.
-/// `key(e)` selects the source side, `val(e)` the target side.
-template <typename Key, typename Val>
-void build_csr(std::span<const Edge> edges, index_t num_src, Key key, Val val,
-               std::vector<offset_t>& ptr, std::vector<index_t>& adj) {
-  ptr.assign(static_cast<std::size_t>(num_src) + 1, 0);
-  for (const Edge& e : edges) ptr[static_cast<std::size_t>(key(e)) + 1]++;
-  std::partial_sum(ptr.begin(), ptr.end(), ptr.begin());
-  adj.resize(edges.size());
-  std::vector<offset_t> cursor(ptr.begin(), ptr.end() - 1);
-  for (const Edge& e : edges)
-    adj[static_cast<std::size_t>(cursor[static_cast<std::size_t>(key(e))]++)] =
-        val(e);
-  for (index_t s = 0; s < num_src; ++s)
-    std::sort(adj.begin() + static_cast<std::ptrdiff_t>(ptr[static_cast<std::size_t>(s)]),
-              adj.begin() + static_cast<std::ptrdiff_t>(ptr[static_cast<std::size_t>(s) + 1]));
-}
-
-}  // namespace
-
 BipartiteGraph build_from_edges(index_t num_rows, index_t num_cols,
                                 std::span<const Edge> edges) {
   if (num_rows < 0 || num_cols < 0)
     throw std::invalid_argument("build_from_edges: negative dimension");
+  const auto rows = static_cast<std::size_t>(num_rows);
+  const auto cols = static_cast<std::size_t>(num_cols);
+
+  // Counting sort by row, straight into row_adj (range checks ride along).
+  std::vector<offset_t> row_ptr(rows + 1, 0);
   for (const Edge& e : edges) {
     if (e.row < 0 || e.row >= num_rows || e.col < 0 || e.col >= num_cols)
       throw std::invalid_argument(
           "build_from_edges: edge endpoint out of range");
+    ++row_ptr[static_cast<std::size_t>(e.row) + 1];
+  }
+  std::partial_sum(row_ptr.begin(), row_ptr.end(), row_ptr.begin());
+  std::vector<index_t> row_adj(edges.size());
+  {
+    std::vector<offset_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
+    for (const Edge& e : edges)
+      row_adj[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(e.row)]++)] = e.col;
   }
 
-  // Deduplicate without disturbing the caller's buffer.
-  std::vector<Edge> sorted(edges.begin(), edges.end());
-  std::sort(sorted.begin(), sorted.end(), [](const Edge& a, const Edge& b) {
-    return a.row != b.row ? a.row < b.row : a.col < b.col;
-  });
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  // Sort and dedup each row in place, compacting rows leftwards.
+  offset_t kept = 0;
+  offset_t begin = 0;  // the row's start before compaction
+  for (std::size_t u = 0; u < rows; ++u) {
+    const offset_t end = row_ptr[u + 1];
+    const auto first = row_adj.begin() + begin;
+    auto last = row_adj.begin() + end;
+    std::sort(first, last);
+    last = std::unique(first, last);
+    row_ptr[u] = kept;
+    if (kept != begin) std::move(first, last, row_adj.begin() + kept);
+    kept += last - first;
+    begin = end;
+  }
+  row_ptr[rows] = kept;
+  if (static_cast<std::size_t>(kept) != row_adj.size()) {
+    row_adj.resize(static_cast<std::size_t>(kept));
+    row_adj.shrink_to_fit();
+  }
 
-  std::vector<offset_t> row_ptr, col_ptr;
-  std::vector<index_t> row_adj, col_adj;
-  build_csr(
-      sorted, num_rows, [](const Edge& e) { return e.row; },
-      [](const Edge& e) { return e.col; }, row_ptr, row_adj);
-  build_csr(
-      sorted, num_cols, [](const Edge& e) { return e.col; },
-      [](const Edge& e) { return e.row; }, col_ptr, col_adj);
+  // Scatter the rows in order into the column CSR: each column list comes
+  // out sorted because rows are visited in increasing order.
+  std::vector<offset_t> col_ptr(cols + 1, 0);
+  for (const index_t v : row_adj) ++col_ptr[static_cast<std::size_t>(v) + 1];
+  std::partial_sum(col_ptr.begin(), col_ptr.end(), col_ptr.begin());
+  std::vector<index_t> col_adj(row_adj.size());
+  {
+    std::vector<offset_t> cursor(col_ptr.begin(), col_ptr.end() - 1);
+    for (std::size_t u = 0; u < rows; ++u)
+      for (auto k = static_cast<std::size_t>(row_ptr[u]);
+           k < static_cast<std::size_t>(row_ptr[u + 1]); ++k) {
+        const auto v = static_cast<std::size_t>(row_adj[k]);
+        col_adj[static_cast<std::size_t>(cursor[v]++)] =
+            static_cast<index_t>(u);
+      }
+  }
 
   return BipartiteGraph(num_rows, num_cols, std::move(row_ptr),
                         std::move(row_adj), std::move(col_ptr),

@@ -19,8 +19,10 @@ struct Edge {
 
 /// Builds a `BipartiteGraph` from an arbitrary edge list.
 ///
-/// Duplicates are removed, adjacency lists are sorted, and both CSR
-/// directions are constructed with counting sort (O(|E| + m + n)).
+/// Duplicates are removed and adjacency lists are sorted.  Edges are
+/// counting-sorted by row straight into the row CSR, each row is sorted
+/// and deduplicated in place, and the column CSR is scattered from the
+/// rows in order, so it needs no sort (O(|E| log d_max + m + n)).
 /// Out-of-range endpoints throw `std::invalid_argument` — generators and
 /// file readers are expected to produce in-range vertices, and silently
 /// clamping would corrupt experiments.

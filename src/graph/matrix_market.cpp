@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "graph/builder.hpp"
 
@@ -18,30 +20,147 @@ namespace {
                            ": " + what);
 }
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
+std::string lower(std::string_view s) {
+  std::string out(s);
+  std::transform(out.begin(), out.end(), out.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return s;
+  return out;
+}
+
+/// The separators `istream >>` skips inside one line (C locale).
+bool is_blank(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+
+/// Splits a stream into lines, reading it in fixed-size blocks.  A line cut
+/// by a block boundary is carried to the front of the buffer and completed
+/// by the next fill, so only one block (or one longer line) is ever held.
+class LineReader {
+ public:
+  explicit LineReader(std::istream& in) : in_(in), buf_(kBlockBytes) {}
+
+  /// The next line without its '\n' (the last line may lack one), valid
+  /// until the next call.  False once the stream is exhausted.
+  bool next(std::string_view& line) {
+    for (;;) {
+      const char* begin = buf_.data() + pos_;
+      if (const void* nl = std::memchr(begin, '\n', end_ - pos_)) {
+        const auto len =
+            static_cast<std::size_t>(static_cast<const char*>(nl) - begin);
+        line = {begin, len};
+        pos_ += len + 1;
+        return true;
+      }
+      if (eof_) {
+        if (pos_ == end_) return false;
+        line = {begin, end_ - pos_};
+        pos_ = end_;
+        return true;
+      }
+      fill();
+    }
+  }
+
+ private:
+  static constexpr std::size_t kBlockBytes = std::size_t{1} << 16;
+
+  void fill() {
+    const std::size_t carry = end_ - pos_;
+    std::memmove(buf_.data(), buf_.data() + pos_, carry);
+    // A single line longer than the buffer grows it, as getline would.
+    if (carry == buf_.size()) buf_.resize(2 * buf_.size());
+    in_.read(buf_.data() + carry,
+             static_cast<std::streamsize>(buf_.size() - carry));
+    pos_ = 0;
+    end_ = carry + static_cast<std::size_t>(in_.gcount());
+    eof_ = !in_;  // a short read sets failbit
+  }
+
+  std::istream& in_;
+  std::vector<char> buf_;
+  std::size_t pos_ = 0;
+  std::size_t end_ = 0;
+  bool eof_ = false;
+};
+
+/// Cursor over the fields of one line.  Each reader accepts the tokens
+/// `istream >>` accepts for its type: leading blanks, one optional sign
+/// (from_chars alone rejects '+'), and no separator required after the
+/// number — what follows the last field read is ignored.
+class Fields {
+ public:
+  explicit Fields(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
+
+  /// The next blank-delimited word; empty at the end of the line.
+  std::string_view word() {
+    skip_blanks();
+    const char* begin = p_;
+    while (p_ != end_ && !is_blank(*p_)) ++p_;
+    return {begin, static_cast<std::size_t>(p_ - begin)};
+  }
+
+  bool integer(long long& out) {
+    skip_blanks();
+    if (p_ != end_ && *p_ == '+') {
+      ++p_;
+      if (!digit_next()) return false;
+    }
+    const auto [next, ec] = std::from_chars(p_, end_, out);
+    if (ec != std::errc()) return false;
+    p_ = next;
+    return true;
+  }
+
+  /// A real value, parsed and discarded (pattern matching needs none).
+  /// Like the stream, rejects nan/inf, overflow and a dangling exponent.
+  bool real() {
+    skip_blanks();
+    if (p_ != end_ && (*p_ == '+' || *p_ == '-')) ++p_;
+    if (!digit_next() && (p_ == end_ || *p_ != '.')) return false;
+    double value = 0.0;
+    const auto [next, ec] = std::from_chars(p_, end_, value);
+    if (ec != std::errc()) return false;
+    p_ = next;
+    return p_ == end_ || (*p_ != 'e' && *p_ != 'E');
+  }
+
+ private:
+  void skip_blanks() {
+    while (p_ != end_ && is_blank(*p_)) ++p_;
+  }
+  [[nodiscard]] bool digit_next() const {
+    return p_ != end_ && *p_ >= '0' && *p_ <= '9';
+  }
+
+  const char* p_;
+  const char* end_;
+};
+
+bool skippable(std::string_view line) {
+  return line.empty() || line[0] == '%';
 }
 
 }  // namespace
 
 BipartiteGraph read_matrix_market(std::istream& in) {
-  std::string line;
+  LineReader reader(in);
+  std::string_view line;
   std::size_t line_no = 0;
 
   // --- Header -------------------------------------------------------------
-  if (!std::getline(in, line)) fail(1, "empty stream");
+  if (!reader.next(line)) fail(1, "empty stream");
   ++line_no;
-  std::istringstream header(line);
-  std::string banner, object, format, field, symmetry;
-  header >> banner >> object >> format >> field >> symmetry;
-  if (lower(banner) != "%%matrixmarket") fail(line_no, "missing banner");
-  if (lower(object) != "matrix") fail(line_no, "only 'matrix' is supported");
-  if (lower(format) != "coordinate")
+  Fields header(line);
+  const std::string banner = lower(header.word());
+  const std::string object = lower(header.word());
+  const std::string format = lower(header.word());
+  const std::string field = lower(header.word());
+  const std::string symmetry = lower(header.word());
+  if (banner != "%%matrixmarket") fail(line_no, "missing banner");
+  if (object != "matrix") fail(line_no, "only 'matrix' is supported");
+  if (format != "coordinate")
     fail(line_no, "only 'coordinate' (sparse) is supported");
-  field = lower(field);
-  symmetry = lower(symmetry);
   const bool pattern = field == "pattern";
   const bool complex_field = field == "complex";
   if (!pattern && field != "real" && field != "integer" && !complex_field)
@@ -60,11 +179,12 @@ BipartiteGraph read_matrix_market(std::istream& in) {
 
   // --- Size line (skipping comments) --------------------------------------
   long long nrows = -1, ncols = -1, nnz = -1;
-  while (std::getline(in, line)) {
+  while (reader.next(line)) {
     ++line_no;
-    if (line.empty() || line[0] == '%') continue;
-    std::istringstream ls(line);
-    if (!(ls >> nrows >> ncols >> nnz)) fail(line_no, "bad size line");
+    if (skippable(line)) continue;
+    Fields size(line);
+    if (!size.integer(nrows) || !size.integer(ncols) || !size.integer(nnz))
+      fail(line_no, "bad size line");
     break;
   }
   if (nrows < 0) fail(line_no, "missing size line");
@@ -75,26 +195,23 @@ BipartiteGraph read_matrix_market(std::istream& in) {
   // --- Entries -------------------------------------------------------------
   if (nnz < 0) fail(line_no, "negative entry count");
   std::vector<Edge> edges;
-  // Reserve is only a hint: clamp it so a hostile header (declaring
-  // billions of entries it never provides) cannot force a huge upfront
-  // allocation before the entry loop rejects the file.
+  // Reserve is only a hint: clamp it (before doubling, which could
+  // overflow) so a hostile header declaring billions of entries it never
+  // provides cannot force a huge upfront allocation.
   constexpr long long kReserveCap = 1 << 22;
-  edges.reserve(static_cast<std::size_t>(
-      std::min(symmetric ? 2 * nnz : nnz, kReserveCap)));
+  const long long hint = std::min(nnz, kReserveCap);
+  edges.reserve(static_cast<std::size_t>(symmetric ? 2 * hint : hint));
   long long seen = 0;
-  while (seen < nnz && std::getline(in, line)) {
+  while (seen < nnz && reader.next(line)) {
     ++line_no;
-    if (line.empty() || line[0] == '%') continue;
-    std::istringstream ls(line);
+    if (skippable(line)) continue;
+    Fields entry(line);
     long long i = 0, j = 0;
-    if (!(ls >> i >> j)) fail(line_no, "bad entry");
+    if (!entry.integer(i) || !entry.integer(j)) fail(line_no, "bad entry");
     if (!pattern) {
-      double value = 0.0;
-      if (!(ls >> value)) fail(line_no, "missing value");
-      if (complex_field) {
-        double imag = 0.0;
-        if (!(ls >> imag)) fail(line_no, "missing imaginary part");
-      }
+      if (!entry.real()) fail(line_no, "missing value");
+      if (complex_field && !entry.real())
+        fail(line_no, "missing imaginary part");
     }
     if (i < 1 || i > nrows || j < 1 || j > ncols)
       fail(line_no, "entry out of bounds");
@@ -112,10 +229,10 @@ BipartiteGraph read_matrix_market(std::istream& in) {
   // The declared nnz is a contract: trailing entries mean the header lied
   // (or two files were concatenated) — silently dropping them would hand
   // back a graph that is NOT what the file describes.
-  while (std::getline(in, line)) {
+  while (reader.next(line)) {
     ++line_no;
-    if (line.empty() || line[0] == '%') continue;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    if (skippable(line)) continue;
+    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
     fail(line_no, "more entries than the declared " + std::to_string(nnz));
   }
 

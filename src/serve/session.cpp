@@ -9,6 +9,7 @@
 #include "graph/matrix_market.hpp"
 #include "obs/metrics.hpp"
 #include "policy/auto_solver.hpp"
+#include "util/timer.hpp"
 
 namespace bpm::serve {
 
@@ -106,26 +107,47 @@ void Session::handle(const proto::AuthRequest& r, Outcome& out) {
   error(out, ErrorCode::kUnauthorized, "bad auth token");
 }
 
-void Session::handle(const proto::LoadRequest& r, Outcome& out) {
-  graph::BipartiteGraph g;
-  try {
-    g = graph::read_matrix_market_file(r.path);
-  } catch (const std::exception& e) {
-    error(out, ErrorCode::kIo, e.what());
-    return;
+void Session::admit(std::string_view span_name, const std::string& name,
+                    graph::BipartiteGraph g, Outcome& out) {
+  static obs::Histogram& admit_ms =
+      obs::Registry::global().histogram("serve.admit_ms");
+  InstanceStore::AddResult added;
+  {
+    const Timer timer;
+    auto sp = obs::span(&context_.tracer, span_name, "serve");
+    added = context_.service.add_instance(name, std::move(g));
+    admit_ms.observe(timer.elapsed_ms());
   }
-  const auto added = context_.service.add_instance(r.name, std::move(g));
   const auto& inst = context_.service.instances().get(added.handle);
   std::ostringstream os;
-  os << "instance " << r.name << " handle=" << added.handle
+  os << "instance " << name << " handle=" << added.handle
      << (added.deduplicated ? " (deduplicated)" : "") << " "
      << inst.graph.describe() << " max=" << inst.maximum_cardinality;
   out.lines.push_back(os.str());
 }
 
+void Session::handle(const proto::LoadRequest& r, Outcome& out) {
+  static obs::Histogram& read_ms =
+      obs::Registry::global().histogram("serve.load_read_ms");
+  graph::BipartiteGraph g;
+  {
+    const Timer timer;
+    auto sp = obs::span(&context_.tracer, "load.read", "serve");
+    try {
+      g = graph::read_matrix_market_file(r.path);
+    } catch (const std::exception& e) {
+      error(out, ErrorCode::kIo, e.what());
+      return;
+    }
+    read_ms.observe(timer.elapsed_ms());
+  }
+  admit("load.admit", r.name, std::move(g), out);
+}
+
 void Session::handle(const proto::GenRequest& r, Outcome& out) {
   graph::BipartiteGraph g;
   try {
+    auto sp = obs::span(&context_.tracer, "gen.build", "serve");
     g = generate(r.spec);
   } catch (const std::exception& e) {
     // Schema bounds screen most of this; the generators' own `require`
@@ -133,13 +155,7 @@ void Session::handle(const proto::GenRequest& r, Outcome& out) {
     error(out, ErrorCode::kBadArgument, e.what());
     return;
   }
-  const auto added = context_.service.add_instance(r.name, std::move(g));
-  const auto& inst = context_.service.instances().get(added.handle);
-  std::ostringstream os;
-  os << "instance " << r.name << " handle=" << added.handle
-     << (added.deduplicated ? " (deduplicated)" : "") << " "
-     << inst.graph.describe() << " max=" << inst.maximum_cardinality;
-  out.lines.push_back(os.str());
+  admit("gen.admit", r.name, std::move(g), out);
 }
 
 void Session::handle(const proto::SubmitRequest& r, Outcome& out) {

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "graph/bipartite_graph.hpp"
 #include "graph/builder.hpp"
+#include "util/rng.hpp"
 
 namespace bpm::graph {
 namespace {
@@ -53,6 +59,59 @@ TEST(Builder, IsolatedVerticesKeepEmptyAdjacency) {
   EXPECT_TRUE(g.row_neighbors(0).empty());
   EXPECT_TRUE(g.row_neighbors(2).empty());
   EXPECT_EQ(g.row_neighbors(1).size(), 1u);
+}
+
+TEST(Builder, MatchesCsrDerivedFromEdgeSet) {
+  // Endpoints are drawn on a `stride` lattice, so stride > 1 leaves rows
+  // and columns empty in between; `hub` sends every other edge to row 0.
+  const struct {
+    const char* name;
+    index_t rows, cols, stride;
+    int edges;
+    bool hub;
+    std::uint64_t seed;
+  } cases[] = {
+      {"no edges", 4, 5, 1, 0, false, 1},
+      {"dense, mostly duplicates", 6, 7, 1, 400, false, 2},
+      {"sparse, unsorted", 300, 200, 1, 1500, false, 3},
+      {"empty rows and columns", 240, 180, 3, 900, false, 4},
+      {"one hub row", 150, 400, 2, 2000, true, 5},
+  };
+  using Csr = std::pair<std::vector<offset_t>, std::vector<index_t>>;
+  const auto csr_of = [](const std::set<std::pair<index_t, index_t>>& set,
+                         index_t n) {
+    Csr csr{std::vector<offset_t>(static_cast<std::size_t>(n) + 1, 0), {}};
+    for (const auto& [src, dst] : set) {
+      ++csr.first[static_cast<std::size_t>(src) + 1];
+      csr.second.push_back(dst);
+    }
+    std::partial_sum(csr.first.begin(), csr.first.end(), csr.first.begin());
+    return csr;
+  };
+
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    Rng rng(c.seed);
+    const auto draw = [&](index_t n) {
+      return c.stride * static_cast<index_t>(rng.below(
+                            static_cast<std::uint64_t>(n / c.stride)));
+    };
+    std::vector<Edge> edges;
+    std::set<std::pair<index_t, index_t>> by_row, by_col;
+    for (int k = 0; k < c.edges; ++k) {
+      const Edge e{c.hub && k % 2 == 0 ? 0 : draw(c.rows), draw(c.cols)};
+      edges.push_back(e);
+      by_row.emplace(e.row, e.col);
+      by_col.emplace(e.col, e.row);
+    }
+    const BipartiteGraph g = build_from_edges(c.rows, c.cols, edges);
+    const Csr rows = csr_of(by_row, c.rows);
+    const Csr cols = csr_of(by_col, c.cols);
+    EXPECT_EQ(g.row_ptr(), rows.first);
+    EXPECT_EQ(g.row_adj(), rows.second);
+    EXPECT_EQ(g.col_ptr(), cols.first);
+    EXPECT_EQ(g.col_adj(), cols.second);
+  }
 }
 
 TEST(Graph, HasEdge) {

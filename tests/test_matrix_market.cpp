@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "graph/builder.hpp"
+#include "graph/generators.hpp"
 #include "graph/matrix_market.hpp"
 
 namespace bpm::graph {
@@ -14,7 +16,7 @@ TEST(MatrixMarket, ReadsPatternGeneral) {
       "% a comment\n"
       "3 4 3\n"
       "1 1\n"
-      "2 3\n"
+      "+2\t3\n"  // the stream reader accepted a '+' sign and tabs
       "3 4\n");
   const BipartiteGraph g = read_matrix_market(in);
   EXPECT_EQ(g.num_rows(), 3);
@@ -100,17 +102,44 @@ TEST(MatrixMarket, RejectsMissingValueInRealFile) {
 }
 
 TEST(MatrixMarket, WriteReadRoundTrip) {
-  const std::vector<Edge> edges{{0, 0}, {0, 2}, {1, 1}, {2, 0}};
-  const BipartiteGraph g = build_from_edges(3, 3, edges);
+  // Large enough that the text spans many read blocks, so some entry line
+  // is cut by a block boundary and must be carried into the next fill.
+  const BipartiteGraph g = gen::random_uniform(20000, 30000, 120000, 13);
+  ASSERT_GE(g.num_edges(), 100000);
   std::stringstream buffer;
   write_matrix_market(buffer, g);
-  const BipartiteGraph h = read_matrix_market(buffer);
-  EXPECT_EQ(h.num_rows(), g.num_rows());
-  EXPECT_EQ(h.num_cols(), g.num_cols());
-  EXPECT_EQ(h.row_ptr(), g.row_ptr());
-  EXPECT_EQ(h.row_adj(), g.row_adj());
-  EXPECT_EQ(h.col_ptr(), g.col_ptr());
-  EXPECT_EQ(h.col_adj(), g.col_adj());
+  const std::string text = buffer.str();
+  ASSERT_GT(text.size(), std::size_t{1} << 20);
+
+  std::string crlf, commented;
+  std::size_t line = 0;
+  for (const char c : text) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+    commented += c;
+    if (c == '\n' && ++line > 3 && line % 1000 == 0)
+      commented += "% a comment between entries\n";
+  }
+  const std::string unterminated = text.substr(0, text.size() - 1);
+
+  const struct {
+    const char* name;
+    const std::string& input;
+  } cases[] = {{"as written", text},
+               {"crlf", crlf},
+               {"no final newline", unterminated},
+               {"comments between entries", commented}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::istringstream in(c.input);
+    const BipartiteGraph h = read_matrix_market(in);
+    EXPECT_EQ(h.num_rows(), g.num_rows());
+    EXPECT_EQ(h.num_cols(), g.num_cols());
+    EXPECT_EQ(h.row_ptr(), g.row_ptr());
+    EXPECT_EQ(h.row_adj(), g.row_adj());
+    EXPECT_EQ(h.col_ptr(), g.col_ptr());
+    EXPECT_EQ(h.col_adj(), g.col_adj());
+  }
 }
 
 TEST(MatrixMarket, RejectsTrailingEntriesBeyondDeclaredNnz) {

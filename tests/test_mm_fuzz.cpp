@@ -89,16 +89,23 @@ TEST(MmFuzz, LineDeletionsAndDuplications) {
 }
 
 TEST(MmFuzz, HostileSizeLines) {
-  for (const char* size_line : {
-           "0 0 0", "1 1 999999999", "-1 5 2", "5 -1 2", "5 5 -2",
-           "99999999999999999999 5 1", "5 99999999999999999999 1",
-           "1e9 5 1", "5 5", "5", "", "a b c", "5 5 1 extra",
+  // Symmetric headers double the entry count internally, so a huge
+  // declared nnz must not overflow on the way to the reserve hint.
+  for (const char* header : {
+           "%%MatrixMarket matrix coordinate pattern general\n",
+           "%%MatrixMarket matrix coordinate pattern symmetric\n",
        }) {
-    std::string content =
-        "%%MatrixMarket matrix coordinate pattern general\n";
-    content += size_line;
-    content += "\n1 1\n";
-    expect_parse_or_throw(content);
+    for (const char* size_line : {
+             "0 0 0", "1 1 999999999", "-1 5 2", "5 -1 2", "5 5 -2",
+             "99999999999999999999 5 1", "5 99999999999999999999 1",
+             "5 5 9000000000000000000", "1e9 5 1", "5 5", "5", "", "a b c",
+             "5 5 1 extra",
+         }) {
+      std::string content = header;
+      content += size_line;
+      content += "\n1 1\n";
+      expect_parse_or_throw(content);
+    }
   }
 }
 

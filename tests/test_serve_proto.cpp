@@ -7,9 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "graph/generators.hpp"
+#include "graph/matrix_market.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "serve/proto.hpp"
 #include "serve/service.hpp"
 #include "serve/session.hpp"
@@ -225,6 +231,32 @@ TEST(ServeSession, ValidFlow) {
   EXPECT_TRUE(lines[0].starts_with("result ticket="));
   EXPECT_NE(lines[0].find(" ok=1 "), std::string::npos);
   EXPECT_NE(lines[0].find(" cardinality=50 "), std::string::npos);
+
+  // A traced `load` shows where admission time goes: one span and one
+  // histogram sample for the read, one of each for the admission.
+  const auto samples = [](const std::string& name) {
+    return obs::Registry::global().histogram(name).snapshot().count;
+  };
+  const std::uint64_t reads = samples("serve.load_read_ms");
+  const std::uint64_t admits = samples("serve.admit_ms");
+  const std::filesystem::path mtx =
+      std::filesystem::temp_directory_path() / "bpm_serve_proto_valid_flow.mtx";
+  graph::write_matrix_market_file(mtx.string(),
+                                  graph::gen::planted_perfect(30, 1.0, 5));
+  lines = run(session, "trace-start " + mtx.string() + ".trace.json");
+  ASSERT_EQ(lines.size(), 1u);
+  lines = run(session, "load b " + mtx.string());
+  std::filesystem::remove(mtx);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_TRUE(lines[0].starts_with("instance b handle=")) << lines[0];
+  EXPECT_NE(lines[0].find(" max=30"), std::string::npos) << lines[0];
+  std::set<std::string> spans;
+  for (const obs::TraceEvent& ev : context.tracer.events())
+    spans.insert(ev.name);
+  EXPECT_TRUE(spans.contains("load.read"));
+  EXPECT_TRUE(spans.contains("load.admit"));
+  EXPECT_EQ(samples("serve.load_read_ms"), reads + 1);
+  EXPECT_EQ(samples("serve.admit_ms"), admits + 1);
   EXPECT_EQ(session.errors(), 0u);
 }
 
