@@ -16,8 +16,8 @@
 // Duplicate-heavy burst (--dup > 0): every mix job submitted --dup times
 // in one shuffled, unpaced burst against a cache-less service — the
 // workload where request coalescing (--coalesce) collapses duplicate
-// same-instance requests into shared dispatch batches.  Per-engine
-// dispatch stats show how --engines N --routing spread the work.
+// same-instance requests into shared dispatch batches.  The engine's
+// stats line shows how many streams the burst opened on it.
 //
 // Open loop (--open-rate > 0): one thread submits at the target rate
 // against a bounded queue; completion latency percentiles and rejected
@@ -36,7 +36,7 @@
 // send `shutdown` at the end so that server exits).
 //
 //   serve_throughput --scale 0.002 --inflight 1,2,4,8 --requests 96
-//   serve_throughput --scale 0.002 --engines 4 --coalesce --dup 6
+//   serve_throughput --scale 0.002 --coalesce --dup 6
 //   serve_throughput --scale 0.002 --open-rate 200 --queue-depth 16
 //   serve_throughput --socket-clients 4 --socket-requests 6
 //   serve_throughput --socket-clients 4 --connect 7471 --socket-shutdown
@@ -81,18 +81,11 @@ struct Mix {
   }
 };
 
-/// Engine-pool shape shared by every phase, straight from the CLI.
-struct PoolConfig {
-  unsigned engines = 1;
-  serve::Routing routing = serve::Routing::kLeastLoaded;
-  bool coalesce = false;
-};
-
 serve::ServiceOptions service_options(const SuiteOptions& opt,
                                       unsigned workers,
                                       std::size_t queue_depth,
                                       std::shared_ptr<serve::ResultCache> cache,
-                                      const PoolConfig& pool) {
+                                      bool coalesce) {
   serve::ServiceOptions s;
   s.workers = workers;
   s.backend = opt.backend;
@@ -100,28 +93,19 @@ serve::ServiceOptions service_options(const SuiteOptions& opt,
   s.solver_threads = opt.threads;
   s.queue_depth = queue_depth;
   s.cache = std::move(cache);
-  s.engines = pool.engines;
-  s.routing = pool.routing;
-  s.coalesce = pool.coalesce;
+  s.coalesce = coalesce;
   s.tracer = opt.tracer();
   return s;
 }
 
 void print_engine_stats(const serve::MatchingService& service) {
-  // Backend kind + native (wall) time per engine: in a mixed pool this
-  // is what makes a run attributable — a host engine's native_ms is
-  // measured wall clock, a sim engine's is its modeled device time.
-  for (const serve::EngineGroupEngineStats& e :
-       service.engine_group().stats())
-    std::cout << "  engine " << e.index << " ["
-              << e.descriptor.summary() << "]"
-              << (e.retired ? " (retired)" : "")
-              << ": dispatches=" << e.dispatches
-              << " work_dispatched=" << e.work_dispatched
-              << " streams=" << e.device.streams_retired
-              << " launches=" << e.device.launches
-              << " modeled_ms=" << e.device.modeled_ms
-              << " native_ms=" << e.device.native_ms << "\n";
+  // Backend kind + native time: a host engine's native_ms is measured
+  // wall clock, a sim engine's is its modeled device time.
+  const device::EngineStats e = service.engine_stats();
+  std::cout << "  engine [" << service.engine()->descriptor().summary()
+            << "]: streams=" << e.streams_retired
+            << " launches=" << e.launches << " modeled_ms=" << e.modeled_ms
+            << " native_ms=" << e.native_ms << "\n";
 }
 
 Mix register_suite(serve::MatchingService& service,
@@ -236,11 +220,6 @@ int main(int argc, char** argv) {
                  "skip)", "0");
   cli.add_option("queue-depth", "admission queue bound for the open loop",
                  "256");
-  cli.add_option("engines", "device engines behind the service", "1");
-  cli.add_option("routing",
-                 "engine routing policy (round-robin | least-loaded | "
-                 "affinity | backend-fit)",
-                 "least-loaded");
   cli.add_flag("coalesce",
                "coalesce same-instance queued requests into one dispatch "
                "batch");
@@ -262,13 +241,11 @@ int main(int argc, char** argv) {
                "send `shutdown` at the end of the socket phase (so an "
                "external --connect server exits)");
   SuiteOptions opt;
-  PoolConfig pool;
+  bool coalesce = false;
   try {
     cli.parse(argc, argv);
     opt = suite_options_from_cli(cli);
-    pool.engines = static_cast<unsigned>(cli.get_int("engines"));
-    pool.routing = serve::parse_routing(cli.get_string("routing"));
-    pool.coalesce = cli.get_flag("coalesce");
+    coalesce = cli.get_flag("coalesce");
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
@@ -302,9 +279,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "# mix: " << suite.size() << " instances x "
             << opt.algos.size() << " specs, " << requests
-            << " requests per level; engines=" << pool.engines
-            << " routing=" << serve::routing_name(pool.routing)
-            << " coalesce=" << (pool.coalesce ? "on" : "off")
+            << " requests per level; coalesce=" << (coalesce ? "on" : "off")
             << "; reference " << (reference.all_ok() ? "ok" : "FAILED")
             << "\n\n";
 
@@ -317,7 +292,7 @@ int main(int argc, char** argv) {
   double serial_wall = 0.0;
   for (const unsigned level : levels) {
     serve::MatchingService service(
-        service_options(opt, level, requests + 1, nullptr, pool));
+        service_options(opt, level, requests + 1, nullptr, coalesce));
     const Mix mix = register_suite(service, suite, opt);
     std::atomic<std::size_t> bad{0};
     Timer timer;
@@ -359,16 +334,16 @@ int main(int argc, char** argv) {
   // Every mix job submitted --dup times in one shuffled, unpaced burst
   // against a cache-less service: with --coalesce the duplicate
   // same-instance requests collapse into shared dispatch batches (distinct
-  // specs solved back to back on one routed stream, identical specs solved
-  // once and fanned out), so requests/s must beat the same burst without
-  // coalescing — the acceptance shape for `--engines N --coalesce`.
+  // specs solved back to back on one stream, identical specs solved once
+  // and fanned out), so requests/s must beat the same burst without
+  // coalescing — the acceptance shape for `--coalesce`.
   const auto dup = static_cast<std::size_t>(cli.get_int("dup"));
   if (dup > 0) {
     const std::size_t grid = suite.size() * opt.algos.size();
     const std::size_t total = grid * dup;
     const unsigned workers = levels.empty() ? 4 : levels.back();
     serve::MatchingService service(
-        service_options(opt, workers, total + 1, nullptr, pool));
+        service_options(opt, workers, total + 1, nullptr, coalesce));
     const Mix mix = register_suite(service, suite, opt);
     std::vector<std::size_t> order(total);
     for (std::size_t i = 0; i < total; ++i) order[i] = i % grid;
@@ -425,7 +400,7 @@ int main(int argc, char** argv) {
       auto cache = std::make_shared<serve::ResultCache>(
           serve::CacheOptions{.byte_budget = cache_bytes});
       serve::MatchingService service(
-          service_options(opt, workers, grid + 1, cache, pool));
+          service_options(opt, workers, grid + 1, cache, coalesce));
       const Mix mix = register_suite(service, suite, opt);
       Timer timer;
       (void)closed_loop(service, mix, grid, workers, want, bad);
@@ -447,7 +422,7 @@ int main(int argc, char** argv) {
           serve::CacheOptions{.byte_budget = cache_bytes});
       cache->load_file(snapshot.string());
       serve::MatchingService service(
-          service_options(opt, workers, grid + 1, cache, pool));
+          service_options(opt, workers, grid + 1, cache, coalesce));
       const Mix mix = register_suite(service, suite, opt);
       Timer timer;
       (void)closed_loop(service, mix, grid, workers, want, bad);
@@ -474,7 +449,7 @@ int main(int argc, char** argv) {
     serve::MatchingService service(service_options(
         opt, levels.empty() ? 4 : levels.back(),
         static_cast<std::size_t>(cli.get_int("queue-depth")), nullptr,
-        pool));
+        coalesce));
     const Mix mix = register_suite(service, suite, opt);
     const auto interval =
         std::chrono::duration<double>(1.0 / open_rate);
@@ -526,7 +501,7 @@ int main(int argc, char** argv) {
     std::uint16_t port = connect_port;
     if (connect_port == 0) {
       serve::ServiceOptions sopt =
-          service_options(opt, 4, 4096, nullptr, pool);
+          service_options(opt, 4, 4096, nullptr, coalesce);
       service = std::make_unique<serve::MatchingService>(sopt);
       context = std::make_unique<serve::SessionContext>(*service);
       serve::TransportOptions topt;

@@ -1,16 +1,18 @@
 // bpm_serve — a long-running matching service behind a line-delimited
 // request protocol, driven from a script file (--script), stdin, or a
-// TCP socket (--listen).  The service owns a pool of --engines device
-// engines for its whole lifetime (dispatches routed by --routing:
-// round-robin, least-loaded, or instance affinity), dedups registered
+// TCP socket (--listen).  The service owns one device engine (--backend,
+// --device-threads) for its whole lifetime and runs up to --workers
+// dispatches on it at once, one stream each.  It dedups registered
 // graphs by structural fingerprint, schedules requests from a bounded
 // priority queue — coalescing same-instance queued requests into one
 // dispatch batch unless --no-coalesce — and (with --cache-bytes > 0)
 // serves repeated (instance, solver spec) requests from a persistent
 // result cache that can be snapshotted to disk and reloaded on restart.
+// Every count, size and port flag is range-checked: an out-of-range
+// value is an error naming the flag, never a silent wrap.
 //
 //   bpm_serve --script examples/serve_smoke.req
-//   bpm_serve --engines 4 --routing affinity < requests.txt
+//   bpm_serve --backend host --workers 4 < requests.txt
 //   bpm_serve --listen 7471 --quota 1000 --auth-token s3cret
 //   bpm_serve --cache-load warm.cache --cache-save warm.cache < requests.txt
 //
@@ -47,8 +49,8 @@
 //                                      `policy-online ...` line per live
 //                                      (bucket, spec) online estimate
 //   metrics                            global metrics registry as JSON
-//                                      (queue depth, per-engine load, cache
-//                                      hit rate, latency percentiles)
+//                                      (queue depth, engine dispatches,
+//                                      cache hit rate, latency percentiles)
 //   trace-start <path>                 start recording a chrome://tracing
 //                                      timeline of every served request
 //   trace-dump                         write the timeline to the path given
@@ -68,8 +70,10 @@
 // code=quota-exceeded`); with --auth-token T every connection must `auth
 // T` first.  Lines longer than --max-line end the offending session.
 
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -87,18 +91,13 @@ int main(int argc, char** argv) {
   cli.add_option("script", "request script (empty = read stdin)", "");
   cli.add_option("workers", "concurrent dispatches, one device stream each",
                  "2");
-  cli.add_option("device-threads",
-                 "per-engine pool workers (0 = hardware)", "0");
+  cli.add_option("device-threads", "engine pool workers (0 = hardware)",
+                 "0");
   cli.add_option("backend",
                  "engine backend: sim (modeled C2050) | host (real "
                  "multicore executor)",
                  "sim");
   cli.add_option("queue-depth", "admission queue bound", "256");
-  cli.add_option("engines", "device engines behind the service", "1");
-  cli.add_option("routing",
-                 "engine routing policy (round-robin | least-loaded | "
-                 "affinity | backend-fit)",
-                 "least-loaded");
   cli.add_flag("no-coalesce",
                "serve every request as its own dispatch instead of "
                "batching same-instance queued requests");
@@ -137,26 +136,43 @@ int main(int argc, char** argv) {
 
   try {
     cli.parse(argc, argv);
+    // Range-checked reads: a negative or oversized value is an error
+    // naming the flag, not a silent wrap into the unsigned field.
+    const auto count = [&](const char* flag) {
+      return static_cast<unsigned>(
+          cli.get_int(flag, 0, std::numeric_limits<unsigned>::max()));
+    };
+    const auto size = [&](const char* flag) {
+      return static_cast<std::size_t>(
+          cli.get_int(flag, 0, std::numeric_limits<std::int64_t>::max()));
+    };
 
     serve::ServiceOptions opt;
-    opt.workers = static_cast<unsigned>(cli.get_int("workers"));
+    opt.workers = count("workers");
     opt.backend = device::parse_backend(cli.get_string("backend"));
-    opt.device_threads = static_cast<unsigned>(cli.get_int("device-threads"));
-    opt.queue_depth = static_cast<std::size_t>(cli.get_int("queue-depth"));
+    opt.device_threads = count("device-threads");
+    opt.queue_depth = size("queue-depth");
     opt.verify = !cli.get_flag("no-verify");
-    opt.engines = static_cast<unsigned>(cli.get_int("engines"));
-    opt.routing = serve::parse_routing(cli.get_string("routing"));
     opt.coalesce = !cli.get_flag("no-coalesce");
-    opt.coalesce_limit =
-        static_cast<std::size_t>(cli.get_int("coalesce-limit"));
-    opt.completed_ticket_retention =
-        static_cast<std::size_t>(cli.get_int("retention"));
-    const auto cache_bytes =
-        static_cast<std::size_t>(cli.get_int("cache-bytes"));
+    opt.coalesce_limit = size("coalesce-limit");
+    opt.completed_ticket_retention = size("retention");
+    const std::size_t cache_bytes = size("cache-bytes");
     if (cache_bytes > 0)
       opt.cache = std::make_shared<serve::ResultCache>(serve::CacheOptions{
-          .byte_budget = cache_bytes,
-          .shards = static_cast<unsigned>(cli.get_int("cache-shards"))});
+          .byte_budget = cache_bytes, .shards = count("cache-shards")});
+
+    serve::Session::Options local_options;
+    local_options.limits.max_line_bytes = size("max-line");
+    const bool listen = !cli.get_string("listen").empty();
+    serve::TransportOptions topt;
+    if (listen)
+      topt.port = static_cast<std::uint16_t>(
+          cli.get_int("listen", 0, std::numeric_limits<std::uint16_t>::max()));
+    topt.max_clients = size("max-clients");
+    topt.executors = count("transport-executors");
+    topt.session.auth_token = cli.get_string("auth-token");
+    topt.session.quota = size("quota");
+    topt.session.limits = local_options.limits;
 
     serve::MatchingService service(opt);
     // Shared by the local session and every socket session; holds the
@@ -169,10 +185,6 @@ int main(int argc, char** argv) {
                 << cli.get_string("cache-load") << "\n";
     }
 
-    serve::Session::Options local_options;
-    local_options.limits.max_line_bytes =
-        static_cast<std::size_t>(cli.get_int("max-line"));
-
     std::ifstream script;
     const bool from_file = !cli.get_string("script").empty();
     if (from_file) {
@@ -182,7 +194,6 @@ int main(int argc, char** argv) {
                                  cli.get_string("script") + "'");
     }
     const bool echo = cli.get_flag("echo") || from_file;
-    const bool listen = !cli.get_string("listen").empty();
 
     // Phase 1: the local script/stdin session.  With --listen and no
     // --script, stdin is skipped entirely (the socket is the interface).
@@ -206,16 +217,6 @@ int main(int argc, char** argv) {
 
     // Phase 2: the socket transport, until a client sends `shutdown`.
     if (listen && !shutdown_seen) {
-      serve::TransportOptions topt;
-      topt.port = static_cast<std::uint16_t>(cli.get_int("listen"));
-      topt.max_clients =
-          static_cast<std::size_t>(cli.get_int("max-clients"));
-      topt.executors =
-          static_cast<unsigned>(cli.get_int("transport-executors"));
-      topt.session.auth_token = cli.get_string("auth-token");
-      topt.session.quota =
-          static_cast<std::uint64_t>(cli.get_int("quota"));
-      topt.session.limits = local_options.limits;
       serve::SocketTransport transport(context, topt);
       std::cout << "listening on " << transport.port() << std::endl;
       transport.wait_shutdown();

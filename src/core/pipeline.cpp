@@ -122,9 +122,8 @@ PipelineInstance admit_instance(std::string name, graph::BipartiteGraph graph,
                   : matching::cheap_matching(inst.graph);
   inst.initial_cardinality = inst.init.cardinality();
   inst.fingerprint = graph::structural_fingerprint(inst.graph);
-  // Full feature extraction for policy resolution (and backend-fit
-  // routing via `degree_skew`) — O(cols) over the CSR pointers, amortised
-  // over every job this instance will serve.
+  // Full feature extraction for policy resolution — O(cols) over the CSR
+  // pointers, amortised over every job this instance will serve.
   inst.features = policy::compute_features(inst.graph,
                                            inst.initial_cardinality);
   inst.degree_skew = inst.features.degree_skew;

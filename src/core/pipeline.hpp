@@ -78,9 +78,7 @@ struct PipelineInstance {
   /// keys the result cache.
   std::uint64_t fingerprint = 0;
   /// Column-degree skew (max/mean over non-empty columns), computed once
-  /// at admission.  1 is perfectly uniform; hub instances run to 10+.
-  /// Dispatchers use it to route skewed instances to engines whose
-  /// backend thrives on balanced kernels (`serve::Routing::kBackendFit`).
+  /// at admission; mirrors `features.degree_skew`.
   double degree_skew = 0.0;
   /// The full feature vector behind `degree_skew` (size, density,
   /// deficiency), computed once at admission: what

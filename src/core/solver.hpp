@@ -32,9 +32,9 @@ struct SolverCaps {
   /// so that pipelines can run and compare them like any other solver.
   bool exact = true;
   /// Uses edge-balanced (`Device::launch_balanced`) kernels — on or auto
-  /// (`GprOptions::balance`).  A routing hint: balanced kernels thrive on
-  /// skewed instances and on the host backend's work-partitioned chunks
-  /// (`serve::Routing::kBackendFit`).
+  /// (`GprOptions::balance`).  Listed by `--list-algos`; balanced kernels
+  /// thrive on skewed instances and on the host backend's
+  /// work-partitioned chunks.
   bool balanced = false;
 };
 

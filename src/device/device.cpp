@@ -111,20 +111,4 @@ void Engine::retire_stream(std::uint64_t launches, double modeled_us,
   stats_.native_ms += native_us / 1e3;
 }
 
-void Engine::add_load(double work) {
-  const std::scoped_lock lock(stats_mutex_);
-  load_ += work;
-}
-
-void Engine::remove_load(double work) {
-  const std::scoped_lock lock(stats_mutex_);
-  load_ -= work;
-  if (load_ < 0.0) load_ = 0.0;  // paired by construction; clamp anyway
-}
-
-double Engine::load() const {
-  const std::scoped_lock lock(stats_mutex_);
-  return load_;
-}
-
 }  // namespace bpm::device

@@ -98,9 +98,8 @@ struct DeviceModel {
 };
 
 /// What an engine *is*: its backend kind and the execution resources it
-/// brings.  Surfaced through `Engine::descriptor()` so dispatchers
-/// (`serve::EngineGroup`) can route work by backend fit — a mixed pool of
-/// sim and host engines is just a pool of differing descriptors.
+/// brings.  Surfaced through `Engine::descriptor()` so stats lines and
+/// metrics can name the engine that did the work.
 struct EngineDescriptor {
   Backend backend = Backend::kSim;
   ExecMode mode = ExecMode::kConcurrent;
@@ -180,8 +179,9 @@ struct EngineStats {
 };
 
 /// The shared execution backend of a device: the worker pool and the
-/// execution mode.  One engine is created per simulated GPU; any number of
-/// `Device` streams borrow its workers concurrently.  The engine itself is
+/// execution mode.  One engine stands for one GPU — a pipeline or a
+/// serving process owns exactly one; any number of `Device` streams
+/// borrow its workers concurrently.  The engine itself is
 /// stateless per launch — all launch counting and time modeling lives in
 /// the streams — so sharing it never mixes two streams' stats; each stream
 /// folds its totals into the engine's `EngineStats` when it retires.
@@ -215,21 +215,11 @@ class Engine {
   void retire_stream(std::uint64_t launches, double modeled_us,
                      double native_us);
 
-  /// In-flight load gauge for dispatchers (`serve::EngineGroup`): the
-  /// modeled work units currently routed onto this engine.  The engine
-  /// does not estimate this itself — whoever dispatches work charges the
-  /// estimate up front and removes it when the dispatch retires — so it
-  /// reads 0 for engines nothing is routed to.
-  void add_load(double work);
-  void remove_load(double work);
-  [[nodiscard]] double load() const;
-
  private:
   EngineDescriptor descriptor_;
   std::unique_ptr<ThreadPool> pool_;
   mutable std::mutex stats_mutex_;
   EngineStats stats_;
-  double load_ = 0.0;
 };
 
 /// The real multicore backend behind the `Engine` seam: kernel lambdas

@@ -41,7 +41,7 @@ class Counter {
   std::array<Cell, kStripes> cells_{};
 };
 
-/// Last-write-wins instantaneous value (queue depth, per-engine load).
+/// Last-write-wins instantaneous value (queue depth, in-flight count).
 /// `add` exists for callers that track a level by deltas.
 class Gauge {
  public:

@@ -27,8 +27,8 @@ struct InstanceFeatures {
   /// Mean degree over non-empty columns.
   double avg_degree = 0.0;
   /// Max/mean column degree over non-empty columns — 1 is perfectly
-  /// uniform, hub instances run to 10+.  Identical to the admission-time
-  /// `PipelineInstance::degree_skew` the backend-fit router uses.
+  /// uniform, hub instances run to 10+.  Copied to the admission-time
+  /// `PipelineInstance::degree_skew`.
   double degree_skew = 0.0;
   /// 1 - init_cardinality / min(rows, cols): how far the shared greedy
   /// init left the instance from trivially saturated.  Near 0 means the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -32,12 +31,10 @@ std::uint64_t ms_to_us(double ms) {
 
 MatchingService::MatchingService(ServiceOptions options)
     : options_(std::move(options)),
-      group_({.engines = options_.engines,
-              .routing = options_.routing,
-              .backend = options_.backend,
-              .device_mode = options_.device_mode,
-              .device_threads = options_.device_threads,
-              .descriptors = options_.engine_descriptors}),
+      engine_(std::make_shared<device::Engine>(
+          device::EngineDescriptor{.backend = options_.backend,
+                                   .mode = options_.device_mode,
+                                   .threads = options_.device_threads})),
       store_([&] {
         PipelineOptions admit;
         admit.verify = options_.verify;
@@ -220,10 +217,9 @@ void MatchingService::serve_batch(
   if (!live.empty()) {
     // Dispatch-time policy resolution: an `auto` request becomes the
     // concrete spec the policy engine picks for *this* instance's
-    // features, before the router's load estimate, the caps scan, and
-    // the cache probe — so a resolved auto request shares cache entries,
-    // in-batch dedup, and engine routing with explicit traffic on the
-    // same concrete spec.  A resolution failure (e.g. a stale model
+    // features, before the cache probe — so a resolved auto request
+    // shares cache entries and in-batch dedup with explicit traffic on
+    // the same concrete spec.  A resolution failure (e.g. a stale model
     // naming an unregistered spec) keeps the AutoSolver in place; its
     // own run() re-resolves and run_verified turns any throw into a
     // failed response.
@@ -238,38 +234,14 @@ void MatchingService::serve_batch(
       } catch (const std::exception&) {
       }
     }
-    // Lazy engine acquisition via run_admitted_jobs' stream provider: a
-    // dispatch served entirely from the cache routes no work and opens
-    // no stream.
-    std::optional<EngineGroup::Lease> lease;
+    // Lazy stream via run_admitted_jobs' provider: a dispatch served
+    // entirely from the cache opens no stream on the engine.
     std::optional<device::Device> stream;
-    // Load estimate for the router: duplicate (instance, spec) requests
-    // in the batch solve once, so charge by distinct specs, not batch
-    // size — otherwise least-loaded would steer traffic away from an
-    // engine serving a cheap duplicate-heavy batch.
-    std::set<std::string_view> distinct;
-    for (const std::size_t i : live) distinct.insert(batch[i]->canonical);
-    const double estimated_work =
-        static_cast<double>(inst.graph.num_edges() + inst.graph.num_rows()) *
-        static_cast<double>(distinct.size());
-    // The full dispatch shape for routing policies that look past the
-    // fingerprint (kBackendFit): instance size + admission-time degree
-    // skew, and whether any solver in the batch runs balanced kernels.
-    DispatchProfile profile{
-        .fingerprint = inst.fingerprint,
-        .estimated_work = estimated_work,
-        .edges = static_cast<std::int64_t>(inst.graph.num_edges()),
-        .degree_skew = inst.degree_skew};
-    for (const std::size_t i : live)
-      if (batch[i]->solver->caps().balanced) profile.balanced_kernels = true;
     const std::function<device::Device&()> provider =
         [&]() -> device::Device& {
       if (!stream) {
-        lease.emplace(group_.acquire(profile));
-        stream.emplace(lease->engine());
+        stream.emplace(engine_);
         if (tracer != nullptr) stream->set_tracer(tracer);
-        if (dispatch_sp)
-          dispatch_sp.arg("engine", static_cast<std::int64_t>(lease->index()));
       }
       return *stream;
     };
@@ -284,11 +256,9 @@ void MatchingService::serve_batch(
     std::vector<AdmittedJobResult> results =
         run_admitted_jobs(jobs, provider, options_.cache.get(), run);
     // Retire the stream (folding its launches into the engine odometer)
-    // and release the lease before any response is delivered: a client
-    // that sees its future ready must also see the work in
-    // engine_stats() and the load gone from the router's gauge.
+    // before any response is delivered: a client that sees its future
+    // ready must also see the work in engine_stats().
     stream.reset();
-    lease.reset();
     for (std::size_t k = 0; k < live.size(); ++k) {
       Response& r = responses[live[k]];
       r.stats = std::move(results[k].outcome.stats);
@@ -535,14 +505,11 @@ void MatchingService::publish_metrics(obs::Registry& registry) const {
       .set(completed > 0.0
                ? static_cast<double>(s.cache_hits + s.fanout_hits) / completed
                : 0.0);
-  for (const EngineGroupEngineStats& e : group_.stats()) {
-    const std::string prefix = "serve.engine." + std::to_string(e.index);
-    registry.gauge(prefix + ".load").set(e.load);
-    registry.gauge(prefix + ".dispatches")
-        .set(static_cast<double>(e.dispatches));
-    registry.set_info(prefix, e.descriptor.summary() +
-                                  (e.retired ? " [retired]" : ""));
-  }
+  // One dispatch that solves opens one stream, so streams opened is the
+  // engine's dispatch count.
+  registry.gauge("serve.engine.0.dispatches")
+      .set(static_cast<double>(engine_->stats().streams_opened));
+  registry.set_info("serve.engine.0", engine_->descriptor().summary());
 }
 
 }  // namespace bpm::serve

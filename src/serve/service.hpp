@@ -20,7 +20,6 @@
 #include "device/device.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/engine_group.hpp"
 #include "serve/instance_store.hpp"
 #include "serve/result_cache.hpp"
 
@@ -80,18 +79,15 @@ struct Submission {
 
 struct ServiceOptions {
   /// Worker threads = dispatches solving concurrently, each batch on its
-  /// own device stream of a routed engine (0 = hardware concurrency).
+  /// own device stream of the service's one engine (0 = hardware
+  /// concurrency).
   unsigned workers = 1;
-  unsigned device_threads = 0;  ///< per-engine pool workers (0 = hardware)
+  unsigned device_threads = 0;  ///< engine pool workers (0 = hardware)
   unsigned solver_threads = 0;  ///< multicore solver workers (0 = hardware)
   device::ExecMode device_mode = device::ExecMode::kConcurrent;
-  /// Backend of every engine in a uniform pool; `sim` keeps the modeled
-  /// C2050, `host` serves on real multicore executors.
+  /// Backend of the engine; `sim` keeps the modeled C2050, `host` serves
+  /// on a real multicore executor.
   device::Backend backend = device::default_backend();
-  /// Explicit per-engine descriptors — a *mixed* pool (see
-  /// `EngineGroupOptions::descriptors`).  Non-empty overrides `engines`,
-  /// `backend`, `device_mode`, and `device_threads`.
-  std::vector<device::EngineDescriptor> engine_descriptors;
   /// Admission queue depth; a submit beyond it is rejected with a reason
   /// (bounded memory and latency under overload).
   std::size_t queue_depth = 256;
@@ -104,14 +100,9 @@ struct ServiceOptions {
   /// Result cache shared by all requests (and with any pipelines holding
   /// the same pointer); null serves every request by solving.
   std::shared_ptr<ResultCache> cache;
-  /// Device engines behind the service; every dispatch is routed across
-  /// them by `routing` through a `serve::EngineGroup`.  1 keeps the
-  /// single-engine behaviour.
-  unsigned engines = 1;
-  Routing routing = Routing::kLeastLoaded;
   /// Coalesce compatible queued requests — same registered instance, no
-  /// deadline — into one pipeline batch per dispatch: one routed engine
-  /// stream and one pass of cache probes for the whole batch, duplicate
+  /// deadline — into one pipeline batch per dispatch: one engine stream
+  /// and one pass of cache probes for the whole batch, duplicate
   /// (instance, spec) requests solved once and fanned back out.
   bool coalesce = true;
   /// Most requests one dispatch may coalesce (0 = unbounded).
@@ -125,8 +116,8 @@ struct ServiceOptions {
   /// ticket records its admission→dispatch→complete lifecycle — a
   /// `"request"` span over submission→completion with nested `"queued"`
   /// and `"service"` intervals, back-computed at completion from the
-  /// measured waits — plus one `"dispatch"` span per worker batch (batch
-  /// size, routed engine).  Must outlive the service or be cleared with
+  /// measured waits — plus one `"dispatch"` span per worker batch
+  /// (instance, batch size).  Must outlive the service or be cleared with
   /// `set_tracer(nullptr)` first.
   obs::Tracer* tracer = nullptr;
 };
@@ -169,29 +160,26 @@ struct SolverLatency {
   double p90_ms = 0.0;
 };
 
-/// A long-running matching service: owns a pool of `device::Engine`s (a
-/// `serve::EngineGroup`) for its whole lifetime, a fingerprint-deduped
-/// `InstanceStore`, and (optionally) a persistent `ResultCache`; accepts
-/// requests from any number of client threads and schedules them through
-/// a bounded, priority-ordered admission queue onto `workers` threads.
+/// A long-running matching service: owns one `device::Engine` for its
+/// whole lifetime, a fingerprint-deduped `InstanceStore`, and (optionally)
+/// a persistent `ResultCache`; accepts requests from any number of client
+/// threads and schedules them through a bounded, priority-ordered
+/// admission queue onto `workers` threads.
 ///
 /// Each worker dispatch takes the best queued request and — with
 /// `coalesce` on — every compatible queued request of the same instance,
 /// and serves them as one batch through the pipeline's
-/// `run_admitted_jobs` seam on a single stream of an engine picked by the
-/// group's routing policy (round-robin, least-loaded, instance-affinity).
-/// Duplicate (instance, spec) requests in a batch are solved once and
-/// fanned back out; per-request responses, deadline, and verification
-/// semantics are exactly those of the uncoalesced service.  Priorities
-/// order the dispatch *seeds*; a coalesced companion rides its batch
-/// regardless of its own priority, so a low-priority request sharing an
-/// instance with high-priority traffic can complete earlier than it
-/// would uncoalesced.
+/// `run_admitted_jobs` seam on one device stream of the engine, so up to
+/// `workers` streams share the engine's pool at once.  Duplicate
+/// (instance, spec) requests in a batch are solved once and fanned back
+/// out; per-request responses, deadline, and verification semantics are
+/// exactly those of the uncoalesced service.  Priorities order the
+/// dispatch *seeds*; a coalesced companion rides its batch regardless of
+/// its own priority, so a low-priority request sharing an instance with
+/// high-priority traffic can complete earlier than it would uncoalesced.
 ///
 /// ```
-/// serve::MatchingService svc({.workers = 4, .cache = cache,
-///                             .engines = 2,
-///                             .routing = serve::Routing::kAffinity});
+/// serve::MatchingService svc({.workers = 4, .cache = cache});
 /// auto handle = svc.add_instance("web", std::move(graph)).handle;
 /// auto sub = svc.submit({.instance = handle,
 ///                        .spec = SolverSpec::parse("g-pr-shr:k=1.5")});
@@ -201,7 +189,7 @@ struct SolverLatency {
 /// Results are bit-identical to a sequential `MatchingPipeline` run of the
 /// same (instance, spec) jobs: admission, solving, and verification all go
 /// through the same `admit_instance` / `run_admitted_jobs` /
-/// `run_verified` seams regardless of coalescing or engine count.
+/// `run_verified` seams regardless of coalescing or worker count.
 class MatchingService {
  public:
   explicit MatchingService(ServiceOptions options = {});
@@ -260,9 +248,9 @@ class MatchingService {
   }
 
   /// Publishes the service's live state into `registry` as gauges and
-  /// info entries — queue depth, in-flight count, cache hit rate, and one
-  /// `serve.engine.<i>.*` family per pool engine (load, dispatches, and
-  /// the `EngineDescriptor` summary) — next to the lifetime counters and
+  /// info entries — queue depth, in-flight count, cache hit rate, and the
+  /// engine's `serve.engine.0.*` family (dispatches and the
+  /// `EngineDescriptor` summary) — next to the lifetime counters and
   /// latency histograms the service streams in as it runs.  Call it right
   /// before snapshotting the registry (`bpm_serve metrics` does).
   void publish_metrics(obs::Registry& registry) const;
@@ -270,17 +258,14 @@ class MatchingService {
   [[nodiscard]] const std::shared_ptr<ResultCache>& cache() const {
     return options_.cache;
   }
-  /// The engine pool dispatches are routed over.
-  [[nodiscard]] const EngineGroup& engine_group() const { return group_; }
-  /// The group's first engine — the whole pool when `engines == 1`.
+  /// The engine every dispatch opens its stream on.
   [[nodiscard]] const std::shared_ptr<device::Engine>& engine() const {
-    return group_.engine(0);
+    return engine_;
   }
-  /// Engine 0's lifetime aggregates (streams served, launches retired) —
-  /// the single-engine serving process's device-side odometer; per-engine
-  /// numbers for a pool come from `engine_group().stats()`.
+  /// The engine's lifetime aggregates (streams served, launches retired) —
+  /// the serving process's device-side odometer.
   [[nodiscard]] device::EngineStats engine_stats() const {
-    return group_.engine(0)->stats();
+    return engine_->stats();
   }
 
  private:
@@ -326,14 +311,14 @@ class MatchingService {
   /// plus — with coalescing on — every compatible same-instance request,
   /// best-first, up to `coalesce_limit`.  Caller holds `mutex_`.
   [[nodiscard]] std::vector<std::unique_ptr<Queued>> take_batch_locked();
-  /// Serves one dispatch batch: per-request deadline screening, lazy
-  /// engine acquisition, `run_admitted_jobs`, response fan-out.
+  /// Serves one dispatch batch: per-request deadline screening, a lazily
+  /// opened engine stream, `run_admitted_jobs`, response fan-out.
   void serve_batch(std::vector<std::unique_ptr<Queued>>& batch);
   void complete(Queued& q, Response&& response);
   [[nodiscard]] Response evicted_response(std::uint64_t ticket) const;
 
   ServiceOptions options_;
-  EngineGroup group_;
+  std::shared_ptr<device::Engine> engine_;
   InstanceStore store_;
   LiveMetrics metrics_;
   std::atomic<obs::Tracer*> tracer_{nullptr};

@@ -236,21 +236,19 @@ void Session::handle(const proto::StatsRequest&, Outcome& out) {
        << " mean_ms=" << l.mean_ms << " p90_ms=" << l.p90_ms;
     out.lines.push_back(ls.str());
   }
-  // Per-engine line: what the engine IS (the full EngineDescriptor
-  // summary) right next to what it is DOING (load and lifetime odometers).
-  for (const EngineGroupEngineStats& e :
-       context_.service.engine_group().stats()) {
-    std::ostringstream es;
-    es << "engine " << e.index << " descriptor=" << e.descriptor.summary()
-       << (e.retired ? " retired" : "") << " load=" << e.load
-       << " dispatches=" << e.dispatches
-       << " streams_opened=" << e.device.streams_opened
-       << " streams_retired=" << e.device.streams_retired
-       << " launches=" << e.device.launches
-       << " modeled_ms=" << e.device.modeled_ms
-       << " native_ms=" << e.device.native_ms;
-    out.lines.push_back(es.str());
-  }
+  // Engine line: what the engine IS (the full EngineDescriptor summary)
+  // right next to what it has DONE (lifetime odometers).  A dispatch that
+  // solves opens exactly one stream, so `dispatches` is streams opened.
+  const device::EngineStats e = context_.service.engine_stats();
+  std::ostringstream es;
+  es << "engine 0 descriptor="
+     << context_.service.engine()->descriptor().summary()
+     << " dispatches=" << e.streams_opened
+     << " streams_opened=" << e.streams_opened
+     << " streams_retired=" << e.streams_retired
+     << " launches=" << e.launches << " modeled_ms=" << e.modeled_ms
+     << " native_ms=" << e.native_ms;
+  out.lines.push_back(es.str());
   out.stats = true;  // a transport appends its per-client lines here
 }
 

@@ -92,6 +92,17 @@ std::int64_t CliParser::get_int(const std::string& name) const {
   }
 }
 
+std::int64_t CliParser::get_int(const std::string& name, std::int64_t min,
+                                std::int64_t max) const {
+  const std::int64_t v = get_int(name);
+  if (v < min || v > max)
+    throw std::invalid_argument(program_ + ": --" + name + "=" +
+                                find(name).value + " is outside [" +
+                                std::to_string(min) + ", " +
+                                std::to_string(max) + "]");
+  return v;
+}
+
 double CliParser::get_double(const std::string& name) const {
   const Entry& e = find(name);
   try {

@@ -40,6 +40,11 @@ class CliParser {
   [[nodiscard]] bool get_flag(const std::string& name) const;
   [[nodiscard]] const std::string& get_string(const std::string& name) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
+  /// `get_int` that also throws `std::invalid_argument`, naming the flag,
+  /// when the value lies outside [min, max] — so a caller narrowing it to
+  /// an unsigned or smaller type never wraps.
+  [[nodiscard]] std::int64_t get_int(const std::string& name,
+                                     std::int64_t min, std::int64_t max) const;
   [[nodiscard]] double get_double(const std::string& name) const;
 
   /// The option's value split on commas, empty tokens dropped

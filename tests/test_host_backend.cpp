@@ -8,10 +8,7 @@
 //  * native-time accounting — host streams measure wall clock and charge
 //    no model time; sim streams do the reverse; engine stats fold both;
 //  * backend parity — every device solver produces reference-maximum
-//    cardinalities on both backends over randomized generator instances;
-//  * backend-fit routing — `serve::EngineGroup` places tiny dispatches on
-//    the fewest-lane engine and skewed / balanced-kernel / huge dispatches
-//    on the host engine with the most workers, in a mixed pool.
+//    cardinalities on both backends over randomized generator instances.
 //
 // The concurrent-stream tests are written to be meaningful under TSan:
 // several host threads drive streams of one shared host engine at once.
@@ -34,7 +31,6 @@
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
 #include "matching/verify.hpp"
-#include "serve/engine_group.hpp"
 
 namespace bpm {
 namespace {
@@ -312,80 +308,6 @@ TEST(HostBackendParity, SequentialHostModeStaysDeterministicAndCorrect) {
       solver->run(ctx, g, matching::cheap_matching(g));
   EXPECT_EQ(r.stats.cardinality, reference);
   EXPECT_EQ(dev.modeled_ms(), 0.0);
-}
-
-// ------------------------------------------------- backend-fit routing ----
-
-serve::EngineGroupOptions mixed_pool() {
-  serve::EngineGroupOptions opt;
-  opt.routing = serve::Routing::kBackendFit;
-  opt.descriptors = {
-      // A tiny sim engine (fewest lanes: the tiny-dispatch target — fewer
-      // even than the host pool's resolved worker count), a full-width
-      // sim engine, and the host engine (the heavy target).
-      EngineDescriptor{.backend = Backend::kSim, .threads = 1, .lanes = 2},
-      EngineDescriptor{.backend = Backend::kSim, .threads = 1, .lanes = 448},
-      EngineDescriptor{.backend = Backend::kHost, .threads = 4},
-  };
-  return opt;
-}
-
-TEST(HostBackendFit, TinyDispatchesLandOnTheFewestLanes) {
-  serve::EngineGroup group(mixed_pool());
-  ASSERT_EQ(group.size(), 3u);
-  const auto lease = group.acquire(serve::DispatchProfile{
-      .fingerprint = 1, .estimated_work = 100.0, .edges = 50});
-  EXPECT_EQ(lease.index(), 0u);  // the 2-lane sim engine
-  EXPECT_EQ(lease.engine()->backend(), Backend::kSim);
-}
-
-TEST(HostBackendFit, SkewedAndBalancedDispatchesLandOnTheHostEngine) {
-  serve::EngineGroup group(mixed_pool());
-  const auto skewed = group.acquire(serve::DispatchProfile{
-      .fingerprint = 2, .estimated_work = 5e5, .edges = 100'000,
-      .degree_skew = 12.0});
-  EXPECT_EQ(skewed.engine()->backend(), Backend::kHost);
-
-  const auto balanced = group.acquire(serve::DispatchProfile{
-      .fingerprint = 3, .estimated_work = 5e5, .edges = 100'000,
-      .balanced_kernels = true});
-  EXPECT_EQ(balanced.engine()->backend(), Backend::kHost);
-
-  const auto huge = group.acquire(serve::DispatchProfile{
-      .fingerprint = 4, .estimated_work = 5e7, .edges = 10'000'000});
-  EXPECT_EQ(huge.engine()->backend(), Backend::kHost);
-}
-
-TEST(HostBackendFit, MediumDispatchesFallBackToLeastLoaded) {
-  serve::EngineGroup group(mixed_pool());
-  // Occupy engine 0 so the fallback has a load difference to see.
-  const auto held = group.acquire(serve::DispatchProfile{
-      .fingerprint = 5, .estimated_work = 1e6, .edges = 100});
-  const auto medium = group.acquire(serve::DispatchProfile{
-      .fingerprint = 6, .estimated_work = 5e5, .edges = 100'000,
-      .degree_skew = 1.1});
-  EXPECT_NE(medium.index(), held.index());
-}
-
-TEST(HostBackendFit, RetiredHostEngineFallsBackToLiveEngines) {
-  serve::EngineGroup group(mixed_pool());
-  group.retire(2);  // the host engine
-  const auto skewed = group.acquire(serve::DispatchProfile{
-      .fingerprint = 7, .estimated_work = 5e5, .edges = 100'000,
-      .degree_skew = 12.0});
-  // The heavy pick prefers host, but never routes to a retired engine:
-  // among live sim engines it wants the most lanes.
-  EXPECT_EQ(skewed.index(), 1u);
-}
-
-TEST(HostBackendFit, StatsReportEachEngineDescriptor) {
-  serve::EngineGroup group(mixed_pool());
-  const auto stats = group.stats();
-  ASSERT_EQ(stats.size(), 3u);
-  EXPECT_EQ(stats[0].descriptor.backend, Backend::kSim);
-  EXPECT_EQ(stats[0].descriptor.lanes, 2);
-  EXPECT_EQ(stats[2].descriptor.backend, Backend::kHost);
-  EXPECT_EQ(stats[2].descriptor.summary().rfind("host(", 0), 0u);
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
-// Randomized serve conformance (src/serve/): a coalescing, multi-engine
+// Randomized serve conformance (src/serve/): a coalescing, multi-worker
 // MatchingService must deliver, per ticket, exactly what a sequential
-// single-engine service delivers for the same request stream — identical
-// ok flags and matching cardinalities — no matter how requests were
-// batched or which engine served them.  Streams mix instances,
+// one-worker service delivers for the same request stream — identical ok
+// flags and matching cardinalities — no matter how requests were batched
+// or which worker's stream served them.  Streams mix instances,
 // priorities, deadlines (generous on purpose: a fired deadline would make
 // the comparison timing-dependent), and duplicate submissions.  Includes
 // a deterministic duplicate-burst coalescing check and a TSan-targeted
-// stress case (many clients, affinity routing, ledger churn); both this
-// suite and test_engine_group run in the CI TSan job.
+// stress case (many clients, four streams on one engine pool, ledger
+// churn); this suite runs in the CI TSan job.
 
 #include <gtest/gtest.h>
 
@@ -143,7 +143,7 @@ std::vector<Served> run_stream(const ServiceOptions& options,
   return out;
 }
 
-TEST(ServeConformance, CoalescingMultiEngineMatchesSequentialReference) {
+TEST(ServeConformance, CoalescingMatchesSequentialReference) {
   const std::size_t instances = conformance_graphs().size();
   for (const std::uint64_t seed : {11ull, 22ull, 33ull}) {
     const std::vector<StreamRequest> stream =
@@ -152,31 +152,25 @@ TEST(ServeConformance, CoalescingMultiEngineMatchesSequentialReference) {
     ServiceOptions reference;
     reference.workers = 1;
     reference.queue_depth = stream.size() + 1;
-    reference.coalesce = false;  // engines = 1: the serial baseline
+    reference.coalesce = false;  // one worker, no cache: the serial baseline
     const std::vector<Served> want = run_stream(reference, stream);
 
-    for (const Routing routing : {Routing::kRoundRobin,
-                                  Routing::kLeastLoaded,
-                                  Routing::kAffinity}) {
-      ServiceOptions options;
-      options.workers = 3;
-      options.queue_depth = stream.size() + 1;
-      options.cache = std::make_shared<ResultCache>();
-      options.engines = 3;
-      options.routing = routing;
-      options.coalesce = true;
-      options.coalesce_limit = 6;
-      const std::vector<Served> got = run_stream(options, stream);
+    ServiceOptions options;
+    options.workers = 3;
+    options.queue_depth = stream.size() + 1;
+    options.cache = std::make_shared<ResultCache>();
+    options.coalesce = true;
+    options.coalesce_limit = 6;
+    const std::vector<Served> got = run_stream(options, stream);
 
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].ok, want[i].ok)
-            << "seed " << seed << " routing " << routing_name(routing)
-            << " request " << i << " (" << stream[i].spec << ")";
-        EXPECT_EQ(got[i].cardinality, want[i].cardinality)
-            << "seed " << seed << " routing " << routing_name(routing)
-            << " request " << i << " (" << stream[i].spec << ")";
-      }
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].ok, want[i].ok)
+          << "seed " << seed << " request " << i << " (" << stream[i].spec
+          << ")";
+      EXPECT_EQ(got[i].cardinality, want[i].cardinality)
+          << "seed " << seed << " request " << i << " (" << stream[i].spec
+          << ")";
     }
   }
 }
@@ -190,7 +184,6 @@ TEST(ServeConformance, DuplicateBurstCoalescesIntoOneSolve) {
   options.workers = 2;
   options.queue_depth = 64;
   options.cache = cache;
-  options.engines = 2;
   options.coalesce = true;
   options.coalesce_limit = 0;  // unbounded batch
   MatchingService svc(options);
@@ -245,17 +238,17 @@ TEST(ServeConformance, DuplicateBurstCoalescesIntoOneSolve) {
   EXPECT_EQ(cache->stats().hits, 0u);
 }
 
-TEST(ServeConformance, TSanStressClientsHammerCoalescingMultiEngine) {
+TEST(ServeConformance, TSanStressClientsHammerCoalescing) {
   // The race-hunting configuration: 4 client threads submitting mixed
-  // duplicate-heavy traffic against 4 workers x 3 engines with affinity
-  // routing, a sharded cache, an aggressively small completed-ticket
-  // ledger (GC races with polling), and concurrent poll() calls.
+  // duplicate-heavy traffic against 4 workers whose streams contend on
+  // one 2-thread engine pool, a sharded cache, an aggressively small
+  // completed-ticket ledger (GC races with polling), and concurrent
+  // poll() calls.
   ServiceOptions options;
   options.workers = 4;
+  options.device_threads = 2;
   options.queue_depth = 512;
   options.cache = std::make_shared<ResultCache>(CacheOptions{.shards = 4});
-  options.engines = 3;
-  options.routing = Routing::kAffinity;
   options.coalesce = true;
   options.coalesce_limit = 8;
   options.completed_ticket_retention = 16;
@@ -300,6 +293,10 @@ TEST(ServeConformance, TSanStressClientsHammerCoalescingMultiEngine) {
   EXPECT_EQ(s.failed, 0u);
   EXPECT_LE(s.tickets_retained, 16u);
   EXPECT_GE(s.evicted_tickets, 96u - 16u);
+  // Every stream the workers opened on the shared engine has retired.
+  const device::EngineStats e = svc.engine_stats();
+  EXPECT_GT(e.streams_opened, 0u);
+  EXPECT_EQ(e.streams_opened, e.streams_retired);
 }
 
 }  // namespace

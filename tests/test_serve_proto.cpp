@@ -216,21 +216,48 @@ std::vector<std::string> run(Session& session, std::string_view line) {
   return session.execute(line).lines;
 }
 
+/// The `key=<integer>` field of a protocol line (-1 when absent).
+long field(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find(" " + key + "=");
+  return at == std::string::npos ? -1
+                                 : std::stol(line.substr(at + key.size() + 2));
+}
+
 TEST(ServeSession, ValidFlow) {
-  MatchingService service(tiny_service_options());
+  ServiceOptions options = tiny_service_options();
+  options.cache = std::make_shared<ResultCache>();
+  MatchingService service(options);
   SessionContext context(service);
   Session session(context);
   auto lines = run(session, "gen a planted 50 1.0 3");
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_TRUE(lines[0].starts_with("instance a handle="));
-  lines = run(session, "submit a hk");
-  ASSERT_EQ(lines.size(), 1u);
-  ASSERT_TRUE(lines[0].starts_with("ticket "));
-  lines = run(session, "wait " + lines[0].substr(7));
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_TRUE(lines[0].starts_with("result ticket="));
-  EXPECT_NE(lines[0].find(" ok=1 "), std::string::npos);
-  EXPECT_NE(lines[0].find(" cardinality=50 "), std::string::npos);
+  // One solved device request, then a repeat of it served from the cache.
+  for (const bool cached : {false, true}) {
+    lines = run(session, "submit a g-pr-shr");
+    ASSERT_EQ(lines.size(), 1u);
+    ASSERT_TRUE(lines[0].starts_with("ticket "));
+    lines = run(session, "wait " + lines[0].substr(7));
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_TRUE(lines[0].starts_with("result ticket="));
+    EXPECT_NE(lines[0].find(" ok=1 "), std::string::npos);
+    EXPECT_NE(lines[0].find(" cardinality=50 "), std::string::npos);
+    EXPECT_EQ(field(lines[0], "cached"), cached ? 1 : 0) << lines[0];
+  }
+
+  // The engine line a stats client parses: exactly one, for engine 0.
+  // The cache hit opened no stream, so the one solve is the one dispatch.
+  std::vector<std::string> engine_lines;
+  for (const std::string& l : run(session, "stats"))
+    if (l.starts_with("engine ")) engine_lines.push_back(l);
+  ASSERT_EQ(engine_lines.size(), 1u);
+  const std::string& engine = engine_lines[0];
+  EXPECT_TRUE(engine.starts_with("engine 0 ")) << engine;
+  EXPECT_NE(engine.find(" native_ms="), std::string::npos) << engine;
+  EXPECT_EQ(field(engine, "dispatches"), 1) << engine;
+  EXPECT_EQ(field(engine, "streams_opened"), 1) << engine;
+  EXPECT_EQ(field(engine, "streams_retired"), 1) << engine;
+  EXPECT_GT(field(engine, "launches"), 0) << engine;
 
   // A traced `load` shows where admission time goes: one span and one
   // histogram sample for the read, one of each for the admission.

@@ -220,6 +220,28 @@ TEST(Cli, NonNumericValueThrows) {
   cli.parse(3, argv);
   EXPECT_THROW((void)cli.get_int("k"), std::invalid_argument);
   EXPECT_THROW((void)cli.get_double("k"), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_int("k", 0, 65535), std::invalid_argument);
+
+  // Out-of-range integers: below the minimum and above the maximum both
+  // throw, and the message names the flag.
+  for (const char* value : {"-1", "70000"}) {
+    CliParser ranged("prog", "test");
+    ranged.add_option("port", "port", "0");
+    const char* args[] = {"prog", "--port", value};
+    ranged.parse(3, args);
+    EXPECT_NO_THROW((void)ranged.get_int("port"));
+    try {
+      (void)ranged.get_int("port", 0, 65535);
+      ADD_FAILURE() << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--port"), std::string::npos)
+          << e.what();
+    }
+  }
+  CliParser ok("prog", "test");
+  ok.add_option("port", "port", "65535");
+  ok.parse(1, argv);
+  EXPECT_EQ(ok.get_int("port", 0, 65535), 65535);
 }
 
 TEST(Cli, PositionalArguments) {
