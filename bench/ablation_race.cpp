@@ -1,4 +1,4 @@
-// Ablation A3 (DESIGN.md D1): what the benign-race design buys.
+// Ablation: what the benign-race design buys.
 //
 // Part 1 — memory primitive: throughput of relaxed vs sequentially-
 // consistent stores/loads in a kernel-shaped loop.  Relaxed compiles to

@@ -141,8 +141,7 @@ std::vector<BuiltInstance> build_massive_suite(const SuiteOptions& opt) {
   };
   std::vector<Massive> metas;
   // Hubby shape: a hub column every 500 columns (~0.4% of rows each) over
-  // a sparse background — the straggler shape intra-item min-combine
-  // exists for.
+  // a sparse background — the straggler shape edge balancing targets.
   metas.push_back({101, "massive_hubs",
                    graph::gen::huge_bipartite(sized(920e3), sized(1e6), 6.0,
                                               0.004, 500, opt.seed + 101)});
@@ -472,10 +471,11 @@ void print_header(const std::string& title, const SuiteOptions& opt,
             << " hardware threads; backend = "
             << (opt.backend == device::Backend::kHost
                     ? "host multicore executor (measured wall time)"
-                    : "CPU-simulated bulk-synchronous engine (see DESIGN.md)")
+                    : "CPU-simulated bulk-synchronous engine (README: "
+                      "Backends)")
             << '\n'
             << "# note: GPU algorithms report modeled C2050 device time by"
-               " default (DESIGN.md D9); pass --no-model for raw simulator"
+               " default (README: Backends); pass --no-model for raw simulator"
                " wall time.  CPU algorithms always report wall time.\n";
 }
 

@@ -38,7 +38,7 @@ struct SuiteOptions {
   bool verbose = false;
   bool csv = false;
   /// Cross-architecture artifacts (Fig 2-4, Table I) use the modeled
-  /// C2050 device time for GPU algorithms by default (DESIGN.md D9);
+  /// C2050 device time for GPU algorithms by default (README: Backends);
   /// --no-model switches them to raw host wall time of the simulator.
   bool no_model = false;
   /// Solvers selected with --algo (parsed specs, possibly with tuning

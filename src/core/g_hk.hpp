@@ -20,7 +20,7 @@ struct GhkResult {
 
 /// G-HK / G-HKDW: the authors' earlier GPU Hopcroft–Karp comparators,
 /// re-implemented on the same device engine so that the paper's
-/// G-PR-vs-G-HKDW comparison is apples-to-apples (DESIGN.md §2).
+/// G-PR-vs-G-HKDW comparison is apples-to-apples.
 ///
 /// Each phase is (a) a level-synchronous BFS from unmatched columns — one
 /// kernel launch per level, stopping at the first level that touches an

@@ -16,12 +16,14 @@ namespace {
 using matching::kUnmatchable;
 using matching::kUnmatched;
 
+using detail::apply_push;
 using detail::BalancedFrontier;
 using detail::compact_survivors;
 using detail::is_active_column;
 using detail::loop_bound;
 using detail::loop_bound_exceeded;
 using detail::MinScan;
+using detail::PushOutcome;
 using detail::RelabelScheduler;
 using detail::scan_min_row;
 
@@ -32,7 +34,7 @@ void run_first(device::Device& dev, const BipartiteGraph& g, DeviceState& st,
   const index_t psi_inf = g.psi_infinity();
   const std::int64_t max_loops = loop_bound(g, options);
   std::int64_t loop = 0;
-  RelabelScheduler relabels(g, options);
+  RelabelScheduler relabels(options);
   device::device_flag act_exists;
   Timer timer;
 
@@ -67,7 +69,6 @@ void run_first(device::Device& dev, const BipartiteGraph& g, DeviceState& st,
         st.mu_col.store(static_cast<std::size_t>(v), r.u_min);
         st.psi_col.store(static_cast<std::size_t>(v), r.psi_min + 1);
         st.psi_row.store(static_cast<std::size_t>(r.u_min), r.psi_min + 2);
-        st.mu_dirty.raise();
         work += 2;  // scattered µ(u), ψ(u) writes
       } else {
         st.mu_col.store(static_cast<std::size_t>(v), kUnmatchable);
@@ -106,7 +107,7 @@ void run_active_list(device::Device& dev, const BipartiteGraph& g,
   stats.active_peak = static_cast<index_t>(len);
 
   std::int64_t loop = 0;
-  RelabelScheduler relabels(g, options);
+  RelabelScheduler relabels(options);
   bool shrink = false;
   device::device_flag act_exists;
   Timer timer;
@@ -189,32 +190,15 @@ void run_active_list(device::Device& dev, const BipartiteGraph& g,
         }
         const index_t psi_v = st.psi_col.load(static_cast<std::size_t>(v));
         const MinScan r = scan_min_row(g, st, v, psi_v, psi_inf);
-        std::int64_t work = r.scanned;
-        if (r.psi_min < psi_inf) {
-          // Capture the displaced column *before* overwriting µ(u)
-          // (DESIGN.md D4); w == −1 encodes a single push.
-          const index_t w = st.mu_row.load(static_cast<std::size_t>(r.u_min));
-          ++work;  // µ(u) gather
-          if (w == kUnmatched ||
-              i_a.load(static_cast<std::size_t>(w)) != loop_stamp) {
-            if (w != kUnmatched) ++work;  // iA(µ(u)) gather
-            st.mu_row.store(static_cast<std::size_t>(r.u_min), v);
-            st.mu_col.store(static_cast<std::size_t>(v), r.u_min);
-            st.psi_col.store(static_cast<std::size_t>(v), r.psi_min + 1);
-            st.psi_row.store(static_cast<std::size_t>(r.u_min), r.psi_min + 2);
-            st.mu_dirty.raise();
-            ap.store(iz, w);
-            work += 2;  // scattered µ(u), ψ(u) writes
-          }
-          // else: µ(u)'s holder is active this loop — pushing would let one
-          // column enter Ap twice (paper §III-C1).  Leave Ap(i) alone; the
-          // next INITKRNL rolls v back.
-        } else {
-          st.mu_col.store(static_cast<std::size_t>(v), kUnmatchable);
-          ac.store(iz, -1);
+        const PushOutcome p = apply_push(st, i_a, loop_stamp, psi_inf, v, r);
+        if (p.pushed) {
+          ap.store(iz, p.displaced);
+        } else if (r.psi_min >= psi_inf) {
+          ac.store(iz, -1);  // v retired
           ap.store(iz, -1);
         }
-        return work;
+        // A blocked push leaves Ap(i) alone; the next INITKRNL rolls v back.
+        return r.scanned + p.work;
       });
       ac.swap(ap);  // line 18 of Algorithm 7
     }
@@ -243,10 +227,8 @@ void run_active_list(device::Device& dev, const BipartiteGraph& g,
 ///    the frontier's *edges* rather than its columns into equal chunks —
 ///    a high-degree hub column no longer serializes a chunk that also
 ///    holds an equal share of everything else (Hsieh et al.,
-///    arXiv:2404.00270);
-///  * columns whose degree exceeds the intra-item min-combine grain are
-///    additionally split *within* the launch (detail::balanced_push), so
-///    one hub column no longer bounds the critical path either.
+///    arXiv:2404.00270).  A single column is never split, so one hub
+///    whose degree exceeds a lane's share still bounds its launch.
 void run_balanced(device::Device& dev, const BipartiteGraph& g,
                   DeviceState& st, const GprOptions& options, GprStats& stats,
                   GprObserver* observer) {
@@ -269,7 +251,7 @@ void run_balanced(device::Device& dev, const BipartiteGraph& g,
                                       -1);
 
   std::int64_t loop = 0;
-  RelabelScheduler relabels(g, options);
+  RelabelScheduler relabels(options);
   Timer timer;
   std::int64_t len = f.size();
   stats.active_peak = static_cast<index_t>(len);
@@ -322,7 +304,7 @@ void run_balanced(device::Device& dev, const BipartiteGraph& g,
     f.swap(next);  // the fresh frontier becomes this loop's pusher buffer
     displaced.assign(static_cast<std::size_t>(len), kUnmatched);
 
-    // --- edge-balanced push (with intra-item min-combine) ---------------
+    // --- edge-balanced push ----------------------------------------------
     {
       auto push_sp = obs::span(dev.tracer(), "push", "phase");
       if (push_sp) {
@@ -330,7 +312,7 @@ void run_balanced(device::Device& dev, const BipartiteGraph& g,
         push_sp.arg("active", len);
       }
       detail::balanced_push(dev, col_adj, st, f, i_a, loop_stamp, psi_inf,
-                            options.split_grain, displaced, stats);
+                            displaced);
     }
     stats.push_ms += timer.elapsed_ms();
     if (observer) observer->on_loop_end(loop, st);

@@ -87,26 +87,9 @@ struct GprOptions {
   /// and planted near 4, the hub/power-law instances at 7.7+.
   double balance_skew_threshold = 4.5;
 
-  /// The paper's Section V future work, implemented: run non-initial
-  /// global relabels as a second stream overlapped with the push kernels
-  /// (one shadow BFS level per main-loop iteration against a µ snapshot;
-  /// labels publish when the BFS drains).  Pushes keep working with the
-  /// stale labels meanwhile — see gpu::AsyncGlobalRelabel for the
-  /// soundness argument, and bench/ablation_async_gr for the tradeoff.
-  bool concurrent_global_relabel = false;
-
   /// Safety net against regressions in the termination argument: throw if
   /// the main loop exceeds `64·(m+n) + 1024` iterations.  0 disables.
   std::int64_t max_loops = -1;  ///< -1 = use the default bound
-
-  /// Intra-item min-combine grain for the balanced push (edges per
-  /// fragment): a frontier column whose degree exceeds twice this is
-  /// chopped into fragments that scan independently — per-fragment argmin
-  /// partials, tree-combined after the launch barrier — so one hub column
-  /// no longer lower-bounds the straggler critical path.  0 = auto (the
-  /// frontier's total edges over the device's lane count), < 0 = off.
-  /// Sweepable as `split=N|auto|off`.
-  std::int64_t split_grain = 0;
 
   [[nodiscard]] std::string describe() const;
 };

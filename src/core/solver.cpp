@@ -1,6 +1,9 @@
 #include "core/solver.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -29,14 +32,28 @@ bool parse_bool(std::string_view key, std::string_view value) {
                               "'");
 }
 
+[[noreturn]] void bad_value(std::string_view key, std::string_view value,
+                            std::string_view want) {
+  throw std::invalid_argument("option '" + std::string(key) + "' wants " +
+                              std::string(want) + ", got '" +
+                              std::string(value) + "'");
+}
+
+/// The whole token as one finite number: no trailing garbage, no
+/// nan/inf, no out-of-range literal.
 double parse_double(std::string_view key, std::string_view value) {
-  try {
-    return std::stod(std::string(value));
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option '" + std::string(key) +
-                                "' wants a number, got '" +
-                                std::string(value) + "'");
-  }
+  double out = 0.0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(out))
+    bad_value(key, value, "a number");
+  return out;
+}
+
+double parse_positive(std::string_view key, std::string_view value) {
+  const double out = parse_double(key, value);
+  if (out <= 0.0) bad_value(key, value, "a number > 0");
+  return out;
 }
 
 device::Device& required_device(const SolveContext& ctx,
@@ -68,7 +85,7 @@ class GprSolver final : public Solver {
 
   bool set_option(std::string_view key, std::string_view value) override {
     if (key == "k") {
-      options_.k = parse_double(key, value);
+      options_.k = parse_positive(key, value);
     } else if (key == "strategy") {
       if (value == "adaptive")
         options_.strategy = gpu::RelabelStrategy::kAdaptive;
@@ -77,12 +94,13 @@ class GprSolver final : public Solver {
       else
         throw std::invalid_argument("option 'strategy' wants adaptive|fix");
     } else if (key == "shrink-threshold") {
-      options_.shrink_threshold =
-          static_cast<graph::index_t>(parse_double(key, value));
+      const double t = parse_double(key, value);
+      if (t < 0 || t > std::numeric_limits<graph::index_t>::max() ||
+          t != std::trunc(t))
+        bad_value(key, value, "an integer in [0, 2^31-1]");
+      options_.shrink_threshold = static_cast<graph::index_t>(t);
     } else if (key == "initial-gr") {
       options_.initial_global_relabel = parse_bool(key, value);
-    } else if (key == "concurrent-gr") {
-      options_.concurrent_global_relabel = parse_bool(key, value);
     } else if (key == "balance") {
       if (value == "auto")
         options_.balance = gpu::BalanceMode::kAuto;
@@ -90,18 +108,7 @@ class GprSolver final : public Solver {
         options_.balance = parse_bool(key, value) ? gpu::BalanceMode::kOn
                                                   : gpu::BalanceMode::kOff;
     } else if (key == "balance-skew") {
-      options_.balance_skew_threshold = parse_double(key, value);
-    } else if (key == "split") {
-      if (value == "auto")
-        options_.split_grain = 0;
-      else if (value == "off")
-        options_.split_grain = -1;
-      else if (const auto grain =
-                   static_cast<std::int64_t>(parse_double(key, value));
-               grain > 0)
-        options_.split_grain = grain;
-      else
-        throw std::invalid_argument("option 'split' wants N>0, auto, or off");
+      options_.balance_skew_threshold = parse_positive(key, value);
     } else {
       return false;
     }
@@ -132,9 +139,6 @@ class GprSolver final : public Solver {
         << (r.stats.balanced ? "balanced" : "vertex-parallel") << ", ";
     if (r.stats.balanced)
       d << r.stats.frontier_builds << " frontier builds, ";
-    if (r.stats.split_items > 0)
-      d << r.stats.split_items << " split items ("
-        << r.stats.split_fragments << " fragments), ";
     d << r.stats.device_launches << " launches";
     out.stats.detail = d.str();
     return out;
@@ -224,7 +228,7 @@ class SeqPrSolver final : public Solver {
 
   bool set_option(std::string_view key, std::string_view value) override {
     if (key == "k")
-      options_.global_relabel_k = parse_double(key, value);
+      options_.global_relabel_k = parse_positive(key, value);
     else if (key == "gap")
       options_.gap_relabeling = parse_bool(key, value);
     else if (key == "initial-gr")

@@ -11,9 +11,6 @@ struct GprStats {
   std::int64_t loops = 0;            ///< main-loop iterations (Alg 3/7 line 4/5)
   std::int64_t global_relabels = 0;  ///< G-GR invocations
   std::int64_t gr_level_kernels = 0; ///< total G-GR-KRNL launches (BFS levels)
-  std::int64_t concurrent_relabels = 0;  ///< overlapped relabels started
-  std::int64_t async_discarded = 0;  ///< overlapped relabels invalidated by
-                                     ///< pushes landing mid-flight
   std::int64_t shrinks = 0;          ///< G-PR-SHRKRNL invocations
   std::int64_t frontier_builds = 0;  ///< balanced-path frontier compactions
   /// balance=auto's input: max/mean degree over the initially unmatched
@@ -24,17 +21,11 @@ struct GprStats {
   graph::index_t last_max_level = 0; ///< maxLevel of the final global relabel
   graph::index_t active_peak = 0;    ///< longest active list observed
 
-  /// Intra-item min-combine (GprOptions::split_grain): frontier columns
-  /// whose push scan was split across balanced chunks, and the fragments
-  /// they were split into (0/0 when no column ever exceeded the grain).
-  std::int64_t split_items = 0;
-  std::int64_t split_fragments = 0;
-
   double gr_ms = 0.0;     ///< time in global relabeling
   double push_ms = 0.0;   ///< time in INIT/PUSH/SHR kernels
   double fix_ms = 0.0;    ///< FIXMATCHING + host transfers
   double total_ms = 0.0;
-  double modeled_ms = 0.0;  ///< device::DeviceModel time (DESIGN.md D9)
+  double modeled_ms = 0.0;  ///< device::DeviceModel time (README: Backends)
 };
 
 /// Counters of one G-HK / G-HKDW run.
@@ -46,7 +37,7 @@ struct GhkStats {
   std::int64_t sequential_fallbacks = 0;  ///< host augmentations forced by
                                           ///< total claim-validation failure
   double total_ms = 0.0;
-  double modeled_ms = 0.0;  ///< device::DeviceModel time (DESIGN.md D9)
+  double modeled_ms = 0.0;  ///< device::DeviceModel time (README: Backends)
 };
 
 }  // namespace bpm::gpu

@@ -54,7 +54,7 @@ enum class Backend {
 [[nodiscard]] Backend default_backend();
 
 /// Analytic timing model of a target GPU, used to report *modeled device
-/// time* next to host wall time (DESIGN.md D9).  A kernel over n logical
+/// time* next to host wall time (README: Backends).  A kernel over n logical
 /// threads that scans `work` adjacency entries is charged
 ///
 ///   launch_latency_us + (n·ns_per_item + work·ns_per_work) · 1e-3
@@ -324,11 +324,6 @@ class Device {
   /// outlive the stream.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
-
-  /// The stream's timing model — read-only; drivers that pre-split work
-  /// host-side (the intra-item min-combine) size their fragments from
-  /// `model().lanes` so the split matches what the model charges.
-  [[nodiscard]] const DeviceModel& model() const { return model_; }
 
   /// Modeled device time accumulated on this stream (see DeviceModel).
   /// Kernels that report their work via `launch_accounted` contribute

@@ -13,7 +13,7 @@ namespace bpm::graph::gen {
 /// generator that reproduces the structural properties driving the paper's
 /// performance story: degree skew (drives deficiency after greedy init and
 /// BFS frontier width), diameter (drives the number of global-relabel BFS
-/// levels and hence kernel launches), and locality.  See DESIGN.md §2.
+/// levels and hence kernel launches), and locality.
 ///
 /// All generators are deterministic in (parameters, seed).
 

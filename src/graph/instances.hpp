@@ -9,7 +9,7 @@
 namespace bpm::graph {
 
 /// Structural class of a benchmark instance; determines which generator
-/// produces its synthetic analogue (DESIGN.md §2).
+/// produces its synthetic analogue.
 enum class InstanceClass {
   kSocial,     ///< power-law social/co-purchase (Chung–Lu)
   kWeb,        ///< power-law web crawl (Chung–Lu, heavier tail)

@@ -28,13 +28,11 @@ using graph::index_t;
 namespace gen = graph::gen;
 
 index_t balanced_cardinality(const BipartiteGraph& g, unsigned threads,
-                             gpu::GprVariant variant = gpu::GprVariant::kShrink,
-                             bool concurrent_gr = false) {
+                             gpu::GprVariant variant = gpu::GprVariant::kShrink) {
   Device dev({.mode = ExecMode::kConcurrent, .num_threads = threads});
   gpu::GprOptions opt;
   opt.variant = variant;
   opt.balance = gpu::BalanceMode::kOn;
-  opt.concurrent_global_relabel = concurrent_gr;
   const matching::Matching init = matching::cheap_matching(g);
   const gpu::GprResult r = gpu::g_pr(dev, g, init, opt);
   EXPECT_TRUE(r.matching.is_valid(g)) << r.matching.first_violation(g);
@@ -97,17 +95,6 @@ TEST(Balance, EveryVariantRoutesThroughTheBalancedDriver) {
         gpu::GprVariant::kShrink})
     EXPECT_EQ(balanced_cardinality(g, 4, variant), want)
         << to_string(variant);
-}
-
-TEST(Balance, AgreesUnderConcurrentGlobalRelabel) {
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    const BipartiteGraph g = gen::chung_lu(200, 200, 4.0, 2.3, seed);
-    const index_t want = matching::reference_maximum_cardinality(g);
-    EXPECT_EQ(balanced_cardinality(g, 4, gpu::GprVariant::kShrink,
-                                   /*concurrent_gr=*/true),
-              want)
-        << "seed " << seed;
-  }
 }
 
 TEST(Balance, WorkerCountDoesNotChangeCardinality) {
@@ -229,7 +216,6 @@ TEST(Balance, FrontierCompactionCountersUnderConcurrentStreams) {
       Device stream(engine);
       gpu::GprOptions opt;
       opt.balance = gpu::BalanceMode::kOn;
-      opt.concurrent_global_relabel = (s % 2) == 1;
       const gpu::GprResult r =
           gpu::g_pr(stream, g, matching::cheap_matching(g), opt);
       got[static_cast<std::size_t>(s)] = r.matching.cardinality();

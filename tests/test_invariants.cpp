@@ -147,7 +147,7 @@ TEST_P(InvariantSweep, SequentialStarContention) {
 // permanence, edge validity) must still hold at every barrier; the
 // neighborhood invariant holds for the values at barriers as well, since
 // all racy writes have landed by then and each write was derived from a
-// previously-held value (see DESIGN.md D1 discussion).
+// previously-held value.
 TEST_P(InvariantSweep, ConcurrentRandom) {
   for (std::uint64_t seed = 0; seed < 4; ++seed)
     run(gen::random_uniform(40, 40, 160, seed), ExecMode::kConcurrent);

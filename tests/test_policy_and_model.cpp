@@ -154,7 +154,7 @@ TEST(DeviceModel, ResetClearsAccumulator) {
 }
 
 TEST(DeviceModel, HugetraceAnchorFromDesignDoc) {
-  // DESIGN.md D9 sanity anchor: ~3000 level kernels over 4.6M rows model
+  // Device-model sanity anchor: ~3000 level kernels over 4.6M rows model
   // to ≈ 2.8 s — within 20% of the paper's 2.71 s for hugetrace-00000.
   const device::DeviceModel m;
   const double per_level_us = m.launch_latency_us + 4.6e6 * m.ns_per_item * 1e-3;

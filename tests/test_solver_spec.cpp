@@ -105,7 +105,10 @@ TEST(SolverSpec, UnknownOptionKeyFailsNamingTheSolver) {
   for (const Case& c : {Case{"hk:k=1.5", "hk", "'k'"},
                         Case{"g-pr-shr:shards=2", "g-pr-shr", "'shards'"},
                         Case{"g-pr-wb:shard-drivers=par", "g-pr-wb",
-                             "'shard-drivers'"}}) {
+                             "'shard-drivers'"},
+                        Case{"g-pr-shr:concurrent-gr=1", "g-pr-shr",
+                             "'concurrent-gr'"},
+                        Case{"g-pr-wb:split=off", "g-pr-wb", "'split'"}}) {
     try {
       (void)SolverSpec::parse(c.spec).instantiate();
       ADD_FAILURE() << c.spec << " has an unknown option; should have thrown";
@@ -120,11 +123,16 @@ TEST(SolverSpec, UnknownOptionKeyFailsNamingTheSolver) {
 }
 
 TEST(SolverSpec, MalformedOptionValueFailsAtInstantiate) {
-  EXPECT_THROW((void)SolverSpec::parse("g-pr-shr:k=banana").instantiate(),
-               std::invalid_argument);
-  EXPECT_THROW(
-      (void)SolverSpec::parse("g-pr-shr:strategy=sideways").instantiate(),
-      std::invalid_argument);
+  // Numeric knobs take the whole token as one finite, in-range number:
+  // trailing garbage, nan/inf, non-positive k, and a shrink threshold
+  // outside int32 all fail before any solve.
+  for (const std::string bad :
+       {"g-pr-shr:k=banana", "g-pr-shr:strategy=sideways",
+        "g-pr-shr:k=0.7junk", "g-pr-shr:k=nan", "g-pr-shr:k=-3",
+        "seq-pr:k=inf", "g-pr-shr:shrink-threshold=1e20"})
+    EXPECT_THROW((void)SolverSpec::parse(bad).instantiate(),
+                 std::invalid_argument)
+        << bad;
 }
 
 TEST(SolverSpec, InstantiatedTunedSolverRunsEndToEnd) {
