@@ -295,7 +295,6 @@ PipelineInstance to_pipeline_instance(const BuiltInstance& bi) {
   inst.graph = bi.g;
   inst.init = bi.init;
   inst.initial_cardinality = bi.initial_cardinality;
-  inst.maximum_cardinality = bi.maximum_cardinality;
   inst.fingerprint = graph::structural_fingerprint(bi.g);
   // Carry (or fill) the policy features so a service admitting this
   // instance resolves `auto` requests without recomputing them.

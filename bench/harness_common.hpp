@@ -196,9 +196,9 @@ struct AlgoResult {
                                     const BuiltInstance& bi,
                                     unsigned threads = 0);
 
-/// The suite instance as a pipeline/serving admission — init and ground
-/// truth carried over, not recomputed (only the cheap structural
-/// fingerprint is added).
+/// The suite instance as a pipeline/serving admission — init and features
+/// carried over, not recomputed (only the cheap structural fingerprint is
+/// added).
 [[nodiscard]] PipelineInstance to_pipeline_instance(const BuiltInstance& bi);
 
 /// Runs the full (instance × `opt.algos`) grid through a

@@ -113,7 +113,7 @@ Mix register_suite(serve::MatchingService& service,
                    const SuiteOptions& opt) {
   Mix mix;
   // Precomputed admissions: each service level reuses the suite's init
-  // and ground truth instead of redoing Hopcroft–Karp per registration.
+  // and features instead of recomputing them per registration.
   for (const BuiltInstance& bi : suite)
     mix.handles.push_back(
         service.add_instance(bench::to_pipeline_instance(bi)).handle);

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "matching/greedy.hpp"
-#include "matching/hopcroft_karp.hpp"
 #include "serve/result_cache.hpp"
 #include "util/timer.hpp"
 
@@ -52,8 +51,8 @@ AdmittedJobResult run_admitted_job(
   const SolveContext ctx{.device = &stream(),
                          .threads = options.solver_threads,
                          .tracer = options.tracer};
-  out.outcome = run_verified(*job.solver, ctx, inst.graph, inst.init,
-                             options.verify ? inst.maximum_cardinality : -1);
+  out.outcome =
+      run_verified(*job.solver, ctx, inst.graph, inst.init, options.verify);
   out.solve_ms = timer.elapsed_ms();
   // Verified results only (the shared-cache rule): a verify-off caller
   // never seeds the cache other consumers trust.
@@ -127,11 +126,6 @@ PipelineInstance admit_instance(std::string name, graph::BipartiteGraph graph,
   inst.features = policy::compute_features(inst.graph,
                                            inst.initial_cardinality);
   inst.degree_skew = inst.features.degree_skew;
-  if (options.verify)
-    // Ground truth once per instance via Hopcroft–Karp seeded with the
-    // shared init (tested against the independent reference in tests/).
-    inst.maximum_cardinality =
-        matching::hopcroft_karp(inst.graph, inst.init).cardinality();
   return inst;
 }
 

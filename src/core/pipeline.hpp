@@ -45,9 +45,10 @@ struct PipelineOptions {
   /// solver object's configuration is not observable, so it has no stable
   /// cross-batch identity.  Null (the default) keeps caching batch-local.
   std::shared_ptr<serve::ResultCache> shared_cache;
-  /// Check every job's matching: edge-validity plus maximality against the
-  /// per-instance reference cardinality (heuristic solvers are only
-  /// required to be valid and ≤ maximum).
+  /// Check every job's matching by certificate (`run_verified`):
+  /// edge-validity and a cardinality that agrees with the reported stats
+  /// for every solver, plus Berge's no-augmenting-path check for exact
+  /// ones.  Only verified results are published to `shared_cache`.
   bool verify = true;
   /// Build the initial matching once per instance and hand it to every
   /// solver; false starts every job from an empty matching instead.
@@ -70,8 +71,10 @@ struct PipelineInstance {
   graph::BipartiteGraph graph;
   matching::Matching init;  ///< shared greedy init (see share_init)
   graph::index_t initial_cardinality = 0;
-  /// Reference maximum cardinality (computed once when verify is on;
-  /// -1 when verification is disabled).
+  /// Never computed or read by the library: results are verified by
+  /// certificate, not against a reference maximum.  Kept only because the
+  /// end-to-end benchmark (`e2ebench/`) assigns it, until ROADMAP item 8
+  /// deletes that assignment and this field.
   graph::index_t maximum_cardinality = -1;
   /// Structural hash of the graph (dimensions + CSR arrays): two admitted
   /// instances with equal fingerprints are the same graph, which is what
@@ -89,11 +92,10 @@ struct PipelineInstance {
 };
 
 /// Builds the per-instance shared state the honoured `options` ask for:
-/// the shared init, the reference maximum cardinality (when verifying),
-/// and the structural fingerprint.  `MatchingPipeline::add_instance` and
+/// the shared init, the structural fingerprint and the policy features.
+/// No reference solve runs here.  `MatchingPipeline::add_instance` and
 /// `serve::InstanceStore` both admit through this, so a pipeline batch and
-/// a serving process agree bit-for-bit on inits, ground truth, and cache
-/// identity.
+/// a serving process agree bit-for-bit on inits and cache identity.
 [[nodiscard]] PipelineInstance admit_instance(std::string name,
                                               graph::BipartiteGraph graph,
                                               const PipelineOptions& options);
@@ -206,13 +208,12 @@ class MatchingPipeline {
  public:
   explicit MatchingPipeline(PipelineOptions options = {});
 
-  /// Admits a graph to the batch; builds the shared greedy init and (when
-  /// verifying) the reference cardinality once.  Returns the instance
-  /// index used in `PipelineJob::instance`.
+  /// Admits a graph to the batch; builds the shared greedy init once.
+  /// Returns the instance index used in `PipelineJob::instance`.
   std::size_t add_instance(std::string name, graph::BipartiteGraph graph);
 
   /// Admits an already-built instance (e.g. a harness's precomputed suite
-  /// or another pipeline's) without redoing the init / ground-truth work;
+  /// or another pipeline's) without redoing the init / feature work;
   /// the caller guarantees its fields are consistent with this pipeline's
   /// options.
   std::size_t add_instance(PipelineInstance instance);

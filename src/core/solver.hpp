@@ -194,18 +194,21 @@ struct JobOutcome {
   std::string error;
 };
 
-/// Runs `solver` from `init` and verifies the matching: edge-validity, the
-/// reference-cardinality check against `reference_maximum`, an independent
-/// Berge certificate for exact solvers, and the `<= maximum` bound for
-/// heuristics.  Pass `reference_maximum = -1` to skip verification (the
-/// run itself is still guarded: a throwing solver yields `ok == false`
-/// with the exception text, never an exception).  Shared by
-/// `MatchingPipeline` and `serve::MatchingService` so both layers accept
-/// and reject results by exactly the same rules.
+/// Runs `solver` from `init` and, when `verify` is set, checks the result
+/// by an O(V+E) certificate instead of a second solve: the matching is
+/// edge-valid, `stats.cardinality` equals the matching's cardinality, and
+/// for exact solvers no augmenting path exists (Berge's theorem, via
+/// `matching::is_maximum`).  Heuristic solvers are only held to the first
+/// two.  With `verify == false` any completed run is `ok`; either way the
+/// run is guarded, so a throwing solver yields `ok == false` with the
+/// exception text, never an exception.  The check records a `"verify"`
+/// span (solver, ok) on `ctx.tracer`.  Shared by `MatchingPipeline` and
+/// `serve::MatchingService` so both layers accept and reject results by
+/// exactly the same rules.
 [[nodiscard]] JobOutcome run_verified(const Solver& solver,
                                       const SolveContext& ctx,
                                       const graph::BipartiteGraph& g,
                                       const matching::Matching& init,
-                                      graph::index_t reference_maximum);
+                                      bool verify);
 
 }  // namespace bpm

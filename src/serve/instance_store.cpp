@@ -21,7 +21,7 @@ InstanceStore::AddResult InstanceStore::add(std::string name,
       return {it->second, /*deduplicated=*/true};
     }
   }
-  // Admission (init + reference cardinality) is the expensive part — done
+  // Admission (init + features) is the expensive part — done
   // outside the lock so concurrent registrations of different graphs
   // overlap.  A racing duplicate is resolved on re-check: first in wins.
   return add(admit_instance(std::move(name), std::move(graph), options_));

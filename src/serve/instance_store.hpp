@@ -15,7 +15,7 @@
 namespace bpm::serve {
 
 /// Registry of the graphs a serving process holds: admits each graph once
-/// (shared init + reference cardinality + fingerprint, built through the
+/// (shared init + features + fingerprint, built through the
 /// same `admit_instance` seam as `MatchingPipeline`), dedups registrations
 /// by structural fingerprint, and hands out stable integer handles that
 /// requests refer to.
@@ -31,7 +31,7 @@ namespace bpm::serve {
 class InstanceStore {
  public:
   /// `options` controls admission exactly like a pipeline's options do
-  /// (share_init / init_builder / verify); scheduling fields are ignored.
+  /// (share_init / init_builder); every other field is ignored.
   explicit InstanceStore(PipelineOptions options = {});
 
   /// Admits (or dedups) a graph; returns its handle and whether this call
@@ -44,7 +44,7 @@ class InstanceStore {
   AddResult add(std::string name, graph::BipartiteGraph graph);
 
   /// Admits an already-built instance (e.g. a harness's precomputed suite)
-  /// without redoing the init / ground-truth work; the caller guarantees
+  /// without redoing the init / feature work; the caller guarantees
   /// its fields are consistent with this store's admission options.  A
   /// zero fingerprint is computed; dedup applies as usual.
   AddResult add(PipelineInstance instance);

@@ -37,7 +37,6 @@ MatchingService::MatchingService(ServiceOptions options)
                                    .threads = options_.device_threads})),
       store_([&] {
         PipelineOptions admit;
-        admit.verify = options_.verify;
         admit.share_init = options_.share_init;
         admit.init_builder = options_.init_builder;
         return admit;
@@ -293,6 +292,10 @@ void MatchingService::serve_batch(
   metrics_.dispatches->add();
   if (batch.size() > 1)
     metrics_.coalesced->add(static_cast<std::uint64_t>(batch.size() - 1));
+  // Close the dispatch span before any response is delivered: a client
+  // that sees its future ready must also see the dispatch in the trace,
+  // and may stop (or destroy) the tracer as soon as it does.
+  dispatch_sp.end();
   for (std::size_t i = 0; i < batch.size(); ++i)
     complete(*batch[i], std::move(responses[i]));
 }

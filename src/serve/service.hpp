@@ -91,8 +91,9 @@ struct ServiceOptions {
   /// Admission queue depth; a submit beyond it is rejected with a reason
   /// (bounded memory and latency under overload).
   std::size_t queue_depth = 256;
-  /// Verify every result (reference cardinality is computed once per
-  /// admitted instance); exactly `MatchingPipeline`'s verification.
+  /// Verify every result by certificate (`run_verified`); exactly
+  /// `MatchingPipeline`'s verification.  Only verified results enter the
+  /// cache.
   bool verify = true;
   bool share_init = true;
   std::function<matching::Matching(const graph::BipartiteGraph&)>
@@ -203,7 +204,7 @@ class MatchingService {
   /// handle for `Request::instance`.
   InstanceStore::AddResult add_instance(std::string name,
                                         graph::BipartiteGraph graph);
-  /// Registers an already-admitted instance (init/ground truth reused).
+  /// Registers an already-admitted instance (init/features reused).
   InstanceStore::AddResult add_instance(PipelineInstance instance);
   [[nodiscard]] const InstanceStore& instances() const { return store_; }
 

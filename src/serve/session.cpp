@@ -122,7 +122,7 @@ void Session::admit(std::string_view span_name, const std::string& name,
   std::ostringstream os;
   os << "instance " << name << " handle=" << added.handle
      << (added.deduplicated ? " (deduplicated)" : "") << " "
-     << inst.graph.describe() << " max=" << inst.maximum_cardinality;
+     << inst.graph.describe();
   out.lines.push_back(os.str());
 }
 

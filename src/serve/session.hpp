@@ -86,7 +86,7 @@ class Session {
   void dispatch(const proto::Command& command, Outcome& out);
   void error(Outcome& out, proto::ErrorCode code, std::string message);
   /// Registers `g` with the service (fingerprint, initial matching,
-  /// ground truth) under a `span_name` span, timed into `serve.admit_ms`,
+  /// features) under a `span_name` span, timed into `serve.admit_ms`,
   /// and answers the `instance ...` line.
   void admit(std::string_view span_name, const std::string& name,
              graph::BipartiteGraph g, Outcome& out);

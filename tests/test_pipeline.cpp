@@ -1,7 +1,8 @@
 // Batched matching pipeline (core/pipeline.hpp): (instance × solver) job
-// grids match single-run results, aggregate stats add up, verification
-// catches non-maximum results, and the shared init is built exactly once
-// per instance — including on a concurrent device.
+// grids match single-run results, aggregate stats add up, certificate-only
+// verification catches non-maximum, miscounted and invalid results (and
+// never caches them), and the shared init is built exactly once per
+// instance — including on a concurrent device.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,9 @@
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
 #include "matching/verify.hpp"
+#include "mutant_solver.hpp"
+#include "obs/trace.hpp"
+#include "serve/result_cache.hpp"
 
 namespace bpm {
 namespace {
@@ -43,14 +47,17 @@ TEST(Pipeline, RunsTheFullJobGridWithVerifiedResults) {
   EXPECT_EQ(report.totals.jobs, 12u);
   EXPECT_EQ(report.totals.failed, 0u);
 
-  // Instance-major order, every job maximum for its instance.
+  // Instance-major order, every job maximum for its instance by the
+  // independent reference oracle.
+  std::vector<index_t> maximum;
+  for (const PipelineInstance& inst : pipe.instances())
+    maximum.push_back(matching::reference_maximum_cardinality(inst.graph));
   for (std::size_t i = 0; i < report.jobs.size(); ++i) {
     const PipelineJob& job = report.jobs[i];
     EXPECT_EQ(job.instance, i / kSolvers.size());
     EXPECT_EQ(job.solver, kSolvers[i % kSolvers.size()]);
     EXPECT_TRUE(job.ok) << job.solver << ": " << job.error;
-    EXPECT_EQ(job.stats.cardinality,
-              pipe.instances()[job.instance].maximum_cardinality);
+    EXPECT_EQ(job.stats.cardinality, maximum[job.instance]);
   }
 }
 
@@ -63,9 +70,9 @@ TEST(Pipeline, MatchesSingleRunResultsAndSharesTheGreedyInit) {
     EXPECT_EQ(inst.initial_cardinality,
               matching::cheap_matching(inst.graph).cardinality());
     EXPECT_EQ(inst.init.cardinality(), inst.initial_cardinality);
-    // The reference ground truth agrees with the independent certificate.
-    EXPECT_EQ(inst.maximum_cardinality,
-              matching::reference_maximum_cardinality(inst.graph));
+    // Admission runs no reference solve: results are verified by
+    // certificate, so the field stays at its unset value.
+    EXPECT_EQ(inst.maximum_cardinality, -1);
   }
 
   const PipelineReport report = pipe.run(kSolvers);
@@ -79,6 +86,9 @@ TEST(Pipeline, MatchesSingleRunResultsAndSharesTheGreedyInit) {
     const PipelineInstance& inst = pipe.instances()[job.instance];
     const SolveResult single = solve(job.solver, ctx, inst.graph, inst.init);
     EXPECT_EQ(job.stats.cardinality, single.stats.cardinality)
+        << job.solver << " on " << inst.name;
+    EXPECT_EQ(job.stats.cardinality,
+              matching::reference_maximum_cardinality(inst.graph))
         << job.solver << " on " << inst.name;
   }
 }
@@ -123,15 +133,21 @@ TEST(Pipeline, JobsForSelectsOneInstancesJobs) {
 }
 
 TEST(Pipeline, HeuristicSolversVerifyAsValidNotMaximum) {
+  test_support::register_mutant_solver();
   MatchingPipeline pipe;
   // planted_perfect guarantees max = n; greedy from an empty init will not
   // reach it on this graph shape, yet must still verify (valid and <= max).
+  // A heuristic one pair short of maximum is a legitimate answer too.
   pipe.add_instance("planted", gen::planted_perfect(300, 2.0, 9));
-  const PipelineReport report = pipe.run({"greedy", "karp-sipser"});
+  const PipelineReport report =
+      pipe.run({"greedy", "karp-sipser", "test-mutant:exact=0"});
   EXPECT_TRUE(report.all_ok());
+  const index_t maximum =
+      matching::reference_maximum_cardinality(pipe.instances().front().graph);
+  EXPECT_EQ(maximum, 300);
   for (const PipelineJob& job : report.jobs)
-    EXPECT_LE(job.stats.cardinality,
-              pipe.instances().front().maximum_cardinality);
+    EXPECT_LE(job.stats.cardinality, maximum);
+  EXPECT_EQ(report.jobs.back().stats.cardinality, maximum - 1);
 }
 
 TEST(Pipeline, RecordsFailuresInsteadOfAborting) {
@@ -163,7 +179,9 @@ TEST(Pipeline, RecordsFailuresInsteadOfAborting) {
   EXPECT_FALSE(report.all_ok());
   EXPECT_EQ(report.totals.failed, 1u);
   EXPECT_FALSE(report.jobs[0].ok);
-  EXPECT_NE(report.jobs[0].error.find("not maximum"), std::string::npos);
+  EXPECT_NE(report.jobs[0].error.find("Berge certificate failed"),
+            std::string::npos)
+      << report.jobs[0].error;
   EXPECT_TRUE(report.jobs[1].ok);
 }
 
@@ -191,11 +209,103 @@ TEST(Pipeline, InitBuilderAndNoShareInitAreHonoured) {
 }
 
 TEST(Pipeline, VerifyOffSkipsGroundTruthAndAcceptsAnything) {
-  MatchingPipeline pipe({.verify = false});
-  pipe.add_instance("k44", gen::complete_bipartite(4, 4));
+  // Verify-off accepts even the mutants, and publishes nothing to the
+  // shared cache: only verified results may seed it.
+  test_support::register_mutant_solver();
+  auto cache = std::make_shared<serve::ResultCache>();
+  MatchingPipeline pipe({.shared_cache = cache, .verify = false});
+  pipe.add_instance("uniform", gen::random_uniform(400, 420, 2000, 5));
   EXPECT_EQ(pipe.instances().front().maximum_cardinality, -1);
-  const PipelineReport report = pipe.run({"greedy"});
+  const PipelineReport report =
+      pipe.run({"greedy", "test-mutant:mode=minus-one",
+                "test-mutant:mode=stats-lie", "test-mutant:mode=invalid"});
   EXPECT_TRUE(report.all_ok());
+  EXPECT_EQ(cache->stats().entries, 0u);
+}
+
+// ---- certificate-only verification: mutation tests -------------------------
+
+// Each mutant must come back `ok == false` with the check that caught it
+// named in the error, and must never reach the shared cache; the honest
+// `hk` control beside them is verified and cached.
+TEST(Pipeline, CertificateRejectsMutantsAndNeverCachesThem) {
+  test_support::register_mutant_solver();
+  auto cache = std::make_shared<serve::ResultCache>();
+  MatchingPipeline pipe({.shared_cache = cache});
+  pipe.add_instance("uniform", gen::random_uniform(400, 420, 2000, 5));
+  const std::vector<std::pair<std::string, std::string>> mutants = {
+      {"test-mutant:mode=minus-one", "Berge certificate failed"},
+      {"test-mutant:mode=stats-lie", "stats report cardinality"},
+      {"test-mutant:exact=1,mode=invalid", "invalid matching"},
+      {"test-mutant:exact=0,mode=invalid", "invalid matching"},
+      {"test-mutant:exact=0,mode=stats-lie", "stats report cardinality"}};
+  std::vector<std::string> specs;
+  for (const auto& [spec, error] : mutants) specs.push_back(spec);
+  specs.push_back("hk");
+
+  const PipelineReport report = pipe.run(specs);
+  ASSERT_EQ(report.jobs.size(), specs.size());
+  EXPECT_EQ(report.totals.failed, mutants.size());
+  for (std::size_t i = 0; i < mutants.size(); ++i) {
+    const PipelineJob& job = report.jobs[i];
+    EXPECT_FALSE(job.ok) << job.solver;
+    EXPECT_FALSE(job.cached) << job.solver;
+    EXPECT_NE(job.error.find(mutants[i].second), std::string::npos)
+        << job.solver << ": " << job.error;
+  }
+  EXPECT_TRUE(report.jobs.back().ok) << report.jobs.back().error;
+  EXPECT_EQ(cache->stats().entries, 1u);  // the hk control only
+
+  // A second batch re-solves (and re-rejects) every mutant: none was
+  // cached, while the control is now a shared-cache hit.
+  const PipelineReport again = pipe.run(specs);
+  for (std::size_t i = 0; i < mutants.size(); ++i) {
+    EXPECT_FALSE(again.jobs[i].ok) << again.jobs[i].solver;
+    EXPECT_FALSE(again.jobs[i].cached) << again.jobs[i].solver;
+  }
+  EXPECT_TRUE(again.jobs.back().cached);
+  EXPECT_EQ(cache->stats().entries, 1u);
+}
+
+// The server's own trace shows what the certificate costs: one `verify`
+// span per solved job, carrying the solver and the verdict.  Batch-local
+// cache hits never solve, so they record none.
+TEST(Pipeline, TracedBatchRecordsOneVerifySpanPerSolvedJob) {
+  test_support::register_mutant_solver();
+  obs::Tracer tracer;
+  tracer.enable();
+  MatchingPipeline pipe({.max_concurrent_jobs = 2, .tracer = &tracer});
+  const BipartiteGraph g = gen::random_uniform(300, 310, 1500, 11);
+  pipe.add_instance("a", g);
+  pipe.add_instance("a-again", g);  // every job on it is a cache hit
+  pipe.add_instance("planted", gen::planted_perfect(200, 2.0, 9));
+  const PipelineReport report =
+      pipe.run({"hk", "g-pr-shr", "test-mutant:mode=minus-one"});
+  tracer.disable();
+  ASSERT_EQ(report.jobs.size(), 9u);
+  EXPECT_EQ(report.totals.cache_hits, 3u);
+
+  std::size_t solved = 0, failed = 0, spans = 0, rejecting = 0;
+  for (const PipelineJob& job : report.jobs) {
+    if (job.cached) continue;
+    ++solved;
+    failed += job.ok ? 0 : 1;
+  }
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    if (ev.name != "verify") continue;
+    ++spans;
+    EXPECT_NE(ev.args.find("\"solver\":"), std::string::npos) << ev.args;
+    if (ev.args.find("\"ok\":0") != std::string::npos) {
+      ++rejecting;
+      EXPECT_NE(ev.args.find("test-mutant"), std::string::npos) << ev.args;
+    } else {
+      EXPECT_NE(ev.args.find("\"ok\":1"), std::string::npos) << ev.args;
+    }
+  }
+  EXPECT_EQ(solved, 6u);
+  EXPECT_EQ(spans, solved);
+  EXPECT_EQ(rejecting, failed);
+  EXPECT_EQ(failed, 2u);
 }
 
 // ---- concurrent scheduler --------------------------------------------------

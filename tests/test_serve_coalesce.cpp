@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "matching/verify.hpp"
 #include "serve/service.hpp"
 #include "util/rng.hpp"
 
@@ -196,8 +197,8 @@ TEST(ServeConformance, DuplicateBurstCoalescesIntoOneSolve) {
   const auto burst_handle =
       svc.add_instance("burst", gen::random_uniform(140, 150, 620, 11))
           .handle;
-  const graph::index_t maximum =
-      svc.instances().get(burst_handle).maximum_cardinality;
+  const graph::index_t maximum = matching::reference_maximum_cardinality(
+      svc.instances().get(burst_handle).graph);
 
   std::vector<Submission> blockers;
   for (const std::size_t handle : blocker_handles)
@@ -256,8 +257,10 @@ TEST(ServeConformance, TSanStressClientsHammerCoalescing) {
   const auto a =
       svc.add_instance("a", gen::random_uniform(120, 130, 540, 3)).handle;
   const auto b = svc.add_instance("b", gen::planted_perfect(80, 2.0, 9)).handle;
-  const graph::index_t max_a = svc.instances().get(a).maximum_cardinality;
-  const graph::index_t max_b = svc.instances().get(b).maximum_cardinality;
+  const graph::index_t max_a =
+      matching::reference_maximum_cardinality(svc.instances().get(a).graph);
+  const graph::index_t max_b =
+      matching::reference_maximum_cardinality(svc.instances().get(b).graph);
 
   const std::vector<std::string> specs = {"hk", "pf", "g-pr-shr"};
   std::atomic<int> bad{0};

@@ -276,12 +276,22 @@ TEST(ServeSession, ValidFlow) {
   std::filesystem::remove(mtx);
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_TRUE(lines[0].starts_with("instance b handle=")) << lines[0];
-  EXPECT_NE(lines[0].find(" max=30"), std::string::npos) << lines[0];
+  // Admission runs no reference solve, so the reply carries no maximum:
+  // it comes from a verified exact result instead.
+  EXPECT_EQ(lines[0].find(" max="), std::string::npos) << lines[0];
+  lines = run(session, "submit b hk");
+  ASSERT_EQ(lines.size(), 1u);
+  ASSERT_TRUE(lines[0].starts_with("ticket ")) << lines[0];
+  lines = run(session, "wait " + lines[0].substr(7));
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(field(lines[0], "cardinality"), 30) << lines[0];
+  EXPECT_EQ(field(lines[0], "ok"), 1) << lines[0];
   std::set<std::string> spans;
   for (const obs::TraceEvent& ev : context.tracer.events())
     spans.insert(ev.name);
   EXPECT_TRUE(spans.contains("load.read"));
   EXPECT_TRUE(spans.contains("load.admit"));
+  EXPECT_TRUE(spans.contains("verify"));  // the certificate on the hk solve
   EXPECT_EQ(samples("serve.load_read_ms"), reads + 1);
   EXPECT_EQ(samples("serve.admit_ms"), admits + 1);
   EXPECT_EQ(session.errors(), 0u);

@@ -1,7 +1,8 @@
 // serve::MatchingService + serve::InstanceStore (src/serve/): async
 // submit/future and ticket-polling APIs, priority ordering, bounded-queue
 // backpressure, deadlines, instance dedup, cache accounting across
-// requests and batches (including pipeline sharing and snapshot reload).
+// requests and batches (including pipeline sharing and snapshot reload),
+// and certificate-only verification rejecting (and never caching) mutants.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,8 @@
 
 #include "core/pipeline.hpp"
 #include "graph/generators.hpp"
+#include "matching/verify.hpp"
+#include "mutant_solver.hpp"
 #include "serve/service.hpp"
 
 namespace bpm::serve {
@@ -90,17 +93,18 @@ TEST(InstanceStore, DedupsByStructuralFingerprint) {
 
 TEST(InstanceStore, PrebuiltInstancesAdmitWithoutRecomputation) {
   // The precomputed-admission seam: a PipelineInstance built elsewhere
-  // (here with a deliberately wrong "ground truth") is stored verbatim —
-  // proof the store reuses instead of recomputing — and still dedups.
+  // (here with a deliberately wrong initial cardinality) is stored
+  // verbatim — proof the store reuses instead of recomputing — and still
+  // dedups.
   InstanceStore store;
   PipelineInstance inst;
   inst.name = "prebuilt";
   inst.graph = gen::complete_bipartite(6, 6);
   inst.init = matching::Matching(inst.graph);
-  inst.maximum_cardinality = 123;  // sentinel: would be 6 if recomputed
+  inst.initial_cardinality = 123;  // sentinel: would be 6 if recomputed
   const auto a = store.add(inst);
   EXPECT_FALSE(a.deduplicated);
-  EXPECT_EQ(store.get(a.handle).maximum_cardinality, 123);
+  EXPECT_EQ(store.get(a.handle).initial_cardinality, 123);
   const auto b = store.add("same-structure", gen::complete_bipartite(6, 6));
   EXPECT_TRUE(b.deduplicated);
   EXPECT_EQ(b.handle, a.handle);
@@ -340,6 +344,15 @@ TEST(Service, VerifyOffConsumersReadButNeverSeedTheSharedCache) {
   const auto handle = svc.add_instance("g", g).handle;
   ASSERT_TRUE(svc.submit(request(handle, "hk")).future.get().ok);
   EXPECT_EQ(cache->stats().entries, 0u);
+  // Verify-off accepts anything, even the mutants, and still seeds nothing.
+  test_support::register_mutant_solver();
+  for (const std::string spec :
+       {"test-mutant:mode=minus-one", "test-mutant:mode=stats-lie",
+        "test-mutant:mode=invalid"}) {
+    const Response r = svc.submit(request(handle, spec)).future.get();
+    EXPECT_TRUE(r.ok) << spec << ": " << r.error;
+  }
+  EXPECT_EQ(cache->stats().entries, 0u);
 
   // Verified entries flow the other way: a verifying batch publishes,
   // and the verify-off consumer may serve the (trustworthy) hit.
@@ -349,6 +362,40 @@ TEST(Service, VerifyOffConsumersReadButNeverSeedTheSharedCache) {
   EXPECT_EQ(cache->stats().entries, 1u);
   const Response hit = svc.submit(request(handle, "hk")).future.get();
   EXPECT_TRUE(hit.cached);
+}
+
+TEST(Service, CertificateRejectsMutantsAndNeverCachesThem) {
+  // The service verifies exactly as the pipeline does: each mutant
+  // response is `ok == false`, is never published to the shared cache,
+  // and so fails again (uncached) when resubmitted.
+  test_support::register_mutant_solver();
+  auto cache = std::make_shared<ResultCache>();
+  MatchingService svc({.workers = 2, .cache = cache});
+  const auto handle =
+      svc.add_instance("g", gen::random_uniform(300, 310, 1500, 11)).handle;
+  const std::vector<std::pair<std::string, std::string>> mutants = {
+      {"test-mutant:mode=minus-one", "Berge certificate failed"},
+      {"test-mutant:mode=stats-lie", "stats report cardinality"},
+      {"test-mutant:mode=invalid", "invalid matching"},
+      {"test-mutant:exact=0,mode=invalid", "invalid matching"}};
+  for (int pass = 0; pass < 2; ++pass)
+    for (const auto& [spec, error] : mutants) {
+      const Response r = svc.submit(request(handle, spec)).future.get();
+      EXPECT_FALSE(r.ok) << spec;
+      EXPECT_FALSE(r.cached) << spec << " (pass " << pass << ")";
+      EXPECT_NE(r.error.find(error), std::string::npos) << spec << ": "
+                                                        << r.error;
+    }
+  EXPECT_EQ(cache->stats().entries, 0u);
+  EXPECT_EQ(svc.stats().failed, 2 * mutants.size());
+
+  // The honest control beside them verifies against the independent
+  // oracle and is the only entry cached.
+  const Response hk = svc.submit(request(handle, "hk")).future.get();
+  EXPECT_TRUE(hk.ok) << hk.error;
+  EXPECT_EQ(hk.stats.cardinality, matching::reference_maximum_cardinality(
+                                      svc.instances().get(handle).graph));
+  EXPECT_EQ(cache->stats().entries, 1u);
 }
 
 TEST(Service, RunWithJobsStayOutOfTheSharedCache) {
@@ -373,8 +420,10 @@ TEST(Service, ManyClientThreadsManyRequestsAllVerify) {
       svc.add_instance("a", gen::random_uniform(300, 310, 1500, 11)).handle;
   const auto b =
       svc.add_instance("b", gen::chung_lu(250, 260, 4.0, 2.4, 7)).handle;
-  const graph::index_t max_a = svc.instances().get(a).maximum_cardinality;
-  const graph::index_t max_b = svc.instances().get(b).maximum_cardinality;
+  const graph::index_t max_a =
+      matching::reference_maximum_cardinality(svc.instances().get(a).graph);
+  const graph::index_t max_b =
+      matching::reference_maximum_cardinality(svc.instances().get(b).graph);
 
   std::atomic<int> bad{0};
   std::vector<std::thread> clients;
