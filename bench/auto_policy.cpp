@@ -6,9 +6,8 @@
 // the oracle is the per-instance minimum over the fixed pool — the time a
 // clairvoyant dispatcher would get.  `auto` runs the same way through the
 // registry's AutoSolver (its wall time INCLUDES feature extraction and
-// resolution, so the comparison charges the policy its own overhead), and
-// its own runs feed the engine's online estimates as they would in the
-// service.  The summary reports geomean(auto/oracle) — how far adaptive
+// resolution, so the comparison charges the policy its own overhead).
+// The summary reports geomean(auto/oracle) — how far adaptive
 // selection is from clairvoyance — and geomean(auto/fixed) per fixed spec,
 // where < 1.0 means auto beats committing to that solver across the whole
 // heterogeneous union.
@@ -20,6 +19,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness_common.hpp"
@@ -51,8 +51,6 @@ int main(int argc, char** argv) {
   cli.add_option("threads", "worker threads (0 = hardware)", "0");
   cli.add_option("backend",
                  "device backend: host (measured wall time) or sim", "host");
-  cli.add_option("explore",
-                 "epsilon-greedy exploration probability for auto", "0");
   cli.add_option("model",
                  "cost model JSON for auto (empty = embedded default)", "");
   cli.add_option("json",
@@ -66,9 +64,10 @@ int main(int argc, char** argv) {
 
   SuiteOptions opt;
   graph::index_t n = 0;
-  double massive_scale = 0.0, structured_scale = 0.0, explore = 0.0;
+  double massive_scale = 0.0, structured_scale = 0.0;
   int reps = 1;
   std::string model_path;
+  policy::CostModel model = policy::CostModel::embedded_default();
   try {
     cli.parse(argc, argv);
     exit_if_list_algos(cli);
@@ -82,9 +81,9 @@ int main(int argc, char** argv) {
     n = static_cast<graph::index_t>(cli.get_int("n"));
     massive_scale = cli.get_double("massive-scale");
     structured_scale = cli.get_double("structured-scale");
-    explore = cli.get_double("explore");
     reps = std::max(1, static_cast<int>(cli.get_int("reps")));
     model_path = cli.get_string("model");
+    if (!model_path.empty()) model = policy::CostModel::load(model_path);
     if (cli.get_flag("smoke")) {
       n = 2000;
       massive_scale = 0.0;
@@ -98,12 +97,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // The auto spec under test, tuned like a client would tune it.
-  SolverSpec auto_spec = SolverSpec::parse("auto");
-  if (!model_path.empty()) auto_spec.options.emplace_back("model", model_path);
-  if (explore > 0.0)
-    auto_spec.options.emplace_back("explore", std::to_string(explore));
-  const std::unique_ptr<Solver> auto_solver = auto_spec.instantiate();
+  const policy::AutoSolver auto_solver(std::move(model));
 
   const std::vector<PolicyInstance> suite =
       build_policy_suite(n, massive_scale, opt.seed, structured_scale);
@@ -157,7 +151,7 @@ int main(int argc, char** argv) {
     AlgoResult auto_best;
     for (int rep = 0; rep < reps; ++rep) {
       const AlgoResult r =
-          run_solver(*auto_solver, dev, inst.bi, opt.threads);
+          run_solver(auto_solver, dev, inst.bi, opt.threads);
       all_ok &= r.ok;
       if (rep == 0 || r.seconds < auto_best.seconds) auto_best = r;
     }

@@ -27,13 +27,11 @@
 //   gen <name> huge <rows> <cols> <avg_degree> <hub_fraction> <hub_every> <seed>
 //   submit <instance> <spec> [prio=<n>] [deadline=<ms>]   -> ticket <id>
 //                                      <spec> may be `auto` (recommended
-//                                      default: the policy engine picks the
-//                                      cheapest solver for the instance's
-//                                      features and refines from observed
-//                                      wall times; `auto:explore=0.05` keeps
-//                                      re-measuring non-favourites).  The
-//                                      result line carries the concrete
-//                                      choice as resolved_from=<spec>.
+//                                      default: the calibrated cost model
+//                                      picks the cheapest solver for the
+//                                      instance's features).  The result
+//                                      line names the concrete choice as
+//                                      solver=<spec>, resolved_from=auto.
 //   poll <ticket>                      non-blocking status check
 //   wait <ticket>                      block until the result line
 //   drain                              block until the queue is empty
@@ -44,10 +42,6 @@
 //                                      `client ...` accounting line per
 //                                      connection and a final
 //                                      `transport ...` summary)
-//   policy                             adaptive-selection state: model
-//                                      bucket count plus one
-//                                      `policy-online ...` line per live
-//                                      (bucket, spec) online estimate
 //   metrics                            global metrics registry as JSON
 //                                      (queue depth, engine dispatches,
 //                                      cache hit rate, latency percentiles)

@@ -479,8 +479,8 @@ SolverRegistry::SolverRegistry() {
   add("karp-sipser", [] { return std::make_unique<GreedySolver>(true); });
   add("auto", [] {
     // Feature-driven adaptive selection (`policy::AutoSolver`): resolves
-    // to a concrete registered spec per instance from the calibrated cost
-    // model + online estimates.  `auto:model=<path>,explore=<p>` tunes it.
+    // to a concrete registered spec per instance by looking its features
+    // up in the calibrated cost model.  Takes no options.
     return std::make_unique<policy::AutoSolver>();
   });
   // The paper's shorthand spellings.

@@ -35,6 +35,9 @@ bool is_blank(char c) {
 /// Splits a stream into lines, reading it in fixed-size blocks.  A line cut
 /// by a block boundary is carried to the front of the buffer and completed
 /// by the next fill, so only one block (or one longer line) is ever held.
+/// A line may be at most `kMaxLineBytes` long, newline included: a stream
+/// with no newline (e.g. /dev/zero) fails instead of growing the buffer
+/// without bound.
 class LineReader {
  public:
   explicit LineReader(std::istream& in) : in_(in), buf_(kBlockBytes) {}
@@ -49,12 +52,14 @@ class LineReader {
             static_cast<std::size_t>(static_cast<const char*>(nl) - begin);
         line = {begin, len};
         pos_ += len + 1;
+        ++lines_;
         return true;
       }
       if (eof_) {
         if (pos_ == end_) return false;
         line = {begin, end_ - pos_};
         pos_ = end_;
+        ++lines_;
         return true;
       }
       fill();
@@ -63,12 +68,18 @@ class LineReader {
 
  private:
   static constexpr std::size_t kBlockBytes = std::size_t{1} << 16;
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
   void fill() {
     const std::size_t carry = end_ - pos_;
     std::memmove(buf_.data(), buf_.data() + pos_, carry);
-    // A single line longer than the buffer grows it, as getline would.
-    if (carry == buf_.size()) buf_.resize(2 * buf_.size());
+    // A single line longer than the buffer grows it, up to the cap.
+    if (carry == buf_.size()) {
+      if (carry >= kMaxLineBytes)
+        fail(lines_ + 1, "line longer than " + std::to_string(kMaxLineBytes) +
+                             " bytes");
+      buf_.resize(2 * carry);
+    }
     in_.read(buf_.data() + carry,
              static_cast<std::streamsize>(buf_.size() - carry));
     pos_ = 0;
@@ -80,6 +91,7 @@ class LineReader {
   std::vector<char> buf_;
   std::size_t pos_ = 0;
   std::size_t end_ = 0;
+  std::size_t lines_ = 0;  ///< lines returned so far (for the cap's error)
   bool eof_ = false;
 };
 

@@ -1,12 +1,8 @@
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <random>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "core/solver.hpp"
 #include "policy/cost_model.hpp"
@@ -14,98 +10,17 @@
 
 namespace bpm::policy {
 
-/// The selection state behind the `auto` solver: the offline-calibrated
-/// `CostModel` plus the online per-(bucket, spec) cost estimates that real
-/// traffic feeds back through `observe`.  A mis-calibrated model
-/// self-corrects — online estimates, once they have samples, take
-/// precedence over the table, and an epsilon-greedy explore knob keeps
-/// re-measuring the non-favourites so a drifted favourite is caught.
-///
-/// One process-wide instance (`global()`) backs every `auto` spec; tests
-/// construct their own.  All members are thread-safe — `choose`/`observe`
-/// run from every serving worker at once.
-class PolicyEngine {
- public:
-  /// Starts from `model` (the embedded default when omitted, or the file
-  /// named by the `BPM_POLICY_MODEL` environment variable if set).
-  PolicyEngine();
-  explicit PolicyEngine(CostModel model);
-
-  [[nodiscard]] static PolicyEngine& global();
-
-  /// Replaces the offline model (test seam and `load-model`-style admin).
-  void set_model(CostModel model);
-  /// Snapshot of the offline model (copy: the live one may be swapped).
-  [[nodiscard]] CostModel model_snapshot() const;
-
-  struct Choice {
-    SolverSpec spec;          ///< concrete registered spec, never "auto"
-    std::string bucket;       ///< the feature bucket that decided
-    bool explored = false;    ///< epsilon fired: chosen to re-measure
-    bool from_online = false; ///< online estimate outranked the table
-    bool fallback = false;    ///< no calibrated bucket: fixed exact pool
-  };
-
-  /// Picks the cheapest candidate for `f`: candidates come from the
-  /// model's (nearest) bucket — or the fixed exact fallback pool when the
-  /// model is empty — costed by the online estimate when it has samples,
-  /// the calibration table otherwise.  With probability `explore` a
-  /// uniformly random candidate is returned instead (flagged `explored`),
-  /// which is what keeps the online estimates of non-favourites fresh.
-  /// A non-null `model_override` replaces the engine's table for this
-  /// choice (the `auto:model=<path>` option); online estimates still
-  /// apply.
-  [[nodiscard]] Choice choose(const InstanceFeatures& f, double explore,
-                              const CostModel* model_override = nullptr);
-
-  /// Feeds one observed solve back: `wall_ms` of `spec` (canonical) on an
-  /// instance with features `f`.  Updates the bucket's decaying online
-  /// estimate (alpha 0.3, so ~3 observations overturn a stale value).
-  void observe(const InstanceFeatures& f, const std::string& spec,
-               double wall_ms);
-
-  struct OnlineEstimate {
-    std::string bucket;
-    std::string spec;
-    double us_per_edge = 0.0;
-    std::int64_t samples = 0;
-  };
-  /// The live online estimates, sorted by (bucket, spec) — the `policy`
-  /// serve command dumps exactly this.
-  [[nodiscard]] std::vector<OnlineEstimate> online_snapshot() const;
-
-  /// Drops every online estimate (test isolation).
-  void reset_online();
-
-  /// The fixed exact candidate pool used when no calibrated bucket exists
-  /// (every name registered, none heuristic — verification must pass).
-  [[nodiscard]] static const std::vector<std::string>& fallback_pool();
-
- private:
-  struct Online {
-    double us_per_edge = 0.0;
-    std::int64_t samples = 0;
-  };
-
-  void bump_counter(const char* name, std::uint64_t n = 1);
-
-  mutable std::mutex mutex_;
-  CostModel model_;
-  std::map<std::pair<std::string, std::string>, Online> online_;
-  /// Deterministically seeded: explore decisions are reproducible within
-  /// a process run, which the convergence tests rely on.
-  std::mt19937_64 rng_{0x9e3779b97f4a7c15ull};
-};
-
 /// The `auto` solver: resolves to a concrete registered spec per instance
 /// from its features and runs it.  Registered in `bpm::SolverRegistry`
 /// under "auto", so every harness `--algo auto`, `mtx_matcher`, the
 /// pipeline, and the service sweep it with zero per-call-site code.
 ///
-/// Options (`auto:model=<path>,explore=<p>`): `model` loads a calibration
-/// table for this solver object instead of the engine's (the committed
-/// default); `explore` sets the epsilon-greedy probability (default 0 —
-/// services that want online refinement under live traffic turn it on).
+/// Resolution is a pure table lookup: the cheapest `us_per_edge` spec of
+/// the instance's (nearest) feature bucket in the offline `CostModel`.
+/// The same features and the same model always give the same spec; no
+/// served traffic changes it.  A new calibration ships as a regenerated
+/// `default_model.inc` (`policy_calibrate --emit-inc`).  `auto` takes no
+/// spec options.
 ///
 /// The serving layer resolves BEFORE dispatch (`resolve` on the admitted
 /// instance's cached features) and swaps in the concrete solver + spec,
@@ -114,49 +29,41 @@ class PolicyEngine {
 /// internally and reports the choice in `SolveStats::detail`.
 class AutoSolver final : public Solver {
  public:
-  AutoSolver() : engine_(&PolicyEngine::global()) {}
-  explicit AutoSolver(PolicyEngine& engine) : engine_(&engine) {}
+  /// Resolves against the embedded calibration table.
+  AutoSolver() : AutoSolver(CostModel::embedded_default()) {}
+  explicit AutoSolver(CostModel model) : model_(std::move(model)) {}
 
   [[nodiscard]] std::string name() const override { return "auto"; }
 
   [[nodiscard]] SolverCaps caps() const override {
     // May resolve to any exact solver: claim the device (always provided
     // by pipelines/harnesses/services) and multicore threads; never claim
-    // determinism — the choice itself can change with online state.
+    // determinism — the pick may be a nondeterministic solver (p-dbfs).
     return {.needs_device = true, .multicore = true, .deterministic = false,
             .exact = true};
   }
-
-  bool set_option(std::string_view key, std::string_view value) override;
 
   struct Resolved {
     SolverSpec spec;  ///< concrete, with `resolved_from` provenance set
     std::unique_ptr<Solver> solver;
     std::string bucket;
-    bool explored = false;
-    bool from_online = false;
-    bool fallback = false;
+    bool fallback = false;  ///< no calibrated bucket: resolved to g-pr-wb
   };
 
-  /// Resolves the concrete solver for an instance with features `f`.
-  /// Always returns a registered, instantiable spec.
+  /// Resolves the concrete solver for an instance with features `f`:
+  /// the cheapest spec of the model's (nearest) bucket, ties to the first
+  /// in spec order.  Throws only when the model names an unregistered
+  /// spec.
   [[nodiscard]] Resolved resolve(const InstanceFeatures& f) const;
 
   /// Features → resolve → run the chosen solver; prepends the choice to
-  /// `SolveStats::detail` and feeds the observed wall back into the
-  /// engine's online estimates.
+  /// `SolveStats::detail`.
   [[nodiscard]] SolveResult run(const SolveContext& ctx,
                                 const graph::BipartiteGraph& g,
                                 const matching::Matching& init) const override;
 
-  [[nodiscard]] double explore() const { return explore_; }
-
  private:
-  PolicyEngine* engine_;
-  /// Loaded from `model=<path>`; overrides the engine's table (the
-  /// online estimates still come from — and feed — the engine).
-  std::optional<CostModel> model_override_;
-  double explore_ = 0.0;
+  CostModel model_;
 };
 
 }  // namespace bpm::policy

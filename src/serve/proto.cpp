@@ -326,8 +326,6 @@ Parsed parse_command(std::string_view line, const Limits& limits) {
     done(StatsRequest{}, "stats");
   } else if (cmd == "metrics") {
     done(MetricsRequest{}, "metrics");
-  } else if (cmd == "policy") {
-    done(PolicyRequest{}, "policy");
   } else if (cmd == "trace-start") {
     TraceStartRequest r;
     r.path = d.str("path");
@@ -349,7 +347,7 @@ Parsed parse_command(std::string_view line, const Limits& limits) {
         ErrorCode::kBadCommand,
         "unknown command '" + cmd +
             "' (auth | load | gen | submit | poll | wait | drain | stats | "
-            "metrics | policy | trace-start | trace-dump | save-cache | "
+            "metrics | trace-start | trace-dump | save-cache | "
             "load-cache | shutdown)"};
   }
   return out;

@@ -131,10 +131,6 @@ struct WaitRequest {
 struct DrainRequest {};
 struct StatsRequest {};
 struct MetricsRequest {};
-/// Dumps the live policy engine state: cost-model bucket count plus one
-/// line per online (bucket, spec) estimate — how `auto` is currently
-/// deciding.
-struct PolicyRequest {};
 struct TraceStartRequest {
   std::string path;
 };
@@ -150,9 +146,8 @@ struct ShutdownRequest {};
 using Command =
     std::variant<AuthRequest, LoadRequest, GenRequest, SubmitRequest,
                  PollRequest, WaitRequest, DrainRequest, StatsRequest,
-                 MetricsRequest, PolicyRequest, TraceStartRequest,
-                 TraceDumpRequest, SaveCacheRequest, LoadCacheRequest,
-                 ShutdownRequest>;
+                 MetricsRequest, TraceStartRequest, TraceDumpRequest,
+                 SaveCacheRequest, LoadCacheRequest, ShutdownRequest>;
 
 /// What one protocol line parsed into: exactly one of `command` / `error`
 /// is set, or neither for a blank / comment line (`ignorable`).

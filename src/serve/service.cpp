@@ -215,7 +215,7 @@ void MatchingService::serve_batch(
   std::uint64_t fanout_hits = 0;
   if (!live.empty()) {
     // Dispatch-time policy resolution: an `auto` request becomes the
-    // concrete spec the policy engine picks for *this* instance's
+    // concrete spec the cost model picks for *this* instance's
     // features, before the cache probe — so a resolved auto request
     // shares cache entries and in-batch dedup with explicit traffic on
     // the same concrete spec.  A resolution failure (e.g. a stale model
@@ -267,13 +267,6 @@ void MatchingService::serve_batch(
       r.service_ms = results[k].solve_ms;
       if (results[k].cached)
         ++(results[k].in_batch_dup ? fanout_hits : shared_hits);
-      // Online refinement: every solved request — explicit or resolved
-      // from `auto` — feeds its observed wall time back into the policy
-      // engine's per-bucket estimate for the spec that earned it.  Cache
-      // hits carry no new timing signal and are skipped.
-      if (!results[k].cached && results[k].outcome.ok)
-        policy::PolicyEngine::global().observe(
-            inst.features, batch[live[k]]->canonical, results[k].solve_ms);
     }
   }
 

@@ -57,8 +57,8 @@ struct Response {
   bool evicted = false;
   std::string error;
   /// Provenance when dispatch-time policy resolution rewrote the request:
-  /// the spec the client actually asked for (e.g. "auto:explore=0.1")
-  /// while `solver` reports the concrete spec the policy picked.  Empty
+  /// the spec the client actually asked for ("auto") while `solver`
+  /// reports the concrete spec the policy picked.  Empty
   /// for explicit requests.
   std::string resolved_from;
   double queue_ms = 0.0;    ///< admission queue wait

@@ -8,7 +8,6 @@
 #include "graph/instances.hpp"
 #include "graph/matrix_market.hpp"
 #include "obs/metrics.hpp"
-#include "policy/auto_solver.hpp"
 #include "util/timer.hpp"
 
 namespace bpm::serve {
@@ -266,24 +265,6 @@ void Session::handle(const proto::MetricsRequest&, Outcome& out) {
         .set(static_cast<double>(c.entries));
   }
   out.lines.push_back(obs::Registry::global().snapshot_json());
-}
-
-void Session::handle(const proto::PolicyRequest&, Outcome& out) {
-  // Live view of how `auto` is deciding: the calibrated model's coverage
-  // plus every online (bucket, spec) estimate refined so far.
-  policy::PolicyEngine& engine = policy::PolicyEngine::global();
-  const std::vector<policy::PolicyEngine::OnlineEstimate> online =
-      engine.online_snapshot();
-  std::ostringstream hs;
-  hs << "policy model_buckets=" << engine.model_snapshot().bucket_count()
-     << " online_cells=" << online.size();
-  out.lines.push_back(hs.str());
-  for (const auto& est : online) {
-    std::ostringstream os;
-    os << "policy-online bucket=" << est.bucket << " spec=" << est.spec
-       << " us_per_edge=" << est.us_per_edge << " samples=" << est.samples;
-    out.lines.push_back(os.str());
-  }
 }
 
 void Session::handle(const proto::TraceStartRequest& r, Outcome& out) {

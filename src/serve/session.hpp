@@ -101,7 +101,6 @@ class Session {
   void handle(const proto::DrainRequest&, Outcome&);
   void handle(const proto::StatsRequest&, Outcome&);
   void handle(const proto::MetricsRequest&, Outcome&);
-  void handle(const proto::PolicyRequest&, Outcome&);
   void handle(const proto::TraceStartRequest&, Outcome&);
   void handle(const proto::TraceDumpRequest&, Outcome&);
   void handle(const proto::SaveCacheRequest&, Outcome&);

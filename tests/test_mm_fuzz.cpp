@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <streambuf>
 #include <string>
 
 #include "graph/matrix_market.hpp"
@@ -131,6 +132,56 @@ TEST(MmFuzz, GarbageStreams) {
       garbage += static_cast<char>(rng.below(256));
     expect_parse_or_throw(garbage);
   }
+}
+
+/// An endless stream of one byte, like /dev/zero; counts the bytes served.
+class EndlessBuf final : public std::streambuf {
+ public:
+  explicit EndlessBuf(char fill) : block_(std::size_t{1} << 16, fill) {}
+  std::size_t served = 0;
+
+ protected:
+  int_type underflow() override {
+    setg(block_.data(), block_.data(), block_.data() + block_.size());
+    served += block_.size();
+    return traits_type::to_int_type(block_[0]);
+  }
+
+ private:
+  std::string block_;
+};
+
+std::string parse_error(std::istream& in) {
+  try {
+    (void)read_matrix_market(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MmFuzz, OverlongLinesFailAtTheCap) {
+  // A stream without a newline must fail once one line passes 1 MiB,
+  // not grow the line buffer for as long as the stream lasts.
+  EndlessBuf zeros('\0');
+  std::istream endless(&zeros);
+  EXPECT_NE(parse_error(endless).find("matrix market: line 1: line longer"),
+            std::string::npos);
+  EXPECT_LE(zeros.served, std::size_t{2} << 20);
+
+  // The error names the overlong line.
+  std::istringstream third("%%MatrixMarket matrix coordinate pattern "
+                           "general\n6 7 1\n" +
+                           std::string(std::size_t{3} << 20, '1') + "\n");
+  EXPECT_NE(parse_error(third).find("matrix market: line 3: line longer"),
+            std::string::npos);
+
+  // A long line under the cap still parses.
+  std::string content = valid_file();
+  content.insert(content.find('\n') + 1,
+                 "%" + std::string(std::size_t{600} << 10, 'x') + "\n");
+  std::istringstream in(content);
+  EXPECT_EQ(read_matrix_market(in).num_edges(), 9);
 }
 
 TEST(MmFuzz, ValidBaseStillParses) {

@@ -1,15 +1,13 @@
-// policy::{InstanceFeatures, CostModel, PolicyEngine, AutoSolver}
-// (src/policy/): feature determinism and permutation invariance, cost-model
-// JSON round trips (byte identity — the committed table must be diffable),
-// auto resolution validity across the generator pool, epsilon-greedy online
-// convergence under concurrent choose/observe (TSan-stressable), and the
-// resolved_from provenance seam that lets auto requests share result-cache
-// entries with explicit ones.
+// policy::{InstanceFeatures, CostModel, AutoSolver} (src/policy/): feature
+// determinism and permutation invariance, cost-model JSON round trips (byte
+// identity — the committed table must be diffable), auto resolution
+// validity across the generator pool, resolution as a pure function of
+// (features, model) that served traffic never changes (TSan-stressable),
+// and the resolved_from provenance seam that lets auto requests share
+// result-cache entries with explicit ones.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
 #include <string>
 #include <thread>
@@ -171,87 +169,83 @@ TEST(AutoSolver, ResolvesToAValidRegisteredSpecEverywhere) {
   }
 }
 
-TEST(AutoSolver, OptionValidation) {
-  const auto spec = SolverSpec::parse("auto:explore=0.25");
-  EXPECT_NE(spec.instantiate(), nullptr);
+TEST(AutoSolver, TakesNoOptions) {
+  // `auto` is a pure table lookup: nothing a client can set changes it.
+  // The rejection names the option and happens before any value is used
+  // (a `model=` path is never opened).
+  for (const std::string spec :
+       {"auto:model=/no/such", "auto:model=/dev/zero", "auto:k=1.5"}) {
+    try {
+      (void)SolverSpec::parse(spec).instantiate();
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string key = spec.substr(5, spec.find('=') - 5);
+      EXPECT_NE(std::string(e.what()).find("option '" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   AutoSolver s;
-  EXPECT_TRUE(s.set_option("explore", "0.5"));
-  EXPECT_DOUBLE_EQ(s.explore(), 0.5);
-  EXPECT_THROW((void)s.set_option("explore", "1.5"), std::invalid_argument);
-  EXPECT_THROW((void)s.set_option("explore", "nope"), std::invalid_argument);
-  EXPECT_THROW((void)s.set_option("model", "/no/such/model.json"),
-               std::runtime_error);
-  EXPECT_FALSE(s.set_option("unknown-key", "x"));
+  EXPECT_FALSE(s.set_option("model", "/no/such/model.json"));
+  EXPECT_FALSE(s.set_option("seed", "1"));
 }
 
-TEST(PolicyEngine, EpsilonGreedyConvergesOnTheTrulyFastSolver) {
-  // Plant a model whose table favours "pf" (0.5 us/edge vs hk's 1.0), but
-  // make the *measured* truth the opposite: hk is 10x faster.  Concurrent
-  // choose/observe workers with explore=0.2 must re-measure both arms and
-  // flip the favourite — online estimates outrank the table once sampled.
-  // Under TSan this doubles as the engine's race stress.
+TEST(AutoSolver, PicksTheCheapestSpecOfTheBucket) {
   InstanceFeatures f;
   f.rows = f.cols = 4096;
   f.edges = 1 << 15;
-  f.density = static_cast<double>(f.edges) /
-              (static_cast<double>(f.rows) * static_cast<double>(f.cols));
   f.avg_degree = 8.0;
   f.degree_skew = 1.5;
   f.deficiency_est = 0.01;
-  const std::string bucket = bucket_of(f).key();
-
-  CostModel planted;
-  planted.record(bucket, "hk", 1.0);
-  planted.record(bucket, "pf", 0.5);  // the table's (wrong) favourite
-  PolicyEngine engine(planted);
-
-  const auto truth_ms = [&](const std::string& spec) {
-    const double us_per_edge = spec == "hk" ? 0.1 : 1.0;
-    return us_per_edge * static_cast<double>(f.edges) / 1000.0;
-  };
-
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&] {
-      for (int i = 0; i < 200; ++i) {
-        const PolicyEngine::Choice c = engine.choose(f, 0.2);
-        EXPECT_EQ(c.bucket, bucket);
-        engine.observe(f, c.spec.canonical(), truth_ms(c.spec.canonical()));
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-
-  // Exploitation now picks the measured winner, not the table's.
-  const PolicyEngine::Choice final_choice = engine.choose(f, 0.0);
-  EXPECT_EQ(final_choice.spec.canonical(), "hk");
-  EXPECT_TRUE(final_choice.from_online);
-  EXPECT_FALSE(final_choice.explored);
-
-  // Both arms were actually measured (explore kept the loser fresh).
-  const auto online = engine.online_snapshot();
-  ASSERT_EQ(online.size(), 2u);
-  for (const auto& e : online) {
-    EXPECT_EQ(e.bucket, bucket);
-    EXPECT_GT(e.samples, 0);
-  }
-  engine.reset_online();
-  EXPECT_TRUE(engine.online_snapshot().empty());
+  CostModel m;
+  m.record(bucket_of(f).key(), "hk", 1.0);
+  m.record(bucket_of(f).key(), "pf", 0.5);
+  m.record(bucket_of(f).key(), "seq-pr", 0.5);  // tie: map order keeps pf
+  const AutoSolver::Resolved r = AutoSolver(m).resolve(f);
+  EXPECT_EQ(r.spec.canonical(), "pf");
+  EXPECT_EQ(r.bucket, bucket_of(f).key());
+  EXPECT_FALSE(r.fallback);
 }
 
-TEST(PolicyEngine, FallsBackToTheExactPoolOnAnEmptyModel) {
-  PolicyEngine engine{CostModel{}};
+TEST(AutoSolver, FallsBackToGprWbOnAnEmptyModel) {
   InstanceFeatures f;
   f.rows = f.cols = 100;
   f.edges = 500;
-  const PolicyEngine::Choice c = engine.choose(f, 0.0);
-  EXPECT_TRUE(c.fallback);
-  const auto& pool = PolicyEngine::fallback_pool();
-  EXPECT_NE(std::find(pool.begin(), pool.end(), c.spec.canonical()),
-            pool.end());
-  for (const std::string& name : pool)
-    EXPECT_NE(SolverRegistry::instance().create(
-                  SolverSpec::parse(name).name), nullptr) << name;
+  const AutoSolver::Resolved r = AutoSolver(CostModel{}).resolve(f);
+  EXPECT_TRUE(r.fallback);
+  EXPECT_EQ(r.spec.canonical(), "g-pr-wb");
+  EXPECT_EQ(r.spec.resolved_from, "auto");
+  EXPECT_NE(r.solver, nullptr);
+}
+
+TEST(AutoSolver, ResolutionIgnoresServedTraffic) {
+  // Explicit solves of other specs on the same instance must not move
+  // auto's pick, and concurrent resolutions agree.  Under TSan this is
+  // the race check on resolution from many serving threads.
+  const auto g = gen::random_uniform(300, 310, 1500, 11);
+  serve::MatchingService svc({.workers = 2});
+  const auto handle = svc.add_instance("g", g).handle;
+  const InstanceFeatures f = svc.instances().get(handle).features;
+  const AutoSolver solver;
+  const std::string before = solver.resolve(f).spec.canonical();
+
+  std::vector<serve::Submission> subs;
+  for (const std::string spec : {"hk", "pf", "seq-pr", "hkdw", "hk"}) {
+    if (spec == before) continue;
+    subs.push_back(svc.submit({.instance = handle,
+                               .spec = SolverSpec::parse(spec)}));
+    ASSERT_TRUE(subs.back().accepted) << subs.back().reason;
+  }
+  for (serve::Submission& sub : subs)
+    EXPECT_TRUE(sub.future.get().ok);
+
+  std::vector<std::string> after(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < after.size(); ++t)
+    threads.emplace_back(
+        [&, t] { after[t] = solver.resolve(f).spec.canonical(); });
+  for (std::thread& t : threads) t.join();
+  for (const std::string& spec : after) EXPECT_EQ(spec, before);
 }
 
 // ------------------------------------------------- cache-sharing seam ------
@@ -264,23 +258,16 @@ TEST(SolverSpec, ResolvedFromIsProvenanceNotIdentity) {
 }
 
 TEST(Service, AutoSharesResultCacheEntriesWithExplicitRequests) {
-  // Pin the global engine to a model whose only candidate is "hk", so auto
-  // deterministically resolves to it; an explicit hk solve must then serve
-  // the subsequent auto request straight from the result cache — the whole
-  // point of excluding resolved_from from the cache key.
-  PolicyEngine& engine = PolicyEngine::global();
-  const CostModel saved = engine.model_snapshot();
-  engine.reset_online();
-
+  // Solve the spec auto resolves to explicitly first; the auto request
+  // must then be served straight from the result cache — the whole point
+  // of excluding resolved_from from the cache key.
   const auto g = gen::random_uniform(300, 310, 1500, 11);
-  const index_t init = matching::cheap_matching(g).cardinality();
-  CostModel pinned;
-  pinned.record(bucket_of(compute_features(g, init)).key(), "hk", 1.0);
-  engine.set_model(pinned);
-
   serve::MatchingService svc(
       {.workers = 1, .cache = std::make_shared<serve::ResultCache>()});
   const auto handle = svc.add_instance("g", g).handle;
+  const std::string expected =
+      AutoSolver{}.resolve(svc.instances().get(handle).features)
+          .spec.canonical();
   const auto submit = [&](const std::string& spec) {
     serve::Submission sub = svc.submit(
         {.instance = handle, .spec = SolverSpec::parse(spec)});
@@ -288,21 +275,18 @@ TEST(Service, AutoSharesResultCacheEntriesWithExplicitRequests) {
     return sub.future.get();
   };
 
-  const serve::Response direct = submit("hk");
+  const serve::Response direct = submit(expected);
   EXPECT_TRUE(direct.ok) << direct.error;
   EXPECT_FALSE(direct.cached);
-  EXPECT_EQ(direct.solver, "hk");
+  EXPECT_EQ(direct.solver, expected);
   EXPECT_TRUE(direct.resolved_from.empty());
 
-  const serve::Response via_auto = submit("auto:explore=0");
+  const serve::Response via_auto = submit("auto");
   EXPECT_TRUE(via_auto.ok) << via_auto.error;
   EXPECT_TRUE(via_auto.cached);  // the seam under test
-  EXPECT_EQ(via_auto.solver, "hk");
-  EXPECT_EQ(via_auto.resolved_from, "auto:explore=0");
+  EXPECT_EQ(via_auto.solver, expected);
+  EXPECT_EQ(via_auto.resolved_from, "auto");
   EXPECT_EQ(via_auto.stats.cardinality, direct.stats.cardinality);
-
-  engine.set_model(saved);
-  engine.reset_online();
 }
 
 }  // namespace

@@ -156,6 +156,7 @@ TEST(ProtoParse, MalformedCorpus) {
       "save-cache",
       "load-cache a b",
       "auth",
+      "policy",  // deleted command: now an ordinary unknown command
       "totally-unknown-command 1 2 3",
   };
   for (const char* line : corpus) {

@@ -171,7 +171,15 @@ TEST(Service, RejectsBadRequestsWithReasons) {
   EXPECT_FALSE(bad_spec.accepted);
   EXPECT_FALSE(bad_spec.reason.empty());
 
-  EXPECT_EQ(svc.stats().rejected, 2u);
+  // `auto` takes no options: a client-set `model=` path is rejected by
+  // name before anything opens it (reading /dev/zero would never end).
+  const Submission auto_model =
+      svc.submit(request(handle, "auto:model=/dev/zero"));
+  EXPECT_FALSE(auto_model.accepted);
+  EXPECT_NE(auto_model.reason.find("option 'model'"), std::string::npos)
+      << auto_model.reason;
+
+  EXPECT_EQ(svc.stats().rejected, 3u);
   EXPECT_EQ(svc.stats().accepted, 0u);
 }
 
@@ -205,7 +213,9 @@ TEST(Service, BoundedQueueRejectsWithBackpressure) {
 }
 
 TEST(Service, HigherPriorityJumpsTheQueue) {
-  MatchingService svc({.workers = 1});
+  // No coalescing: a worker that wakes between the two submissions would
+  // otherwise batch `low` with the blocker, ahead of `high`.
+  MatchingService svc({.workers = 1, .coalesce = false});
   const auto handle =
       svc.add_instance("g", gen::complete_bipartite(8, 8)).handle;
   // Hold the single worker so the next submissions pile up in the queue.
