@@ -13,12 +13,6 @@
 // and replays once more on a *fresh* service warmed from the snapshot —
 // the restart story of a long-running deployment.
 //
-// Duplicate-heavy burst (--dup > 0): every mix job submitted --dup times
-// in one shuffled, unpaced burst against a cache-less service — the
-// workload where request coalescing (--coalesce) collapses duplicate
-// same-instance requests into shared dispatch batches.  The engine's
-// stats line shows how many streams the burst opened on it.
-//
 // Open loop (--open-rate > 0): one thread submits at the target rate
 // against a bounded queue; completion latency percentiles and rejected
 // (backpressure) counts show the overload behaviour.
@@ -36,7 +30,6 @@
 // send `shutdown` at the end so that server exits).
 //
 //   serve_throughput --scale 0.002 --inflight 1,2,4,8 --requests 96
-//   serve_throughput --scale 0.002 --coalesce --dup 6
 //   serve_throughput --scale 0.002 --open-rate 200 --queue-depth 16
 //   serve_throughput --socket-clients 4 --socket-requests 6
 //   serve_throughput --socket-clients 4 --connect 7471 --socket-shutdown
@@ -55,7 +48,6 @@
 #include "serve/service.hpp"
 #include "serve/session.hpp"
 #include "serve/transport.hpp"
-#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -81,11 +73,9 @@ struct Mix {
   }
 };
 
-serve::ServiceOptions service_options(const SuiteOptions& opt,
-                                      unsigned workers,
-                                      std::size_t queue_depth,
-                                      std::shared_ptr<serve::ResultCache> cache,
-                                      bool coalesce) {
+serve::ServiceOptions service_options(
+    const SuiteOptions& opt, unsigned workers, std::size_t queue_depth,
+    std::shared_ptr<serve::ResultCache> cache) {
   serve::ServiceOptions s;
   s.workers = workers;
   s.backend = opt.backend;
@@ -93,19 +83,8 @@ serve::ServiceOptions service_options(const SuiteOptions& opt,
   s.solver_threads = opt.threads;
   s.queue_depth = queue_depth;
   s.cache = std::move(cache);
-  s.coalesce = coalesce;
   s.tracer = opt.tracer();
   return s;
-}
-
-void print_engine_stats(const serve::MatchingService& service) {
-  // Backend kind + native time: a host engine's native_ms is measured
-  // wall clock, a sim engine's is its modeled device time.
-  const device::EngineStats e = service.engine_stats();
-  std::cout << "  engine [" << service.engine()->descriptor().summary()
-            << "]: streams=" << e.streams_retired
-            << " launches=" << e.launches << " modeled_ms=" << e.modeled_ms
-            << " native_ms=" << e.native_ms << "\n";
 }
 
 Mix register_suite(serve::MatchingService& service,
@@ -220,13 +199,6 @@ int main(int argc, char** argv) {
                  "skip)", "0");
   cli.add_option("queue-depth", "admission queue bound for the open loop",
                  "256");
-  cli.add_flag("coalesce",
-               "coalesce same-instance queued requests into one dispatch "
-               "batch");
-  cli.add_option("dup",
-                 "duplicate factor of the duplicate-heavy burst phase "
-                 "(each mix job submitted this many times; 0 = skip)",
-                 "4");
   cli.add_option("socket-clients",
                  "concurrent line-protocol clients of the socket phase "
                  "(0 = skip)",
@@ -241,11 +213,9 @@ int main(int argc, char** argv) {
                "send `shutdown` at the end of the socket phase (so an "
                "external --connect server exits)");
   SuiteOptions opt;
-  bool coalesce = false;
   try {
     cli.parse(argc, argv);
     opt = suite_options_from_cli(cli);
-    coalesce = cli.get_flag("coalesce");
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
@@ -279,8 +249,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "# mix: " << suite.size() << " instances x "
             << opt.algos.size() << " specs, " << requests
-            << " requests per level; coalesce=" << (coalesce ? "on" : "off")
-            << "; reference " << (reference.all_ok() ? "ok" : "FAILED")
+            << " requests per level; reference " << (reference.all_ok() ? "ok" : "FAILED")
             << "\n\n";
 
   bool all_ok = reference.all_ok();
@@ -292,7 +261,7 @@ int main(int argc, char** argv) {
   double serial_wall = 0.0;
   for (const unsigned level : levels) {
     serve::MatchingService service(
-        service_options(opt, level, requests + 1, nullptr, coalesce));
+        service_options(opt, level, requests + 1, nullptr));
     const Mix mix = register_suite(service, suite, opt);
     std::atomic<std::size_t> bad{0};
     Timer timer;
@@ -330,60 +299,6 @@ int main(int argc, char** argv) {
               << " ms, p99=" << snap.percentile(99) << " ms\n";
   }
 
-  // ---- duplicate-heavy open-loop burst: the coalescing showcase ----------
-  // Every mix job submitted --dup times in one shuffled, unpaced burst
-  // against a cache-less service: with --coalesce the duplicate
-  // same-instance requests collapse into shared dispatch batches (distinct
-  // specs solved back to back on one stream, identical specs solved once
-  // and fanned out), so requests/s must beat the same burst without
-  // coalescing — the acceptance shape for `--coalesce`.
-  const auto dup = static_cast<std::size_t>(cli.get_int("dup"));
-  if (dup > 0) {
-    const std::size_t grid = suite.size() * opt.algos.size();
-    const std::size_t total = grid * dup;
-    const unsigned workers = levels.empty() ? 4 : levels.back();
-    serve::MatchingService service(
-        service_options(opt, workers, total + 1, nullptr, coalesce));
-    const Mix mix = register_suite(service, suite, opt);
-    std::vector<std::size_t> order(total);
-    for (std::size_t i = 0; i < total; ++i) order[i] = i % grid;
-    Rng rng(7);
-    std::shuffle(order.begin(), order.end(), rng);
-
-    std::size_t bad = 0;
-    std::vector<std::pair<std::size_t, serve::Submission>> subs;
-    subs.reserve(total);
-    Timer timer;
-    for (const std::size_t i : order) {
-      serve::Submission sub =
-          service.submit({.instance = mix.handles[mix.instance_of(i)],
-                          .spec = mix.spec_of(i)});
-      if (sub.accepted)
-        subs.emplace_back(i, std::move(sub));
-      else
-        ++bad;  // the queue is sized for the whole burst
-    }
-    for (auto& [i, sub] : subs) {
-      const serve::Response r = sub.future.get();
-      const auto it = want.find(i);
-      if (!r.ok || it == want.end() || !it->second.ok ||
-          r.stats.cardinality != it->second.cardinality)
-        ++bad;
-    }
-    const double wall = timer.elapsed_ms();
-    const serve::ServiceStats s = service.stats();
-    all_ok &= bad == 0;
-    std::cout << "\nduplicate-heavy burst (" << grid << " unique jobs x "
-              << dup << " = " << total << " requests, " << workers
-              << " workers, no cache):\n"
-              << "  wall " << wall << " ms, "
-              << static_cast<double>(total) / (wall / 1e3)
-              << " req/s; dispatches=" << s.dispatches
-              << " coalesced=" << s.coalesced
-              << " fanout_hits=" << s.fanout_hits << " bad=" << bad << "\n";
-    print_engine_stats(service);
-  }
-
   // ---- cache persistence: warm pass + snapshot reload ---------------------
   const auto cache_bytes =
       static_cast<std::size_t>(cli.get_int("cache-bytes"));
@@ -400,7 +315,7 @@ int main(int argc, char** argv) {
       auto cache = std::make_shared<serve::ResultCache>(
           serve::CacheOptions{.byte_budget = cache_bytes});
       serve::MatchingService service(
-          service_options(opt, workers, grid + 1, cache, coalesce));
+          service_options(opt, workers, grid + 1, cache));
       const Mix mix = register_suite(service, suite, opt);
       Timer timer;
       (void)closed_loop(service, mix, grid, workers, want, bad);
@@ -422,7 +337,7 @@ int main(int argc, char** argv) {
           serve::CacheOptions{.byte_budget = cache_bytes});
       cache->load_file(snapshot.string());
       serve::MatchingService service(
-          service_options(opt, workers, grid + 1, cache, coalesce));
+          service_options(opt, workers, grid + 1, cache));
       const Mix mix = register_suite(service, suite, opt);
       Timer timer;
       (void)closed_loop(service, mix, grid, workers, want, bad);
@@ -448,8 +363,7 @@ int main(int argc, char** argv) {
   if (open_rate > 0.0) {
     serve::MatchingService service(service_options(
         opt, levels.empty() ? 4 : levels.back(),
-        static_cast<std::size_t>(cli.get_int("queue-depth")), nullptr,
-        coalesce));
+        static_cast<std::size_t>(cli.get_int("queue-depth")), nullptr));
     const Mix mix = register_suite(service, suite, opt);
     const auto interval =
         std::chrono::duration<double>(1.0 / open_rate);
@@ -500,9 +414,8 @@ int main(int argc, char** argv) {
     std::unique_ptr<serve::SocketTransport> transport;
     std::uint16_t port = connect_port;
     if (connect_port == 0) {
-      serve::ServiceOptions sopt =
-          service_options(opt, 4, 4096, nullptr, coalesce);
-      service = std::make_unique<serve::MatchingService>(sopt);
+      service = std::make_unique<serve::MatchingService>(
+          service_options(opt, 4, 4096, nullptr));
       context = std::make_unique<serve::SessionContext>(*service);
       serve::TransportOptions topt;
       topt.max_clients = socket_clients + 4;

@@ -2,10 +2,9 @@
 // request protocol, driven from a script file (--script), stdin, or a
 // TCP socket (--listen).  The service owns one device engine (--backend,
 // --device-threads) for its whole lifetime and runs up to --workers
-// dispatches on it at once, one stream each.  It dedups registered
-// graphs by structural fingerprint, schedules requests from a bounded
-// priority queue — coalescing same-instance queued requests into one
-// dispatch batch unless --no-coalesce — and (with --cache-bytes > 0)
+// dispatches on it at once, one request and one stream each.  It dedups
+// registered graphs by structural fingerprint, dispatches requests from a
+// bounded queue in strict priority order, and (with --cache-bytes > 0)
 // serves repeated (instance, solver spec) requests from a persistent
 // result cache that can be snapshotted to disk and reloaded on restart.
 // Every count, size and port flag is range-checked: an out-of-range
@@ -91,13 +90,7 @@ int main(int argc, char** argv) {
                  "engine backend: sim (modeled C2050) | host (real "
                  "multicore executor)",
                  "sim");
-  cli.add_option("queue-depth", "admission queue bound", "256");
-  cli.add_flag("no-coalesce",
-               "serve every request as its own dispatch instead of "
-               "batching same-instance queued requests");
-  cli.add_option("coalesce-limit",
-                 "max requests per coalesced dispatch (0 = unbounded)",
-                 "16");
+  cli.add_option("queue-depth", "admission queue bound (>= 1)", "256");
   cli.add_option("retention",
                  "completed tickets kept for poll/wait before eviction "
                  "(0 = keep all)",
@@ -136,19 +129,17 @@ int main(int argc, char** argv) {
       return static_cast<unsigned>(
           cli.get_int(flag, 0, std::numeric_limits<unsigned>::max()));
     };
-    const auto size = [&](const char* flag) {
+    const auto size = [&](const char* flag, std::int64_t min = 0) {
       return static_cast<std::size_t>(
-          cli.get_int(flag, 0, std::numeric_limits<std::int64_t>::max()));
+          cli.get_int(flag, min, std::numeric_limits<std::int64_t>::max()));
     };
 
     serve::ServiceOptions opt;
     opt.workers = count("workers");
     opt.backend = device::parse_backend(cli.get_string("backend"));
     opt.device_threads = count("device-threads");
-    opt.queue_depth = size("queue-depth");
+    opt.queue_depth = size("queue-depth", 1);  // depth 0 would reject all
     opt.verify = !cli.get_flag("no-verify");
-    opt.coalesce = !cli.get_flag("no-coalesce");
-    opt.coalesce_limit = size("coalesce-limit");
     opt.completed_ticket_retention = size("retention");
     const std::size_t cache_bytes = size("cache-bytes");
     if (cache_bytes > 0)

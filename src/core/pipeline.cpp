@@ -16,7 +16,7 @@ namespace bpm {
 
 namespace {
 
-/// Cache hits and in-batch duplicates never re-charge cost fields: the
+/// Cache hits, shared or batch-local, never re-charge cost fields: the
 /// work happened in the run that solved the entry.
 void strip_cost_fields(SolveStats& stats) {
   stats.wall_ms = 0.0;
@@ -58,39 +58,6 @@ AdmittedJobResult run_admitted_job(
   // never seeds the cache other consumers trust.
   if (cache && !job.cache_key.empty() && out.outcome.ok && options.verify)
     cache->put(inst.fingerprint, job.cache_key, out.outcome);
-  return out;
-}
-
-std::vector<AdmittedJobResult> run_admitted_jobs(
-    const std::vector<AdmittedJob>& jobs,
-    const std::function<device::Device&()>& stream,
-    serve::ResultCache* cache, const PipelineOptions& options) {
-  std::vector<AdmittedJobResult> out(jobs.size());
-  std::map<std::pair<std::uint64_t, std::string_view>, std::size_t> first;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const AdmittedJob& job = jobs[i];
-    if (!job.cache_key.empty()) {
-      const auto [it, inserted] =
-          first.try_emplace({job.instance->fingerprint, job.cache_key}, i);
-      if (!inserted) {
-        // In-batch duplicate: the loop is sequential, so the source (an
-        // earlier index) is already resolved.  Failed outcomes are never
-        // dedup sources — the cache refuses to publish them and an
-        // uncoalesced service would re-solve each duplicate — so the
-        // duplicate solves for itself and takes over as the source.
-        if (out[it->second].outcome.ok) {
-          out[i] = out[it->second];
-          out[i].cached = true;
-          out[i].in_batch_dup = true;
-          out[i].solve_ms = 0.0;
-          strip_cost_fields(out[i].outcome.stats);
-          continue;
-        }
-        it->second = i;
-      }
-    }
-    out[i] = run_admitted_job(job, stream, cache, options);
-  }
   return out;
 }
 
@@ -289,9 +256,7 @@ PipelineReport MatchingPipeline::run_jobs(const std::vector<JobSpec>& solvers) {
     PipelineJob job = report.jobs[source[j]];
     job.instance = j / per_instance;
     job.cached = true;
-    job.stats.wall_ms = 0.0;
-    job.stats.modeled_ms = 0.0;
-    job.stats.device_launches = 0;
+    strip_cost_fields(job.stats);
     report.jobs[j] = std::move(job);
   }
 

@@ -137,11 +137,11 @@ struct PipelineReport {
       std::size_t instance) const;
 };
 
-/// One pre-admitted job for `run_admitted_jobs`: a borrowed admitted
+/// One pre-admitted job for `run_admitted_job`: a borrowed admitted
 /// instance, a borrowed solver, and the canonical spec identifying the
 /// solver's configuration in the result cache (empty keeps the job out of
-/// the cache and out of in-batch dedup — the `run_with` rule).  All three
-/// fields are borrowed; the caller keeps them alive for the call.
+/// the cache — the `run_with` rule).  All three fields are borrowed; the
+/// caller keeps them alive for the call.
 struct AdmittedJob {
   const PipelineInstance* instance = nullptr;
   const Solver* solver = nullptr;
@@ -150,35 +150,18 @@ struct AdmittedJob {
 
 struct AdmittedJobResult {
   JobOutcome outcome;
-  bool cached = false;    ///< served without solving (cache or in-batch dup);
-                          ///< cost fields are zeroed, never re-charged
-  bool in_batch_dup = false;  ///< cached via an earlier job of this batch,
-                              ///< not the shared `ResultCache`
+  bool cached = false;    ///< served from the cache without solving; cost
+                          ///< fields are zeroed, never re-charged
   double solve_ms = 0.0;  ///< this job's own solve+verify wall (0 if cached)
 };
 
 /// Runs one pre-admitted job: probes `cache` (when the job carries a
 /// cache key), solves and verifies otherwise, and publishes a verified
 /// result back.  `stream` is only invoked when the job actually solves,
-/// so a cache hit touches no device at all.  This is the allocation-free
-/// per-job core of `run_admitted_jobs`, which the pipeline's scheduler
-/// calls directly from its hot loop.
+/// so a cache hit touches no device at all.  The per-job seam shared by
+/// `MatchingPipeline`'s scheduler and `serve::MatchingService`'s dispatch.
 [[nodiscard]] AdmittedJobResult run_admitted_job(
     const AdmittedJob& job, const std::function<device::Device&()>& stream,
-    serve::ResultCache* cache, const PipelineOptions& options);
-
-/// The batch entry point shared by `MatchingPipeline`'s scheduler and the
-/// serving layer's request coalescer: runs pre-admitted jobs back to back
-/// on one device stream, probing `cache` before each solve and publishing
-/// verified results into it.  The first job with a given (fingerprint,
-/// cache_key) identity to succeed is the dedup source; in-batch
-/// duplicates copy its outcome — this is what makes a coalesced batch of
-/// duplicate requests cost one solve.  `stream` is only invoked when a
-/// job actually solves, so a dispatch served entirely from the cache
-/// touches no device at all.
-[[nodiscard]] std::vector<AdmittedJobResult> run_admitted_jobs(
-    const std::vector<AdmittedJob>& jobs,
-    const std::function<device::Device&()>& stream,
     serve::ResultCache* cache, const PipelineOptions& options);
 
 /// Batched matching runs: many instances × many solvers scheduled

@@ -20,8 +20,7 @@ namespace bpm::device {
 /// relaxed 32-bit load/store compiles to an ordinary `mov` — no lock
 /// prefixes, no read-modify-write — exactly matching the paper's claim of
 /// an "atomic- and lock-free" implementation (they avoid atomic *RMW*
-/// instructions, not loads/stores).  `bench/ablation_race` measures what
-/// promoting these to seq_cst would cost.
+/// instructions, not loads/stores).
 ///
 /// Copy operations exist so that containers of cells are usable; they are
 /// *not* atomic as a pair and must only run while no kernel is in flight

@@ -49,9 +49,7 @@ MatchingService::MatchingService(ServiceOptions options)
   metrics_.failed = &reg.counter("serve.failed");
   metrics_.expired = &reg.counter("serve.expired");
   metrics_.cache_hits = &reg.counter("serve.cache_hits");
-  metrics_.fanout_hits = &reg.counter("serve.fanout_hits");
   metrics_.dispatches = &reg.counter("serve.dispatches");
-  metrics_.coalesced = &reg.counter("serve.coalesced");
   metrics_.queue_depth = &reg.gauge("serve.queue_depth");
   metrics_.latency_ms = &reg.histogram("serve.latency_ms");
   metrics_.queue_ms = &reg.histogram("serve.queue_ms");
@@ -133,108 +131,56 @@ Submission MatchingService::submit(Request request) {
   return out;
 }
 
-std::vector<std::unique_ptr<MatchingService::Queued>>
-MatchingService::take_batch_locked() {
-  // One scan for the seed, one for the companions, one compaction: the
-  // queue can be deep (load benches size it to a whole burst) and this
-  // runs under the service mutex, so no per-pick rescans or erases.
-  const auto better = [](const std::unique_ptr<Queued>& a,
-                         const std::unique_ptr<Queued>& b) {
-    if (a->priority != b->priority) return a->priority > b->priority;
-    return a->ticket < b->ticket;  // FIFO within a priority level
-  };
-
-  std::size_t seed = 0;
-  for (std::size_t i = 1; i < queue_.size(); ++i)
-    if (better(queue_[i], queue_[seed])) seed = i;
-
-  std::vector<std::size_t> picked;
-  picked.push_back(seed);
-
-  // Coalescing companions: same registered instance, no deadline (a
-  // deadline'd request always dispatches alone — see Request), in
-  // dispatch order up to the batch bound.
-  if (options_.coalesce && queue_[seed]->deadline_ms == 0.0) {
-    std::vector<std::size_t> companions;
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      if (i == seed || queue_[i]->instance != queue_[seed]->instance ||
-          queue_[i]->deadline_ms != 0.0)
-        continue;
-      companions.push_back(i);
-    }
-    std::sort(companions.begin(), companions.end(),
-              [&](std::size_t a, std::size_t b) {
-                return better(queue_[a], queue_[b]);
-              });
-    const std::size_t limit = options_.coalesce_limit == 0
-                                  ? queue_.size() + 1
-                                  : options_.coalesce_limit;
-    for (const std::size_t i : companions) {
-      if (picked.size() >= limit) break;
-      picked.push_back(i);
-    }
-  }
-
-  std::vector<std::unique_ptr<Queued>> batch;
-  batch.reserve(picked.size());
-  for (const std::size_t i : picked) batch.push_back(std::move(queue_[i]));
-  std::erase_if(queue_,
-                [](const std::unique_ptr<Queued>& q) { return q == nullptr; });
-  return batch;
+std::unique_ptr<MatchingService::Queued>
+MatchingService::take_best_locked() {
+  // One scan, one erase: the queue can be deep (load benches size it to a
+  // whole burst) and this runs under the service mutex.
+  const auto best = std::min_element(
+      queue_.begin(), queue_.end(),
+      [](const std::unique_ptr<Queued>& a, const std::unique_ptr<Queued>& b) {
+        if (a->priority != b->priority) return a->priority > b->priority;
+        return a->ticket < b->ticket;  // FIFO within a priority level
+      });
+  std::unique_ptr<Queued> q = std::move(*best);
+  queue_.erase(best);
+  return q;
 }
 
-void MatchingService::serve_batch(
-    std::vector<std::unique_ptr<Queued>>& batch) {
-  const PipelineInstance& inst = store_.get(batch.front()->instance);
+void MatchingService::serve_one(Queued& q) {
+  const PipelineInstance& inst = store_.get(q.instance);
   obs::Tracer* const tracer = tracer_.load(std::memory_order_acquire);
   auto dispatch_sp = obs::span(tracer, "dispatch", "serve");
   if (dispatch_sp) {
     dispatch_sp.arg("instance", inst.name);
-    dispatch_sp.arg("batch", static_cast<std::int64_t>(batch.size()));
+    dispatch_sp.arg("ticket", static_cast<std::int64_t>(q.ticket));
   }
-  std::vector<Response> responses(batch.size());
-  std::vector<std::size_t> live;
-  live.reserve(batch.size());
-  std::uint64_t expired = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Response& r = responses[i];
-    r.queue_ms = ms_since(batch[i]->submitted);
-    r.instance_name = inst.name;
-    if (batch[i]->deadline_ms > 0.0 && r.queue_ms > batch[i]->deadline_ms) {
-      r.ok = false;
-      r.error = "deadline expired: queued " + std::to_string(r.queue_ms) +
-                " ms of a " + std::to_string(batch[i]->deadline_ms) +
-                " ms budget";
-      ++expired;
-    } else {
-      live.push_back(i);
-    }
-  }
-
-  std::uint64_t shared_hits = 0;
-  std::uint64_t fanout_hits = 0;
-  if (!live.empty()) {
+  Response r;
+  r.queue_ms = ms_since(q.submitted);
+  r.instance_name = inst.name;
+  const bool expired = q.deadline_ms > 0.0 && r.queue_ms > q.deadline_ms;
+  if (expired) {
+    r.ok = false;
+    r.error = "deadline expired: queued " + std::to_string(r.queue_ms) +
+              " ms of a " + std::to_string(q.deadline_ms) + " ms budget";
+  } else {
     // Dispatch-time policy resolution: an `auto` request becomes the
-    // concrete spec the cost model picks for *this* instance's
-    // features, before the cache probe — so a resolved auto request
-    // shares cache entries and in-batch dedup with explicit traffic on
-    // the same concrete spec.  A resolution failure (e.g. a stale model
-    // naming an unregistered spec) keeps the AutoSolver in place; its
-    // own run() re-resolves and run_verified turns any throw into a
-    // failed response.
-    for (const std::size_t i : live) {
-      auto* as = dynamic_cast<policy::AutoSolver*>(batch[i]->solver.get());
-      if (as == nullptr) continue;
+    // concrete spec the cost model picks for *this* instance's features,
+    // before the cache probe — so a resolved auto request shares cache
+    // entries with explicit traffic on the same concrete spec.  A
+    // resolution failure (e.g. a stale model naming an unregistered spec)
+    // keeps the AutoSolver in place; its own run() re-resolves and
+    // run_verified turns any throw into a failed response.
+    if (auto* as = dynamic_cast<policy::AutoSolver*>(q.solver.get())) {
       try {
-        policy::AutoSolver::Resolved r = as->resolve(inst.features);
-        batch[i]->resolved_from = std::move(batch[i]->canonical);
-        batch[i]->canonical = r.spec.canonical();
-        batch[i]->solver = std::move(r.solver);
+        policy::AutoSolver::Resolved resolved = as->resolve(inst.features);
+        q.resolved_from = std::move(q.canonical);
+        q.canonical = resolved.spec.canonical();
+        q.solver = std::move(resolved.solver);
       } catch (const std::exception&) {
       }
     }
-    // Lazy stream via run_admitted_jobs' provider: a dispatch served
-    // entirely from the cache opens no stream on the engine.
+    // Lazy stream via run_admitted_job's provider: a cache hit opens no
+    // stream on the engine.
     std::optional<device::Device> stream;
     const std::function<device::Device&()> provider =
         [&]() -> device::Device& {
@@ -244,53 +190,38 @@ void MatchingService::serve_batch(
       }
       return *stream;
     };
-    std::vector<AdmittedJob> jobs;
-    jobs.reserve(live.size());
-    for (const std::size_t i : live)
-      jobs.push_back({&inst, batch[i]->solver.get(), batch[i]->canonical});
     PipelineOptions run;
     run.verify = options_.verify;
     run.solver_threads = options_.solver_threads;
     run.tracer = tracer;
-    std::vector<AdmittedJobResult> results =
-        run_admitted_jobs(jobs, provider, options_.cache.get(), run);
+    AdmittedJobResult result =
+        run_admitted_job({&inst, q.solver.get(), q.canonical}, provider,
+                         options_.cache.get(), run);
     // Retire the stream (folding its launches into the engine odometer)
-    // before any response is delivered: a client that sees its future
+    // before the response is delivered: a client that sees its future
     // ready must also see the work in engine_stats().
     stream.reset();
-    for (std::size_t k = 0; k < live.size(); ++k) {
-      Response& r = responses[live[k]];
-      r.stats = std::move(results[k].outcome.stats);
-      r.ok = results[k].outcome.ok;
-      r.error = std::move(results[k].outcome.error);
-      r.cached = results[k].cached;
-      r.service_ms = results[k].solve_ms;
-      if (results[k].cached)
-        ++(results[k].in_batch_dup ? fanout_hits : shared_hits);
-    }
+    r.stats = std::move(result.outcome.stats);
+    r.ok = result.outcome.ok;
+    r.error = std::move(result.outcome.error);
+    r.cached = result.cached;
+    r.service_ms = result.solve_ms;
   }
 
   {
     const std::unique_lock lock(mutex_);
-    stats_.expired += expired;
-    stats_.cache_hits += shared_hits;
-    stats_.fanout_hits += fanout_hits;
+    if (expired) ++stats_.expired;
+    if (r.cached) ++stats_.cache_hits;
     ++stats_.dispatches;
-    if (batch.size() > 1)
-      stats_.coalesced += static_cast<std::uint64_t>(batch.size() - 1);
   }
-  metrics_.expired->add(expired);
-  metrics_.cache_hits->add(shared_hits);
-  metrics_.fanout_hits->add(fanout_hits);
+  if (expired) metrics_.expired->add();
+  if (r.cached) metrics_.cache_hits->add();
   metrics_.dispatches->add();
-  if (batch.size() > 1)
-    metrics_.coalesced->add(static_cast<std::uint64_t>(batch.size() - 1));
-  // Close the dispatch span before any response is delivered: a client
+  // Close the dispatch span before the response is delivered: a client
   // that sees its future ready must also see the dispatch in the trace,
   // and may stop (or destroy) the tracer as soon as it does.
   dispatch_sp.end();
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    complete(*batch[i], std::move(responses[i]));
+  complete(q, std::move(r));
 }
 
 void MatchingService::complete(Queued& q, Response&& response) {
@@ -382,21 +313,21 @@ void MatchingService::complete(Queued& q, Response&& response) {
 
 void MatchingService::worker_loop() {
   while (true) {
-    std::vector<std::unique_ptr<Queued>> batch;
+    std::unique_ptr<Queued> q;
     {
       std::unique_lock lock(mutex_);
       work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping, nothing left to serve
-      batch = take_batch_locked();
-      in_flight_ += batch.size();
+      q = take_best_locked();
+      ++in_flight_;
       metrics_.queue_depth->set(static_cast<double>(queue_.size()));
     }
 
-    serve_batch(batch);
+    serve_one(*q);
 
     {
       const std::unique_lock lock(mutex_);
-      in_flight_ -= batch.size();
+      --in_flight_;
       if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
     }
   }
@@ -494,13 +425,11 @@ void MatchingService::publish_metrics(obs::Registry& registry) const {
   registry.gauge("serve.in_flight").set(static_cast<double>(s.in_flight));
   registry.gauge("serve.tickets_retained")
       .set(static_cast<double>(s.tickets_retained));
-  // Hit rate over everything served without solving (shared-cache hits +
-  // in-batch fan-out), as a fraction of completions.
+  // `ResultCache` hits as a fraction of completions.
   const double completed = static_cast<double>(s.completed);
   registry.gauge("serve.cache_hit_rate")
-      .set(completed > 0.0
-               ? static_cast<double>(s.cache_hits + s.fanout_hits) / completed
-               : 0.0);
+      .set(completed > 0.0 ? static_cast<double>(s.cache_hits) / completed
+                           : 0.0);
   // One dispatch that solves opens one stream, so streams opened is the
   // engine's dispatch count.
   registry.gauge("serve.engine.0.dispatches")

@@ -30,14 +30,13 @@ namespace bpm::serve {
 struct Request {
   std::size_t instance = 0;  ///< handle from MatchingService::instances()
   SolverSpec spec;
-  /// Higher priorities are served first; ties are FIFO by admission order.
+  /// Dispatch order: every queued request is served strictly by priority
+  /// (higher first), ties FIFO by admission order.
   int priority = 0;
   /// Milliseconds from submission after which the request must not start
-  /// solving anymore — it completes immediately with `ok == false` and a
-  /// "deadline expired" error instead.  0 disables the deadline.  A
-  /// deadline'd request is always dispatched alone, never coalesced: the
-  /// deadline is a per-request latency contract, and tying it to batch
-  /// peers would blur whose budget expired.
+  /// solving anymore — checked when a worker dispatches it, which then
+  /// completes it with `ok == false` and a "deadline expired" error.  0
+  /// disables the deadline.
   double deadline_ms = 0.0;
 };
 
@@ -49,8 +48,7 @@ struct Response {
   std::string solver;  ///< canonical spec
   SolveStats stats;
   bool ok = false;
-  bool cached = false;  ///< served without solving: a result-cache hit or a
-                        ///< duplicate coalesced into the same dispatch batch
+  bool cached = false;  ///< served from the `ResultCache` without solving
   /// The ticket completed long ago and was evicted from the bounded
   /// completed-ticket ledger (`ServiceOptions::completed_ticket_retention`)
   /// — the result itself is gone; `ok` is false and `error` says so.
@@ -78,8 +76,8 @@ struct Submission {
 };
 
 struct ServiceOptions {
-  /// Worker threads = dispatches solving concurrently, each batch on its
-  /// own device stream of the service's one engine (0 = hardware
+  /// Worker threads = dispatches solving concurrently, each on its own
+  /// device stream of the service's one engine (0 = hardware
   /// concurrency).
   unsigned workers = 1;
   unsigned device_threads = 0;  ///< engine pool workers (0 = hardware)
@@ -101,13 +99,6 @@ struct ServiceOptions {
   /// Result cache shared by all requests (and with any pipelines holding
   /// the same pointer); null serves every request by solving.
   std::shared_ptr<ResultCache> cache;
-  /// Coalesce compatible queued requests — same registered instance, no
-  /// deadline — into one pipeline batch per dispatch: one engine stream
-  /// and one pass of cache probes for the whole batch, duplicate
-  /// (instance, spec) requests solved once and fanned back out.
-  bool coalesce = true;
-  /// Most requests one dispatch may coalesce (0 = unbounded).
-  std::size_t coalesce_limit = 16;
   /// Completed tickets kept for `poll`/`wait`; beyond it the oldest
   /// completed tickets are evicted (a month-long process must not grow
   /// its ledger forever) and polling them yields a distinct `evicted`
@@ -117,8 +108,8 @@ struct ServiceOptions {
   /// ticket records its admission→dispatch→complete lifecycle — a
   /// `"request"` span over submission→completion with nested `"queued"`
   /// and `"service"` intervals, back-computed at completion from the
-  /// measured waits — plus one `"dispatch"` span per worker batch
-  /// (instance, batch size).  Must outlive the service or be cleared with
+  /// measured waits — plus one `"dispatch"` span per worker dispatch
+  /// (instance, ticket).  Must outlive the service or be cleared with
   /// `set_tracer(nullptr)` first.
   obs::Tracer* tracer = nullptr;
 };
@@ -133,14 +124,7 @@ struct ServiceStats {
   std::uint64_t failed = 0;   ///< completed with ok == false (any cause)
   std::uint64_t expired = 0;  ///< deadline passed while queued
   std::uint64_t cache_hits = 0;  ///< served from the shared `ResultCache`
-  /// Served as an in-batch duplicate of a coalesced dispatch (solved once
-  /// in the same batch, fanned back out) — distinct from `cache_hits` so
-  /// the cache hit-rate stays meaningful on cache-less services.
-  std::uint64_t fanout_hits = 0;
-  std::uint64_t dispatches = 0;  ///< worker dispatches (batches served)
-  /// Requests that rode a dispatch batch they shared with at least one
-  /// other request (batch size − 1 per multi-request dispatch).
-  std::uint64_t coalesced = 0;
+  std::uint64_t dispatches = 0;  ///< worker dispatches, one request each
   std::uint64_t evicted_tickets = 0;  ///< completed tickets GC'd
   std::size_t queued = 0;     ///< snapshot: waiting for a worker
   std::size_t in_flight = 0;  ///< snapshot: being served right now
@@ -167,17 +151,12 @@ struct SolverLatency {
 /// threads and schedules them through a bounded, priority-ordered
 /// admission queue onto `workers` threads.
 ///
-/// Each worker dispatch takes the best queued request and — with
-/// `coalesce` on — every compatible queued request of the same instance,
-/// and serves them as one batch through the pipeline's
-/// `run_admitted_jobs` seam on one device stream of the engine, so up to
-/// `workers` streams share the engine's pool at once.  Duplicate
-/// (instance, spec) requests in a batch are solved once and fanned back
-/// out; per-request responses, deadline, and verification semantics are
-/// exactly those of the uncoalesced service.  Priorities order the
-/// dispatch *seeds*; a coalesced companion rides its batch regardless of
-/// its own priority, so a low-priority request sharing an instance with
-/// high-priority traffic can complete earlier than it would uncoalesced.
+/// Each worker dispatch takes the one best queued request (highest
+/// priority, FIFO within it), checks its deadline, and serves it through
+/// the pipeline's `run_admitted_job` seam: a `ResultCache` probe first,
+/// then a solve on a device stream of the engine opened only on a miss,
+/// so up to `workers` streams share the engine's pool at once.  Repeated
+/// (instance, spec) requests are served by the cache.
 ///
 /// ```
 /// serve::MatchingService svc({.workers = 4, .cache = cache});
@@ -189,8 +168,8 @@ struct SolverLatency {
 ///
 /// Results are bit-identical to a sequential `MatchingPipeline` run of the
 /// same (instance, spec) jobs: admission, solving, and verification all go
-/// through the same `admit_instance` / `run_admitted_jobs` /
-/// `run_verified` seams regardless of coalescing or worker count.
+/// through the same `admit_instance` / `run_admitted_job` /
+/// `run_verified` seams regardless of worker count.
 class MatchingService {
  public:
   explicit MatchingService(ServiceOptions options = {});
@@ -298,9 +277,7 @@ class MatchingService {
     obs::Counter* failed = nullptr;
     obs::Counter* expired = nullptr;
     obs::Counter* cache_hits = nullptr;
-    obs::Counter* fanout_hits = nullptr;
     obs::Counter* dispatches = nullptr;
-    obs::Counter* coalesced = nullptr;
     obs::Gauge* queue_depth = nullptr;
     obs::Histogram* latency_ms = nullptr;   ///< submission → completion
     obs::Histogram* queue_ms = nullptr;     ///< admission queue wait
@@ -308,13 +285,12 @@ class MatchingService {
   };
 
   void worker_loop();
-  /// Removes the best queued request (highest priority, FIFO within it)
-  /// plus — with coalescing on — every compatible same-instance request,
-  /// best-first, up to `coalesce_limit`.  Caller holds `mutex_`.
-  [[nodiscard]] std::vector<std::unique_ptr<Queued>> take_batch_locked();
-  /// Serves one dispatch batch: per-request deadline screening, a lazily
-  /// opened engine stream, `run_admitted_jobs`, response fan-out.
-  void serve_batch(std::vector<std::unique_ptr<Queued>>& batch);
+  /// Removes the best queued request (highest priority, FIFO within it).
+  /// Caller holds `mutex_`.
+  [[nodiscard]] std::unique_ptr<Queued> take_best_locked();
+  /// Serves one dispatch: deadline screening, dispatch-time `auto`
+  /// resolution, then `run_admitted_job` on a lazily opened engine stream.
+  void serve_one(Queued& q);
   void complete(Queued& q, Response&& response);
   [[nodiscard]] Response evicted_response(std::uint64_t ticket) const;
 
@@ -327,8 +303,8 @@ class MatchingService {
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;  ///< workers: queue non-empty / shutdown
   std::condition_variable idle_cv_;  ///< drain: queue empty and none in flight
-  /// Admission queue; scanned for the best request (and its coalescing
-  /// companions) per dispatch — linear in the bounded queue depth.
+  /// Admission queue; scanned for the best request per dispatch — linear
+  /// in the bounded queue depth.
   std::vector<std::unique_ptr<Queued>> queue_;
   std::map<std::uint64_t, Pending> pending_;  ///< ticket -> future state
   /// Completed tickets, oldest first — the GC order of the ledger.

@@ -211,8 +211,7 @@ void Session::handle(const proto::StatsRequest&, Outcome& out) {
   os << "stats submitted=" << s.submitted << " accepted=" << s.accepted
      << " rejected=" << s.rejected << " completed=" << s.completed
      << " failed=" << s.failed << " expired=" << s.expired
-     << " cache_hits=" << s.cache_hits << " fanout_hits=" << s.fanout_hits
-     << " dispatches=" << s.dispatches << " coalesced=" << s.coalesced
+     << " cache_hits=" << s.cache_hits << " dispatches=" << s.dispatches
      << " queued=" << s.queued << " in_flight=" << s.in_flight
      << " tickets_retained=" << s.tickets_retained
      << " evicted_tickets=" << s.evicted_tickets

@@ -1,13 +1,13 @@
-// Randomized serve conformance (src/serve/): a coalescing, multi-worker
+// Randomized serve conformance (src/serve/): a cached, multi-worker
 // MatchingService must deliver, per ticket, exactly what a sequential
 // one-worker service delivers for the same request stream — identical ok
-// flags and matching cardinalities — no matter how requests were batched
-// or which worker's stream served them.  Streams mix instances,
+// flags and matching cardinalities — no matter which worker's stream
+// served a request or whether the cache did.  Streams mix instances,
 // priorities, deadlines (generous on purpose: a fired deadline would make
 // the comparison timing-dependent), and duplicate submissions.  Includes
-// a deterministic duplicate-burst coalescing check and a TSan-targeted
-// stress case (many clients, four streams on one engine pool, ledger
-// churn); this suite runs in the CI TSan job.
+// a deterministic duplicate-burst cache check and a TSan-targeted stress
+// case (many clients, four streams on one engine pool, ledger churn);
+// this suite runs in the CI TSan job.
 
 #include <gtest/gtest.h>
 
@@ -28,12 +28,12 @@ namespace {
 
 namespace gen = graph::gen;
 
-/// A registered sleeping solver: holds workers busy for a deterministic
-/// window so bursts can pile up in the queue before the first dispatch.
-class CoalesceSleepSolver final : public Solver {
+/// A registered sleeping solver: holds the worker busy for a deterministic
+/// window so a burst can pile up in the queue behind it.
+class ConformanceSleepSolver final : public Solver {
  public:
   [[nodiscard]] std::string name() const override {
-    return "coalesce-test-sleep";
+    return "conformance-test-sleep";
   }
   [[nodiscard]] SolverCaps caps() const override {
     return {.deterministic = true, .exact = false};
@@ -58,8 +58,8 @@ class CoalesceSleepSolver final : public Solver {
 
 [[maybe_unused]] const bool kRegistered = [] {
   SolverRegistry::instance().add(
-      "coalesce-test-sleep",
-      [] { return std::make_unique<CoalesceSleepSolver>(); });
+      "conformance-test-sleep",
+      [] { return std::make_unique<ConformanceSleepSolver>(); });
   return true;
 }();
 
@@ -94,7 +94,7 @@ std::vector<StreamRequest> random_stream(std::uint64_t seed, std::size_t n,
   out.reserve(n);
   while (out.size() < n) {
     if (!out.empty() && rng.below(100) < 30) {
-      // Duplicate submission: exactly what coalescing dedups.
+      // Duplicate submission: what the result cache serves.
       out.push_back(out[rng.below(out.size())]);
       continue;
     }
@@ -144,7 +144,7 @@ std::vector<Served> run_stream(const ServiceOptions& options,
   return out;
 }
 
-TEST(ServeConformance, CoalescingMatchesSequentialReference) {
+TEST(ServeConformance, CachedMultiWorkerServiceMatchesSequentialReference) {
   const std::size_t instances = conformance_graphs().size();
   for (const std::uint64_t seed : {11ull, 22ull, 33ull}) {
     const std::vector<StreamRequest> stream =
@@ -152,16 +152,13 @@ TEST(ServeConformance, CoalescingMatchesSequentialReference) {
 
     ServiceOptions reference;
     reference.workers = 1;
-    reference.queue_depth = stream.size() + 1;
-    reference.coalesce = false;  // one worker, no cache: the serial baseline
+    reference.queue_depth = stream.size() + 1;  // no cache: the baseline
     const std::vector<Served> want = run_stream(reference, stream);
 
     ServiceOptions options;
     options.workers = 3;
     options.queue_depth = stream.size() + 1;
     options.cache = std::make_shared<ResultCache>();
-    options.coalesce = true;
-    options.coalesce_limit = 6;
     const std::vector<Served> got = run_stream(options, stream);
 
     ASSERT_EQ(got.size(), want.size());
@@ -176,70 +173,62 @@ TEST(ServeConformance, CoalescingMatchesSequentialReference) {
   }
 }
 
-TEST(ServeConformance, DuplicateBurstCoalescesIntoOneSolve) {
-  // Two blockers pin both workers while 32 identical requests pile up;
-  // the first free worker must then take them as ONE dispatch batch,
-  // solve once, and fan the result back out to every ticket.
+TEST(ServeConformance, DuplicateBurstSolvesOnceThenHitsTheCache) {
+  // One blocker pins the single worker while 32 identical requests pile
+  // up behind it.  Each dispatch then serves one request: the first solves
+  // and publishes its verified result, the other 31 are cache hits.
   auto cache = std::make_shared<ResultCache>();
   ServiceOptions options;
-  options.workers = 2;
+  options.workers = 1;
   options.queue_depth = 64;
   options.cache = cache;
-  options.coalesce = true;
-  options.coalesce_limit = 0;  // unbounded batch
   MatchingService svc(options);
-  // Two *distinct* blocker instances: same-instance blockers would
-  // coalesce into one dispatch and leave a worker free to nibble at the
-  // burst before it is fully queued.
-  const std::size_t blocker_handles[] = {
-      svc.add_instance("blocker-a", gen::complete_bipartite(6, 6)).handle,
-      svc.add_instance("blocker-b", gen::complete_bipartite(7, 7)).handle};
+  const auto blocker_handle =
+      svc.add_instance("blocker", gen::complete_bipartite(6, 6)).handle;
   const auto burst_handle =
       svc.add_instance("burst", gen::random_uniform(140, 150, 620, 11))
           .handle;
   const graph::index_t maximum = matching::reference_maximum_cardinality(
       svc.instances().get(burst_handle).graph);
 
-  std::vector<Submission> blockers;
-  for (const std::size_t handle : blocker_handles)
-    blockers.push_back(
-        svc.submit({.instance = handle,
-                    .spec = SolverSpec::parse("coalesce-test-sleep:ms=250")}));
-  for (const Submission& b : blockers) ASSERT_TRUE(b.accepted) << b.reason;
+  const Submission blocker = svc.submit(
+      {.instance = blocker_handle,
+       .spec = SolverSpec::parse("conformance-test-sleep:ms=250")});
+  ASSERT_TRUE(blocker.accepted) << blocker.reason;
 
   std::vector<Submission> burst;
   for (int i = 0; i < 32; ++i)
     burst.push_back(svc.submit(
         {.instance = burst_handle, .spec = SolverSpec::parse("hk")}));
-  std::size_t cached = 0;
+  std::size_t solved = 0;
   for (const Submission& sub : burst) {
     ASSERT_TRUE(sub.accepted) << sub.reason;
     const Response r = sub.future.get();
     EXPECT_TRUE(r.ok) << r.error;
     EXPECT_EQ(r.stats.cardinality, maximum);
-    if (r.cached) {
-      ++cached;
-      EXPECT_EQ(r.service_ms, 0.0);
-      EXPECT_EQ(r.stats.wall_ms, 0.0);  // cost is never re-charged
+    if (!r.cached) {
+      ++solved;
+      continue;
     }
+    EXPECT_EQ(r.service_ms, 0.0);
+    EXPECT_EQ(r.stats.wall_ms, 0.0);  // cost is never re-charged
   }
-  for (const Submission& b : blockers) (void)b.future.get();
+  (void)blocker.future.get();
 
-  // 31 of 32 rode the batch: one solve, one cache miss, zero re-solves.
-  // All 31 are in-batch fan-out, NOT ResultCache hits — the duplicates
-  // never even probe the cache.  (The two blocker dispatches contribute
-  // one miss + one entry each.)
-  EXPECT_EQ(cached, 31u);
+  // One solve; the other 31 are ResultCache hits.  The blocker and the
+  // first burst request are the two misses, and only those two dispatches
+  // opened a stream on the engine.
+  EXPECT_EQ(solved, 1u);
   const ServiceStats s = svc.stats();
-  EXPECT_EQ(s.coalesced, 31u);
-  EXPECT_EQ(s.fanout_hits, 31u);
-  EXPECT_EQ(s.cache_hits, 0u);
-  EXPECT_EQ(cache->stats().misses, 3u);
-  EXPECT_EQ(cache->stats().entries, 3u);
-  EXPECT_EQ(cache->stats().hits, 0u);
+  EXPECT_EQ(s.cache_hits, 31u);
+  EXPECT_EQ(s.dispatches, 33u);
+  EXPECT_EQ(cache->stats().misses, 2u);
+  EXPECT_EQ(cache->stats().hits, 31u);
+  EXPECT_EQ(cache->stats().entries, 2u);
+  EXPECT_EQ(svc.engine_stats().streams_opened, 2u);
 }
 
-TEST(ServeConformance, TSanStressClientsHammerCoalescing) {
+TEST(ServeConformance, TSanStressClientsHammerTheService) {
   // The race-hunting configuration: 4 client threads submitting mixed
   // duplicate-heavy traffic against 4 workers whose streams contend on
   // one 2-thread engine pool, a sharded cache, an aggressively small
@@ -250,8 +239,6 @@ TEST(ServeConformance, TSanStressClientsHammerCoalescing) {
   options.device_threads = 2;
   options.queue_depth = 512;
   options.cache = std::make_shared<ResultCache>(CacheOptions{.shards = 4});
-  options.coalesce = true;
-  options.coalesce_limit = 8;
   options.completed_ticket_retention = 16;
   MatchingService svc(options);
   const auto a =

@@ -213,9 +213,7 @@ TEST(Service, BoundedQueueRejectsWithBackpressure) {
 }
 
 TEST(Service, HigherPriorityJumpsTheQueue) {
-  // No coalescing: a worker that wakes between the two submissions would
-  // otherwise batch `low` with the blocker, ahead of `high`.
-  MatchingService svc({.workers = 1, .coalesce = false});
+  MatchingService svc({.workers = 1});
   const auto handle =
       svc.add_instance("g", gen::complete_bipartite(8, 8)).handle;
   // Hold the single worker so the next submissions pile up in the queue.
@@ -458,11 +456,10 @@ TEST(Service, ManyClientThreadsManyRequestsAllVerify) {
   EXPECT_EQ(s.completed, 32u);
   EXPECT_EQ(s.failed, 0u);
   // 2 instances x 2 specs = 4 unique jobs; nearly everything else is
-  // served without solving — from the shared cache or as in-batch
-  // coalesced fan-out.  Racing clients may first-solve one key several
-  // times concurrently (at most once per in-flight request), hence the
-  // slack.
-  EXPECT_GE(s.cache_hits + s.fanout_hits, 32u - 4u * 4u);
+  // served from the shared cache.  Racing clients may first-solve one key
+  // several times concurrently (at most once per in-flight request), hence
+  // the slack.
+  EXPECT_GE(s.cache_hits, 32u - 4u * 4u);
   EXPECT_LE(cache->stats().entries, 4u);
 }
 
