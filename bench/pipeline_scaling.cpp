@@ -2,16 +2,13 @@
 // buy?  Runs a batch of (instance × solver) jobs through MatchingPipeline
 // at increasing `max_concurrent_jobs` and reports, per concurrency level,
 // the batch wall time next to the summed per-job solver time — the gap
-// between the two is exactly what the concurrent scheduler and the result
-// cache recover.  The report signature (instance, solver, cardinality,
-// ok) is checked to be identical across all levels: scheduling must never
-// change results or their order.
+// between the two is exactly what the concurrent scheduler recovers.  The
+// report signature (instance, solver, cardinality, ok) is checked to be
+// identical across all levels: scheduling must never change results or
+// their order.
 //
 //   pipeline_scaling --scale 0.004 --algo g-pr-shr,hk,p-dbfs \
 //                    --concurrency 1,2,4,8
-//
-// One instance is deliberately admitted twice, so each level also shows
-// the cache serving the duplicate jobs without re-solving.
 
 #include <iostream>
 #include <sstream>
@@ -43,13 +40,8 @@ int main(int argc, char** argv) {
                          .solver_threads = opt.threads,
                          .max_concurrent_jobs = 1,
                          .tracer = opt.tracer()});
-  std::size_t duplicated = 0;
-  for (const auto& meta : graph::select_instances(opt.stride)) {
-    const BuiltInstance bi = build_instance(meta, opt);
-    pipe.add_instance(meta.name, bi.g);
-    if (duplicated++ == 0)  // one repeat: exercises the result cache
-      pipe.add_instance(meta.name + "(repeat)", bi.g);
-  }
+  for (const auto& meta : graph::select_instances(opt.stride))
+    pipe.add_instance(meta.name, build_instance(meta, opt).g);
   print_header("Pipeline scaling — concurrent jobs on device streams", opt,
                pipe.instances().size());
   std::cout << "# jobs: " << pipe.instances().size() << " instances x "
@@ -62,12 +54,12 @@ int main(int argc, char** argv) {
     std::ostringstream os;
     for (const PipelineJob& job : rep.jobs)
       os << job.instance << ':' << job.solver << ':' << job.stats.cardinality
-         << ':' << job.ok << ':' << job.cached << ';';
+         << ':' << job.ok << ';';
     return os.str();
   };
 
   Table table({"max_concurrent_jobs", "batch_wall_ms", "sum_job_ms",
-               "speedup_vs_seq", "cache_hits", "all_ok"},
+               "speedup_vs_seq", "all_ok"},
               2);
   bool all_ok = true;
   std::string reference_signature;
@@ -88,7 +80,6 @@ int main(int argc, char** argv) {
     table.add_row({static_cast<std::int64_t>(level), rep.totals.batch_wall_ms,
                    rep.totals.wall_ms,
                    sequential_wall / rep.totals.batch_wall_ms,
-                   static_cast<std::int64_t>(rep.totals.cache_hits),
                    std::string(rep.all_ok() ? "yes" : "NO")});
   }
 

@@ -101,7 +101,6 @@ int main(int argc, char** argv) {
   cli.add_option("cache-load", "warm the cache from this snapshot on start",
                  "");
   cli.add_option("cache-save", "snapshot the cache here on shutdown", "");
-  cli.add_flag("no-verify", "skip per-request verification");
   cli.add_flag("echo", "echo every protocol command before its reply");
   cli.add_option("listen",
                  "after the script/stdin phase, serve a TCP socket on this "
@@ -139,7 +138,6 @@ int main(int argc, char** argv) {
     opt.backend = device::parse_backend(cli.get_string("backend"));
     opt.device_threads = count("device-threads");
     opt.queue_depth = size("queue-depth", 1);  // depth 0 would reject all
-    opt.verify = !cli.get_flag("no-verify");
     opt.completed_ticket_retention = size("retention");
     const std::size_t cache_bytes = size("cache-bytes");
     if (cache_bytes > 0)

@@ -65,8 +65,8 @@ struct GprOptions {
   /// Force a global relabel before the first push kernel (iterGR = 0, as
   /// the paper does after observing "significant performance
   /// improvements" from it).  false starts from the ψ(u)=0 / ψ(v)=1
-  /// initialisation instead — the configuration bench/ablation_initial_gr
-  /// quantifies.
+  /// initialisation instead (`g-pr-shr:initial-gr=0`; compare both with
+  /// `table1_runtimes --algo g-pr-shr,g-pr-shr:initial-gr=0`).
   bool initial_global_relabel = true;
 
   /// Workload-balanced execution (Hsieh et al., arXiv:2404.00270): every

@@ -34,22 +34,6 @@ struct PipelineOptions {
   /// sequential schedule exactly; the report order is identical either
   /// way.
   unsigned max_concurrent_jobs = 0;
-  /// Serve a job whose (instance fingerprint, solver spec) pair already
-  /// occurred earlier in the batch from that job's result instead of
-  /// re-solving; hits are flagged on the job and counted in the totals.
-  bool cache_results = true;
-  /// Optional process-lifetime result cache shared *across* batches (and
-  /// with `serve::MatchingService`): jobs selected by canonical spec
-  /// (`run`/`run_specs`) consult it before solving and publish verified
-  /// results into it.  Jobs from `run_with` never touch it — a caller-tuned
-  /// solver object's configuration is not observable, so it has no stable
-  /// cross-batch identity.  Null (the default) keeps caching batch-local.
-  std::shared_ptr<serve::ResultCache> shared_cache;
-  /// Check every job's matching by certificate (`run_verified`):
-  /// edge-validity and a cardinality that agrees with the reported stats
-  /// for every solver, plus Berge's no-augmenting-path check for exact
-  /// ones.  Only verified results are published to `shared_cache`.
-  bool verify = true;
   /// Build the initial matching once per instance and hand it to every
   /// solver; false starts every job from an empty matching instead.
   bool share_init = true;
@@ -94,8 +78,9 @@ struct PipelineInstance {
 /// Builds the per-instance shared state the honoured `options` ask for:
 /// the shared init, the structural fingerprint and the policy features.
 /// No reference solve runs here.  `MatchingPipeline::add_instance` and
-/// `serve::InstanceStore` both admit through this, so a pipeline batch and
-/// a serving process agree bit-for-bit on inits and cache identity.
+/// `serve::InstanceStore` (with default options) both admit through this,
+/// so a default pipeline batch and a serving process agree bit-for-bit on
+/// inits and fingerprints.
 [[nodiscard]] PipelineInstance admit_instance(std::string name,
                                               graph::BipartiteGraph graph,
                                               const PipelineOptions& options);
@@ -105,16 +90,13 @@ struct PipelineJob {
   std::size_t instance = 0;  ///< index into MatchingPipeline::instances()
   std::string solver;
   SolveStats stats;
-  bool ok = false;     ///< ran to completion and passed verification
-  bool cached = false; ///< served from an earlier identical job; wall/model
-                       ///< time and launches are not re-charged
-  std::string error;   ///< why not, when !ok
+  bool ok = false;    ///< ran to completion and passed verification
+  std::string error;  ///< why not, when !ok
 };
 
 struct PipelineTotals {
   std::size_t jobs = 0;
   std::size_t failed = 0;
-  std::size_t cache_hits = 0;      ///< jobs served without re-solving
   std::int64_t matched_pairs = 0;  ///< sum of job cardinalities
   std::int64_t device_launches = 0;
   double wall_ms = 0.0;     ///< sum of per-job wall times (solver cost)
@@ -131,17 +113,13 @@ struct PipelineReport {
   PipelineTotals totals;
 
   [[nodiscard]] bool all_ok() const { return totals.failed == 0; }
-
-  /// The jobs of one instance, in solver order.
-  [[nodiscard]] std::vector<const PipelineJob*> jobs_for(
-      std::size_t instance) const;
 };
 
 /// One pre-admitted job for `run_admitted_job`: a borrowed admitted
 /// instance, a borrowed solver, and the canonical spec identifying the
 /// solver's configuration in the result cache (empty keeps the job out of
-/// the cache — the `run_with` rule).  All three fields are borrowed; the
-/// caller keeps them alive for the call.
+/// the cache).  All three fields are borrowed; the caller keeps them alive
+/// for the call.
 struct AdmittedJob {
   const PipelineInstance* instance = nullptr;
   const Solver* solver = nullptr;
@@ -156,28 +134,28 @@ struct AdmittedJobResult {
 };
 
 /// Runs one pre-admitted job: probes `cache` (when the job carries a
-/// cache key), solves and verifies otherwise, and publishes a verified
-/// result back.  `stream` is only invoked when the job actually solves,
-/// so a cache hit touches no device at all.  The per-job seam shared by
-/// `MatchingPipeline`'s scheduler and `serve::MatchingService`'s dispatch.
+/// cache key), otherwise solves and verifies by certificate
+/// (`run_verified`), and publishes an `ok` result back.  `stream` is only
+/// invoked when the job actually solves, so a cache hit touches no device
+/// at all.  The per-job seam shared by `MatchingPipeline`'s scheduler
+/// (which passes no cache) and `serve::MatchingService`'s dispatch.
 [[nodiscard]] AdmittedJobResult run_admitted_job(
     const AdmittedJob& job, const std::function<device::Device&()>& stream,
     serve::ResultCache* cache, const PipelineOptions& options);
 
-/// Batched matching runs: many instances × many solvers scheduled
-/// concurrently over the streams of one shared device engine, with
-/// per-instance init reuse, a result cache, and per-job verification.
-/// This is the serving layer: admit work with `add_instance`, then execute
-/// a solver set over the whole batch with `run` — any registry name or
-/// tuned spec (`g-pr-shr:k=1.5`) works, including solvers registered after
-/// this library was built.
+/// Batched matching runs: an (instance × solver spec) grid scheduled
+/// over the streams of one shared device engine, with the initial
+/// matching built once per instance and every job verified by
+/// certificate.  Admit graphs with `add_instance`, then run a solver set
+/// over the whole batch with `run` — any registry name or tuned spec
+/// (`g-pr-shr:k=1.5`) works, including solvers registered after this
+/// library was built.  Every job solves; result caching is
+/// `serve::MatchingService`'s job.
 ///
 /// Jobs are pulled from a shared worklist by `max_concurrent_jobs`
 /// scheduler threads, each running on its own device stream; the report is
 /// always in deterministic instance-major order regardless of how the jobs
-/// interleaved, and cache hits resolve to the earliest identical job in
-/// that order, so a concurrent batch reports exactly what the sequential
-/// schedule would.
+/// interleaved.
 ///
 /// ```
 /// MatchingPipeline pipe({.max_concurrent_jobs = 4});
@@ -212,23 +190,13 @@ class MatchingPipeline {
   [[nodiscard]] PipelineReport run(
       const std::vector<std::string>& solver_specs);
 
-  /// Same, over parsed specs.
+  /// Same, over parsed specs.  Each job is labelled by its spec's
+  /// canonical form, so tuned variants of one solver are tellable apart.
   [[nodiscard]] PipelineReport run_specs(const std::vector<SolverSpec>& specs);
-
-  /// Same, over caller-configured solver instances (e.g. after
-  /// `set_option` tuning that the spec grammar cannot express).  Cache
-  /// hits only occur between jobs of the *same* solver object, since two
-  /// objects with one name may be tuned differently.
-  [[nodiscard]] PipelineReport run_with(
-      const std::vector<std::unique_ptr<Solver>>& solvers);
 
   /// Reschedule knob for sweeps: change the concurrency bound between
   /// runs without re-admitting instances.
   void set_max_concurrent_jobs(unsigned n) { options_.max_concurrent_jobs = n; }
-
-  /// Attach (or detach, with null) a cross-batch result cache between
-  /// runs — see `PipelineOptions::shared_cache`.
-  void set_shared_cache(std::shared_ptr<serve::ResultCache> cache);
 
   /// The engine whose streams execute the batch's device jobs.
   [[nodiscard]] const std::shared_ptr<device::Engine>& engine() const {
@@ -240,18 +208,6 @@ class MatchingPipeline {
   [[nodiscard]] device::Device& device() { return device_; }
 
  private:
-  struct JobSpec {
-    const Solver* solver;
-    std::string label;      ///< reported as PipelineJob::solver (canonical
-                            ///< spec, so tuned variants are tellable apart)
-    std::string cache_key;  ///< identity of the solver's configuration
-    /// The cache key is a canonical spec, stable across batches and
-    /// processes — only such jobs may use PipelineOptions::shared_cache.
-    bool shareable = false;
-  };
-
-  [[nodiscard]] PipelineReport run_jobs(const std::vector<JobSpec>& solvers);
-
   PipelineOptions options_;
   std::shared_ptr<device::Engine> engine_;
   device::Device device_;

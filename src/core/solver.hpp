@@ -199,12 +199,14 @@ struct JobOutcome {
 /// edge-valid, `stats.cardinality` equals the matching's cardinality, and
 /// for exact solvers no augmenting path exists (Berge's theorem, via
 /// `matching::is_maximum`).  Heuristic solvers are only held to the first
-/// two.  With `verify == false` any completed run is `ok`; either way the
-/// run is guarded, so a throwing solver yields `ok == false` with the
-/// exception text, never an exception.  The check records a `"verify"`
-/// span (solver, ok) on `ctx.tracer`.  Shared by `MatchingPipeline` and
-/// `serve::MatchingService` so both layers accept and reject results by
-/// exactly the same rules.
+/// two.  The run is guarded, so a throwing solver yields `ok == false`
+/// with the exception text, never an exception.  The check records a
+/// `"verify"` span (solver, ok) on `ctx.tracer`.  Shared by
+/// `MatchingPipeline` and `serve::MatchingService` so both layers accept
+/// and reject results by exactly the same rules.  Every library caller
+/// passes `verify == true` (false returns any completed run as `ok`); the
+/// flag stays only because the end-to-end benchmark (`e2ebench/`) calls
+/// this five-argument form.
 [[nodiscard]] JobOutcome run_verified(const Solver& solver,
                                       const SolveContext& ctx,
                                       const graph::BipartiteGraph& g,

@@ -13,8 +13,8 @@ namespace bpm::matching {
 /// Karp–Sipser-style heuristic: repeatedly match degree-1 vertices first
 /// (their pendant edge is always in some maximum matching), then fall back
 /// to an arbitrary edge.  Produces larger initial matchings than
-/// `cheap_matching` on sparse graphs; provided for the initialization
-/// ablation (bench/ablation_initial_gr) and for library users.
+/// `cheap_matching` on sparse graphs; selectable as the shared init with
+/// `mtx_matcher --init karp-sipser` or `PipelineOptions::init_builder`.
 [[nodiscard]] Matching karp_sipser(const BipartiteGraph& g);
 
 }  // namespace bpm::matching

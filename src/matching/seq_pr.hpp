@@ -11,7 +11,8 @@ namespace bpm::matching {
 struct SeqPrOptions {
   /// Global relabel every `global_relabel_k * (m + n)` pushes.  The paper
   /// tried several values for its PR baseline and settled on k = 0.5
-  /// (Section IV); `bench/ablation_seqpr` sweeps this.
+  /// (Section IV); `table1_runtimes --algo seq-pr:k=0.25,seq-pr:k=1,...`
+  /// sweeps this.
   double global_relabel_k = 0.5;
 
   /// Gap relabeling (abstract of the paper; standard PR heuristic): when a

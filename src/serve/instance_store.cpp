@@ -5,9 +5,6 @@
 
 namespace bpm::serve {
 
-InstanceStore::InstanceStore(PipelineOptions options)
-    : options_(std::move(options)) {}
-
 InstanceStore::AddResult InstanceStore::add(std::string name,
                                             graph::BipartiteGraph graph) {
   const std::uint64_t fingerprint = graph::structural_fingerprint(graph);
@@ -24,7 +21,7 @@ InstanceStore::AddResult InstanceStore::add(std::string name,
   // Admission (init + features) is the expensive part — done
   // outside the lock so concurrent registrations of different graphs
   // overlap.  A racing duplicate is resolved on re-check: first in wins.
-  return add(admit_instance(std::move(name), std::move(graph), options_));
+  return add(admit_instance(std::move(name), std::move(graph), {}));
 }
 
 InstanceStore::AddResult InstanceStore::add(PipelineInstance instance) {

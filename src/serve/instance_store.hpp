@@ -15,8 +15,8 @@
 namespace bpm::serve {
 
 /// Registry of the graphs a serving process holds: admits each graph once
-/// (shared init + features + fingerprint, built through the
-/// same `admit_instance` seam as `MatchingPipeline`), dedups registrations
+/// (shared init + features + fingerprint, built by `admit_instance` with
+/// its default options, the cheap greedy init), dedups registrations
 /// by structural fingerprint, and hands out stable integer handles that
 /// requests refer to.
 ///
@@ -30,10 +30,6 @@ namespace bpm::serve {
 /// store's lifetime (instances are never removed).
 class InstanceStore {
  public:
-  /// `options` controls admission exactly like a pipeline's options do
-  /// (share_init / init_builder); every other field is ignored.
-  explicit InstanceStore(PipelineOptions options = {});
-
   /// Admits (or dedups) a graph; returns its handle and whether this call
   /// actually admitted it.  Re-using a name re-points it at the newly
   /// registered graph.
@@ -45,7 +41,7 @@ class InstanceStore {
 
   /// Admits an already-built instance (e.g. a harness's precomputed suite)
   /// without redoing the init / feature work; the caller guarantees
-  /// its fields are consistent with this store's admission options.  A
+  /// its fields are consistent with `admit_instance`'s defaults.  A
   /// zero fingerprint is computed; dedup applies as usual.
   AddResult add(PipelineInstance instance);
 
@@ -62,7 +58,6 @@ class InstanceStore {
   [[nodiscard]] std::vector<std::string> names() const;
 
  private:
-  PipelineOptions options_;
   mutable std::mutex mutex_;
   /// Stable addresses: handles index this vector; entries are pointers so
   /// growth never moves an instance a worker thread is reading.

@@ -38,16 +38,12 @@ struct CacheStats {
   std::uint64_t evictions = 0;
 };
 
-/// Process-lifetime result cache for matching runs: a sharded, byte-budgeted
-/// LRU keyed by (instance fingerprint, canonical solver spec) storing the
-/// verified `JobOutcome` of the run.  Producers (`MatchingPipeline`,
-/// `serve::MatchingService`) only publish results that passed
-/// verification, so every entry — and every snapshot — is trustworthy to
-/// any consumer regardless of its own verify setting.  This is `MatchingPipeline`'s result
-/// cache factored out of the batch: one `ResultCache` can be shared across
-/// any number of pipelines, batches, and `serve::MatchingService` requests
-/// for the lifetime of a serving process, and snapshotted to disk so a
-/// restarted service warms from where the previous one left off.
+/// Process-lifetime result cache of `serve::MatchingService`: a sharded,
+/// byte-budgeted LRU keyed by (instance fingerprint, canonical solver
+/// spec) storing the verified `JobOutcome` of the run.  Only results that
+/// passed certificate verification are published, so every entry — and
+/// every snapshot — is trustworthy to any consumer.  A snapshot saved to
+/// disk warms a restarted service from where the previous one left off.
 ///
 /// Thread safety: all members are safe to call concurrently; each shard has
 /// its own mutex, chosen by the key hash.
@@ -55,8 +51,8 @@ struct CacheStats {
 /// ```
 /// auto cache = std::make_shared<serve::ResultCache>(
 ///     serve::CacheOptions{.byte_budget = 32 << 20});
-/// bpm::MatchingPipeline pipe({.shared_cache = cache});  // batches now share
-/// cache->save_file("bpm.cache");                        // ...and persist
+/// serve::MatchingService svc({.cache = cache});  // requests now share
+/// cache->save_file("bpm.cache");                 // ...and persist
 /// ```
 class ResultCache {
  public:

@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string_view>
@@ -33,14 +34,7 @@ MatchingService::MatchingService(ServiceOptions options)
     : options_(std::move(options)),
       engine_(std::make_shared<device::Engine>(
           device::EngineDescriptor{.backend = options_.backend,
-                                   .mode = options_.device_mode,
-                                   .threads = options_.device_threads})),
-      store_([&] {
-        PipelineOptions admit;
-        admit.share_init = options_.share_init;
-        admit.init_builder = options_.init_builder;
-        return admit;
-      }()) {
+                                   .threads = options_.device_threads})) {
   obs::Registry& reg = obs::Registry::global();
   metrics_.submitted = &reg.counter("serve.submitted");
   metrics_.accepted = &reg.counter("serve.accepted");
@@ -191,7 +185,6 @@ void MatchingService::serve_one(Queued& q) {
       return *stream;
     };
     PipelineOptions run;
-    run.verify = options_.verify;
     run.solver_threads = options_.solver_threads;
     run.tracer = tracer;
     AdmittedJobResult result =

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -82,22 +81,15 @@ struct ServiceOptions {
   unsigned workers = 1;
   unsigned device_threads = 0;  ///< engine pool workers (0 = hardware)
   unsigned solver_threads = 0;  ///< multicore solver workers (0 = hardware)
-  device::ExecMode device_mode = device::ExecMode::kConcurrent;
   /// Backend of the engine; `sim` keeps the modeled C2050, `host` serves
   /// on a real multicore executor.
   device::Backend backend = device::default_backend();
   /// Admission queue depth; a submit beyond it is rejected with a reason
   /// (bounded memory and latency under overload).
   std::size_t queue_depth = 256;
-  /// Verify every result by certificate (`run_verified`); exactly
-  /// `MatchingPipeline`'s verification.  Only verified results enter the
-  /// cache.
-  bool verify = true;
-  bool share_init = true;
-  std::function<matching::Matching(const graph::BipartiteGraph&)>
-      init_builder;
-  /// Result cache shared by all requests (and with any pipelines holding
-  /// the same pointer); null serves every request by solving.
+  /// Result cache shared by all requests; null serves every request by
+  /// solving.  Every solved result is verified by certificate
+  /// (`run_verified`), and only verified results enter the cache.
   std::shared_ptr<ResultCache> cache;
   /// Completed tickets kept for `poll`/`wait`; beyond it the oldest
   /// completed tickets are evicted (a month-long process must not grow

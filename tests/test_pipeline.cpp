@@ -1,8 +1,8 @@
 // Batched matching pipeline (core/pipeline.hpp): (instance × solver) job
 // grids match single-run results, aggregate stats add up, certificate-only
-// verification catches non-maximum, miscounted and invalid results (and
-// never caches them), and the shared init is built exactly once per
-// instance — including on a concurrent device.
+// verification catches non-maximum, miscounted and invalid results, and
+// the shared init is built exactly once per instance — including on a
+// concurrent device.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "matching/verify.hpp"
 #include "mutant_solver.hpp"
 #include "obs/trace.hpp"
-#include "serve/result_cache.hpp"
 
 namespace bpm {
 namespace {
@@ -121,17 +120,6 @@ TEST(Pipeline, TotalsAggregateThePerJobStats) {
   EXPECT_GT(report.totals.batch_wall_ms, 0.0);
 }
 
-TEST(Pipeline, JobsForSelectsOneInstancesJobs) {
-  MatchingPipeline pipe;
-  for (auto& [name, g] : suite()) pipe.add_instance(name, std::move(g));
-  const PipelineReport report = pipe.run({"hk", "pf"});
-  const auto jobs = report.jobs_for(1);
-  ASSERT_EQ(jobs.size(), 2u);
-  EXPECT_EQ(jobs[0]->solver, "hk");
-  EXPECT_EQ(jobs[1]->solver, "pf");
-  for (const PipelineJob* job : jobs) EXPECT_EQ(job->instance, 1u);
-}
-
 TEST(Pipeline, HeuristicSolversVerifyAsValidNotMaximum) {
   test_support::register_mutant_solver();
   MatchingPipeline pipe;
@@ -208,30 +196,13 @@ TEST(Pipeline, InitBuilderAndNoShareInitAreHonoured) {
   EXPECT_TRUE(report.all_ok());
 }
 
-TEST(Pipeline, VerifyOffSkipsGroundTruthAndAcceptsAnything) {
-  // Verify-off accepts even the mutants, and publishes nothing to the
-  // shared cache: only verified results may seed it.
-  test_support::register_mutant_solver();
-  auto cache = std::make_shared<serve::ResultCache>();
-  MatchingPipeline pipe({.shared_cache = cache, .verify = false});
-  pipe.add_instance("uniform", gen::random_uniform(400, 420, 2000, 5));
-  EXPECT_EQ(pipe.instances().front().maximum_cardinality, -1);
-  const PipelineReport report =
-      pipe.run({"greedy", "test-mutant:mode=minus-one",
-                "test-mutant:mode=stats-lie", "test-mutant:mode=invalid"});
-  EXPECT_TRUE(report.all_ok());
-  EXPECT_EQ(cache->stats().entries, 0u);
-}
-
 // ---- certificate-only verification: mutation tests -------------------------
 
 // Each mutant must come back `ok == false` with the check that caught it
-// named in the error, and must never reach the shared cache; the honest
-// `hk` control beside them is verified and cached.
-TEST(Pipeline, CertificateRejectsMutantsAndNeverCachesThem) {
+// named in the error; the honest `hk` control beside them is verified.
+TEST(Pipeline, CertificateRejectsMutants) {
   test_support::register_mutant_solver();
-  auto cache = std::make_shared<serve::ResultCache>();
-  MatchingPipeline pipe({.shared_cache = cache});
+  MatchingPipeline pipe;
   pipe.add_instance("uniform", gen::random_uniform(400, 420, 2000, 5));
   const std::vector<std::pair<std::string, std::string>> mutants = {
       {"test-mutant:mode=minus-one", "Berge certificate failed"},
@@ -249,48 +220,28 @@ TEST(Pipeline, CertificateRejectsMutantsAndNeverCachesThem) {
   for (std::size_t i = 0; i < mutants.size(); ++i) {
     const PipelineJob& job = report.jobs[i];
     EXPECT_FALSE(job.ok) << job.solver;
-    EXPECT_FALSE(job.cached) << job.solver;
     EXPECT_NE(job.error.find(mutants[i].second), std::string::npos)
         << job.solver << ": " << job.error;
   }
   EXPECT_TRUE(report.jobs.back().ok) << report.jobs.back().error;
-  EXPECT_EQ(cache->stats().entries, 1u);  // the hk control only
-
-  // A second batch re-solves (and re-rejects) every mutant: none was
-  // cached, while the control is now a shared-cache hit.
-  const PipelineReport again = pipe.run(specs);
-  for (std::size_t i = 0; i < mutants.size(); ++i) {
-    EXPECT_FALSE(again.jobs[i].ok) << again.jobs[i].solver;
-    EXPECT_FALSE(again.jobs[i].cached) << again.jobs[i].solver;
-  }
-  EXPECT_TRUE(again.jobs.back().cached);
-  EXPECT_EQ(cache->stats().entries, 1u);
 }
 
 // The server's own trace shows what the certificate costs: one `verify`
-// span per solved job, carrying the solver and the verdict.  Batch-local
-// cache hits never solve, so they record none.
-TEST(Pipeline, TracedBatchRecordsOneVerifySpanPerSolvedJob) {
+// span per job (every pipeline job solves), carrying the solver and the
+// verdict.
+TEST(Pipeline, TracedBatchRecordsOneVerifySpanPerJob) {
   test_support::register_mutant_solver();
   obs::Tracer tracer;
   tracer.enable();
   MatchingPipeline pipe({.max_concurrent_jobs = 2, .tracer = &tracer});
-  const BipartiteGraph g = gen::random_uniform(300, 310, 1500, 11);
-  pipe.add_instance("a", g);
-  pipe.add_instance("a-again", g);  // every job on it is a cache hit
+  pipe.add_instance("a", gen::random_uniform(300, 310, 1500, 11));
   pipe.add_instance("planted", gen::planted_perfect(200, 2.0, 9));
   const PipelineReport report =
       pipe.run({"hk", "g-pr-shr", "test-mutant:mode=minus-one"});
   tracer.disable();
-  ASSERT_EQ(report.jobs.size(), 9u);
-  EXPECT_EQ(report.totals.cache_hits, 3u);
+  ASSERT_EQ(report.jobs.size(), 6u);
 
-  std::size_t solved = 0, failed = 0, spans = 0, rejecting = 0;
-  for (const PipelineJob& job : report.jobs) {
-    if (job.cached) continue;
-    ++solved;
-    failed += job.ok ? 0 : 1;
-  }
+  std::size_t spans = 0, rejecting = 0;
   for (const obs::TraceEvent& ev : tracer.events()) {
     if (ev.name != "verify") continue;
     ++spans;
@@ -302,10 +253,9 @@ TEST(Pipeline, TracedBatchRecordsOneVerifySpanPerSolvedJob) {
       EXPECT_NE(ev.args.find("\"ok\":1"), std::string::npos) << ev.args;
     }
   }
-  EXPECT_EQ(solved, 6u);
-  EXPECT_EQ(spans, solved);
-  EXPECT_EQ(rejecting, failed);
-  EXPECT_EQ(failed, 2u);
+  EXPECT_EQ(spans, report.jobs.size());
+  EXPECT_EQ(rejecting, report.totals.failed);
+  EXPECT_EQ(report.totals.failed, 2u);
 }
 
 // ---- concurrent scheduler --------------------------------------------------
@@ -317,8 +267,7 @@ std::string report_signature(const PipelineReport& report) {
   for (const PipelineJob& job : report.jobs)
     out += std::to_string(job.instance) + ":" + job.solver + ":" +
            std::to_string(job.stats.cardinality) + ":" +
-           (job.ok ? "ok" : "FAIL") + ":" + (job.cached ? "hit" : "miss") +
-           ";";
+           (job.ok ? "ok" : "FAIL") + ";";
   return out;
 }
 
@@ -381,87 +330,17 @@ TEST(Pipeline, StreamsKeepLaunchAccountingExactUnderConcurrency) {
         << sequential.jobs[i].instance;
 }
 
-// ---- result cache ----------------------------------------------------------
-
-TEST(Pipeline, ResultCacheServesRepeatedInstancesWithoutResolving) {
-  MatchingPipeline pipe({.device_threads = 2});
-  const BipartiteGraph g = gen::random_uniform(400, 420, 2000, 5);
-  pipe.add_instance("original", g);
-  pipe.add_instance("repeat", g);
-  pipe.add_instance("other", gen::planted_perfect(300, 2.0, 9));
-  EXPECT_EQ(pipe.instances()[0].fingerprint, pipe.instances()[1].fingerprint);
-  EXPECT_NE(pipe.instances()[0].fingerprint, pipe.instances()[2].fingerprint);
-
-  const PipelineReport report = pipe.run({"hk", "pf"});
-  ASSERT_TRUE(report.all_ok());
-  ASSERT_EQ(report.jobs.size(), 6u);
-  EXPECT_EQ(report.totals.cache_hits, 2u);
-  // The duplicate instance's jobs are the hits, in deterministic order.
-  for (std::size_t i = 0; i < report.jobs.size(); ++i) {
-    const PipelineJob& job = report.jobs[i];
-    EXPECT_EQ(job.cached, job.instance == 1) << "job " << i;
-    if (job.cached) {
-      // Same result as the source job, no re-charged cost.
-      EXPECT_EQ(job.stats.cardinality, report.jobs[i - 2].stats.cardinality);
-      EXPECT_EQ(job.stats.wall_ms, 0.0);
-      EXPECT_EQ(job.stats.device_launches, 0);
-    }
-  }
-}
-
-TEST(Pipeline, CacheDistinguishesSolverSpecsAndDedupesEqualOnes) {
-  MatchingPipeline pipe;
-  const BipartiteGraph g = gen::chung_lu(300, 300, 4.0, 2.4, 7);
-  pipe.add_instance("a", g);
-  pipe.add_instance("b", g);
-
-  // Different tunings of one solver never share cache entries...
-  const PipelineReport tuned = pipe.run({"seq-pr:k=2", "seq-pr:k=4"});
-  ASSERT_TRUE(tuned.all_ok());
-  EXPECT_EQ(tuned.totals.cache_hits, 2u);  // only across the duplicate graph
-  EXPECT_FALSE(tuned.jobs[0].cached);
-  EXPECT_FALSE(tuned.jobs[1].cached);
-
-  // ...while two spellings of the same tuning do, even within an instance.
-  const PipelineReport same =
-      pipe.run({"seq-pr:k=2,gap=1", "seq-pr:gap=1,k=2"});
-  ASSERT_TRUE(same.all_ok());
-  EXPECT_EQ(same.totals.cache_hits, 3u);  // 4 jobs, 1 solve
-  EXPECT_FALSE(same.jobs[0].cached);
-  for (std::size_t i = 1; i < 4; ++i) EXPECT_TRUE(same.jobs[i].cached);
-}
-
-TEST(Pipeline, CacheCanBeDisabled) {
-  MatchingPipeline pipe({.cache_results = false});
-  const BipartiteGraph g = gen::random_uniform(200, 210, 900, 3);
-  pipe.add_instance("a", g);
-  pipe.add_instance("b", g);
-  const PipelineReport report = pipe.run({"hk"});
-  ASSERT_TRUE(report.all_ok());
-  EXPECT_EQ(report.totals.cache_hits, 0u);
-  for (const PipelineJob& job : report.jobs) EXPECT_FALSE(job.cached);
-}
-
-TEST(Pipeline, RunWithCachesPerSolverObjectNotPerName) {
-  // Two registry-default "hk" objects passed to run_with may have been
-  // tuned apart by the caller, so they must not share cache entries.
-  MatchingPipeline pipe;
-  pipe.add_instance("g", gen::random_uniform(200, 210, 900, 3));
-  std::vector<std::unique_ptr<Solver>> solvers;
-  solvers.push_back(SolverRegistry::instance().create("hk"));
-  solvers.push_back(SolverRegistry::instance().create("hk"));
-  const PipelineReport report = pipe.run_with(solvers);
-  ASSERT_TRUE(report.all_ok());
-  EXPECT_EQ(report.totals.cache_hits, 0u);
-}
-
 TEST(Pipeline, SpecStringsRunEndToEnd) {
   MatchingPipeline pipe({.device_threads = 2});
   pipe.add_instance("g", gen::random_uniform(300, 310, 1500, 11));
-  const PipelineReport report = pipe.run({"g-pr-shr:k=1.5", "hk"});
+  const PipelineReport report =
+      pipe.run({"g-pr-shr:k=1.5", "hk", "seq-pr:k=2,gap=1"});
   ASSERT_TRUE(report.all_ok());
   EXPECT_EQ(report.jobs[0].stats.cardinality,
             report.jobs[1].stats.cardinality);
+  // Jobs are labelled by canonical spec, so tunings are tellable apart.
+  EXPECT_EQ(report.jobs[0].solver, "g-pr-shr:k=1.5");
+  EXPECT_EQ(report.jobs[2].solver, "seq-pr:gap=1,k=2");
   EXPECT_THROW((void)pipe.run({"g-pr-shr:k="}), std::invalid_argument);
   EXPECT_THROW((void)pipe.run({"hk:no-such-option=1"}),
                std::invalid_argument);

@@ -1,14 +1,15 @@
 // serve::MatchingService + serve::InstanceStore (src/serve/): async
 // submit/future and ticket-polling APIs, priority ordering, bounded-queue
 // backpressure, deadlines, instance dedup, cache accounting across
-// requests and batches (including pipeline sharing and snapshot reload),
-// and certificate-only verification rejecting (and never caching) mutants.
+// requests (including canonical-spec identity and a snapshot-warmed
+// restart), and certificate-only verification rejecting (and never
+// caching) mutants.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -269,13 +270,18 @@ TEST(Service, CacheServesRepeatsAndCountsHits) {
   EXPECT_EQ(repeat.stats.wall_ms, 0.0);
   EXPECT_EQ(repeat.stats.device_launches, 0);
 
-  // A different tuning never shares an entry; two spellings of one do.
+  // The cache key is the canonical spec: two spellings of one tuning
+  // share an entry, while a different tuning never does.
   const Response tuned =
-      svc.submit(request(handle, "seq-pr:k=2")).future.get();
+      svc.submit(request(handle, "seq-pr:k=2,gap=1")).future.get();
   EXPECT_FALSE(tuned.cached);
   const Response respelled =
-      svc.submit(request(handle, "seq-pr:k=2")).future.get();
+      svc.submit(request(handle, "seq-pr:gap=1,k=2")).future.get();
   EXPECT_TRUE(respelled.cached);
+  EXPECT_EQ(respelled.solver, tuned.solver);
+  const Response retuned =
+      svc.submit(request(handle, "seq-pr:k=4,gap=1")).future.get();
+  EXPECT_FALSE(retuned.cached);
 
   // Dedup makes a re-registered graph hit the same entries.
   const auto again = svc.add_instance("g2", g);
@@ -288,93 +294,47 @@ TEST(Service, CacheServesRepeatsAndCountsHits) {
   EXPECT_EQ(cache->stats().hits, 3u);
 }
 
-TEST(Service, PipelineAndServiceShareOneCacheAcrossBatches) {
-  auto cache = std::make_shared<ResultCache>();
+TEST(Service, CacheSnapshotWarmsARestartedService) {
   const auto g = gen::random_uniform(300, 310, 1500, 11);
   const std::vector<std::string> specs = {"g-pr-shr:k=1.5", "hk"};
+  const std::string path = ::testing::TempDir() + "bpm_service_restart.cache";
 
-  // Batch 1 populates the cache.
-  MatchingPipeline first({.shared_cache = cache});
-  first.add_instance("g", g);
-  const PipelineReport cold = first.run(specs);
-  ASSERT_TRUE(cold.all_ok());
-  EXPECT_EQ(cold.totals.cache_hits, 0u);
-  EXPECT_EQ(cache->stats().entries, 2u);
-
-  // A *different* pipeline (fresh engine, fresh instances) hits across
-  // the batch boundary.
-  MatchingPipeline second({.shared_cache = cache});
-  second.add_instance("g-again", g);
-  const PipelineReport warm = second.run(specs);
-  ASSERT_TRUE(warm.all_ok());
-  EXPECT_EQ(warm.totals.cache_hits, 2u);
-  for (std::size_t i = 0; i < warm.jobs.size(); ++i) {
-    EXPECT_TRUE(warm.jobs[i].cached);
-    EXPECT_EQ(warm.jobs[i].stats.cardinality, cold.jobs[i].stats.cardinality);
-    EXPECT_EQ(warm.jobs[i].stats.wall_ms, 0.0);  // cost is not re-charged
+  // The first service solves every spec and snapshots its cache.
+  std::vector<Response> cold;
+  {
+    auto cache = std::make_shared<ResultCache>();
+    MatchingService svc({.workers = 1, .cache = cache});
+    const auto handle = svc.add_instance("g", g).handle;
+    for (const std::string& spec : specs) {
+      cold.push_back(svc.submit(request(handle, spec)).future.get());
+      ASSERT_TRUE(cold.back().ok) << cold.back().error;
+      EXPECT_FALSE(cold.back().cached);
+    }
+    EXPECT_EQ(cache->stats().entries, 2u);
+    ASSERT_TRUE(cache->save_file(path));
   }
 
-  // The service sees the same entries...
-  MatchingService svc({.workers = 1, .cache = cache});
-  const auto handle = svc.add_instance("g", g).handle;
-  const Response r = svc.submit(request(handle, "hk")).future.get();
-  EXPECT_TRUE(r.cached);
-  EXPECT_EQ(r.stats.cardinality, cold.jobs[1].stats.cardinality);
-
-  // ...and a snapshot carries them into a restarted process: a fresh
-  // cache object loaded from the snapshot serves a fresh pipeline.
-  std::stringstream snapshot;
-  cache->save(snapshot);
+  // A restarted service (fresh engine, store and cache) warmed from the
+  // snapshot serves every spec as a hit, under any instance name.
   auto reloaded = std::make_shared<ResultCache>();
-  EXPECT_EQ(reloaded->load(snapshot), 2u);
-  MatchingPipeline restarted({.shared_cache = reloaded});
-  restarted.add_instance("g", g);
-  const PipelineReport after = restarted.run(specs);
-  ASSERT_TRUE(after.all_ok());
-  EXPECT_EQ(after.totals.cache_hits, 2u);
-  for (std::size_t i = 0; i < after.jobs.size(); ++i)
-    EXPECT_EQ(after.jobs[i].stats.cardinality,
-              cold.jobs[i].stats.cardinality);
-}
-
-TEST(Service, VerifyOffConsumersReadButNeverSeedTheSharedCache) {
-  // Every cache entry must have passed verification when it was written;
-  // a verify-off producer would poison later verifying consumers.
-  auto cache = std::make_shared<ResultCache>();
-  const auto g = gen::random_uniform(200, 210, 900, 3);
-
-  MatchingPipeline unchecked({.shared_cache = cache, .verify = false});
-  unchecked.add_instance("g", g);
-  ASSERT_TRUE(unchecked.run({"hk"}).all_ok());
-  EXPECT_EQ(cache->stats().entries, 0u);  // nothing published
-
-  MatchingService svc({.workers = 1, .verify = false, .cache = cache});
-  const auto handle = svc.add_instance("g", g).handle;
-  ASSERT_TRUE(svc.submit(request(handle, "hk")).future.get().ok);
-  EXPECT_EQ(cache->stats().entries, 0u);
-  // Verify-off accepts anything, even the mutants, and still seeds nothing.
-  test_support::register_mutant_solver();
-  for (const std::string spec :
-       {"test-mutant:mode=minus-one", "test-mutant:mode=stats-lie",
-        "test-mutant:mode=invalid"}) {
-    const Response r = svc.submit(request(handle, spec)).future.get();
-    EXPECT_TRUE(r.ok) << spec << ": " << r.error;
+  EXPECT_EQ(reloaded->load_file(path), 2u);
+  std::remove(path.c_str());
+  MatchingService restarted({.workers = 1, .cache = reloaded});
+  const auto handle = restarted.add_instance("g-again", g).handle;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const Response warm =
+        restarted.submit(request(handle, specs[i])).future.get();
+    EXPECT_TRUE(warm.ok) << warm.error;
+    EXPECT_TRUE(warm.cached) << specs[i];
+    EXPECT_EQ(warm.stats.cardinality, cold[i].stats.cardinality);
+    EXPECT_EQ(warm.stats.wall_ms, 0.0);  // cost is not re-charged
   }
-  EXPECT_EQ(cache->stats().entries, 0u);
-
-  // Verified entries flow the other way: a verifying batch publishes,
-  // and the verify-off consumer may serve the (trustworthy) hit.
-  MatchingPipeline checked({.shared_cache = cache});
-  checked.add_instance("g", g);
-  ASSERT_TRUE(checked.run({"hk"}).all_ok());
-  EXPECT_EQ(cache->stats().entries, 1u);
-  const Response hit = svc.submit(request(handle, "hk")).future.get();
-  EXPECT_TRUE(hit.cached);
+  EXPECT_EQ(restarted.stats().cache_hits, 2u);
 }
 
 TEST(Service, CertificateRejectsMutantsAndNeverCachesThem) {
   // The service verifies exactly as the pipeline does: each mutant
-  // response is `ok == false`, is never published to the shared cache,
+  // response is `ok == false`, is never published to the cache,
   // and so fails again (uncached) when resubmitted.
   test_support::register_mutant_solver();
   auto cache = std::make_shared<ResultCache>();
@@ -404,19 +364,6 @@ TEST(Service, CertificateRejectsMutantsAndNeverCachesThem) {
   EXPECT_EQ(hk.stats.cardinality, matching::reference_maximum_cardinality(
                                       svc.instances().get(handle).graph));
   EXPECT_EQ(cache->stats().entries, 1u);
-}
-
-TEST(Service, RunWithJobsStayOutOfTheSharedCache) {
-  // Caller-configured solver objects have no stable cross-batch identity;
-  // they must neither read nor write the shared cache.
-  auto cache = std::make_shared<ResultCache>();
-  MatchingPipeline pipe({.shared_cache = cache});
-  pipe.add_instance("g", gen::random_uniform(200, 210, 900, 3));
-  std::vector<std::unique_ptr<Solver>> solvers;
-  solvers.push_back(SolverRegistry::instance().create("hk"));
-  const PipelineReport rep = pipe.run_with(solvers);
-  ASSERT_TRUE(rep.all_ok());
-  EXPECT_EQ(cache->stats().entries, 0u);
 }
 
 TEST(Service, ManyClientThreadsManyRequestsAllVerify) {
