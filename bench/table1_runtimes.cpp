@@ -6,10 +6,15 @@
 //
 // Any registry solver set works: `table1_runtimes --algo g-pr-shr,hk,pf`.
 // Every result is validated against the Hopcroft–Karp ground truth before
-// its time is reported.
+// its time is reported.  When the solver set holds the paper's four, the
+// last line is the shape verdict `shape table1: pass|fail`: G-PR has the
+// smallest geomean and P-DBFS and PR the largest two.
 
+#include <algorithm>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "harness_common.hpp"
@@ -96,8 +101,21 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\nPaper geometric means (seconds, Tesla C2050 / 8-thread "
-               "Xeon): G-PR 0.70, G-HKDW 0.92, P-DBFS 1.99, PR 2.15.\n"
-               "Shape check (default solver set): G-PR should have the "
-               "smallest geomean and PR/P-DBFS the largest two.\n";
+               "Xeon): G-PR 0.70, G-HKDW 0.92, P-DBFS 1.99, PR 2.15.\n";
+  const auto geomean_of = [&](std::string_view name) -> std::optional<double> {
+    for (std::size_t i = 0; i < opt.algos.size(); ++i)
+      if (opt.algos[i].canonical() == name) return geometric_mean(times[i]);
+    return std::nullopt;
+  };
+  const auto gpr = geomean_of("g-pr-shr");
+  const auto hkdw = geomean_of("g-hkdw");
+  const auto pdbfs = geomean_of("p-dbfs");
+  const auto pr = geomean_of("seq-pr");
+  if (gpr && hkdw && pdbfs && pr) {
+    // Among four values, "G-PR smallest and P-DBFS/PR the largest two" is
+    // exactly G-PR < G-HKDW < both CPU solvers.
+    const bool pass = *gpr < *hkdw && *hkdw < std::min(*pdbfs, *pr);
+    std::cout << "shape table1: " << (pass ? "pass" : "fail") << '\n';
+  }
   return all_ok ? 0 : 1;
 }

@@ -228,7 +228,7 @@ void run_active_list(device::Device& dev, const BipartiteGraph& g,
 ///    a high-degree hub column no longer serializes a chunk that also
 ///    holds an equal share of everything else (Hsieh et al.,
 ///    arXiv:2404.00270).  A single column is never split, so one hub
-///    whose degree exceeds a lane's share still bounds its launch.
+///    whose degree exceeds a chunk's share still bounds its launch.
 void run_balanced(device::Device& dev, const BipartiteGraph& g,
                   DeviceState& st, const GprOptions& options, GprStats& stats,
                   GprObserver* observer) {

@@ -224,7 +224,7 @@ inline PushOutcome apply_push(DeviceState& st,
 
 /// One edge-balanced push over the frontier (G-PR-PUSHKRNL over the dense
 /// SoA): the frontier's degree prefix sum (device scan) feeds one
-/// `launch_balanced`, which hands each lane an equal share of the
+/// `launch_balanced`, which hands each chunk an equal share of the
 /// frontier's edges; every item scans its column's slice and applies
 /// `apply_push`.  `displaced[i]` is the slot-parallel output over frontier
 /// items: the captured column of a landed push, untouched otherwise.

@@ -34,8 +34,8 @@ Backend default_backend() {
 
 std::string EngineDescriptor::summary() const {
   std::string out(backend_name(backend));
-  out += backend == Backend::kHost ? "(workers=" : "(lanes=";
-  out += std::to_string(lanes);
+  out += "(workers=";
+  out += std::to_string(workers);
   if (mode == ExecMode::kSequential) out += ",seq";
   out += ')';
   return out;
@@ -88,8 +88,7 @@ Engine::Engine(ExecMode mode, unsigned num_threads)
 Engine::Engine(EngineDescriptor descriptor) : descriptor_(descriptor) {
   if (descriptor_.mode == ExecMode::kConcurrent)
     pool_ = std::make_unique<ThreadPool>(descriptor_.threads);
-  if (descriptor_.backend == Backend::kHost)
-    descriptor_.lanes = static_cast<int>(num_workers());
+  descriptor_.workers = static_cast<int>(num_workers());
 }
 
 EngineStats Engine::stats() const {

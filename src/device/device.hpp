@@ -31,14 +31,14 @@ enum class ExecMode {
 /// mode picks interleaving semantics (sequential vs concurrent), the
 /// backend picks what a launch *costs* and how its items are chunked.
 enum class Backend {
-  /// The modeled C2050 simulator: per-launch `DeviceModel` charges,
-  /// equal-item worker chunks, lane-tally straggler accounting.  Its
-  /// native time metric is the modeled device time.
+  /// The modeled C2050 simulator: per-launch `DeviceModel` charges
+  /// (launch latency plus bulk item and work throughput) over equal-item
+  /// worker chunks.  Its native time metric is the modeled device time.
   kSim,
   /// The real multicore host executor (`HostParallelEngine`): kernels run
   /// in parallel on the pool with dynamically claimed, oversubscribed
-  /// chunks (edge-balanced ones in `launch_balanced`), no model charges
-  /// and no lane tallies.  Its native time metric is measured wall clock.
+  /// chunks (edge-balanced ones in `launch_balanced`) and no model
+  /// charges.  Its native time metric is measured wall clock.
   kHost,
 };
 
@@ -73,28 +73,15 @@ enum class Backend {
 /// (≈3000 levels × (7 µs + 4.6 M rows · 0.2 ns)) models to ≈2.8 s vs the
 /// paper's 2.71 s; delaunay_n20 models to ≈60 ms vs the paper's 0.06 s.
 ///
-/// Accounted launches additionally model the *straggler critical path*:
-/// logical threads are charged as if mapped onto `lanes` physical lanes
-/// (448 = the C2050's CUDA cores) in contiguous item chunks, and the
-/// work term is the slower of device-wide throughput and the busiest
-/// lane, `max(work, lanes · max_lane_work) · ns_per_work`.  This is what
-/// makes degree skew visible in modeled time: one high-degree column in a
-/// one-thread-per-column push kernel serializes its lane exactly as it
-/// serializes a CUDA core, the straggler problem Hsieh et al.
-/// (arXiv:2404.00270) attack with edge-balanced work partitioning
-/// (`Device::launch_balanced`, whose lanes are edge-balanced and
-/// therefore skew-free up to one item).  `lanes = 0` disables the
-/// straggler term and reverts to pure-throughput accounting.
-///
-/// The model therefore captures the three effects that decide every shape
-/// in the evaluation — launch-latency domination on high-diameter graphs,
-/// bandwidth-bound bulk work on wide ones, and straggler serialization on
-/// degree-skewed ones — and nothing else.
+/// The model captures two effects — launch-latency domination on
+/// high-diameter graphs and bandwidth-bound bulk work on wide ones — and
+/// nothing else.  It charges no per-thread straggler: degree skew, and the
+/// edge balancing that removes it (`Device::launch_balanced`), show only in
+/// the host backend's measured wall time.
 struct DeviceModel {
   double launch_latency_us = 7.0;
   double ns_per_item = 0.2;  ///< per logical thread (device-wide effective)
   double ns_per_work = 0.6;  ///< per adjacency entry (device-wide effective)
-  int lanes = 448;  ///< physical lanes of the straggler model (0 = off)
 };
 
 /// What an engine *is*: its backend kind and the execution resources it
@@ -104,10 +91,9 @@ struct EngineDescriptor {
   Backend backend = Backend::kSim;
   ExecMode mode = ExecMode::kConcurrent;
   unsigned threads = 0;  ///< pool workers (0 = hardware concurrency)
-  /// Parallel lanes behind a launch: the sim's straggler-model lanes
-  /// (`DeviceModel::lanes`); the host backend's resolved worker count
-  /// (filled in by the engine once its pool exists).
-  int lanes = 448;
+  /// Worker threads behind a launch: the engine's resolved
+  /// `num_workers()`, filled in once its pool exists.
+  int workers = 0;
   /// Host backend: the smallest per-slot item count worth a pool
   /// dispatch.  Launches whose per-slot share would fall below it run
   /// inline on the calling thread (the serial cutoff every real host
@@ -116,7 +102,7 @@ struct EngineDescriptor {
   std::int64_t host_grain = 16384;
 
   /// One-line human-readable form, e.g. "host(workers=8)" or
-  /// "sim(lanes=448)".
+  /// "sim(workers=1,seq)".
   [[nodiscard]] std::string summary() const;
 };
 
@@ -135,18 +121,10 @@ struct DeviceOptions {
 
 /// A `std::int64_t` padded to its own cache line.  Per-slot accumulators
 /// written concurrently by different workers (launch_accounted's work
-/// tallies, the shrink kernel's per-worker counts) must not share lines,
+/// partials, the shrink kernel's per-worker counts) must not share lines,
 /// or every increment ping-pongs the line between cores.
 struct alignas(64) PaddedCount {
   std::int64_t value = 0;
-};
-
-/// Per-chunk (model lane, work) tallies of one accounted launch, padded to
-/// a cache line for the same reason as `PaddedCount`: each worker appends
-/// to its own slot concurrently, and adjacent `std::vector` headers would
-/// otherwise share lines while their size/pointer fields are mutated.
-struct alignas(64) PaddedLaneTally {
-  std::vector<std::pair<std::int64_t, std::int64_t>> entries;
 };
 
 /// Item boundaries of an edge-balanced partition: splits the `n` items
@@ -191,8 +169,8 @@ class Engine {
   /// sites that only care about mode and worker count).
   explicit Engine(ExecMode mode = ExecMode::kConcurrent,
                   unsigned num_threads = 0);
-  /// An engine of any backend.  The descriptor's `lanes` field is
-  /// resolved to the actual pool size for host engines.
+  /// An engine of any backend.  The descriptor's `workers` field is
+  /// resolved to the actual pool size.
   explicit Engine(EngineDescriptor descriptor);
   virtual ~Engine() = default;
 
@@ -318,10 +296,10 @@ class Device {
   void reset_launch_count() { launches_ = 0; }
 
   /// Optional trace collector.  When set *and enabled*, every launch
-  /// records a span annotated with the backend and its grid/work shape
-  /// (the sim adds the straggler-lane tally); when null or disabled the
-  /// entire cost is one pointer check per launch.  The tracer must
-  /// outlive the stream.
+  /// records a span annotated with the backend and its grid size (the
+  /// sim's accounted launches add the work they charged); when null or
+  /// disabled the entire cost is one pointer check per launch.  The tracer
+  /// must outlive the stream.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
 
@@ -371,53 +349,21 @@ class Device {
   }
 
   /// Like `launch`, but the kernel returns its work units (e.g. adjacency
-  /// entries scanned), which feed the device time model.  The model maps
-  /// logical threads onto `DeviceModel::lanes` lanes in contiguous
-  /// equal-*item* chunks — one thread per item, the paper's
-  /// column-parallel grid — so a skewed work distribution is charged its
-  /// straggler lane (see DeviceModel).  The lane tally is a deterministic
-  /// function of the kernel's per-item work, identical in both execution
-  /// modes and at any worker count.
+  /// entries scanned), which feed the device time model: the sim sums them
+  /// and charges `launch_latency + n·ns_per_item + work·ns_per_work` (see
+  /// DeviceModel).  The charge is a deterministic function of the kernel's
+  /// per-item work, identical in both execution modes and at any worker
+  /// count.
   template <typename Kernel>
   void launch_accounted(std::int64_t n, Kernel&& kernel) {
     auto sp = launch_span("launch_accounted", n);
     if (host()) {
       // The host backend measures instead of modeling, so the kernel's
-      // reported work units are not tallied — no lane bookkeeping, no
-      // per-chunk partial merges, just the launch itself.
+      // reported work units are not summed.
       host_launch(n, [&](std::int64_t i) { (void)kernel(i); });
       return;
     }
-    note_launch();
-    if (n <= 0) {
-      account(n, 0);
-      return;
-    }
-    if (worker_parts(n) == 1) {
-      // Allocation-free path for the sequential/1-worker case: items
-      // stream in lane order (the equal-item lane layout is arithmetic),
-      // so total and busiest-lane work are two scalars.  Matters because
-      // launch-latency-dominated runs issue thousands of tiny launches.
-      const std::int64_t lanes = lane_parts(n);
-      const std::int64_t per = n / lanes;
-      const std::int64_t extra = n % lanes;
-      std::int64_t work = 0, max_lane = 0, i = 0;
-      for (std::int64_t lane = 0; lane < lanes; ++lane) {
-        std::int64_t sum = 0;
-        const std::int64_t size = per + (lane < extra ? 1 : 0);
-        for (std::int64_t e = 0; e < size; ++e) sum += kernel(i++);
-        work += sum;
-        max_lane = std::max(max_lane, sum);
-      }
-      annotate_lanes(sp, work, max_lane);
-      account(n, critical_work(work, max_lane));
-      return;
-    }
-    const auto [work, max_lane] =
-        run_lane_accounted(chunk_bounds(n, worker_parts(n)),
-                           chunk_bounds(n, lane_parts(n)), kernel);
-    annotate_lanes(sp, work, max_lane);
-    account(n, critical_work(work, max_lane));
+    sim_launch_accounted(sp, n, kernel);
   }
 
   /// One kernel launch over the items of an edge-balanced plan (the
@@ -426,18 +372,17 @@ class Device {
   /// `offsets` is the exclusive prefix sum of the per-item work estimates
   /// (degrees) with the grand total appended — size n+1, `offsets[0] ==
   /// 0`; build it with `device::balanced_offsets` (device/scan.hpp),
-  /// which runs the scan on this device.  Items are partitioned into
-  /// per-worker chunks of near-equal *work* rather than near-equal item
-  /// count, each boundary located by binary search in `offsets`
-  /// (`balanced_partition`), so one high-degree item can no longer
-  /// serialize a chunk that also holds an equal share of everything else.
-  /// `kernel(i)` runs once per item in [0, n) and returns its actual work
-  /// units, exactly like `launch_accounted`.
+  /// which runs the scan on this device.  `kernel(i)` runs once per item
+  /// in [0, n) and returns its actual work units, exactly like
+  /// `launch_accounted`.
   ///
-  /// Launch accounting models the balanced grid: the model lanes are
-  /// edge-balanced by the same partition, so the charged critical path is
-  /// skew-free up to one item's work — contrast `launch_accounted`, whose
-  /// contiguous-item lanes pay for degree skew in full.
+  /// On the host backend, items are partitioned into pool chunks of
+  /// near-equal *work* rather than near-equal item count, each boundary
+  /// located by binary search in `offsets` (`balanced_partition`), so one
+  /// high-degree item can no longer serialize a chunk that also holds an
+  /// equal share of everything else.  The sim models no stragglers, so
+  /// there it is the same accounted launch as `launch_accounted` over the
+  /// same items, and charges the same modeled time.
   template <typename Kernel>
   void launch_balanced(std::span<const std::int64_t> offsets,
                        Kernel&& kernel) {
@@ -449,17 +394,8 @@ class Device {
       host_launch_balanced(offsets, kernel);
       return;
     }
-    note_launch();
     const auto n = static_cast<std::int64_t>(offsets.size()) - 1;
-    if (n <= 0) {
-      account(std::max<std::int64_t>(n, 0), 0);
-      return;
-    }
-    const auto [work, max_lane] =
-        run_lane_accounted(balanced_partition(offsets, worker_parts(n)),
-                           balanced_partition(offsets, lane_parts(n)), kernel);
-    annotate_lanes(sp, work, max_lane);
-    account(n, critical_work(work, max_lane));
+    sim_launch_accounted(sp, std::max<std::int64_t>(n, 0), kernel);
   }
 
   /// One kernel launch with the worker partition exposed:
@@ -537,16 +473,6 @@ class Device {
     return sp;
   }
 
-  /// The sim's straggler tally on a finished accounted/balanced launch:
-  /// total work, the busiest model lane, and the lane count charged.
-  void annotate_lanes(obs::Span& sp, std::int64_t work,
-                      std::int64_t max_lane) const {
-    if (!sp) return;
-    sp.arg("work", work);
-    sp.arg("lane_max", max_lane);
-    sp.arg("lanes", model_.lanes);
-  }
-
   /// What this stream retires as its native time: the measured wall
   /// accumulator on the host backend, the model accumulator on the sim.
   [[nodiscard]] double native_us() const {
@@ -595,9 +521,8 @@ class Device {
   }
 
   /// The host backend's `launch_balanced`: chunk count sized by total
-  /// *work* (`offsets.back()`), boundaries from the same
-  /// `balanced_partition` the sim models — here they bound what each
-  /// pool slot actually executes.
+  /// *work* (`offsets.back()`), each pool slot's items bounded by
+  /// `balanced_partition`.
   template <typename Kernel>
   void host_launch_balanced(std::span<const std::int64_t> offsets,
                             Kernel&& kernel) {
@@ -629,101 +554,30 @@ class Device {
                        1e-3;
   }
 
-  /// The work units to charge given the total and the busiest model lane:
-  /// the slower of device-wide throughput and the straggler critical path
-  /// (`lanes · max_lane_work`; see DeviceModel).
-  [[nodiscard]] std::int64_t critical_work(std::int64_t work,
-                                           std::int64_t max_lane) const {
-    if (model_.lanes <= 0) return work;
-    return std::max(work, max_lane * static_cast<std::int64_t>(model_.lanes));
-  }
-
-  /// Physical chunk count of an accounted launch: one per pool worker.
-  [[nodiscard]] std::int64_t worker_parts(std::int64_t n) const {
-    if (mode() == ExecMode::kSequential || num_workers() == 1) return 1;
-    return std::min<std::int64_t>(num_workers(), n);
-  }
-
-  /// Model lane count: `DeviceModel::lanes` capped at the grid size (a
-  /// grid smaller than the device leaves lanes idle), at least 1 so the
-  /// tally stays well-defined when the straggler model is off.
-  [[nodiscard]] std::int64_t lane_parts(std::int64_t n) const {
-    if (model_.lanes <= 0) return 1;
-    return std::min<std::int64_t>(model_.lanes, n);
-  }
-
-  /// Equal-item chunk boundaries — `parts + 1` indices partitioning
-  /// `[0, n)` with the same layout `chunk` produces.
-  static std::vector<std::int64_t> chunk_bounds(std::int64_t n,
-                                                std::int64_t parts) {
-    std::vector<std::int64_t> bounds(static_cast<std::size_t>(parts) + 1, 0);
-    const std::int64_t per = n / parts;
-    const std::int64_t extra = n % parts;
-    for (std::int64_t p = 0; p <= parts; ++p)
-      bounds[static_cast<std::size_t>(p)] = p * per + std::min(p, extra);
-    return bounds;
-  }
-
-  /// Runs `kernel(i)` for every item of every `[chunk_bounds[c],
-  /// chunk_bounds[c+1])` range — one run_tasks slot per chunk — while
-  /// tallying the kernel's returned work per model lane (`lane_bounds`,
-  /// also item boundaries).  Chunk and lane boundaries need not align; a
-  /// lane split across chunks is summed at the host-side merge after the
-  /// launch barrier.  Returns {total work, max lane work}.
+  /// The sim's accounted launch: `kernel(i)` over equal-item worker
+  /// chunks, summing the work units it returns (one `PaddedCount` partial
+  /// per worker when it fans out), then `account(n, work)`.
   template <typename Kernel>
-  std::pair<std::int64_t, std::int64_t> run_lane_accounted(
-      const std::vector<std::int64_t>& chunks,
-      const std::vector<std::int64_t>& lane_bounds, Kernel&& kernel) {
-    const auto num_chunks = static_cast<unsigned>(chunks.size() - 1);
-    if (num_chunks == 1) {
-      // Single chunk: stream lane by lane, no per-chunk partials needed.
-      std::int64_t work = 0, max_lane = 0;
-      for (std::size_t lane = 0; lane + 1 < lane_bounds.size(); ++lane) {
+  void sim_launch_accounted(obs::Span& sp, std::int64_t n, Kernel& kernel) {
+    note_launch();
+    std::int64_t work = 0;
+    // A sequential engine has no pool and reports one worker.
+    const auto workers = std::min<std::int64_t>(num_workers(), n);
+    if (workers <= 1) {
+      for (std::int64_t i = 0; i < n; ++i) work += kernel(i);
+    } else {
+      std::vector<PaddedCount> partials(static_cast<std::size_t>(workers));
+      const std::function<void(unsigned)> job = [&](unsigned w) {
+        const auto [begin, end] = chunk(n, workers, w);
         std::int64_t sum = 0;
-        for (std::int64_t i = lane_bounds[lane]; i < lane_bounds[lane + 1];
-             ++i)
-          sum += kernel(i);
-        work += sum;
-        max_lane = std::max(max_lane, sum);
-      }
-      return {work, max_lane};
+        for (std::int64_t i = begin; i < end; ++i) sum += kernel(i);
+        partials[w].value = sum;
+      };
+      engine_->pool()->run_tasks(static_cast<unsigned>(workers), job);
+      for (const PaddedCount& partial : partials) work += partial.value;
     }
-    std::vector<PaddedLaneTally> partials(num_chunks);
-    const auto run_chunk = [&](unsigned c) {
-      const std::int64_t begin = chunks[c];
-      const std::int64_t end = chunks[c + 1];
-      if (begin >= end) return;
-      // Lane holding `begin`: the last boundary <= begin (duplicates from
-      // empty lanes resolve to the one whose end exceeds begin).
-      std::size_t lane = static_cast<std::size_t>(
-          std::upper_bound(lane_bounds.begin(), lane_bounds.end(), begin) -
-          lane_bounds.begin() - 1);
-      std::int64_t lane_end = lane_bounds[lane + 1];
-      std::int64_t sum = 0;
-      for (std::int64_t i = begin; i < end; ++i) {
-        if (i >= lane_end) {
-          partials[c].entries.emplace_back(static_cast<std::int64_t>(lane),
-                                           sum);
-          sum = 0;
-          while (i >= lane_bounds[lane + 1]) ++lane;
-          lane_end = lane_bounds[lane + 1];
-        }
-        sum += kernel(i);
-      }
-      partials[c].entries.emplace_back(static_cast<std::int64_t>(lane), sum);
-    };
-    const std::function<void(unsigned)> job = run_chunk;
-    engine_->pool()->run_tasks(num_chunks, job);
-    std::vector<std::int64_t> lane_work(lane_bounds.size() - 1, 0);
-    for (const PaddedLaneTally& tally : partials)
-      for (const auto& [lane, sum] : tally.entries)
-        lane_work[static_cast<std::size_t>(lane)] += sum;
-    std::int64_t work = 0, max_lane = 0;
-    for (const std::int64_t w : lane_work) {
-      work += w;
-      max_lane = std::max(max_lane, w);
-    }
-    return {work, max_lane};
+    if (sp) sp.arg("work", work);
+    account(n, work);
   }
 
   static std::pair<std::int64_t, std::int64_t> chunk(std::int64_t n,

@@ -196,7 +196,7 @@ TEST(Balance, BalanceOptionSweepsOnEveryGprSolver) {
 TEST(Balance, FrontierCompactionCountersUnderConcurrentStreams) {
   // The frontier-compaction counters (padded per-chunk tallies, the
   // prefix over worker counts, the SoA write pass) and the balanced
-  // launch's lane tallies must be race-free when several streams drive
+  // launch's work partials must be race-free when several streams drive
   // balanced runs through one shared engine concurrently — this is the
   // suite the CI TSan job audits.
   const auto engine =

@@ -65,15 +65,19 @@ TEST(HostBackend, DescriptorSummariesNameTheBackend) {
   HostParallelEngine host(3);
   EXPECT_EQ(host.backend(), Backend::kHost);
   EXPECT_EQ(host.descriptor().summary(), "host(workers=3)");
-  // The descriptor's lanes are resolved to the actual pool size.
-  EXPECT_EQ(host.descriptor().lanes, 3);
+  // Both backends resolve `workers` to the actual pool size.
+  EXPECT_EQ(host.descriptor().workers, 3);
+  device::Engine pooled_sim(EngineDescriptor{.backend = Backend::kSim,
+                                             .threads = 2});
+  EXPECT_EQ(pooled_sim.descriptor().summary(), "sim(workers=2)");
 
   device::Engine sim(ExecMode::kSequential, 2);
   // The legacy ctor follows the process default; pin expectations to it.
+  // A sequential engine has no pool, so it runs on one worker.
   if (sim.backend() == Backend::kSim)
-    EXPECT_EQ(sim.descriptor().summary(), "sim(lanes=448,seq)");
+    EXPECT_EQ(sim.descriptor().summary(), "sim(workers=1,seq)");
   else
-    EXPECT_NE(sim.descriptor().summary().find("seq"), std::string::npos);
+    EXPECT_EQ(sim.descriptor().summary(), "host(workers=1,seq)");
 
   // The descriptor ctor forces the backend even if the caller forgot it.
   HostParallelEngine forced(EngineDescriptor{.backend = Backend::kSim});
