@@ -80,7 +80,9 @@ int main(int argc, char** argv) {
                                std::int64_t{0}, std::int64_t{0},
                                std::int64_t{0}, std::int64_t{0},
                                std::int64_t{0}};
-  for (const auto& t : times) geo.push_back(geometric_mean(t));
+  std::vector<double> geomeans;
+  for (const auto& t : times) geomeans.push_back(geometric_mean(t));
+  for (const double g : geomeans) geo.push_back(g);
   table.add_row(std::move(geo));
 
   if (opt.csv)
@@ -91,7 +93,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, double>> summary;
   for (std::size_t i = 0; i < opt.algos.size(); ++i)
     summary.emplace_back("geomean_s:" + opt.algos[i].canonical(),
-                         geometric_mean(times[i]));
+                         geomeans[i]);
   try {
     write_json(opt.json_path, "table1_runtimes", records, summary);
     write_observability(opt);
@@ -104,7 +106,7 @@ int main(int argc, char** argv) {
                "Xeon): G-PR 0.70, G-HKDW 0.92, P-DBFS 1.99, PR 2.15.\n";
   const auto geomean_of = [&](std::string_view name) -> std::optional<double> {
     for (std::size_t i = 0; i < opt.algos.size(); ++i)
-      if (opt.algos[i].canonical() == name) return geometric_mean(times[i]);
+      if (opt.algos[i].canonical() == name) return geomeans[i];
     return std::nullopt;
   };
   const auto gpr = geomean_of("g-pr-shr");
