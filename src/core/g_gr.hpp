@@ -31,16 +31,23 @@ struct DeviceState {
 struct GrResult {
   index_t max_level = 0;     ///< cLevel after the BFS drained (Alg 4 line 8)
   std::int64_t level_kernels = 0;  ///< number of G-GR-KRNL launches
+  std::int64_t reached = 0;  ///< rows over all level frontiers (sources too)
 };
 
 /// G-GR (Algorithms 4–5): GPU global relabeling.
 ///
 /// INITRELABEL sets ψ(u) = 0 for unmatched rows and ψ = m+n everywhere
-/// else; then a level-synchronous BFS from all unmatched rows runs one
-/// G-GR-KRNL launch per level: every row u with ψ(u) = cLevel relaxes its
+/// else, collecting the unmatched rows as the level-0 frontier in the same
+/// pass.  A level-synchronous BFS then runs one G-GR-KRNL launch per
+/// level, over that level's frontier only: each frontier row relaxes its
 /// unvisited column neighbors to cLevel+1 and their *consistently* matched
-/// rows (µ(v) > −1 and µ(µ(v)) = v) to cLevel+2.  Concurrent writes to the
-/// same ψ cell all carry the same value — the benign race the paper notes.
+/// rows (µ(v) > −1 and µ(µ(v)) = v) to cLevel+2, which form the next
+/// frontier.  Each worker appends to its own output, concatenated between
+/// launches, so one relabel costs O(V+E) rather than O(levels × rows).
+/// Concurrent writes to the same ψ cell all carry the same value — the
+/// benign race the paper notes — and a row appended twice by such a race
+/// only repeats those stores.  The loop ends after the first level that
+/// labels no row, so `level_kernels` and `max_level` count that level too.
 ///
 /// Vertices the BFS never reaches keep ψ = m+n and drop out of further
 /// consideration (this is also where the gap heuristic's effect shows up

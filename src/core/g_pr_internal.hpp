@@ -142,6 +142,10 @@ class RelabelScheduler {
     timer.restart();
     const GrResult gr = g_gr(dev, g, st);
     stats.gr_ms += timer.elapsed_ms();
+    if (sp) {
+      sp.arg("levels", gr.level_kernels);
+      sp.arg("reached", gr.reached);
+    }
     ++stats.global_relabels;
     stats.gr_level_kernels += gr.level_kernels;
     stats.last_max_level = gr.max_level;

@@ -400,11 +400,14 @@ class Device {
 
   /// One kernel launch with the worker partition exposed:
   /// `kernel(worker_id, begin, end)` where the `[begin, end)` ranges
-  /// partition `[0, n)`.  Also counts as a single launch.
+  /// partition `[0, n)`.  Also counts as a single launch, which the sim
+  /// charges like a plain `launch`; callers add their work with
+  /// `charge_work`.
   template <typename Kernel>
   void launch_chunked(std::int64_t n, Kernel&& kernel) {
     auto sp = launch_span("launch_chunked", n);
     note_launch();
+    if (!host()) account(n, 0);
     if (n <= 0) return;
     if (host()) {
       const auto t0 = std::chrono::steady_clock::now();

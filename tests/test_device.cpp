@@ -166,6 +166,21 @@ TEST(Device, StreamsShareOneEngineButKeepTheirOwnStats) {
               1e-9);
 }
 
+TEST(Device, ChunkedLaunchChargesLatencyAndItemsOnTheSim) {
+  // A chunked launch costs what a plain launch of the same grid costs,
+  // the empty grid included.
+  const auto engine = std::make_shared<Engine>(EngineDescriptor{
+      .backend = Backend::kSim, .mode = ExecMode::kConcurrent, .threads = 4});
+  Device plain(engine), chunked(engine);
+  for (const std::int64_t n : {std::int64_t{0}, std::int64_t{1000}}) {
+    plain.launch(n, [](std::int64_t) {});
+    chunked.launch_chunked(n, [](unsigned, std::int64_t, std::int64_t) {});
+  }
+  EXPECT_EQ(chunked.launches(), 2u);
+  EXPECT_GT(chunked.modeled_ms(), 0.0);
+  EXPECT_DOUBLE_EQ(chunked.modeled_ms(), plain.modeled_ms());
+}
+
 TEST(Device, ConcurrentStreamsRunConcurrentLaunchesCorrectly) {
   // N streams on one engine, each launching from its own host thread —
   // the pipeline's execution shape.  Every stream's grids must each cover

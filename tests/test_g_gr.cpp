@@ -53,6 +53,15 @@ void reference_distances(const BipartiteGraph& g, const matching::Matching& m,
   }
 }
 
+/// The deepest finite row label: the BFS's last populated level.
+index_t deepest_level(const BipartiteGraph& g,
+                      const std::vector<index_t>& psi_row) {
+  index_t deepest = 0;
+  for (index_t d : psi_row)
+    if (d < g.psi_infinity()) deepest = std::max(deepest, d);
+  return deepest;
+}
+
 class GGrModes : public ::testing::TestWithParam<ExecMode> {
  protected:
   Device make_device() { return Device({.mode = GetParam(), .num_threads = 4}); }
@@ -67,10 +76,7 @@ class GGrModes : public ::testing::TestWithParam<ExecMode> {
     EXPECT_EQ(st.psi_row.to_host(), want_row);
     EXPECT_EQ(st.psi_col.to_host(), want_col);
     // maxLevel covers the deepest populated level.
-    index_t deepest = 0;
-    for (index_t d : want_row)
-      if (d < g.psi_infinity()) deepest = std::max(deepest, d);
-    EXPECT_GE(r.max_level, deepest);
+    EXPECT_GE(r.max_level, deepest_level(g, want_row));
   }
 };
 
@@ -130,15 +136,20 @@ TEST_P(GGrModes, StaleColumnEntriesDoNotPropagate) {
 }
 
 TEST_P(GGrModes, LevelKernelCountMatchesDepth) {
-  // A chain of k links needs ~k BFS levels — one launch each.
+  // A chain of k links needs one launch per populated BFS level plus the
+  // final launch that labels no row; maxLevel is what the adaptive
+  // relabel schedule feeds on.
   const BipartiteGraph g = gen::chain(32);
   matching::Matching m(g);
   for (index_t i = 1; i < 32; ++i) m.match(i, i - 1);  // only r0, c31 free
   Device dev = make_device();
   DeviceState st = make_state(g, m);
   const GrResult r = g_gr(dev, g, st);
-  EXPECT_GE(r.level_kernels, 30);
+  std::vector<index_t> want_row, want_col;
+  reference_distances(g, m, want_row, want_col);
+  EXPECT_EQ(r.level_kernels, deepest_level(g, want_row) / 2 + 1);
   EXPECT_EQ(r.max_level, 2 * r.level_kernels);
+  EXPECT_EQ(r.reached, 32);  // every row, once: a chain has no races
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, GGrModes,
@@ -149,6 +160,36 @@ INSTANTIATE_TEST_SUITE_P(AllModes, GGrModes,
                                       ? "Sequential"
                                       : "Concurrent";
                          });
+
+// A host engine with its serial cutoff disabled: every launch, the level
+// frontiers included, fans out over 4 pool workers, so their private
+// appends really run concurrently.
+TEST(GGrHostFanout, ExactDistancesUnderConcurrentAppends) {
+  const auto engine = std::make_shared<device::HostParallelEngine>(
+      device::EngineDescriptor{
+          .mode = ExecMode::kConcurrent, .threads = 4, .host_grain = 1});
+  Device dev(engine);
+  auto check = [&](const BipartiteGraph& g, const matching::Matching& m) {
+    DeviceState st = make_state(g, m);
+    (void)g_gr(dev, g, st);
+    std::vector<index_t> want_row, want_col;
+    reference_distances(g, m, want_row, want_col);
+    EXPECT_EQ(st.psi_row.to_host(), want_row);
+    EXPECT_EQ(st.psi_col.to_host(), want_col);
+  };
+  // Hubs: many frontier rows race for the same few columns.
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const BipartiteGraph g = gen::chung_lu(400, 400, 4.0, 2.1, seed);
+    check(g, matching::Matching(g));
+    check(g, matching::cheap_matching(g));
+  }
+  // Complete bipartite: every frontier row races for every column.
+  const BipartiteGraph kb = gen::complete_bipartite(40, 30);
+  matching::Matching partial(kb);
+  for (index_t i = 0; i < 20; ++i) partial.match(i, i);
+  check(kb, partial);
+  check(kb, matching::Matching(kb));
+}
 
 }  // namespace
 }  // namespace bpm::gpu

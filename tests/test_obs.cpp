@@ -445,6 +445,24 @@ TEST(TraceConformance, GprTracedSolveMatchesUntracedAndRecordsPhases) {
   const std::set<std::string> phases = names_in(evs, "phase");
   EXPECT_TRUE(phases.count("push")) << "no push phase span";
   EXPECT_TRUE(phases.count("global-relabel")) << "no global-relabel span";
+  // Each relabel span carries its BFS depth and frontier total, so a slow
+  // relabel is explained by the trace alone; the depths add up to the
+  // solve's level-kernel count.
+  auto arg_of = [](const TraceEvent& ev, const std::string& key) {
+    const std::string tag = "\"" + key + "\":";
+    const std::size_t at = ev.args.find(tag);
+    EXPECT_NE(at, std::string::npos) << key << " missing in " << ev.args;
+    return at == std::string::npos
+               ? std::int64_t{-1}
+               : std::stoll(ev.args.substr(at + tag.size()));
+  };
+  std::int64_t levels = 0;
+  for (const TraceEvent& ev : evs) {
+    if (ev.cat != "phase" || ev.name != "global-relabel") continue;
+    levels += arg_of(ev, "levels");
+    EXPECT_GE(arg_of(ev, "reached"), 0);
+  }
+  EXPECT_EQ(levels, obs_run.stats.gr_level_kernels);
   EXPECT_TRUE(names_in(evs, "solve").count("g-pr"));
   EXPECT_FALSE(names_in(evs, "device").empty()) << "no launch spans";
   // Phase totals account for real time: every recorded phase is a
