@@ -151,11 +151,13 @@ struct PolicyInstance {
 /// (meshes, road networks, co-author graphs — near-perfect greedy inits
 /// where the augmenting-path family beats push-relabel, at
 /// `structured_scale` of the paper sizes; 0 skips the group), plus —
-/// when `massive_scale > 0` — the massive suite at that scale.  Calibration and evaluation MUST agree on this suite: the
-/// committed cost model's buckets are only meaningful for the shapes they
-/// were measured on, and the headline auto-vs-oracle comparison
-/// re-generates the same shapes (different seeds still land in the same
-/// buckets).
+/// when `massive_scale > 0` — the massive suite at that scale.  Every
+/// member starts from the Karp–Sipser init the service admits with, not
+/// the paper's cheap one.  Calibration and evaluation MUST agree on this
+/// suite: the committed cost model's buckets are only meaningful for the
+/// shapes they were measured on, and the headline auto-vs-oracle
+/// comparison re-generates the same shapes (different seeds still land in
+/// the same buckets).
 [[nodiscard]] std::vector<PolicyInstance> build_policy_suite(
     graph::index_t n, double massive_scale, std::uint64_t seed,
     double structured_scale = 0.0);

@@ -5,7 +5,7 @@
 //
 //   mtx_matcher --algo g-pr-shr matrix.mtx
 //   mtx_matcher --instance kron_g500-logn20 --scale 0.01 --algo seq-pr
-//   mtx_matcher --algo g-pr-shr,hk,p-dbfs --init karp-sipser matrix.mtx
+//   mtx_matcher --algo g-pr-shr,hk,p-dbfs --init cheap matrix.mtx
 //   mtx_matcher --algo g-pr-shr:k=1.5,g-pr-shr:k=3,greedy matrix.mtx
 //
 // Prints per-solver cardinality, timing and algorithm statistics, each
@@ -53,14 +53,14 @@ PipelineOptions pipeline_options(const CliParser& cli) {
   opt.max_concurrent_jobs = static_cast<unsigned>(cli.get_int("jobs"));
   const std::string init = cli.get_string("init");
   if (init == "cheap") {
-    // Default init_builder.
+    opt.init_builder = matching::cheap_matching;
   } else if (init == "karp-sipser") {
     opt.init_builder = matching::karp_sipser;
   } else if (init == "none") {
     opt.share_init = false;
   } else {
     throw std::invalid_argument("unknown --init '" + init +
-                                "' (cheap | karp-sipser | none)");
+                                "' (karp-sipser | cheap | none)");
   }
   return opt;
 }
@@ -72,8 +72,8 @@ int main(int argc, char** argv) {
                 "maximum cardinality bipartite matching of a MatrixMarket "
                 "file or synthetic instance");
   add_algo_flag(cli, "g-pr-shr");
-  cli.add_option("init", "initial matching: cheap | karp-sipser | none",
-                 "cheap");
+  cli.add_option("init", "initial matching: karp-sipser | cheap | none",
+                 "karp-sipser");
   cli.add_option("instance", "synthetic Table I instance name instead of a file",
                  "");
   cli.add_option("scale", "scale for --instance", "0.015625");

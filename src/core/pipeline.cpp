@@ -65,7 +65,7 @@ PipelineInstance admit_instance(std::string name, graph::BipartiteGraph graph,
   inst.init = !options.share_init ? matching::Matching(inst.graph)
               : options.init_builder
                   ? options.init_builder(inst.graph)
-                  : matching::cheap_matching(inst.graph);
+                  : matching::karp_sipser(inst.graph);
   inst.initial_cardinality = inst.init.cardinality();
   inst.fingerprint = graph::structural_fingerprint(inst.graph);
   // Full feature extraction for policy resolution — O(cols) over the CSR

@@ -37,8 +37,10 @@ struct PipelineOptions {
   /// Build the initial matching once per instance and hand it to every
   /// solver; false starts every job from an empty matching instead.
   bool share_init = true;
-  /// How the shared init is built; defaults to the paper's cheap greedy
-  /// heuristic (set e.g. matching::karp_sipser for a stronger start).
+  /// How the shared init is built; defaults to `matching::karp_sipser`,
+  /// which leaves far fewer columns for the solvers than the paper's cheap
+  /// greedy heuristic (set `matching::cheap_matching` for the paper's
+  /// setup, as the paper-figure harnesses do).
   std::function<matching::Matching(const graph::BipartiteGraph&)> init_builder;
   /// Optional trace sink: each admitted job records a `"job"` span (solver
   /// spec, instance fingerprint, cache outcome) and hands the tracer to its
@@ -53,7 +55,7 @@ struct PipelineOptions {
 struct PipelineInstance {
   std::string name;
   graph::BipartiteGraph graph;
-  matching::Matching init;  ///< shared greedy init (see share_init)
+  matching::Matching init;  ///< shared initial matching (see share_init)
   graph::index_t initial_cardinality = 0;
   /// Never computed or read by the library: results are verified by
   /// certificate, not against a reference maximum.  Kept only because the
@@ -76,11 +78,12 @@ struct PipelineInstance {
 };
 
 /// Builds the per-instance shared state the honoured `options` ask for:
-/// the shared init, the structural fingerprint and the policy features.
-/// No reference solve runs here.  `MatchingPipeline::add_instance` and
-/// `serve::InstanceStore` (with default options) both admit through this,
-/// so a default pipeline batch and a serving process agree bit-for-bit on
-/// inits and fingerprints.
+/// the shared init (Karp–Sipser unless `init_builder` says otherwise), the
+/// structural fingerprint and the policy features.  No reference solve
+/// runs here.  `MatchingPipeline::add_instance` and `serve::InstanceStore`
+/// (with default options) both admit through this, so a default pipeline
+/// batch and a serving process agree bit-for-bit on inits and
+/// fingerprints.
 [[nodiscard]] PipelineInstance admit_instance(std::string name,
                                               graph::BipartiteGraph graph,
                                               const PipelineOptions& options);
@@ -169,7 +172,7 @@ class MatchingPipeline {
  public:
   explicit MatchingPipeline(PipelineOptions options = {});
 
-  /// Admits a graph to the batch; builds the shared greedy init once.
+  /// Admits a graph to the batch; builds the shared init once.
   /// Returns the instance index used in `PipelineJob::instance`.
   std::size_t add_instance(std::string name, graph::BipartiteGraph graph);
 

@@ -13,8 +13,9 @@ namespace bpm::matching {
 /// Karp–Sipser-style heuristic: repeatedly match degree-1 vertices first
 /// (their pendant edge is always in some maximum matching), then fall back
 /// to an arbitrary edge.  Produces larger initial matchings than
-/// `cheap_matching` on sparse graphs; selectable as the shared init with
-/// `mtx_matcher --init karp-sipser` or `PipelineOptions::init_builder`.
+/// `cheap_matching` on sparse graphs; it is `admit_instance`'s default
+/// shared init, so the pipeline, the service and `mtx_matcher` start from
+/// it (the paper-figure harnesses keep `cheap_matching`).
 [[nodiscard]] Matching karp_sipser(const BipartiteGraph& g);
 
 }  // namespace bpm::matching

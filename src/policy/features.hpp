@@ -14,7 +14,7 @@ namespace bpm::policy {
 /// feature buckets by `CostModel`.
 ///
 /// Everything here is O(cols) off the CSR column pointers plus the shared
-/// greedy init's cardinality — no edge-array pass — so feature extraction
+/// init's cardinality — no edge-array pass — so feature extraction
 /// never shows up next to a solve.  The paper's own comparison work
 /// (arXiv:1303.1379) flips winners exactly along these axes: size,
 /// density, degree skew, and deficiency.
@@ -30,8 +30,8 @@ struct InstanceFeatures {
   /// uniform, hub instances run to 10+.  Copied to the admission-time
   /// `PipelineInstance::degree_skew`.
   double degree_skew = 0.0;
-  /// 1 - init_cardinality / min(rows, cols): how far the shared greedy
-  /// init left the instance from trivially saturated.  Near 0 means the
+  /// 1 - init_cardinality / min(rows, cols): how far the shared init
+  /// left the instance from trivially saturated.  Near 0 means the
   /// solver mostly verifies; a few percent means real augmenting work.
   double deficiency_est = 0.0;
 };

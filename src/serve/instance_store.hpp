@@ -16,7 +16,7 @@ namespace bpm::serve {
 
 /// Registry of the graphs a serving process holds: admits each graph once
 /// (shared init + features + fingerprint, built by `admit_instance` with
-/// its default options, the cheap greedy init), dedups registrations
+/// its default options, the Karp–Sipser init), dedups registrations
 /// by structural fingerprint, and hands out stable integer handles that
 /// requests refer to.
 ///

@@ -111,17 +111,23 @@ void Session::admit(std::string_view span_name, const std::string& name,
   static obs::Histogram& admit_ms =
       obs::Registry::global().histogram("serve.admit_ms");
   InstanceStore::AddResult added;
+  const PipelineInstance* inst = nullptr;
   {
     const Timer timer;
     auto sp = obs::span(&context_.tracer, span_name, "serve");
     added = context_.service.add_instance(name, std::move(g));
     admit_ms.observe(timer.elapsed_ms());
+    inst = &context_.service.instances().get(added.handle);
+    // The columns the init left for the solver to match.
+    if (sp)
+      sp.arg("unmatched",
+             static_cast<std::int64_t>(inst->graph.num_cols() -
+                                       inst->initial_cardinality));
   }
-  const auto& inst = context_.service.instances().get(added.handle);
   std::ostringstream os;
   os << "instance " << name << " handle=" << added.handle
      << (added.deduplicated ? " (deduplicated)" : "") << " "
-     << inst.graph.describe();
+     << inst->graph.describe();
   out.lines.push_back(os.str());
 }
 

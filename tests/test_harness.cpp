@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "harness_common.hpp"
+#include "matching/greedy.hpp"
 #include "matching/verify.hpp"
 
 namespace bpm::bench {
@@ -27,6 +28,22 @@ TEST(Harness, BuildInstanceComputesConsistentGroundTruth) {
   // The HK-based ground truth must agree with the independent reference.
   EXPECT_EQ(bi.maximum_cardinality,
             matching::reference_maximum_cardinality(bi.g));
+}
+
+TEST(Harness, BuildInstanceKeepsThePapersCheapInit) {
+  // The paper times every algorithm from the cheap greedy matching; the
+  // Table I and Figure 1 shape gates rely on the harnesses keeping it
+  // while the pipeline and the service admit with Karp–Sipser.
+  for (const auto& meta : graph::paper_instances()) {
+    const BuiltInstance bi = build_instance(meta, tiny_options());
+    const matching::Matching cheap = matching::cheap_matching(bi.g);
+    EXPECT_EQ(bi.init.row_match, cheap.row_match) << meta.name;
+    EXPECT_EQ(bi.init.col_match, cheap.col_match) << meta.name;
+    EXPECT_EQ(bi.initial_cardinality, cheap.cardinality()) << meta.name;
+    const PipelineInstance inst = to_pipeline_instance(bi);
+    EXPECT_EQ(inst.init.row_match, cheap.row_match) << meta.name;
+    EXPECT_EQ(inst.initial_cardinality, cheap.cardinality()) << meta.name;
+  }
 }
 
 TEST(Harness, BuildSuiteHonoursStride) {

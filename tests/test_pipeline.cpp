@@ -65,9 +65,10 @@ TEST(Pipeline, MatchesSingleRunResultsAndSharesTheGreedyInit) {
   for (auto& [name, g] : suite()) pipe.add_instance(name, std::move(g));
 
   for (const PipelineInstance& inst : pipe.instances()) {
-    // The shared init is the paper's cheap greedy matching, built once.
+    // The shared init is admission's default Karp–Sipser matching, built
+    // once (the paper's cheap greedy one only where a harness asks).
     EXPECT_EQ(inst.initial_cardinality,
-              matching::cheap_matching(inst.graph).cardinality());
+              matching::karp_sipser(inst.graph).cardinality());
     EXPECT_EQ(inst.init.cardinality(), inst.initial_cardinality);
     // Admission runs no reference solve: results are verified by
     // certificate, so the field stays at its unset value.
@@ -140,7 +141,9 @@ TEST(Pipeline, HeuristicSolversVerifyAsValidNotMaximum) {
 
 TEST(Pipeline, RecordsFailuresInsteadOfAborting) {
   // A deliberately broken solver: claims exactness, returns the init
-  // unchanged — verification must flag every job, not throw.
+  // unchanged — verification must flag every job, not throw.  The
+  // Karp–Sipser init is already maximum on this graph, so the batch starts
+  // every job from the empty matching instead.
   class NoopSolver final : public Solver {
    public:
     [[nodiscard]] std::string name() const override { return "test-noop"; }
@@ -160,7 +163,7 @@ TEST(Pipeline, RecordsFailuresInsteadOfAborting) {
   }();
   (void)registered;
 
-  MatchingPipeline pipe;
+  MatchingPipeline pipe({.share_init = false});
   pipe.add_instance("uniform", gen::random_uniform(400, 420, 2000, 5));
   const PipelineReport report = pipe.run({"test-noop", "hk"});
   ASSERT_EQ(report.jobs.size(), 2u);
@@ -181,12 +184,16 @@ TEST(Pipeline, UnknownSolverNameFailsTheWholeBatchUpFront) {
 }
 
 TEST(Pipeline, InitBuilderAndNoShareInitAreHonoured) {
-  PipelineOptions ks;
-  ks.init_builder = matching::karp_sipser;
-  MatchingPipeline with_ks(ks);
+  // The paper's cheap init, opted into as the harnesses do; on this graph
+  // it is smaller than the Karp–Sipser default, so the builder really ran.
+  PipelineOptions cheap;
+  cheap.init_builder = matching::cheap_matching;
+  MatchingPipeline with_cheap(cheap);
   const BipartiteGraph g = gen::chung_lu(500, 500, 4.0, 2.4, 21);
-  with_ks.add_instance("g", g);
-  EXPECT_EQ(with_ks.instances().front().initial_cardinality,
+  with_cheap.add_instance("g", g);
+  EXPECT_EQ(with_cheap.instances().front().initial_cardinality,
+            matching::cheap_matching(g).cardinality());
+  EXPECT_LT(with_cheap.instances().front().initial_cardinality,
             matching::karp_sipser(g).cardinality());
 
   MatchingPipeline cold({.share_init = false});

@@ -14,6 +14,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/matrix_market.hpp"
+#include "matching/greedy.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/proto.hpp"
@@ -269,8 +270,8 @@ TEST(ServeSession, ValidFlow) {
   const std::uint64_t admits = samples("serve.admit_ms");
   const std::filesystem::path mtx =
       std::filesystem::temp_directory_path() / "bpm_serve_proto_valid_flow.mtx";
-  graph::write_matrix_market_file(mtx.string(),
-                                  graph::gen::planted_perfect(30, 1.0, 5));
+  const graph::BipartiteGraph planted = graph::gen::planted_perfect(30, 1.0, 5);
+  graph::write_matrix_market_file(mtx.string(), planted);
   lines = run(session, "trace-start " + mtx.string() + ".trace.json");
   ASSERT_EQ(lines.size(), 1u);
   lines = run(session, "load b " + mtx.string());
@@ -287,9 +288,16 @@ TEST(ServeSession, ValidFlow) {
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(field(lines[0], "cardinality"), 30) << lines[0];
   EXPECT_EQ(field(lines[0], "ok"), 1) << lines[0];
+  // The admission span says how many columns the init left unmatched.
+  const std::string unmatched = obs::arg_json(
+      "unmatched", std::int64_t{planted.num_cols() -
+                                matching::karp_sipser(planted).cardinality()});
   std::set<std::string> spans;
-  for (const obs::TraceEvent& ev : context.tracer.events())
+  for (const obs::TraceEvent& ev : context.tracer.events()) {
     spans.insert(ev.name);
+    if (ev.name == "load.admit")
+      EXPECT_NE(ev.args.find(unmatched), std::string::npos) << ev.args;
+  }
   EXPECT_TRUE(spans.contains("load.read"));
   EXPECT_TRUE(spans.contains("load.admit"));
   EXPECT_TRUE(spans.contains("verify"));  // the certificate on the hk solve

@@ -16,6 +16,7 @@
 
 #include "core/pipeline.hpp"
 #include "graph/generators.hpp"
+#include "matching/greedy.hpp"
 #include "matching/verify.hpp"
 #include "mutant_solver.hpp"
 #include "serve/service.hpp"
@@ -90,6 +91,22 @@ TEST(InstanceStore, DedupsByStructuralFingerprint) {
   EXPECT_FALSE(d.deduplicated);
   EXPECT_EQ(store.find("original"), d.handle);
   EXPECT_EQ(store.get(d.handle).graph.num_rows(), 4);
+}
+
+TEST(InstanceStore, AdmitsWithKarpSipser) {
+  // The serving tier starts every solve from admission's Karp–Sipser init,
+  // and the policy features read its deficiency.
+  InstanceStore store;
+  const auto g = gen::chung_lu(500, 500, 4.0, 2.4, 21);
+  const PipelineInstance& inst = store.get(store.add("g", g).handle);
+  const matching::Matching ks = matching::karp_sipser(g);
+  EXPECT_EQ(inst.init.row_match, ks.row_match);
+  EXPECT_EQ(inst.init.col_match, ks.col_match);
+  EXPECT_EQ(inst.initial_cardinality, ks.cardinality());
+  EXPECT_GT(inst.initial_cardinality,
+            matching::cheap_matching(g).cardinality());
+  EXPECT_EQ(inst.features.deficiency_est,
+            policy::compute_features(g, ks.cardinality()).deficiency_est);
 }
 
 TEST(InstanceStore, PrebuiltInstancesAdmitWithoutRecomputation) {
