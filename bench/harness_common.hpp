@@ -97,13 +97,13 @@ void write_observability(const SuiteOptions& opt);
 
 /// One generated instance with its cheap-matching initialisation.
 /// The paper times all algorithms *after* the common greedy init, so the
-/// init is built once here and handed to every algorithm.
+/// init is built once here and handed to every algorithm.  Results on it
+/// are accepted by certificate (`run_solver`), so it carries no maximum.
 struct BuiltInstance {
   graph::Instance meta;
   graph::BipartiteGraph g;
   matching::Matching init;
   graph::index_t initial_cardinality = 0;
-  graph::index_t maximum_cardinality = 0;  ///< reference ground truth
   /// Policy features of the instance (size, density, skew, deficiency) —
   /// the same `policy::compute_features` vector the serving layer caches
   /// at admission, recorded into every `--json` record so offline tooling
@@ -117,11 +117,10 @@ struct BuiltInstance {
 /// Fills `bi.features` from its graph and init (cheap, O(cols)).
 void compute_instance_features(BuiltInstance& bi);
 
-/// Generates the (strided) instance suite at the requested scale and
-/// computes the reference maximum cardinality for result checking.
-/// Builds `opt.jobs` instances concurrently (generation, init, and the
-/// Hopcroft–Karp ground truth dominate harness start-up); the returned
-/// order and contents are identical at any concurrency.
+/// Generates the (strided) instance suite at the requested scale.
+/// Builds `opt.jobs` instances concurrently (generation and the init
+/// dominate harness start-up); the returned order and contents are
+/// identical at any concurrency.
 [[nodiscard]] std::vector<BuiltInstance> build_suite(const SuiteOptions& opt);
 
 /// Builds a single instance by Table I id (1–28).
@@ -133,9 +132,8 @@ void compute_instance_features(BuiltInstance& bi);
 /// `gen::huge_bipartite` (no intermediate edge list, so peak memory is
 /// the final CSR).  `opt.scale` multiplies the default-size vertex counts
 /// relative to 1.0 (NOT the 1/64 Table I convention — massive instances
-/// are already sized absolutely); `opt.seed` feeds the generator.  Ground
-/// truth is computed like every other suite's, so results on it stay
-/// oracle-verified.
+/// are already sized absolutely); `opt.seed` feeds the generator.  Results
+/// on it are certificate-checked like every other suite's.
 [[nodiscard]] std::vector<BuiltInstance> build_massive_suite(
     const SuiteOptions& opt);
 
@@ -162,10 +160,11 @@ struct PolicyInstance {
     graph::index_t n, double massive_scale, std::uint64_t seed,
     double structured_scale = 0.0);
 
-/// Result of timing one algorithm on one instance.  Every runner verifies
-/// the returned matching is valid and maximum against the reference
-/// cardinality, so benchmark numbers are backed by checked results;
-/// `ok == false` flags a mismatch (and makes the harness exit nonzero).
+/// Result of timing one algorithm on one instance.  Every run goes through
+/// `run_verified`, the pipeline's and the service's O(V+E) certificate:
+/// the matching is valid, the stats match it, and for exact solvers no
+/// augmenting path exists.  `ok == false` flags a failed check or a
+/// throwing solver (and makes the harness exit nonzero).
 struct AlgoResult {
   double seconds = 0.0;          ///< host wall time of the run
   double modeled_seconds = 0.0;  ///< device-model time; 0 for CPU algorithms
@@ -186,8 +185,9 @@ struct AlgoResult {
                                                   : r.modeled_seconds;
 }
 
-/// Runs a configured solver instance on `bi` through the uniform interface
-/// and verifies the result — the one dispatch path every harness uses.
+/// Runs a configured solver instance on `bi` through `run_verified` — the
+/// one dispatch path every harness uses.  A failed check prints the
+/// certificate's error to stderr.
 [[nodiscard]] AlgoResult run_solver(const Solver& solver, device::Device& dev,
                                     const BuiltInstance& bi,
                                     unsigned threads = 0);
@@ -206,8 +206,8 @@ struct AlgoResult {
 /// Runs the full (instance × `opt.algos`) grid through a
 /// `MatchingPipeline` scheduled at `opt.jobs` concurrent jobs — the
 /// one-call way for a harness to exercise the concurrent scheduler.  The
-/// suite's precomputed init/ground truth are reused, every job is
-/// verified, and the report is in deterministic instance-major order
+/// suite's precomputed init is reused, every job is certificate-checked by
+/// `run_verified`, and the report is in deterministic instance-major order
 /// regardless of `opt.jobs`.
 [[nodiscard]] PipelineReport run_grid(const std::vector<BuiltInstance>& suite,
                                       const SuiteOptions& opt);

@@ -1,64 +1,33 @@
 #include "matching/dulmage_mendelsohn.hpp"
 
-#include <deque>
 #include <stdexcept>
+#include <utility>
+
+#include "matching/verify.hpp"
 
 namespace bpm::matching {
 
 namespace {
 
 using graph::index_t;
+using Block = DulmageMendelsohn::Block;
 
-/// Marks all vertices reachable from unmatched columns by alternating
-/// paths (column → any edge → row → matched edge → column).
-void reach_from_unmatched_cols(const BipartiteGraph& g, const Matching& m,
-                               std::vector<char>& row_reached,
-                               std::vector<char>& col_reached) {
-  std::deque<index_t> queue;  // columns
-  for (index_t v = 0; v < g.num_cols(); ++v) {
-    if (m.col_match[static_cast<std::size_t>(v)] < 0) {
-      col_reached[static_cast<std::size_t>(v)] = 1;
-      queue.push_back(v);
-    }
-  }
-  while (!queue.empty()) {
-    const index_t v = queue.front();
-    queue.pop_front();
-    for (index_t u : g.col_neighbors(v)) {
-      if (row_reached[static_cast<std::size_t>(u)]) continue;
-      row_reached[static_cast<std::size_t>(u)] = 1;
-      const index_t w = m.row_match[static_cast<std::size_t>(u)];
-      if (w >= 0 && !col_reached[static_cast<std::size_t>(w)]) {
-        col_reached[static_cast<std::size_t>(w)] = 1;
-        queue.push_back(w);
-      }
-    }
-  }
-}
-
-/// Symmetric: reachable from unmatched rows (row → any edge → column →
-/// matched edge → row).
-void reach_from_unmatched_rows(const BipartiteGraph& g, const Matching& m,
-                               std::vector<char>& row_reached,
-                               std::vector<char>& col_reached) {
-  std::deque<index_t> queue;  // rows
-  for (index_t u = 0; u < g.num_rows(); ++u) {
-    if (m.row_match[static_cast<std::size_t>(u)] < 0) {
-      row_reached[static_cast<std::size_t>(u)] = 1;
-      queue.push_back(u);
-    }
-  }
-  while (!queue.empty()) {
-    const index_t u = queue.front();
-    queue.pop_front();
-    for (index_t v : g.row_neighbors(u)) {
-      if (col_reached[static_cast<std::size_t>(v)]) continue;
-      col_reached[static_cast<std::size_t>(v)] = 1;
-      const index_t w = m.col_match[static_cast<std::size_t>(v)];
-      if (w >= 0 && !row_reached[static_cast<std::size_t>(w)]) {
-        row_reached[static_cast<std::size_t>(w)] = 1;
-        queue.push_back(w);
-      }
+/// Assigns each vertex of one side to its block and counts the blocks.
+void classify(const std::vector<char>& horizontal,
+              const std::vector<char>& vertical, std::vector<Block>& block,
+              index_t& horizontal_count, index_t& square_count,
+              index_t& vertical_count) {
+  block.resize(horizontal.size());
+  for (std::size_t i = 0; i < horizontal.size(); ++i) {
+    if (horizontal[i]) {
+      block[i] = Block::kHorizontal;
+      ++horizontal_count;
+    } else if (vertical[i]) {
+      block[i] = Block::kVertical;
+      ++vertical_count;
+    } else {
+      block[i] = Block::kSquare;
+      ++square_count;
     }
   }
 }
@@ -70,45 +39,18 @@ DulmageMendelsohn dulmage_mendelsohn(const BipartiteGraph& g,
   if (!m.is_valid(g))
     throw std::invalid_argument("dulmage_mendelsohn: invalid matching: " +
                                 m.first_violation(g));
-  const auto nrows = static_cast<std::size_t>(g.num_rows());
-  const auto ncols = static_cast<std::size_t>(g.num_cols());
-
-  std::vector<char> h_row(nrows, 0), h_col(ncols, 0);  // from unmatched cols
-  std::vector<char> v_row(nrows, 0), v_col(ncols, 0);  // from unmatched rows
-  reach_from_unmatched_cols(g, m, h_row, h_col);
-  reach_from_unmatched_rows(g, m, v_row, v_col);
+  const AlternatingReach h = alternating_reach(g, m, Side::kCols);
+  if (h.augmenting)
+    throw std::logic_error(
+        "dulmage_mendelsohn: the given matching is not maximum (an "
+        "augmenting path exists)");
+  const AlternatingReach v = alternating_reach(g, m, Side::kRows);
 
   DulmageMendelsohn dm;
-  dm.row_block.resize(nrows);
-  dm.col_block.resize(ncols);
-  for (std::size_t i = 0; i < nrows; ++i) {
-    if (h_row[i] && v_row[i])
-      throw std::logic_error(
-          "dulmage_mendelsohn: alternating reach sets overlap — the given "
-          "matching is not maximum (an augmenting path exists)");
-    dm.row_block[i] = h_row[i]   ? DulmageMendelsohn::Block::kHorizontal
-                      : v_row[i] ? DulmageMendelsohn::Block::kVertical
-                                 : DulmageMendelsohn::Block::kSquare;
-    switch (dm.row_block[i]) {
-      case DulmageMendelsohn::Block::kHorizontal: ++dm.horizontal_rows; break;
-      case DulmageMendelsohn::Block::kSquare: ++dm.square_rows; break;
-      case DulmageMendelsohn::Block::kVertical: ++dm.vertical_rows; break;
-    }
-  }
-  for (std::size_t j = 0; j < ncols; ++j) {
-    if (h_col[j] && v_col[j])
-      throw std::logic_error(
-          "dulmage_mendelsohn: alternating reach sets overlap — the given "
-          "matching is not maximum (an augmenting path exists)");
-    dm.col_block[j] = h_col[j]   ? DulmageMendelsohn::Block::kHorizontal
-                      : v_col[j] ? DulmageMendelsohn::Block::kVertical
-                                 : DulmageMendelsohn::Block::kSquare;
-    switch (dm.col_block[j]) {
-      case DulmageMendelsohn::Block::kHorizontal: ++dm.horizontal_cols; break;
-      case DulmageMendelsohn::Block::kSquare: ++dm.square_cols; break;
-      case DulmageMendelsohn::Block::kVertical: ++dm.vertical_cols; break;
-    }
-  }
+  classify(h.row_reached, v.row_reached, dm.row_block, dm.horizontal_rows,
+           dm.square_rows, dm.vertical_rows);
+  classify(h.col_reached, v.col_reached, dm.col_block, dm.horizontal_cols,
+           dm.square_cols, dm.vertical_cols);
   return dm;
 }
 
@@ -141,7 +83,7 @@ FineDecomposition fine_decomposition(const BipartiteGraph& g,
 
   auto is_square_row = [&](index_t u) {
     return dm.row_block[static_cast<std::size_t>(u)] ==
-               DulmageMendelsohn::Block::kSquare &&
+               Block::kSquare &&
            m.row_match[static_cast<std::size_t>(u)] >= 0;
   };
   auto arc_target = [&](index_t u, std::size_t slot) -> index_t {
@@ -150,7 +92,7 @@ FineDecomposition fine_decomposition(const BipartiteGraph& g,
     // columns; those arcs leave the BTF region and are dropped).
     const index_t v = g.row_neighbors(u)[slot];
     if (dm.col_block[static_cast<std::size_t>(v)] !=
-        DulmageMendelsohn::Block::kSquare)
+        Block::kSquare)
       return -1;
     return m.col_match[static_cast<std::size_t>(v)];
   };
@@ -216,25 +158,13 @@ FineDecomposition fine_decomposition(const BipartiteGraph& g,
 VertexCover minimum_vertex_cover(const BipartiteGraph& g, const Matching& m) {
   if (!m.is_valid(g))
     throw std::invalid_argument("minimum_vertex_cover: invalid matching");
-  const auto nrows = static_cast<std::size_t>(g.num_rows());
-  const auto ncols = static_cast<std::size_t>(g.num_cols());
-
   // König with columns as the "free" side: Z = vertices reachable from
   // unmatched columns by alternating paths; the cover is
   // (rows ∩ Z) ∪ (columns \ Z).  Every column outside Z is matched (all
   // unmatched columns are Z sources), and |cover| = |M|.
-  std::vector<char> row_reached(nrows, 0), col_reached(ncols, 0);
-  reach_from_unmatched_cols(g, m, row_reached, col_reached);
-
-  VertexCover cover;
-  cover.row_in_cover.assign(nrows, 0);
-  cover.col_in_cover.assign(ncols, 0);
-  for (std::size_t i = 0; i < nrows; ++i)
-    cover.row_in_cover[i] = row_reached[i] ? 1 : 0;
-  for (std::size_t j = 0; j < ncols; ++j) {
-    const index_t u = m.col_match[j];
-    cover.col_in_cover[j] = (u >= 0 && !col_reached[j]) ? 1 : 0;
-  }
+  AlternatingReach z = alternating_reach(g, m, Side::kCols);
+  VertexCover cover{std::move(z.row_reached), std::move(z.col_reached)};
+  for (char& c : cover.col_in_cover) c = c ? 0 : 1;
   return cover;
 }
 

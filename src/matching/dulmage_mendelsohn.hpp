@@ -22,10 +22,11 @@ namespace bpm::matching {
 ///  * SQUARE (well-determined): everything else — this block carries a
 ///    perfect matching.
 ///
-/// The two reachable sets are disjoint when M is maximum (an alternating
-/// path from an unmatched column to an unmatched row would be augmenting,
-/// contradicting maximality); permuting rows and columns by block yields
-/// the block-triangular form that solvers exploit.
+/// Both reachable sets come from `alternating_reach`.  They are disjoint
+/// when M is maximum (an alternating path from an unmatched column to an
+/// unmatched row would be augmenting, contradicting maximality); permuting
+/// rows and columns by block yields the block-triangular form that solvers
+/// exploit.
 struct DulmageMendelsohn {
   enum class Block { kHorizontal, kSquare, kVertical };
 
@@ -47,17 +48,17 @@ struct DulmageMendelsohn {
 };
 
 /// Computes the coarse decomposition from a *maximum* matching.
-/// Throws `std::invalid_argument` if `m` is invalid; the caller is
-/// responsible for maximality (use `is_maximum` / any matcher in this
-/// library) — a non-maximum matching yields overlapping reachable sets,
-/// which is reported via `std::logic_error`.
+/// Throws `std::invalid_argument` if `m` is invalid, and
+/// `std::logic_error` if it is not maximum: the reach from the unmatched
+/// columns then touches an unmatched row, the same test as `is_maximum`.
 [[nodiscard]] DulmageMendelsohn dulmage_mendelsohn(const BipartiteGraph& g,
                                                    const Matching& m);
 
 /// Minimum vertex cover by König's theorem, certified by the matching:
 /// |cover| == |M| when M is maximum.  The cover consists of the rows that
-/// ARE reachable from unmatched columns by alternating paths, plus the
-/// (matched) columns that are NOT.
+/// ARE reachable from unmatched columns by alternating paths
+/// (`alternating_reach` from the columns), plus the (matched) columns that
+/// are NOT.
 struct VertexCover {
   std::vector<char> row_in_cover;
   std::vector<char> col_in_cover;

@@ -1,38 +1,58 @@
 #include "matching/verify.hpp"
 
 #include <queue>
+#include <utility>
 #include <vector>
 
 namespace bpm::matching {
 
-bool is_maximum(const BipartiteGraph& g, const Matching& m) {
-  // BFS over alternating paths: start from every unmatched column, cross
-  // any edge column→row, and return row→column only along matched edges.
-  // Reaching an unmatched row exhibits an augmenting path.
-  std::vector<char> row_seen(static_cast<std::size_t>(g.num_rows()), 0);
-  std::vector<char> col_seen(static_cast<std::size_t>(g.num_cols()), 0);
-  std::queue<index_t> frontier;  // column vertices
-  for (index_t v = 0; v < g.num_cols(); ++v) {
-    if (m.col_match[static_cast<std::size_t>(v)] < 0) {
-      col_seen[static_cast<std::size_t>(v)] = 1;
-      frontier.push(v);
+AlternatingReach alternating_reach(const BipartiteGraph& g, const Matching& m,
+                                   Side from) {
+  const bool from_cols = from == Side::kCols;
+  std::vector<char> row_reached(static_cast<std::size_t>(g.num_rows()), 0);
+  std::vector<char> col_reached(static_cast<std::size_t>(g.num_cols()), 0);
+  // "near" is the start side, "far" the other one.  Raw pointers in locals
+  // keep the char stores below from forcing reloads of the vectors' data
+  // pointers on every edge.
+  char* const near_seen = from_cols ? col_reached.data() : row_reached.data();
+  char* const far_seen = from_cols ? row_reached.data() : col_reached.data();
+  const index_t* const near_match =
+      from_cols ? m.col_match.data() : m.row_match.data();
+  const index_t* const far_match =
+      from_cols ? m.row_match.data() : m.col_match.data();
+  const std::size_t near_count =
+      from_cols ? col_reached.size() : row_reached.size();
+
+  bool augmenting = false;
+  std::vector<index_t> queue;  // start-side vertices, in BFS order
+  queue.reserve(near_count);
+  for (std::size_t v = 0; v < near_count; ++v) {
+    if (near_match[v] < 0) {
+      near_seen[v] = 1;
+      queue.push_back(static_cast<index_t>(v));
     }
   }
-  while (!frontier.empty()) {
-    const index_t v = frontier.front();
-    frontier.pop();
-    for (index_t u : g.col_neighbors(v)) {
-      if (row_seen[static_cast<std::size_t>(u)]) continue;
-      row_seen[static_cast<std::size_t>(u)] = 1;
-      const index_t w = m.row_match[static_cast<std::size_t>(u)];
-      if (w == kUnmatched) return false;  // augmenting path found
-      if (!col_seen[static_cast<std::size_t>(w)]) {
-        col_seen[static_cast<std::size_t>(w)] = 1;
-        frontier.push(w);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const index_t v = queue[head];
+    for (index_t u : from_cols ? g.col_neighbors(v) : g.row_neighbors(v)) {
+      if (far_seen[u]) continue;
+      far_seen[u] = 1;
+      const index_t w = far_match[u];
+      if (w < 0) {
+        augmenting = true;  // v's path ends at a free far vertex
+        continue;
+      }
+      if (!near_seen[w]) {
+        near_seen[w] = 1;
+        queue.push_back(w);
       }
     }
   }
-  return true;
+  return {std::move(row_reached), std::move(col_reached), augmenting};
+}
+
+bool is_maximum(const BipartiteGraph& g, const Matching& m) {
+  return !alternating_reach(g, m, Side::kCols).augmenting;
 }
 
 index_t reference_maximum_cardinality(const BipartiteGraph& g) {
@@ -85,10 +105,6 @@ index_t reference_maximum_cardinality(const BipartiteGraph& g) {
     ++cardinality;
   }
   return cardinality;
-}
-
-index_t deficiency(const BipartiteGraph& g, const Matching& m) {
-  return reference_maximum_cardinality(g) - m.cardinality();
 }
 
 }  // namespace bpm::matching

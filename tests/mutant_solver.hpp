@@ -9,6 +9,7 @@
 //   test-mutant:mode=stats-lie   the maximum matching, with stats claiming
 //                                one pair more than it holds
 //   test-mutant:mode=invalid     a matching that pairs a non-edge
+//   test-mutant:mode=throw       solves, then throws instead of returning
 //   ...,exact=0                  registers as a heuristic (default: exact)
 
 #include <memory>
@@ -27,7 +28,8 @@ class MutantSolver final : public Solver {
   [[nodiscard]] SolverCaps caps() const override { return {.exact = exact_}; }
   bool set_option(std::string_view key, std::string_view value) override {
     if (key == "mode") {
-      if (value != "minus-one" && value != "stats-lie" && value != "invalid")
+      if (value != "minus-one" && value != "stats-lie" &&
+          value != "invalid" && value != "throw")
         throw std::invalid_argument("test-mutant: unknown mode");
       mode_ = value;
     } else if (key == "exact") {
@@ -52,6 +54,8 @@ class MutantSolver final : public Solver {
       }
     } else if (mode_ == "invalid") {
       pair_a_non_edge(g, m);
+    } else if (mode_ == "throw") {
+      throw std::runtime_error("test-mutant: thrown after solving");
     }
     out.stats.cardinality = m.cardinality();
     if (mode_ == "stats-lie") out.stats.cardinality += 1;

@@ -3,6 +3,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "matching/dulmage_mendelsohn.hpp"
+#include "matching/greedy.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "matching/matching.hpp"
 #include "matching/verify.hpp"
@@ -18,6 +19,67 @@ namespace gen = graph::gen;
 
 Matching max_matching(const BipartiteGraph& g) {
   return hopcroft_karp(g, Matching(g));
+}
+
+/// One small instance of every generator family, deficient and perfect
+/// shapes alike.
+std::vector<std::pair<std::string, BipartiteGraph>> generator_families() {
+  return {{"random_sq", gen::random_uniform(90, 90, 300, 1)},
+          {"random_wide", gen::random_uniform(50, 120, 260, 2)},
+          {"random_tall", gen::random_uniform(120, 50, 260, 3)},
+          {"planted", gen::planted_perfect(80, 1.0, 4)},
+          {"rmat", gen::rmat(6, 4.0, 5)},
+          {"chung_lu", gen::chung_lu(110, 130, 3.0, 2.3, 6)},
+          {"skewed_hubs", gen::skewed_hubs(100, 120, 4, 0.3, 2.0, 7)},
+          {"road", gen::road_network(9, 9, 0.7, 8)},
+          {"delaunay", gen::delaunay_mesh(8, 8, 9)},
+          {"trace", gen::trace_mesh(40, 3, 0.08, 10)},
+          {"copaper", gen::copaper(100, 20, 5.0, 11)},
+          {"huge", gen::huge_bipartite(90, 100, 2.0, 0.2, 25, 12)},
+          {"complete", gen::complete_bipartite(5, 7)},
+          {"empty", gen::empty_graph(4, 6)},
+          {"star", gen::star(6)},
+          {"chain", gen::chain(9)}};
+}
+
+/// `m` with its first matched pair removed (unchanged if empty).
+Matching minus_one(Matching m) {
+  for (std::size_t u = 0; u < m.row_match.size(); ++u) {
+    const index_t v = m.row_match[u];
+    if (v == kUnmatched) continue;
+    m.row_match[u] = kUnmatched;
+    m.col_match[static_cast<std::size_t>(v)] = kUnmatched;
+    break;
+  }
+  return m;
+}
+
+// --------------------------------------------------- Berge certificate ----
+
+TEST(Verify, IsMaximumAgreesWithReferenceOnEveryGenerator) {
+  // The alternating-reach certificate against the independent reference,
+  // from maximum and non-maximum matchings alike; the coarse DM split must
+  // refuse exactly the matchings the certificate rejects.
+  for (const auto& [name, g] : generator_families()) {
+    const index_t want = reference_maximum_cardinality(g);
+    const Matching hk = max_matching(g);
+    const std::vector<std::pair<std::string, Matching>> inputs{
+        {"empty", Matching(g)},
+        {"cheap", cheap_matching(g)},
+        {"karp-sipser", karp_sipser(g)},
+        {"hk", hk},
+        {"hk-minus-one", minus_one(hk)}};
+    for (const auto& [init, m] : inputs) {
+      ASSERT_TRUE(m.is_valid(g)) << name << "/" << init;
+      const bool maximum = is_maximum(g, m);
+      EXPECT_EQ(maximum, m.cardinality() == want) << name << "/" << init;
+      if (maximum)
+        EXPECT_NO_THROW((void)dulmage_mendelsohn(g, m)) << name << "/" << init;
+      else
+        EXPECT_THROW((void)dulmage_mendelsohn(g, m), std::logic_error)
+            << name << "/" << init;
+    }
+  }
 }
 
 // ----------------------------------------------------- Dulmage-Mendelsohn ----
@@ -138,18 +200,29 @@ TEST(VertexCover, SizeEqualsMatchingOnManyGraphs) {
     const VertexCover cover = minimum_vertex_cover(g, m);
     EXPECT_EQ(cover.size(), m.cardinality()) << "seed " << seed;
   }
+  for (const auto& [name, g] : generator_families()) {
+    const Matching m = max_matching(g);
+    const VertexCover cover = minimum_vertex_cover(g, m);
+    EXPECT_EQ(cover.size(), m.cardinality()) << name;
+    EXPECT_EQ(cover.size(), reference_maximum_cardinality(g)) << name;
+  }
 }
 
 TEST(VertexCover, CoversEveryEdge) {
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    const BipartiteGraph g = gen::chung_lu(150, 150, 3.0, 2.4, seed);
+  const auto expect_covers = [](const BipartiteGraph& g,
+                                const std::string& label) {
     const VertexCover cover = minimum_vertex_cover(g, max_matching(g));
     for (index_t u = 0; u < g.num_rows(); ++u)
       for (index_t v : g.row_neighbors(u))
         EXPECT_TRUE(cover.row_in_cover[static_cast<std::size_t>(u)] ||
                     cover.col_in_cover[static_cast<std::size_t>(v)])
-            << "uncovered edge (" << u << "," << v << ") seed " << seed;
-  }
+            << "uncovered edge (" << u << "," << v << ") " << label;
+    EXPECT_EQ(cover.size(), reference_maximum_cardinality(g)) << label;
+  };
+  for (std::uint64_t seed = 0; seed < 8; ++seed)
+    expect_covers(gen::chung_lu(150, 150, 3.0, 2.4, seed),
+                  "seed " + std::to_string(seed));
+  for (const auto& [name, g] : generator_families()) expect_covers(g, name);
 }
 
 TEST(VertexCover, StarNeedsOnlyTheCenter) {

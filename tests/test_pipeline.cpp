@@ -216,7 +216,8 @@ TEST(Pipeline, CertificateRejectsMutants) {
       {"test-mutant:mode=stats-lie", "stats report cardinality"},
       {"test-mutant:exact=1,mode=invalid", "invalid matching"},
       {"test-mutant:exact=0,mode=invalid", "invalid matching"},
-      {"test-mutant:exact=0,mode=stats-lie", "stats report cardinality"}};
+      {"test-mutant:exact=0,mode=stats-lie", "stats report cardinality"},
+      {"test-mutant:mode=throw", "thrown after solving"}};
   std::vector<std::string> specs;
   for (const auto& [spec, error] : mutants) specs.push_back(spec);
   specs.push_back("hk");
