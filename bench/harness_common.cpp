@@ -28,8 +28,8 @@ void register_suite_flags(CliParser& cli, int default_stride,
                  "multicore executor, measured wall time)",
                  "sim");
   cli.add_option("jobs",
-                 "concurrent jobs for suite building and pipeline grids, one "
-                 "device stream each (0 = hardware, 1 = sequential)",
+                 "concurrent jobs for suite building (0 = hardware, "
+                 "1 = sequential)",
                  "1");
   cli.add_flag("verbose", "per-instance rows in addition to aggregates");
   cli.add_flag("csv", "emit CSV instead of aligned tables");
@@ -289,34 +289,6 @@ std::vector<BuiltInstance> build_suite(const SuiteOptions& opt) {
   worker();
   for (std::thread& t : threads) t.join();
   return out;
-}
-
-PipelineInstance to_pipeline_instance(const BuiltInstance& bi) {
-  PipelineInstance inst;
-  inst.name = bi.meta.name;
-  inst.graph = bi.g;
-  inst.init = bi.init;
-  inst.initial_cardinality = bi.initial_cardinality;
-  inst.fingerprint = graph::structural_fingerprint(bi.g);
-  // Carry (or fill) the policy features so a service admitting this
-  // instance resolves `auto` requests without recomputing them.
-  inst.features = bi.features.edges > 0
-                      ? bi.features
-                      : policy::compute_features(bi.g, bi.initial_cardinality);
-  inst.degree_skew = inst.features.degree_skew;
-  return inst;
-}
-
-PipelineReport run_grid(const std::vector<BuiltInstance>& suite,
-                        const SuiteOptions& opt) {
-  MatchingPipeline pipe({.device_backend = opt.backend,
-                         .device_threads = opt.threads,
-                         .solver_threads = opt.threads,
-                         .max_concurrent_jobs = opt.jobs,
-                         .tracer = opt.tracer()});
-  for (const BuiltInstance& bi : suite)
-    pipe.add_instance(to_pipeline_instance(bi));
-  return pipe.run_specs(opt.algos);
 }
 
 AlgoResult run_solver(const Solver& solver, device::Device& dev,

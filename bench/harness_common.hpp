@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "core/pipeline.hpp"
 #include "core/solver.hpp"
 #include "device/device.hpp"
 #include "graph/instances.hpp"
@@ -29,11 +28,10 @@ struct SuiteOptions {
   /// executes kernels on real threads and reports measured wall time as
   /// its native metric.
   device::Backend backend = device::Backend::kSim;
-  /// Concurrent jobs (`--jobs`, every harness): suite building and any
-  /// `run_grid`/`MatchingPipeline` work schedule up to this many jobs at
-  /// once, each on its own device stream (0 = hardware).  Defaults to 1 —
-  /// the sequential schedule — because the paper harnesses report per-run
-  /// times, which overlapping jobs on one host would skew.
+  /// Concurrent jobs (`--jobs`, every harness): `build_suite` builds up to
+  /// this many instances at once (0 = hardware).  Solves stay sequential,
+  /// because the paper harnesses report per-run times, which overlapping
+  /// jobs on one host would skew.
   unsigned jobs = 1;
   bool verbose = false;
   bool csv = false;
@@ -197,20 +195,6 @@ struct AlgoResult {
                                     device::Device& dev,
                                     const BuiltInstance& bi,
                                     unsigned threads = 0);
-
-/// The suite instance as a pipeline/serving admission — init and features
-/// carried over, not recomputed (only the cheap structural fingerprint is
-/// added).
-[[nodiscard]] PipelineInstance to_pipeline_instance(const BuiltInstance& bi);
-
-/// Runs the full (instance × `opt.algos`) grid through a
-/// `MatchingPipeline` scheduled at `opt.jobs` concurrent jobs — the
-/// one-call way for a harness to exercise the concurrent scheduler.  The
-/// suite's precomputed init is reused, every job is certificate-checked by
-/// `run_verified`, and the report is in deterministic instance-major order
-/// regardless of `opt.jobs`.
-[[nodiscard]] PipelineReport run_grid(const std::vector<BuiltInstance>& suite,
-                                      const SuiteOptions& opt);
 
 /// Prints the standard harness header (instance count, scale, hardware).
 void print_header(const std::string& title, const SuiteOptions& opt,

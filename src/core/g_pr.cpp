@@ -2,6 +2,7 @@
 
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -326,9 +327,8 @@ void run_balanced(device::Device& dev, const BipartiteGraph& g,
 GprResult g_pr(device::Device& dev, const BipartiteGraph& g,
                const matching::Matching& init, const GprOptions& options,
                GprObserver* observer) {
-  if (!init.is_valid(g))
-    throw std::invalid_argument("g_pr: invalid initial matching: " +
-                                init.first_violation(g));
+  if (const std::string bad = init.first_violation(g); !bad.empty())
+    throw std::invalid_argument("g_pr: invalid initial matching: " + bad);
 
   Timer total;
   GprResult result;

@@ -59,7 +59,7 @@ struct PipelineInstance {
   graph::index_t initial_cardinality = 0;
   /// Never computed or read by the library: results are verified by
   /// certificate, not against a reference maximum.  Kept only because the
-  /// end-to-end benchmark (`e2ebench/`) assigns it, until ROADMAP item 8
+  /// end-to-end benchmark (`e2ebench/`) assigns it, until ROADMAP item 9
   /// deletes that assignment and this field.
   graph::index_t maximum_cardinality = -1;
   /// Structural hash of the graph (dimensions + CSR arrays): two admitted

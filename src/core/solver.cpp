@@ -559,9 +559,9 @@ JobOutcome run_verified(const Solver& solver, const SolveContext& ctx,
     out.ok = true;
     if (!verify) return out;
     auto sp = obs::span(ctx.tracer, "verify", "pipeline");
-    if (!result.matching.is_valid(g)) {
+    if (std::string bad = result.matching.first_violation(g); !bad.empty()) {
       out.ok = false;
-      out.error = "invalid matching: " + result.matching.first_violation(g);
+      out.error = "invalid matching: " + std::move(bad);
     } else if (out.stats.cardinality != result.matching.cardinality()) {
       out.ok = false;
       out.error = "stats report cardinality " +

@@ -47,16 +47,4 @@ std::vector<std::int64_t> balanced_offsets(Device& dev,
   return out;
 }
 
-std::int64_t reduce_sum(Device& dev, std::span<const std::int64_t> in) {
-  const auto n = static_cast<std::int64_t>(in.size());
-  if (n == 0) return 0;
-  std::vector<std::int64_t> partial(dev.num_workers(), 0);
-  dev.launch_chunked(n, [&](unsigned w, std::int64_t begin, std::int64_t end) {
-    std::int64_t sum = 0;
-    for (std::int64_t i = begin; i < end; ++i) sum += in[static_cast<std::size_t>(i)];
-    partial[w] = sum;
-  });
-  return std::accumulate(partial.begin(), partial.end(), std::int64_t{0});
-}
-
 }  // namespace bpm::device

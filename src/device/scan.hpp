@@ -19,9 +19,6 @@ namespace bpm::device {
 std::int64_t exclusive_scan(Device& dev, std::span<const std::int64_t> in,
                             std::span<std::int64_t> out);
 
-/// Parallel sum reduction.
-std::int64_t reduce_sum(Device& dev, std::span<const std::int64_t> in);
-
 /// The offsets form `Device::launch_balanced` and `balanced_partition`
 /// consume: the exclusive prefix sum of the per-item work estimates
 /// (degrees) with the grand total appended — size `work.size() + 1`,

@@ -1,7 +1,7 @@
 #include "matching/matching.hpp"
 
-#include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace bpm::matching {
 
@@ -17,42 +17,38 @@ bool Matching::is_valid(const BipartiteGraph& g) const {
 }
 
 std::string Matching::first_violation(const BipartiteGraph& g) const {
-  std::ostringstream os;
+  // The message is built only once a violation is found: a valid matching
+  // (every served answer) pays for the scan alone.
+  using std::to_string;
   if (row_match.size() != static_cast<std::size_t>(g.num_rows()) ||
-      col_match.size() != static_cast<std::size_t>(g.num_cols())) {
-    os << "shape mismatch: " << row_match.size() << "x" << col_match.size()
-       << " vs graph " << g.num_rows() << "x" << g.num_cols();
-    return os.str();
-  }
+      col_match.size() != static_cast<std::size_t>(g.num_cols()))
+    return "shape mismatch: " + to_string(row_match.size()) + "x" +
+           to_string(col_match.size()) + " vs graph " +
+           to_string(g.num_rows()) + "x" + to_string(g.num_cols());
   for (index_t u = 0; u < g.num_rows(); ++u) {
     const index_t v = row_match[static_cast<std::size_t>(u)];
     if (v == kUnmatched) continue;
-    if (v < 0 || v >= g.num_cols()) {
-      os << "row " << u << " matched to out-of-range column " << v;
-      return os.str();
-    }
-    if (col_match[static_cast<std::size_t>(v)] != u) {
-      os << "row " << u << " claims column " << v << " but column claims "
-         << col_match[static_cast<std::size_t>(v)];
-      return os.str();
-    }
-    if (!g.has_edge(u, v)) {
-      os << "matched pair (" << u << ", " << v << ") is not an edge";
-      return os.str();
-    }
+    if (v < 0 || v >= g.num_cols())
+      return "row " + to_string(u) + " matched to out-of-range column " +
+             to_string(v);
+    if (const index_t claim = col_match[static_cast<std::size_t>(v)];
+        claim != u)
+      return "row " + to_string(u) + " claims column " + to_string(v) +
+             " but column claims " + to_string(claim);
+    if (!g.has_edge(u, v))
+      return "matched pair (" + to_string(u) + ", " + to_string(v) +
+             ") is not an edge";
   }
   for (index_t v = 0; v < g.num_cols(); ++v) {
     const index_t u = col_match[static_cast<std::size_t>(v)];
     if (u == kUnmatched || u == kUnmatchable) continue;
-    if (u < 0 || u >= g.num_rows()) {
-      os << "column " << v << " matched to out-of-range row " << u;
-      return os.str();
-    }
-    if (row_match[static_cast<std::size_t>(u)] != v) {
-      os << "column " << v << " claims row " << u << " but row claims "
-         << row_match[static_cast<std::size_t>(u)];
-      return os.str();
-    }
+    if (u < 0 || u >= g.num_rows())
+      return "column " + to_string(v) + " matched to out-of-range row " +
+             to_string(u);
+    if (const index_t claim = row_match[static_cast<std::size_t>(u)];
+        claim != v)
+      return "column " + to_string(v) + " claims row " + to_string(u) +
+             " but row claims " + to_string(claim);
   }
   return {};
 }

@@ -566,19 +566,4 @@ std::optional<std::string> LineClient::recv_line(int timeout_ms) {
   }
 }
 
-std::optional<std::string> LineClient::recv_until(std::string_view prefix,
-                                                  int timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          deadline - std::chrono::steady_clock::now())
-                          .count();
-    if (left <= 0) return std::nullopt;
-    std::optional<std::string> line = recv_line(static_cast<int>(left));
-    if (!line) return std::nullopt;
-    if (line->starts_with(prefix)) return line;
-  }
-}
-
 }  // namespace bpm::serve

@@ -176,10 +176,6 @@ class LineClient {
   /// Sends raw bytes without the newline (oversized-line tests).
   void send_raw(std::string_view bytes);
   [[nodiscard]] std::optional<std::string> recv_line(int timeout_ms = 30000);
-  /// Reads lines until one starts with `prefix` (e.g. "transport " to
-  /// consume a whole multi-line `stats` response); returns that line.
-  [[nodiscard]] std::optional<std::string> recv_until(
-      std::string_view prefix, int timeout_ms = 30000);
   void close();
 
  private:

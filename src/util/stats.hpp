@@ -47,7 +47,7 @@ struct PerformanceProfile {
 
 /// Percentile by linear interpolation between order statistics: `pct` is
 /// the percentile in [0, 100], so `percentile(lat, 99)` is the p99.  Used
-/// by the serving load harness for latency distributions.
+/// by the service's per-solver latency table.
 ///
 /// Contract (tested in tests/test_util.cpp):
 ///  * empty input → 0.0 (the only case where the result is not drawn

@@ -536,16 +536,6 @@ TEST_P(ScanModes, InPlaceAliasing) {
   EXPECT_EQ(data, (std::vector<std::int64_t>{0, 3, 4, 8, 9}));
 }
 
-TEST_P(ScanModes, ReduceSumMatchesAccumulate) {
-  Device dev({.mode = GetParam(), .num_threads = 4});
-  std::vector<std::int64_t> in(999);
-  for (std::size_t i = 0; i < in.size(); ++i)
-    in[i] = static_cast<std::int64_t>(i % 13) - 6;
-  EXPECT_EQ(reduce_sum(dev, in),
-            std::accumulate(in.begin(), in.end(), std::int64_t{0}));
-  EXPECT_EQ(reduce_sum(dev, std::vector<std::int64_t>{}), 0);
-}
-
 INSTANTIATE_TEST_SUITE_P(AllModes, ScanModes,
                          ::testing::Values(ExecMode::kSequential,
                                            ExecMode::kConcurrent),

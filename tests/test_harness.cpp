@@ -37,9 +37,6 @@ TEST(Harness, BuildInstanceKeepsThePapersCheapInit) {
     EXPECT_EQ(bi.init.row_match, cheap.row_match) << meta.name;
     EXPECT_EQ(bi.init.col_match, cheap.col_match) << meta.name;
     EXPECT_EQ(bi.initial_cardinality, cheap.cardinality()) << meta.name;
-    const PipelineInstance inst = to_pipeline_instance(bi);
-    EXPECT_EQ(inst.init.row_match, cheap.row_match) << meta.name;
-    EXPECT_EQ(inst.initial_cardinality, cheap.cardinality()) << meta.name;
   }
 }
 

@@ -47,7 +47,7 @@ TEST(Matching, DetectsMutualDisagreement) {
   m.row_match[0] = 0;  // row claims column 0 …
   // … but column 0 claims nothing.
   EXPECT_FALSE(m.is_valid(g));
-  EXPECT_NE(m.first_violation(g).find("row 0"), std::string::npos);
+  EXPECT_EQ(m.first_violation(g), "row 0 claims column 0 but column claims -1");
 }
 
 TEST(Matching, DetectsNonEdgePair) {
@@ -56,7 +56,7 @@ TEST(Matching, DetectsNonEdgePair) {
   m.row_match[1] = 1;
   m.col_match[1] = 1;  // mutually consistent but (1,1) is not an edge
   EXPECT_FALSE(m.is_valid(g));
-  EXPECT_NE(m.first_violation(g).find("not an edge"), std::string::npos);
+  EXPECT_EQ(m.first_violation(g), "matched pair (1, 1) is not an edge");
 }
 
 TEST(Matching, DetectsOutOfRangeEntries) {
@@ -64,6 +64,14 @@ TEST(Matching, DetectsOutOfRangeEntries) {
   Matching m(g);
   m.row_match[0] = 7;
   EXPECT_FALSE(m.is_valid(g));
+  EXPECT_EQ(m.first_violation(g), "row 0 matched to out-of-range column 7");
+  m.row_match[0] = kUnmatched;
+  m.col_match[1] = -5;
+  EXPECT_EQ(m.first_violation(g), "column 1 matched to out-of-range row -5");
+  m.col_match[1] = 0;
+  EXPECT_EQ(m.first_violation(g), "column 1 claims row 0 but row claims -1");
+  m.col_match.pop_back();
+  EXPECT_EQ(m.first_violation(g), "shape mismatch: 2x1 vs graph 2x2");
 }
 
 TEST(Matching, UnmatchableColumnsAreValid) {

@@ -2,8 +2,8 @@
 // submit/future and ticket-polling APIs, priority ordering, bounded-queue
 // backpressure, deadlines, instance dedup, cache accounting across
 // requests (including canonical-spec identity and a snapshot-warmed
-// restart), and certificate-only verification rejecting (and never
-// caching) mutants.
+// restart), the process-wide metrics registry stream, and
+// certificate-only verification rejecting (and never caching) mutants.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 #include "matching/greedy.hpp"
 #include "matching/verify.hpp"
 #include "mutant_solver.hpp"
+#include "obs/metrics.hpp"
 #include "serve/service.hpp"
 
 namespace bpm::serve {
@@ -309,6 +310,55 @@ TEST(Service, CacheServesRepeatsAndCountsHits) {
 
   EXPECT_EQ(svc.stats().cache_hits, 3u);
   EXPECT_EQ(cache->stats().hits, 3u);
+}
+
+TEST(Service, StreamsEveryCompletionIntoTheRegistry) {
+  // The registry is process-wide and every service in this binary feeds
+  // it, so compare deltas across this one service's lifetime.
+  obs::Registry& reg = obs::Registry::global();
+  const std::vector<std::string> counters = {
+      "serve.submitted", "serve.accepted", "serve.rejected", "serve.completed",
+      "serve.cache_hits"};
+  const std::vector<std::string> histograms = {
+      "serve.latency_ms", "serve.queue_ms", "serve.service_ms"};
+  const auto read = [&] {
+    std::vector<std::uint64_t> v;
+    for (const auto& name : counters) v.push_back(reg.counter(name).value());
+    for (const auto& name : histograms)
+      v.push_back(reg.histogram(name).snapshot().count);
+    return v;
+  };
+  const std::vector<std::uint64_t> before = read();
+
+  ServiceStats s;
+  {
+    MatchingService svc({.workers = 2,
+                         .cache = std::make_shared<ResultCache>()});
+    const auto handle =
+        svc.add_instance("g", gen::random_uniform(300, 310, 1500, 11)).handle;
+    const Submission hk = svc.submit(request(handle, "hk"));
+    const Submission pr = svc.submit(request(handle, "seq-pr"));
+    ASSERT_TRUE(hk.accepted && pr.accepted);
+    EXPECT_TRUE(hk.future.get().ok);
+    const Response repeat = svc.submit(request(handle, "hk")).future.get();
+    EXPECT_TRUE(repeat.cached);
+    EXPECT_FALSE(svc.submit(request(handle, "no-such-solver")).accepted);
+    EXPECT_TRUE(pr.future.get().ok);
+    s = svc.stats();
+  }
+  ASSERT_EQ(s.completed, 3u);
+  ASSERT_EQ(s.cache_hits, 1u);
+
+  const std::vector<std::uint64_t> after = read();
+  const auto delta = [&](std::size_t i) { return after[i] - before[i]; };
+  EXPECT_EQ(delta(0), s.submitted);
+  EXPECT_EQ(delta(1), s.accepted);
+  EXPECT_EQ(delta(2), s.rejected);
+  EXPECT_EQ(delta(3), s.completed);
+  EXPECT_EQ(delta(4), s.cache_hits);
+  EXPECT_EQ(delta(5), 3u);  // latency: every completion
+  EXPECT_EQ(delta(6), 3u);  // queue wait: every completion
+  EXPECT_EQ(delta(7), 2u);  // service time: a cache hit records none
 }
 
 TEST(Service, CacheSnapshotWarmsARestartedService) {
