@@ -170,9 +170,7 @@ int main(int argc, char** argv) {
     BuiltInstance bi;
     bi.meta.name = inst.name;
     bi.g = inst.make(n, opt.seed);
-    bi.init = matching::cheap_matching(bi.g);
-    bi.initial_cardinality = bi.init.cardinality();
-    compute_instance_features(bi);
+    set_init(bi, matching::cheap_matching(bi.g));
 
     std::vector<Table::Cell> row{inst.name, inst.suite, std::string("-")};
     bool have_mm = false;

@@ -106,7 +106,12 @@ SuiteOptions suite_options_from_cli(const CliParser& cli) {
   return opt;
 }
 
-void compute_instance_features(BuiltInstance& bi) {
+void set_init(BuiltInstance& bi, matching::Matching init) {
+  if (std::string bad = init.first_violation(bi.g); !bad.empty())
+    throw std::invalid_argument("instance '" + bi.meta.name +
+                                "': invalid initial matching: " + bad);
+  bi.init = std::move(init);
+  bi.initial_cardinality = bi.init.cardinality();
   bi.features = policy::compute_features(bi.g, bi.initial_cardinality);
 }
 
@@ -114,9 +119,7 @@ BuiltInstance build_instance(const graph::Instance& meta,
                              const SuiteOptions& opt) {
   BuiltInstance bi{meta, meta.build(opt.scale, opt.seed + static_cast<std::uint64_t>(meta.id)),
                    {}, 0, {}};
-  bi.init = matching::cheap_matching(bi.g);
-  bi.initial_cardinality = bi.init.cardinality();
-  compute_instance_features(bi);
+  set_init(bi, matching::cheap_matching(bi.g));
   return bi;
 }
 
@@ -155,9 +158,7 @@ std::vector<BuiltInstance> build_massive_suite(const SuiteOptions& opt) {
     bi.meta.paper.cols = m.g.num_cols();
     bi.meta.paper.edges = m.g.num_edges();
     bi.g = std::move(m.g);
-    bi.init = matching::cheap_matching(bi.g);
-    bi.initial_cardinality = bi.init.cardinality();
-    compute_instance_features(bi);
+    set_init(bi, matching::cheap_matching(bi.g));
     out.push_back(std::move(bi));
   }
   return out;
@@ -213,18 +214,13 @@ std::vector<PolicyInstance> build_policy_suite(graph::index_t n,
   // the policy is calibrated and evaluated from that init — including on
   // the Table I and massive members, whose builders start from the
   // paper's cheap one.
-  const auto admit_init = [](BuiltInstance& bi) {
-    bi.init = matching::karp_sipser(bi.g);
-    bi.initial_cardinality = bi.init.cardinality();
-    compute_instance_features(bi);
-  };
   std::vector<PolicyInstance> out;
   out.reserve(specs.size() + 2);
   for (const Spec& s : specs) {
     BuiltInstance bi;
     bi.meta.name = s.name;
     bi.g = s.make();
-    admit_init(bi);
+    set_init(bi, matching::karp_sipser(bi.g));
     out.push_back({s.suite, std::move(bi)});
   }
   if (structured_scale > 0.0) {
@@ -245,7 +241,7 @@ std::vector<PolicyInstance> build_policy_suite(graph::index_t n,
         throw std::logic_error(std::string("policy suite lost instance ") +
                                name);
       BuiltInstance bi = build_instance(*meta, so);
-      admit_init(bi);
+      set_init(bi, matching::karp_sipser(bi.g));
       out.push_back({"structured", std::move(bi)});
     }
   }
@@ -254,7 +250,7 @@ std::vector<PolicyInstance> build_policy_suite(graph::index_t n,
     massive.scale = massive_scale;
     massive.seed = seed;
     for (BuiltInstance& bi : build_massive_suite(massive)) {
-      admit_init(bi);
+      set_init(bi, matching::karp_sipser(bi.g));
       out.push_back({"massive", std::move(bi)});
     }
   }

@@ -105,15 +105,16 @@ struct BuiltInstance {
   /// Policy features of the instance (size, density, skew, deficiency) —
   /// the same `policy::compute_features` vector the serving layer caches
   /// at admission, recorded into every `--json` record so offline tooling
-  /// can correlate timings with instance shape.  Filled by
-  /// `build_instance` / `build_massive_suite`; harnesses that hand-build
-  /// a BuiltInstance call `compute_instance_features` after filling
-  /// `g`/`init`.
+  /// can correlate timings with instance shape.  Filled by `set_init`.
   policy::InstanceFeatures features;
 };
 
-/// Fills `bi.features` from its graph and init (cheap, O(cols)).
-void compute_instance_features(BuiltInstance& bi);
+/// Installs `init` as `bi`'s initial matching and fills
+/// `initial_cardinality` and `features` from it.  Throws
+/// `std::invalid_argument` if `init` is not a valid matching of `bi.g`:
+/// `run_verified` takes every pair a solve carries over from the init as
+/// an edge.  Every harness builds its inits through this.
+void set_init(BuiltInstance& bi, matching::Matching init);
 
 /// Generates the (strided) instance suite at the requested scale.
 /// Builds `opt.jobs` instances concurrently (generation and the init

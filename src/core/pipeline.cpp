@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -66,8 +68,12 @@ PipelineInstance admit_instance(std::string name, graph::BipartiteGraph graph,
               : options.init_builder
                   ? options.init_builder(inst.graph)
                   : matching::karp_sipser(inst.graph);
+  // Proven once here: every job's certificate takes the pairs it carries
+  // over from the init as edges (`run_verified`'s precondition).
+  if (std::string bad = inst.init.first_violation(inst.graph); !bad.empty())
+    throw std::invalid_argument("instance '" + inst.name +
+                                "': invalid initial matching: " + bad);
   inst.initial_cardinality = inst.init.cardinality();
-  inst.fingerprint = graph::structural_fingerprint(inst.graph);
   // Full feature extraction for policy resolution — O(cols) over the CSR
   // pointers, amortised over every job this instance will serve.
   inst.features = policy::compute_features(inst.graph,
@@ -78,9 +84,8 @@ PipelineInstance admit_instance(std::string name, graph::BipartiteGraph graph,
 
 std::size_t MatchingPipeline::add_instance(std::string name,
                                            graph::BipartiteGraph graph) {
-  instances_.push_back(
+  return add_instance(
       admit_instance(std::move(name), std::move(graph), options_));
-  return instances_.size() - 1;
 }
 
 std::size_t MatchingPipeline::add_instance(PipelineInstance instance) {

@@ -55,7 +55,12 @@ struct PipelineOptions {
 struct PipelineInstance {
   std::string name;
   graph::BipartiteGraph graph;
-  matching::Matching init;  ///< shared initial matching (see share_init)
+  /// Shared initial matching (see share_init).  Invariant: a valid
+  /// matching of `graph`.  `admit_instance` proves it; a caller that
+  /// builds an instance itself must guarantee it.  `run_verified` relies
+  /// on it: each job's certificate looks up only the pairs its solve
+  /// changed.
+  matching::Matching init;
   graph::index_t initial_cardinality = 0;
   /// Never computed or read by the library: results are verified by
   /// certificate, not against a reference maximum.  Kept only because the
@@ -78,12 +83,15 @@ struct PipelineInstance {
 };
 
 /// Builds the per-instance shared state the honoured `options` ask for:
-/// the shared init (Karp–Sipser unless `init_builder` says otherwise), the
-/// structural fingerprint and the policy features.  No reference solve
-/// runs here.  `MatchingPipeline::add_instance` and `serve::InstanceStore`
-/// (with default options) both admit through this, so a default pipeline
-/// batch and a serving process agree bit-for-bit on inits and
-/// fingerprints.
+/// the shared init (Karp–Sipser unless `init_builder` says otherwise) and
+/// the policy features.  Throws `std::invalid_argument` if the init is not
+/// a valid matching of the graph, so an admitted init is always valid
+/// (`PipelineInstance::init`).  No reference solve runs here, and the
+/// fingerprint is left 0: `MatchingPipeline::add_instance` and
+/// `serve::InstanceStore` fill it, the store from the hash it already
+/// took for its dedup probe.  Both admit through this (the store with
+/// default options), so a default pipeline batch and a serving process
+/// agree bit-for-bit on inits and fingerprints.
 [[nodiscard]] PipelineInstance admit_instance(std::string name,
                                               graph::BipartiteGraph graph,
                                               const PipelineOptions& options);
@@ -179,7 +187,7 @@ class MatchingPipeline {
   /// Admits an already-built instance (e.g. a harness's precomputed suite
   /// or another pipeline's) without redoing the init / feature work;
   /// the caller guarantees its fields are consistent with this pipeline's
-  /// options.
+  /// options, its init valid included.  A zero fingerprint is computed.
   std::size_t add_instance(PipelineInstance instance);
 
   [[nodiscard]] const std::vector<PipelineInstance>& instances() const {

@@ -559,15 +559,18 @@ JobOutcome run_verified(const Solver& solver, const SolveContext& ctx,
     out.ok = true;
     if (!verify) return out;
     auto sp = obs::span(ctx.tracer, "verify", "pipeline");
-    if (std::string bad = result.matching.first_violation(g); !bad.empty()) {
+    // `init` is valid (the precondition), so only the pairs the solve
+    // changed need an edge lookup.
+    const matching::Matching::Audit audit = result.matching.audit(g, init);
+    if (!audit.valid) {
       out.ok = false;
-      out.error = "invalid matching: " + std::move(bad);
-    } else if (out.stats.cardinality != result.matching.cardinality()) {
+      out.error = "invalid matching: " + result.matching.first_violation(g);
+    } else if (out.stats.cardinality != audit.cardinality) {
       out.ok = false;
       out.error = "stats report cardinality " +
                   std::to_string(out.stats.cardinality) +
                   " but the matching has " +
-                  std::to_string(result.matching.cardinality());
+                  std::to_string(audit.cardinality);
     } else if (solver.caps().exact &&
                !matching::is_maximum(g, result.matching)) {
       // Berge: a valid matching with no augmenting path is maximum.
@@ -577,6 +580,7 @@ JobOutcome run_verified(const Solver& solver, const SolveContext& ctx,
     if (sp) {
       sp.arg("solver", solver.name());
       sp.arg("ok", out.ok);
+      sp.arg("changed", audit.changed);
     }
   } catch (const std::exception& e) {
     out.ok = false;

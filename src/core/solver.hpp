@@ -195,18 +195,33 @@ struct JobOutcome {
 };
 
 /// Runs `solver` from `init` and, when `verify` is set, checks the result
-/// by an O(V+E) certificate instead of a second solve: the matching is
-/// edge-valid, `stats.cardinality` equals the matching's cardinality, and
-/// for exact solvers no augmenting path exists (Berge's theorem, via
-/// `matching::is_maximum`).  Heuristic solvers are only held to the first
-/// two.  The run is guarded, so a throwing solver yields `ok == false`
-/// with the exception text, never an exception.  The check records a
-/// `"verify"` span (solver, ok) on `ctx.tracer`.  Shared by
-/// `MatchingPipeline` and `serve::MatchingService` so both layers accept
-/// and reject results by exactly the same rules.  Every library caller
-/// passes `verify == true` (false returns any completed run as `ok`); the
-/// flag stays only because the end-to-end benchmark (`e2ebench/`) calls
-/// this five-argument form.
+/// by an O(V+E) certificate instead of a second solve:
+///   - the matching is valid: one O(V) pass (`Matching::audit`) checks
+///     shape, range and µ agreement for every pair, counts |M|, and looks
+///     up in `g` only the pairs that differ from `init` — served solves
+///     start from Karp–Sipser and change about 1% of its pairs;
+///   - `stats.cardinality` equals that count;
+///   - for exact solvers, no augmenting path exists (Berge's theorem, via
+///     `matching::is_maximum`).
+/// Heuristic solvers are only held to the first two.  On an invalid
+/// matching the error is `"invalid matching: "` + `first_violation(g)`.
+/// The run is guarded, so a throwing solver yields `ok == false` with the
+/// exception text, never an exception.  The check records a `"verify"`
+/// span (solver, ok, changed: the pairs looked up) on `ctx.tracer`.
+/// Shared by `MatchingPipeline` and `serve::MatchingService` so both
+/// layers accept and reject results by exactly the same rules.
+///
+/// Precondition: `init` is a valid matching of `g`, because the
+/// certificate takes every pair carried over from it as an edge.
+/// `admit_instance` proves this for every pipeline and served instance
+/// (`PipelineInstance::init`), and the bench harnesses prove it where
+/// they build their inits (`bench::set_init`).  Every exact solver also
+/// rejects an invalid init on entry, so a carried-over pair is proven
+/// twice.
+///
+/// Every library caller passes `verify == true` (false returns any
+/// completed run as `ok`); the flag stays only because the end-to-end
+/// benchmark (`e2ebench/`) calls this five-argument form.
 [[nodiscard]] JobOutcome run_verified(const Solver& solver,
                                       const SolveContext& ctx,
                                       const graph::BipartiteGraph& g,

@@ -1,9 +1,29 @@
 #include "matching/matching.hpp"
 
+#include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 
 namespace bpm::matching {
+namespace {
+
+/// Rows of at most this many entries are scanned instead of searched.
+constexpr std::size_t kScanLimit = 16;
+
+/// (u, v) ∈ E for an in-range pair; agrees with `BipartiteGraph::has_edge`.
+/// Most matched rows are short, and a branch-free scan of a short row beats
+/// a binary search's mispredicted branches.
+bool adjacent(const BipartiteGraph& g, index_t u, index_t v) {
+  const std::span<const index_t> nbrs = g.row_neighbors(u);
+  if (nbrs.size() > kScanLimit)
+    return std::binary_search(nbrs.begin(), nbrs.end(), v);
+  bool hit = false;
+  for (const index_t w : nbrs) hit |= w == v;
+  return hit;
+}
+
+}  // namespace
 
 index_t Matching::cardinality() const {
   index_t count = 0;
@@ -35,7 +55,7 @@ std::string Matching::first_violation(const BipartiteGraph& g) const {
         claim != u)
       return "row " + to_string(u) + " claims column " + to_string(v) +
              " but column claims " + to_string(claim);
-    if (!g.has_edge(u, v))
+    if (!adjacent(g, u, v))
       return "matched pair (" + to_string(u) + ", " + to_string(v) +
              ") is not an edge";
   }
@@ -51,6 +71,37 @@ std::string Matching::first_violation(const BipartiteGraph& g) const {
              " but row claims " + to_string(claim);
   }
   return {};
+}
+
+Matching::Audit Matching::audit(const BipartiteGraph& g,
+                                const Matching& base) const {
+  Audit out;
+  if (row_match.size() != static_cast<std::size_t>(g.num_rows()) ||
+      col_match.size() != static_cast<std::size_t>(g.num_cols()))
+    return out;
+  const bool same_shape = base.row_match.size() == row_match.size();
+  for (index_t u = 0; u < g.num_rows(); ++u) {
+    const index_t v = row_match[static_cast<std::size_t>(u)];
+    if (v == kUnmatched) continue;
+    if (v < 0 || v >= g.num_cols() ||
+        col_match[static_cast<std::size_t>(v)] != u)
+      return out;
+    ++out.cardinality;
+    if (same_shape && base.row_match[static_cast<std::size_t>(u)] == v)
+      continue;
+    ++out.changed;
+    if (!adjacent(g, u, v)) return out;
+  }
+  // Every matched row's column claims it back, so exactly |M| columns hold a
+  // row; one more would be a column whose row does not claim it.
+  index_t claimed = 0;
+  bool stray = false;
+  for (const index_t u : col_match) {
+    claimed += u >= 0 ? 1 : 0;
+    stray |= u < kUnmatchable;
+  }
+  out.valid = !stray && claimed == out.cardinality;
+  return out;
 }
 
 void Matching::match(index_t u, index_t v) {

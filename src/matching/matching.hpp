@@ -38,11 +38,33 @@ struct Matching {
   [[nodiscard]] index_t cardinality() const;
 
   /// True if every matched pair is an edge of `g` and the two µ arrays
-  /// mutually agree.  O(|M| log d).
+  /// mutually agree.  One pass over both µ arrays plus one lookup per
+  /// matched row: rows of up to 16 entries are scanned, longer ones
+  /// binary-searched, so O(V + |M| log d) at worst.
   [[nodiscard]] bool is_valid(const BipartiteGraph& g) const;
 
   /// Human-readable reason for the first validity violation, or "" if valid.
   [[nodiscard]] std::string first_violation(const BipartiteGraph& g) const;
+
+  /// What one `audit` pass learned.
+  struct Audit {
+    bool valid = false;       ///< every check the pass makes held
+    index_t cardinality = 0;  ///< |M|, counted by the same pass
+    /// Matched rows whose column differs from the base's: the pairs the
+    /// pass looked up in the graph (up to the first violation).
+    index_t changed = 0;
+  };
+
+  /// Validity relative to `base`, a matching of `g` this one was derived
+  /// from, in one O(V) pass: shape, range and µ agreement are checked for
+  /// every pair, but only pairs that differ from `base.row_match` are
+  /// looked up in `g` (every pair, if `base` has the wrong shape).  A pair
+  /// carried over unchanged is taken to be an edge, so this proves
+  /// validity only when `base` is valid.  Checks a subset of what
+  /// `first_violation` checks: `valid == false` implies `first_violation`
+  /// names the reason, and with a valid `base`, `valid` equals `is_valid`.
+  [[nodiscard]] Audit audit(const BipartiteGraph& g,
+                            const Matching& base) const;
 
   /// Adds edge {u, v}; both endpoints must be free.
   void match(index_t u, index_t v);

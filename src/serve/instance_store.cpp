@@ -21,7 +21,10 @@ InstanceStore::AddResult InstanceStore::add(std::string name,
   // Admission (init + features) is the expensive part — done
   // outside the lock so concurrent registrations of different graphs
   // overlap.  A racing duplicate is resolved on re-check: first in wins.
-  return add(admit_instance(std::move(name), std::move(graph), {}));
+  PipelineInstance instance =
+      admit_instance(std::move(name), std::move(graph), {});
+  instance.fingerprint = fingerprint;
+  return add(std::move(instance));
 }
 
 InstanceStore::AddResult InstanceStore::add(PipelineInstance instance) {

@@ -41,8 +41,9 @@ class InstanceStore {
 
   /// Admits an already-built instance (e.g. a harness's precomputed suite)
   /// without redoing the init / feature work; the caller guarantees
-  /// its fields are consistent with `admit_instance`'s defaults.  A
-  /// zero fingerprint is computed; dedup applies as usual.
+  /// its fields are consistent with `admit_instance`'s defaults, its init
+  /// valid included.  A zero fingerprint is computed; dedup applies as
+  /// usual.
   AddResult add(PipelineInstance instance);
 
   /// The admitted instance behind a handle; throws `std::out_of_range`

@@ -9,6 +9,9 @@
 //   test-mutant:mode=stats-lie   the maximum matching, with stats claiming
 //                                one pair more than it holds
 //   test-mutant:mode=invalid     a matching that pairs a non-edge
+//   test-mutant:mode=one-sided   the maximum matching, with one pair carried
+//                                over unchanged from the init claimed by
+//                                its row but not by its column
 //   test-mutant:mode=throw       solves, then throws instead of returning
 //   ...,exact=0                  registers as a heuristic (default: exact)
 
@@ -29,7 +32,7 @@ class MutantSolver final : public Solver {
   bool set_option(std::string_view key, std::string_view value) override {
     if (key == "mode") {
       if (value != "minus-one" && value != "stats-lie" &&
-          value != "invalid" && value != "throw")
+          value != "invalid" && value != "one-sided" && value != "throw")
         throw std::invalid_argument("test-mutant: unknown mode");
       mode_ = value;
     } else if (key == "exact") {
@@ -54,6 +57,8 @@ class MutantSolver final : public Solver {
       }
     } else if (mode_ == "invalid") {
       pair_a_non_edge(g, m);
+    } else if (mode_ == "one-sided") {
+      clear_a_carried_column(init, m);
     } else if (mode_ == "throw") {
       throw std::runtime_error("test-mutant: thrown after solving");
     }
@@ -80,6 +85,19 @@ class MutantSolver final : public Solver {
         return;
       }
     throw std::logic_error("test-mutant: the graph is complete");
+  }
+
+  /// Clears `col_match` of a pair that `m` kept unchanged from `init`: the
+  /// pair needs no edge lookup, so only the µ agreement check can catch it.
+  static void clear_a_carried_column(const matching::Matching& init,
+                                     matching::Matching& m) {
+    for (std::size_t u = 0; u < m.row_match.size(); ++u) {
+      const graph::index_t v = m.row_match[u];
+      if (v == matching::kUnmatched || init.row_match[u] != v) continue;
+      m.col_match[v] = matching::kUnmatched;
+      return;
+    }
+    throw std::logic_error("test-mutant: no pair carried over from the init");
   }
 
   std::string mode_ = "minus-one";

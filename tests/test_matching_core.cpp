@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
 #include "matching/matching.hpp"
 #include "matching/verify.hpp"
+#include "util/rng.hpp"
 
 namespace bpm::matching {
 namespace {
@@ -86,6 +93,153 @@ TEST(Matching, ShapeMismatchIsInvalid) {
   const BipartiteGraph g = gen::complete_bipartite(2, 2);
   Matching m;
   EXPECT_FALSE(m.is_valid(g));
+}
+
+// The reference `first_violation` is measured against: the same checks
+// in the same order, with every edge looked up by `has_edge`.
+std::string reference_violation(const BipartiteGraph& g, const Matching& m) {
+  using std::to_string;
+  if (m.row_match.size() != static_cast<std::size_t>(g.num_rows()) ||
+      m.col_match.size() != static_cast<std::size_t>(g.num_cols()))
+    return "shape mismatch: " + to_string(m.row_match.size()) + "x" +
+           to_string(m.col_match.size()) + " vs graph " +
+           to_string(g.num_rows()) + "x" + to_string(g.num_cols());
+  for (index_t u = 0; u < g.num_rows(); ++u) {
+    const index_t v = m.row_match[u];
+    if (v == kUnmatched) continue;
+    if (v < 0 || v >= g.num_cols())
+      return "row " + to_string(u) + " matched to out-of-range column " +
+             to_string(v);
+    if (m.col_match[v] != u)
+      return "row " + to_string(u) + " claims column " + to_string(v) +
+             " but column claims " + to_string(m.col_match[v]);
+    if (!g.has_edge(u, v))
+      return "matched pair (" + to_string(u) + ", " + to_string(v) +
+             ") is not an edge";
+  }
+  for (index_t v = 0; v < g.num_cols(); ++v) {
+    const index_t u = m.col_match[v];
+    if (u == kUnmatched || u == kUnmatchable) continue;
+    if (u < 0 || u >= g.num_rows())
+      return "column " + to_string(v) + " matched to out-of-range row " +
+             to_string(u);
+    if (m.row_match[u] != v)
+      return "column " + to_string(v) + " claims row " + to_string(u) +
+             " but row claims " + to_string(m.row_match[u]);
+  }
+  return {};
+}
+
+// Rows of 0, 1, 16 and 17 entries (both sides of the scan/search cutoff),
+// 120 entries, and random degrees in between.
+BipartiteGraph mixed_degree_graph(std::uint64_t seed) {
+  constexpr index_t kRows = 150, kCols = 160;
+  const index_t pattern[] = {0, 1, 16, 17, 120};
+  Rng rng(seed);
+  std::vector<index_t> cols(kCols);
+  std::vector<std::pair<index_t, index_t>> edges;
+  for (index_t u = 0; u < kRows; ++u) {
+    const index_t degree =
+        u < 50 ? pattern[u % 5] : static_cast<index_t>(rng.range(2, 30));
+    std::iota(cols.begin(), cols.end(), 0);
+    std::shuffle(cols.begin(), cols.end(), rng);
+    for (index_t k = 0; k < degree; ++k) edges.emplace_back(u, cols[k]);
+  }
+  return build_from_edges(kRows, kCols, edges);
+}
+
+// Frees u's and w's partners, then pairs u with w: consistent µ arrays
+// (up to earlier corruptions), whether or not (u, w) is an edge.
+void pair_up(const BipartiteGraph& g, Matching& m, index_t u, index_t w) {
+  if (const index_t v = m.row_match[u]; v >= 0 && v < g.num_cols())
+    m.col_match[v] = kUnmatched;
+  if (const index_t x = m.col_match[w]; x >= 0 && x < g.num_rows())
+    m.row_match[x] = kUnmatched;
+  m.row_match[u] = w;
+  m.col_match[w] = u;
+}
+
+// One to three random corruptions of `m`, of every kind `first_violation`
+// reports, plus consistent re-pairings along real edges.
+void corrupt(const BipartiteGraph& g, Matching& m, Rng& rng) {
+  const auto row = [&] { return static_cast<index_t>(rng.below(g.num_rows())); };
+  const auto col = [&] { return static_cast<index_t>(rng.below(g.num_cols())); };
+  const int n = static_cast<int>(rng.range(1, 3));
+  for (int i = 0; i < n; ++i) {
+    switch (rng.below(6)) {
+      case 0: m.row_match[row()] = col(); break;
+      case 1: m.col_match[col()] = row(); break;
+      case 2: pair_up(g, m, row(), col()); break;
+      case 3: {
+        const index_t u = row();
+        if (const auto nbrs = g.row_neighbors(u); !nbrs.empty())
+          pair_up(g, m, u, nbrs[rng.below(nbrs.size())]);
+        break;
+      }
+      case 4:
+        m.row_match[row()] = rng.chance(0.5) ? g.num_cols() + 3 : -5;
+        break;
+      default:
+        m.col_match[col()] = rng.chance(0.5) ? g.num_rows() : -7;
+        break;
+    }
+  }
+}
+
+TEST(Matching, FirstViolationMatchesTheHasEdgeReference) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const BipartiteGraph g = mixed_degree_graph(seed);
+    const Matching valid = cheap_matching(g);
+    ASSERT_EQ(reference_violation(g, valid), "");
+    Rng rng(seed * 101);
+    std::size_t invalid = 0;
+    for (int trial = 0; trial < 1500; ++trial) {
+      Matching m = valid;
+      corrupt(g, m, rng);
+      const std::string expected = reference_violation(g, m);
+      EXPECT_EQ(m.first_violation(g), expected) << "seed " << seed;
+      invalid += expected.empty() ? 0 : 1;
+    }
+    EXPECT_GT(invalid, 500u);
+  }
+}
+
+// `audit` relative to a valid base decides exactly what `is_valid` decides,
+// counts |M|, and looks up only the rows whose column changed; a base of
+// the wrong shape makes every matched row count as changed.
+TEST(Matching, AuditAgreesWithTheFullCheckGivenAValidBase) {
+  const BipartiteGraph g = mixed_degree_graph(7);
+  const Matching base = cheap_matching(g);
+  const Matching wrong_shape(gen::empty_graph(2, 2));
+  Rng rng(77);
+  for (int trial = 0; trial < 2000; ++trial) {
+    Matching m = base;
+    if (trial > 0) corrupt(g, m, rng);
+    const bool valid = m.is_valid(g);
+    const Matching::Audit audit = m.audit(g, base);
+    ASSERT_EQ(audit.valid, valid) << m.first_violation(g);
+    EXPECT_EQ(m.audit(g, wrong_shape).valid, valid);
+    if (!valid) continue;
+    index_t changed = 0;
+    for (index_t u = 0; u < g.num_rows(); ++u)
+      changed += m.row_match[u] != kUnmatched &&
+                 m.row_match[u] != base.row_match[u];
+    EXPECT_EQ(audit.cardinality, m.cardinality());
+    EXPECT_EQ(audit.changed, changed);
+    EXPECT_EQ(m.audit(g, wrong_shape).changed, m.cardinality());
+  }
+}
+
+// A pair carried over from the base is taken as an edge: this is why
+// `run_verified` requires a valid init.
+TEST(Matching, AuditTrustsPairsCarriedOverFromTheBase) {
+  const BipartiteGraph g = build_from_edges(2, 2, std::vector<Edge>{{0, 0}});
+  Matching m(g);
+  m.match(1, 1);  // not an edge
+  EXPECT_FALSE(m.is_valid(g));
+  EXPECT_TRUE(m.audit(g, m).valid);
+  EXPECT_EQ(m.audit(g, m).changed, 0);
+  EXPECT_FALSE(m.audit(g, Matching(g)).valid);
 }
 
 // --------------------------------------------------------------- verify ----

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "core/pipeline.hpp"
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
+#include "matching/hopcroft_karp.hpp"
 #include "matching/verify.hpp"
 #include "mutant_solver.hpp"
 #include "obs/trace.hpp"
@@ -203,6 +205,35 @@ TEST(Pipeline, InitBuilderAndNoShareInitAreHonoured) {
   EXPECT_TRUE(report.all_ok());
 }
 
+// Admission proves the shared init, since every job's certificate looks up
+// only the pairs its solve changed: a builder that returns an invalid
+// matching fails the admission, not some later job.
+TEST(Pipeline, AdmissionRejectsAnInvalidInit) {
+  const BipartiteGraph g = gen::random_uniform(60, 60, 240, 3);
+  const auto one_sided = [](const BipartiteGraph& graph) {
+    matching::Matching m = matching::cheap_matching(graph);
+    for (std::size_t u = 0; u < m.row_match.size(); ++u)
+      if (m.row_match[u] != matching::kUnmatched) {
+        m.col_match[m.row_match[u]] = matching::kUnmatched;
+        break;
+      }
+    return m;
+  };
+  const auto wrong_shape = [](const BipartiteGraph&) {
+    return matching::Matching(gen::empty_graph(3, 3));
+  };
+  for (const auto& builder :
+       std::vector<std::function<matching::Matching(const BipartiteGraph&)>>{
+           one_sided, wrong_shape}) {
+    PipelineOptions options;
+    options.init_builder = builder;
+    EXPECT_THROW((void)admit_instance("g", g, options), std::invalid_argument);
+    MatchingPipeline pipe(options);
+    EXPECT_THROW((void)pipe.add_instance("g", g), std::invalid_argument);
+    EXPECT_TRUE(pipe.instances().empty());
+  }
+}
+
 // ---- certificate-only verification: mutation tests -------------------------
 
 // Each mutant must come back `ok == false` with the check that caught it
@@ -216,6 +247,8 @@ TEST(Pipeline, CertificateRejectsMutants) {
       {"test-mutant:mode=stats-lie", "stats report cardinality"},
       {"test-mutant:exact=1,mode=invalid", "invalid matching"},
       {"test-mutant:exact=0,mode=invalid", "invalid matching"},
+      {"test-mutant:mode=one-sided", "invalid matching"},
+      {"test-mutant:exact=0,mode=one-sided", "invalid matching"},
       {"test-mutant:exact=0,mode=stats-lie", "stats report cardinality"},
       {"test-mutant:mode=throw", "thrown after solving"}};
   std::vector<std::string> specs;
@@ -264,6 +297,39 @@ TEST(Pipeline, TracedBatchRecordsOneVerifySpanPerJob) {
   EXPECT_EQ(spans, report.jobs.size());
   EXPECT_EQ(rejecting, report.totals.failed);
   EXPECT_EQ(report.totals.failed, 2u);
+}
+
+// The `changed` arg is the number of answer pairs that differ from the
+// shared init: the edge lookups the certificate made.  The cheap init
+// leaves HK pairs to change; Karp–Sipser is already maximum here.
+TEST(Pipeline, VerifySpanCountsThePairsTheSolveChanged) {
+  obs::Tracer tracer;
+  tracer.enable();
+  MatchingPipeline pipe({.max_concurrent_jobs = 1,
+                         .init_builder = matching::cheap_matching,
+                         .tracer = &tracer});
+  pipe.add_instance("a", gen::random_uniform(300, 310, 1500, 11));
+  const PipelineReport report = pipe.run({"hk"});
+  tracer.disable();
+  ASSERT_TRUE(report.all_ok());
+
+  const PipelineInstance& inst = pipe.instances().front();
+  const matching::Matching answer =
+      matching::hopcroft_karp(inst.graph, inst.init);
+  index_t changed = 0;
+  for (std::size_t u = 0; u < answer.row_match.size(); ++u)
+    changed += answer.row_match[u] != matching::kUnmatched &&
+               answer.row_match[u] != inst.init.row_match[u];
+  EXPECT_GT(changed, 0);
+  std::size_t spans = 0;
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    if (ev.name != "verify") continue;
+    ++spans;
+    EXPECT_NE(ev.args.find("\"changed\":" + std::to_string(changed)),
+              std::string::npos)
+        << ev.args;
+  }
+  EXPECT_EQ(spans, 1u);
 }
 
 // ---- concurrent scheduler --------------------------------------------------

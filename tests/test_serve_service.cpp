@@ -413,6 +413,8 @@ TEST(Service, CertificateRejectsMutantsAndNeverCachesThem) {
       {"test-mutant:mode=stats-lie", "stats report cardinality"},
       {"test-mutant:mode=invalid", "invalid matching"},
       {"test-mutant:exact=0,mode=invalid", "invalid matching"},
+      {"test-mutant:mode=one-sided", "invalid matching"},
+      {"test-mutant:exact=0,mode=one-sided", "invalid matching"},
       {"test-mutant:mode=throw", "thrown after solving"}};
   for (int pass = 0; pass < 2; ++pass)
     for (const auto& [spec, error] : mutants) {

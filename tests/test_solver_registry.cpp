@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/solver.hpp"
@@ -171,6 +173,97 @@ TEST(SolverRegistry, SolveConvenienceMatchesExplicitDispatch) {
   const SolveContext ctx{.device = &dev};
   const SolveResult r = solve("hkdw", ctx, g, matching::cheap_matching(g));
   EXPECT_EQ(r.stats.cardinality, 128);
+}
+
+// Wraps a registered solver and keeps the answer it returned, so a test
+// can hold `run_verified`'s verdict against the answer itself.
+class RecordingSolver final : public Solver {
+ public:
+  explicit RecordingSolver(std::unique_ptr<Solver> inner)
+      : inner_(std::move(inner)) {}
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] SolverCaps caps() const override { return inner_->caps(); }
+  [[nodiscard]] SolveResult run(const SolveContext& ctx, const BipartiteGraph& g,
+                                const matching::Matching& init) const override {
+    answer_.reset();
+    SolveResult out = inner_->run(ctx, g, init);
+    answer_ = out.matching;
+    return out;
+  }
+  [[nodiscard]] const std::optional<matching::Matching>& answer() const {
+    return answer_;
+  }
+
+ private:
+  std::unique_ptr<Solver> inner_;
+  mutable std::optional<matching::Matching> answer_;
+};
+
+// Three ways an init can break the certificate's precondition, each made
+// from a valid greedy matching of `g`.
+std::vector<std::pair<std::string, matching::Matching>> invalid_inits(
+    const BipartiteGraph& g) {
+  const matching::Matching valid = matching::cheap_matching(g);
+  std::vector<std::pair<std::string, matching::Matching>> out;
+
+  matching::Matching one_sided = valid;
+  for (std::size_t u = 0; u < one_sided.row_match.size(); ++u)
+    if (const index_t v = one_sided.row_match[u]; v != matching::kUnmatched) {
+      one_sided.col_match[v] = matching::kUnmatched;
+      break;
+    }
+  out.emplace_back("one-sided pair", std::move(one_sided));
+
+  matching::Matching out_of_range = valid;
+  if (const index_t v = out_of_range.row_match[0]; v != matching::kUnmatched)
+    out_of_range.col_match[v] = matching::kUnmatched;
+  out_of_range.row_match[0] = g.num_cols();
+  out.emplace_back("out-of-range column", std::move(out_of_range));
+
+  matching::Matching non_edge = valid;
+  for (index_t u = 0; u < g.num_rows() && out.size() < 3; ++u)
+    for (index_t w = 0; w < g.num_cols(); ++w) {
+      if (g.has_edge(u, w)) continue;
+      if (const index_t v = non_edge.row_match[u]; v != matching::kUnmatched)
+        non_edge.col_match[v] = matching::kUnmatched;
+      if (const index_t x = non_edge.col_match[w]; x != matching::kUnmatched)
+        non_edge.row_match[x] = matching::kUnmatched;
+      non_edge.row_match[u] = w;
+      non_edge.col_match[w] = u;
+      out.emplace_back("consistent non-edge pair", std::move(non_edge));
+      break;
+    }
+  return out;
+}
+
+// `run_verified` takes an init's carried-over pairs as edges, so an invalid
+// init must never turn into an accepted invalid answer: every registered
+// solver, heuristics and `auto` included, either rejects the init or
+// returns an answer the full validity check passes.  Exact solvers reject
+// it on entry.
+TEST(SolverRegistry, NoSolverTurnsAnInvalidInitIntoAnAcceptedAnswer) {
+  const BipartiteGraph g = gen::random_uniform(200, 210, 900, 5);
+  device::Device dev({.mode = device::ExecMode::kConcurrent, .num_threads = 4});
+  const SolveContext ctx{.device = &dev, .threads = 4};
+  const auto inits = invalid_inits(g);
+  ASSERT_EQ(inits.size(), 3u);
+  std::size_t accepted = 0;
+  for (const auto& [kind, init] : inits) {
+    ASSERT_FALSE(init.is_valid(g)) << kind;
+    for (const std::string& name : SolverRegistry::instance().names()) {
+      const RecordingSolver solver(SolverRegistry::instance().create(name));
+      const JobOutcome out = run_verified(solver, ctx, g, init, true);
+      if (solver.caps().exact) EXPECT_FALSE(out.ok) << name << ", " << kind;
+      if (!out.ok) continue;
+      ++accepted;
+      ASSERT_TRUE(solver.answer().has_value()) << name << ", " << kind;
+      EXPECT_EQ(solver.answer()->first_violation(g), "")
+          << name << ", " << kind;
+    }
+  }
+  // The heuristics ignore the init, so some answers were accepted and
+  // checked above.
+  EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace
