@@ -12,8 +12,8 @@
 // where < 1.0 means auto beats committing to that solver across the whole
 // heterogeneous union.
 //
-// The committed artifact runs `--backend host` so ratios compare measured
-// execution, with the embedded calibrated model (same machine class).
+// Every time is measured wall time, and the committed artifact uses the
+// embedded calibrated model (same machine class).
 
 #include <iostream>
 #include <map>
@@ -49,8 +49,6 @@ int main(int argc, char** argv) {
                  "transfer, not memorised instances)",
                  "2");
   cli.add_option("threads", "worker threads (0 = hardware)", "0");
-  cli.add_option("backend",
-                 "device backend: host (measured wall time) or sim", "host");
   cli.add_option("model",
                  "cost model JSON for auto (empty = embedded default)", "");
   cli.add_option("json",
@@ -73,7 +71,6 @@ int main(int argc, char** argv) {
     exit_if_list_algos(cli);
     opt.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     opt.threads = static_cast<unsigned>(cli.get_int("threads"));
-    opt.backend = device::parse_backend(cli.get_string("backend"));
     opt.csv = cli.get_flag("csv");
     opt.json_path = cli.get_string("json");
     opt.algos = solver_specs_from_cli(cli);
@@ -105,12 +102,10 @@ int main(int argc, char** argv) {
             << "# instances: " << suite.size() << " (n = " << n
             << ", massive-scale " << massive_scale << ", structured-scale "
             << structured_scale << "), seed " << opt.seed
-            << ", reps " << reps << ", backend "
-            << device::backend_name(opt.backend) << ", model "
+            << ", reps " << reps << ", model "
             << (model_path.empty() ? "embedded" : model_path) << '\n';
 
-  device::Device dev({.backend = opt.backend,
-                      .mode = device::ExecMode::kConcurrent,
+  device::Device dev({.mode = device::ExecMode::kConcurrent,
                       .num_threads = opt.threads});
   attach_tracer(opt, dev);
   std::vector<std::unique_ptr<Solver>> solvers;
@@ -146,7 +141,7 @@ int main(int argc, char** argv) {
       }
       records.push_back(to_json_record(inst.bi.meta.name, inst.suite,
                                        opt.algos[a].canonical(), best,
-                                       opt.backend, &inst.bi.features));
+                                       &inst.bi.features));
     }
     AlgoResult auto_best;
     for (int rep = 0; rep < reps; ++rep) {
@@ -156,8 +151,7 @@ int main(int argc, char** argv) {
       if (rep == 0 || r.seconds < auto_best.seconds) auto_best = r;
     }
     records.push_back(to_json_record(inst.bi.meta.name, inst.suite, "auto",
-                                     auto_best, opt.backend,
-                                     &inst.bi.features));
+                                     auto_best, &inst.bi.features));
     auto_s.push_back(auto_best.seconds);
     oracle_s.push_back(oracle);
     suite_auto[inst.suite].push_back(auto_best.seconds);

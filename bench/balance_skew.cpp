@@ -11,10 +11,9 @@
 // reported (the algorithms are racy, so wall time fluctuates).  Every run
 // passes the pipeline's certificate (`run_verified`) before its time is
 // reported; MM is the cardinality certified for the first exact --algo
-// spec ("-" if none is exact).  The harness always runs on the host
-// backend: balancing shows only in measured wall time, since the sim
-// models no stragglers and charges g-pr-wb the same push work plus its
-// scan launches.
+// spec ("-" if none is exact).  The harness reports measured wall time:
+// balancing shows only there, since the C2050 model charges no stragglers
+// and charges g-pr-wb the same push work plus its scan launches.
 //
 // `--json <path>` records the instance x algo grid plus per-suite geomean
 // wall speedup summaries — this is the artifact committed as
@@ -124,7 +123,6 @@ int main(int argc, char** argv) {
     exit_if_list_algos(cli);
     opt.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     opt.threads = static_cast<unsigned>(cli.get_int("threads"));
-    opt.backend = device::Backend::kHost;
     opt.verbose = cli.get_flag("verbose");
     opt.csv = cli.get_flag("csv");
     opt.json_path = cli.get_string("json");
@@ -145,8 +143,7 @@ int main(int argc, char** argv) {
             << opt.seed << ", reps " << reps << "; baseline: "
             << opt.algos.front().canonical() << '\n';
 
-  device::Device dev({.backend = opt.backend,
-                      .mode = device::ExecMode::kConcurrent,
+  device::Device dev({.mode = device::ExecMode::kConcurrent,
                       .num_threads = opt.threads});
   attach_tracer(opt, dev);
   std::vector<std::unique_ptr<Solver>> solvers;
@@ -191,7 +188,7 @@ int main(int argc, char** argv) {
       wall_series[group_of(inst.suite)][a].push_back(best.seconds);
       records.push_back(to_json_record(inst.name, inst.suite,
                                        opt.algos[a].canonical(), best,
-                                       opt.backend, &bi.features));
+                                       &bi.features));
     }
     for (std::size_t a = 1; a < solvers.size(); ++a)
       row.emplace_back(wall[0] / wall[a]);

@@ -53,8 +53,7 @@ int main(int argc, char** argv) {
   print_header("Figure 1 — global-relabeling strategy comparison", opt,
                suite.size());
 
-  device::Device dev({.backend = opt.backend,
-                      .mode = device::ExecMode::kConcurrent,
+  device::Device dev({.mode = device::ExecMode::kConcurrent,
                       .num_threads = opt.threads});
   attach_tracer(opt, dev);
 
@@ -63,8 +62,8 @@ int main(int argc, char** argv) {
   for (const auto& s : strategies) headers.push_back(s.label);
   Table modeled_table(headers, 4);
   Table wall_table(headers, 4);
-  // Per variant, per strategy: geomean device time (modeled on the sim,
-  // wall on the host), what the shape verdict reads.
+  // Per variant, per strategy: geomean device time (modeled, or wall with
+  // --no-model), what the shape verdict reads.
   std::vector<std::vector<double>> shape(variants.size());
 
   for (std::size_t v = 0; v < variants.size(); ++v) {
@@ -103,8 +102,8 @@ int main(int argc, char** argv) {
     std::cout << modeled_table.to_csv();
   else
     modeled_table.print(std::cout);
-  std::cout << "\nHost wall time for reference (on the sim it does not "
-               "express GPU dead-thread costs):\n";
+  std::cout << "\nHost wall time for reference (it does not express GPU "
+               "dead-thread costs):\n";
   if (opt.csv)
     std::cout << wall_table.to_csv();
   else

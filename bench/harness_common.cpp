@@ -23,10 +23,6 @@ void register_suite_flags(CliParser& cli, int default_stride,
   cli.add_option("stride", "use every stride-th instance of the 28",
                  std::to_string(default_stride));
   cli.add_option("threads", "worker threads (0 = hardware)", "0");
-  cli.add_option("backend",
-                 "device backend: sim (modeled C2050) or host (real "
-                 "multicore executor, measured wall time)",
-                 "sim");
   cli.add_option("jobs",
                  "concurrent jobs for suite building (0 = hardware, "
                  "1 = sequential)",
@@ -34,7 +30,7 @@ void register_suite_flags(CliParser& cli, int default_stride,
   cli.add_flag("verbose", "per-instance rows in addition to aggregates");
   cli.add_flag("csv", "emit CSV instead of aligned tables");
   cli.add_flag("no-model",
-               "report raw simulator wall time for GPU algorithms instead "
+               "report measured wall time for GPU algorithms instead "
                "of modeled C2050 device time");
   if (with_json)
     cli.add_option("json",
@@ -94,8 +90,6 @@ SuiteOptions suite_options_from_cli(const CliParser& cli) {
   opt.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   opt.stride = static_cast<int>(cli.get_int("stride"));
   opt.threads = static_cast<unsigned>(cli.get_int("threads"));
-  if (cli.has("backend"))
-    opt.backend = device::parse_backend(cli.get_string("backend"));
   opt.jobs = static_cast<unsigned>(cli.get_int("jobs"));
   opt.verbose = cli.get_flag("verbose");
   opt.csv = cli.get_flag("csv");
@@ -362,11 +356,10 @@ std::string json_number(double v) {
 
 JsonRecord to_json_record(const std::string& instance,
                           const std::string& suite, const std::string& algo,
-                          const AlgoResult& r, device::Backend backend,
+                          const AlgoResult& r,
                           const policy::InstanceFeatures* features) {
   JsonRecord rec{instance,   suite,         algo, r.seconds, r.modeled_seconds,
-                 r.launches, r.cardinality, r.ok,
-                 std::string(device::backend_name(backend)), r.phases, {}};
+                 r.launches, r.cardinality, r.ok, r.phases, {}};
   if (features != nullptr) {
     rec.features = {{"n", static_cast<double>(features->rows)},
                     {"m", static_cast<double>(features->cols)},
@@ -393,8 +386,7 @@ void write_json(const std::string& path, const std::string& bench,
         << json_escape(r.algo) << "\", \"wall_s\": " << json_number(r.wall_s)
         << ", \"modeled_s\": " << json_number(r.modeled_s)
         << ", \"launches\": " << r.launches << ", \"matched\": " << r.matched
-        << ", \"ok\": " << (r.ok ? "true" : "false") << ", \"backend\": \""
-        << json_escape(r.backend) << "\"";
+        << ", \"ok\": " << (r.ok ? "true" : "false");
     if (!r.phases.empty()) {
       out << ", \"phases\": {";
       bool sep = false;
@@ -432,15 +424,11 @@ void print_header(const std::string& title, const SuiteOptions& opt,
             << "), scale " << opt.scale << " of Table I sizes, seed "
             << opt.seed << '\n'
             << "# hardware: " << std::thread::hardware_concurrency()
-            << " hardware threads; backend = "
-            << (opt.backend == device::Backend::kHost
-                    ? "host multicore executor (measured wall time)"
-                    : "CPU-simulated bulk-synchronous engine (README: "
-                      "Backends)")
-            << '\n'
+            << " hardware threads\n"
             << "# note: GPU algorithms report modeled C2050 device time by"
-               " default (README: Backends); pass --no-model for raw simulator"
-               " wall time.  CPU algorithms always report wall time.\n";
+               " default (README: Device engine); pass --no-model for"
+               " measured wall time.  CPU algorithms always report wall"
+               " time.\n";
 }
 
 }  // namespace bpm::bench

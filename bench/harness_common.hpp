@@ -23,11 +23,6 @@ struct SuiteOptions {
   std::uint64_t seed = 1;
   int stride = 1;             ///< take every stride-th instance
   unsigned threads = 0;       ///< device / multicore workers, 0 = hw
-  /// `--backend sim|host`: which `device::Backend` the harness's devices
-  /// and pipelines run on.  `sim` models the paper's C2050; `host`
-  /// executes kernels on real threads and reports measured wall time as
-  /// its native metric.
-  device::Backend backend = device::Backend::kSim;
   /// Concurrent jobs (`--jobs`, every harness): `build_suite` builds up to
   /// this many instances at once (0 = hardware).  Solves stay sequential,
   /// because the paper harnesses report per-run times, which overlapping
@@ -36,8 +31,8 @@ struct SuiteOptions {
   bool verbose = false;
   bool csv = false;
   /// Cross-architecture artifacts (Fig 2-4, Table I) use the modeled
-  /// C2050 device time for GPU algorithms by default (README: Backends);
-  /// --no-model switches them to raw host wall time of the simulator.
+  /// C2050 device time for GPU algorithms by default (README: Device
+  /// engine); --no-model switches them to measured host wall time.
   bool no_model = false;
   /// Solvers selected with --algo (parsed specs, possibly with tuning
   /// options, e.g. `g-pr-shr:k=1.5`), when the harness registered the
@@ -215,9 +210,6 @@ struct JsonRecord {
   std::int64_t launches = 0;
   graph::index_t matched = 0;
   bool ok = false;
-  /// Which `device::Backend` produced the measurement ("sim" | "host") —
-  /// per-backend perf-trajectory lines aggregate on this field.
-  std::string backend = "sim";
   /// Per-phase ms (`AlgoResult::phases`); emitted as an optional
   /// `"phases"` sub-object when non-empty, so records stay byte-identical
   /// to pre-tracing ones when tracing is off.
@@ -234,7 +226,6 @@ struct JsonRecord {
 [[nodiscard]] JsonRecord to_json_record(
     const std::string& instance, const std::string& suite,
     const std::string& algo, const AlgoResult& r,
-    device::Backend backend = device::Backend::kSim,
     const policy::InstanceFeatures* features = nullptr);
 
 /// Writes `{"bench": ..., "schema": 2, "records": [...], "summary":

@@ -10,9 +10,8 @@
 //
 // `--smoke` shrinks the sweep (small n, no massive group, one rep) so CI
 // can exercise the whole calibrate→load→resolve path in seconds; a real
-// recalibration runs the defaults on an idle machine with
-// `--backend host`, where wall times are measured execution, not
-// simulator overhead.
+// recalibration runs the defaults on an idle machine.  Every time it folds
+// is measured wall time.
 
 #include <fstream>
 #include <iostream>
@@ -43,10 +42,6 @@ int main(int argc, char** argv) {
                  "2");
   cli.add_option("seed", "generator seed", "1");
   cli.add_option("threads", "worker threads (0 = hardware)", "0");
-  cli.add_option("backend",
-                 "device backend: host (measured wall time; use for real "
-                 "calibrations) or sim",
-                 "host");
   cli.add_option("model", "write the calibrated model JSON to this path",
                  "policy_model.json");
   cli.add_option("emit-inc",
@@ -73,7 +68,6 @@ int main(int argc, char** argv) {
     exit_if_list_algos(cli);
     opt.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     opt.threads = static_cast<unsigned>(cli.get_int("threads"));
-    opt.backend = device::parse_backend(cli.get_string("backend"));
     opt.csv = cli.get_flag("csv");
     opt.json_path = cli.get_string("json");
     opt.algos = solver_specs_from_cli(cli);
@@ -103,11 +97,9 @@ int main(int argc, char** argv) {
             << "# instances: " << suite.size() << " (n = " << n
             << ", massive-scale " << massive_scale << ", structured-scale "
             << structured_scale << "), seed " << opt.seed
-            << ", reps " << reps << ", backend "
-            << device::backend_name(opt.backend) << '\n';
+            << ", reps " << reps << '\n';
 
-  device::Device dev({.backend = opt.backend,
-                      .mode = device::ExecMode::kConcurrent,
+  device::Device dev({.mode = device::ExecMode::kConcurrent,
                       .num_threads = opt.threads});
   attach_tracer(opt, dev);
   std::vector<std::unique_ptr<Solver>> solvers;
@@ -139,7 +131,7 @@ int main(int argc, char** argv) {
       row.emplace_back(us_per_edge);
       records.push_back(to_json_record(inst.bi.meta.name, inst.suite,
                                        opt.algos[a].canonical(), best,
-                                       opt.backend, &inst.bi.features));
+                                       &inst.bi.features));
     }
     table.add_row(std::move(row));
   }
@@ -159,7 +151,7 @@ int main(int argc, char** argv) {
     inc << "// Embedded default policy cost model — the committed offline\n"
            "// calibration `CostModel::embedded_default()` returns.\n"
            "// Regenerate with:\n"
-           "//   policy_calibrate --backend host --emit-inc "
+           "//   policy_calibrate --emit-inc "
            "src/policy/default_model.inc\n"
            "// (never edit by hand; the table must stay byte-identical to\n"
            "// what CostModel::to_json emits so the round-trip test holds).\n"

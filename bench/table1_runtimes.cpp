@@ -92,8 +92,7 @@ int main(int argc, char** argv) {
   const auto suite = build_suite(opt);
   print_header("Table I — per-graph solver runtimes", opt, suite.size());
 
-  device::Device dev({.backend = opt.backend,
-                      .mode = device::ExecMode::kConcurrent,
+  device::Device dev({.mode = device::ExecMode::kConcurrent,
                       .num_threads = opt.threads});
   attach_tracer(opt, dev);
   std::vector<std::unique_ptr<Solver>> solvers;
@@ -131,8 +130,7 @@ int main(int argc, char** argv) {
       times[i].push_back(device_seconds(r, opt));
       row.push_back(times[i].back());
       records.push_back(to_json_record(bi.meta.name, to_string(bi.meta.cls),
-                                       names[i], r, opt.backend,
-                                       &bi.features));
+                                       names[i], r, &bi.features));
     }
     table.add_row(std::move(row));
   }

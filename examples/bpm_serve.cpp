@@ -1,7 +1,7 @@
 // bpm_serve — a long-running matching service behind a line-delimited
 // request protocol, driven from a script file (--script), stdin, or a
-// TCP socket (--listen).  The service owns one device engine (--backend,
-// --device-threads) for its whole lifetime and runs up to --workers
+// TCP socket (--listen).  The service owns one device engine
+// (--device-threads) for its whole lifetime and runs up to --workers
 // dispatches on it at once, one request and one stream each.  It dedups
 // registered graphs by structural fingerprint, dispatches requests from a
 // bounded queue in strict priority order, and (with --cache-bytes > 0)
@@ -11,7 +11,7 @@
 // value is an error naming the flag, never a silent wrap.
 //
 //   bpm_serve --script examples/serve_smoke.req
-//   bpm_serve --backend host --workers 4 < requests.txt
+//   bpm_serve --workers 4 < requests.txt
 //   bpm_serve --listen 7471 --quota 1000 --auth-token s3cret
 //   bpm_serve --cache-load warm.cache --cache-save warm.cache < requests.txt
 //
@@ -87,9 +87,8 @@ int main(int argc, char** argv) {
   cli.add_option("device-threads", "engine pool workers (0 = hardware)",
                  "0");
   cli.add_option("backend",
-                 "engine backend: sim (modeled C2050) | host (real "
-                 "multicore executor)",
-                 "sim");
+                 "accepted for compatibility; `host` is the only value",
+                 "host");
   cli.add_option("queue-depth", "admission queue bound (>= 1)", "256");
   cli.add_option("retention",
                  "completed tickets kept for poll/wait before eviction "
@@ -135,7 +134,12 @@ int main(int argc, char** argv) {
 
     serve::ServiceOptions opt;
     opt.workers = count("workers");
-    opt.backend = device::parse_backend(cli.get_string("backend"));
+    if (const std::string backend = cli.get_string("backend");
+        backend != "host")
+      throw std::invalid_argument(
+          "--backend=" + backend +
+          ": the sim backend is gone; every engine reports both modeled "
+          "and measured time, and `host` is the only accepted value");
     opt.device_threads = count("device-threads");
     opt.queue_depth = size("queue-depth", 1);  // depth 0 would reject all
     opt.completed_ticket_retention = size("retention");

@@ -47,7 +47,6 @@ graph::BipartiteGraph load_graph(const CliParser& cli) {
 
 PipelineOptions pipeline_options(const CliParser& cli) {
   PipelineOptions opt;
-  opt.device_backend = device::parse_backend(cli.get_string("backend"));
   opt.device_threads = static_cast<unsigned>(cli.get_int("threads"));
   opt.solver_threads = opt.device_threads;
   opt.max_concurrent_jobs = static_cast<unsigned>(cli.get_int("jobs"));
@@ -79,10 +78,6 @@ int main(int argc, char** argv) {
   cli.add_option("scale", "scale for --instance", "0.015625");
   cli.add_option("seed", "seed for --instance", "1");
   cli.add_option("threads", "device/multicore threads (0 = hardware)", "0");
-  cli.add_option("backend",
-                 "device backend: sim (modeled C2050) | host (real "
-                 "multicore executor)",
-                 "sim");
   cli.add_option("jobs", "concurrent (instance x solver) jobs, one device "
                  "stream each (0 = hardware)", "0");
   cli.add_flag("quiet", "print only the cardinality");

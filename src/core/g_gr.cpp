@@ -7,8 +7,8 @@ namespace bpm::gpu {
 namespace {
 
 /// One worker's private output of a frontier launch: the rows it labeled
-/// for the next level and the adjacency entries it scanned (the sim's
-/// model work).  Cache-line aligned so neighbouring workers' appends and
+/// for the next level and the adjacency entries it scanned (the model's
+/// work term).  Cache-line aligned so neighbouring workers' appends and
 /// tallies never share a line.
 struct alignas(64) FrontierOut {
   std::vector<index_t> rows;

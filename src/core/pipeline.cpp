@@ -54,9 +54,7 @@ AdmittedJobResult run_admitted_job(
 MatchingPipeline::MatchingPipeline(PipelineOptions options)
     : options_(std::move(options)),
       engine_(std::make_shared<device::Engine>(
-          device::EngineDescriptor{.backend = options_.device_backend,
-                                   .mode = options_.device_mode,
-                                   .threads = options_.device_threads})),
+          options_.device_mode, options_.device_threads)),
       device_(engine_) {}
 
 PipelineInstance admit_instance(std::string name, graph::BipartiteGraph graph,

@@ -20,10 +20,8 @@ class ResultCache;
 }  // namespace serve
 
 struct PipelineOptions {
-  /// Backend of the pipeline's shared device engine: the modeled C2050
-  /// simulator or the real multicore host executor
-  /// (`device::HostParallelEngine`).
-  device::Backend device_backend = device::default_backend();
+  /// Nothing reads this; ROADMAP item 2 deletes it with its benchmark uses.
+  device::Backend device_backend = device::Backend::kHost;
   /// Execution mode of the pipeline's shared device engine (used by every
   /// needs-device solver in the batch).
   device::ExecMode device_mode = device::ExecMode::kConcurrent;

@@ -33,8 +33,8 @@ struct SolverCaps {
   bool exact = true;
   /// Uses edge-balanced (`Device::launch_balanced`) kernels — on or auto
   /// (`GprOptions::balance`).  Listed by `--list-algos`; balanced kernels
-  /// thrive on skewed instances and on the host backend's
-  /// work-partitioned chunks.
+  /// thrive on skewed instances and on the engine's work-partitioned
+  /// chunks.
   bool balanced = false;
 };
 

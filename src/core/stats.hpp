@@ -25,7 +25,7 @@ struct GprStats {
   double push_ms = 0.0;   ///< time in INIT/PUSH/SHR kernels
   double fix_ms = 0.0;    ///< FIXMATCHING + host transfers
   double total_ms = 0.0;
-  double modeled_ms = 0.0;  ///< device::DeviceModel time (README: Backends)
+  double modeled_ms = 0.0;  ///< C2050 model time (README: Device engine)
 };
 
 /// Counters of one G-HK / G-HKDW run.
@@ -37,7 +37,7 @@ struct GhkStats {
   std::int64_t sequential_fallbacks = 0;  ///< host augmentations forced by
                                           ///< total claim-validation failure
   double total_ms = 0.0;
-  double modeled_ms = 0.0;  ///< device::DeviceModel time (README: Backends)
+  double modeled_ms = 0.0;  ///< C2050 model time (README: Device engine)
 };
 
 }  // namespace bpm::gpu

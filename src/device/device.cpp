@@ -1,40 +1,12 @@
 #include "device/device.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
 namespace bpm::device {
 
-Backend parse_backend(std::string_view name) {
-  if (name == "sim") return Backend::kSim;
-  if (name == "host") return Backend::kHost;
-  throw std::invalid_argument("unknown backend '" + std::string(name) +
-                              "' (choices: sim, host)");
-}
-
-std::string_view backend_name(Backend backend) {
-  switch (backend) {
-    case Backend::kSim:
-      return "sim";
-    case Backend::kHost:
-      return "host";
-  }
-  return "?";
-}
-
-Backend default_backend() {
-  static const Backend value = [] {
-    const char* env = std::getenv("BPM_DEVICE_BACKEND");
-    return env != nullptr && *env != '\0' ? parse_backend(env)
-                                          : Backend::kSim;
-  }();
-  return value;
-}
-
 std::string EngineDescriptor::summary() const {
-  std::string out(backend_name(backend));
-  out += "(workers=";
+  std::string out = "host(workers=";
   out += std::to_string(workers);
   if (mode == ExecMode::kSequential) out += ",seq";
   out += ')';
@@ -81,9 +53,7 @@ std::vector<std::int64_t> balanced_partition(
 }
 
 Engine::Engine(ExecMode mode, unsigned num_threads)
-    : Engine(EngineDescriptor{.backend = default_backend(),
-                              .mode = mode,
-                              .threads = num_threads}) {}
+    : Engine(EngineDescriptor{.mode = mode, .threads = num_threads}) {}
 
 Engine::Engine(EngineDescriptor descriptor) : descriptor_(descriptor) {
   if (descriptor_.mode == ExecMode::kConcurrent)

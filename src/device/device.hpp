@@ -8,6 +8,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -22,40 +23,20 @@ enum class ExecMode {
   /// One worker, indices in order.  Deterministic; used by tests to
   /// separate logic bugs from race bugs, and by the race ablation.
   kSequential,
-  /// All pool workers, static index partition, arbitrary interleaving —
-  /// the faithful model of a CUDA grid.
+  /// The engine's pool workers: a launch at or above the grain fans out
+  /// into dynamically claimed chunks (edge-balanced ones in
+  /// `launch_balanced`) that run in arbitrary interleaving; a smaller one
+  /// runs inline on the calling thread.
   kConcurrent,
 };
 
-/// Which execution backend an engine is.  Orthogonal to `ExecMode`: the
-/// mode picks interleaving semantics (sequential vs concurrent), the
-/// backend picks what a launch *costs* and how its items are chunked.
-enum class Backend {
-  /// The modeled C2050 simulator: per-launch `DeviceModel` charges
-  /// (launch latency plus bulk item and work throughput) over equal-item
-  /// worker chunks.  Its native time metric is the modeled device time.
-  kSim,
-  /// The real multicore host executor (`HostParallelEngine`): kernels run
-  /// in parallel on the pool with dynamically claimed, oversubscribed
-  /// chunks (edge-balanced ones in `launch_balanced`) and no model
-  /// charges.  Its native time metric is measured wall clock.
-  kHost,
-};
+/// Nothing reads this; ROADMAP item 2 deletes it with its benchmark uses.
+enum class Backend { kHost };
 
-/// "sim" | "host"; throws `std::invalid_argument` on anything else.
-[[nodiscard]] Backend parse_backend(std::string_view name);
-[[nodiscard]] std::string_view backend_name(Backend backend);
-
-/// The process-wide default backend: `sim`, unless the BPM_DEVICE_BACKEND
-/// environment variable says otherwise ("sim" | "host", read once).  Every
-/// construction path that does not name a backend explicitly starts here —
-/// this is how CI reruns the existing test suites on the host backend
-/// without touching a single test.
-[[nodiscard]] Backend default_backend();
-
-/// Analytic timing model of a target GPU, used to report *modeled device
-/// time* next to host wall time (README: Backends).  A kernel over n logical
-/// threads that scans `work` adjacency entries is charged
+/// Analytic timing model of a target GPU, charged on every launch so every
+/// run reports *modeled device time* next to its measured wall time
+/// (README: Device engine).  A kernel over n logical threads that scans
+/// `work` adjacency entries is charged
 ///
 ///   launch_latency_us + (n·ns_per_item + work·ns_per_work) · 1e-3
 ///
@@ -75,42 +56,39 @@ enum class Backend {
 ///
 /// The model captures two effects — launch-latency domination on
 /// high-diameter graphs and bandwidth-bound bulk work on wide ones — and
-/// nothing else.  It charges no per-thread straggler: degree skew, and the
-/// edge balancing that removes it (`Device::launch_balanced`), show only in
-/// the host backend's measured wall time.
+/// nothing else.  It is a pure function of each launch's `(n, work)`, so
+/// it is the same however the launch fans out.  It charges no per-thread
+/// straggler: degree skew, and the edge balancing that removes it
+/// (`Device::launch_balanced`), show only in the measured wall time.
 struct DeviceModel {
   double launch_latency_us = 7.0;
   double ns_per_item = 0.2;  ///< per logical thread (device-wide effective)
   double ns_per_work = 0.6;  ///< per adjacency entry (device-wide effective)
 };
 
-/// What an engine *is*: its backend kind and the execution resources it
-/// brings.  Surfaced through `Engine::descriptor()` so stats lines and
-/// metrics can name the engine that did the work.
+/// What an engine *is*: the execution resources it brings.  Surfaced
+/// through `Engine::descriptor()` so stats lines and metrics can name the
+/// engine that did the work.
 struct EngineDescriptor {
-  Backend backend = Backend::kSim;
   ExecMode mode = ExecMode::kConcurrent;
   unsigned threads = 0;  ///< pool workers (0 = hardware concurrency)
   /// Worker threads behind a launch: the engine's resolved
   /// `num_workers()`, filled in once its pool exists.
   int workers = 0;
-  /// Host backend: the smallest per-slot item count worth a pool
-  /// dispatch.  Launches whose per-slot share would fall below it run
-  /// inline on the calling thread (the serial cutoff every real host
-  /// runtime applies); lower it to force fan-out on tiny grids (the TSan
-  /// tests do).
-  std::int64_t host_grain = 16384;
+  /// The smallest per-slot item count worth a pool dispatch.  Launches
+  /// whose per-slot share would fall below it run inline on the calling
+  /// thread (the serial cutoff every real host runtime applies); lower it
+  /// to 1 to force fan-out on tiny grids (the race tests do).
+  std::int64_t grain = 16384;
 
   /// One-line human-readable form, e.g. "host(workers=8)" or
-  /// "sim(workers=1,seq)".
+  /// "host(workers=1,seq)".
   [[nodiscard]] std::string summary() const;
 };
 
 struct DeviceOptions {
-  /// Execution backend of the device's private engine (see `Backend`).
-  /// Declared first so existing `{.mode = ..., .num_threads = ...}`
-  /// initializers stay valid.
-  Backend backend = default_backend();
+  /// Nothing reads this; ROADMAP item 2 deletes it with its benchmark uses.
+  Backend backend = Backend::kHost;
   ExecMode mode = ExecMode::kConcurrent;
   /// Worker count; 0 = hardware concurrency.  Oversubscribing (threads >>
   /// cores) widens the space of observable interleavings — the race stress
@@ -120,7 +98,7 @@ struct DeviceOptions {
 };
 
 /// A `std::int64_t` padded to its own cache line.  Per-slot accumulators
-/// written concurrently by different workers (launch_accounted's work
+/// written concurrently by different workers (the accounted launches' work
 /// partials, the shrink kernel's per-worker counts) must not share lines,
 /// or every increment ping-pongs the line between cores.
 struct alignas(64) PaddedCount {
@@ -140,7 +118,7 @@ struct alignas(64) PaddedCount {
     std::span<const std::int64_t> offsets, std::int64_t parts);
 
 /// Lifetime aggregates of one engine: how many streams it has served and
-/// the launch/model totals those streams retired into it.  This is the
+/// the launch and time totals those streams retired into it.  This is the
 /// counter a long-running serving process reports — per-job streams come
 /// and go, the engine's totals survive them all.
 struct EngineStats {
@@ -149,33 +127,25 @@ struct EngineStats {
   /// Totals folded in by retired streams (live streams' counters are
   /// theirs until destruction, so two streams' stats never mix).
   std::uint64_t launches = 0;
-  double modeled_ms = 0.0;
-  /// The backend's native time metric: measured in-kernel wall time for
-  /// host engines, modeled device time for sim engines (see
-  /// `Device::native_ms`).
-  double native_ms = 0.0;
+  double modeled_ms = 0.0;  ///< the C2050 model (`Device::modeled_ms`)
+  double native_ms = 0.0;   ///< measured in-kernel wall time
 };
 
-/// The shared execution backend of a device: the worker pool and the
+/// The shared execution resources of a device: the worker pool and the
 /// execution mode.  One engine stands for one GPU — a pipeline or a
 /// serving process owns exactly one; any number of `Device` streams
 /// borrow its workers concurrently.  The engine itself is
-/// stateless per launch — all launch counting and time modeling lives in
+/// stateless per launch — all launch counting and time accounting lives in
 /// the streams — so sharing it never mixes two streams' stats; each stream
 /// folds its totals into the engine's `EngineStats` when it retires.
 class Engine {
  public:
-  /// A sim engine (the pre-backend spelling, kept for the many call
-  /// sites that only care about mode and worker count).
   explicit Engine(ExecMode mode = ExecMode::kConcurrent,
                   unsigned num_threads = 0);
-  /// An engine of any backend.  The descriptor's `workers` field is
-  /// resolved to the actual pool size.
+  /// The descriptor's `workers` field is resolved to the actual pool size.
   explicit Engine(EngineDescriptor descriptor);
-  virtual ~Engine() = default;
 
   [[nodiscard]] ExecMode mode() const { return descriptor_.mode; }
-  [[nodiscard]] Backend backend() const { return descriptor_.backend; }
   [[nodiscard]] const EngineDescriptor& descriptor() const {
     return descriptor_;
   }
@@ -185,7 +155,7 @@ class Engine {
   [[nodiscard]] ThreadPool* pool() { return pool_.get(); }
 
   /// Lifetime aggregates (streams opened/retired, retired launch and
-  /// modeled-time totals).  Safe to call concurrently with stream churn.
+  /// time totals).  Safe to call concurrently with stream churn.
   [[nodiscard]] EngineStats stats() const;
 
   /// Stream bookkeeping, called by `Device`.
@@ -200,49 +170,25 @@ class Engine {
   EngineStats stats_;
 };
 
-/// The real multicore backend behind the `Engine` seam: kernel lambdas
-/// actually run in parallel on the worker pool, chunks are claimed
-/// dynamically (oversubscribed slots via `ThreadPool::run_tasks`, so a
-/// straggler chunk never idles the other workers), `launch_balanced`
-/// partitions *work* rather than items across the slots, and the native
-/// time metric is measured wall clock instead of the C2050 model.
-///
-/// The class adds no state — backend behaviour lives in `Device`'s launch
-/// paths, keyed off `Engine::backend()` — it is the named, documented way
-/// to construct a host engine:
-///
-/// ```
-/// auto engine = std::make_shared<device::HostParallelEngine>(8);
-/// device::Device stream(engine);   // launches now run on 8 real threads
-/// ```
-class HostParallelEngine : public Engine {
- public:
-  explicit HostParallelEngine(unsigned num_threads = 0,
-                              ExecMode mode = ExecMode::kConcurrent)
-      : Engine(EngineDescriptor{.backend = Backend::kHost,
-                                .mode = mode,
-                                .threads = num_threads}) {}
-  explicit HostParallelEngine(EngineDescriptor descriptor) : Engine([&] {
-          descriptor.backend = Backend::kHost;
-          return descriptor;
-        }()) {}
-};
-
 /// A CUDA-style bulk-synchronous execution stream on host threads.
 ///
 /// `launch(n, kernel)` models one kernel launch over a grid of `n` logical
 /// threads: `kernel(i)` runs for every `i` in `[0, n)`, concurrently and in
 /// no particular order; the call returns only after all of them finish
-/// (stream-order barrier).  Logical threads are statically partitioned
-/// into contiguous chunks over the engine's workers, mirroring how the
-/// paper maps columns/rows to CUDA threads.
+/// (stream-order barrier).  A grid of at least twice the engine's grain
+/// is split into contiguous chunks, one per grain and up to 8× the
+/// workers, which the pool's workers claim dynamically, so a straggler
+/// chunk never idles the others; a smaller grid runs inline.
 ///
 /// A `Device` is a *stream* over a shared `Engine`: it owns its launch
-/// counter and modeled-time accumulator but borrows the engine's worker
-/// pool, so N streams can run N jobs concurrently without corrupting each
-/// other's stats — the host-thread analogue of CUDA streams.  The
-/// single-argument constructor keeps the original one-device-one-engine
-/// behaviour for code that needs no cross-job concurrency.
+/// counter and time accumulators but borrows the engine's worker pool, so
+/// N streams can run N jobs concurrently without corrupting each other's
+/// stats — the host-thread analogue of CUDA streams.  The
+/// single-argument constructor gives the stream a private engine.
+///
+/// Every launch reports two times, each with one meaning: `native_ms` is
+/// the measured in-kernel wall time, and `modeled_ms` is the C2050 model
+/// (`DeviceModel`) charged for the launch's `(n, work)`.
 ///
 /// `launch_chunked` exposes the partition itself — kernels like
 /// G-PR-SHRKRNL need per-physical-thread counting followed by a prefix sum
@@ -254,16 +200,9 @@ class HostParallelEngine : public Engine {
 /// harnesses report launch totals.
 class Device {
  public:
-  /// A device with its own private engine (the pre-stream behaviour).
-  /// `options.backend` selects the sim engine or a `HostParallelEngine`.
+  /// A device with its own private engine.
   explicit Device(DeviceOptions options = {})
-      : engine_(options.backend == Backend::kHost
-                    ? std::make_shared<HostParallelEngine>(options.num_threads,
-                                                           options.mode)
-                    : std::make_shared<Engine>(
-                          EngineDescriptor{.backend = options.backend,
-                                           .mode = options.mode,
-                                           .threads = options.num_threads})),
+      : engine_(std::make_shared<Engine>(options.mode, options.num_threads)),
         model_(options.model) {
     engine_->note_stream_opened();
   }
@@ -282,46 +221,38 @@ class Device {
   Device& operator=(Device&&) = delete;
 
   ~Device() {
-    if (engine_)
-      engine_->retire_stream(launches_, modeled_us_, native_us());
+    if (engine_) engine_->retire_stream(launches_, modeled_us_, native_us_);
   }
 
   [[nodiscard]] const std::shared_ptr<Engine>& engine() const {
     return engine_;
   }
   [[nodiscard]] ExecMode mode() const { return engine_->mode(); }
-  [[nodiscard]] Backend backend() const { return engine_->backend(); }
   [[nodiscard]] unsigned num_workers() const { return engine_->num_workers(); }
   [[nodiscard]] std::uint64_t launches() const { return launches_; }
   void reset_launch_count() { launches_ = 0; }
 
   /// Optional trace collector.  When set *and enabled*, every launch
-  /// records a span annotated with the backend and its grid size (the
-  /// sim's accounted launches add the work they charged); when null or
-  /// disabled the entire cost is one pointer check per launch.  The tracer
-  /// must outlive the stream.
+  /// records a span annotated with its grid size (accounted launches add
+  /// the work they charged); when null or disabled the entire cost is one
+  /// pointer check per launch.  The tracer must outlive the stream.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
 
   /// Modeled device time accumulated on this stream (see DeviceModel).
-  /// Kernels that report their work via `launch_accounted` contribute
-  /// their work term; plain launches contribute latency + per-item cost
-  /// only.  Always 0 on the host backend, whose launches are measured,
-  /// not modeled — consumers that fall back to wall time when the model
-  /// reads 0 (`bench::device_seconds`) do the right thing automatically.
+  /// Kernels that report their work via `launch_accounted` or
+  /// `launch_balanced` contribute their work term; plain launches
+  /// contribute latency + per-item cost only.
   [[nodiscard]] double modeled_ms() const { return modeled_us_ / 1e3; }
   void reset_modeled_time() { modeled_us_ = 0.0; }
 
-  /// The backend's native time metric for this stream: measured in-kernel
-  /// wall time on the host backend, modeled device time on the sim — the
-  /// number each backend itself claims a launch cost.
-  [[nodiscard]] double native_ms() const { return native_us() / 1e3; }
+  /// Measured in-kernel wall time accumulated on this stream.
+  [[nodiscard]] double native_ms() const { return native_us_ / 1e3; }
 
   /// Adds work units to the model without a launch — for kernels whose
   /// work is easier to tally host-side (e.g. the shrink compaction's two
-  /// resolve passes).  No-op on the host backend (measured, not modeled).
+  /// resolve passes).
   void charge_work(std::int64_t work) {
-    if (host()) return;
     modeled_us_ += static_cast<double>(work) * model_.ns_per_work * 1e-3;
   }
 
@@ -329,41 +260,22 @@ class Device {
   template <typename Kernel>
   void launch(std::int64_t n, Kernel&& kernel) {
     auto sp = launch_span("launch", n);
-    if (host()) {
-      host_launch(n, kernel);
-      return;
-    }
-    note_launch();
+    run_items(n, {}, [&](std::int64_t i) { kernel(i); });
     account(n, 0);
-    if (n <= 0) return;
-    if (mode() == ExecMode::kSequential || num_workers() == 1) {
-      for (std::int64_t i = 0; i < n; ++i) kernel(i);
-      return;
-    }
-    const auto workers = static_cast<std::int64_t>(num_workers());
-    const std::function<void(unsigned)> job = [&](unsigned w) {
-      const auto [begin, end] = chunk(n, workers, w);
-      for (std::int64_t i = begin; i < end; ++i) kernel(i);
-    };
-    engine_->pool()->run_tasks(num_workers(), job);
   }
 
   /// Like `launch`, but the kernel returns its work units (e.g. adjacency
-  /// entries scanned), which feed the device time model: the sim sums them
-  /// and charges `launch_latency + n·ns_per_item + work·ns_per_work` (see
-  /// DeviceModel).  The charge is a deterministic function of the kernel's
-  /// per-item work, identical in both execution modes and at any worker
-  /// count.
+  /// entries scanned), which feed the device time model: the launch sums
+  /// them and charges `launch_latency + n·ns_per_item + work·ns_per_work`
+  /// (see DeviceModel).  The charge is a deterministic function of the
+  /// kernel's per-item work, identical in both execution modes and at any
+  /// worker count or grain.
   template <typename Kernel>
   void launch_accounted(std::int64_t n, Kernel&& kernel) {
     auto sp = launch_span("launch_accounted", n);
-    if (host()) {
-      // The host backend measures instead of modeling, so the kernel's
-      // reported work units are not summed.
-      host_launch(n, [&](std::int64_t i) { (void)kernel(i); });
-      return;
-    }
-    sim_launch_accounted(sp, n, kernel);
+    const std::int64_t work = run_items(n, {}, kernel);
+    if (sp) sp.arg("work", work);
+    account(n, work);
   }
 
   /// One kernel launch over the items of an edge-balanced plan (the
@@ -374,112 +286,76 @@ class Device {
   /// 0`; build it with `device::balanced_offsets` (device/scan.hpp),
   /// which runs the scan on this device.  `kernel(i)` runs once per item
   /// in [0, n) and returns its actual work units, exactly like
-  /// `launch_accounted`.
+  /// `launch_accounted`, and the launch is charged the same modeled time.
   ///
-  /// On the host backend, items are partitioned into pool chunks of
-  /// near-equal *work* rather than near-equal item count, each boundary
-  /// located by binary search in `offsets` (`balanced_partition`), so one
-  /// high-degree item can no longer serialize a chunk that also holds an
-  /// equal share of everything else.  The sim models no stragglers, so
-  /// there it is the same accounted launch as `launch_accounted` over the
-  /// same items, and charges the same modeled time.
+  /// Items are partitioned into pool chunks of near-equal *work* rather
+  /// than near-equal item count, each boundary located by binary search in
+  /// `offsets` (`balanced_partition`), so one high-degree item can no
+  /// longer serialize a chunk that also holds an equal share of
+  /// everything else.
   template <typename Kernel>
   void launch_balanced(std::span<const std::int64_t> offsets,
                        Kernel&& kernel) {
-    auto sp =
-        launch_span("launch_balanced",
-                    static_cast<std::int64_t>(offsets.size()) - 1);
+    const auto n = std::max<std::int64_t>(
+        static_cast<std::int64_t>(offsets.size()) - 1, 0);
+    auto sp = launch_span("launch_balanced", n);
     if (sp && !offsets.empty()) sp.arg("work_total", offsets.back());
-    if (host()) {
-      host_launch_balanced(offsets, kernel);
-      return;
-    }
-    const auto n = static_cast<std::int64_t>(offsets.size()) - 1;
-    sim_launch_accounted(sp, std::max<std::int64_t>(n, 0), kernel);
+    const std::int64_t work = run_items(n, offsets, kernel);
+    if (sp) sp.arg("work", work);
+    account(n, work);
   }
 
   /// One kernel launch with the worker partition exposed:
   /// `kernel(worker_id, begin, end)` where the `[begin, end)` ranges
-  /// partition `[0, n)`.  Also counts as a single launch, which the sim
-  /// charges like a plain `launch`; callers add their work with
-  /// `charge_work`.
+  /// partition `[0, n)`.  Also counts as a single launch, charged like a
+  /// plain `launch`; callers add their work with `charge_work`.
   template <typename Kernel>
   void launch_chunked(std::int64_t n, Kernel&& kernel) {
     auto sp = launch_span("launch_chunked", n);
     note_launch();
-    if (!host()) account(n, 0);
+    account(n, 0);
     if (n <= 0) return;
-    if (host()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const std::int64_t grain =
-          std::max<std::int64_t>(engine_->descriptor().host_grain, 1);
-      // One chunk per worker is part of the contract (callers size
-      // per-worker scratch by `num_workers()` and index it by the slot
-      // id), so the host path keeps the sim's static partition and only
-      // applies the serial cutoff: a grid below the grain runs inline as
-      // worker 0, the remaining slots simply see empty ranges.
-      if (mode() == ExecMode::kSequential || num_workers() == 1 ||
-          n < grain) {
-        kernel(0u, std::int64_t{0}, n);
-      } else {
-        const auto workers = static_cast<std::int64_t>(num_workers());
-        const std::function<void(unsigned)> job = [&](unsigned w) {
-          const auto [begin, end] = chunk(n, workers, w);
-          kernel(w, begin, end);
-        };
-        engine_->pool()->run_tasks(num_workers(), job);
-      }
-      native_us_ += elapsed_us(t0);
-      return;
-    }
-    if (mode() == ExecMode::kSequential || num_workers() == 1) {
+    const auto t0 = std::chrono::steady_clock::now();
+    // One chunk per worker is part of the contract (callers size
+    // per-worker scratch by `num_workers()` and index it by the slot id),
+    // so the partition is static and only the serial cutoff applies: a
+    // grid below the grain runs inline as worker 0, and the remaining
+    // slots simply see empty ranges.
+    if (mode() == ExecMode::kSequential || num_workers() == 1 ||
+        n < grain()) {
       kernel(0u, std::int64_t{0}, n);
-      return;
+    } else {
+      const auto workers = static_cast<std::int64_t>(num_workers());
+      const std::function<void(unsigned)> job = [&](unsigned w) {
+        const auto [begin, end] = chunk(n, workers, w);
+        kernel(w, begin, end);
+      };
+      engine_->pool()->run_tasks(num_workers(), job);
     }
-    const auto workers = static_cast<std::int64_t>(num_workers());
-    const std::function<void(unsigned)> job = [&](unsigned w) {
-      const auto [begin, end] = chunk(n, workers, w);
-      kernel(w, begin, end);
-    };
-    engine_->pool()->run_tasks(num_workers(), job);
+    native_us_ += elapsed_us(t0);
   }
 
  private:
-  [[nodiscard]] bool host() const {
-    return engine_->backend() == Backend::kHost;
-  }
-
   /// One launch on this stream: the per-stream counter plus the always-on
-  /// process-wide `device.launches.<backend>` registry counter (striped
-  /// relaxed add — cheap enough for the thousands-of-tiny-launches runs).
+  /// process-wide `device.launches` registry counter (striped relaxed add
+  /// — cheap enough for the thousands-of-tiny-launches runs).
   void note_launch() {
     ++launches_;
-    launch_counter().inc();
-  }
-
-  [[nodiscard]] obs::Counter& launch_counter() {
     if (launch_counter_ == nullptr)
-      launch_counter_ = &obs::Registry::global().counter(
-          std::string("device.launches.") +
-          std::string(backend_name(backend())));
-    return *launch_counter_;
+      launch_counter_ = &obs::Registry::global().counter("device.launches");
+    launch_counter_->inc();
   }
 
   /// Span for one launch (inert when no tracer is attached or tracing is
-  /// off), pre-annotated with the backend and grid size.
+  /// off), pre-annotated with the grid size.
   [[nodiscard]] obs::Span launch_span(std::string_view name, std::int64_t n) {
     auto sp = obs::span(tracer_, name, "device");
-    if (sp) {
-      sp.arg("backend", backend_name(backend()));
-      sp.arg("n", n);
-    }
+    if (sp) sp.arg("n", n);
     return sp;
   }
 
-  /// What this stream retires as its native time: the measured wall
-  /// accumulator on the host backend, the model accumulator on the sim.
-  [[nodiscard]] double native_us() const {
-    return host() ? native_us_ : modeled_us_;
+  [[nodiscard]] std::int64_t grain() const {
+    return std::max<std::int64_t>(engine_->descriptor().grain, 1);
   }
 
   static double elapsed_us(std::chrono::steady_clock::time_point t0) {
@@ -488,65 +364,65 @@ class Device {
         .count();
   }
 
-  /// Pool slots a host launch of `n` units (items or work) fans out to.
-  /// 1 below twice the grain — the serial cutoff that keeps the
-  /// thousands of tiny launches a push-relabel run issues off the pool's
-  /// fork-join path — otherwise one slot per grain, oversubscribed up to
-  /// 8× the workers so `run_tasks`'s dynamic claiming absorbs straggler
-  /// chunks.
-  [[nodiscard]] std::int64_t host_slots(std::int64_t n) const {
+  /// Pool slots a launch of `n` units (items or work) fans out to.  1
+  /// below twice the grain — the serial cutoff that keeps the thousands of
+  /// tiny launches a push-relabel run issues off the pool's fork-join path
+  /// — otherwise one slot per grain, oversubscribed up to 8× the workers
+  /// so `run_tasks`'s dynamic claiming absorbs straggler chunks.
+  [[nodiscard]] std::int64_t slots_for(std::int64_t n) const {
     if (mode() == ExecMode::kSequential || num_workers() == 1) return 1;
-    const std::int64_t grain =
-        std::max<std::int64_t>(engine_->descriptor().host_grain, 1);
-    if (n < 2 * grain) return 1;
+    if (n < 2 * grain()) return 1;
     const auto workers = static_cast<std::int64_t>(num_workers());
-    return std::clamp<std::int64_t>(n / grain, 1, workers * 8);
+    return std::clamp<std::int64_t>(n / grain(), 1, workers * 8);
   }
 
-  /// The host backend's `launch`: dynamic equal-item chunks over
-  /// `host_slots` slots, measured wall time, no model bookkeeping.
+  /// The execution path behind `launch`, `launch_accounted` and
+  /// `launch_balanced`: counts the launch, runs `kernel(i)` once for every
+  /// i in [0, n) and adds the measured wall time.  Slots hold near-equal
+  /// item counts, or near-equal work when `offsets` (the balanced plan) is
+  /// given.  Returns the sum of the work units the kernel returns (one
+  /// `PaddedCount` partial per slot when it fans out); 0 for a void kernel.
   template <typename Kernel>
-  void host_launch(std::int64_t n, Kernel&& kernel) {
+  std::int64_t run_items(std::int64_t n, std::span<const std::int64_t> offsets,
+                         Kernel&& kernel) {
     note_launch();
-    if (n <= 0) return;
+    if (n <= 0) return 0;
     const auto t0 = std::chrono::steady_clock::now();
-    const std::int64_t slots = host_slots(n);
-    if (slots <= 1) {
-      for (std::int64_t i = 0; i < n; ++i) kernel(i);
-    } else {
-      const std::function<void(unsigned)> job = [&](unsigned s) {
-        const auto [begin, end] = chunk(n, slots, s);
-        for (std::int64_t i = begin; i < end; ++i) kernel(i);
-      };
-      engine_->pool()->run_tasks(static_cast<unsigned>(slots), job);
-    }
-    native_us_ += elapsed_us(t0);
-  }
-
-  /// The host backend's `launch_balanced`: chunk count sized by total
-  /// *work* (`offsets.back()`), each pool slot's items bounded by
-  /// `balanced_partition`.
-  template <typename Kernel>
-  void host_launch_balanced(std::span<const std::int64_t> offsets,
-                            Kernel&& kernel) {
-    note_launch();
-    const auto n = static_cast<std::int64_t>(offsets.size()) - 1;
-    if (n <= 0) return;
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::int64_t total = offsets.back();
+    const auto range_work = [&](std::int64_t begin, std::int64_t end) {
+      std::int64_t sum = 0;
+      for (std::int64_t i = begin; i < end; ++i) {
+        if constexpr (std::is_void_v<std::invoke_result_t<Kernel&,
+                                                          std::int64_t>>)
+          kernel(i);
+        else
+          sum += kernel(i);
+      }
+      return sum;
+    };
+    std::int64_t work = 0;
     const std::int64_t slots =
-        std::min<std::int64_t>(host_slots(std::max(total, n)), n);
+        offsets.empty()
+            ? slots_for(n)
+            : std::min<std::int64_t>(slots_for(std::max(offsets.back(), n)),
+                                     n);
     if (slots <= 1) {
-      for (std::int64_t i = 0; i < n; ++i) (void)kernel(i);
+      work = range_work(0, n);
     } else {
-      const auto bounds = balanced_partition(offsets, slots);
+      const std::vector<std::int64_t> bounds =
+          offsets.empty() ? std::vector<std::int64_t>{}
+                          : balanced_partition(offsets, slots);
+      std::vector<PaddedCount> partials(static_cast<std::size_t>(slots));
       const std::function<void(unsigned)> job = [&](unsigned s) {
-        for (std::int64_t i = bounds[s]; i < bounds[s + 1]; ++i)
-          (void)kernel(i);
+        const auto [begin, end] =
+            bounds.empty() ? chunk(n, slots, s)
+                           : std::pair{bounds[s], bounds[s + 1]};
+        partials[s].value = range_work(begin, end);
       };
       engine_->pool()->run_tasks(static_cast<unsigned>(slots), job);
+      for (const PaddedCount& partial : partials) work += partial.value;
     }
     native_us_ += elapsed_us(t0);
+    return work;
   }
 
   void account(std::int64_t items, std::int64_t work) {
@@ -555,32 +431,6 @@ class Device {
                         model_.ns_per_item +
                     static_cast<double>(work) * model_.ns_per_work) *
                        1e-3;
-  }
-
-  /// The sim's accounted launch: `kernel(i)` over equal-item worker
-  /// chunks, summing the work units it returns (one `PaddedCount` partial
-  /// per worker when it fans out), then `account(n, work)`.
-  template <typename Kernel>
-  void sim_launch_accounted(obs::Span& sp, std::int64_t n, Kernel& kernel) {
-    note_launch();
-    std::int64_t work = 0;
-    // A sequential engine has no pool and reports one worker.
-    const auto workers = std::min<std::int64_t>(num_workers(), n);
-    if (workers <= 1) {
-      for (std::int64_t i = 0; i < n; ++i) work += kernel(i);
-    } else {
-      std::vector<PaddedCount> partials(static_cast<std::size_t>(workers));
-      const std::function<void(unsigned)> job = [&](unsigned w) {
-        const auto [begin, end] = chunk(n, workers, w);
-        std::int64_t sum = 0;
-        for (std::int64_t i = begin; i < end; ++i) sum += kernel(i);
-        partials[w].value = sum;
-      };
-      engine_->pool()->run_tasks(static_cast<unsigned>(workers), job);
-      for (const PaddedCount& partial : partials) work += partial.value;
-    }
-    if (sp) sp.arg("work", work);
-    account(n, work);
   }
 
   static std::pair<std::int64_t, std::int64_t> chunk(std::int64_t n,
@@ -598,7 +448,7 @@ class Device {
   DeviceModel model_;
   std::uint64_t launches_ = 0;
   double modeled_us_ = 0.0;
-  double native_us_ = 0.0;  ///< host backend: measured in-kernel wall time
+  double native_us_ = 0.0;  ///< measured in-kernel wall time
   obs::Tracer* tracer_ = nullptr;
   obs::Counter* launch_counter_ = nullptr;  ///< lazy, process-wide registry
 };

@@ -13,9 +13,8 @@ namespace bpm::device {
 /// scan of the per-worker totals, per-worker write-out) — the same shape
 /// as the per-thread counting + prefix sum inside the paper's
 /// G-PR-SHRKRNL.  `in` and `out` may alias.  Runs through
-/// `Device::launch_chunked`, so it is backend-generic: on the sim it is
-/// charged model time, on the host backend (`HostParallelEngine`) both
-/// passes execute on real threads and contribute measured wall time.
+/// `Device::launch_chunked`, so both passes are charged model time and
+/// contribute measured wall time like any other launch.
 std::int64_t exclusive_scan(Device& dev, std::span<const std::int64_t> in,
                             std::span<std::int64_t> out);
 

@@ -126,7 +126,7 @@ class Registry {
   /// registration (empty = `default_latency_bounds_ms`).
   Histogram& histogram(const std::string& name,
                        std::vector<double> bounds = {});
-  /// Static string facts (backend names, descriptor summaries).
+  /// Static string facts (engine descriptor summaries).
   void set_info(const std::string& name, std::string value);
 
   struct HistogramEntry {

@@ -81,9 +81,8 @@ struct ServiceOptions {
   unsigned workers = 1;
   unsigned device_threads = 0;  ///< engine pool workers (0 = hardware)
   unsigned solver_threads = 0;  ///< multicore solver workers (0 = hardware)
-  /// Backend of the engine; `sim` keeps the modeled C2050, `host` serves
-  /// on a real multicore executor.
-  device::Backend backend = device::default_backend();
+  /// Nothing reads this; ROADMAP item 2 deletes it with its benchmark uses.
+  device::Backend backend = device::Backend::kHost;
   /// Admission queue depth; a submit beyond it is rejected with a reason
   /// (bounded memory and latency under overload).
   std::size_t queue_depth = 256;

@@ -13,6 +13,7 @@
 
 #include "core/g_pr.hpp"
 #include "core/solver.hpp"
+#include "fanout_device.hpp"
 #include "graph/generators.hpp"
 #include "graph/instances.hpp"
 #include "matching/greedy.hpp"
@@ -29,7 +30,7 @@ namespace gen = graph::gen;
 
 index_t balanced_cardinality(const BipartiteGraph& g, unsigned threads,
                              gpu::GprVariant variant = gpu::GprVariant::kShrink) {
-  Device dev({.mode = ExecMode::kConcurrent, .num_threads = threads});
+  Device dev = test_support::fanout_device(threads);
   gpu::GprOptions opt;
   opt.variant = variant;
   opt.balance = gpu::BalanceMode::kOn;
@@ -71,7 +72,7 @@ TEST(Balance, MatchesReferenceCardinalityAcrossRandomizedSuite) {
       if (g.num_edges() == 0) {
         // The balanced driver never builds a frontier on an empty graph;
         // just check the result shape.
-        Device dev({.mode = ExecMode::kConcurrent, .num_threads = 4});
+        Device dev = test_support::fanout_device(4);
         gpu::GprOptions opt;
         opt.balance = gpu::BalanceMode::kOn;
         EXPECT_EQ(gpu::g_pr(dev, g, matching::cheap_matching(g), opt)
@@ -128,16 +129,13 @@ TEST(Balance, GprWbIsRegisteredAndDispatchable) {
   EXPECT_TRUE(solver->caps().balanced);
 
   const BipartiteGraph g = gen::skewed_hubs(120, 150, 4, 0.3, 2.0, 7);
-  Device dev({.mode = ExecMode::kConcurrent, .num_threads = 4});
+  Device dev = test_support::fanout_device(4);
   const SolveContext ctx{.device = &dev};
   const matching::Matching init = matching::cheap_matching(g);
   const SolveResult r = solver->run(ctx, g, init);
   EXPECT_EQ(r.stats.cardinality, matching::reference_maximum_cardinality(g));
-  // The host backend measures wall time instead of charging the model.
-  if (device::default_backend() == device::Backend::kHost)
-    EXPECT_EQ(r.stats.modeled_ms, 0.0);
-  else
-    EXPECT_GT(r.stats.modeled_ms, 0.0);
+  EXPECT_GT(r.stats.modeled_ms, 0.0);
+  EXPECT_GT(dev.native_ms(), 0.0);
   EXPECT_NE(r.stats.detail.find("skew "), std::string::npos);
 
   // Forcing the balanced path keeps the pre-auto behaviour (and its
@@ -159,7 +157,7 @@ TEST(Balance, AutoModeDecidesBySkewThreshold) {
   const index_t want = matching::reference_maximum_cardinality(g);
   const matching::Matching init = matching::cheap_matching(g);
   for (const double threshold : {1.0, 1e9}) {
-    Device dev({.mode = ExecMode::kConcurrent, .num_threads = 4});
+    Device dev = test_support::fanout_device(4);
     gpu::GprOptions opt;
     opt.balance = gpu::BalanceMode::kAuto;
     opt.balance_skew_threshold = threshold;
@@ -177,7 +175,7 @@ TEST(Balance, BalanceOptionSweepsOnEveryGprSolver) {
   // balanced driver, g-pr-wb:balance=0 runs the vertex-parallel one.
   const BipartiteGraph g = gen::random_uniform(100, 100, 420, 3);
   const index_t want = matching::reference_maximum_cardinality(g);
-  Device dev({.mode = ExecMode::kConcurrent, .num_threads = 4});
+  Device dev = test_support::fanout_device(4);
   const SolveContext ctx{.device = &dev};
   const matching::Matching init = matching::cheap_matching(g);
   for (const std::string spec :
@@ -199,8 +197,7 @@ TEST(Balance, FrontierCompactionCountersUnderConcurrentStreams) {
   // launch's work partials must be race-free when several streams drive
   // balanced runs through one shared engine concurrently — this is the
   // suite the CI TSan job audits.
-  const auto engine =
-      std::make_shared<device::Engine>(ExecMode::kConcurrent, 4);
+  const auto engine = test_support::fanout_engine(4);
   constexpr int kStreams = 4;
   std::vector<std::thread> streams;
   std::vector<index_t> got(kStreams, -1);

@@ -4,16 +4,27 @@
 #include <atomic>
 #include <memory>
 #include <numeric>
+#include <random>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/solver.hpp"
 #include "device/device.hpp"
 #include "device/mem.hpp"
 #include "device/scan.hpp"
 #include "device/thread_pool.hpp"
+#include "fanout_device.hpp"
+#include "graph/generators.hpp"
+#include "matching/greedy.hpp"
+#include "matching/verify.hpp"
 
 namespace bpm::device {
 namespace {
+
+using test_support::fanout_device;
+using test_support::fanout_engine;
 
 // ------------------------------------------------------------ ThreadPool ----
 
@@ -79,7 +90,7 @@ TEST(ThreadPool, ConcurrentBatchesFromManyStreamsAllComplete) {
 class DeviceModes : public ::testing::TestWithParam<ExecMode> {};
 
 TEST_P(DeviceModes, LaunchCoversEveryIndexExactlyOnce) {
-  Device dev({.mode = GetParam(), .num_threads = 4});
+  Device dev = fanout_device(4, GetParam());
   std::vector<std::atomic<int>> hits(1000);
   dev.launch(1000, [&](std::int64_t i) {
     hits[static_cast<std::size_t>(i)].fetch_add(1);
@@ -88,7 +99,7 @@ TEST_P(DeviceModes, LaunchCoversEveryIndexExactlyOnce) {
 }
 
 TEST_P(DeviceModes, LaunchCountsLaunches) {
-  Device dev({.mode = GetParam(), .num_threads = 2});
+  Device dev = fanout_device(2, GetParam());
   EXPECT_EQ(dev.launches(), 0u);
   dev.launch(10, [](std::int64_t) {});
   dev.launch(0, [](std::int64_t) {});  // empty grids still count
@@ -98,7 +109,7 @@ TEST_P(DeviceModes, LaunchCountsLaunches) {
 }
 
 TEST_P(DeviceModes, LaunchChunkedPartitionsRange) {
-  Device dev({.mode = GetParam(), .num_threads = 3});
+  Device dev = fanout_device(3, GetParam());
   std::vector<std::atomic<int>> hits(100);
   dev.launch_chunked(100, [&](unsigned, std::int64_t begin, std::int64_t end) {
     for (std::int64_t i = begin; i < end; ++i)
@@ -108,7 +119,7 @@ TEST_P(DeviceModes, LaunchChunkedPartitionsRange) {
 }
 
 TEST_P(DeviceModes, LaunchBarrierPublishesWrites) {
-  Device dev({.mode = GetParam(), .num_threads = 4});
+  Device dev = fanout_device(4, GetParam());
   std::vector<int> data(257, 0);
   dev.launch(257, [&](std::int64_t i) { data[static_cast<std::size_t>(i)] = 1; });
   EXPECT_EQ(std::accumulate(data.begin(), data.end(), 0), 257);
@@ -116,7 +127,7 @@ TEST_P(DeviceModes, LaunchBarrierPublishesWrites) {
 
 TEST_P(DeviceModes, SmallGridsWithManyWorkers) {
   // n < workers: chunking must not duplicate or drop indices.
-  Device dev({.mode = GetParam(), .num_threads = 8});
+  Device dev = fanout_device(8, GetParam());
   std::vector<std::atomic<int>> hits(3);
   dev.launch(3, [&](std::int64_t i) {
     hits[static_cast<std::size_t>(i)].fetch_add(1);
@@ -143,10 +154,7 @@ TEST(Device, SequentialModeRunsInOrder) {
 // -------------------------------------------------------------- streams ----
 
 TEST(Device, StreamsShareOneEngineButKeepTheirOwnStats) {
-  // Pinned to sim: the EXPECT_NEARs below check the cost model's exact
-  // charges, which the host backend replaces with measured wall time.
-  const auto engine = std::make_shared<Engine>(EngineDescriptor{
-      .backend = Backend::kSim, .mode = ExecMode::kConcurrent, .threads = 4});
+  const auto engine = fanout_engine(4);
   Device a(engine), b(engine);
   EXPECT_EQ(a.engine().get(), b.engine().get());
   EXPECT_EQ(a.num_workers(), 4u);
@@ -166,11 +174,10 @@ TEST(Device, StreamsShareOneEngineButKeepTheirOwnStats) {
               1e-9);
 }
 
-TEST(Device, ChunkedLaunchChargesLatencyAndItemsOnTheSim) {
+TEST(Device, ChunkedLaunchChargesLatencyAndItems) {
   // A chunked launch costs what a plain launch of the same grid costs,
   // the empty grid included.
-  const auto engine = std::make_shared<Engine>(EngineDescriptor{
-      .backend = Backend::kSim, .mode = ExecMode::kConcurrent, .threads = 4});
+  const auto engine = fanout_engine(4);
   Device plain(engine), chunked(engine);
   for (const std::int64_t n : {std::int64_t{0}, std::int64_t{1000}}) {
     plain.launch(n, [](std::int64_t) {});
@@ -185,7 +192,7 @@ TEST(Device, ConcurrentStreamsRunConcurrentLaunchesCorrectly) {
   // N streams on one engine, each launching from its own host thread —
   // the pipeline's execution shape.  Every stream's grids must each cover
   // their index space exactly once and count their own launches.
-  const auto engine = std::make_shared<Engine>(ExecMode::kConcurrent, 4);
+  const auto engine = fanout_engine(4);
   constexpr int kStreams = 4, kLaunches = 25;
   constexpr std::int64_t kGrid = 512;
   std::vector<std::thread> threads;
@@ -221,6 +228,93 @@ TEST(Device, StreamsOnASequentialEngineStayOrdered) {
   EXPECT_EQ(order, (std::vector<std::int64_t>{0, 1, 2, 3, 4}));
 }
 
+TEST(Engine, DescriptorSummariesNameTheWorkers) {
+  const Engine pooled(ExecMode::kConcurrent, 3);
+  EXPECT_EQ(pooled.descriptor().summary(), "host(workers=3)");
+  // `workers` is resolved to the actual pool size.
+  EXPECT_EQ(pooled.descriptor().workers, 3);
+  // A sequential engine has no pool, so it runs on one worker.
+  const Engine sequential(ExecMode::kSequential, 2);
+  EXPECT_EQ(sequential.descriptor().summary(), "host(workers=1,seq)");
+}
+
+// ------------------------------------------------------- time accounting ----
+
+// Deterministic per-item work: small everywhere, with a hub every 97 items.
+std::int64_t item_work(std::int64_t i) {
+  return i % 7 + (i % 97 == 0 ? 500 : 0);
+}
+
+struct Charged {
+  double modeled_ms = 0.0;
+  double native_ms = 0.0;
+  std::uint64_t launches = 0;
+};
+
+// Runs every launch kind once at a grid that fans out even at the
+// production grain, and once at a tiny one, on a stream of `engine`; then
+// checks that the retired stream's totals land in the engine's odometer.
+Charged charge_every_launch_kind(const std::shared_ptr<Engine>& engine) {
+  Charged c;
+  {
+    Device dev(engine);
+    for (const std::int64_t n : {std::int64_t{40'000}, std::int64_t{100}}) {
+      std::vector<std::int64_t> work(static_cast<std::size_t>(n));
+      for (std::int64_t i = 0; i < n; ++i)
+        work[static_cast<std::size_t>(i)] = item_work(i);
+      std::vector<std::int64_t> offsets(work.size() + 1, 0);
+      std::partial_sum(work.begin(), work.end(), offsets.begin() + 1);
+      std::atomic<std::int64_t> sink{0};
+
+      dev.launch(n, [&](std::int64_t i) {
+        sink.fetch_add(item_work(i), std::memory_order_relaxed);
+      });
+      dev.launch_accounted(n, [](std::int64_t i) { return item_work(i); });
+      dev.launch_balanced(offsets, [](std::int64_t i) { return item_work(i); });
+      std::vector<PaddedCount> partial(dev.num_workers());
+      dev.launch_chunked(n, [&](unsigned w, std::int64_t begin,
+                                std::int64_t end) {
+        for (std::int64_t i = begin; i < end; ++i)
+          partial[w].value += item_work(i);
+      });
+      std::int64_t chunked_work = 0;
+      for (const PaddedCount& p : partial) chunked_work += p.value;
+      dev.charge_work(chunked_work);
+      EXPECT_EQ(sink.load(), offsets.back());
+    }
+    c = {dev.modeled_ms(), dev.native_ms(), dev.launches()};
+  }
+  const EngineStats stats = engine->stats();
+  EXPECT_EQ(stats.streams_retired, 1u);
+  EXPECT_EQ(stats.launches, c.launches);
+  EXPECT_DOUBLE_EQ(stats.modeled_ms, c.modeled_ms);
+  EXPECT_DOUBLE_EQ(stats.native_ms, c.native_ms);
+  return c;
+}
+
+TEST(TimeAccounting, TheModelIgnoresHowALaunchFansOut) {
+  // The model is a pure function of each launch's (n, work): a sequential
+  // engine, a fully fanned-out one and one at the production grain charge
+  // the same modeled time, and each measures its own wall time.
+  const std::vector<std::pair<std::string, std::shared_ptr<Engine>>> engines{
+      {"sequential", std::make_shared<Engine>(ExecMode::kSequential)},
+      {"grain 1", fanout_engine(4)},
+      {"default grain", std::make_shared<Engine>(ExecMode::kConcurrent, 4)}};
+  std::vector<Charged> charged;
+  for (const auto& [name, engine] : engines) {
+    SCOPED_TRACE(name);
+    charged.push_back(charge_every_launch_kind(engine));
+    EXPECT_GT(charged.back().modeled_ms, 0.0);
+    EXPECT_GT(charged.back().native_ms, 0.0);
+  }
+  for (std::size_t e = 1; e < charged.size(); ++e) {
+    SCOPED_TRACE(engines[e].first);
+    EXPECT_EQ(charged[e].launches, charged[0].launches);
+    EXPECT_DOUBLE_EQ(charged[e].modeled_ms, charged[0].modeled_ms);
+  }
+  EXPECT_EQ(charged[0].launches, 8u);
+}
+
 // ------------------------------------------------------------------- mem ----
 
 TEST(Mem, RelaxedCellLoadStore) {
@@ -254,7 +348,7 @@ TEST(Mem, RelaxedVectorSwapIsConstantTimeExchange) {
 }
 
 TEST(Mem, DeviceFlagRaiseFromKernel) {
-  Device dev({.mode = ExecMode::kConcurrent, .num_threads = 4});
+  Device dev = fanout_device(4);
   device_flag flag;
   EXPECT_FALSE(flag.is_raised());
   dev.launch(100, [&](std::int64_t i) {
@@ -267,7 +361,7 @@ TEST(Mem, DeviceFlagRaiseFromKernel) {
 
 TEST(Mem, ConcurrentSameValueWritesAreBenign) {
   // The G-GR pattern: many threads store the same value to one cell.
-  Device dev({.mode = ExecMode::kConcurrent, .num_threads = 8});
+  Device dev = fanout_device(8);
   relaxed_vector<std::int32_t> cell(1, 0);
   dev.launch(10000, [&](std::int64_t) { cell.store(0, 42); });
   EXPECT_EQ(cell.load(0), 42);
@@ -276,7 +370,7 @@ TEST(Mem, ConcurrentSameValueWritesAreBenign) {
 TEST(Mem, ConcurrentLastWriterWinsSettlesOnSomeWrittenValue) {
   // The µ(u) pattern: racing writes of different values; after the launch
   // barrier the cell holds one of them.
-  Device dev({.mode = ExecMode::kConcurrent, .num_threads = 8});
+  Device dev = fanout_device(8);
   relaxed_vector<std::int32_t> cell(1, -1);
   dev.launch(64, [&](std::int64_t i) {
     cell.store(0, static_cast<std::int32_t>(i));
@@ -417,7 +511,7 @@ TEST(BalancedPartition, ZeroTotalWorkSpreadsItemsEvenly) {
 class BalancedLaunchModes : public ::testing::TestWithParam<ExecMode> {};
 
 TEST_P(BalancedLaunchModes, RunsEveryItemExactlyOnce) {
-  Device dev({.mode = GetParam(), .num_threads = 4});
+  Device dev = fanout_device(4, GetParam());
   for (const std::size_t n : {1u, 3u, 57u, 1000u}) {
     const auto offsets = offsets_of(skewed_degrees(n, 11));
     std::vector<std::atomic<int>> hits(n);
@@ -430,7 +524,7 @@ TEST_P(BalancedLaunchModes, RunsEveryItemExactlyOnce) {
 }
 
 TEST_P(BalancedLaunchModes, EmptyAndZeroWorkGrids) {
-  Device dev({.mode = GetParam(), .num_threads = 4});
+  Device dev = fanout_device(4, GetParam());
   const std::vector<std::int64_t> empty{0};
   dev.launch_balanced(empty, [](std::int64_t) -> std::int64_t { return 1; });
   EXPECT_EQ(dev.launches(), 1u);  // empty grids still count as a launch
@@ -453,15 +547,15 @@ INSTANTIATE_TEST_SUITE_P(AllModes, BalancedLaunchModes,
                                       : "Concurrent";
                          });
 
-TEST(BalancedLaunch, SimChargesWhatAnAccountedLaunchCharges) {
-  // The sim models no stragglers, so an edge-balanced launch over skewed
-  // work is the same accounted launch as the vertex-parallel grid over the
-  // same items: equal modeled time, in both execution modes.
+TEST(BalancedLaunch, ChargesWhatAnAccountedLaunchCharges) {
+  // The model charges no stragglers, so an edge-balanced launch over
+  // skewed work is the same accounted launch as the vertex-parallel grid
+  // over the same items: equal modeled time, in both execution modes.
   std::vector<std::int64_t> work(4480, 1);
   for (std::size_t i = 0; i < 448; ++i) work[i] = 100;  // a hub block
   const auto offsets = offsets_of(work);
   auto modeled = [&](bool balanced, ExecMode mode) {
-    Device dev({.backend = Backend::kSim, .mode = mode, .num_threads = 4});
+    Device dev = fanout_device(4, mode);
     const auto kernel = [&](std::int64_t i) -> std::int64_t {
       return work[static_cast<std::size_t>(i)];
     };
@@ -479,7 +573,7 @@ TEST(BalancedLaunch, ConcurrentStreamsStressAllCovered) {
   // TSan stress for the balanced launch and its padded per-worker work
   // partials: several streams on one engine, each running balanced
   // launches over skewed work from its own host thread.
-  const auto engine = std::make_shared<Engine>(ExecMode::kConcurrent, 4);
+  const auto engine = fanout_engine(4);
   constexpr int kStreams = 4, kLaunches = 20;
   constexpr std::size_t kGrid = 700;
   std::vector<std::thread> threads;
@@ -510,7 +604,7 @@ TEST(BalancedLaunch, ConcurrentStreamsStressAllCovered) {
 class ScanModes : public ::testing::TestWithParam<ExecMode> {};
 
 TEST_P(ScanModes, MatchesSerialExclusiveScan) {
-  Device dev({.mode = GetParam(), .num_threads = 4});
+  Device dev = fanout_device(4, GetParam());
   for (std::size_t n : {0u, 1u, 2u, 7u, 64u, 1000u, 4097u}) {
     std::vector<std::int64_t> in(n);
     for (std::size_t i = 0; i < n; ++i)
@@ -529,7 +623,7 @@ TEST_P(ScanModes, MatchesSerialExclusiveScan) {
 }
 
 TEST_P(ScanModes, InPlaceAliasing) {
-  Device dev({.mode = GetParam(), .num_threads = 4});
+  Device dev = fanout_device(4, GetParam());
   std::vector<std::int64_t> data{3, 1, 4, 1, 5};
   const std::int64_t total = exclusive_scan(dev, data, data);
   EXPECT_EQ(total, 14);
@@ -550,6 +644,184 @@ TEST(Scan, SizeMismatchThrows) {
   std::vector<std::int64_t> in{1, 2};
   std::vector<std::int64_t> out(3);
   EXPECT_THROW(exclusive_scan(dev, in, out), std::invalid_argument);
+}
+
+// ------------------------------------------------------------- executor ----
+// Executor properties with the serial cutoff off, so even small grids
+// genuinely fan out onto the pool.
+
+TEST(Executor, LaunchCoversEveryIndexExactlyOnce) {
+  Device dev = fanout_device(4);
+  constexpr std::int64_t kN = 10'000;
+  std::vector<std::atomic<int>> hits(kN);
+  dev.launch(kN, [&](std::int64_t i) {
+    hits[static_cast<std::size_t>(i)].fetch_add(1,
+                                                std::memory_order_relaxed);
+  });
+  for (std::int64_t i = 0; i < kN; ++i)
+    ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "index " << i;
+  EXPECT_EQ(dev.launches(), 1u);
+}
+
+TEST(Executor, BalancedLaunchCoversEveryItemOnSkewedWork) {
+  // A hub block up front — the regime the edge-balanced partition exists
+  // for.  Every item must still run exactly once.
+  std::vector<std::int64_t> work(2000, 1);
+  for (std::size_t i = 0; i < 40; ++i) work[i] = 500;
+  Device dev = fanout_device(4);
+  const std::vector<std::int64_t> offsets = balanced_offsets(dev, work);
+  ASSERT_EQ(offsets.size(), work.size() + 1);
+  ASSERT_EQ(offsets.front(), 0);
+
+  std::vector<std::atomic<int>> hits(work.size());
+  dev.launch_balanced(offsets, [&](std::int64_t i) -> std::int64_t {
+    hits[static_cast<std::size_t>(i)].fetch_add(1,
+                                                std::memory_order_relaxed);
+    return work[static_cast<std::size_t>(i)];
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    ASSERT_EQ(hits[i].load(), 1) << "item " << i;
+}
+
+TEST(Executor, ExclusiveScanMatchesSerialReference) {
+  Device dev = fanout_device(4);
+  std::mt19937 rng(17);
+  for (const std::size_t n : {0UL, 1UL, 7UL, 100UL, 4097UL, 50'000UL}) {
+    std::vector<std::int64_t> in(n);
+    for (auto& v : in) v = static_cast<std::int64_t>(rng() % 9);
+    std::vector<std::int64_t> expect(n);
+    std::int64_t run = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      expect[i] = run;
+      run += in[i];
+    }
+    std::vector<std::int64_t> out(n);
+    EXPECT_EQ(exclusive_scan(dev, in, out), run) << "n=" << n;
+    EXPECT_EQ(out, expect) << "n=" << n;
+    // Aliasing in == out is part of the contract.
+    std::vector<std::int64_t> aliased = in;
+    EXPECT_EQ(exclusive_scan(dev, aliased, aliased), run);
+    EXPECT_EQ(aliased, expect) << "aliased n=" << n;
+  }
+}
+
+TEST(Executor, BalancedPartitionPropertiesOnScannedOffsets) {
+  // Offsets built by the executor's own parallel scan, partitioned into
+  // every slot count the launch path might pick: bounds must start at 0,
+  // end at n, stay monotone, and every chunk's work must be within one
+  // maximum item work of the ideal.
+  std::mt19937 rng(23);
+  std::vector<std::int64_t> work(3000);
+  std::int64_t max_item = 0;
+  for (auto& v : work) {
+    v = static_cast<std::int64_t>(rng() % 50);
+    if (rng() % 97 == 0) v = 2000;  // occasional huge item
+    max_item = std::max(max_item, v);
+  }
+  Device dev = fanout_device(4);
+  const std::vector<std::int64_t> offsets = balanced_offsets(dev, work);
+  const std::int64_t total = offsets.back();
+  for (const std::int64_t parts : {1, 2, 3, 7, 16, 64}) {
+    const std::vector<std::int64_t> bounds = balanced_partition(offsets, parts);
+    ASSERT_EQ(static_cast<std::int64_t>(bounds.size()), parts + 1);
+    EXPECT_EQ(bounds.front(), 0);
+    EXPECT_EQ(bounds.back(), static_cast<std::int64_t>(work.size()));
+    const std::int64_t ideal = total / parts + (total % parts != 0);
+    for (std::int64_t p = 0; p < parts; ++p) {
+      ASSERT_LE(bounds[static_cast<std::size_t>(p)],
+                bounds[static_cast<std::size_t>(p) + 1]);
+      const std::int64_t chunk =
+          offsets[static_cast<std::size_t>(
+              bounds[static_cast<std::size_t>(p) + 1])] -
+          offsets[static_cast<std::size_t>(
+              bounds[static_cast<std::size_t>(p)])];
+      EXPECT_LE(chunk, ideal + max_item) << "parts=" << parts << " p=" << p;
+    }
+  }
+}
+
+TEST(Executor, ConcurrentStreamsShareOneEngine) {
+  // TSan scenario: several host threads each drive their own stream of
+  // one shared engine; every launch's writes must be complete and the
+  // engine's odometer must account every stream.
+  const auto engine = fanout_engine(3);
+  constexpr int kStreams = 6, kLaunches = 20;
+  constexpr std::int64_t kN = 512;
+  std::atomic<std::int64_t> total{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kStreams);
+  for (int s = 0; s < kStreams; ++s)
+    threads.emplace_back([&] {
+      Device dev(engine);
+      for (int l = 0; l < kLaunches; ++l) {
+        std::vector<std::int64_t> marks(kN, 0);
+        dev.launch(kN, [&](std::int64_t i) {
+          marks[static_cast<std::size_t>(i)] = i + 1;
+        });
+        std::int64_t sum = 0;  // the launch barrier publishes the writes
+        for (const std::int64_t m : marks) sum += m;
+        total.fetch_add(sum == kN * (kN + 1) / 2 ? 1 : -1000000);
+      }
+    });
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(total.load(), kStreams * kLaunches);
+  const EngineStats stats = engine->stats();
+  EXPECT_EQ(stats.streams_retired, static_cast<std::uint64_t>(kStreams));
+  EXPECT_EQ(stats.launches, static_cast<std::uint64_t>(kStreams) * kLaunches);
+}
+
+// ---------------------------------------------------------- conformance ----
+
+std::vector<std::pair<std::string, graph::BipartiteGraph>> conformance_suite() {
+  namespace gen = graph::gen;
+  std::vector<std::pair<std::string, graph::BipartiteGraph>> suite;
+  suite.emplace_back("uniform", gen::random_uniform(150, 150, 600, 3));
+  suite.emplace_back("power_law", gen::chung_lu(220, 220, 4.0, 2.3, 5));
+  suite.emplace_back("hubs", gen::skewed_hubs(170, 200, 4, 0.3, 2.5, 7));
+  suite.emplace_back("hub_block",
+                     gen::skewed_hubs(180, 200, 24, 0.15, 2.0, 9, false));
+  suite.emplace_back("mesh", gen::trace_mesh(60, 3, 0.06, 11));
+  suite.emplace_back("planted", gen::planted_perfect(90, 1.5, 13));
+  suite.emplace_back("star", gen::star(50));
+  suite.emplace_back("empty", gen::empty_graph(20, 20));
+  return suite;
+}
+
+TEST(Conformance, DeviceSolversMatchReferenceAtEveryGrain) {
+  // Every device solver reaches the reference maximum cardinality whether
+  // its launches all fan out (grain 1) or mostly run inline (the
+  // production grain): the grain may change cost, never results.
+  for (const char* name : {"g-pr", "g-pr-wb", "g-hk", "p-dbfs"}) {
+    for (const auto& [gname, g] : conformance_suite()) {
+      const graph::index_t reference =
+          matching::reference_maximum_cardinality(g);
+      const matching::Matching init = matching::cheap_matching(g);
+      for (const bool fanout : {true, false}) {
+        auto solver = SolverRegistry::instance().create(name);
+        ASSERT_NE(solver, nullptr) << name;
+        Device dev = fanout ? fanout_device(4) : Device({.num_threads = 4});
+        const SolveContext ctx{.device = &dev};
+        const SolveResult r = solver->run(ctx, g, init);
+        EXPECT_EQ(r.stats.cardinality, reference)
+            << name << " on " << gname << (fanout ? " at grain 1" : "");
+      }
+    }
+  }
+}
+
+TEST(Conformance, SequentialModeStaysCorrectAndReportsBothTimes) {
+  // kSequential is the debugging configuration: one worker, indices in
+  // order, still measured and still modeled.
+  const graph::BipartiteGraph g =
+      graph::gen::skewed_hubs(120, 150, 4, 0.3, 2.0, 19);
+  const graph::index_t reference = matching::reference_maximum_cardinality(g);
+  auto solver = SolverRegistry::instance().create("g-pr");
+  Device dev({.mode = ExecMode::kSequential, .num_threads = 1});
+  const SolveContext ctx{.device = &dev};
+  const SolveResult r = solver->run(ctx, g, matching::cheap_matching(g));
+  EXPECT_EQ(r.stats.cardinality, reference);
+  EXPECT_GT(dev.modeled_ms(), 0.0);
+  EXPECT_GT(dev.native_ms(), 0.0);
 }
 
 }  // namespace

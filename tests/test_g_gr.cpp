@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/g_gr.hpp"
+#include "fanout_device.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
@@ -64,7 +65,7 @@ index_t deepest_level(const BipartiteGraph& g,
 
 class GGrModes : public ::testing::TestWithParam<ExecMode> {
  protected:
-  Device make_device() { return Device({.mode = GetParam(), .num_threads = 4}); }
+  Device make_device() { return test_support::fanout_device(4, GetParam()); }
 
   void expect_exact_distances(const BipartiteGraph& g,
                               const matching::Matching& m) {
@@ -161,13 +162,11 @@ INSTANTIATE_TEST_SUITE_P(AllModes, GGrModes,
                                       : "Concurrent";
                          });
 
-// A host engine with its serial cutoff disabled: every launch, the level
+// An engine with its serial cutoff disabled: every launch, the level
 // frontiers included, fans out over 4 pool workers, so their private
 // appends really run concurrently.
 TEST(GGrHostFanout, ExactDistancesUnderConcurrentAppends) {
-  const auto engine = std::make_shared<device::HostParallelEngine>(
-      device::EngineDescriptor{
-          .mode = ExecMode::kConcurrent, .threads = 4, .host_grain = 1});
+  const auto engine = test_support::fanout_engine(4);
   Device dev(engine);
   auto check = [&](const BipartiteGraph& g, const matching::Matching& m) {
     DeviceState st = make_state(g, m);

@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "core/g_pr.hpp"
+#include "fanout_device.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
@@ -45,7 +46,7 @@ class GprConfigs : public ::testing::TestWithParam<Config> {
   }
 
   Device make_device() const {
-    return Device({.mode = std::get<1>(GetParam()), .num_threads = 4});
+    return test_support::fanout_device(4, std::get<1>(GetParam()));
   }
 
   /// Solves from both empty and greedy starts and verifies maximality via
@@ -199,7 +200,7 @@ TEST(Gpr, RowMatchesNeverRegress) {
   // final matching covers at least every row the greedy init covered.
   const BipartiteGraph g = gen::chung_lu(300, 300, 4.0, 2.5, 17);
   const matching::Matching init = matching::cheap_matching(g);
-  Device dev({.mode = ExecMode::kConcurrent, .num_threads = 4});
+  Device dev = test_support::fanout_device(4);
   const GprResult r = g_pr(dev, g, init);
   for (index_t u = 0; u < g.num_rows(); ++u) {
     if (init.row_match[static_cast<std::size_t>(u)] != matching::kUnmatched) {
@@ -212,7 +213,7 @@ TEST(Gpr, RowMatchesNeverRegress) {
 
 TEST(Gpr, FixMatchingNormalisesAllColumns) {
   const BipartiteGraph g = gen::chung_lu(200, 200, 2.0, 2.3, 23);
-  Device dev({.mode = ExecMode::kConcurrent, .num_threads = 4});
+  Device dev = test_support::fanout_device(4);
   const GprResult r = g_pr(dev, g, matching::Matching(g));
   for (index_t v = 0; v < g.num_cols(); ++v) {
     const index_t u = r.matching.col_match[static_cast<std::size_t>(v)];

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/g_pr.hpp"
+#include "fanout_device.hpp"
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
 #include "matching/verify.hpp"
@@ -109,7 +110,7 @@ class InvariantSweep : public ::testing::TestWithParam<GprVariant> {
     // checking); the greedy start exercises the initialised path.
     std::int64_t loops_total = 0;
     for (const bool greedy : {false, true}) {
-      Device dev({.mode = mode, .num_threads = 4});
+      Device dev = test_support::fanout_device(4, mode);
       InvariantObserver obs(g);
       GprOptions opt;
       opt.variant = GetParam();

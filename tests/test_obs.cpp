@@ -182,14 +182,14 @@ TEST(Registry, AccessorsMirrorState) {
   reg.counter("n").add(3);
   reg.gauge("q").set(4.0);
   reg.histogram("h", {1.0}).observe(0.5);
-  reg.set_info("backend", "sim");
+  reg.set_info("engine", "host(workers=4)");
   EXPECT_EQ(reg.counter_values().at("n"), 3u);
   EXPECT_DOUBLE_EQ(reg.gauge_values().at("q"), 4.0);
   const auto hists = reg.histogram_snapshots();
   ASSERT_EQ(hists.size(), 1u);
   EXPECT_EQ(hists[0].name, "h");
   EXPECT_EQ(hists[0].snapshot.count, 1u);
-  EXPECT_EQ(reg.info_values().at("backend"), "sim");
+  EXPECT_EQ(reg.info_values().at("engine"), "host(workers=4)");
 }
 
 TEST(Registry, WriteFileRoundTripsSnapshot) {

@@ -7,6 +7,7 @@
 
 #include "core/g_hk.hpp"
 #include "core/g_pr.hpp"
+#include "fanout_device.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
@@ -34,17 +35,17 @@ index_t cardinality_of(const std::string& algo, const BipartiteGraph& g) {
   if (algo == "pdbfs")
     return mc::p_dbfs(g, init, {.num_threads = 4}).matching.cardinality();
   if (algo == "g_pr") {
-    Device dev({.mode = ExecMode::kConcurrent, .num_threads = 4});
+    Device dev = test_support::fanout_device(4);
     return gpu::g_pr(dev, g, init).matching.cardinality();
   }
   if (algo == "g_pr_wb") {
-    Device dev({.mode = ExecMode::kConcurrent, .num_threads = 4});
+    Device dev = test_support::fanout_device(4);
     gpu::GprOptions opt;
     opt.balance = gpu::BalanceMode::kOn;
     return gpu::g_pr(dev, g, init, opt).matching.cardinality();
   }
   if (algo == "g_hkdw") {
-    Device dev({.mode = ExecMode::kConcurrent, .num_threads = 4});
+    Device dev = test_support::fanout_device(4);
     return gpu::g_hk(dev, g, init).matching.cardinality();
   }
   ADD_FAILURE() << "unknown algo " << algo;

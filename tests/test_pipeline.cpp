@@ -96,10 +96,7 @@ TEST(Pipeline, MatchesSingleRunResultsAndSharesTheGreedyInit) {
 }
 
 TEST(Pipeline, TotalsAggregateThePerJobStats) {
-  // Pinned to sim: the assertions below validate *modeled* totals, which
-  // the host backend (measured wall, modeled 0) intentionally leaves empty.
-  MatchingPipeline pipe({.device_backend = device::Backend::kSim,
-                         .device_threads = 2});
+  MatchingPipeline pipe({.device_threads = 2});
   for (auto& [name, g] : suite()) pipe.add_instance(name, std::move(g));
   const PipelineReport report = pipe.run({"g-pr-shr", "g-hkdw", "pf"});
 

@@ -9,6 +9,7 @@
 
 #include "core/g_hk.hpp"
 #include "core/g_pr.hpp"
+#include "fanout_device.hpp"
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
 #include "matching/verify.hpp"
@@ -31,7 +32,7 @@ TEST_P(GprRaceStress, TinyDenseGraphsManySeeds) {
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
     const BipartiteGraph g = gen::random_uniform(12, 12, 70, seed);
     const index_t want = matching::reference_maximum_cardinality(g);
-    Device dev({.mode = ExecMode::kConcurrent, .num_threads = 13});
+    Device dev = test_support::fanout_device(13);
     gpu::GprOptions opt;
     opt.variant = GetParam();
     opt.shrink_threshold = 2;
@@ -46,7 +47,7 @@ TEST_P(GprRaceStress, ContendedSingleRowStar) {
   // All columns race for the single row every single kernel.
   for (std::uint64_t run = 0; run < 10; ++run) {
     const BipartiteGraph g = gen::complete_bipartite(1, 16);
-    Device dev({.mode = ExecMode::kConcurrent, .num_threads = 16});
+    Device dev = test_support::fanout_device(16);
     gpu::GprOptions opt;
     opt.variant = GetParam();
     const gpu::GprResult r = gpu::g_pr(dev, g, matching::Matching(g), opt);
@@ -58,7 +59,7 @@ TEST_P(GprRaceStress, MediumPowerLawRepeatedRuns) {
   const BipartiteGraph g = gen::chung_lu(400, 400, 3.0, 2.3, 99);
   const index_t want = matching::reference_maximum_cardinality(g);
   for (int run = 0; run < 6; ++run) {
-    Device dev({.mode = ExecMode::kConcurrent, .num_threads = 8});
+    Device dev = test_support::fanout_device(8);
     gpu::GprOptions opt;
     opt.variant = GetParam();
     opt.shrink_threshold = 16;
@@ -86,7 +87,7 @@ TEST(GhkRaceStress, TinyDenseGraphsManySeeds) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const BipartiteGraph g = gen::random_uniform(14, 14, 80, seed);
     const index_t want = matching::reference_maximum_cardinality(g);
-    Device dev({.mode = ExecMode::kConcurrent, .num_threads = 12});
+    Device dev = test_support::fanout_device(12);
     const gpu::GhkResult r = gpu::g_hk(dev, g, matching::Matching(g));
     ASSERT_EQ(r.matching.cardinality(), want) << "seed " << seed;
   }
@@ -110,7 +111,7 @@ TEST(DeterminismOfResult, CardinalityIsStableAcrossRacyRuns) {
   const index_t want =
       gpu::g_pr(dev0, g, matching::Matching(g)).matching.cardinality();
   for (int run = 0; run < 8; ++run) {
-    Device dev({.mode = ExecMode::kConcurrent, .num_threads = 7});
+    Device dev = test_support::fanout_device(7);
     EXPECT_EQ(gpu::g_pr(dev, g, matching::Matching(g)).matching.cardinality(),
               want);
   }
