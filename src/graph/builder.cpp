@@ -1,6 +1,7 @@
 #include "graph/builder.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 
@@ -8,39 +9,33 @@
 
 namespace bpm::graph {
 
-BipartiteGraph build_from_edges(index_t num_rows, index_t num_cols,
-                                std::span<const Edge> edges) {
-  if (num_rows < 0 || num_cols < 0)
-    throw std::invalid_argument("build_from_edges: negative dimension");
-  const auto rows = static_cast<std::size_t>(num_rows);
-  const auto cols = static_cast<std::size_t>(num_cols);
+namespace {
 
-  // Counting sort by row, straight into row_adj (range checks ride along).
-  std::vector<offset_t> row_ptr(rows + 1, 0);
-  for (const Edge& e : edges) {
-    if (e.row < 0 || e.row >= num_rows || e.col < 0 || e.col >= num_cols)
-      throw std::invalid_argument(
-          "build_from_edges: edge endpoint out of range");
-    ++row_ptr[static_cast<std::size_t>(e.row) + 1];
-  }
-  std::partial_sum(row_ptr.begin(), row_ptr.end(), row_ptr.begin());
-  std::vector<index_t> row_adj(edges.size());
-  {
-    std::vector<offset_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
-    for (const Edge& e : edges)
-      row_adj[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(e.row)]++)] = e.col;
-  }
+/// After a scatter that advanced each `ptr[i]` from its list's start to
+/// its end (the next list's start), shifts the starts back into place.
+void shift_right(std::vector<offset_t>& ptr) {
+  if (ptr.size() < 2) return;  // no lists: ptr is {0}
+  std::copy_backward(ptr.begin(), ptr.end() - 2, ptr.end() - 1);
+  ptr.front() = 0;
+}
 
-  // Sort and dedup each row in place, compacting rows leftwards.
+/// Sorts and dedups each row of a row CSR in place, compacting rows
+/// leftwards.  The counting sort that filled it is stable, so a row whose
+/// columns arrived strictly increasing (as a column-major file delivers
+/// them) needs neither.
+void sort_and_dedup_rows(std::vector<offset_t>& row_ptr,
+                         std::vector<index_t>& row_adj) {
+  const std::size_t rows = row_ptr.size() - 1;
   offset_t kept = 0;
   offset_t begin = 0;  // the row's start before compaction
   for (std::size_t u = 0; u < rows; ++u) {
     const offset_t end = row_ptr[u + 1];
     const auto first = row_adj.begin() + begin;
     auto last = row_adj.begin() + end;
-    std::sort(first, last);
-    last = std::unique(first, last);
+    if (std::adjacent_find(first, last, std::greater_equal<>()) != last) {
+      std::sort(first, last);
+      last = std::unique(first, last);
+    }
     row_ptr[u] = kept;
     if (kept != begin) std::move(first, last, row_adj.begin() + kept);
     kept += last - first;
@@ -51,6 +46,41 @@ BipartiteGraph build_from_edges(index_t num_rows, index_t num_cols,
     row_adj.resize(static_cast<std::size_t>(kept));
     row_adj.shrink_to_fit();
   }
+}
+
+}  // namespace
+
+BipartiteGraph build_from_edges(index_t num_rows, index_t num_cols,
+                                std::span<const Edge> edges) {
+  if (num_rows < 0 || num_cols < 0)
+    throw std::invalid_argument("build_from_edges: negative dimension");
+  const auto rows = static_cast<std::size_t>(num_rows);
+  const auto cols = static_cast<std::size_t>(num_cols);
+
+  // Counting sort by row, straight into row_adj.  The range checks ride
+  // along, and so does the check whether the edges arrive strictly
+  // increasing in (row, col), as a row-major file lists them.
+  std::vector<offset_t> row_ptr(rows + 1, 0);
+  bool row_major = true;
+  std::int64_t prev = -1;  // the last edge's (row, col) as one key
+  for (const Edge& e : edges) {
+    if (e.row < 0 || e.row >= num_rows || e.col < 0 || e.col >= num_cols)
+      throw std::invalid_argument(
+          "build_from_edges: edge endpoint out of range");
+    ++row_ptr[static_cast<std::size_t>(e.row) + 1];
+    const std::int64_t key = std::int64_t{e.row} << 32 | e.col;
+    row_major &= key > prev;
+    prev = key;
+  }
+  std::partial_sum(row_ptr.begin(), row_ptr.end(), row_ptr.begin());
+  std::vector<index_t> row_adj(edges.size());
+  for (const Edge& e : edges)
+    row_adj[static_cast<std::size_t>(
+        row_ptr[static_cast<std::size_t>(e.row)]++)] = e.col;
+  shift_right(row_ptr);
+
+  // Row-major input has every row strictly increasing already.
+  if (!row_major) sort_and_dedup_rows(row_ptr, row_adj);
 
   // Scatter the rows in order into the column CSR: each column list comes
   // out sorted because rows are visited in increasing order.
@@ -58,16 +88,14 @@ BipartiteGraph build_from_edges(index_t num_rows, index_t num_cols,
   for (const index_t v : row_adj) ++col_ptr[static_cast<std::size_t>(v) + 1];
   std::partial_sum(col_ptr.begin(), col_ptr.end(), col_ptr.begin());
   std::vector<index_t> col_adj(row_adj.size());
-  {
-    std::vector<offset_t> cursor(col_ptr.begin(), col_ptr.end() - 1);
-    for (std::size_t u = 0; u < rows; ++u)
-      for (auto k = static_cast<std::size_t>(row_ptr[u]);
-           k < static_cast<std::size_t>(row_ptr[u + 1]); ++k) {
-        const auto v = static_cast<std::size_t>(row_adj[k]);
-        col_adj[static_cast<std::size_t>(cursor[v]++)] =
-            static_cast<index_t>(u);
-      }
-  }
+  for (std::size_t u = 0; u < rows; ++u)
+    for (auto k = static_cast<std::size_t>(row_ptr[u]);
+         k < static_cast<std::size_t>(row_ptr[u + 1]); ++k) {
+      const auto v = static_cast<std::size_t>(row_adj[k]);
+      col_adj[static_cast<std::size_t>(col_ptr[v]++)] =
+          static_cast<index_t>(u);
+    }
+  shift_right(col_ptr);
 
   return BipartiteGraph(num_rows, num_cols, std::move(row_ptr),
                         std::move(row_adj), std::move(col_ptr),

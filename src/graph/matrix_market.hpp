@@ -21,6 +21,20 @@ namespace bpm::graph {
 /// Symmetric variants mirror each off-diagonal entry (i,j) to (j,i), as
 /// SuiteSparse stores only the lower triangle.
 ///
+/// The size line `rows cols nnz` is the first line after the header that
+/// is neither empty nor a `%` comment.  Both dimensions must be
+/// non-negative and fit 32-bit indices, nnz must be non-negative, and a
+/// symmetric, skew-symmetric or hermitian matrix must be square; each
+/// violation fails at the size line.  Exactly nnz entry lines follow
+/// (comments and empty lines may sit among them); after them only
+/// comments and blank lines may remain.
+///
+/// Entries are scanned in place from the read buffer, with no per-line
+/// copy.  Each field takes what `istream >>` takes: leading blanks, one
+/// optional sign, no separator needed after a number, and whatever
+/// follows the last field read is ignored.  Reals reject nan, inf,
+/// overflow and a dangling exponent.  No line may exceed 1 MiB.
+///
 /// Throws `std::runtime_error` with a line number on malformed input.
 [[nodiscard]] BipartiteGraph read_matrix_market(std::istream& in);
 [[nodiscard]] BipartiteGraph read_matrix_market_file(const std::string& path);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 #include <utility>
@@ -64,18 +65,28 @@ TEST(Builder, IsolatedVerticesKeepEmptyAdjacency) {
 TEST(Builder, MatchesCsrDerivedFromEdgeSet) {
   // Endpoints are drawn on a `stride` lattice, so stride > 1 leaves rows
   // and columns empty in between; `hub` sends every other edge to row 0.
+  // `order` rearranges the drawn list: kept as drawn, sorted by (row, col)
+  // as a row-major file lists it, that with row 0 reversed, or deduped and
+  // sorted by (col, row) as a column-major file lists it.
+  enum class Order { kDrawn, kRowMajor, kOneRowReversed, kColumnMajor };
   const struct {
     const char* name;
     index_t rows, cols, stride;
     int edges;
     bool hub;
     std::uint64_t seed;
+    Order order = Order::kDrawn;
   } cases[] = {
       {"no edges", 4, 5, 1, 0, false, 1},
       {"dense, mostly duplicates", 6, 7, 1, 400, false, 2},
       {"sparse, unsorted", 300, 200, 1, 1500, false, 3},
       {"empty rows and columns", 240, 180, 3, 900, false, 4},
       {"one hub row", 150, 400, 2, 2000, true, 5},
+      {"rows already in order with adjacent duplicates", 40, 50, 1, 900,
+       false, 6, Order::kRowMajor},
+      {"in order except one reversed row", 200, 300, 1, 1500, true, 7,
+       Order::kOneRowReversed},
+      {"column-major", 200, 300, 1, 1500, true, 8, Order::kColumnMajor},
   };
   using Csr = std::pair<std::vector<offset_t>, std::vector<index_t>>;
   const auto csr_of = [](const std::set<std::pair<index_t, index_t>>& set,
@@ -103,6 +114,25 @@ TEST(Builder, MatchesCsrDerivedFromEdgeSet) {
       edges.push_back(e);
       by_row.emplace(e.row, e.col);
       by_col.emplace(e.col, e.row);
+    }
+    if (c.order == Order::kRowMajor || c.order == Order::kOneRowReversed)
+      std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+        return std::pair(a.row, a.col) < std::pair(b.row, b.col);
+      });
+    if (c.order == Order::kRowMajor)
+      ASSERT_NE(std::adjacent_find(edges.begin(), edges.end()), edges.end());
+    if (c.order == Order::kOneRowReversed) {
+      const auto hub = std::equal_range(
+          edges.begin(), edges.end(), Edge{0, 0},
+          [](const Edge& a, const Edge& b) { return a.row < b.row; });
+      ASSERT_GT(hub.second - hub.first, 1);
+      std::reverse(hub.first, hub.second);
+    }
+    if (c.order == Order::kColumnMajor) {
+      std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+        return std::pair(a.col, a.row) < std::pair(b.col, b.row);
+      });
+      edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
     }
     const BipartiteGraph g = build_from_edges(c.rows, c.cols, edges);
     const Csr rows = csr_of(by_row, c.rows);

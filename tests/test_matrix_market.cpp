@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -9,6 +10,17 @@
 
 namespace bpm::graph {
 namespace {
+
+/// The parser's error message for `text`, or "" if it parses.
+std::string parse_error(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    (void)read_matrix_market(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
 
 TEST(MatrixMarket, ReadsPatternGeneral) {
   std::istringstream in(
@@ -101,6 +113,30 @@ TEST(MatrixMarket, RejectsMissingValueInRealFile) {
   EXPECT_THROW(read_matrix_market(in), std::runtime_error);
 }
 
+TEST(MatrixMarket, RejectsNegativeDimensionsAtTheSizeLine) {
+  for (const char* size_line : {"-3 4 0", "3 -4 0", "-3 -4 2"}) {
+    SCOPED_TRACE(size_line);
+    EXPECT_EQ(parse_error(std::string("%%MatrixMarket matrix coordinate "
+                                      "pattern general\n") +
+                          size_line + "\n1 1\n1 2\n"),
+              "matrix market: line 2: negative dimension");
+  }
+}
+
+TEST(MatrixMarket, RejectsNonSquareSymmetricAtTheSizeLine) {
+  // Only diagonal entries, or none: nothing needs mirroring, but the
+  // header still describes a square matrix the size line contradicts.
+  for (const char* header : {"pattern symmetric", "real skew-symmetric",
+                             "complex hermitian"}) {
+    for (const char* rest : {"3 4 0\n", "3 4 1\n2 2 1 1\n"}) {
+      SCOPED_TRACE(std::string(header) + " / " + rest);
+      EXPECT_EQ(parse_error(std::string("%%MatrixMarket matrix coordinate ") +
+                            header + "\n% comment\n" + rest),
+                "matrix market: line 3: symmetric matrix must be square");
+    }
+  }
+}
+
 TEST(MatrixMarket, WriteReadRoundTrip) {
   // Large enough that the text spans many read blocks, so some entry line
   // is cut by a block boundary and must be carried into the next fill.
@@ -122,13 +158,59 @@ TEST(MatrixMarket, WriteReadRoundTrip) {
   }
   const std::string unterminated = text.substr(0, text.size() - 1);
 
+  // The same text with each entry line "u v" rewritten by `entry`; the
+  // header, comment and size lines (the first three) are kept.
+  const auto rewrite = [&](auto entry) {
+    std::string out;
+    std::size_t begin = 0;
+    for (std::size_t n = 1; begin < text.size(); ++n) {
+      const std::size_t end = text.find('\n', begin);
+      const std::string_view l(text.data() + begin, end - begin);
+      if (n <= 3) {
+        out += l;
+      } else {
+        const std::size_t space = l.find(' ');
+        out += entry(l.substr(0, space), l.substr(space + 1));
+      }
+      out += '\n';
+      begin = end + 1;
+    }
+    return out;
+  };
+  const std::string blanks = rewrite([](auto u, auto v) {
+    return " \t " + std::string(u) + "\t \t" + std::string(v);
+  });
+  const std::string plus = rewrite([](auto u, auto v) {
+    return "+" + std::string(u) + " +" + std::string(v);
+  });
+  const std::string junk = rewrite([](auto u, auto v) {
+    return std::string(u) + " " + std::string(v) + " x% 7\t";
+  });
+  std::string real = rewrite([](auto u, auto v) {
+    return std::string(u) + " " + std::string(v) + " -1.25e-3";
+  });
+  real.replace(real.find("pattern"), 7, "real");
+  // Two comment lines meet at the first 64 KiB block boundary: one ends
+  // exactly there, the next starts the second block.
+  constexpr std::size_t kBlock = std::size_t{1} << 16;
+  std::string edge = text;
+  const std::size_t at = edge.rfind('\n', kBlock - 3) + 1;
+  edge.insert(at, "%" + std::string(kBlock - at - 2, 'x') + "\n% second\n");
+  ASSERT_EQ(edge[kBlock - 1], '\n');
+  ASSERT_EQ(edge[kBlock], '%');
+
   const struct {
     const char* name;
     const std::string& input;
   } cases[] = {{"as written", text},
                {"crlf", crlf},
                {"no final newline", unterminated},
-               {"comments between entries", commented}};
+               {"comments between entries", commented},
+               {"blanks and tabs between fields", blanks},
+               {"plus signs", plus},
+               {"trailing junk", junk},
+               {"real header with values", real},
+               {"comment at a block boundary", edge}};
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
     std::istringstream in(c.input);

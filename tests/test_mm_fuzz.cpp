@@ -184,6 +184,58 @@ TEST(MmFuzz, OverlongLinesFailAtTheCap) {
   EXPECT_EQ(read_matrix_market(in).num_edges(), 9);
 }
 
+TEST(MmFuzz, ErrorsDeepInAFileNameTheirLine) {
+  // 80000 entry lines (over 600 KB: ten read blocks) with a comment on
+  // every 997th line, so an error at line 70000 or later sits many block
+  // fills and skipped lines in.  Line n >= 4 holds the entry
+  // "n % 900 + 1, n % 800 + 1" (plus a value under a real header) unless
+  // it is a comment or the case replaces it.
+  constexpr std::size_t kEntries = 80000;
+  const auto file = [&](bool real, std::size_t bad_line, const char* bad,
+                        std::size_t declared) {
+    std::string out = std::string("%%MatrixMarket matrix coordinate ") +
+                      (real ? "real" : "pattern") + " general\n% comment\n";
+    std::string body;
+    std::size_t entries = 0;
+    for (std::size_t n = 4; entries < kEntries; ++n) {
+      if (n == bad_line) {
+        body += bad;
+        ++entries;
+      } else if (n % 997 == 0) {
+        body += "% skipped";
+      } else {
+        body += std::to_string(n % 900 + 1) + " " +
+                std::to_string(n % 800 + 1) + (real ? " 0.5" : "");
+        ++entries;
+      }
+      body += '\n';
+    }
+    out += "900 800 " + std::to_string(declared == 0 ? entries : declared);
+    return out + "\n" + body;
+  };
+  const struct {
+    const char* name;
+    std::string text;
+    const char* error;
+  } cases[] = {
+      {"bad entry", file(false, 70001, "7 x", 0),
+       "matrix market: line 70001: bad entry"},
+      {"out of bounds", file(false, 71234, "901 1", 0),
+       "matrix market: line 71234: entry out of bounds"},
+      {"missing value", file(true, 72345, "5 6", 0),
+       "matrix market: line 72345: missing value"},
+      // Declaring one entry fewer makes the last entry line the surplus.
+      {"surplus entry", file(false, 0, "", kEntries - 1),
+       "matrix market: line 80083: more entries than the declared 79999"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_GT(c.text.size(), std::size_t{9} << 16);
+    std::istringstream in(c.text);
+    EXPECT_EQ(parse_error(in), c.error);
+  }
+}
+
 TEST(MmFuzz, ValidBaseStillParses) {
   std::istringstream in(valid_file());
   const BipartiteGraph g = read_matrix_market(in);
