@@ -21,8 +21,8 @@ void shift_right(std::vector<offset_t>& ptr) {
 
 /// Sorts and dedups each row of a row CSR in place, compacting rows
 /// leftwards.  The counting sort that filled it is stable, so a row whose
-/// columns arrived strictly increasing (as a column-major file delivers
-/// them) needs neither.
+/// columns arrived strictly increasing (as row-major and column-major
+/// files deliver them) needs neither.
 void sort_and_dedup_rows(std::vector<offset_t>& row_ptr,
                          std::vector<index_t>& row_adj) {
   const std::size_t rows = row_ptr.size() - 1;
@@ -57,20 +57,14 @@ BipartiteGraph build_from_edges(index_t num_rows, index_t num_cols,
   const auto rows = static_cast<std::size_t>(num_rows);
   const auto cols = static_cast<std::size_t>(num_cols);
 
-  // Counting sort by row, straight into row_adj.  The range checks ride
-  // along, and so does the check whether the edges arrive strictly
-  // increasing in (row, col), as a row-major file lists them.
+  // Counting sort by row, straight into row_adj; the range checks ride
+  // along.
   std::vector<offset_t> row_ptr(rows + 1, 0);
-  bool row_major = true;
-  std::int64_t prev = -1;  // the last edge's (row, col) as one key
   for (const Edge& e : edges) {
     if (e.row < 0 || e.row >= num_rows || e.col < 0 || e.col >= num_cols)
       throw std::invalid_argument(
           "build_from_edges: edge endpoint out of range");
     ++row_ptr[static_cast<std::size_t>(e.row) + 1];
-    const std::int64_t key = std::int64_t{e.row} << 32 | e.col;
-    row_major &= key > prev;
-    prev = key;
   }
   std::partial_sum(row_ptr.begin(), row_ptr.end(), row_ptr.begin());
   std::vector<index_t> row_adj(edges.size());
@@ -78,9 +72,7 @@ BipartiteGraph build_from_edges(index_t num_rows, index_t num_cols,
     row_adj[static_cast<std::size_t>(
         row_ptr[static_cast<std::size_t>(e.row)]++)] = e.col;
   shift_right(row_ptr);
-
-  // Row-major input has every row strictly increasing already.
-  if (!row_major) sort_and_dedup_rows(row_ptr, row_adj);
+  sort_and_dedup_rows(row_ptr, row_adj);
 
   // Scatter the rows in order into the column CSR: each column list comes
   // out sorted because rows are visited in increasing order.

@@ -61,13 +61,8 @@ class LineReader {
   /// there is none.  Empty once the stream is exhausted.  Valid until the
   /// next call.
   std::string_view lines() {
-    for (;;) {
-      const char* begin = buf_.data() + pos_;
-      if (eof_) return {begin, end_ - pos_};
-      for (std::size_t end = end_; end != pos_; --end)
-        if (buf_[end - 1] == '\n') return {begin, end - pos_};
-      fill();
-    }
+    while (pos_ == whole_end_ && !eof_) fill();
+    return {buf_.data() + pos_, whole_end_ - pos_};
   }
 
   /// Marks `count` lines consumed, ending just before `next`: a line start
@@ -113,11 +108,17 @@ class LineReader {
       if (end_ == buf_.size()) buf_.push_back('\n');
       buf_[end_++] = '\n';
     }
+    // Only the new bytes can hold the last newline: the carried part is
+    // what followed the previous one.
+    std::size_t last = end_;
+    while (last != carry && buf_[last - 1] != '\n') --last;
+    whole_end_ = last == carry ? 0 : last;
   }
 
   std::istream& in_;
   std::vector<char> buf_;
   std::size_t pos_ = 0;
+  std::size_t whole_end_ = 0;  // just past the last buffered '\n'
   std::size_t end_ = 0;
   std::size_t line_no_ = 0;
   bool eof_ = false;
@@ -157,34 +158,27 @@ class Fields {
   /// A decimal `long long`; out-of-range values fail, as in from_chars.
   bool integer(long long& out) {
     skip_blanks();
-    // Fast path: unsigned with at most 18 digits, as every index is, so
-    // the value cannot overflow.
-    const char* first = p_;
-    if (is_digit(*p_)) {
-      unsigned long long value = 0;
-      do {
-        value = 10 * value + static_cast<unsigned>(*p_++ - '0');
-      } while (is_digit(*p_));
-      if (p_ - first <= 18) {
-        out = static_cast<long long>(value);
-        return true;
-      }
-      p_ = first;
+    bool negative = false;
+    if (!is_digit(*p_)) {  // a sign, which a digit must follow
+      negative = *p_ == '-';
+      if (!negative && *p_ != '+') return false;
+      if (!is_digit(*++p_)) return false;
     }
-    const bool negative = *p_ == '-';
-    if (*p_ == '+' || negative) ++p_;
-    if (!is_digit(*p_)) return false;
-    while (*p_ == '0' && is_digit(p_[1])) ++p_;  // leading zeros
-    // 19 digits cannot wrap the accumulator; more are out of range.
-    const char* significant = p_;
+    const char* first = p_;
     unsigned long long magnitude = 0;
     do {
       magnitude = 10 * magnitude + static_cast<unsigned>(*p_++ - '0');
     } while (is_digit(*p_));
-    constexpr auto kMax = static_cast<unsigned long long>(
-        std::numeric_limits<long long>::max());
-    if (p_ - significant > 19 || magnitude > kMax + (negative ? 1 : 0))
-      return false;
+    // 18 digits always fit.  Past that, leading zeros do not count: 19
+    // significant digits cannot wrap the accumulator, and more are out of
+    // range.
+    if (p_ - first > 18) {
+      while (*first == '0') ++first;
+      constexpr auto kMax = static_cast<unsigned long long>(
+          std::numeric_limits<long long>::max());
+      if (p_ - first > 19 || magnitude > kMax + (negative ? 1 : 0))
+        return false;
+    }
     out = static_cast<long long>(negative ? 0 - magnitude : magnitude);
     return true;
   }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -182,6 +183,30 @@ TEST(MmFuzz, OverlongLinesFailAtTheCap) {
                  "%" + std::string(std::size_t{600} << 10, 'x') + "\n");
   std::istringstream in(content);
   EXPECT_EQ(read_matrix_market(in).num_edges(), 9);
+}
+
+TEST(MmFuzz, ShortLinesBeforeALongOneStayLinear) {
+  // Blocks that hold many short comment lines and then the start of a
+  // long one, read once before the size line and once after the entries.
+  // Finding each short line must not rescan the long line's buffered
+  // tail: that made each such block cost seconds.
+  std::string comments =
+      "%" + std::string(std::size_t{600} << 10, 'x') + "\n";  // 1 MiB buffer
+  for (int block = 0; block < 2; ++block) {
+    for (int n = 0; n < 30000; ++n) comments += "%\n";
+    comments += "%" + std::string(std::size_t{900} << 10, 'x') + "\n";
+  }
+  const std::string header =
+      "%%MatrixMarket matrix coordinate pattern general\n";
+  for (const std::string& content :
+       {header + comments + "2 2 1\n1 1\n",
+        header + "2 2 1\n1 1\n" + comments}) {
+    std::istringstream in(content);
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(read_matrix_market(in).num_edges(), 1);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+  }
 }
 
 TEST(MmFuzz, ErrorsDeepInAFileNameTheirLine) {
