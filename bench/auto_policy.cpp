@@ -105,8 +105,7 @@ int main(int argc, char** argv) {
             << ", reps " << reps << ", model "
             << (model_path.empty() ? "embedded" : model_path) << '\n';
 
-  device::Device dev({.mode = device::ExecMode::kConcurrent,
-                      .num_threads = opt.threads});
+  device::Device dev({.num_threads = opt.threads});
   attach_tracer(opt, dev);
   std::vector<std::unique_ptr<Solver>> solvers;
   for (const auto& spec : opt.algos) solvers.push_back(spec.instantiate());

@@ -143,8 +143,7 @@ int main(int argc, char** argv) {
             << opt.seed << ", reps " << reps << "; baseline: "
             << opt.algos.front().canonical() << '\n';
 
-  device::Device dev({.mode = device::ExecMode::kConcurrent,
-                      .num_threads = opt.threads});
+  device::Device dev({.num_threads = opt.threads});
   attach_tracer(opt, dev);
   std::vector<std::unique_ptr<Solver>> solvers;
   for (const auto& spec : opt.algos) solvers.push_back(spec.instantiate());

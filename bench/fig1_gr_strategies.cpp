@@ -53,8 +53,7 @@ int main(int argc, char** argv) {
   print_header("Figure 1 — global-relabeling strategy comparison", opt,
                suite.size());
 
-  device::Device dev({.mode = device::ExecMode::kConcurrent,
-                      .num_threads = opt.threads});
+  device::Device dev({.num_threads = opt.threads});
   attach_tracer(opt, dev);
 
   bool all_ok = true;

@@ -99,8 +99,7 @@ int main(int argc, char** argv) {
             << structured_scale << "), seed " << opt.seed
             << ", reps " << reps << '\n';
 
-  device::Device dev({.mode = device::ExecMode::kConcurrent,
-                      .num_threads = opt.threads});
+  device::Device dev({.num_threads = opt.threads});
   attach_tracer(opt, dev);
   std::vector<std::unique_ptr<Solver>> solvers;
   for (const auto& spec : opt.algos) solvers.push_back(spec.instantiate());

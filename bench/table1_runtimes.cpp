@@ -92,8 +92,7 @@ int main(int argc, char** argv) {
   const auto suite = build_suite(opt);
   print_header("Table I — per-graph solver runtimes", opt, suite.size());
 
-  device::Device dev({.mode = device::ExecMode::kConcurrent,
-                      .num_threads = opt.threads});
+  device::Device dev({.num_threads = opt.threads});
   attach_tracer(opt, dev);
   std::vector<std::unique_ptr<Solver>> solvers;
   std::vector<std::string> names;

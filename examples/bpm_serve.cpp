@@ -96,7 +96,6 @@ int main(int argc, char** argv) {
                  "65536");
   cli.add_option("cache-bytes", "result cache budget in bytes (0 = no cache)",
                  std::to_string(std::size_t{64} << 20));
-  cli.add_option("cache-shards", "result cache shard count", "8");
   cli.add_option("cache-load", "warm the cache from this snapshot on start",
                  "");
   cli.add_option("cache-save", "snapshot the cache here on shutdown", "");
@@ -145,8 +144,8 @@ int main(int argc, char** argv) {
     opt.completed_ticket_retention = size("retention");
     const std::size_t cache_bytes = size("cache-bytes");
     if (cache_bytes > 0)
-      opt.cache = std::make_shared<serve::ResultCache>(serve::CacheOptions{
-          .byte_budget = cache_bytes, .shards = count("cache-shards")});
+      opt.cache = std::make_shared<serve::ResultCache>(
+          serve::CacheOptions{.byte_budget = cache_bytes});
 
     serve::Session::Options local_options;
     local_options.limits.max_line_bytes = size("max-line");

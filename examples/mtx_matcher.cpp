@@ -49,7 +49,6 @@ PipelineOptions pipeline_options(const CliParser& cli) {
   PipelineOptions opt;
   opt.device_threads = static_cast<unsigned>(cli.get_int("threads"));
   opt.solver_threads = opt.device_threads;
-  opt.max_concurrent_jobs = static_cast<unsigned>(cli.get_int("jobs"));
   const std::string init = cli.get_string("init");
   if (init == "cheap") {
     opt.init_builder = matching::cheap_matching;
@@ -78,8 +77,6 @@ int main(int argc, char** argv) {
   cli.add_option("scale", "scale for --instance", "0.015625");
   cli.add_option("seed", "seed for --instance", "1");
   cli.add_option("threads", "device/multicore threads (0 = hardware)", "0");
-  cli.add_option("jobs", "concurrent (instance x solver) jobs, one device "
-                 "stream each (0 = hardware)", "0");
   cli.add_flag("quiet", "print only the cardinality");
 
   try {
@@ -129,15 +126,12 @@ int main(int argc, char** argv) {
           std::all_of(specs.begin(), specs.end(), [](const SolverSpec& spec) {
             return spec.instantiate()->caps().exact;
           });
-      // batch_wall_ms is the caller's wait; wall_ms sums the per-job
-      // solver costs — with concurrent jobs they differ.
       std::cout << "verified: " << report.totals.jobs << " job(s) "
                 << (all_exact ? "valid and maximum (Berge certificate)"
                               : "valid; maximum checked for exact solvers "
                                 "only (Berge certificate)")
                 << "\n"
-                << "batch: " << report.totals.batch_wall_ms << " ms wall ("
-                << report.totals.wall_ms << " ms of solver time)\n";
+                << "solver time: " << report.totals.wall_ms << " ms\n";
     }
     return 0;
   } catch (const std::exception& e) {

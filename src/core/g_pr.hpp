@@ -45,7 +45,7 @@ class GprObserver {
 ///
 /// `init` must be a valid (consistent) matching for `g` — the paper uses
 /// the cheap greedy matching.  The result is maximum (Berge certificate
-/// checked in tests) regardless of `dev`'s execution mode.
+/// checked in tests) at any worker count of `dev`.
 GprResult g_pr(device::Device& dev, const BipartiteGraph& g,
                const matching::Matching& init, const GprOptions& options = {},
                GprObserver* observer = nullptr);

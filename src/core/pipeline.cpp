@@ -1,11 +1,8 @@
 #include "core/pipeline.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "matching/greedy.hpp"
@@ -53,9 +50,7 @@ AdmittedJobResult run_admitted_job(
 
 MatchingPipeline::MatchingPipeline(PipelineOptions options)
     : options_(std::move(options)),
-      engine_(std::make_shared<device::Engine>(
-          options_.device_mode, options_.device_threads)),
-      device_(engine_) {}
+      device_(std::make_shared<device::Engine>(options_.device_threads)) {}
 
 PipelineInstance admit_instance(std::string name, graph::BipartiteGraph graph,
                                 const PipelineOptions& options) {
@@ -114,7 +109,6 @@ PipelineReport MatchingPipeline::run_specs(
     solvers.push_back(spec.instantiate());
     labels.push_back(spec.canonical());
   }
-  Timer batch_timer;
   const std::size_t per_instance = specs.size();
   const std::size_t num_jobs = instances_.size() * per_instance;
   auto batch_sp = obs::span(options_.tracer, "batch", "pipeline");
@@ -124,61 +118,28 @@ PipelineReport MatchingPipeline::run_specs(
   }
 
   PipelineReport report;
-  report.jobs.resize(num_jobs);
-  const auto run_one = [&](std::size_t j, device::Device& dev) {
-    const std::size_t s = j % per_instance;
-    AdmittedJobResult r = run_admitted_job(
-        {&instances_[j / per_instance], solvers[s].get(), {}},
-        [&dev]() -> device::Device& { return dev; }, nullptr, options_);
-    PipelineJob& job = report.jobs[j];  // each job index is written once
-    job.instance = j / per_instance;
-    job.solver = labels[s];
-    job.stats = std::move(r.outcome.stats);
-    job.ok = r.outcome.ok;
-    job.error = std::move(r.outcome.error);
-  };
-
-  unsigned hardware = std::thread::hardware_concurrency();
-  if (hardware == 0) hardware = 1;
-  const unsigned concurrency = std::min<std::size_t>(
-      options_.max_concurrent_jobs ? options_.max_concurrent_jobs : hardware,
-      num_jobs);
-
-  if (concurrency <= 1) {
-    // The sequential schedule, on the pipeline's primary stream.
-    if (options_.tracer != nullptr) device_.set_tracer(options_.tracer);
-    for (std::size_t j = 0; j < num_jobs; ++j) run_one(j, device_);
-  } else {
-    // Work-stealing schedule: every scheduler thread owns one device
-    // stream and pulls the next unclaimed job until the list is drained,
-    // so uneven job costs never idle a stream behind a static partition.
-    std::atomic<std::size_t> next{0};
-    const auto scheduler = [&] {
-      device::Device stream(engine_);
-      if (options_.tracer != nullptr) stream.set_tracer(options_.tracer);
-      while (true) {
-        const std::size_t j = next.fetch_add(1, std::memory_order_relaxed);
-        if (j >= num_jobs) return;
-        run_one(j, stream);
-      }
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(concurrency - 1);
-    for (unsigned t = 0; t + 1 < concurrency; ++t)
-      threads.emplace_back(scheduler);
-    scheduler();  // the calling thread schedules too
-    for (std::thread& t : threads) t.join();
+  report.jobs.reserve(num_jobs);
+  if (options_.tracer != nullptr) device_.set_tracer(options_.tracer);
+  const std::function<device::Device&()> stream =
+      [this]() -> device::Device& { return device_; };
+  for (std::size_t i = 0; i < instances_.size(); ++i) {
+    for (std::size_t s = 0; s < per_instance; ++s) {
+      AdmittedJobResult r = run_admitted_job(
+          {&instances_[i], solvers[s].get(), {}}, stream, nullptr, options_);
+      PipelineJob& job = report.jobs.emplace_back();
+      job.instance = i;
+      job.solver = labels[s];
+      job.stats = std::move(r.outcome.stats);
+      job.ok = r.outcome.ok;
+      job.error = std::move(r.outcome.error);
+      report.totals.jobs += 1;
+      report.totals.failed += job.ok ? 0 : 1;
+      report.totals.matched_pairs += job.stats.cardinality;
+      report.totals.device_launches += job.stats.device_launches;
+      report.totals.wall_ms += job.stats.wall_ms;
+      report.totals.modeled_ms += job.stats.modeled_ms;
+    }
   }
-
-  for (const PipelineJob& job : report.jobs) {
-    report.totals.jobs += 1;
-    report.totals.failed += job.ok ? 0 : 1;
-    report.totals.matched_pairs += job.stats.cardinality;
-    report.totals.device_launches += job.stats.device_launches;
-    report.totals.wall_ms += job.stats.wall_ms;
-    report.totals.modeled_ms += job.stats.modeled_ms;
-  }
-  report.totals.batch_wall_ms = batch_timer.elapsed_ms();
   return report;
 }
 

@@ -22,15 +22,9 @@ class ResultCache;
 struct PipelineOptions {
   /// Nothing reads this; ROADMAP item 2 deletes it with its benchmark uses.
   device::Backend device_backend = device::Backend::kHost;
-  /// Execution mode of the pipeline's shared device engine (used by every
-  /// needs-device solver in the batch).
-  device::ExecMode device_mode = device::ExecMode::kConcurrent;
   unsigned device_threads = 0;  ///< device pool workers (0 = hardware)
   unsigned solver_threads = 0;  ///< multicore solver workers (0 = hardware)
-  /// Upper bound on (instance × solver) jobs in flight at once, each on
-  /// its own device stream (0 = hardware concurrency).  1 reproduces the
-  /// sequential schedule exactly; the report order is identical either
-  /// way.
+  /// Nothing reads this; ROADMAP item 2 deletes it with its benchmark uses.
   unsigned max_concurrent_jobs = 0;
   /// Build the initial matching once per instance and hand it to every
   /// solver; false starts every job from an empty matching instead.
@@ -42,9 +36,9 @@ struct PipelineOptions {
   std::function<matching::Matching(const graph::BipartiteGraph&)> init_builder;
   /// Optional trace sink: each admitted job records a `"job"` span (solver
   /// spec, instance fingerprint, cache outcome) and hands the tracer to its
-  /// solve (`SolveContext::tracer`), so one timeline shows the scheduler's
-  /// job packing above the per-solve phase spans.  Must outlive the batch;
-  /// null or disabled costs one branch per job.
+  /// solve (`SolveContext::tracer`), so one timeline shows the jobs above
+  /// the per-solve phase spans.  Must outlive the batch; null or disabled
+  /// costs one branch per job.
   obs::Tracer* tracer = nullptr;
 };
 
@@ -110,11 +104,6 @@ struct PipelineTotals {
   std::int64_t device_launches = 0;
   double wall_ms = 0.0;     ///< sum of per-job wall times (solver cost)
   double modeled_ms = 0.0;  ///< sum of modeled device times
-  /// Wall time of the whole batch, scheduler included.  With concurrent
-  /// jobs this is below `wall_ms` (jobs overlap); do not conflate the two:
-  /// `wall_ms` answers "how much solver work ran", `batch_wall_ms` answers
-  /// "how long did the caller wait".
-  double batch_wall_ms = 0.0;
 };
 
 struct PipelineReport {
@@ -146,33 +135,27 @@ struct AdmittedJobResult {
 /// cache key), otherwise solves and verifies by certificate
 /// (`run_verified`), and publishes an `ok` result back.  `stream` is only
 /// invoked when the job actually solves, so a cache hit touches no device
-/// at all.  The per-job seam shared by `MatchingPipeline`'s scheduler
+/// at all.  The per-job seam shared by `MatchingPipeline::run_specs`
 /// (which passes no cache) and `serve::MatchingService`'s dispatch.
 [[nodiscard]] AdmittedJobResult run_admitted_job(
     const AdmittedJob& job, const std::function<device::Device&()>& stream,
     serve::ResultCache* cache, const PipelineOptions& options);
 
-/// Batched matching runs: an (instance × solver spec) grid scheduled
-/// over the streams of one shared device engine, with the initial
-/// matching built once per instance and every job verified by
+/// Batched matching runs: an (instance × solver spec) grid run in
+/// instance-major order on the pipeline's one device stream, with the
+/// initial matching built once per instance and every job verified by
 /// certificate.  Admit graphs with `add_instance`, then run a solver set
 /// over the whole batch with `run` — any registry name or tuned spec
 /// (`g-pr-shr:k=1.5`) works, including solvers registered after this
-/// library was built.  Every job solves; result caching is
-/// `serve::MatchingService`'s job.
-///
-/// Jobs are pulled from a shared worklist by `max_concurrent_jobs`
-/// scheduler threads, each running on its own device stream; the report is
-/// always in deterministic instance-major order regardless of how the jobs
-/// interleaved.
+/// library was built.  Every job solves; running jobs side by side and
+/// caching their results is `serve::MatchingService`'s job.
 ///
 /// ```
-/// MatchingPipeline pipe({.max_concurrent_jobs = 4});
+/// MatchingPipeline pipe({.device_threads = 4});
 /// pipe.add_instance("a", graph_a);
 /// pipe.add_instance("b", graph_b);
 /// PipelineReport rep = pipe.run({"g-pr-shr:k=1.5", "hk", "p-dbfs"});
-/// // rep.jobs: 6 verified results; rep.totals: aggregate stats, including
-/// // batch_wall_ms (caller wait) vs wall_ms (summed solver cost).
+/// // rep.jobs: 6 verified results; rep.totals: aggregate stats.
 /// ```
 class MatchingPipeline {
  public:
@@ -203,22 +186,13 @@ class MatchingPipeline {
   /// canonical form, so tuned variants of one solver are tellable apart.
   [[nodiscard]] PipelineReport run_specs(const std::vector<SolverSpec>& specs);
 
-  /// Reschedule knob for sweeps: change the concurrency bound between
-  /// runs without re-admitting instances.
-  void set_max_concurrent_jobs(unsigned n) { options_.max_concurrent_jobs = n; }
-
-  /// The engine whose streams execute the batch's device jobs.
-  [[nodiscard]] const std::shared_ptr<device::Engine>& engine() const {
-    return engine_;
-  }
-
-  /// The pipeline's primary device stream (e.g. for one-off runs outside
-  /// the batch); per-job streams share its engine, not its counters.
+  /// The stream every device job of the batch runs on, on a private
+  /// engine of `device_threads` workers (also for one-off runs outside
+  /// the batch).
   [[nodiscard]] device::Device& device() { return device_; }
 
  private:
   PipelineOptions options_;
-  std::shared_ptr<device::Engine> engine_;
   device::Device device_;
   std::vector<PipelineInstance> instances_;
 };

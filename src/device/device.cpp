@@ -1,16 +1,14 @@
 #include "device/device.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 namespace bpm::device {
 
 std::string EngineDescriptor::summary() const {
-  std::string out = "host(workers=";
-  out += std::to_string(workers);
-  if (mode == ExecMode::kSequential) out += ",seq";
-  out += ')';
-  return out;
+  return "host(workers=" + std::to_string(workers) + ')';
 }
 
 std::vector<std::int64_t> balanced_partition(
@@ -52,12 +50,14 @@ std::vector<std::int64_t> balanced_partition(
   return bounds;
 }
 
-Engine::Engine(ExecMode mode, unsigned num_threads)
-    : Engine(EngineDescriptor{.mode = mode, .threads = num_threads}) {}
+Engine::Engine(unsigned num_threads)
+    : Engine(EngineDescriptor{.threads = num_threads}) {}
 
 Engine::Engine(EngineDescriptor descriptor) : descriptor_(descriptor) {
-  if (descriptor_.mode == ExecMode::kConcurrent)
-    pool_ = std::make_unique<ThreadPool>(descriptor_.threads);
+  unsigned threads = descriptor_.threads;
+  if (threads == 0)
+    threads = std::max(1u, std::thread::hardware_concurrency());
+  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   descriptor_.workers = static_cast<int>(num_workers());
 }
 

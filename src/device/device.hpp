@@ -18,18 +18,6 @@
 
 namespace bpm::device {
 
-/// How kernel launches execute.
-enum class ExecMode {
-  /// One worker, indices in order.  Deterministic; used by tests to
-  /// separate logic bugs from race bugs, and by the race ablation.
-  kSequential,
-  /// The engine's pool workers: a launch at or above the grain fans out
-  /// into dynamically claimed chunks (edge-balanced ones in
-  /// `launch_balanced`) that run in arbitrary interleaving; a smaller one
-  /// runs inline on the calling thread.
-  kConcurrent,
-};
-
 /// Nothing reads this; ROADMAP item 2 deletes it with its benchmark uses.
 enum class Backend { kHost };
 
@@ -70,10 +58,14 @@ struct DeviceModel {
 /// through `Engine::descriptor()` so stats lines and metrics can name the
 /// engine that did the work.
 struct EngineDescriptor {
-  ExecMode mode = ExecMode::kConcurrent;
-  unsigned threads = 0;  ///< pool workers (0 = hardware concurrency)
+  /// Worker threads (0 = hardware concurrency).  One worker runs every
+  /// launch inline on the calling thread, indices in order: the
+  /// deterministic configuration.  More fan a launch at or above the
+  /// grain out into dynamically claimed chunks (edge-balanced ones in
+  /// `launch_balanced`) that run in arbitrary interleaving.
+  unsigned threads = 0;
   /// Worker threads behind a launch: the engine's resolved
-  /// `num_workers()`, filled in once its pool exists.
+  /// `num_workers()`, filled in at construction.
   int workers = 0;
   /// The smallest per-slot item count worth a pool dispatch.  Launches
   /// whose per-slot share would fall below it run inline on the calling
@@ -81,18 +73,16 @@ struct EngineDescriptor {
   /// to 1 to force fan-out on tiny grids (the race tests do).
   std::int64_t grain = 16384;
 
-  /// One-line human-readable form, e.g. "host(workers=8)" or
-  /// "host(workers=1,seq)".
+  /// One-line human-readable form, e.g. "host(workers=8)".
   [[nodiscard]] std::string summary() const;
 };
 
 struct DeviceOptions {
   /// Nothing reads this; ROADMAP item 2 deletes it with its benchmark uses.
   Backend backend = Backend::kHost;
-  ExecMode mode = ExecMode::kConcurrent;
-  /// Worker count; 0 = hardware concurrency.  Oversubscribing (threads >>
-  /// cores) widens the space of observable interleavings — the race stress
-  /// tests use this.
+  /// Worker count (`EngineDescriptor::threads`); 0 = hardware concurrency.
+  /// Oversubscribing (threads >> cores) widens the space of observable
+  /// interleavings — the race stress tests use this.
   unsigned num_threads = 0;
   DeviceModel model;
 };
@@ -131,21 +121,21 @@ struct EngineStats {
   double native_ms = 0.0;   ///< measured in-kernel wall time
 };
 
-/// The shared execution resources of a device: the worker pool and the
-/// execution mode.  One engine stands for one GPU — a pipeline or a
-/// serving process owns exactly one; any number of `Device` streams
-/// borrow its workers concurrently.  The engine itself is
-/// stateless per launch — all launch counting and time accounting lives in
-/// the streams — so sharing it never mixes two streams' stats; each stream
-/// folds its totals into the engine's `EngineStats` when it retires.
+/// The shared execution resources of a device: its worker pool.  One
+/// engine stands for one GPU — a pipeline or a serving process owns
+/// exactly one; any number of `Device` streams borrow its workers
+/// concurrently.  The engine itself is stateless per launch — all launch
+/// counting and time accounting lives in the streams — so sharing it never
+/// mixes two streams' stats; each stream folds its totals into the
+/// engine's `EngineStats` when it retires.
 class Engine {
  public:
-  explicit Engine(ExecMode mode = ExecMode::kConcurrent,
-                  unsigned num_threads = 0);
+  /// `num_threads` 0 resolves to hardware concurrency; a pool is built
+  /// only for more than one worker.
+  explicit Engine(unsigned num_threads = 0);
   /// The descriptor's `workers` field is resolved to the actual pool size.
   explicit Engine(EngineDescriptor descriptor);
 
-  [[nodiscard]] ExecMode mode() const { return descriptor_.mode; }
   [[nodiscard]] const EngineDescriptor& descriptor() const {
     return descriptor_;
   }
@@ -202,7 +192,7 @@ class Device {
  public:
   /// A device with its own private engine.
   explicit Device(DeviceOptions options = {})
-      : engine_(std::make_shared<Engine>(options.mode, options.num_threads)),
+      : engine_(std::make_shared<Engine>(options.num_threads)),
         model_(options.model) {
     engine_->note_stream_opened();
   }
@@ -227,7 +217,6 @@ class Device {
   [[nodiscard]] const std::shared_ptr<Engine>& engine() const {
     return engine_;
   }
-  [[nodiscard]] ExecMode mode() const { return engine_->mode(); }
   [[nodiscard]] unsigned num_workers() const { return engine_->num_workers(); }
   [[nodiscard]] std::uint64_t launches() const { return launches_; }
   void reset_launch_count() { launches_ = 0; }
@@ -268,8 +257,7 @@ class Device {
   /// entries scanned), which feed the device time model: the launch sums
   /// them and charges `launch_latency + n·ns_per_item + work·ns_per_work`
   /// (see DeviceModel).  The charge is a deterministic function of the
-  /// kernel's per-item work, identical in both execution modes and at any
-  /// worker count or grain.
+  /// kernel's per-item work, identical at any worker count or grain.
   template <typename Kernel>
   void launch_accounted(std::int64_t n, Kernel&& kernel) {
     auto sp = launch_span("launch_accounted", n);
@@ -321,8 +309,7 @@ class Device {
     // so the partition is static and only the serial cutoff applies: a
     // grid below the grain runs inline as worker 0, and the remaining
     // slots simply see empty ranges.
-    if (mode() == ExecMode::kSequential || num_workers() == 1 ||
-        n < grain()) {
+    if (num_workers() == 1 || n < grain()) {
       kernel(0u, std::int64_t{0}, n);
     } else {
       const auto workers = static_cast<std::int64_t>(num_workers());
@@ -370,8 +357,7 @@ class Device {
   /// — otherwise one slot per grain, oversubscribed up to 8× the workers
   /// so `run_tasks`'s dynamic claiming absorbs straggler chunks.
   [[nodiscard]] std::int64_t slots_for(std::int64_t n) const {
-    if (mode() == ExecMode::kSequential || num_workers() == 1) return 1;
-    if (n < 2 * grain()) return 1;
+    if (num_workers() == 1 || n < 2 * grain()) return 1;
     const auto workers = static_cast<std::int64_t>(num_workers());
     return std::clamp<std::int64_t>(n / grain(), 1, workers * 8);
   }

@@ -43,10 +43,6 @@ class relaxed_cell {
   }
   void store(T v) noexcept { value_.store(v, std::memory_order_relaxed); }
 
-  /// Sequentially-consistent accessors for the race-cost ablation.
-  [[nodiscard]] T load_seq_cst() const noexcept { return value_.load(); }
-  void store_seq_cst(T v) noexcept { value_.store(v); }
-
  private:
   std::atomic<T> value_;
 };

@@ -53,11 +53,6 @@ class ThreadPool {
   /// mirroring the no-exceptions execution environment of GPU code).
   void run_tasks(unsigned count, const std::function<void(unsigned)>& task);
 
-  /// Back-compat spelling: one slot per worker (`run_tasks(size(), job)`).
-  void run_on_all(const std::function<void(unsigned)>& job) {
-    run_tasks(size(), job);
-  }
-
  private:
   /// One in-flight `run_tasks` call.  Lives on the caller's stack; the
   /// queue holds only batches that still have unclaimed slots.

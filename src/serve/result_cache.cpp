@@ -1,7 +1,7 @@
 #include "serve/result_cache.hpp"
 
+#include <algorithm>
 #include <fstream>
-#include <functional>
 #include <iomanip>
 #include <istream>
 #include <limits>
@@ -20,31 +20,28 @@ constexpr int kVersion = 1;
 /// estimate — the budget bounds footprint, it does not meter the allocator.
 constexpr std::size_t kEntryOverhead = 128;
 
-std::uint64_t key_hash(std::uint64_t fingerprint, std::string_view solver) {
-  // Splitmix-style finalizer over the fingerprint, mixed with the solver
-  // string hash, so consecutive fingerprints spread over the shards.
-  std::uint64_t h = fingerprint + 0x9e3779b97f4a7c15ull;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-  h ^= std::hash<std::string_view>{}(solver);
-  return h ^ (h >> 31);
+/// Snapshot payloads are read in chunks of this size, so a record that
+/// declares more bytes than the stream holds fails after at most one
+/// chunk past the real data instead of allocating its declared length.
+constexpr std::size_t kReadChunk = std::size_t{64} << 10;
+
+/// Reads exactly `len` bytes of `is` into `out`; false if the stream ends
+/// first.
+bool read_exactly(std::istream& is, std::size_t len, std::string& out) {
+  out.clear();
+  while (out.size() < len) {
+    const std::size_t at = out.size();
+    const std::size_t step = std::min(len - at, kReadChunk);
+    out.resize(at + step);
+    if (!is.read(out.data() + at, static_cast<std::streamsize>(step)))
+      return false;
+  }
+  return true;
 }
 
 }  // namespace
 
-ResultCache::ResultCache(CacheOptions options) : options_(options) {
-  if (options_.shards == 0) options_.shards = 1;
-  shards_.reserve(options_.shards);
-  for (unsigned s = 0; s < options_.shards; ++s)
-    shards_.push_back(std::make_unique<Shard>());
-  shard_budget_ = options_.byte_budget / shards_.size();
-  if (shard_budget_ == 0) shard_budget_ = 1;
-}
-
-ResultCache::Shard& ResultCache::shard_for(std::uint64_t fingerprint,
-                                           std::string_view solver) {
-  return *shards_[key_hash(fingerprint, solver) % shards_.size()];
-}
+ResultCache::ResultCache(CacheOptions options) : options_(options) {}
 
 std::size_t ResultCache::entry_bytes(std::string_view solver,
                                      const JobOutcome& outcome) {
@@ -54,98 +51,76 @@ std::size_t ResultCache::entry_bytes(std::string_view solver,
 
 std::optional<JobOutcome> ResultCache::get(std::uint64_t fingerprint,
                                            std::string_view solver) {
-  Shard& shard = shard_for(fingerprint, solver);
-  const std::scoped_lock lock(shard.mutex);
-  const auto by_fp = shard.index.find(fingerprint);
-  if (by_fp != shard.index.end()) {
+  const std::scoped_lock lock(mutex_);
+  const auto by_fp = index_.find(fingerprint);
+  if (by_fp != index_.end()) {
     const auto it = by_fp->second.find(solver);
     if (it != by_fp->second.end()) {
-      ++shard.hits;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      ++stats_.hits;
+      lru_.splice(lru_.begin(), lru_, it->second);
       return it->second->outcome;
     }
   }
-  ++shard.misses;
+  ++stats_.misses;
   return std::nullopt;
-}
-
-void ResultCache::put_locked(Shard& shard, std::uint64_t fingerprint,
-                             std::string_view solver,
-                             const JobOutcome& outcome) {
-  const std::size_t bytes = entry_bytes(solver, outcome);
-  auto& by_solver = shard.index[fingerprint];
-  if (const auto it = by_solver.find(solver); it != by_solver.end()) {
-    // Overwrite in place and refresh recency.
-    shard.bytes -= it->second->bytes;
-    it->second->outcome = outcome;
-    it->second->bytes = bytes;
-    shard.bytes += bytes;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  } else {
-    shard.lru.push_front(
-        Entry{fingerprint, std::string(solver), outcome, bytes});
-    by_solver.emplace(std::string(solver), shard.lru.begin());
-    shard.bytes += bytes;
-    ++shard.insertions;
-  }
-  // Evict least-recently-used entries until the shard fits its slice of
-  // the budget; the entry just touched is at the front and always kept,
-  // so a single oversized result still caches (alone).
-  while (shard.bytes > shard_budget_ && shard.lru.size() > 1) {
-    const Entry& victim = shard.lru.back();
-    auto vfp = shard.index.find(victim.fingerprint);
-    vfp->second.erase(victim.solver);
-    if (vfp->second.empty()) shard.index.erase(vfp);
-    shard.bytes -= victim.bytes;
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
 }
 
 void ResultCache::put(std::uint64_t fingerprint, std::string_view solver,
                       const JobOutcome& outcome) {
-  Shard& shard = shard_for(fingerprint, solver);
-  const std::scoped_lock lock(shard.mutex);
-  put_locked(shard, fingerprint, solver, outcome);
+  const std::size_t bytes = entry_bytes(solver, outcome);
+  const std::scoped_lock lock(mutex_);
+  auto& by_solver = index_[fingerprint];
+  if (const auto it = by_solver.find(solver); it != by_solver.end()) {
+    // Overwrite in place and refresh recency.
+    stats_.bytes -= it->second->bytes;
+    it->second->outcome = outcome;
+    it->second->bytes = bytes;
+    stats_.bytes += bytes;
+    lru_.splice(lru_.begin(), lru_, it->second);
+  } else {
+    lru_.push_front(Entry{fingerprint, std::string(solver), outcome, bytes});
+    by_solver.emplace(std::string(solver), lru_.begin());
+    stats_.bytes += bytes;
+    ++stats_.insertions;
+  }
+  // Evict least-recently-used entries until the cache fits its budget;
+  // the entry just touched is at the front and always kept, so a single
+  // oversized result still caches (alone).
+  while (stats_.bytes > options_.byte_budget && lru_.size() > 1) {
+    const Entry& victim = lru_.back();
+    auto vfp = index_.find(victim.fingerprint);
+    vfp->second.erase(victim.solver);
+    if (vfp->second.empty()) index_.erase(vfp);
+    stats_.bytes -= victim.bytes;
+    lru_.pop_back();
+    ++stats_.evictions;
+  }
 }
 
 CacheStats ResultCache::stats() const {
-  CacheStats out;
-  for (const auto& shard : shards_) {
-    const std::scoped_lock lock(shard->mutex);
-    out.entries += shard->lru.size();
-    out.bytes += shard->bytes;
-    out.hits += shard->hits;
-    out.misses += shard->misses;
-    out.insertions += shard->insertions;
-    out.evictions += shard->evictions;
-  }
+  const std::scoped_lock lock(mutex_);
+  CacheStats out = stats_;
+  out.entries = lru_.size();
   return out;
 }
 
 void ResultCache::clear() {
-  for (const auto& shard : shards_) {
-    const std::scoped_lock lock(shard->mutex);
-    shard->lru.clear();
-    shard->index.clear();
-    shard->bytes = 0;
-  }
+  const std::scoped_lock lock(mutex_);
+  lru_.clear();
+  index_.clear();
+  stats_.bytes = 0;
 }
 
 void ResultCache::save(std::ostream& os) const {
-  // One pass: count and serialize each shard under its lock, emit the
-  // header afterwards — so the entry count always matches the records
-  // even while other threads keep inserting/evicting concurrently (the
-  // snapshot is some consistent-per-shard interleaving).
   std::size_t entries = 0;
   std::ostringstream records;
   records << std::setprecision(17);  // doubles round-trip exactly
-  for (const auto& shard : shards_) {
-    const std::scoped_lock lock(shard->mutex);
-    entries += shard->lru.size();
+  {
+    const std::scoped_lock lock(mutex_);
+    entries = lru_.size();
     // LRU-first, so replaying the records through `put` reproduces the
-    // shard's recency order (the last record re-put becomes the MRU).
-    for (auto it = shard->lru.rbegin(); it != shard->lru.rend(); ++it) {
+    // recency order (the last record re-put becomes the MRU).
+    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
       const JobOutcome& o = it->outcome;
       records << it->fingerprint << ' ' << (o.ok ? 1 : 0) << ' '
               << o.stats.cardinality << ' ' << o.stats.wall_ms << ' '
@@ -186,9 +161,12 @@ std::size_t ResultCache::load(std::istream& is) {
                                std::to_string(n) + ")");
     o.ok = ok != 0;
     is.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
-    std::string payload(solver_len + detail_len + error_len, '\0');
-    if (!is.read(payload.data(),
-                 static_cast<std::streamsize>(payload.size())) ||
+    // A sum that overflows cannot be held by any stream: truncated too.
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    std::string payload;
+    if (detail_len > kMax - solver_len ||
+        error_len > kMax - solver_len - detail_len ||
+        !read_exactly(is, solver_len + detail_len + error_len, payload) ||
         is.get() != '\n')
       throw std::runtime_error("truncated result-cache snapshot (entry " +
                                std::to_string(n) + ")");

@@ -3,30 +3,24 @@
 #include <cstdint>
 #include <iosfwd>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "core/solver.hpp"
 
 namespace bpm::serve {
 
 struct CacheOptions {
-  /// Upper bound on the total estimated bytes of cached entries.  The
-  /// budget is split evenly over the shards; inserting always succeeds —
-  /// least-recently-used entries of the target shard are evicted until the
-  /// shard fits again (a single oversized entry is kept alone).
+  /// Upper bound on the total estimated bytes of cached entries.
+  /// Inserting always succeeds — least-recently-used entries are evicted
+  /// until the cache fits again (a single oversized entry is kept alone).
   std::size_t byte_budget = std::size_t{64} << 20;
-  /// Number of independently locked shards (rounded up to at least 1).
-  /// Concurrent hits on different shards never contend on one mutex.
-  unsigned shards = 8;
 };
 
-/// Aggregate counters over all shards.  `hits`/`misses` count `get` calls,
+/// Lifetime counters of a cache.  `hits`/`misses` count `get` calls,
 /// `insertions`/`evictions` count entries entering and leaving;
 /// `entries`/`bytes` are the current footprint.
 struct CacheStats {
@@ -38,15 +32,16 @@ struct CacheStats {
   std::uint64_t evictions = 0;
 };
 
-/// Process-lifetime result cache of `serve::MatchingService`: a sharded,
+/// Process-lifetime result cache of `serve::MatchingService`: a
 /// byte-budgeted LRU keyed by (instance fingerprint, canonical solver
 /// spec) storing the verified `JobOutcome` of the run.  Only results that
 /// passed certificate verification are published, so every entry — and
 /// every snapshot — is trustworthy to any consumer.  A snapshot saved to
 /// disk warms a restarted service from where the previous one left off.
 ///
-/// Thread safety: all members are safe to call concurrently; each shard has
-/// its own mutex, chosen by the key hash.
+/// Thread safety: all members are safe to call concurrently; one mutex
+/// guards the whole cache (a service's few workers make one `get` per
+/// dispatch and one `put` per solve).
 ///
 /// ```
 /// auto cache = std::make_shared<serve::ResultCache>(
@@ -64,24 +59,20 @@ class ResultCache {
                                               std::string_view solver);
 
   /// Inserts or overwrites the entry, making it most-recently used, then
-  /// evicts LRU entries of the shard until it fits its byte budget again.
+  /// evicts LRU entries until the cache fits its byte budget again.
   void put(std::uint64_t fingerprint, std::string_view solver,
            const JobOutcome& outcome);
 
   [[nodiscard]] CacheStats stats() const;
   [[nodiscard]] std::size_t byte_budget() const { return options_.byte_budget; }
-  [[nodiscard]] unsigned num_shards() const {
-    return static_cast<unsigned>(shards_.size());
-  }
 
   /// Drops every entry (counters for hits/misses/... are kept).
   void clear();
 
   /// Writes every entry as a versioned, self-delimiting snapshot.  Entries
-  /// are emitted shard by shard, least-recently-used first, so loading a
-  /// snapshot into an empty cache with the same options reproduces both
-  /// the contents and the eviction order — save → load → save is
-  /// byte-identical.
+  /// are emitted least-recently-used first, so loading a snapshot into an
+  /// empty cache with the same options reproduces both the contents and
+  /// the eviction order — save → load → save is byte-identical.
   void save(std::ostream& os) const;
   /// `save` to a file; returns false (and leaves no partial file behind
   /// the caller cares about) if the file cannot be written.
@@ -89,7 +80,9 @@ class ResultCache {
 
   /// Merges a snapshot into this cache via `put` (budget enforced as
   /// usual).  Returns the number of entries read.  Throws
-  /// `std::runtime_error` on a malformed or version-mismatched snapshot.
+  /// `std::runtime_error` on a malformed, truncated or version-mismatched
+  /// snapshot; memory grows only with the bytes the stream really holds,
+  /// whatever lengths a record declares.
   std::size_t load(std::istream& is);
   /// `load` from a file; returns 0 if the file does not exist or cannot be
   /// read (a cold start is not an error for a warming service).
@@ -104,7 +97,7 @@ class ResultCache {
   };
 
   /// Transparent hashing so the hot-path `get`/`put` look up by
-  /// string_view without materialising a std::string under the shard lock.
+  /// string_view without materialising a std::string under the lock.
   struct StringHash {
     using is_transparent = void;
     std::size_t operator()(std::string_view s) const {
@@ -115,28 +108,15 @@ class ResultCache {
       std::unordered_map<std::string, std::list<Entry>::iterator, StringHash,
                          std::equal_to<>>;
 
-  struct Shard {
-    mutable std::mutex mutex;
-    std::list<Entry> lru;  ///< front = most recently used
-    std::unordered_map<std::uint64_t, SolverIndex>
-        index;  ///< fingerprint -> solver -> LRU position
-    std::size_t bytes = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-  };
-
-  [[nodiscard]] Shard& shard_for(std::uint64_t fingerprint,
-                                 std::string_view solver);
   [[nodiscard]] static std::size_t entry_bytes(std::string_view solver,
                                                const JobOutcome& outcome);
-  void put_locked(Shard& shard, std::uint64_t fingerprint,
-                  std::string_view solver, const JobOutcome& outcome);
 
   CacheOptions options_;
-  std::size_t shard_budget_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mutex_;
+  std::list<Entry> lru_;  ///< front = most recently used
+  std::unordered_map<std::uint64_t, SolverIndex>
+      index_;  ///< fingerprint -> solver -> LRU position
+  CacheStats stats_;  ///< `entries` is `lru_.size()`, filled in by `stats`
 };
 
 }  // namespace bpm::serve

@@ -32,8 +32,7 @@ std::uint64_t ms_to_us(double ms) {
 
 MatchingService::MatchingService(ServiceOptions options)
     : options_(std::move(options)),
-      engine_(std::make_shared<device::Engine>(
-          device::ExecMode::kConcurrent, options_.device_threads)) {
+      engine_(std::make_shared<device::Engine>(options_.device_threads)) {
   obs::Registry& reg = obs::Registry::global();
   metrics_.submitted = &reg.counter("serve.submitted");
   metrics_.accepted = &reg.counter("serve.accepted");

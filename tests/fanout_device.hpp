@@ -12,17 +12,16 @@
 
 namespace bpm::test_support {
 
-/// An engine of `threads` pool workers whose serial cutoff is off.
-inline std::shared_ptr<device::Engine> fanout_engine(
-    unsigned threads, device::ExecMode mode = device::ExecMode::kConcurrent) {
-  return std::make_shared<device::Engine>(device::EngineDescriptor{
-      .mode = mode, .threads = threads, .grain = 1});
+/// An engine of `threads` pool workers whose serial cutoff is off.  One
+/// thread runs every launch inline, indices in order.
+inline std::shared_ptr<device::Engine> fanout_engine(unsigned threads) {
+  return std::make_shared<device::Engine>(
+      device::EngineDescriptor{.threads = threads, .grain = 1});
 }
 
 /// A stream on its own `fanout_engine`.
-inline device::Device fanout_device(
-    unsigned threads, device::ExecMode mode = device::ExecMode::kConcurrent) {
-  return device::Device(fanout_engine(threads, mode));
+inline device::Device fanout_device(unsigned threads) {
+  return device::Device(fanout_engine(threads));
 }
 
 }  // namespace bpm::test_support

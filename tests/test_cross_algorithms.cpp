@@ -27,7 +27,6 @@ namespace bpm {
 namespace {
 
 using device::Device;
-using device::ExecMode;
 using graph::BipartiteGraph;
 using graph::index_t;
 namespace gen = graph::gen;
@@ -61,8 +60,7 @@ std::vector<NamedMatcher> all_matchers() {
         gpu::GprVariant::kShrink}) {
     out.push_back({"g_pr_" + to_string(variant),
                    [variant](const auto& g, const auto& init) {
-                     Device dev({.mode = ExecMode::kConcurrent,
-                                 .num_threads = 4});
+                     Device dev({.num_threads = 4});
                      gpu::GprOptions opt;
                      opt.variant = variant;
                      opt.shrink_threshold = 8;
@@ -72,19 +70,18 @@ std::vector<NamedMatcher> all_matchers() {
   out.push_back({"g_pr_wb", [](const auto& g, const auto& init) {
                    // The workload-balanced frontier driver (GprOptions::
                    // balance) must agree with every vertex-parallel path.
-                   Device dev({.mode = ExecMode::kConcurrent,
-                               .num_threads = 4});
+                   Device dev({.num_threads = 4});
                    gpu::GprOptions opt;
                    opt.balance = gpu::BalanceMode::kOn;
                    return gpu::g_pr(dev, g, init, opt).matching;
                  }});
   out.push_back({"g_hk", [](const auto& g, const auto& init) {
-                   Device dev({.mode = ExecMode::kConcurrent, .num_threads = 4});
+                   Device dev({.num_threads = 4});
                    return gpu::g_hk(dev, g, init, {.duff_wiberg = false})
                        .matching;
                  }});
   out.push_back({"g_hkdw", [](const auto& g, const auto& init) {
-                   Device dev({.mode = ExecMode::kConcurrent, .num_threads = 4});
+                   Device dev({.num_threads = 4});
                    return gpu::g_hk(dev, g, init, {.duff_wiberg = true})
                        .matching;
                  }});

@@ -27,7 +27,7 @@ TEST(ThreadPool, RunsJobOnEveryWorker) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
   std::vector<std::atomic<int>> hits(4);
-  pool.run_on_all([&](unsigned id) { hits[id].fetch_add(1); });
+  pool.run_tasks(pool.size(), [&](unsigned id) { hits[id].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -35,14 +35,15 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
   ThreadPool pool(3);
   std::atomic<int> total{0};
   for (int i = 0; i < 200; ++i)
-    pool.run_on_all([&](unsigned) { total.fetch_add(1); });
+    pool.run_tasks(pool.size(), [&](unsigned) { total.fetch_add(1); });
   EXPECT_EQ(total.load(), 600);
 }
 
 TEST(ThreadPool, JoinPublishesWorkerWrites) {
   ThreadPool pool(4);
   std::vector<int> data(4, 0);  // plain ints: join must order the writes
-  pool.run_on_all([&](unsigned id) { data[id] = static_cast<int>(id) + 1; });
+  pool.run_tasks(pool.size(),
+                 [&](unsigned id) { data[id] = static_cast<int>(id) + 1; });
   EXPECT_EQ(data, (std::vector<int>{1, 2, 3, 4}));
 }
 
@@ -82,10 +83,12 @@ TEST(ThreadPool, ConcurrentBatchesFromManyStreamsAllComplete) {
 
 // ---------------------------------------------------------------- Device ----
 
-class DeviceModes : public ::testing::TestWithParam<ExecMode> {};
+/// Parameterised on worker threads: 1 runs every launch inline in index
+/// order, 4 fans every launch out (`fanout_device`).
+class DeviceModes : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(DeviceModes, LaunchCoversEveryIndexExactlyOnce) {
-  Device dev = fanout_device(4, GetParam());
+  Device dev = fanout_device(GetParam());
   std::vector<std::atomic<int>> hits(1000);
   dev.launch(1000, [&](std::int64_t i) {
     hits[static_cast<std::size_t>(i)].fetch_add(1);
@@ -94,7 +97,7 @@ TEST_P(DeviceModes, LaunchCoversEveryIndexExactlyOnce) {
 }
 
 TEST_P(DeviceModes, LaunchCountsLaunches) {
-  Device dev = fanout_device(2, GetParam());
+  Device dev = fanout_device(GetParam());
   EXPECT_EQ(dev.launches(), 0u);
   dev.launch(10, [](std::int64_t) {});
   dev.launch(0, [](std::int64_t) {});  // empty grids still count
@@ -104,7 +107,7 @@ TEST_P(DeviceModes, LaunchCountsLaunches) {
 }
 
 TEST_P(DeviceModes, LaunchChunkedPartitionsRange) {
-  Device dev = fanout_device(3, GetParam());
+  Device dev = fanout_device(GetParam());
   std::vector<std::atomic<int>> hits(100);
   dev.launch_chunked(100, [&](unsigned, std::int64_t begin, std::int64_t end) {
     for (std::int64_t i = begin; i < end; ++i)
@@ -114,7 +117,7 @@ TEST_P(DeviceModes, LaunchChunkedPartitionsRange) {
 }
 
 TEST_P(DeviceModes, LaunchBarrierPublishesWrites) {
-  Device dev = fanout_device(4, GetParam());
+  Device dev = fanout_device(GetParam());
   std::vector<int> data(257, 0);
   dev.launch(257, [&](std::int64_t i) { data[static_cast<std::size_t>(i)] = 1; });
   EXPECT_EQ(std::accumulate(data.begin(), data.end(), 0), 257);
@@ -122,7 +125,7 @@ TEST_P(DeviceModes, LaunchBarrierPublishesWrites) {
 
 TEST_P(DeviceModes, SmallGridsWithManyWorkers) {
   // n < workers: chunking must not duplicate or drop indices.
-  Device dev = fanout_device(8, GetParam());
+  Device dev = fanout_device(GetParam());
   std::vector<std::atomic<int>> hits(3);
   dev.launch(3, [&](std::int64_t i) {
     hits[static_cast<std::size_t>(i)].fetch_add(1);
@@ -131,16 +134,14 @@ TEST_P(DeviceModes, SmallGridsWithManyWorkers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, DeviceModes,
-                         ::testing::Values(ExecMode::kSequential,
-                                           ExecMode::kConcurrent),
+                         ::testing::Values(1u, 4u),
                          [](const auto& param_info) {
-                           return param_info.param == ExecMode::kSequential
-                                      ? "Sequential"
-                                      : "Concurrent";
+                           return param_info.param == 1 ? "Sequential"
+                                                        : "Concurrent";
                          });
 
 TEST(Device, SequentialModeRunsInOrder) {
-  Device dev({.mode = ExecMode::kSequential});
+  Device dev({.num_threads = 1});
   std::vector<std::int64_t> order;
   dev.launch(10, [&](std::int64_t i) { order.push_back(i); });
   for (std::int64_t i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -215,7 +216,7 @@ TEST(Device, ConcurrentStreamsRunConcurrentLaunchesCorrectly) {
 }
 
 TEST(Device, StreamsOnASequentialEngineStayOrdered) {
-  const auto engine = std::make_shared<Engine>(ExecMode::kSequential);
+  const auto engine = std::make_shared<Engine>(1);
   Device stream(engine);
   EXPECT_EQ(stream.num_workers(), 1u);
   std::vector<std::int64_t> order;
@@ -224,13 +225,16 @@ TEST(Device, StreamsOnASequentialEngineStayOrdered) {
 }
 
 TEST(Engine, DescriptorSummariesNameTheWorkers) {
-  const Engine pooled(ExecMode::kConcurrent, 3);
+  const Engine pooled(3);
   EXPECT_EQ(pooled.descriptor().summary(), "host(workers=3)");
   // `workers` is resolved to the actual pool size.
   EXPECT_EQ(pooled.descriptor().workers, 3);
-  // A sequential engine has no pool, so it runs on one worker.
-  const Engine sequential(ExecMode::kSequential, 2);
-  EXPECT_EQ(sequential.descriptor().summary(), "host(workers=1,seq)");
+  // A one-thread engine builds no pool: it runs every launch on the
+  // caller.
+  const Engine one(1);
+  EXPECT_EQ(one.descriptor().summary(), "host(workers=1)");
+  // 0 resolves to hardware concurrency.
+  EXPECT_GE(Engine(0).descriptor().workers, 1);
 }
 
 // ------------------------------------------------------- time accounting ----
@@ -288,13 +292,13 @@ Charged charge_every_launch_kind(const std::shared_ptr<Engine>& engine) {
 }
 
 TEST(TimeAccounting, TheModelIgnoresHowALaunchFansOut) {
-  // The model is a pure function of each launch's (n, work): a sequential
+  // The model is a pure function of each launch's (n, work): a one-thread
   // engine, a fully fanned-out one and one at the production grain charge
   // the same modeled time, and each measures its own wall time.
   const std::vector<std::pair<std::string, std::shared_ptr<Engine>>> engines{
-      {"sequential", std::make_shared<Engine>(ExecMode::kSequential)},
+      {"one thread", std::make_shared<Engine>(1)},
       {"grain 1", fanout_engine(4)},
-      {"default grain", std::make_shared<Engine>(ExecMode::kConcurrent, 4)}};
+      {"default grain", std::make_shared<Engine>(4)}};
   std::vector<Charged> charged;
   for (const auto& [name, engine] : engines) {
     SCOPED_TRACE(name);
@@ -317,7 +321,6 @@ TEST(Mem, RelaxedCellLoadStore) {
   EXPECT_EQ(c.load(), 5);
   c.store(-2);
   EXPECT_EQ(c.load(), -2);
-  EXPECT_EQ(c.load_seq_cst(), -2);
 }
 
 TEST(Mem, RelaxedVectorBulkOps) {
@@ -503,10 +506,10 @@ TEST(BalancedPartition, ZeroTotalWorkSpreadsItemsEvenly) {
   }
 }
 
-class BalancedLaunchModes : public ::testing::TestWithParam<ExecMode> {};
+class BalancedLaunchModes : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(BalancedLaunchModes, RunsEveryItemExactlyOnce) {
-  Device dev = fanout_device(4, GetParam());
+  Device dev = fanout_device(GetParam());
   for (const std::size_t n : {1u, 3u, 57u, 1000u}) {
     const auto offsets = offsets_of(skewed_degrees(n, 11));
     std::vector<std::atomic<int>> hits(n);
@@ -519,7 +522,7 @@ TEST_P(BalancedLaunchModes, RunsEveryItemExactlyOnce) {
 }
 
 TEST_P(BalancedLaunchModes, EmptyAndZeroWorkGrids) {
-  Device dev = fanout_device(4, GetParam());
+  Device dev = fanout_device(GetParam());
   const std::vector<std::int64_t> empty{0};
   dev.launch_balanced(empty, [](std::int64_t) -> std::int64_t { return 1; });
   EXPECT_EQ(dev.launches(), 1u);  // empty grids still count as a launch
@@ -534,23 +537,21 @@ TEST_P(BalancedLaunchModes, EmptyAndZeroWorkGrids) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, BalancedLaunchModes,
-                         ::testing::Values(ExecMode::kSequential,
-                                           ExecMode::kConcurrent),
+                         ::testing::Values(1u, 4u),
                          [](const auto& param_info) {
-                           return param_info.param == ExecMode::kSequential
-                                      ? "Sequential"
-                                      : "Concurrent";
+                           return param_info.param == 1 ? "Sequential"
+                                                        : "Concurrent";
                          });
 
 TEST(BalancedLaunch, ChargesWhatAnAccountedLaunchCharges) {
   // The model charges no stragglers, so an edge-balanced launch over
   // skewed work is the same accounted launch as the vertex-parallel grid
-  // over the same items: equal modeled time, in both execution modes.
+  // over the same items: equal modeled time, on one thread or four.
   std::vector<std::int64_t> work(4480, 1);
   for (std::size_t i = 0; i < 448; ++i) work[i] = 100;  // a hub block
   const auto offsets = offsets_of(work);
-  auto modeled = [&](bool balanced, ExecMode mode) {
-    Device dev = fanout_device(4, mode);
+  auto modeled = [&](bool balanced, unsigned threads) {
+    Device dev = fanout_device(threads);
     const auto kernel = [&](std::int64_t i) -> std::int64_t {
       return work[static_cast<std::size_t>(i)];
     };
@@ -560,8 +561,8 @@ TEST(BalancedLaunch, ChargesWhatAnAccountedLaunchCharges) {
       dev.launch_accounted(static_cast<std::int64_t>(work.size()), kernel);
     return dev.modeled_ms();
   };
-  for (const ExecMode mode : {ExecMode::kSequential, ExecMode::kConcurrent})
-    EXPECT_DOUBLE_EQ(modeled(true, mode), modeled(false, mode));
+  for (const unsigned threads : {1u, 4u})
+    EXPECT_DOUBLE_EQ(modeled(true, threads), modeled(false, threads));
 }
 
 TEST(BalancedLaunch, ConcurrentStreamsStressAllCovered) {
@@ -596,10 +597,10 @@ TEST(BalancedLaunch, ConcurrentStreamsStressAllCovered) {
 
 // ------------------------------------------------------------------ scan ----
 
-class ScanModes : public ::testing::TestWithParam<ExecMode> {};
+class ScanModes : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ScanModes, MatchesSerialExclusiveScan) {
-  Device dev = fanout_device(4, GetParam());
+  Device dev = fanout_device(GetParam());
   for (std::size_t n : {0u, 1u, 2u, 7u, 64u, 1000u, 4097u}) {
     std::vector<std::int64_t> in(n);
     for (std::size_t i = 0; i < n; ++i)
@@ -618,7 +619,7 @@ TEST_P(ScanModes, MatchesSerialExclusiveScan) {
 }
 
 TEST_P(ScanModes, InPlaceAliasing) {
-  Device dev = fanout_device(4, GetParam());
+  Device dev = fanout_device(GetParam());
   std::vector<std::int64_t> data{3, 1, 4, 1, 5};
   const std::int64_t total = exclusive_scan(dev, data, data);
   EXPECT_EQ(total, 14);
@@ -626,16 +627,14 @@ TEST_P(ScanModes, InPlaceAliasing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ScanModes,
-                         ::testing::Values(ExecMode::kSequential,
-                                           ExecMode::kConcurrent),
+                         ::testing::Values(1u, 4u),
                          [](const auto& param_info) {
-                           return param_info.param == ExecMode::kSequential
-                                      ? "Sequential"
-                                      : "Concurrent";
+                           return param_info.param == 1 ? "Sequential"
+                                                        : "Concurrent";
                          });
 
 TEST(Scan, SizeMismatchThrows) {
-  Device dev({.mode = ExecMode::kSequential});
+  Device dev({.num_threads = 1});
   std::vector<std::int64_t> in{1, 2};
   std::vector<std::int64_t> out(3);
   EXPECT_THROW(exclusive_scan(dev, in, out), std::invalid_argument);

@@ -11,7 +11,6 @@ namespace bpm::gpu {
 namespace {
 
 using device::Device;
-using device::ExecMode;
 using graph::BipartiteGraph;
 using graph::index_t;
 namespace gen = graph::gen;
@@ -63,9 +62,11 @@ index_t deepest_level(const BipartiteGraph& g,
   return deepest;
 }
 
-class GGrModes : public ::testing::TestWithParam<ExecMode> {
+/// Parameterised on device threads: 1 runs every launch in order, 4 fans
+/// every launch out.
+class GGrModes : public ::testing::TestWithParam<unsigned> {
  protected:
-  Device make_device() { return test_support::fanout_device(4, GetParam()); }
+  Device make_device() { return test_support::fanout_device(GetParam()); }
 
   void expect_exact_distances(const BipartiteGraph& g,
                               const matching::Matching& m) {
@@ -154,12 +155,10 @@ TEST_P(GGrModes, LevelKernelCountMatchesDepth) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, GGrModes,
-                         ::testing::Values(ExecMode::kSequential,
-                                           ExecMode::kConcurrent),
+                         ::testing::Values(1u, 4u),
                          [](const auto& param_info) {
-                           return param_info.param == ExecMode::kSequential
-                                      ? "Sequential"
-                                      : "Concurrent";
+                           return param_info.param == 1 ? "Sequential"
+                                                        : "Concurrent";
                          });
 
 // An engine with its serial cutoff disabled: every launch, the level

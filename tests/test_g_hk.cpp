@@ -10,17 +10,15 @@ namespace bpm::gpu {
 namespace {
 
 using device::Device;
-using device::ExecMode;
 using graph::BipartiteGraph;
 using graph::index_t;
 namespace gen = graph::gen;
 
-using Config = std::tuple<bool /*duff_wiberg*/, ExecMode>;
+using Config = std::tuple<bool /*duff_wiberg*/, unsigned /*threads*/>;
 
 std::string config_name(const ::testing::TestParamInfo<Config>& param_info) {
   std::string name = std::get<0>(param_info.param) ? "GHKDW" : "GHK";
-  name += std::get<1>(param_info.param) == ExecMode::kSequential ? "_Seq"
-                                                                 : "_Conc";
+  name += std::get<1>(param_info.param) == 1 ? "_Seq" : "_Conc";
   return name;
 }
 
@@ -29,7 +27,7 @@ class GhkConfigs : public ::testing::TestWithParam<Config> {
   void check(const BipartiteGraph& g) {
     const index_t want = matching::reference_maximum_cardinality(g);
     for (const bool greedy_start : {false, true}) {
-      Device dev({.mode = std::get<1>(GetParam()), .num_threads = 4});
+      Device dev({.num_threads = std::get<1>(GetParam())});
       const matching::Matching init =
           greedy_start ? matching::cheap_matching(g) : matching::Matching(g);
       const GhkResult r =
@@ -78,13 +76,12 @@ TEST_P(GhkConfigs, PlantedPerfect) {
 INSTANTIATE_TEST_SUITE_P(
     AllConfigs, GhkConfigs,
     ::testing::Combine(::testing::Bool(),
-                       ::testing::Values(ExecMode::kSequential,
-                                         ExecMode::kConcurrent)),
+                       ::testing::Values(1u, 4u)),
     config_name);
 
 TEST(Ghk, StatsAccounting) {
   const BipartiteGraph g = gen::random_uniform(150, 150, 500, 5);
-  Device dev({.mode = ExecMode::kSequential});
+  Device dev({.num_threads = 1});
   const GhkResult r = g_hk(dev, g, matching::Matching(g));
   EXPECT_GT(r.stats.phases, 0);
   EXPECT_GT(r.stats.augmentations, 0);
@@ -95,9 +92,9 @@ TEST(Ghk, StatsAccounting) {
 
 TEST(Ghk, DuffWibergPassAugments) {
   const BipartiteGraph g = gen::chung_lu(400, 400, 4.0, 2.5, 12);
-  Device dev({.mode = ExecMode::kSequential});
+  Device dev({.num_threads = 1});
   const GhkResult dw = g_hk(dev, g, matching::Matching(g), {.duff_wiberg = true});
-  Device dev2({.mode = ExecMode::kSequential});
+  Device dev2({.num_threads = 1});
   const GhkResult plain =
       g_hk(dev2, g, matching::Matching(g), {.duff_wiberg = false});
   EXPECT_EQ(dw.matching.cardinality(), plain.matching.cardinality());
@@ -109,7 +106,7 @@ TEST(Ghk, RejectsInvalidInitialMatching) {
   const BipartiteGraph g = gen::complete_bipartite(2, 2);
   matching::Matching bad(g);
   bad.row_match[1] = 0;
-  Device dev({.mode = ExecMode::kSequential});
+  Device dev({.num_threads = 1});
   EXPECT_THROW((void)g_hk(dev, g, bad), std::invalid_argument);
 }
 

@@ -14,24 +14,23 @@ namespace bpm::gpu {
 namespace {
 
 using device::Device;
-using device::ExecMode;
 using graph::BipartiteGraph;
 using graph::index_t;
 namespace gen = graph::gen;
 
-/// The full configuration grid: variant x execution mode.
-using Config = std::tuple<GprVariant, ExecMode>;
+/// The full configuration grid: variant x device threads (1 runs every
+/// launch in order; 4 fans every launch out).
+using Config = std::tuple<GprVariant, unsigned>;
 
 std::string config_name(const ::testing::TestParamInfo<Config>& param_info) {
-  const auto [variant, mode] = param_info.param;
+  const auto [variant, threads] = param_info.param;
   std::string name;
   switch (variant) {
     case GprVariant::kFirst: name = "First"; break;
     case GprVariant::kNoShrink: name = "NoShr"; break;
     case GprVariant::kShrink: name = "Shr"; break;
   }
-  name += std::get<1>(param_info.param) == ExecMode::kSequential ? "_Seq"
-                                                                 : "_Conc";
+  name += threads == 1 ? "_Seq" : "_Conc";
   return name;
 }
 
@@ -46,7 +45,7 @@ class GprConfigs : public ::testing::TestWithParam<Config> {
   }
 
   Device make_device() const {
-    return test_support::fanout_device(4, std::get<1>(GetParam()));
+    return test_support::fanout_device(std::get<1>(GetParam()));
   }
 
   /// Solves from both empty and greedy starts and verifies maximality via
@@ -139,8 +138,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(GprVariant::kFirst,
                                          GprVariant::kNoShrink,
                                          GprVariant::kShrink),
-                       ::testing::Values(ExecMode::kSequential,
-                                         ExecMode::kConcurrent)),
+                       ::testing::Values(1u, 4u)),
     config_name);
 
 // ------------------------------------------------------------ invariants ----
@@ -149,13 +147,13 @@ TEST(Gpr, RejectsInvalidInitialMatching) {
   const BipartiteGraph g = gen::complete_bipartite(2, 2);
   matching::Matching bad(g);
   bad.col_match[0] = 1;  // one-sided
-  Device dev({.mode = ExecMode::kSequential});
+  Device dev({.num_threads = 1});
   EXPECT_THROW((void)g_pr(dev, g, bad), std::invalid_argument);
 }
 
 TEST(Gpr, StatsAccounting) {
   const BipartiteGraph g = gen::random_uniform(200, 200, 900, 11);
-  Device dev({.mode = ExecMode::kSequential});
+  Device dev({.num_threads = 1});
   const GprResult r = g_pr(dev, g, matching::cheap_matching(g));
   EXPECT_GE(r.stats.global_relabels, 1);     // forced at loop 0
   EXPECT_GE(r.stats.loops, 1);
@@ -168,7 +166,7 @@ TEST(Gpr, ShrinkFiresOnlyAboveThreshold) {
   const BipartiteGraph g = gen::chung_lu(600, 600, 2.5, 2.3, 13);
   const matching::Matching init(g);  // empty: large active list
   {
-    Device dev({.mode = ExecMode::kSequential});
+    Device dev({.num_threads = 1});
     GprOptions opt;
     opt.variant = GprVariant::kShrink;
     opt.shrink_threshold = 4;
@@ -176,7 +174,7 @@ TEST(Gpr, ShrinkFiresOnlyAboveThreshold) {
     EXPECT_GT(r.stats.shrinks, 0);
   }
   {
-    Device dev({.mode = ExecMode::kSequential});
+    Device dev({.num_threads = 1});
     GprOptions opt;
     opt.variant = GprVariant::kShrink;
     opt.shrink_threshold = 1 << 30;  // effectively never
@@ -187,7 +185,7 @@ TEST(Gpr, ShrinkFiresOnlyAboveThreshold) {
 
 TEST(Gpr, NoShrinkVariantNeverShrinks) {
   const BipartiteGraph g = gen::random_uniform(100, 100, 300, 2);
-  Device dev({.mode = ExecMode::kSequential});
+  Device dev({.num_threads = 1});
   GprOptions opt;
   opt.variant = GprVariant::kNoShrink;
   opt.shrink_threshold = 1;
@@ -228,7 +226,7 @@ TEST(Gpr, LoopGuardTriggersWhenForcedTiny) {
   // K_{1,16}: 16 columns fight over one row, stealing it from each other
   // for many loops — so an absurdly small bound must fire.
   const BipartiteGraph g = gen::complete_bipartite(1, 16);
-  Device dev({.mode = ExecMode::kSequential});
+  Device dev({.num_threads = 1});
   GprOptions opt;
   opt.max_loops = 1;  // unreasonably small on purpose
   EXPECT_THROW((void)g_pr(dev, g, matching::Matching(g), opt),
@@ -239,7 +237,7 @@ TEST(Gpr, PerfectInitialMatchingTerminatesImmediately) {
   const BipartiteGraph g = gen::complete_bipartite(6, 6);
   matching::Matching perfect(g);
   for (index_t i = 0; i < 6; ++i) perfect.match(i, i);
-  Device dev({.mode = ExecMode::kSequential});
+  Device dev({.num_threads = 1});
   const GprResult r = g_pr(dev, g, perfect);
   EXPECT_EQ(r.matching.cardinality(), 6);
   EXPECT_EQ(r.stats.global_relabels, 0);  // active list empty from the start

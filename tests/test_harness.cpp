@@ -52,7 +52,7 @@ TEST(Harness, BuildSuiteHonoursStride) {
 TEST(Harness, RunnersReportOkAndConsistentCardinalities) {
   const auto& meta = graph::paper_instances()[3];  // flickr analogue
   const BuiltInstance bi = build_instance(meta, tiny_options());
-  device::Device dev({.mode = device::ExecMode::kConcurrent, .num_threads = 4});
+  device::Device dev({.num_threads = 4});
 
   const AlgoResult gpr = run_solver("g-pr-shr", dev, bi);
   const AlgoResult ghkdw = run_solver("g-hkdw", dev, bi);
@@ -79,7 +79,7 @@ TEST(Harness, RunSolverRejectsEveryMutant) {
   test_support::register_mutant_solver();
   const BuiltInstance bi =
       build_instance(graph::paper_instances()[3], tiny_options());
-  device::Device dev({.mode = device::ExecMode::kSequential});
+  device::Device dev({.num_threads = 1});
   const auto accepted = [&](const char* spec) {
     return run_solver(*SolverSpec::parse(spec).instantiate(), dev, bi).ok;
   };
@@ -131,7 +131,7 @@ TEST(Harness, ModeledTimeScalesWithInstanceSize) {
   const BuiltInstance bi_large = build_instance(meta, large);
   // Sequential device: deterministic loop counts, so the comparison is
   // not subject to race-dependent variance.
-  device::Device dev({.mode = device::ExecMode::kSequential});
+  device::Device dev({.num_threads = 1});
   const AlgoResult r_small = run_solver("g-pr-shr", dev, bi_small);
   const AlgoResult r_large = run_solver("g-pr-shr", dev, bi_large);
   EXPECT_TRUE(r_small.ok);

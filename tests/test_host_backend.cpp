@@ -200,13 +200,13 @@ TEST(Conformance, DeviceSolversMatchReferenceAtEveryGrain) {
 }
 
 TEST(Conformance, SequentialModeStaysCorrectAndReportsBothTimes) {
-  // kSequential is the debugging configuration: one worker, indices in
-  // order, still measured and still modeled.
+  // One thread is the debugging configuration: every launch inline,
+  // indices in order, still measured and still modeled.
   const graph::BipartiteGraph g =
       graph::gen::skewed_hubs(120, 150, 4, 0.3, 2.0, 19);
   const graph::index_t reference = matching::reference_maximum_cardinality(g);
   auto solver = SolverRegistry::instance().create("g-pr");
-  Device dev({.mode = ExecMode::kSequential, .num_threads = 1});
+  Device dev({.num_threads = 1});
   const SolveContext ctx{.device = &dev};
   const SolveResult r = solver->run(ctx, g, matching::cheap_matching(g));
   EXPECT_EQ(r.stats.cardinality, reference);

@@ -20,7 +20,6 @@ namespace bpm {
 namespace {
 
 using device::Device;
-using device::ExecMode;
 using graph::BipartiteGraph;
 using graph::index_t;
 namespace gen = graph::gen;
@@ -65,10 +64,10 @@ class InitRobustness : public ::testing::TestWithParam<const char*> {
     if (algo == "p_dbfs")
       return mc::p_dbfs(g, init, {.num_threads = 4}).matching.cardinality();
     if (algo == "g_hkdw") {
-      Device dev({.mode = ExecMode::kConcurrent, .num_threads = 4});
+      Device dev({.num_threads = 4});
       return gpu::g_hk(dev, g, init).matching.cardinality();
     }
-    Device dev({.mode = ExecMode::kConcurrent, .num_threads = 4});
+    Device dev({.num_threads = 4});
     gpu::GprOptions opt;
     opt.variant = algo == "g_pr_first" ? gpu::GprVariant::kFirst
                                        : gpu::GprVariant::kShrink;

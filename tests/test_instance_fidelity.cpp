@@ -96,7 +96,7 @@ TEST(InstanceFidelity, TraceMeshesAreTheDeepBfsClass) {
   const Built kron = build(paper_instances()[6]);     // kron_g500-logn20
 
   auto gr_depth = [](const Built& b) {
-    device::Device dev({.mode = device::ExecMode::kSequential});
+    device::Device dev({.num_threads = 1});
     gpu::DeviceState st(b.g.num_rows(), b.g.num_cols());
     const matching::Matching greedy = matching::cheap_matching(b.g);
     st.mu_row.assign_from(greedy.row_match);

@@ -3,7 +3,7 @@
 // hook.
 //
 //  * Neighborhood invariant (Section II-B): for every column v and every
-//    neighbor u in Γ(v), ψ(u) >= ψ(v) − 1.  In sequential device mode the
+//    neighbor u in Γ(v), ψ(u) >= ψ(v) − 1.  On a one-thread device the
 //    execution is exactly a sequentialisation of the paper's pushes, so
 //    the invariant must hold at every barrier.
 //  * Matching invariant (Section III): rows are authoritative — whenever
@@ -24,7 +24,6 @@ namespace bpm::gpu {
 namespace {
 
 using device::Device;
-using device::ExecMode;
 using graph::BipartiteGraph;
 using graph::index_t;
 namespace gen = graph::gen;
@@ -105,12 +104,12 @@ class InvariantObserver : public GprObserver {
 
 class InvariantSweep : public ::testing::TestWithParam<GprVariant> {
  protected:
-  void run(const BipartiteGraph& g, ExecMode mode) {
+  void run(const BipartiteGraph& g, unsigned threads) {
     // The empty start maximises active columns (and hence invariant
     // checking); the greedy start exercises the initialised path.
     std::int64_t loops_total = 0;
     for (const bool greedy : {false, true}) {
-      Device dev = test_support::fanout_device(4, mode);
+      Device dev = test_support::fanout_device(threads);
       InvariantObserver obs(g);
       GprOptions opt;
       opt.variant = GetParam();
@@ -128,30 +127,30 @@ class InvariantSweep : public ::testing::TestWithParam<GprVariant> {
 };
 
 TEST_P(InvariantSweep, SequentialChain) {
-  run(gen::chain(40), ExecMode::kSequential);
+  run(gen::chain(40), 1);
 }
 
 TEST_P(InvariantSweep, SequentialRandom) {
   for (std::uint64_t seed = 0; seed < 4; ++seed)
-    run(gen::random_uniform(60, 60, 200, seed), ExecMode::kSequential);
+    run(gen::random_uniform(60, 60, 200, seed), 1);
 }
 
 TEST_P(InvariantSweep, SequentialPowerLaw) {
-  run(gen::chung_lu(150, 150, 3.0, 2.4, 7), ExecMode::kSequential);
+  run(gen::chung_lu(150, 150, 3.0, 2.4, 7), 1);
 }
 
 TEST_P(InvariantSweep, SequentialStarContention) {
-  run(gen::complete_bipartite(1, 12), ExecMode::kSequential);
+  run(gen::complete_bipartite(1, 12), 1);
 }
 
-// In concurrent mode the matching invariants (row monotonicity, retirement
+// On four threads the matching invariants (row monotonicity, retirement
 // permanence, edge validity) must still hold at every barrier; the
 // neighborhood invariant holds for the values at barriers as well, since
 // all racy writes have landed by then and each write was derived from a
 // previously-held value.
 TEST_P(InvariantSweep, ConcurrentRandom) {
   for (std::uint64_t seed = 0; seed < 4; ++seed)
-    run(gen::random_uniform(40, 40, 160, seed), ExecMode::kConcurrent);
+    run(gen::random_uniform(40, 40, 160, seed), 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(Variants, InvariantSweep,

@@ -32,7 +32,6 @@ namespace bpm::obs {
 namespace {
 
 using device::Device;
-using device::ExecMode;
 using graph::BipartiteGraph;
 namespace gen = graph::gen;
 
@@ -422,14 +421,14 @@ TEST(TraceConformance, GprTracedSolveMatchesUntracedAndRecordsPhases) {
   const BipartiteGraph g = gen::random_uniform(300, 320, 2400, 7);
   const matching::Matching init = matching::cheap_matching(g);
 
-  // Sequential mode so the untraced and traced solves take exactly the
+  // One thread so the untraced and traced solves take exactly the
   // same kernel schedule and the stats comparison is meaningful.
-  Device plain({.mode = ExecMode::kSequential});
+  Device plain({.num_threads = 1});
   const gpu::GprResult base = gpu::g_pr(plain, g, init);
 
   Tracer tracer;
   tracer.enable();
-  Device traced({.mode = ExecMode::kSequential});
+  Device traced({.num_threads = 1});
   traced.set_tracer(&tracer);
   const gpu::GprResult obs_run = gpu::g_pr(traced, g, init);
 

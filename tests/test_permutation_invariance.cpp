@@ -21,7 +21,6 @@ namespace bpm {
 namespace {
 
 using device::Device;
-using device::ExecMode;
 using graph::BipartiteGraph;
 using graph::index_t;
 namespace gen = graph::gen;

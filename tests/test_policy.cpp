@@ -147,8 +147,7 @@ TEST(AutoSolver, ResolvesToAValidRegisteredSpecEverywhere) {
   // the true maximum cardinality.
   ASSERT_TRUE(SolverRegistry::instance().contains("auto"));
   const AutoSolver solver;
-  device::Device dev({.mode = device::ExecMode::kConcurrent,
-                      .num_threads = 2});
+  device::Device dev({.num_threads = 2});
   for (const BipartiteGraph& g : generator_pool()) {
     const matching::Matching init = matching::cheap_matching(g);
     const InstanceFeatures f = compute_features(g, init.cardinality());

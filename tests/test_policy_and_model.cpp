@@ -58,7 +58,7 @@ TEST(RelabelPolicy, RoundsToNearest) {
 // ----------------------------------------------------------- time model ----
 
 TEST(DeviceModel, ChargesLaunchLatencyPerLaunch) {
-  device::Device dev({.mode = device::ExecMode::kSequential});
+  device::Device dev({.num_threads = 1});
   EXPECT_DOUBLE_EQ(dev.modeled_ms(), 0.0);
   dev.launch(0, [](std::int64_t) {});
   const double one_launch = dev.modeled_ms();
@@ -68,7 +68,7 @@ TEST(DeviceModel, ChargesLaunchLatencyPerLaunch) {
 }
 
 TEST(DeviceModel, ChargesItems) {
-  device::Device dev({.mode = device::ExecMode::kSequential});
+  device::Device dev({.num_threads = 1});
   dev.launch(1'000'000, [](std::int64_t) {});
   const device::DeviceModel m;
   const double want_ms =
@@ -77,7 +77,7 @@ TEST(DeviceModel, ChargesItems) {
 }
 
 TEST(DeviceModel, ChargesAccountedWork) {
-  device::Device dev({.mode = device::ExecMode::kSequential});
+  device::Device dev({.num_threads = 1});
   dev.launch_accounted(10, [](std::int64_t) -> std::int64_t { return 100; });
   const device::DeviceModel m;
   // Pure throughput: the 1000 total work units, however they are spread.
@@ -88,7 +88,7 @@ TEST(DeviceModel, ChargesAccountedWork) {
 }
 
 TEST(DeviceModel, ChargeWorkWithoutLaunch) {
-  device::Device dev({.mode = device::ExecMode::kSequential});
+  device::Device dev({.num_threads = 1});
   dev.charge_work(1000);
   const device::DeviceModel m;
   EXPECT_NEAR(dev.modeled_ms(), 1000 * m.ns_per_work * 1e-6, 1e-12);
@@ -96,21 +96,20 @@ TEST(DeviceModel, ChargeWorkWithoutLaunch) {
 }
 
 TEST(DeviceModel, AccountedWorkIdenticalAcrossModes) {
-  // The work tally is algorithmic, so sequential and concurrent execution
-  // must model identically for a deterministic kernel.
-  auto run = [](device::ExecMode mode) {
-    device::Device dev({.mode = mode, .num_threads = 4});
+  // The work tally is algorithmic, so one thread and four must model
+  // identically for a deterministic kernel.
+  auto run = [](unsigned threads) {
+    device::Device dev({.num_threads = threads});
     dev.launch_accounted(1000, [](std::int64_t i) -> std::int64_t {
       return i % 7;
     });
     return dev.modeled_ms();
   };
-  EXPECT_DOUBLE_EQ(run(device::ExecMode::kSequential),
-                   run(device::ExecMode::kConcurrent));
+  EXPECT_DOUBLE_EQ(run(1), run(4));
 }
 
 TEST(DeviceModel, ResetClearsAccumulator) {
-  device::Device dev({.mode = device::ExecMode::kSequential});
+  device::Device dev({.num_threads = 1});
   dev.launch(100, [](std::int64_t) {});
   EXPECT_GT(dev.modeled_ms(), 0.0);
   dev.reset_modeled_time();

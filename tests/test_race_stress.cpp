@@ -19,7 +19,6 @@ namespace bpm {
 namespace {
 
 using device::Device;
-using device::ExecMode;
 using graph::BipartiteGraph;
 using graph::index_t;
 namespace gen = graph::gen;
@@ -107,7 +106,7 @@ TEST(DeterminismOfResult, CardinalityIsStableAcrossRacyRuns) {
   // The matching itself may differ run to run (races pick different
   // winners) but the cardinality is an invariant.
   const BipartiteGraph g = gen::rmat(8, 4.0, 5);
-  Device dev0({.mode = ExecMode::kSequential});
+  Device dev0({.num_threads = 1});
   const index_t want =
       gpu::g_pr(dev0, g, matching::Matching(g)).matching.cardinality();
   for (int run = 0; run < 8; ++run) {

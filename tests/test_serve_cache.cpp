@@ -1,9 +1,11 @@
 // serve::ResultCache (src/serve/result_cache.hpp): LRU eviction under a
-// byte budget, recency refresh on hits, sharding correctness under
-// concurrent access, and deterministic snapshot save/load round trips.
+// byte budget, recency refresh on hits, locking correctness under
+// concurrent access, and deterministic snapshot save/load round trips
+// that survive hostile lengths.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <sstream>
 #include <string>
@@ -66,9 +68,9 @@ TEST(ResultCache, OverwriteRefreshesInsteadOfDuplicating) {
 }
 
 TEST(ResultCache, EvictsLeastRecentlyUsedUnderTheByteBudget) {
-  // Single shard so the LRU order is global; budget sized for ~2 entries
-  // (each entry charges a fixed overhead plus its strings).
-  ResultCache cache({.byte_budget = 300, .shards = 1});
+  // Budget sized for ~2 entries (each entry charges a fixed overhead plus
+  // its strings).
+  ResultCache cache({.byte_budget = 300});
   cache.put(1, "a", outcome(1));
   cache.put(2, "b", outcome(2));
   cache.put(3, "c", outcome(3));  // evicts fingerprint 1 (oldest)
@@ -82,7 +84,7 @@ TEST(ResultCache, EvictsLeastRecentlyUsedUnderTheByteBudget) {
 }
 
 TEST(ResultCache, GetRefreshesRecencySoHotEntriesSurvive) {
-  ResultCache cache({.byte_budget = 300, .shards = 1});
+  ResultCache cache({.byte_budget = 300});
   cache.put(1, "a", outcome(1));
   cache.put(2, "b", outcome(2));
   ASSERT_TRUE(cache.get(1, "a").has_value());  // 1 is now the MRU
@@ -93,7 +95,7 @@ TEST(ResultCache, GetRefreshesRecencySoHotEntriesSurvive) {
 }
 
 TEST(ResultCache, OversizedEntryIsKeptAlone) {
-  ResultCache cache({.byte_budget = 200, .shards = 1});
+  ResultCache cache({.byte_budget = 200});
   cache.put(1, "a", outcome(1));
   cache.put(2, "big", outcome(2, std::string(10000, 'x')));
   EXPECT_FALSE(cache.get(1, "a").has_value());
@@ -103,12 +105,12 @@ TEST(ResultCache, OversizedEntryIsKeptAlone) {
   EXPECT_EQ(cache.stats().entries, 1u);
 }
 
-TEST(ResultCache, ShardedConcurrentHitsStayCorrect) {
+TEST(ResultCache, ConcurrentHitsStayCorrect) {
   // Hammer a small key space from many threads: every get must return
-  // either nothing or the exact outcome put under that key — sharding or
-  // locking bugs surface as torn/mismatched values (and under TSan, as
+  // either nothing or the exact outcome put under that key — locking bugs
+  // surface as torn/mismatched values (and under TSan, as
   // races).
-  ResultCache cache({.byte_budget = std::size_t{8} << 20, .shards = 8});
+  ResultCache cache({.byte_budget = std::size_t{8} << 20});
   constexpr int kKeys = 64;
   constexpr int kOpsPerThread = 2000;
   const unsigned threads = 8;
@@ -140,7 +142,7 @@ TEST(ResultCache, ShardedConcurrentHitsStayCorrect) {
 }
 
 TEST(ResultCache, SnapshotRoundTripIsDeterministic) {
-  ResultCache cache({.byte_budget = std::size_t{1} << 20, .shards = 4});
+  ResultCache cache({.byte_budget = std::size_t{1} << 20});
   for (int i = 0; i < 20; ++i)
     cache.put(static_cast<std::uint64_t>(i * 977),
               "solver-" + std::to_string(i % 3),
@@ -151,7 +153,7 @@ TEST(ResultCache, SnapshotRoundTripIsDeterministic) {
   std::ostringstream first;
   cache.save(first);
 
-  ResultCache reloaded({.byte_budget = std::size_t{1} << 20, .shards = 4});
+  ResultCache reloaded({.byte_budget = std::size_t{1} << 20});
   std::istringstream in(first.str());
   EXPECT_EQ(reloaded.load(in), 20u);
 
@@ -171,7 +173,7 @@ TEST(ResultCache, SnapshotRoundTripIsDeterministic) {
 
   // ...and save -> load -> save is byte-identical (recency order included;
   // the gets above refreshed entries, so save again from a fresh copy).
-  ResultCache again({.byte_budget = std::size_t{1} << 20, .shards = 4});
+  ResultCache again({.byte_budget = std::size_t{1} << 20});
   std::istringstream in2(first.str());
   EXPECT_EQ(again.load(in2), 20u);
   std::ostringstream second;
@@ -180,13 +182,13 @@ TEST(ResultCache, SnapshotRoundTripIsDeterministic) {
 }
 
 TEST(ResultCache, SnapshotLoadEnforcesTheBudget) {
-  ResultCache cache({.byte_budget = std::size_t{1} << 20, .shards = 1});
+  ResultCache cache({.byte_budget = std::size_t{1} << 20});
   for (int i = 0; i < 50; ++i)
     cache.put(static_cast<std::uint64_t>(i), "s", outcome(i));
   std::ostringstream snap;
   cache.save(snap);
 
-  ResultCache tiny({.byte_budget = 400, .shards = 1});
+  ResultCache tiny({.byte_budget = 400});
   std::istringstream in(snap.str());
   EXPECT_EQ(tiny.load(in), 50u);  // all read, LRU-evicted down to budget
   EXPECT_LE(tiny.stats().bytes, 400u);
@@ -209,11 +211,11 @@ TEST(ResultCache, MalformedSnapshotsAreRejected) {
 
 TEST(ResultCache, RandomizedSnapshotSaveLoadSaveIsByteIdentical) {
   // Property: for any cache state, save → load-into-empty-same-options →
-  // save reproduces the first snapshot byte for byte (contents AND
-  // per-shard LRU order).  Random shard counts, fingerprints that
-  // deliberately collide, solver keys / detail / error strings with
-  // whitespace and newlines (the snapshot framing is length-prefixed),
-  // failed outcomes, overwrites, and recency-shuffling gets.
+  // save reproduces the first snapshot byte for byte (contents AND LRU
+  // order).  Fingerprints that deliberately collide, solver keys / detail /
+  // error strings with whitespace and newlines (the snapshot framing is
+  // length-prefixed), failed outcomes, overwrites, and recency-shuffling
+  // gets.
   Rng rng(4242);
   const std::string chars =
       "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -225,9 +227,7 @@ TEST(ResultCache, RandomizedSnapshotSaveLoadSaveIsByteIdentical) {
     return s;
   };
   for (int trial = 0; trial < 25; ++trial) {
-    const CacheOptions options{
-        .byte_budget = std::size_t{1} << 20,
-        .shards = static_cast<unsigned>(1 + rng.below(8))};
+    const CacheOptions options{.byte_budget = std::size_t{1} << 20};
     ResultCache cache(options);
     const std::uint64_t distinct_fingerprints = 1 + rng.below(12);
     for (std::uint64_t i = 0, n = 5 + rng.below(40); i < n; ++i) {
@@ -255,6 +255,52 @@ TEST(ResultCache, RandomizedSnapshotSaveLoadSaveIsByteIdentical) {
     std::stringstream second;
     reloaded.save(second);
     EXPECT_EQ(first.str(), second.str()) << "trial " << trial;
+  }
+}
+
+// One budget bounds the whole cache: the LRU entry is the victim, whatever
+// its key hashes to.
+TEST(ResultCache, OneBudgetEvictsTheGlobalLeastRecentlyUsed) {
+  const std::vector<std::array<std::uint64_t, 3>> key_sets = {
+      {1, 2, 3}, {7, 7, 7}, {0xffff'ffff'ffff'ffffull, 0, 1u << 31}};
+  for (const auto& fp : key_sets) {
+    ResultCache cache;
+    // Three entries of a third of the default budget each: any two fit,
+    // all three do not.
+    const JobOutcome big =
+        outcome(1, std::string(cache.byte_budget() / 3, 'x'));
+    cache.put(fp[0], "a", big);
+    cache.put(fp[1], "b", big);
+    ASSERT_TRUE(cache.get(fp[0], "a").has_value());  // A is now the MRU
+    cache.put(fp[2], "c", big);                      // so B is the victim
+    const CacheStats s = cache.stats();
+    EXPECT_EQ(s.evictions, 1u);
+    EXPECT_EQ(s.entries, 2u);
+    EXPECT_LE(s.bytes, cache.byte_budget());
+    EXPECT_TRUE(cache.get(fp[0], "a").has_value());
+    EXPECT_FALSE(cache.get(fp[1], "b").has_value());
+    EXPECT_TRUE(cache.get(fp[2], "c").has_value());
+  }
+}
+
+// A record's declared payload length is not trusted: one past the end of
+// the stream fails as truncated without allocating what it declares, and
+// so does a length sum that overflows.
+TEST(ResultCache, SnapshotLengthsPastTheEndAreTruncatedNotAllocated) {
+  const std::vector<std::string> records = {
+      "7 1 10 0.5 0 0 0 1099511627776 0 0\n0123456789\n",
+      "7 1 10 0.5 0 0 0 18446744073709551615 2 0\nhk\n",
+      "7 1 10 0.5 0 0 0 2 18446744073709551615 18446744073709551615\nhk\n"};
+  for (const std::string& record : records) {
+    ResultCache cache;
+    std::istringstream in("bpm-result-cache 1 1\n" + record);
+    try {
+      (void)cache.load(in);
+      ADD_FAILURE() << "accepted: " << record;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "truncated result-cache snapshot (entry 0)");
+    }
+    EXPECT_EQ(cache.stats().entries, 0u);
   }
 }
 

@@ -231,14 +231,14 @@ TEST(ServeConformance, DuplicateBurstSolvesOnceThenHitsTheCache) {
 TEST(ServeConformance, TSanStressClientsHammerTheService) {
   // The race-hunting configuration: 4 client threads submitting mixed
   // duplicate-heavy traffic against 4 workers whose streams contend on
-  // one 2-thread engine pool, a sharded cache, an aggressively small
+  // one 2-thread engine pool, a shared cache, an aggressively small
   // completed-ticket ledger (GC races with polling), and concurrent
   // poll() calls.
   ServiceOptions options;
   options.workers = 4;
   options.device_threads = 2;
   options.queue_depth = 512;
-  options.cache = std::make_shared<ResultCache>(CacheOptions{.shards = 4});
+  options.cache = std::make_shared<ResultCache>();
   options.completed_ticket_retention = 16;
   MatchingService svc(options);
   const auto a =

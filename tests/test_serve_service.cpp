@@ -135,7 +135,7 @@ TEST(Service, SubmitFutureDeliversVerifiedResults) {
   const auto handle = svc.add_instance("g", g).handle;
 
   // The expected outcome, from a sequential pipeline on the same graph.
-  MatchingPipeline pipe({.max_concurrent_jobs = 1});
+  MatchingPipeline pipe;
   pipe.add_instance("g", g);
   const PipelineReport ref = pipe.run({"g-pr-shr:k=1.5", "hk", "p-dbfs"});
   ASSERT_TRUE(ref.all_ok());
@@ -595,6 +595,53 @@ TEST(Service, EngineOdometerTracksSolvedRequestsLive) {
   const device::EngineStats two = svc.engine_stats();
   EXPECT_EQ(two.streams_retired, 2u);
   EXPECT_EQ(two.launches, one.launches);  // no device work on a CPU run
+}
+
+// Concurrent dispatches solve on per-dispatch streams of one engine: each
+// ticket's launch count must equal a one-worker service's (same kernels,
+// different streams), and the engine's odometer their sum — proving
+// streams do not corrupt each other's counters.
+TEST(Service, StreamsKeepLaunchAccountingExactUnderConcurrency) {
+  // A one-thread engine: per-job launch counts are deterministic, so any
+  // cross-stream corruption shows up as a count mismatch.  No cache, so
+  // every ticket solves.  G-HK's phase structure is deterministic given
+  // the init, so launch counts are comparable ticket for ticket.
+  std::vector<graph::BipartiteGraph> graphs;
+  for (int i = 0; i < 6; ++i) {
+    const auto seed = static_cast<std::uint64_t>(11 * i + 3);
+    graphs.push_back(i % 2 == 0
+                         ? gen::random_uniform(300 + 20 * i, 310, 1500, seed)
+                         : gen::chung_lu(250 + 10 * i, 260, 4.0, 2.4, seed));
+  }
+  const auto serve = [&](unsigned workers) {
+    MatchingService svc({.workers = workers, .device_threads = 1});
+    std::vector<std::size_t> handles;
+    for (std::size_t i = 0; i < graphs.size(); ++i)
+      handles.push_back(
+          svc.add_instance("g" + std::to_string(i), graphs[i]).handle);
+    std::vector<Submission> subs;
+    for (int round = 0; round < 3; ++round)
+      for (const std::size_t handle : handles)
+        subs.push_back(svc.submit(request(handle, "g-hkdw")));
+    std::vector<std::int64_t> launches;
+    std::uint64_t sum = 0;
+    for (const Submission& sub : subs) {
+      EXPECT_TRUE(sub.accepted) << sub.reason;
+      const Response r = sub.future.get();
+      EXPECT_TRUE(r.ok) << r.error;
+      EXPECT_FALSE(r.cached);
+      EXPECT_GT(r.stats.device_launches, 0);
+      launches.push_back(r.stats.device_launches);
+      sum += static_cast<std::uint64_t>(r.stats.device_launches);
+    }
+    EXPECT_EQ(svc.engine_stats().launches, sum) << workers << " workers";
+    return launches;
+  };
+  const std::vector<std::int64_t> one = serve(1);
+  const std::vector<std::int64_t> four = serve(4);
+  ASSERT_EQ(four.size(), one.size());
+  for (std::size_t i = 0; i < one.size(); ++i)
+    EXPECT_EQ(four[i], one[i]) << "ticket " << i;
 }
 
 }  // namespace

@@ -131,7 +131,7 @@ TEST(SolverRegistry, SetOptionAcceptsKnownRejectsUnknownKeys) {
 // valid maximum matching (independently certified), heuristics a valid
 // matching of at most maximum cardinality.
 TEST(SolverRegistry, EverySolverAgreesOnTheGeneratorSuite) {
-  device::Device dev({.mode = device::ExecMode::kConcurrent, .num_threads = 4});
+  device::Device dev({.num_threads = 4});
   const SolveContext ctx{.device = &dev, .threads = 4};
 
   for (const BipartiteGraph& g : generator_suite()) {
@@ -169,7 +169,7 @@ TEST(SolverRegistry, EverySolverAgreesOnTheGeneratorSuite) {
 
 TEST(SolverRegistry, SolveConvenienceMatchesExplicitDispatch) {
   const BipartiteGraph g = gen::planted_perfect(128, 2.0, 3);
-  device::Device dev({.mode = device::ExecMode::kSequential});
+  device::Device dev({.num_threads = 1});
   const SolveContext ctx{.device = &dev};
   const SolveResult r = solve("hkdw", ctx, g, matching::cheap_matching(g));
   EXPECT_EQ(r.stats.cardinality, 128);
@@ -243,7 +243,7 @@ std::vector<std::pair<std::string, matching::Matching>> invalid_inits(
 // it on entry.
 TEST(SolverRegistry, NoSolverTurnsAnInvalidInitIntoAnAcceptedAnswer) {
   const BipartiteGraph g = gen::random_uniform(200, 210, 900, 5);
-  device::Device dev({.mode = device::ExecMode::kConcurrent, .num_threads = 4});
+  device::Device dev({.num_threads = 4});
   const SolveContext ctx{.device = &dev, .threads = 4};
   const auto inits = invalid_inits(g);
   ASSERT_EQ(inits.size(), 3u);

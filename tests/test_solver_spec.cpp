@@ -137,7 +137,7 @@ TEST(SolverSpec, MalformedOptionValueFailsAtInstantiate) {
 
 TEST(SolverSpec, InstantiatedTunedSolverRunsEndToEnd) {
   const auto g = graph::gen::random_uniform(200, 210, 900, 3);
-  device::Device dev({.mode = device::ExecMode::kConcurrent, .num_threads = 2});
+  device::Device dev({.num_threads = 2});
   const SolveContext ctx{.device = &dev, .threads = 2};
   const matching::Matching init(g);
 
