@@ -3,10 +3,14 @@
 // TCP socket (--listen).  The service owns one device engine
 // (--device-threads) for its whole lifetime and runs up to --workers
 // dispatches on it at once, one request and one stream each.  It dedups
-// registered graphs by structural fingerprint, dispatches requests from a
-// bounded queue in strict priority order, and (with --cache-bytes > 0)
-// serves repeated (instance, solver spec) requests from a persistent
-// result cache that can be snapshotted to disk and reloaded on restart.
+// registered graphs by structural fingerprint, keeps them within a byte
+// budget (--store-bytes) by evicting the least recently used graphs that
+// no queued or running request pins (submitting to an evicted name
+// answers `error code=evicted` until it is loaded again), dispatches
+// requests from a bounded queue in strict priority order, and (with
+// --cache-bytes > 0) serves repeated (instance, solver spec) requests from
+// a persistent result cache that can be snapshotted to disk and reloaded
+// on restart.
 // Every count, size and port flag is range-checked: an out-of-range
 // value is an error naming the flag, never a silent wrap.
 //
@@ -96,6 +100,10 @@ int main(int argc, char** argv) {
                  "65536");
   cli.add_option("cache-bytes", "result cache budget in bytes (0 = no cache)",
                  std::to_string(std::size_t{64} << 20));
+  cli.add_option("store-bytes",
+                 "instance store budget in bytes; least recently used "
+                 "unpinned instances are evicted beyond it",
+                 std::to_string(serve::InstanceStore::kDefaultBytes));
   cli.add_option("cache-load", "warm the cache from this snapshot on start",
                  "");
   cli.add_option("cache-save", "snapshot the cache here on shutdown", "");
@@ -142,6 +150,7 @@ int main(int argc, char** argv) {
     opt.device_threads = count("device-threads");
     opt.queue_depth = size("queue-depth", 1);  // depth 0 would reject all
     opt.completed_ticket_retention = size("retention");
+    opt.store_bytes = size("store-bytes");
     const std::size_t cache_bytes = size("cache-bytes");
     if (cache_bytes > 0)
       opt.cache = std::make_shared<serve::ResultCache>(

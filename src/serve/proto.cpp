@@ -106,6 +106,7 @@ std::string_view error_code_name(ErrorCode code) {
     case ErrorCode::kQuotaExceeded: return "quota-exceeded";
     case ErrorCode::kUnknownInstance: return "unknown-instance";
     case ErrorCode::kUnknownTicket: return "unknown-ticket";
+    case ErrorCode::kEvicted: return "evicted";
     case ErrorCode::kState: return "bad-state";
     case ErrorCode::kIo: return "io-error";
     case ErrorCode::kUnavailable: return "unavailable";

@@ -38,6 +38,7 @@ enum class ErrorCode {
   kQuotaExceeded,    ///< per-client request quota exhausted
   kUnknownInstance,  ///< submit names an instance the store never saw
   kUnknownTicket,    ///< poll/wait names a ticket never issued
+  kEvicted,          ///< submit names an instance the store evicted
   kState,            ///< command invalid in this state (trace-dump first)
   kIo,               ///< file system / OS failure serving the command
   kUnavailable,      ///< server refusing work (full, shutting down)

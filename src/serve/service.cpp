@@ -32,7 +32,8 @@ std::uint64_t ms_to_us(double ms) {
 
 MatchingService::MatchingService(ServiceOptions options)
     : options_(std::move(options)),
-      engine_(std::make_shared<device::Engine>(options_.device_threads)) {
+      engine_(std::make_shared<device::Engine>(options_.device_threads)),
+      store_(options_.store_bytes) {
   obs::Registry& reg = obs::Registry::global();
   metrics_.submitted = &reg.counter("serve.submitted");
   metrics_.accepted = &reg.counter("serve.accepted");
@@ -42,6 +43,7 @@ MatchingService::MatchingService(ServiceOptions options)
   metrics_.expired = &reg.counter("serve.expired");
   metrics_.cache_hits = &reg.counter("serve.cache_hits");
   metrics_.dispatches = &reg.counter("serve.dispatches");
+  metrics_.evicted = &reg.counter("serve.evicted");
   metrics_.queue_depth = &reg.gauge("serve.queue_depth");
   metrics_.latency_ms = &reg.histogram("serve.latency_ms");
   metrics_.queue_ms = &reg.histogram("serve.queue_ms");
@@ -62,12 +64,17 @@ MatchingService::~MatchingService() { shutdown(); }
 
 InstanceStore::AddResult MatchingService::add_instance(
     std::string name, graph::BipartiteGraph graph) {
-  return store_.add(std::move(name), std::move(graph));
+  const InstanceStore::AddResult added =
+      store_.add(std::move(name), std::move(graph));
+  metrics_.evicted->add(added.evicted);
+  return added;
 }
 
 InstanceStore::AddResult MatchingService::add_instance(
     PipelineInstance instance) {
-  return store_.add(std::move(instance));
+  const InstanceStore::AddResult added = store_.add(std::move(instance));
+  metrics_.evicted->add(added.evicted);
+  return added;
 }
 
 Submission MatchingService::submit(Request request) {
@@ -83,8 +90,13 @@ Submission MatchingService::submit(Request request) {
   } catch (const std::exception& e) {
     reject = e.what();
   }
-  if (reject.empty() && request.instance >= store_.size())
-    reject = "unknown instance handle " + std::to_string(request.instance);
+  // The pin keeps the instance in the store until the request completes;
+  // taking it is the one check, so an eviction cannot slip in between.
+  std::shared_ptr<const PipelineInstance> pin;
+  if (reject.empty() && !(pin = store_.pin(request.instance)))
+    reject = (store_.evicted(request.instance) ? "evicted instance handle "
+                                               : "unknown instance handle ") +
+             std::to_string(request.instance);
 
   const std::unique_lock lock(mutex_);
   ++stats_.submitted;
@@ -103,6 +115,7 @@ Submission MatchingService::submit(Request request) {
   auto queued = std::make_unique<Queued>();
   queued->ticket = next_ticket_++;
   queued->instance = request.instance;
+  queued->pin = std::move(pin);
   queued->priority = request.priority;
   queued->deadline_ms = request.deadline_ms;
   queued->canonical = std::move(canonical);
@@ -139,7 +152,7 @@ MatchingService::take_best_locked() {
 }
 
 void MatchingService::serve_one(Queued& q) {
-  const PipelineInstance& inst = store_.get(q.instance);
+  const PipelineInstance& inst = *q.pin;
   obs::Tracer* const tracer = tracer_.load(std::memory_order_acquire);
   auto dispatch_sp = obs::span(tracer, "dispatch", "serve");
   if (dispatch_sp) {
@@ -269,6 +282,10 @@ void MatchingService::complete(Queued& q, Response&& response) {
     }
   }
 
+  // Unpin before delivery: a client that sees its future ready may rely
+  // on the instance being evictable again.  The store never evicts a
+  // pinned instance, so this never frees it.
+  q.pin.reset();
   const std::unique_lock lock(mutex_);
   ++stats_.completed;
   if (!response.ok) ++stats_.failed;
@@ -416,6 +433,8 @@ void MatchingService::publish_metrics(obs::Registry& registry) const {
   registry.gauge("serve.in_flight").set(static_cast<double>(s.in_flight));
   registry.gauge("serve.tickets_retained")
       .set(static_cast<double>(s.tickets_retained));
+  registry.gauge("serve.store_bytes")
+      .set(static_cast<double>(store_.stats().bytes));
   // `ResultCache` hits as a fraction of completions.
   const double completed = static_cast<double>(s.completed);
   registry.gauge("serve.cache_hit_rate")

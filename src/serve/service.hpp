@@ -27,7 +27,9 @@ namespace bpm::serve {
 /// One asynchronous matching request: which admitted graph, which solver
 /// configuration, and how urgently.
 struct Request {
-  std::size_t instance = 0;  ///< handle from MatchingService::instances()
+  /// Handle from `MatchingService::instances()`.  `submit` pins the
+  /// instance, so the store cannot evict it until the request completes.
+  std::size_t instance = 0;
   SolverSpec spec;
   /// Dispatch order: every queued request is served strictly by priority
   /// (higher first), ties FIFO by admission order.
@@ -64,9 +66,10 @@ struct Response {
 };
 
 /// What `submit` hands back: an accepted request's ticket + future, or the
-/// reason admission rejected it (queue full, unknown instance, malformed
-/// spec, shutting down).  Rejection is backpressure, not an exception —
-/// load generators and clients are expected to see it under overload.
+/// reason admission rejected it (queue full, unknown or evicted instance,
+/// malformed spec, shutting down).  Rejection is backpressure, not an
+/// exception — load generators and clients are expected to see it under
+/// overload.
 struct Submission {
   bool accepted = false;
   std::uint64_t ticket = 0;
@@ -86,6 +89,11 @@ struct ServiceOptions {
   /// Admission queue depth; a submit beyond it is rejected with a reason
   /// (bounded memory and latency under overload).
   std::size_t queue_depth = 256;
+  /// Byte budget of the instance store (`InstanceStore::instance_bytes`
+  /// per instance plus `name_bytes` per name): beyond it the least
+  /// recently used instances that no queued or running request pins are
+  /// evicted.
+  std::size_t store_bytes = InstanceStore::kDefaultBytes;
   /// Result cache shared by all requests; null serves every request by
   /// solving.  Every solved result is verified by certificate
   /// (`run_verified`), and only verified results enter the cache.
@@ -137,10 +145,10 @@ struct SolverLatency {
 };
 
 /// A long-running matching service: owns one `device::Engine` for its
-/// whole lifetime, a fingerprint-deduped `InstanceStore`, and (optionally)
-/// a persistent `ResultCache`; accepts requests from any number of client
-/// threads and schedules them through a bounded, priority-ordered
-/// admission queue onto `workers` threads.
+/// whole lifetime, a fingerprint-deduped, byte-budgeted `InstanceStore`,
+/// and (optionally) a persistent `ResultCache`; accepts requests from any
+/// number of client threads and schedules them through a bounded,
+/// priority-ordered admission queue onto `workers` threads.
 ///
 /// Each worker dispatch takes the one best queued request (highest
 /// priority, FIFO within it), checks its deadline, and serves it through
@@ -171,7 +179,9 @@ class MatchingService {
   MatchingService& operator=(const MatchingService&) = delete;
 
   /// Registers a graph (deduped by structural fingerprint) and returns its
-  /// handle for `Request::instance`.
+  /// handle for `Request::instance`; may evict least recently used
+  /// instances beyond `ServiceOptions::store_bytes`.  The result pins the
+  /// instance while it lives.
   InstanceStore::AddResult add_instance(std::string name,
                                         graph::BipartiteGraph graph);
   /// Registers an already-admitted instance (init/features reused).
@@ -219,8 +229,8 @@ class MatchingService {
   }
 
   /// Publishes the service's live state into `registry` as gauges and
-  /// info entries — queue depth, in-flight count, cache hit rate, and the
-  /// engine's `serve.engine.0.*` family (dispatches and the
+  /// info entries — queue depth, in-flight count, store bytes, cache hit
+  /// rate, and the engine's `serve.engine.0.*` family (dispatches and the
   /// `EngineDescriptor` summary) — next to the lifetime counters and
   /// latency histograms the service streams in as it runs.  Call it right
   /// before snapshotting the registry (`bpm_serve metrics` does).
@@ -243,6 +253,8 @@ class MatchingService {
   struct Queued {
     std::uint64_t ticket = 0;
     std::size_t instance = 0;
+    /// Keeps the instance in the store until `complete` drops it.
+    std::shared_ptr<const PipelineInstance> pin;
     int priority = 0;
     double deadline_ms = 0.0;
     std::string canonical;  ///< cache key + reported solver label
@@ -269,6 +281,7 @@ class MatchingService {
     obs::Counter* expired = nullptr;
     obs::Counter* cache_hits = nullptr;
     obs::Counter* dispatches = nullptr;
+    obs::Counter* evicted = nullptr;  ///< instances the store evicted
     obs::Gauge* queue_depth = nullptr;
     obs::Histogram* latency_ms = nullptr;   ///< submission → completion
     obs::Histogram* queue_ms = nullptr;     ///< admission queue wait

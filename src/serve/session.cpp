@@ -110,24 +110,28 @@ void Session::admit(std::string_view span_name, const std::string& name,
                     graph::BipartiteGraph g, Outcome& out) {
   static obs::Histogram& admit_ms =
       obs::Registry::global().histogram("serve.admit_ms");
+  // `added.instance` pins it while the reply is written, so a concurrent
+  // load cannot evict it first.
   InstanceStore::AddResult added;
-  const PipelineInstance* inst = nullptr;
   {
     const Timer timer;
     auto sp = obs::span(&context_.tracer, span_name, "serve");
     added = context_.service.add_instance(name, std::move(g));
     admit_ms.observe(timer.elapsed_ms());
-    inst = &context_.service.instances().get(added.handle);
-    // The columns the init left for the solver to match.
-    if (sp)
+    if (sp) {
+      const PipelineInstance& inst = *added.instance;
+      // The columns the init left for the solver to match.
       sp.arg("unmatched",
-             static_cast<std::int64_t>(inst->graph.num_cols() -
-                                       inst->initial_cardinality));
+             static_cast<std::int64_t>(inst.graph.num_cols() -
+                                       inst.initial_cardinality));
+      sp.arg("bytes", static_cast<std::int64_t>(
+                          InstanceStore::instance_bytes(inst)));
+    }
   }
   std::ostringstream os;
   os << "instance " << name << " handle=" << added.handle
      << (added.deduplicated ? " (deduplicated)" : "") << " "
-     << inst->graph.describe();
+     << added.instance->graph.describe();
   out.lines.push_back(os.str());
 }
 
@@ -166,8 +170,12 @@ void Session::handle(const proto::GenRequest& r, Outcome& out) {
 void Session::handle(const proto::SubmitRequest& r, Outcome& out) {
   const auto handle = context_.service.instances().find(r.instance);
   if (!handle) {
-    error(out, ErrorCode::kUnknownInstance,
-          "unknown instance '" + r.instance + "'");
+    if (context_.service.instances().evicted_name(r.instance))
+      error(out, ErrorCode::kEvicted,
+            "instance '" + r.instance + "' was evicted; load it again");
+    else
+      error(out, ErrorCode::kUnknownInstance,
+            "unknown instance '" + r.instance + "'");
     return;
   }
   Request req;
@@ -213,6 +221,7 @@ void Session::handle(const proto::DrainRequest&, Outcome& out) {
 
 void Session::handle(const proto::StatsRequest&, Outcome& out) {
   const ServiceStats s = context_.service.stats();
+  const StoreStats store = context_.service.instances().stats();
   std::ostringstream os;
   os << "stats submitted=" << s.submitted << " accepted=" << s.accepted
      << " rejected=" << s.rejected << " completed=" << s.completed
@@ -221,7 +230,9 @@ void Session::handle(const proto::StatsRequest&, Outcome& out) {
      << " queued=" << s.queued << " in_flight=" << s.in_flight
      << " tickets_retained=" << s.tickets_retained
      << " evicted_tickets=" << s.evicted_tickets
-     << " instances=" << context_.service.instances().size();
+     << " instances=" << store.instances << " store_bytes=" << store.bytes
+     << " store_budget=" << store.byte_budget
+     << " evicted_instances=" << store.evicted;
   out.lines.push_back(os.str());
   if (context_.service.cache()) {
     const CacheStats c = context_.service.cache()->stats();

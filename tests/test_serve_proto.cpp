@@ -171,6 +171,32 @@ TEST(ProtoParse, MalformedCorpus) {
   }
 }
 
+TEST(ProtoError, EveryCodeRendersItsKebabName) {
+  using proto::ErrorCode;
+  const std::pair<ErrorCode, std::string_view> codes[] = {
+      {ErrorCode::kBadCommand, "bad-command"},
+      {ErrorCode::kMissingArgument, "missing-argument"},
+      {ErrorCode::kExtraArgument, "extra-argument"},
+      {ErrorCode::kBadArgument, "bad-argument"},
+      {ErrorCode::kOutOfRange, "out-of-range"},
+      {ErrorCode::kLineTooLong, "line-too-long"},
+      {ErrorCode::kUnauthorized, "unauthorized"},
+      {ErrorCode::kQuotaExceeded, "quota-exceeded"},
+      {ErrorCode::kUnknownInstance, "unknown-instance"},
+      {ErrorCode::kUnknownTicket, "unknown-ticket"},
+      {ErrorCode::kEvicted, "evicted"},
+      {ErrorCode::kState, "bad-state"},
+      {ErrorCode::kIo, "io-error"},
+      {ErrorCode::kUnavailable, "unavailable"},
+      {ErrorCode::kInternal, "internal"},
+  };
+  for (const auto& [code, name] : codes) {
+    EXPECT_EQ(proto::error_code_name(code), name);
+    EXPECT_TRUE(proto::error_line({code, "m"}).starts_with(
+        "error code=" + std::string(name) + " msg="));
+  }
+}
+
 TEST(ProtoParse, GenBoundsComeFromLimits) {
   proto::Limits limits;
   limits.max_dimension = 100;

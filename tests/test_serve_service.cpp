@@ -1,12 +1,15 @@
 // serve::MatchingService + serve::InstanceStore (src/serve/): async
 // submit/future and ticket-polling APIs, priority ordering, bounded-queue
-// backpressure, deadlines, instance dedup, cache accounting across
+// backpressure, deadlines, instance dedup, the store's byte-budgeted LRU
+// (pins, oversized instances, re-loads, `error code=evicted` through a
+// Session, and a concurrent churn), cache accounting across
 // requests (including canonical-spec identity and a snapshot-warmed
 // restart), the process-wide metrics registry stream, and
 // certificate-only verification rejecting (and never caching) mutants.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -21,6 +24,7 @@
 #include "mutant_solver.hpp"
 #include "obs/metrics.hpp"
 #include "serve/service.hpp"
+#include "serve/session.hpp"
 
 namespace bpm::serve {
 namespace {
@@ -127,6 +131,301 @@ TEST(InstanceStore, PrebuiltInstancesAdmitWithoutRecomputation) {
   const auto b = store.add("same-structure", gen::complete_bipartite(6, 6));
   EXPECT_TRUE(b.deduplicated);
   EXPECT_EQ(b.handle, a.handle);
+}
+
+/// The bytes a store charges for `g` once admitted (under a short name).
+std::size_t bytes_of(const graph::BipartiteGraph& g) {
+  InstanceStore probe;
+  (void)probe.add("probe", g);
+  return probe.stats().bytes;
+}
+
+/// Distinct graphs of nearly equal size, and a budget that holds two of
+/// any three of them.
+std::vector<graph::BipartiteGraph> equal_graphs(int n) {
+  std::vector<graph::BipartiteGraph> out;
+  for (int i = 0; i < n; ++i)
+    out.push_back(gen::random_uniform(300, 310, 1500,
+                                      static_cast<std::uint64_t>(i + 1)));
+  return out;
+}
+std::size_t two_of_three(const std::vector<graph::BipartiteGraph>& graphs) {
+  std::size_t hi = 0, lo = SIZE_MAX;
+  for (const auto& g : graphs) {
+    hi = std::max(hi, bytes_of(g));
+    lo = std::min(lo, bytes_of(g));
+  }
+  const std::size_t budget = 2 * hi + hi / 4;
+  EXPECT_LT(budget, 3 * lo);  // three never fit
+  return budget;
+}
+
+TEST(InstanceStore, DefaultStoreHasTheServiceDefaultBudget) {
+  EXPECT_EQ(InstanceStore().stats().byte_budget, std::size_t{64} << 20);
+  EXPECT_EQ(ServiceOptions{}.store_bytes, std::size_t{64} << 20);
+}
+
+TEST(InstanceStore, NamesCostBytesAndAreEvictedWithTheirInstance) {
+  const auto graphs = equal_graphs(3);
+  const std::size_t budget = two_of_three(graphs);
+  InstanceStore store(budget);
+  const auto a = store.add("A", graphs[0]).handle;
+  const auto b = store.add("B", graphs[1]).handle;
+  const std::size_t held = store.stats().bytes;
+  EXPECT_EQ(held, bytes_of(graphs[0]) + bytes_of(graphs[1]) -
+                      2 * InstanceStore::name_bytes("probe") +
+                      2 * InstanceStore::name_bytes("A"));
+
+  // An alias is charged; re-pointing a name moves its charge.
+  {
+    const auto alias = store.add("A2", graphs[0]);
+    EXPECT_TRUE(alias.deduplicated);
+    EXPECT_EQ(alias.instance.get(), &store.get(a));  // pinned until here
+  }
+  EXPECT_EQ(store.stats().bytes, held + InstanceStore::name_bytes("A2"));
+  (void)store.add("A2", graphs[1]);
+  EXPECT_EQ(store.find("A2"), b);
+  EXPECT_EQ(store.stats().bytes, held + InstanceStore::name_bytes("A2"));
+
+  // One graph under ever more long names: the aliases push B out, and
+  // past the budget on its own A forgets its oldest names.
+  const std::string pad(1000, 'x');
+  const std::size_t aliases =
+      2 * budget / InstanceStore::name_bytes(pad) + 1;
+  for (std::size_t i = 0; i < aliases; ++i)
+    EXPECT_EQ(store.add(pad + std::to_string(i), graphs[0]).handle, a);
+  EXPECT_TRUE(store.evicted(b));
+  EXPECT_EQ(store.pin(b), nullptr);
+  EXPECT_LE(store.stats().bytes, budget);
+  EXPECT_FALSE(store.find("A").has_value());
+  EXPECT_TRUE(store.evicted_name("A"));
+  const std::string last = pad + std::to_string(aliases - 1);
+  EXPECT_EQ(store.find(last), a);
+
+  // Evicting A drops every name it still had, and their bytes.
+  const auto c = store.add("C", graphs[2]);
+  EXPECT_EQ(c.evicted, 1u);
+  EXPECT_TRUE(store.evicted(a));
+  EXPECT_FALSE(store.find(last).has_value());
+  EXPECT_TRUE(store.evicted_name(last));
+  EXPECT_EQ(store.stats().bytes, bytes_of(graphs[2]) -
+                                     InstanceStore::name_bytes("probe") +
+                                     InstanceStore::name_bytes("C"));
+}
+
+TEST(InstanceStore, EvictsTheLeastRecentlyUsedInstance) {
+  const auto graphs = equal_graphs(3);
+  const std::size_t budget = two_of_three(graphs);
+  MatchingService svc({.workers = 1, .store_bytes = budget});
+  const auto a = svc.add_instance("A", graphs[0]).handle;
+  const auto b = svc.add_instance("B", graphs[1]).handle;
+  // A submit uses A, so B becomes the least recently used.
+  ASSERT_TRUE(svc.submit(request(a, "hk")).future.get().ok);
+  const auto c = svc.add_instance("C", graphs[2]);
+  EXPECT_EQ(c.evicted, 1u);
+
+  const InstanceStore& store = svc.instances();
+  EXPECT_FALSE(store.find("B").has_value());
+  EXPECT_TRUE(store.evicted(b));
+  EXPECT_FALSE(store.evicted(a));
+  EXPECT_THROW((void)store.get(b), std::out_of_range);
+  EXPECT_EQ(store.find("A"), a);
+  EXPECT_EQ(store.find("C"), c.handle);
+  EXPECT_EQ(store.names(), (std::vector<std::string>{"A", "C"}));
+  const StoreStats st = store.stats();
+  EXPECT_EQ(st.instances, 2u);
+  EXPECT_EQ(st.evicted, 1u);
+  EXPECT_LE(st.bytes, budget);
+  EXPECT_EQ(st.byte_budget, budget);
+
+  // Handles are never reused, so an evicted one is told apart from one
+  // that was never issued.
+  EXPECT_EQ(c.handle, b + 1);
+  EXPECT_FALSE(store.evicted(c.handle + 1));
+  const Submission gone = svc.submit(request(b, "hk"));
+  EXPECT_FALSE(gone.accepted);
+  EXPECT_EQ(gone.reason, "evicted instance handle " + std::to_string(b));
+}
+
+TEST(InstanceStore, PinnedInstancesAreNeverEvicted) {
+  const auto graphs = equal_graphs(5);
+  const std::size_t budget = two_of_three(graphs);
+  MatchingService svc({.workers = 1, .store_bytes = budget});
+  // S's slow job holds the only worker; A's ticket queues behind it.
+  const auto s = svc.add_instance("S", graphs[0]).handle;
+  const Submission blocker = svc.submit(request(s, "test-sleep:ms=500"));
+  const auto a = svc.add_instance("A", graphs[1]).handle;
+  const Submission queued = svc.submit(request(a, "hk"));
+  ASSERT_TRUE(blocker.accepted && queued.accepted);
+
+  // Loading past the budget evicts only what no ticket pins.
+  (void)svc.add_instance("B", graphs[2]);
+  (void)svc.add_instance("C", graphs[3]);
+  const InstanceStore& store = svc.instances();
+  EXPECT_EQ(store.find("S"), s);
+  EXPECT_EQ(store.find("A"), a);
+  EXPECT_FALSE(store.find("B").has_value());
+  EXPECT_GT(store.stats().bytes, budget);  // over budget by the pins
+
+  const Response r = queued.future.get();
+  EXPECT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.instance_name, "A");
+  (void)blocker.future.get();
+  // Both tickets are done, so the next load evicts S and A (oldest first).
+  EXPECT_EQ(svc.add_instance("D", graphs[4]).evicted, 2u);
+  EXPECT_TRUE(store.evicted(s));
+  EXPECT_TRUE(store.evicted(a));
+  EXPECT_EQ(store.names(), (std::vector<std::string>{"C", "D"}));
+  EXPECT_LE(store.stats().bytes, budget);
+}
+
+TEST(InstanceStore, OversizedInstanceEvictsEveryUnpinnedOneAndStillServes) {
+  const auto small1 = gen::random_uniform(100, 110, 400, 1);
+  const auto small2 = gen::random_uniform(100, 110, 400, 2);
+  const auto big = gen::random_uniform(2000, 2100, 12000, 3);
+  const std::size_t budget = 3 * std::max(bytes_of(small1), bytes_of(small2));
+  ASSERT_GT(bytes_of(big), budget);
+
+  MatchingService svc({.workers = 1, .store_bytes = budget});
+  (void)svc.add_instance("s1", small1);
+  (void)svc.add_instance("s2", small2);
+  const auto added = svc.add_instance("big", big);
+  EXPECT_FALSE(added.deduplicated);
+  EXPECT_EQ(added.evicted, 2u);
+  EXPECT_EQ(svc.instances().names(), std::vector<std::string>{"big"});
+  EXPECT_GT(svc.instances().stats().bytes, budget);
+  const Response r = svc.submit(request(added.handle, "hk")).future.get();
+  EXPECT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.stats.cardinality, matching::reference_maximum_cardinality(big));
+}
+
+TEST(InstanceStore, ReloadingAnEvictedGraphGetsANewHandleAndHitsTheCache) {
+  const auto graphs = equal_graphs(3);
+  auto cache = std::make_shared<ResultCache>();
+  MatchingService svc(
+      {.workers = 1, .store_bytes = two_of_three(graphs), .cache = cache});
+  const auto a = svc.add_instance("A", graphs[0]).handle;
+  const Response first = svc.submit(request(a, "hk")).future.get();
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_FALSE(first.cached);
+  (void)svc.add_instance("B", graphs[1]);
+  const auto c = svc.add_instance("C", graphs[2]).handle;
+  ASSERT_TRUE(svc.instances().evicted(a));
+
+  // The fingerprint entry went with the instance: no dedup, a new handle,
+  // and the result cache (keyed by fingerprint) still answers.
+  const auto again = svc.add_instance("A", graphs[0]);
+  EXPECT_FALSE(again.deduplicated);
+  EXPECT_GT(again.handle, c);
+  const Response second = svc.submit(request(again.handle, "hk")).future.get();
+  EXPECT_TRUE(second.ok) << second.error;
+  EXPECT_TRUE(second.cached);
+  EXPECT_EQ(second.stats.cardinality, first.stats.cardinality);
+}
+
+/// One Session line's first reply.
+std::string reply(Session& session, const std::string& line) {
+  const Session::Outcome out = session.execute(line);
+  return out.lines.empty() ? std::string() : out.lines.front();
+}
+
+/// The integer after `key=` in a reply line.
+std::size_t field(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find(" " + key + "=");
+  if (at == std::string::npos) return SIZE_MAX;
+  return std::stoull(line.substr(at + key.size() + 2));
+}
+
+TEST(InstanceStore, SessionAnswersEvictedNamesApartFromUnknownOnes) {
+  const auto graphs = equal_graphs(3);  // what `gen <n> uniform ...` builds
+  const std::size_t budget = two_of_three(graphs);
+  MatchingService svc({.workers = 1, .store_bytes = budget});
+  SessionContext context(svc);
+  Session session(context);
+  for (const char* name : {"a", "b", "c"}) {
+    const std::string line = "gen " + std::string(name) +
+                             " uniform 300 310 1500 " +
+                             std::to_string(name[0] - 'a' + 1);
+    EXPECT_TRUE(reply(session, line).starts_with("instance ")) << line;
+  }
+  EXPECT_TRUE(reply(session, "submit a hk").starts_with("error code=evicted"));
+  EXPECT_TRUE(reply(session, "submit never-loaded hk")
+                  .starts_with("error code=unknown-instance"));
+  EXPECT_TRUE(reply(session, "submit b hk").starts_with("ticket "));
+
+  const std::string stats = reply(session, "stats");
+  EXPECT_EQ(field(stats, "instances"), 2u) << stats;
+  EXPECT_EQ(field(stats, "evicted_instances"), 1u) << stats;
+  EXPECT_EQ(field(stats, "store_budget"), budget) << stats;
+  EXPECT_LE(field(stats, "store_bytes"), budget) << stats;
+}
+
+TEST(InstanceStore, ConcurrentChurnKeepsEveryAnswerAndTheBudget) {
+  // Each client loads a fresh graph, submits on it and waits, under a
+  // budget of about three instances.  A load's reply pins its graph, so
+  // every load succeeds; between the reply and the submit it is unpinned,
+  // so another client's load may evict it, and the client then loads it
+  // again (counted in `reloads`).  At most one instance per client is
+  // pinned or just added, which bounds the store's overshoot.
+  constexpr int kClients = 4;
+  constexpr int kRounds = 12;
+  const auto graph_line = [](int c, int i) {
+    return "uniform 200 210 800 " + std::to_string(1000 * c + i + 1);
+  };
+  std::size_t b = 0;
+  for (int c = 0; c < kClients; ++c)
+    for (int i = 0; i < kRounds; ++i)
+      b = std::max(b, bytes_of(gen::random_uniform(
+                          200, 210, 800,
+                          static_cast<std::uint64_t>(1000 * c + i + 1))));
+  const std::size_t budget = 3 * b;
+  MatchingService svc({.workers = 2, .store_bytes = budget});
+  SessionContext context(svc);
+
+  std::atomic<int> bad{0}, over{0}, reloads{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Session session(context);
+      for (int i = 0; i < kRounds; ++i) {
+        const std::string name = "c" + std::to_string(c) + "-" +
+                                 std::to_string(i);
+        std::string ticket;
+        while (ticket.empty()) {
+          const std::string load =
+              reply(session, "gen " + name + " " + graph_line(c, i));
+          if (!load.starts_with("instance ")) {
+            ++bad;
+            break;
+          }
+          const std::string sub = reply(session, "submit " + name + " hk");
+          if (sub.starts_with("ticket ")) {
+            ticket = sub.substr(7);
+          } else if (sub.find("evicted") != std::string::npos) {
+            ++reloads;
+          } else {
+            ++bad;
+            break;
+          }
+        }
+        if (ticket.empty()) continue;
+        if (reply(session, "wait " + ticket).find(" ok=1 ") ==
+            std::string::npos)
+          ++bad;
+        const std::string stats = reply(session, "stats");
+        if (field(stats, "store_bytes") > budget + kClients * b) ++over;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(over.load(), 0);
+  const StoreStats st = svc.instances().stats();
+  EXPECT_GT(st.evicted, 0u);
+  EXPECT_EQ(svc.stats().completed, std::uint64_t{kClients * kRounds});
+  EXPECT_EQ(st.evicted + st.instances,
+            std::uint64_t{kClients * kRounds} +
+                static_cast<std::uint64_t>(reloads.load()));
 }
 
 TEST(Service, SubmitFutureDeliversVerifiedResults) {
