@@ -100,10 +100,7 @@ SuiteOptions suite_options_from_cli(const CliParser& cli) {
   return opt;
 }
 
-void set_init(BuiltInstance& bi, matching::Matching init) {
-  if (std::string bad = init.first_violation(bi.g); !bad.empty())
-    throw std::invalid_argument("instance '" + bi.meta.name +
-                                "': invalid initial matching: " + bad);
+void set_init(BuiltInstance& bi, matching::ValidMatching init) {
   bi.init = std::move(init);
   bi.initial_cardinality = bi.init.cardinality();
   bi.features = policy::compute_features(bi.g, bi.initial_cardinality);
@@ -111,8 +108,7 @@ void set_init(BuiltInstance& bi, matching::Matching init) {
 
 BuiltInstance build_instance(const graph::Instance& meta,
                              const SuiteOptions& opt) {
-  BuiltInstance bi{meta, meta.build(opt.scale, opt.seed + static_cast<std::uint64_t>(meta.id)),
-                   {}, 0, {}};
+  BuiltInstance bi{meta, meta.build(opt.scale, opt.seed + static_cast<std::uint64_t>(meta.id))};
   set_init(bi, matching::cheap_matching(bi.g));
   return bi;
 }

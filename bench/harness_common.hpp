@@ -95,7 +95,8 @@ void write_observability(const SuiteOptions& opt);
 struct BuiltInstance {
   graph::Instance meta;
   graph::BipartiteGraph g;
-  matching::Matching init;
+  /// Valid for `g` by its type; the empty graph's until `set_init`.
+  matching::ValidMatching init{graph::BipartiteGraph{}, {}};
   graph::index_t initial_cardinality = 0;
   /// Policy features of the instance (size, density, skew, deficiency) —
   /// the same `policy::compute_features` vector the serving layer caches
@@ -104,12 +105,10 @@ struct BuiltInstance {
   policy::InstanceFeatures features;
 };
 
-/// Installs `init` as `bi`'s initial matching and fills
-/// `initial_cardinality` and `features` from it.  Throws
-/// `std::invalid_argument` if `init` is not a valid matching of `bi.g`:
-/// `run_verified` takes every pair a solve carries over from the init as
-/// an edge.  Every harness builds its inits through this.
-void set_init(BuiltInstance& bi, matching::Matching init);
+/// Installs `init`, a valid matching of `bi.g`, as `bi`'s initial matching
+/// and fills `initial_cardinality` and `features` from it.  Every harness
+/// builds its inits through this.
+void set_init(BuiltInstance& bi, matching::ValidMatching init);
 
 /// Generates the (strided) instance suite at the requested scale.
 /// Builds `opt.jobs` instances concurrently (generation and the init

@@ -29,9 +29,10 @@ int main() {
   const graph::BipartiteGraph g = graph::build_from_edges(num_rows, num_cols, edges);
   std::cout << "graph: " << g.describe() << "\n";
 
-  // Every matcher in this library starts from an explicit initial matching;
-  // the paper uses the "cheap" greedy heuristic.
-  const matching::Matching init = matching::cheap_matching(g);
+  // Every matcher in this library starts from an explicit initial matching,
+  // proven valid for `g` by its type; the paper uses the "cheap" greedy
+  // heuristic.
+  const matching::ValidMatching init = matching::cheap_matching(g);
   std::cout << "greedy initial matching: " << init.cardinality() << " pairs\n";
 
   // Every algorithm is a named entry in the solver registry; "g-pr-shr" is

@@ -235,9 +235,8 @@ bool host_augment_once(const BipartiteGraph& g, HkDeviceState& st) {
 }  // namespace
 
 GhkResult g_hk(device::Device& dev, const BipartiteGraph& g,
-               const matching::Matching& init, const GhkOptions& options) {
-  if (!init.is_valid(g))
-    throw std::invalid_argument("g_hk: invalid initial matching");
+               const matching::ValidMatching& init,
+               const GhkOptions& options) {
 
   Timer total;
   GhkResult result;
@@ -245,8 +244,8 @@ GhkResult g_hk(device::Device& dev, const BipartiteGraph& g,
   const double modeled_before = dev.modeled_ms();
 
   HkDeviceState st(g.num_rows(), g.num_cols());
-  st.mu_row.assign_from(init.row_match);
-  st.mu_col.assign_from(init.col_match);
+  st.mu_row.assign_from(init.get().row_match);
+  st.mu_col.assign_from(init.get().col_match);
 
   const std::int64_t max_phases = 4 * static_cast<std::int64_t>(g.num_cols()) + 64;
   while (bfs_levels(dev, g, st, stats)) {

@@ -38,6 +38,7 @@ struct GhkResult {
 /// after each phase, sweeping longer augmenting paths before the next BFS
 /// is paid for — the HKDW idea.
 GhkResult g_hk(device::Device& dev, const graph::BipartiteGraph& g,
-               const matching::Matching& init, const GhkOptions& options = {});
+               const matching::ValidMatching& init,
+               const GhkOptions& options = {});
 
 }  // namespace bpm::gpu

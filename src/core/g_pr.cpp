@@ -1,8 +1,6 @@
 #include "core/g_pr.hpp"
 
 #include <span>
-#include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -325,11 +323,8 @@ void run_balanced(device::Device& dev, const BipartiteGraph& g,
 }  // namespace
 
 GprResult g_pr(device::Device& dev, const BipartiteGraph& g,
-               const matching::Matching& init, const GprOptions& options,
+               const matching::ValidMatching& init, const GprOptions& options,
                GprObserver* observer) {
-  if (const std::string bad = init.first_violation(g); !bad.empty())
-    throw std::invalid_argument("g_pr: invalid initial matching: " + bad);
-
   Timer total;
   GprResult result;
   GprStats& stats = result.stats;
@@ -342,8 +337,8 @@ GprResult g_pr(device::Device& dev, const BipartiteGraph& g,
   const double modeled_before = dev.modeled_ms();
 
   DeviceState st(g.num_rows(), g.num_cols());
-  st.mu_row.assign_from(init.row_match);
-  st.mu_col.assign_from(init.col_match);
+  st.mu_row.assign_from(init.get().row_match);
+  st.mu_col.assign_from(init.get().col_match);
 
   bool balanced = options.balance == BalanceMode::kOn;
   if (options.balance == BalanceMode::kAuto) {
@@ -355,7 +350,7 @@ GprResult g_pr(device::Device& dev, const BipartiteGraph& g,
     const std::vector<graph::offset_t>& col_ptr = g.col_ptr();
     std::int64_t active = 0, edges = 0, max_deg = 0;
     for (index_t v = 0; v < g.num_cols(); ++v) {
-      if (init.col_match[static_cast<std::size_t>(v)] >= 0) continue;
+      if (init.get().col_match[static_cast<std::size_t>(v)] >= 0) continue;
       const std::int64_t deg = col_ptr[static_cast<std::size_t>(v) + 1] -
                                col_ptr[static_cast<std::size_t>(v)];
       ++active;

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <utility>
+
 #include "core/g_gr.hpp"
 #include "core/options.hpp"
 #include "core/stats.hpp"
@@ -43,11 +45,19 @@ class GprObserver {
 ///  * kShrink   — plus prefix-sum compaction of the list after each global
 ///                relabel while |Ac| ≥ options.shrink_threshold.
 ///
-/// `init` must be a valid (consistent) matching for `g` — the paper uses
-/// the cheap greedy matching.  The result is maximum (Berge certificate
-/// checked in tests) at any worker count of `dev`.
+/// The paper starts from the cheap greedy matching.  The result is
+/// maximum (Berge certificate checked in tests) at any worker count of
+/// `dev`.
 GprResult g_pr(device::Device& dev, const BipartiteGraph& g,
-               const matching::Matching& init, const GprOptions& options = {},
-               GprObserver* observer = nullptr);
+               const matching::ValidMatching& init,
+               const GprOptions& options = {}, GprObserver* observer = nullptr);
+
+/// Proves `init` valid for `g` (`matching::ValidMatching`), then runs from it.
+inline GprResult g_pr(device::Device& dev, const BipartiteGraph& g,
+                      matching::Matching init, const GprOptions& options = {},
+                      GprObserver* observer = nullptr) {
+  return g_pr(dev, g, matching::ValidMatching(g, std::move(init)), options,
+              observer);
+}
 
 }  // namespace bpm::gpu

@@ -1,7 +1,6 @@
 #include "core/pipeline.hpp"
 
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -57,15 +56,11 @@ PipelineInstance admit_instance(std::string name, graph::BipartiteGraph graph,
   PipelineInstance inst;
   inst.name = std::move(name);
   inst.graph = std::move(graph);
-  inst.init = !options.share_init ? matching::Matching(inst.graph)
-              : options.init_builder
-                  ? options.init_builder(inst.graph)
-                  : matching::karp_sipser(inst.graph);
-  // Proven once here: every job's certificate takes the pairs it carries
-  // over from the init as edges (`run_verified`'s precondition).
-  if (std::string bad = inst.init.first_violation(inst.graph); !bad.empty())
-    throw std::invalid_argument("instance '" + inst.name +
-                                "': invalid initial matching: " + bad);
+  inst.init = !options.share_init
+                  ? matching::ValidMatching(inst.graph,
+                                            matching::Matching(inst.graph))
+              : options.init_builder ? options.init_builder(inst.graph)
+                                     : matching::karp_sipser(inst.graph);
   inst.initial_cardinality = inst.init.cardinality();
   // Full feature extraction for policy resolution — O(cols) over the CSR
   // pointers, amortised over every job this instance will serve.

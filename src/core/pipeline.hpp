@@ -33,7 +33,8 @@ struct PipelineOptions {
   /// which leaves far fewer columns for the solvers than the paper's cheap
   /// greedy heuristic (set `matching::cheap_matching` for the paper's
   /// setup, as the paper-figure harnesses do).
-  std::function<matching::Matching(const graph::BipartiteGraph&)> init_builder;
+  std::function<matching::ValidMatching(const graph::BipartiteGraph&)>
+      init_builder;
   /// Optional trace sink: each admitted job records a `"job"` span (solver
   /// spec, instance fingerprint, cache outcome) and hands the tracer to its
   /// solve (`SolveContext::tracer`), so one timeline shows the jobs above
@@ -47,16 +48,15 @@ struct PipelineOptions {
 struct PipelineInstance {
   std::string name;
   graph::BipartiteGraph graph;
-  /// Shared initial matching (see share_init).  Invariant: a valid
-  /// matching of `graph`.  `admit_instance` proves it; a caller that
-  /// builds an instance itself must guarantee it.  `run_verified` relies
-  /// on it: each job's certificate looks up only the pairs its solve
-  /// changed.
-  matching::Matching init;
+  /// Shared initial matching (see share_init), valid for `graph` by its
+  /// type; until admission sets it, the empty graph's empty matching.
+  /// `run_verified` relies on it: each job's certificate looks up only the
+  /// pairs its solve changed.
+  matching::ValidMatching init{graph::BipartiteGraph{}, {}};
   graph::index_t initial_cardinality = 0;
   /// Never computed or read by the library: results are verified by
   /// certificate, not against a reference maximum.  Kept only because the
-  /// end-to-end benchmark (`e2ebench/`) assigns it, until ROADMAP item 9
+  /// end-to-end benchmark (`e2ebench/`) assigns it, until ROADMAP item 2
   /// deletes that assignment and this field.
   graph::index_t maximum_cardinality = -1;
   /// Structural hash of the graph (dimensions + CSR arrays): two admitted
@@ -76,9 +76,7 @@ struct PipelineInstance {
 
 /// Builds the per-instance shared state the honoured `options` ask for:
 /// the shared init (Karp–Sipser unless `init_builder` says otherwise) and
-/// the policy features.  Throws `std::invalid_argument` if the init is not
-/// a valid matching of the graph, so an admitted init is always valid
-/// (`PipelineInstance::init`).  No reference solve runs here, and the
+/// the policy features.  No reference solve runs here, and the
 /// fingerprint is left 0: `MatchingPipeline::add_instance` and
 /// `serve::InstanceStore` fill it, the store from the hash it already
 /// took for its dedup probe.  Both admit through this (the store with
@@ -168,7 +166,7 @@ class MatchingPipeline {
   /// Admits an already-built instance (e.g. a harness's precomputed suite
   /// or another pipeline's) without redoing the init / feature work;
   /// the caller guarantees its fields are consistent with this pipeline's
-  /// options, its init valid included.  A zero fingerprint is computed.
+  /// options.  A zero fingerprint is computed.
   std::size_t add_instance(PipelineInstance instance);
 
   [[nodiscard]] const std::vector<PipelineInstance>& instances() const {

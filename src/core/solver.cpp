@@ -116,9 +116,9 @@ class GprSolver final : public Solver {
     return true;
   }
 
-  [[nodiscard]] SolveResult run(const SolveContext& ctx,
-                                const graph::BipartiteGraph& g,
-                                const matching::Matching& init) const override {
+  [[nodiscard]] SolveResult run(
+      const SolveContext& ctx, const graph::BipartiteGraph& g,
+      const matching::ValidMatching& init) const override {
     device::Device& dev = required_device(ctx, name_);
     // The context's tracer rides on the device stream: the per-launch and
     // phase spans read it from there.
@@ -164,9 +164,9 @@ class GhkSolver final : public Solver {
             .exact = true};
   }
 
-  [[nodiscard]] SolveResult run(const SolveContext& ctx,
-                                const graph::BipartiteGraph& g,
-                                const matching::Matching& init) const override {
+  [[nodiscard]] SolveResult run(
+      const SolveContext& ctx, const graph::BipartiteGraph& g,
+      const matching::ValidMatching& init) const override {
     device::Device& dev = required_device(ctx, name_);
     const std::uint64_t launches_before = dev.launches();
     Timer t;
@@ -202,9 +202,9 @@ class PdbfsSolver final : public Solver {
             .exact = true};
   }
 
-  [[nodiscard]] SolveResult run(const SolveContext& ctx,
-                                const graph::BipartiteGraph& g,
-                                const matching::Matching& init) const override {
+  [[nodiscard]] SolveResult run(
+      const SolveContext& ctx, const graph::BipartiteGraph& g,
+      const matching::ValidMatching& init) const override {
     Timer t;
     mc::PdbfsResult r = mc::p_dbfs(g, init, {.num_threads = ctx.threads});
     SolveResult out{std::move(r.matching), {}};
@@ -239,9 +239,9 @@ class SeqPrSolver final : public Solver {
     return true;
   }
 
-  [[nodiscard]] SolveResult run(const SolveContext&,
-                                const graph::BipartiteGraph& g,
-                                const matching::Matching& init) const override {
+  [[nodiscard]] SolveResult run(
+      const SolveContext&, const graph::BipartiteGraph& g,
+      const matching::ValidMatching& init) const override {
     Timer t;
     matching::SeqPrStats stats;
     SolveResult out{matching::seq_push_relabel(g, init, options_, &stats), {}};
@@ -264,9 +264,9 @@ class HkSolver final : public Solver {
   [[nodiscard]] std::string name() const override { return "hk"; }
   [[nodiscard]] SolverCaps caps() const override { return {}; }
 
-  [[nodiscard]] SolveResult run(const SolveContext&,
-                                const graph::BipartiteGraph& g,
-                                const matching::Matching& init) const override {
+  [[nodiscard]] SolveResult run(
+      const SolveContext&, const graph::BipartiteGraph& g,
+      const matching::ValidMatching& init) const override {
     Timer t;
     matching::HkStats stats;
     SolveResult out{matching::hopcroft_karp(g, init, &stats), {}};
@@ -284,9 +284,9 @@ class HkdwSolver final : public Solver {
   [[nodiscard]] std::string name() const override { return "hkdw"; }
   [[nodiscard]] SolverCaps caps() const override { return {}; }
 
-  [[nodiscard]] SolveResult run(const SolveContext&,
-                                const graph::BipartiteGraph& g,
-                                const matching::Matching& init) const override {
+  [[nodiscard]] SolveResult run(
+      const SolveContext&, const graph::BipartiteGraph& g,
+      const matching::ValidMatching& init) const override {
     Timer t;
     matching::HkdwStats stats;
     SolveResult out{matching::hkdw(g, init, &stats), {}};
@@ -305,9 +305,9 @@ class PfSolver final : public Solver {
   [[nodiscard]] std::string name() const override { return "pf"; }
   [[nodiscard]] SolverCaps caps() const override { return {}; }
 
-  [[nodiscard]] SolveResult run(const SolveContext&,
-                                const graph::BipartiteGraph& g,
-                                const matching::Matching& init) const override {
+  [[nodiscard]] SolveResult run(
+      const SolveContext&, const graph::BipartiteGraph& g,
+      const matching::ValidMatching& init) const override {
     Timer t;
     matching::PfStats stats;
     SolveResult out{matching::pothen_fan(g, init, &stats), {}};
@@ -335,9 +335,9 @@ class GreedySolver final : public Solver {
             .exact = false};
   }
 
-  [[nodiscard]] SolveResult run(const SolveContext&,
-                                const graph::BipartiteGraph& g,
-                                const matching::Matching&) const override {
+  [[nodiscard]] SolveResult run(
+      const SolveContext&, const graph::BipartiteGraph& g,
+      const matching::ValidMatching&) const override {
     Timer t;
     SolveResult out{karp_sipser_ ? matching::karp_sipser(g)
                                  : matching::cheap_matching(g),
@@ -545,13 +545,13 @@ std::string SolverRegistry::names_csv() const {
 
 SolveResult solve(const std::string& solver_name, const SolveContext& ctx,
                   const graph::BipartiteGraph& g,
-                  const matching::Matching& init) {
+                  const matching::ValidMatching& init) {
   return SolverRegistry::instance().create(solver_name)->run(ctx, g, init);
 }
 
 JobOutcome run_verified(const Solver& solver, const SolveContext& ctx,
                         const graph::BipartiteGraph& g,
-                        const matching::Matching& init, bool verify) {
+                        const matching::ValidMatching& init, bool verify) {
   JobOutcome out;
   try {
     SolveResult result = solver.run(ctx, g, init);
@@ -559,8 +559,8 @@ JobOutcome run_verified(const Solver& solver, const SolveContext& ctx,
     out.ok = true;
     if (!verify) return out;
     auto sp = obs::span(ctx.tracer, "verify", "pipeline");
-    // `init` is valid (the precondition), so only the pairs the solve
-    // changed need an edge lookup.
+    // `init` is valid (its type), so only the pairs the solve changed need
+    // an edge lookup.
     const matching::Matching::Audit audit = result.matching.audit(g, init);
     if (!audit.valid) {
       out.ok = false;
@@ -587,6 +587,17 @@ JobOutcome run_verified(const Solver& solver, const SolveContext& ctx,
     out.error = e.what();
   }
   return out;
+}
+
+JobOutcome run_verified(const Solver& solver, const SolveContext& ctx,
+                        const graph::BipartiteGraph& g, matching::Matching init,
+                        bool verify) {
+  try {
+    return run_verified(solver, ctx, g,
+                        matching::ValidMatching(g, std::move(init)), verify);
+  } catch (const std::exception& e) {
+    return {.stats = {}, .ok = false, .error = e.what()};
+  }
 }
 
 }  // namespace bpm

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "device/device.hpp"
@@ -85,13 +86,21 @@ class Solver {
   /// `std::invalid_argument` on a malformed value for a known key.
   virtual bool set_option(std::string_view key, std::string_view value);
 
-  /// Runs the algorithm from the initial matching `init` (which must be
-  /// valid for `g`; pass `Matching(g)` for an empty start).  Fills every
-  /// applicable `SolveStats` field including wall time.  Throws
-  /// `std::invalid_argument` if the context is missing a required device.
-  [[nodiscard]] virtual SolveResult run(const SolveContext& ctx,
-                                        const graph::BipartiteGraph& g,
-                                        const matching::Matching& init) const = 0;
+  /// Runs the algorithm from the initial matching `init`, proven valid for
+  /// `g` by its type.  Fills every applicable `SolveStats` field including
+  /// wall time.  Throws `std::invalid_argument` if the context is missing a
+  /// required device.
+  [[nodiscard]] virtual SolveResult run(
+      const SolveContext& ctx, const graph::BipartiteGraph& g,
+      const matching::ValidMatching& init) const = 0;
+
+  /// Proves `init` valid for `g` (`matching::ValidMatching`, which throws
+  /// if it is not), then runs from it.
+  [[nodiscard]] SolveResult run(const SolveContext& ctx,
+                                const graph::BipartiteGraph& g,
+                                matching::Matching init) const {
+    return run(ctx, g, matching::ValidMatching(g, std::move(init)));
+  }
 };
 
 /// A parsed solver specification: a registry name plus `set_option`
@@ -182,7 +191,7 @@ class SolverRegistry {
 [[nodiscard]] SolveResult solve(const std::string& solver_name,
                                 const SolveContext& ctx,
                                 const graph::BipartiteGraph& g,
-                                const matching::Matching& init);
+                                const matching::ValidMatching& init);
 
 /// The result-shaped outcome of one verified solver run: the stats, whether
 /// the run completed *and* passed verification, and why not otherwise.
@@ -211,21 +220,24 @@ struct JobOutcome {
 /// Shared by `MatchingPipeline` and `serve::MatchingService` so both
 /// layers accept and reject results by exactly the same rules.
 ///
-/// Precondition: `init` is a valid matching of `g`, because the
-/// certificate takes every pair carried over from it as an edge.
-/// `admit_instance` proves this for every pipeline and served instance
-/// (`PipelineInstance::init`), and the bench harnesses prove it where
-/// they build their inits (`bench::set_init`).  Every exact solver also
-/// rejects an invalid init on entry, so a carried-over pair is proven
-/// twice.
+/// The certificate takes every pair carried over from `init` as an edge;
+/// the type proves that, and neither this nor the solver checks `init`
+/// again.
 ///
 /// Every library caller passes `verify == true` (false returns any
 /// completed run as `ok`); the flag stays only because the end-to-end
-/// benchmark (`e2ebench/`) calls this five-argument form.
+/// benchmark (`e2ebench/`) passes it to the `Matching` overload below.
 [[nodiscard]] JobOutcome run_verified(const Solver& solver,
                                       const SolveContext& ctx,
                                       const graph::BipartiteGraph& g,
-                                      const matching::Matching& init,
+                                      const matching::ValidMatching& init,
                                       bool verify);
+
+/// Proves `init` valid for `g` first: an invalid one yields `ok == false`
+/// with the `ValidMatching` error and runs no solver.
+[[nodiscard]] JobOutcome run_verified(const Solver& solver,
+                                      const SolveContext& ctx,
+                                      const graph::BipartiteGraph& g,
+                                      matching::Matching init, bool verify);
 
 }  // namespace bpm

@@ -1,6 +1,7 @@
 #include "matching/dulmage_mendelsohn.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "matching/verify.hpp"
@@ -36,9 +37,8 @@ void classify(const std::vector<char>& horizontal,
 
 DulmageMendelsohn dulmage_mendelsohn(const BipartiteGraph& g,
                                      const Matching& m) {
-  if (!m.is_valid(g))
-    throw std::invalid_argument("dulmage_mendelsohn: invalid matching: " +
-                                m.first_violation(g));
+  if (std::string bad = m.first_violation(g); !bad.empty())
+    throw std::invalid_argument("dulmage_mendelsohn: invalid matching: " + bad);
   const AlternatingReach h = alternating_reach(g, m, Side::kCols);
   if (h.augmenting)
     throw std::logic_error(
@@ -57,8 +57,8 @@ DulmageMendelsohn dulmage_mendelsohn(const BipartiteGraph& g,
 FineDecomposition fine_decomposition(const BipartiteGraph& g,
                                      const Matching& m,
                                      const DulmageMendelsohn& dm) {
-  if (!m.is_valid(g))
-    throw std::invalid_argument("fine_decomposition: invalid matching");
+  if (std::string bad = m.first_violation(g); !bad.empty())
+    throw std::invalid_argument("fine_decomposition: invalid matching: " + bad);
   const auto nrows = static_cast<std::size_t>(g.num_rows());
 
   FineDecomposition fine;
@@ -156,8 +156,9 @@ FineDecomposition fine_decomposition(const BipartiteGraph& g,
 }
 
 VertexCover minimum_vertex_cover(const BipartiteGraph& g, const Matching& m) {
-  if (!m.is_valid(g))
-    throw std::invalid_argument("minimum_vertex_cover: invalid matching");
+  if (std::string bad = m.first_violation(g); !bad.empty())
+    throw std::invalid_argument("minimum_vertex_cover: invalid matching: " +
+                                bad);
   // König with columns as the "free" side: Z = vertices reachable from
   // unmatched columns by alternating paths; the cover is
   // (rows ∩ Z) ∪ (columns \ Z).  Every column outside Z is matched (all

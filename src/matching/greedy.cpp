@@ -1,11 +1,12 @@
 #include "matching/greedy.hpp"
 
 #include <deque>
+#include <utility>
 #include <vector>
 
 namespace bpm::matching {
 
-Matching cheap_matching(const BipartiteGraph& g) {
+ValidMatching cheap_matching(const BipartiteGraph& g) {
   Matching m(g);
   for (index_t v = 0; v < g.num_cols(); ++v) {
     for (index_t u : g.col_neighbors(v)) {
@@ -16,10 +17,10 @@ Matching cheap_matching(const BipartiteGraph& g) {
       }
     }
   }
-  return m;
+  return {g, std::move(m), ValidMatching::Built{}};
 }
 
-Matching karp_sipser(const BipartiteGraph& g) {
+ValidMatching karp_sipser(const BipartiteGraph& g) {
   Matching m(g);
   const auto nrows = static_cast<std::size_t>(g.num_rows());
   const auto ncols = static_cast<std::size_t>(g.num_cols());
@@ -97,7 +98,7 @@ Matching karp_sipser(const BipartiteGraph& g) {
       }
     }
   }
-  return m;
+  return {g, std::move(m), ValidMatching::Built{}};
 }
 
 }  // namespace bpm::matching

@@ -1,19 +1,16 @@
 #include "matching/hkdw.hpp"
 
-#include <stdexcept>
-
 #include "matching/detail/augment_dfs.hpp"
 #include "matching/detail/hk_phase.hpp"
 
 namespace bpm::matching {
 
-Matching hkdw(const BipartiteGraph& g, Matching init, HkdwStats* stats) {
-  if (!init.is_valid(g))
-    throw std::invalid_argument("hkdw: invalid initial matching");
+Matching hkdw(const BipartiteGraph& g, const ValidMatching& init,
+              HkdwStats* stats) {
   HkdwStats local{};
   if (!stats) stats = &local;
 
-  Matching m = std::move(init);
+  Matching m = init;
   detail::HkWorkspace hk_ws(g);
   detail::DfsWorkspace dfs_ws(g);
   while (true) {

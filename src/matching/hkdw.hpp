@@ -19,7 +19,7 @@ struct HkdwStats {
 /// work for fewer phases.  Same O(τ√(n+m)) worst case as HK; usually
 /// faster in practice — this is the algorithm behind the paper's G-HKDW
 /// GPU comparator.
-[[nodiscard]] Matching hkdw(const BipartiteGraph& g, Matching init,
+[[nodiscard]] Matching hkdw(const BipartiteGraph& g, const ValidMatching& init,
                             HkdwStats* stats = nullptr);
 
 }  // namespace bpm::matching

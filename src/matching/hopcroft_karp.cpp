@@ -1,18 +1,15 @@
 #include "matching/hopcroft_karp.hpp"
 
-#include <stdexcept>
-
 #include "matching/detail/hk_phase.hpp"
 
 namespace bpm::matching {
 
-Matching hopcroft_karp(const BipartiteGraph& g, Matching init, HkStats* stats) {
-  if (!init.is_valid(g))
-    throw std::invalid_argument("hopcroft_karp: invalid initial matching");
+Matching hopcroft_karp(const BipartiteGraph& g, const ValidMatching& init,
+                       HkStats* stats) {
   HkStats local{};
   if (!stats) stats = &local;
 
-  Matching m = std::move(init);
+  Matching m = init;
   detail::HkWorkspace ws(g);
   index_t augmentations = 0;
   while (detail::hk_phase(g, m, ws, &augmentations)) ++stats->phases;

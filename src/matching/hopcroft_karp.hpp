@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "graph/bipartite_graph.hpp"
 #include "matching/matching.hpp"
@@ -18,7 +19,15 @@ struct HkStats {
 /// disjoint shortest augmenting paths found by iterative DFS inside the
 /// layers.  O(τ√(n+m)) worst case — the best known bound, and the basis of
 /// the paper's G-HK / G-HKDW comparators.
-[[nodiscard]] Matching hopcroft_karp(const BipartiteGraph& g, Matching init,
+[[nodiscard]] Matching hopcroft_karp(const BipartiteGraph& g,
+                                     const ValidMatching& init,
                                      HkStats* stats = nullptr);
+
+/// Proves `init` valid for `g` (`ValidMatching`), then runs from it.
+[[nodiscard]] inline Matching hopcroft_karp(const BipartiteGraph& g,
+                                            Matching init,
+                                            HkStats* stats = nullptr) {
+  return hopcroft_karp(g, ValidMatching(g, std::move(init)), stats);
+}
 
 }  // namespace bpm::matching

@@ -1,9 +1,11 @@
 #include "matching/matching.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace bpm::matching {
 namespace {
@@ -102,6 +104,18 @@ Matching::Audit Matching::audit(const BipartiteGraph& g,
   }
   out.valid = !stray && claimed == out.cardinality;
   return out;
+}
+
+ValidMatching::ValidMatching(const BipartiteGraph& g, Matching m)
+    : m_(std::move(m)) {
+  if (std::string bad = m_.first_violation(g); !bad.empty())
+    throw std::invalid_argument("invalid matching: " + bad);
+}
+
+ValidMatching::ValidMatching([[maybe_unused]] const BipartiteGraph& g,
+                             Matching m, Built)
+    : m_(std::move(m)) {
+  assert(m_.first_violation(g).empty());
 }
 
 void Matching::match(index_t u, index_t v) {

@@ -70,4 +70,31 @@ struct Matching {
   void match(index_t u, index_t v);
 };
 
+/// A `Matching` proven valid for the graph it was built with: the proof is
+/// the only way in, so a function that takes one needs no check of its
+/// own.  The public constructor runs `first_violation` once; `cheap_matching`
+/// and `karp_sipser` build valid matchings by construction and return one
+/// directly (asserted in debug builds).  Read-only; converts implicitly to
+/// `const Matching&`.  It does not hold its graph, so pass it only with the
+/// graph it was proven for (`PipelineInstance` keeps the two together).
+class ValidMatching {
+ public:
+  /// Throws `std::invalid_argument` ("invalid matching: " +
+  /// `m.first_violation(g)`) unless `m` is a valid matching of `g`.
+  ValidMatching(const BipartiteGraph& g, Matching m);
+
+  operator const Matching&() const noexcept { return m_; }
+  [[nodiscard]] const Matching& get() const noexcept { return m_; }
+  [[nodiscard]] index_t cardinality() const { return m_.cardinality(); }
+
+ private:
+  struct Built {};
+  /// For the heuristics that are valid by construction.
+  ValidMatching(const BipartiteGraph& g, Matching m, Built);
+  friend ValidMatching cheap_matching(const BipartiteGraph& g);
+  friend ValidMatching karp_sipser(const BipartiteGraph& g);
+
+  Matching m_;
+};
+
 }  // namespace bpm::matching

@@ -1,18 +1,15 @@
 #include "matching/pothen_fan.hpp"
 
-#include <stdexcept>
-
 #include "matching/detail/augment_dfs.hpp"
 
 namespace bpm::matching {
 
-Matching pothen_fan(const BipartiteGraph& g, Matching init, PfStats* stats) {
-  if (!init.is_valid(g))
-    throw std::invalid_argument("pothen_fan: invalid initial matching");
+Matching pothen_fan(const BipartiteGraph& g, const ValidMatching& init,
+                    PfStats* stats) {
   PfStats local{};
   if (!stats) stats = &local;
 
-  Matching m = std::move(init);
+  Matching m = init;
   detail::DfsWorkspace ws(g);
   while (true) {
     const index_t augmented = detail::dfs_augment_phase(g, m, ws);

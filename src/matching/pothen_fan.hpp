@@ -18,7 +18,8 @@ struct PfStats {
 /// O(|E|) lookahead over the whole run).  One of the three sequential
 /// algorithms the paper uses to filter its instance set ("graphs where all
 /// sequential algorithms finish under one second are dropped").
-[[nodiscard]] Matching pothen_fan(const BipartiteGraph& g, Matching init,
+[[nodiscard]] Matching pothen_fan(const BipartiteGraph& g,
+                                  const ValidMatching& init,
                                   PfStats* stats = nullptr);
 
 }  // namespace bpm::matching

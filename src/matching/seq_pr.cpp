@@ -4,7 +4,6 @@
 #include <cmath>
 #include <deque>
 #include <limits>
-#include <stdexcept>
 #include <vector>
 
 namespace bpm::matching {
@@ -110,15 +109,12 @@ struct PrState {
 
 }  // namespace
 
-Matching seq_push_relabel(const BipartiteGraph& g, Matching init,
+Matching seq_push_relabel(const BipartiteGraph& g, const ValidMatching& init,
                           const SeqPrOptions& options, SeqPrStats* stats) {
-  if (!init.is_valid(g))
-    throw std::invalid_argument("seq_push_relabel: invalid initial matching: " +
-                                init.first_violation(g));
   SeqPrStats local{};
   if (!stats) stats = &local;
 
-  PrState st(g, std::move(init));
+  PrState st(g, init);
   const index_t psi_inf = st.psi_inf;
 
   const auto gr_interval = std::max<std::int64_t>(

@@ -38,10 +38,10 @@ struct SeqPrStats {
 /// against (Kaya et al.'s implementation).
 ///
 /// `init` is the starting matching (the paper always uses
-/// `cheap_matching`); it must be valid for `g`.  Returns a maximum
-/// cardinality matching with all kUnmatchable markers normalised to
-/// kUnmatched.
-[[nodiscard]] Matching seq_push_relabel(const BipartiteGraph& g, Matching init,
+/// `cheap_matching`).  Returns a maximum cardinality matching with all
+/// kUnmatchable markers normalised to kUnmatched.
+[[nodiscard]] Matching seq_push_relabel(const BipartiteGraph& g,
+                                        const ValidMatching& init,
                                         const SeqPrOptions& options = {},
                                         SeqPrStats* stats = nullptr);
 

@@ -1,7 +1,6 @@
 #include "multicore/pdbfs.hpp"
 
 #include <atomic>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -28,11 +27,9 @@ struct Worker {
 
 }  // namespace
 
-PdbfsResult p_dbfs(const BipartiteGraph& g, const matching::Matching& init,
+PdbfsResult p_dbfs(const BipartiteGraph& g,
+                   const matching::ValidMatching& init,
                    const PdbfsOptions& options) {
-  if (!init.is_valid(g))
-    throw std::invalid_argument("p_dbfs: invalid initial matching");
-
   Timer total;
   PdbfsResult result;
   result.matching = init;

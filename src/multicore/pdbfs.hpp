@@ -40,7 +40,7 @@ struct PdbfsResult {
 /// can block a path that actually exists, so a zero round does not prove
 /// maximality.
 PdbfsResult p_dbfs(const graph::BipartiteGraph& g,
-                   const matching::Matching& init,
+                   const matching::ValidMatching& init,
                    const PdbfsOptions& options = {});
 
 }  // namespace bpm::mc

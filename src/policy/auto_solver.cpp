@@ -50,7 +50,7 @@ AutoSolver::Resolved AutoSolver::resolve(const InstanceFeatures& f) const {
 
 SolveResult AutoSolver::run(const SolveContext& ctx,
                             const graph::BipartiteGraph& g,
-                            const matching::Matching& init) const {
+                            const matching::ValidMatching& init) const {
   Timer t;
   const Resolved resolved = resolve(compute_features(g, init.cardinality()));
   SolveResult result = resolved.solver->run(ctx, g, init);

@@ -58,9 +58,9 @@ class AutoSolver final : public Solver {
 
   /// Features → resolve → run the chosen solver; prepends the choice to
   /// `SolveStats::detail`.
-  [[nodiscard]] SolveResult run(const SolveContext& ctx,
-                                const graph::BipartiteGraph& g,
-                                const matching::Matching& init) const override;
+  [[nodiscard]] SolveResult run(
+      const SolveContext& ctx, const graph::BipartiteGraph& g,
+      const matching::ValidMatching& init) const override;
 
  private:
   CostModel model_;

@@ -19,8 +19,8 @@ std::size_t InstanceStore::instance_bytes(const PipelineInstance& instance) {
   return sizeof(PipelineInstance) + instance.name.capacity() +
          capacity_bytes(g.row_ptr()) + capacity_bytes(g.row_adj()) +
          capacity_bytes(g.col_ptr()) + capacity_bytes(g.col_adj()) +
-         capacity_bytes(instance.init.row_match) +
-         capacity_bytes(instance.init.col_match);
+         capacity_bytes(instance.init.get().row_match) +
+         capacity_bytes(instance.init.get().col_match);
 }
 
 InstanceStore::AddResult InstanceStore::add(std::string name,

@@ -42,9 +42,9 @@ class MutantSolver final : public Solver {
     }
     return true;
   }
-  [[nodiscard]] SolveResult run(const SolveContext&,
-                                const graph::BipartiteGraph& g,
-                                const matching::Matching& init) const override {
+  [[nodiscard]] SolveResult run(
+      const SolveContext&, const graph::BipartiteGraph& g,
+      const matching::ValidMatching& init) const override {
     SolveResult out{matching::hopcroft_karp(g, init), {}};
     matching::Matching& m = out.matching;
     if (mode_ == "minus-one") {

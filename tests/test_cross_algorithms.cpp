@@ -34,7 +34,7 @@ namespace gen = graph::gen;
 struct NamedMatcher {
   std::string name;
   std::function<matching::Matching(const BipartiteGraph&,
-                                   const matching::Matching&)>
+                                   const matching::ValidMatching&)>
       solve;
 };
 
@@ -90,7 +90,7 @@ std::vector<NamedMatcher> all_matchers() {
 
 void expect_all_agree(const BipartiteGraph& g, const std::string& label) {
   const index_t want = matching::reference_maximum_cardinality(g);
-  const matching::Matching init = matching::cheap_matching(g);
+  const matching::ValidMatching init = matching::cheap_matching(g);
   for (const auto& matcher : all_matchers()) {
     const matching::Matching m = matcher.solve(g, init);
     ASSERT_TRUE(m.is_valid(g))

@@ -82,6 +82,16 @@ TEST(Verify, IsMaximumAgreesWithReferenceOnEveryGenerator) {
   }
 }
 
+// The heuristics return a `ValidMatching` without the proof's scan; their
+// debug-build assert (run by the sanitizer build) and this check hold on
+// every generator family.
+TEST(Greedy, HeuristicsBuildValidMatchingsOnEveryGenerator) {
+  for (const auto& [name, g] : generator_families()) {
+    EXPECT_EQ(cheap_matching(g).get().first_violation(g), "") << name;
+    EXPECT_EQ(karp_sipser(g).get().first_violation(g), "") << name;
+  }
+}
+
 // ----------------------------------------------------- Dulmage-Mendelsohn ----
 
 TEST(DulmageMendelsohn, PerfectMatchingIsSquareOnly) {
@@ -189,6 +199,31 @@ TEST(DulmageMendelsohn, RejectsInvalidMatching) {
   Matching bad(g);
   bad.row_match[0] = 0;  // one-sided
   EXPECT_THROW((void)dulmage_mendelsohn(g, bad), std::invalid_argument);
+}
+
+// Each entry point that takes a client's matching names why it is invalid.
+TEST(DulmageMendelsohn, InvalidMatchingErrorsNameTheReason) {
+  const BipartiteGraph g = gen::complete_bipartite(3, 3);
+  const Matching good = max_matching(g);
+  const DulmageMendelsohn dm = dulmage_mendelsohn(g, good);
+  Matching bad = good;
+  bad.col_match[static_cast<std::size_t>(bad.row_match[0])] = kUnmatched;
+  const std::string reason = bad.first_violation(g);
+  ASSERT_NE(reason, "");
+  const auto error_of = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error_of([&] { (void)dulmage_mendelsohn(g, bad); }),
+            "dulmage_mendelsohn: invalid matching: " + reason);
+  EXPECT_EQ(error_of([&] { (void)fine_decomposition(g, bad, dm); }),
+            "fine_decomposition: invalid matching: " + reason);
+  EXPECT_EQ(error_of([&] { (void)minimum_vertex_cover(g, bad); }),
+            "minimum_vertex_cover: invalid matching: " + reason);
 }
 
 // ---------------------------------------------------------- vertex cover ----

@@ -5,6 +5,7 @@
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
 #include "matching/verify.hpp"
+#include "valid_init.hpp"
 
 namespace bpm::gpu {
 namespace {
@@ -12,6 +13,7 @@ namespace {
 using device::Device;
 using graph::BipartiteGraph;
 using graph::index_t;
+using test_support::empty_init;
 namespace gen = graph::gen;
 
 using Config = std::tuple<bool /*duff_wiberg*/, unsigned /*threads*/>;
@@ -28,8 +30,8 @@ class GhkConfigs : public ::testing::TestWithParam<Config> {
     const index_t want = matching::reference_maximum_cardinality(g);
     for (const bool greedy_start : {false, true}) {
       Device dev({.num_threads = std::get<1>(GetParam())});
-      const matching::Matching init =
-          greedy_start ? matching::cheap_matching(g) : matching::Matching(g);
+      const matching::ValidMatching init =
+          greedy_start ? matching::cheap_matching(g) : empty_init(g);
       const GhkResult r =
           g_hk(dev, g, init, {.duff_wiberg = std::get<0>(GetParam())});
       ASSERT_TRUE(r.matching.is_valid(g)) << r.matching.first_violation(g);
@@ -82,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Ghk, StatsAccounting) {
   const BipartiteGraph g = gen::random_uniform(150, 150, 500, 5);
   Device dev({.num_threads = 1});
-  const GhkResult r = g_hk(dev, g, matching::Matching(g));
+  const GhkResult r = g_hk(dev, g, empty_init(g));
   EXPECT_GT(r.stats.phases, 0);
   EXPECT_GT(r.stats.augmentations, 0);
   EXPECT_GT(r.stats.bfs_level_kernels, 0);
@@ -93,10 +95,10 @@ TEST(Ghk, StatsAccounting) {
 TEST(Ghk, DuffWibergPassAugments) {
   const BipartiteGraph g = gen::chung_lu(400, 400, 4.0, 2.5, 12);
   Device dev({.num_threads = 1});
-  const GhkResult dw = g_hk(dev, g, matching::Matching(g), {.duff_wiberg = true});
+  const GhkResult dw = g_hk(dev, g, empty_init(g), {.duff_wiberg = true});
   Device dev2({.num_threads = 1});
   const GhkResult plain =
-      g_hk(dev2, g, matching::Matching(g), {.duff_wiberg = false});
+      g_hk(dev2, g, empty_init(g), {.duff_wiberg = false});
   EXPECT_EQ(dw.matching.cardinality(), plain.matching.cardinality());
   EXPECT_GT(dw.stats.dw_augmentations, 0);
   EXPECT_LE(dw.stats.phases, plain.stats.phases);
@@ -106,8 +108,7 @@ TEST(Ghk, RejectsInvalidInitialMatching) {
   const BipartiteGraph g = gen::complete_bipartite(2, 2);
   matching::Matching bad(g);
   bad.row_match[1] = 0;
-  Device dev({.num_threads = 1});
-  EXPECT_THROW((void)g_hk(dev, g, bad), std::invalid_argument);
+  test_support::expect_rejected(g, bad);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
 #include "matching/verify.hpp"
+#include "valid_init.hpp"
 
 namespace bpm::gpu {
 namespace {
@@ -147,8 +148,10 @@ TEST(Gpr, RejectsInvalidInitialMatching) {
   const BipartiteGraph g = gen::complete_bipartite(2, 2);
   matching::Matching bad(g);
   bad.col_match[0] = 1;  // one-sided
+  test_support::expect_rejected(g, bad);
+  // The `Matching` overload proves its init the same way before solving.
   Device dev({.num_threads = 1});
-  EXPECT_THROW((void)g_pr(dev, g, bad), std::invalid_argument);
+  test_support::expect_proof_error(g, bad, [&] { (void)g_pr(dev, g, bad); });
 }
 
 TEST(Gpr, StatsAccounting) {

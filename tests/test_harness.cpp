@@ -34,8 +34,8 @@ TEST(Harness, BuildInstanceKeepsThePapersCheapInit) {
   for (const auto& meta : graph::paper_instances()) {
     const BuiltInstance bi = build_instance(meta, tiny_options());
     const matching::Matching cheap = matching::cheap_matching(bi.g);
-    EXPECT_EQ(bi.init.row_match, cheap.row_match) << meta.name;
-    EXPECT_EQ(bi.init.col_match, cheap.col_match) << meta.name;
+    EXPECT_EQ(bi.init.get().row_match, cheap.row_match) << meta.name;
+    EXPECT_EQ(bi.init.get().col_match, cheap.col_match) << meta.name;
     EXPECT_EQ(bi.initial_cardinality, cheap.cardinality()) << meta.name;
   }
 }

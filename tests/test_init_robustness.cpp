@@ -15,6 +15,7 @@
 #include "matching/verify.hpp"
 #include "multicore/pdbfs.hpp"
 #include "util/rng.hpp"
+#include "valid_init.hpp"
 
 namespace bpm {
 namespace {
@@ -57,7 +58,7 @@ matching::Matching scrambled_init(const BipartiteGraph& g,
 
 class InitRobustness : public ::testing::TestWithParam<const char*> {
  protected:
-  index_t solve(const BipartiteGraph& g, const matching::Matching& init) {
+  index_t solve(const BipartiteGraph& g, const matching::ValidMatching& init) {
     const std::string algo = GetParam();
     if (algo == "seq_pr")
       return matching::seq_push_relabel(g, init).cardinality();
@@ -77,14 +78,15 @@ class InitRobustness : public ::testing::TestWithParam<const char*> {
 
   void check_all_inits(const BipartiteGraph& g, std::uint64_t seed) {
     const index_t want = matching::reference_maximum_cardinality(g);
-    EXPECT_EQ(solve(g, matching::Matching(g)), want) << "empty init";
+    EXPECT_EQ(solve(g, test_support::empty_init(g)), want) << "empty init";
     EXPECT_EQ(solve(g, matching::cheap_matching(g)), want) << "cheap init";
     EXPECT_EQ(solve(g, matching::karp_sipser(g)), want) << "karp-sipser init";
-    EXPECT_EQ(solve(g, scrambled_init(g, seed)), want) << "scrambled init";
+    EXPECT_EQ(solve(g, {g, scrambled_init(g, seed)}), want)
+        << "scrambled init";
     // Warm-starting from an already-maximum matching must be a no-op.
     const matching::Matching maximum =
-        matching::hopcroft_karp(g, matching::Matching(g));
-    EXPECT_EQ(solve(g, maximum), want) << "maximum init";
+        matching::hopcroft_karp(g, test_support::empty_init(g));
+    EXPECT_EQ(solve(g, {g, maximum}), want) << "maximum init";
   }
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -283,6 +284,25 @@ TEST(Verify, ReferenceCardinalityStructuredDeficiency) {
   const BipartiteGraph g =
       build_from_edges(1, 2, std::vector<Edge>{{0, 0}, {0, 1}});
   EXPECT_EQ(reference_maximum_cardinality(g), 1);
+}
+
+// -------------------------------------------------------- ValidMatching ----
+
+// The proof is the only way in: no default state, and no conversion from a
+// bare `Matching` without its graph.
+static_assert(!std::is_default_constructible_v<ValidMatching>);
+static_assert(!std::is_constructible_v<ValidMatching, Matching>);
+static_assert(!std::is_constructible_v<ValidMatching, const Matching&>);
+static_assert(!std::is_convertible_v<Matching, ValidMatching>);
+static_assert(std::is_convertible_v<const ValidMatching&, const Matching&>);
+
+TEST(ValidMatching, HoldsTheMatchingItProved) {
+  const BipartiteGraph g = gen::random_uniform(40, 50, 160, 3);
+  const Matching m = cheap_matching(g);
+  const ValidMatching proven(g, m);
+  EXPECT_EQ(proven.get().row_match, m.row_match);
+  EXPECT_EQ(proven.get().col_match, m.col_match);
+  EXPECT_EQ(proven.cardinality(), m.cardinality());
 }
 
 // --------------------------------------------------------------- greedy ----

@@ -5,12 +5,14 @@
 #include "matching/greedy.hpp"
 #include "matching/verify.hpp"
 #include "multicore/pdbfs.hpp"
+#include "valid_init.hpp"
 
 namespace bpm::mc {
 namespace {
 
 using graph::BipartiteGraph;
 using graph::index_t;
+using test_support::empty_init;
 namespace gen = graph::gen;
 
 class PdbfsThreads : public ::testing::TestWithParam<unsigned> {
@@ -18,8 +20,8 @@ class PdbfsThreads : public ::testing::TestWithParam<unsigned> {
   void check(const BipartiteGraph& g) {
     const index_t want = matching::reference_maximum_cardinality(g);
     for (const bool greedy_start : {false, true}) {
-      const matching::Matching init =
-          greedy_start ? matching::cheap_matching(g) : matching::Matching(g);
+      const matching::ValidMatching init =
+          greedy_start ? matching::cheap_matching(g) : empty_init(g);
       const PdbfsResult r = p_dbfs(g, init, {.num_threads = GetParam()});
       ASSERT_TRUE(r.matching.is_valid(g)) << r.matching.first_violation(g);
       EXPECT_EQ(r.matching.cardinality(), want);
@@ -63,7 +65,7 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, PdbfsThreads,
 
 TEST(Pdbfs, StatsAccounting) {
   const BipartiteGraph g = gen::random_uniform(200, 200, 700, 3);
-  PdbfsResult r = p_dbfs(g, matching::Matching(g), {.num_threads = 4});
+  PdbfsResult r = p_dbfs(g, empty_init(g), {.num_threads = 4});
   EXPECT_GT(r.stats.rounds, 0);
   EXPECT_EQ(r.stats.augmentations, r.matching.cardinality());
   EXPECT_GE(r.stats.total_ms, 0.0);
@@ -73,14 +75,14 @@ TEST(Pdbfs, RejectsInvalidInitialMatching) {
   const BipartiteGraph g = gen::complete_bipartite(2, 2);
   matching::Matching bad(g);
   bad.col_match[1] = 0;
-  EXPECT_THROW((void)p_dbfs(g, bad), std::invalid_argument);
+  test_support::expect_rejected(g, bad);
 }
 
 TEST(Pdbfs, OversubscribedThreadsStillCorrect) {
   // More threads than unmatched columns and than cores.
   const BipartiteGraph g = gen::random_uniform(40, 40, 120, 6);
   const index_t want = matching::reference_maximum_cardinality(g);
-  const PdbfsResult r = p_dbfs(g, matching::Matching(g), {.num_threads = 16});
+  const PdbfsResult r = p_dbfs(g, empty_init(g), {.num_threads = 16});
   EXPECT_EQ(r.matching.cardinality(), want);
 }
 

@@ -26,7 +26,7 @@ using graph::index_t;
 namespace gen = graph::gen;
 
 index_t cardinality_of(const std::string& algo, const BipartiteGraph& g) {
-  const matching::Matching init = matching::cheap_matching(g);
+  const matching::ValidMatching init = matching::cheap_matching(g);
   if (algo == "seq_pr") return matching::seq_push_relabel(g, init).cardinality();
   if (algo == "hk") return matching::hopcroft_karp(g, init).cardinality();
   if (algo == "pf") return matching::pothen_fan(g, init).cardinality();

@@ -18,6 +18,7 @@
 #include "matching/verify.hpp"
 #include "mutant_solver.hpp"
 #include "obs/trace.hpp"
+#include "valid_init.hpp"
 
 namespace bpm {
 namespace {
@@ -141,9 +142,9 @@ TEST(Pipeline, RecordsFailuresInsteadOfAborting) {
    public:
     [[nodiscard]] std::string name() const override { return "test-noop"; }
     [[nodiscard]] SolverCaps caps() const override { return {}; }
-    [[nodiscard]] SolveResult run(const SolveContext&,
-                                  const graph::BipartiteGraph&,
-                                  const matching::Matching& init) const override {
+    [[nodiscard]] SolveResult run(
+        const SolveContext&, const graph::BipartiteGraph&,
+        const matching::ValidMatching& init) const override {
       SolveResult out{init, {}};
       out.stats.cardinality = init.cardinality();
       return out;
@@ -196,9 +197,10 @@ TEST(Pipeline, InitBuilderAndNoShareInitAreHonoured) {
   EXPECT_TRUE(report.all_ok());
 }
 
-// Admission proves the shared init, since every job's certificate looks up
-// only the pairs its solve changed: a builder that returns an invalid
-// matching fails the admission, not some later job.
+// Admission holds only proven inits, since every job's certificate looks up
+// only the pairs its solve changed.  A builder hands over a
+// `ValidMatching`, so an invalid matching fails its proof inside the
+// admission, not in some later job.
 TEST(Pipeline, AdmissionRejectsAnInvalidInit) {
   const BipartiteGraph g = gen::random_uniform(60, 60, 240, 3);
   const auto one_sided = [](const BipartiteGraph& graph) {
@@ -213,11 +215,14 @@ TEST(Pipeline, AdmissionRejectsAnInvalidInit) {
   const auto wrong_shape = [](const BipartiteGraph&) {
     return matching::Matching(gen::empty_graph(3, 3));
   };
-  for (const auto& builder :
+  for (const auto& make :
        std::vector<std::function<matching::Matching(const BipartiteGraph&)>>{
            one_sided, wrong_shape}) {
+    test_support::expect_rejected(g, make(g));
     PipelineOptions options;
-    options.init_builder = builder;
+    options.init_builder = [&](const BipartiteGraph& graph) {
+      return matching::ValidMatching(graph, make(graph));
+    };
     EXPECT_THROW((void)admit_instance("g", g, options), std::invalid_argument);
     MatchingPipeline pipe(options);
     EXPECT_THROW((void)pipe.add_instance("g", g), std::invalid_argument);
@@ -309,7 +314,7 @@ TEST(Pipeline, VerifySpanCountsThePairsTheSolveChanged) {
   index_t changed = 0;
   for (std::size_t u = 0; u < answer.row_match.size(); ++u)
     changed += answer.row_match[u] != matching::kUnmatched &&
-               answer.row_match[u] != inst.init.row_match[u];
+               answer.row_match[u] != inst.init.get().row_match[u];
   EXPECT_GT(changed, 0);
   std::size_t spans = 0;
   for (const obs::TraceEvent& ev : tracer.events()) {

@@ -149,7 +149,7 @@ TEST(AutoSolver, ResolvesToAValidRegisteredSpecEverywhere) {
   const AutoSolver solver;
   device::Device dev({.num_threads = 2});
   for (const BipartiteGraph& g : generator_pool()) {
-    const matching::Matching init = matching::cheap_matching(g);
+    const matching::ValidMatching init = matching::cheap_matching(g);
     const InstanceFeatures f = compute_features(g, init.cardinality());
     const AutoSolver::Resolved r = solver.resolve(f);
     EXPECT_NE(r.spec.name, "auto");

@@ -14,6 +14,7 @@
 #include "matching/greedy.hpp"
 #include "matching/verify.hpp"
 #include "multicore/pdbfs.hpp"
+#include "valid_init.hpp"
 
 namespace bpm {
 namespace {
@@ -21,6 +22,7 @@ namespace {
 using device::Device;
 using graph::BipartiteGraph;
 using graph::index_t;
+using test_support::empty_init;
 namespace gen = graph::gen;
 
 class GprRaceStress : public ::testing::TestWithParam<gpu::GprVariant> {};
@@ -35,7 +37,7 @@ TEST_P(GprRaceStress, TinyDenseGraphsManySeeds) {
     gpu::GprOptions opt;
     opt.variant = GetParam();
     opt.shrink_threshold = 2;
-    const gpu::GprResult r = gpu::g_pr(dev, g, matching::Matching(g), opt);
+    const gpu::GprResult r = gpu::g_pr(dev, g, empty_init(g), opt);
     ASSERT_TRUE(r.matching.is_valid(g))
         << "seed " << seed << ": " << r.matching.first_violation(g);
     ASSERT_EQ(r.matching.cardinality(), want) << "seed " << seed;
@@ -49,7 +51,7 @@ TEST_P(GprRaceStress, ContendedSingleRowStar) {
     Device dev = test_support::fanout_device(16);
     gpu::GprOptions opt;
     opt.variant = GetParam();
-    const gpu::GprResult r = gpu::g_pr(dev, g, matching::Matching(g), opt);
+    const gpu::GprResult r = gpu::g_pr(dev, g, empty_init(g), opt);
     ASSERT_EQ(r.matching.cardinality(), 1);
   }
 }
@@ -87,7 +89,7 @@ TEST(GhkRaceStress, TinyDenseGraphsManySeeds) {
     const BipartiteGraph g = gen::random_uniform(14, 14, 80, seed);
     const index_t want = matching::reference_maximum_cardinality(g);
     Device dev = test_support::fanout_device(12);
-    const gpu::GhkResult r = gpu::g_hk(dev, g, matching::Matching(g));
+    const gpu::GhkResult r = gpu::g_hk(dev, g, empty_init(g));
     ASSERT_EQ(r.matching.cardinality(), want) << "seed " << seed;
   }
 }
@@ -97,7 +99,7 @@ TEST(PdbfsRaceStress, TinyGraphsManySeedsOversubscribed) {
     const BipartiteGraph g = gen::random_uniform(16, 16, 60, seed);
     const index_t want = matching::reference_maximum_cardinality(g);
     const mc::PdbfsResult r =
-        mc::p_dbfs(g, matching::Matching(g), {.num_threads = 12});
+        mc::p_dbfs(g, empty_init(g), {.num_threads = 12});
     ASSERT_EQ(r.matching.cardinality(), want) << "seed " << seed;
   }
 }
@@ -108,10 +110,10 @@ TEST(DeterminismOfResult, CardinalityIsStableAcrossRacyRuns) {
   const BipartiteGraph g = gen::rmat(8, 4.0, 5);
   Device dev0({.num_threads = 1});
   const index_t want =
-      gpu::g_pr(dev0, g, matching::Matching(g)).matching.cardinality();
+      gpu::g_pr(dev0, g, empty_init(g)).matching.cardinality();
   for (int run = 0; run < 8; ++run) {
     Device dev = test_support::fanout_device(7);
-    EXPECT_EQ(gpu::g_pr(dev, g, matching::Matching(g)).matching.cardinality(),
+    EXPECT_EQ(gpu::g_pr(dev, g, empty_init(g)).matching.cardinality(),
               want);
   }
 }

@@ -13,35 +13,38 @@
 #include "matching/pothen_fan.hpp"
 #include "matching/seq_pr.hpp"
 #include "matching/verify.hpp"
+#include "valid_init.hpp"
 
 namespace bpm::matching {
 namespace {
 
 using graph::BipartiteGraph;
+using test_support::empty_init;
+using test_support::expect_rejected;
 using graph::index_t;
 namespace gen = graph::gen;
 
 // All sequential solvers share a signature for table-driven tests.
-using Solver = Matching (*)(const BipartiteGraph&, Matching);
+using Solver = Matching (*)(const BipartiteGraph&, const ValidMatching&);
 
-Matching solve_pr(const BipartiteGraph& g, Matching init) {
-  return seq_push_relabel(g, std::move(init));
+Matching solve_pr(const BipartiteGraph& g, const ValidMatching& init) {
+  return seq_push_relabel(g, init);
 }
-Matching solve_pr_nogap(const BipartiteGraph& g, Matching init) {
-  return seq_push_relabel(g, std::move(init), {.gap_relabeling = false});
+Matching solve_pr_nogap(const BipartiteGraph& g, const ValidMatching& init) {
+  return seq_push_relabel(g, init, {.gap_relabeling = false});
 }
-Matching solve_pr_coldstart(const BipartiteGraph& g, Matching init) {
-  return seq_push_relabel(g, std::move(init),
-                          {.initial_global_relabel = false});
+Matching solve_pr_coldstart(const BipartiteGraph& g,
+                            const ValidMatching& init) {
+  return seq_push_relabel(g, init, {.initial_global_relabel = false});
 }
-Matching solve_hk(const BipartiteGraph& g, Matching init) {
-  return hopcroft_karp(g, std::move(init));
+Matching solve_hk(const BipartiteGraph& g, const ValidMatching& init) {
+  return hopcroft_karp(g, init);
 }
-Matching solve_pf(const BipartiteGraph& g, Matching init) {
-  return pothen_fan(g, std::move(init));
+Matching solve_pf(const BipartiteGraph& g, const ValidMatching& init) {
+  return pothen_fan(g, init);
 }
-Matching solve_hkdw(const BipartiteGraph& g, Matching init) {
-  return hkdw(g, std::move(init));
+Matching solve_hkdw(const BipartiteGraph& g, const ValidMatching& init) {
+  return hkdw(g, init);
 }
 
 struct NamedSolver {
@@ -56,8 +59,8 @@ class SeqSolvers : public ::testing::TestWithParam<NamedSolver> {
   void check(const BipartiteGraph& g) {
     const index_t want = reference_maximum_cardinality(g);
     for (const bool greedy_start : {false, true}) {
-      Matching init = greedy_start ? cheap_matching(g) : Matching(g);
-      const Matching m = GetParam().solve(g, std::move(init));
+      const ValidMatching init = greedy_start ? cheap_matching(g) : empty_init(g);
+      const Matching m = GetParam().solve(g, init);
       ASSERT_TRUE(m.is_valid(g)) << m.first_violation(g);
       EXPECT_EQ(m.cardinality(), want)
           << GetParam().name << (greedy_start ? " greedy" : " empty");
@@ -90,7 +93,7 @@ TEST_P(SeqSolvers, ChainsExerciseLongAugmentingPaths) {
 
 TEST_P(SeqSolvers, PlantedPerfectIsFullyMatched) {
   const BipartiteGraph g = gen::planted_perfect(64, 1.0, 5);
-  const Matching m = GetParam().solve(g, Matching(g));
+  const Matching m = GetParam().solve(g, empty_init(g));
   EXPECT_EQ(m.cardinality(), 64);
 }
 
@@ -142,7 +145,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SeqPr, StatsAreConsistent) {
   const BipartiteGraph g = gen::random_uniform(100, 100, 400, 3);
   SeqPrStats stats;
-  const Matching m = seq_push_relabel(g, Matching(g), {}, &stats);
+  const Matching m = seq_push_relabel(g, empty_init(g), {}, &stats);
   EXPECT_TRUE(m.is_valid(g));
   EXPECT_GE(stats.global_relabels, 1);  // the initial one
   EXPECT_GE(stats.pushes, m.cardinality());  // each match needed >= 1 push
@@ -153,7 +156,7 @@ TEST(SeqPr, RejectsInvalidInitialMatching) {
   const BipartiteGraph g = gen::complete_bipartite(2, 2);
   Matching bad(g);
   bad.row_match[0] = 1;  // one-sided
-  EXPECT_THROW(seq_push_relabel(g, bad), std::invalid_argument);
+  expect_rejected(g, bad);
 }
 
 TEST(SeqPr, GlobalRelabelFrequencySweepAllReachMaximum) {
@@ -196,15 +199,15 @@ TEST(Hkdw, ExtraPassShortensPhases) {
   HkStats hk_stats;
   (void)hopcroft_karp(g, Matching(g), &hk_stats);
   HkdwStats dw_stats;
-  (void)hkdw(g, Matching(g), &dw_stats);
+  (void)hkdw(g, empty_init(g), &dw_stats);
   EXPECT_LE(dw_stats.phases, hk_stats.phases);
   EXPECT_GT(dw_stats.dw_augmentations, 0);
 }
 
 TEST(PothenFan, LookaheadFindsDirectEndpoints) {
   PfStats stats;
-  const Matching m = pothen_fan(gen::complete_bipartite(30, 30), Matching(
-      gen::complete_bipartite(30, 30)), &stats);
+  const BipartiteGraph g = gen::complete_bipartite(30, 30);
+  const Matching m = pothen_fan(g, empty_init(g), &stats);
   EXPECT_EQ(m.cardinality(), 30);
   EXPECT_GE(stats.augmentations, 30);
 }

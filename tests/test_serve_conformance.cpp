@@ -45,7 +45,7 @@ class ConformanceSleepSolver final : public Solver {
   }
   [[nodiscard]] SolveResult run(
       const SolveContext&, const graph::BipartiteGraph&,
-      const matching::Matching& init) const override {
+      const matching::ValidMatching& init) const override {
     std::this_thread::sleep_for(std::chrono::milliseconds(ms_));
     SolveResult out{init, {}};
     out.stats.cardinality = init.cardinality();

@@ -25,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "serve/service.hpp"
 #include "serve/session.hpp"
+#include "valid_init.hpp"
 
 namespace bpm::serve {
 namespace {
@@ -44,9 +45,9 @@ class SleepSolver final : public Solver {
     ms_ = std::stoi(std::string(value));
     return true;
   }
-  [[nodiscard]] SolveResult run(const SolveContext&,
-                                const graph::BipartiteGraph&,
-                                const matching::Matching& init) const override {
+  [[nodiscard]] SolveResult run(
+      const SolveContext&, const graph::BipartiteGraph&,
+      const matching::ValidMatching& init) const override {
     std::this_thread::sleep_for(std::chrono::milliseconds(ms_));
     SolveResult out{init, {}};
     out.stats.cardinality = init.cardinality();
@@ -105,8 +106,8 @@ TEST(InstanceStore, AdmitsWithKarpSipser) {
   const auto g = gen::chung_lu(500, 500, 4.0, 2.4, 21);
   const PipelineInstance& inst = store.get(store.add("g", g).handle);
   const matching::Matching ks = matching::karp_sipser(g);
-  EXPECT_EQ(inst.init.row_match, ks.row_match);
-  EXPECT_EQ(inst.init.col_match, ks.col_match);
+  EXPECT_EQ(inst.init.get().row_match, ks.row_match);
+  EXPECT_EQ(inst.init.get().col_match, ks.col_match);
   EXPECT_EQ(inst.initial_cardinality, ks.cardinality());
   EXPECT_GT(inst.initial_cardinality,
             matching::cheap_matching(g).cardinality());
@@ -123,7 +124,7 @@ TEST(InstanceStore, PrebuiltInstancesAdmitWithoutRecomputation) {
   PipelineInstance inst;
   inst.name = "prebuilt";
   inst.graph = gen::complete_bipartite(6, 6);
-  inst.init = matching::Matching(inst.graph);
+  inst.init = test_support::empty_init(inst.graph);
   inst.initial_cardinality = 123;  // sentinel: would be 6 if recomputed
   const auto a = store.add(inst);
   EXPECT_FALSE(a.deduplicated);

@@ -17,6 +17,7 @@
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
 #include "matching/verify.hpp"
+#include "valid_init.hpp"
 
 namespace bpm {
 namespace {
@@ -108,8 +109,9 @@ TEST(SolverRegistry, CapabilitiesMatchTheAlgorithmFamilies) {
 TEST(SolverRegistry, DeviceSolverWithoutDeviceThrows) {
   const BipartiteGraph g = gen::complete_bipartite(4, 4);
   const SolveContext no_device;
-  EXPECT_THROW((void)solve("g-pr-shr", no_device, g, matching::Matching(g)),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)solve("g-pr-shr", no_device, g, test_support::empty_init(g)),
+      std::invalid_argument);
 }
 
 TEST(SolverRegistry, SetOptionAcceptsKnownRejectsUnknownKeys) {
@@ -183,8 +185,9 @@ class RecordingSolver final : public Solver {
       : inner_(std::move(inner)) {}
   [[nodiscard]] std::string name() const override { return inner_->name(); }
   [[nodiscard]] SolverCaps caps() const override { return inner_->caps(); }
-  [[nodiscard]] SolveResult run(const SolveContext& ctx, const BipartiteGraph& g,
-                                const matching::Matching& init) const override {
+  [[nodiscard]] SolveResult run(
+      const SolveContext& ctx, const BipartiteGraph& g,
+      const matching::ValidMatching& init) const override {
     answer_.reset();
     SolveResult out = inner_->run(ctx, g, init);
     answer_ = out.matching;
@@ -237,33 +240,32 @@ std::vector<std::pair<std::string, matching::Matching>> invalid_inits(
 }
 
 // `run_verified` takes an init's carried-over pairs as edges, so an invalid
-// init must never turn into an accepted invalid answer: every registered
-// solver, heuristics and `auto` included, either rejects the init or
-// returns an answer the full validity check passes.  Exact solvers reject
-// it on entry.
+// init must never turn into an accepted answer.  The init's type rules it
+// out: `ValidMatching` rejects each of these, and the `Matching` overloads
+// of `run_verified` and `Solver::run` prove their init the same way before
+// any solver runs, for every registered solver, heuristics and `auto`
+// included.
 TEST(SolverRegistry, NoSolverTurnsAnInvalidInitIntoAnAcceptedAnswer) {
   const BipartiteGraph g = gen::random_uniform(200, 210, 900, 5);
   device::Device dev({.num_threads = 4});
   const SolveContext ctx{.device = &dev, .threads = 4};
   const auto inits = invalid_inits(g);
   ASSERT_EQ(inits.size(), 3u);
-  std::size_t accepted = 0;
   for (const auto& [kind, init] : inits) {
-    ASSERT_FALSE(init.is_valid(g)) << kind;
+    SCOPED_TRACE(kind);
+    test_support::expect_rejected(g, init);
     for (const std::string& name : SolverRegistry::instance().names()) {
       const RecordingSolver solver(SolverRegistry::instance().create(name));
       const JobOutcome out = run_verified(solver, ctx, g, init, true);
-      if (solver.caps().exact) EXPECT_FALSE(out.ok) << name << ", " << kind;
-      if (!out.ok) continue;
-      ++accepted;
-      ASSERT_TRUE(solver.answer().has_value()) << name << ", " << kind;
-      EXPECT_EQ(solver.answer()->first_violation(g), "")
-          << name << ", " << kind;
+      EXPECT_FALSE(out.ok) << name;
+      EXPECT_EQ(out.error, "invalid matching: " + init.first_violation(g))
+          << name;
+      test_support::expect_proof_error(g, init, [&] {
+        (void)static_cast<const Solver&>(solver).run(ctx, g, init);
+      });
+      EXPECT_FALSE(solver.answer().has_value()) << name << " ran";
     }
   }
-  // The heuristics ignore the init, so some answers were accepted and
-  // checked above.
-  EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace
