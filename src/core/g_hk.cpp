@@ -237,7 +237,6 @@ bool host_augment_once(const BipartiteGraph& g, HkDeviceState& st) {
 GhkResult g_hk(device::Device& dev, const BipartiteGraph& g,
                const matching::ValidMatching& init,
                const GhkOptions& options) {
-
   Timer total;
   GhkResult result;
   GhkStats& stats = result.stats;
