@@ -43,7 +43,7 @@
 //                                      (count / mean / p90 ms) per solved
 //                                      spec (over --listen: plus one
 //                                      `client ...` accounting line per
-//                                      connection and a final
+//                                      open connection and a final
 //                                      `transport ...` summary)
 //   metrics                            global metrics registry as JSON
 //                                      (queue depth, engine dispatches,

@@ -240,7 +240,6 @@ GhkResult g_hk(device::Device& dev, const BipartiteGraph& g,
   Timer total;
   GhkResult result;
   GhkStats& stats = result.stats;
-  const double modeled_before = dev.modeled_ms();
 
   HkDeviceState st(g.num_rows(), g.num_cols());
   st.mu_row.assign_from(init.get().row_match);
@@ -269,7 +268,6 @@ GhkResult g_hk(device::Device& dev, const BipartiteGraph& g,
 
   result.matching.row_match = st.mu_row.to_host();
   result.matching.col_match = st.mu_col.to_host();
-  stats.modeled_ms = dev.modeled_ms() - modeled_before;
   stats.total_ms = total.elapsed_ms();
   return result;
 }

@@ -333,8 +333,6 @@ GprResult g_pr(device::Device& dev, const BipartiteGraph& g,
     solve_sp.arg("rows", static_cast<std::int64_t>(g.num_rows()));
     solve_sp.arg("cols", static_cast<std::int64_t>(g.num_cols()));
   }
-  const std::uint64_t launches_before = dev.launches();
-  const double modeled_before = dev.modeled_ms();
 
   DeviceState st(g.num_rows(), g.num_cols());
   st.mu_row.assign_from(init.get().row_match);
@@ -391,9 +389,6 @@ GprResult g_pr(device::Device& dev, const BipartiteGraph& g,
   result.matching.row_match = st.mu_row.to_host();
   result.matching.col_match = st.mu_col.to_host();
   stats.fix_ms = fix.elapsed_ms();
-  stats.device_launches =
-      static_cast<std::int64_t>(dev.launches() - launches_before);
-  stats.modeled_ms = dev.modeled_ms() - modeled_before;
   stats.total_ms = total.elapsed_ms();
   return result;
 }

@@ -72,14 +72,9 @@ PipelineInstance admit_instance(std::string name, graph::BipartiteGraph graph,
 
 std::size_t MatchingPipeline::add_instance(std::string name,
                                            graph::BipartiteGraph graph) {
-  return add_instance(
+  PipelineInstance& inst = instances_.emplace_back(
       admit_instance(std::move(name), std::move(graph), options_));
-}
-
-std::size_t MatchingPipeline::add_instance(PipelineInstance instance) {
-  if (instance.fingerprint == 0)
-    instance.fingerprint = graph::structural_fingerprint(instance.graph);
-  instances_.push_back(std::move(instance));
+  inst.fingerprint = graph::structural_fingerprint(inst.graph);
   return instances_.size() - 1;
 }
 

@@ -48,8 +48,11 @@ struct PipelineOptions {
 struct PipelineInstance {
   std::string name;
   graph::BipartiteGraph graph;
-  /// Shared initial matching (see share_init), valid for `graph` by its
-  /// type; until admission sets it, the empty graph's empty matching.
+  /// Shared initial matching (see share_init); until admission sets it,
+  /// the empty graph's empty matching.  Its type proves it valid for the
+  /// graph it was built with, not for `graph`: `admit_instance` builds it
+  /// from `graph`, and `serve::InstanceStore::add` proves a prebuilt
+  /// instance's init against `graph` again.
   /// `run_verified` relies on it: each job's certificate looks up only the
   /// pairs its solve changed.
   matching::ValidMatching init{graph::BipartiteGraph{}, {}};
@@ -162,12 +165,6 @@ class MatchingPipeline {
   /// Admits a graph to the batch; builds the shared init once.
   /// Returns the instance index used in `PipelineJob::instance`.
   std::size_t add_instance(std::string name, graph::BipartiteGraph graph);
-
-  /// Admits an already-built instance (e.g. a harness's precomputed suite
-  /// or another pipeline's) without redoing the init / feature work;
-  /// the caller guarantees its fields are consistent with this pipeline's
-  /// options.  A zero fingerprint is computed.
-  std::size_t add_instance(PipelineInstance instance);
 
   [[nodiscard]] const std::vector<PipelineInstance>& instances() const {
     return instances_;

@@ -57,14 +57,6 @@ double parse_positive(std::string_view key, std::string_view value) {
   return out;
 }
 
-device::Device& required_device(const SolveContext& ctx,
-                                const std::string& solver) {
-  if (ctx.device == nullptr)
-    throw std::invalid_argument("solver '" + solver +
-                                "' needs a device; set SolveContext::device");
-  return *ctx.device;
-}
-
 // ---- device push-relabel (G-PR family) -------------------------------------
 
 class GprSolver final : public Solver {
@@ -79,9 +71,7 @@ class GprSolver final : public Solver {
   [[nodiscard]] std::string name() const override { return name_; }
 
   [[nodiscard]] SolverCaps caps() const override {
-    return {.needs_device = true, .multicore = false, .deterministic = false,
-            .exact = true,
-            .balanced = options_.balance != gpu::BalanceMode::kOff};
+    return {.needs_device = true};
   }
 
   bool set_option(std::string_view key, std::string_view value) override {
@@ -116,33 +106,19 @@ class GprSolver final : public Solver {
     return true;
   }
 
-  [[nodiscard]] SolveResult run(
+  [[nodiscard]] Output solve_impl(
       const SolveContext& ctx, const graph::BipartiteGraph& g,
       const matching::ValidMatching& init) const override {
-    device::Device& dev = required_device(ctx, name_);
-    // The context's tracer rides on the device stream: the per-launch and
-    // phase spans read it from there.
-    if (ctx.tracer != nullptr && dev.tracer() == nullptr)
-      dev.set_tracer(ctx.tracer);
-    Timer t;
-    gpu::GprResult r = gpu::g_pr(dev, g, init, options_);
-    SolveResult out{std::move(r.matching), {}};
-    out.stats.wall_ms = t.elapsed_ms();
-    out.stats.cardinality = out.matching.cardinality();
-    out.stats.modeled_ms = r.stats.modeled_ms;
-    out.stats.device_launches = r.stats.device_launches;
-    out.stats.iterations = r.stats.loops;
+    gpu::GprResult r = gpu::g_pr(*ctx.device, g, init, options_);
     std::ostringstream d;
     d << options_.describe() << ": " << r.stats.global_relabels
-      << " global relabels, " << r.stats.shrinks << " shrinks, ";
+      << " global relabels, " << r.stats.shrinks << " shrinks";
     if (options_.balance == gpu::BalanceMode::kAuto)
-      d << "skew " << r.stats.balance_skew << " -> "
-        << (r.stats.balanced ? "balanced" : "vertex-parallel") << ", ";
+      d << ", skew " << r.stats.balance_skew << " -> "
+        << (r.stats.balanced ? "balanced" : "vertex-parallel");
     if (r.stats.balanced)
-      d << r.stats.frontier_builds << " frontier builds, ";
-    d << r.stats.device_launches << " launches";
-    out.stats.detail = d.str();
-    return out;
+      d << ", " << r.stats.frontier_builds << " frontier builds";
+    return {std::move(r.matching), r.stats.loops, d.str()};
   }
 
  private:
@@ -160,30 +136,19 @@ class GhkSolver final : public Solver {
   [[nodiscard]] std::string name() const override { return name_; }
 
   [[nodiscard]] SolverCaps caps() const override {
-    return {.needs_device = true, .multicore = false, .deterministic = false,
-            .exact = true};
+    return {.needs_device = true};
   }
 
-  [[nodiscard]] SolveResult run(
+  [[nodiscard]] Output solve_impl(
       const SolveContext& ctx, const graph::BipartiteGraph& g,
       const matching::ValidMatching& init) const override {
-    device::Device& dev = required_device(ctx, name_);
-    const std::uint64_t launches_before = dev.launches();
-    Timer t;
-    gpu::GhkResult r = gpu::g_hk(dev, g, init, {.duff_wiberg = duff_wiberg_});
-    SolveResult out{std::move(r.matching), {}};
-    out.stats.wall_ms = t.elapsed_ms();
-    out.stats.cardinality = out.matching.cardinality();
-    out.stats.modeled_ms = r.stats.modeled_ms;
-    out.stats.device_launches =
-        static_cast<std::int64_t>(dev.launches() - launches_before);
-    out.stats.iterations = r.stats.phases;
+    gpu::GhkResult r =
+        gpu::g_hk(*ctx.device, g, init, {.duff_wiberg = duff_wiberg_});
     std::ostringstream d;
     d << r.stats.phases << " phases, " << r.stats.bfs_level_kernels
       << " BFS kernels, " << r.stats.sequential_fallbacks
       << " sequential fallbacks";
-    out.stats.detail = d.str();
-    return out;
+    return {std::move(r.matching), r.stats.phases, d.str()};
   }
 
  private:
@@ -197,25 +162,16 @@ class PdbfsSolver final : public Solver {
  public:
   [[nodiscard]] std::string name() const override { return "p-dbfs"; }
 
-  [[nodiscard]] SolverCaps caps() const override {
-    return {.needs_device = false, .multicore = true, .deterministic = false,
-            .exact = true};
-  }
+  [[nodiscard]] SolverCaps caps() const override { return {}; }
 
-  [[nodiscard]] SolveResult run(
+  [[nodiscard]] Output solve_impl(
       const SolveContext& ctx, const graph::BipartiteGraph& g,
       const matching::ValidMatching& init) const override {
-    Timer t;
     mc::PdbfsResult r = mc::p_dbfs(g, init, {.num_threads = ctx.threads});
-    SolveResult out{std::move(r.matching), {}};
-    out.stats.wall_ms = t.elapsed_ms();
-    out.stats.cardinality = out.matching.cardinality();
-    out.stats.iterations = r.stats.rounds;
     std::ostringstream d;
     d << r.stats.rounds << " rounds, " << r.stats.augmentations
       << " augmentations, " << r.stats.blocked_searches << " blocked searches";
-    out.stats.detail = d.str();
-    return out;
+    return {std::move(r.matching), r.stats.rounds, d.str()};
   }
 };
 
@@ -239,20 +195,15 @@ class SeqPrSolver final : public Solver {
     return true;
   }
 
-  [[nodiscard]] SolveResult run(
+  [[nodiscard]] Output solve_impl(
       const SolveContext&, const graph::BipartiteGraph& g,
       const matching::ValidMatching& init) const override {
-    Timer t;
     matching::SeqPrStats stats;
-    SolveResult out{matching::seq_push_relabel(g, init, options_, &stats), {}};
-    out.stats.wall_ms = t.elapsed_ms();
-    out.stats.cardinality = out.matching.cardinality();
-    out.stats.iterations = stats.pushes;
+    matching::Matching m = matching::seq_push_relabel(g, init, options_, &stats);
     std::ostringstream d;
     d << stats.pushes << " pushes, " << stats.global_relabels
       << " global relabels, " << stats.gap_retired << " gap-retired";
-    out.stats.detail = d.str();
-    return out;
+    return {std::move(m), stats.pushes, d.str()};
   }
 
  private:
@@ -264,18 +215,14 @@ class HkSolver final : public Solver {
   [[nodiscard]] std::string name() const override { return "hk"; }
   [[nodiscard]] SolverCaps caps() const override { return {}; }
 
-  [[nodiscard]] SolveResult run(
+  [[nodiscard]] Output solve_impl(
       const SolveContext&, const graph::BipartiteGraph& g,
       const matching::ValidMatching& init) const override {
-    Timer t;
     matching::HkStats stats;
-    SolveResult out{matching::hopcroft_karp(g, init, &stats), {}};
-    out.stats.wall_ms = t.elapsed_ms();
-    out.stats.cardinality = out.matching.cardinality();
-    out.stats.iterations = stats.phases;
-    out.stats.detail = std::to_string(stats.phases) + " phases, " +
-                       std::to_string(stats.augmentations) + " augmentations";
-    return out;
+    matching::Matching m = matching::hopcroft_karp(g, init, &stats);
+    return {std::move(m), stats.phases,
+            std::to_string(stats.phases) + " phases, " +
+                std::to_string(stats.augmentations) + " augmentations"};
   }
 };
 
@@ -284,19 +231,14 @@ class HkdwSolver final : public Solver {
   [[nodiscard]] std::string name() const override { return "hkdw"; }
   [[nodiscard]] SolverCaps caps() const override { return {}; }
 
-  [[nodiscard]] SolveResult run(
+  [[nodiscard]] Output solve_impl(
       const SolveContext&, const graph::BipartiteGraph& g,
       const matching::ValidMatching& init) const override {
-    Timer t;
     matching::HkdwStats stats;
-    SolveResult out{matching::hkdw(g, init, &stats), {}};
-    out.stats.wall_ms = t.elapsed_ms();
-    out.stats.cardinality = out.matching.cardinality();
-    out.stats.iterations = stats.phases;
-    out.stats.detail = std::to_string(stats.phases) + " phases, " +
-                       std::to_string(stats.dw_augmentations) +
-                       " DW augmentations";
-    return out;
+    matching::Matching m = matching::hkdw(g, init, &stats);
+    return {std::move(m), stats.phases,
+            std::to_string(stats.phases) + " phases, " +
+                std::to_string(stats.dw_augmentations) + " DW augmentations"};
   }
 };
 
@@ -305,18 +247,14 @@ class PfSolver final : public Solver {
   [[nodiscard]] std::string name() const override { return "pf"; }
   [[nodiscard]] SolverCaps caps() const override { return {}; }
 
-  [[nodiscard]] SolveResult run(
+  [[nodiscard]] Output solve_impl(
       const SolveContext&, const graph::BipartiteGraph& g,
       const matching::ValidMatching& init) const override {
-    Timer t;
     matching::PfStats stats;
-    SolveResult out{matching::pothen_fan(g, init, &stats), {}};
-    out.stats.wall_ms = t.elapsed_ms();
-    out.stats.cardinality = out.matching.cardinality();
-    out.stats.iterations = stats.phases;
-    out.stats.detail = std::to_string(stats.phases) + " phases, " +
-                       std::to_string(stats.augmentations) + " augmentations";
-    return out;
+    matching::Matching m = matching::pothen_fan(g, init, &stats);
+    return {std::move(m), stats.phases,
+            std::to_string(stats.phases) + " phases, " +
+                std::to_string(stats.augmentations) + " augmentations"};
   }
 };
 
@@ -330,21 +268,14 @@ class GreedySolver final : public Solver {
     return karp_sipser_ ? "karp-sipser" : "greedy";
   }
 
-  [[nodiscard]] SolverCaps caps() const override {
-    return {.needs_device = false, .multicore = false, .deterministic = true,
-            .exact = false};
-  }
+  [[nodiscard]] SolverCaps caps() const override { return {.exact = false}; }
 
-  [[nodiscard]] SolveResult run(
+  [[nodiscard]] Output solve_impl(
       const SolveContext&, const graph::BipartiteGraph& g,
       const matching::ValidMatching&) const override {
-    Timer t;
-    SolveResult out{karp_sipser_ ? matching::karp_sipser(g)
-                                 : matching::cheap_matching(g),
-                    {}};
-    out.stats.wall_ms = t.elapsed_ms();
-    out.stats.cardinality = out.matching.cardinality();
-    return out;
+    return {karp_sipser_ ? matching::karp_sipser(g)
+                         : matching::cheap_matching(g),
+            0, {}};
   }
 
  private:
@@ -354,6 +285,34 @@ class GreedySolver final : public Solver {
 }  // namespace
 
 bool Solver::set_option(std::string_view, std::string_view) { return false; }
+
+SolveResult Solver::run(const SolveContext& ctx,
+                        const graph::BipartiteGraph& g,
+                        const matching::ValidMatching& init) const {
+  device::Device* const dev = ctx.device;
+  if (dev == nullptr && caps().needs_device)
+    throw std::invalid_argument("solver '" + name() +
+                                "' needs a device; set SolveContext::device");
+  // The context's tracer rides on the device stream: the per-launch and
+  // phase spans read it from there.
+  if (dev != nullptr && ctx.tracer != nullptr && dev->tracer() == nullptr)
+    dev->set_tracer(ctx.tracer);
+  const std::uint64_t launches_before = dev != nullptr ? dev->launches() : 0;
+  const double modeled_before = dev != nullptr ? dev->modeled_ms() : 0.0;
+  Timer timer;
+  Output out = solve_impl(ctx, g, init);
+  SolveResult result{std::move(out.matching), {}};
+  result.stats.wall_ms = timer.elapsed_ms();
+  if (dev != nullptr) {
+    result.stats.device_launches =
+        static_cast<std::int64_t>(dev->launches() - launches_before);
+    result.stats.modeled_ms = dev->modeled_ms() - modeled_before;
+  }
+  result.stats.cardinality = result.matching.cardinality();
+  result.stats.iterations = out.iterations;
+  result.stats.detail = std::move(out.detail);
+  return result;
+}
 
 // ---- SolverSpec ------------------------------------------------------------
 
@@ -565,12 +524,6 @@ JobOutcome run_verified(const Solver& solver, const SolveContext& ctx,
     if (!audit.valid) {
       out.ok = false;
       out.error = "invalid matching: " + result.matching.first_violation(g);
-    } else if (out.stats.cardinality != audit.cardinality) {
-      out.ok = false;
-      out.error = "stats report cardinality " +
-                  std::to_string(out.stats.cardinality) +
-                  " but the matching has " +
-                  std::to_string(audit.cardinality);
     } else if (solver.caps().exact &&
                !matching::is_maximum(g, result.matching)) {
       // Berge: a valid matching with no augmenting path is maximum.

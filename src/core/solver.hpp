@@ -15,36 +15,28 @@
 
 namespace bpm {
 
-/// Static capabilities of a solver, used by harnesses and the pipeline to
-/// decide how to schedule a run and how to interpret its results.
+/// Static capabilities of a solver, used by `Solver::run`, harnesses and
+/// the pipeline to decide how to run it and how to judge its results.
 struct SolverCaps {
   /// Runs its kernels on the bulk-synchronous device engine; `run` requires
-  /// `SolveContext::device` and reports modeled device time.
+  /// `SolveContext::device`.
   bool needs_device = false;
-  /// Spawns its own host worker threads (honours `SolveContext::threads`).
-  bool multicore = false;
-  /// Same execution schedule — and therefore the same matching — on every
-  /// run.  False for the racy device kernels and the multicore matcher,
-  /// whose *cardinality* is still always maximum but whose edge set depends
-  /// on thread interleaving.
-  bool deterministic = true;
   /// Guarantees a maximum-cardinality result.  False for the
   /// initialisation heuristics (greedy, Karp–Sipser), which are registered
   /// so that pipelines can run and compare them like any other solver.
   bool exact = true;
-  /// Uses edge-balanced (`Device::launch_balanced`) kernels — on or auto
-  /// (`GprOptions::balance`).  Listed by `--list-algos`; balanced kernels
-  /// thrive on skewed instances and on the engine's work-partitioned
-  /// chunks.
-  bool balanced = false;
 };
 
 /// Unified per-run statistics every solver reports, regardless of backend.
+/// `Solver::run` fills the first four fields itself; an algorithm reports
+/// only `iterations` and `detail`.
 struct SolveStats {
-  graph::index_t cardinality = 0;
-  double wall_ms = 0.0;          ///< host wall time of the run
-  double modeled_ms = 0.0;       ///< device-model time; 0 for CPU solvers
-  std::int64_t device_launches = 0;  ///< kernel launches; 0 for CPU solvers
+  graph::index_t cardinality = 0;  ///< |M| of the returned matching
+  double wall_ms = 0.0;            ///< host wall time of the run
+  /// Device-model time and kernel launches charged to the context's device
+  /// stream during the run; 0 for CPU solvers.
+  double modeled_ms = 0.0;
+  std::int64_t device_launches = 0;
   /// The algorithm's outer-iteration count: main-loop iterations (G-PR),
   /// phases (HK family), or rounds (P-DBFS).  0 for one-shot heuristics.
   std::int64_t iterations = 0;
@@ -70,7 +62,9 @@ struct SolveContext {
 
 /// A maximum cardinality bipartite matching algorithm behind a uniform
 /// interface.  Implementations adapt the free functions in core/, matching/
-/// and multicore/ without touching their kernel logic; instances are
+/// and multicore/ without touching their kernel logic: each overrides
+/// `solve_impl` to run its algorithm, and the non-virtual `run` does the
+/// checks, timing and counting that every solver shares.  Instances are
 /// created by the `SolverRegistry` and carry per-instance tuning state set
 /// via `set_option`.
 class Solver {
@@ -87,12 +81,15 @@ class Solver {
   virtual bool set_option(std::string_view key, std::string_view value);
 
   /// Runs the algorithm from the initial matching `init`, proven valid for
-  /// `g` by its type.  Fills every applicable `SolveStats` field including
-  /// wall time.  Throws `std::invalid_argument` if the context is missing a
-  /// required device.
-  [[nodiscard]] virtual SolveResult run(
-      const SolveContext& ctx, const graph::BipartiteGraph& g,
-      const matching::ValidMatching& init) const = 0;
+  /// `g` by its type, and does the run's bookkeeping once for every solver:
+  /// throws `std::invalid_argument` if `caps().needs_device` and the
+  /// context has no device, attaches `ctx.tracer` to the device, then times
+  /// `solve_impl` and fills `wall_ms`, `device_launches` and `modeled_ms`
+  /// (the device stream's counters before and after) and `cardinality`
+  /// (one count of the returned matching).
+  [[nodiscard]] SolveResult run(const SolveContext& ctx,
+                                const graph::BipartiteGraph& g,
+                                const matching::ValidMatching& init) const;
 
   /// Proves `init` valid for `g` (`matching::ValidMatching`, which throws
   /// if it is not), then runs from it.
@@ -101,6 +98,20 @@ class Solver {
                                 matching::Matching init) const {
     return run(ctx, g, matching::ValidMatching(g, std::move(init)));
   }
+
+ protected:
+  /// What an algorithm reports of its own run; `run` adds the rest.
+  struct Output {
+    matching::Matching matching;
+    std::int64_t iterations = 0;  ///< see `SolveStats::iterations`
+    std::string detail;           ///< see `SolveStats::detail`
+  };
+
+  /// The algorithm alone: solve from `init` (`ctx.device` is set if
+  /// `caps().needs_device`).
+  [[nodiscard]] virtual Output solve_impl(
+      const SolveContext& ctx, const graph::BipartiteGraph& g,
+      const matching::ValidMatching& init) const = 0;
 };
 
 /// A parsed solver specification: a registry name plus `set_option`
@@ -206,13 +217,13 @@ struct JobOutcome {
 /// Runs `solver` from `init` and, when `verify` is set, checks the result
 /// by an O(V+E) certificate instead of a second solve:
 ///   - the matching is valid: one O(V) pass (`Matching::audit`) checks
-///     shape, range and µ agreement for every pair, counts |M|, and looks
-///     up in `g` only the pairs that differ from `init` — served solves
-///     start from Karp–Sipser and change about 1% of its pairs;
-///   - `stats.cardinality` equals that count;
+///     shape, range and µ agreement for every pair and looks up in `g`
+///     only the pairs that differ from `init` — served solves start from
+///     Karp–Sipser and change about 1% of its pairs;
 ///   - for exact solvers, no augmenting path exists (Berge's theorem, via
 ///     `matching::is_maximum`).
-/// Heuristic solvers are only held to the first two.  On an invalid
+/// Heuristic solvers are only held to the first.  `stats.cardinality`
+/// needs no check: `Solver::run` counts it from the matching.  On an invalid
 /// matching the error is `"invalid matching: "` + `first_violation(g)`.
 /// The run is guarded, so a throwing solver yields `ok == false` with the
 /// exception text, never an exception.  The check records a `"verify"`

@@ -17,7 +17,6 @@ struct GprStats {
   /// columns (0 when the solve never measured it, i.e. balance != auto).
   double balance_skew = 0.0;
   bool balanced = false;  ///< ran the workload-balanced frontier path
-  std::int64_t device_launches = 0;  ///< all kernel launches on the device
   graph::index_t last_max_level = 0; ///< maxLevel of the final global relabel
   graph::index_t active_peak = 0;    ///< longest active list observed
 
@@ -25,7 +24,6 @@ struct GprStats {
   double push_ms = 0.0;   ///< time in INIT/PUSH/SHR kernels
   double fix_ms = 0.0;    ///< FIXMATCHING + host transfers
   double total_ms = 0.0;
-  double modeled_ms = 0.0;  ///< C2050 model time (README: Device engine)
 };
 
 /// Counters of one G-HK / G-HKDW run.
@@ -37,7 +35,6 @@ struct GhkStats {
   std::int64_t sequential_fallbacks = 0;  ///< host augmentations forced by
                                           ///< total claim-validation failure
   double total_ms = 0.0;
-  double modeled_ms = 0.0;  ///< C2050 model time (README: Device engine)
 };
 
 }  // namespace bpm::gpu

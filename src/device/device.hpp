@@ -219,7 +219,6 @@ class Device {
   }
   [[nodiscard]] unsigned num_workers() const { return engine_->num_workers(); }
   [[nodiscard]] std::uint64_t launches() const { return launches_; }
-  void reset_launch_count() { launches_ = 0; }
 
   /// Optional trace collector.  When set *and enabled*, every launch
   /// records a span annotated with its grid size (accounted launches add
@@ -233,7 +232,6 @@ class Device {
   /// `launch_balanced` contribute their work term; plain launches
   /// contribute latency + per-item cost only.
   [[nodiscard]] double modeled_ms() const { return modeled_us_ / 1e3; }
-  void reset_modeled_time() { modeled_us_ = 0.0; }
 
   /// Measured in-kernel wall time accumulated on this stream.
   [[nodiscard]] double native_ms() const { return native_us_ / 1e3; }

@@ -82,13 +82,14 @@ Matching::Audit Matching::audit(const BipartiteGraph& g,
       col_match.size() != static_cast<std::size_t>(g.num_cols()))
     return out;
   const bool same_shape = base.row_match.size() == row_match.size();
+  index_t matched = 0;
   for (index_t u = 0; u < g.num_rows(); ++u) {
     const index_t v = row_match[static_cast<std::size_t>(u)];
     if (v == kUnmatched) continue;
     if (v < 0 || v >= g.num_cols() ||
         col_match[static_cast<std::size_t>(v)] != u)
       return out;
-    ++out.cardinality;
+    ++matched;
     if (same_shape && base.row_match[static_cast<std::size_t>(u)] == v)
       continue;
     ++out.changed;
@@ -102,7 +103,7 @@ Matching::Audit Matching::audit(const BipartiteGraph& g,
     claimed += u >= 0 ? 1 : 0;
     stray |= u < kUnmatchable;
   }
-  out.valid = !stray && claimed == out.cardinality;
+  out.valid = !stray && claimed == matched;
   return out;
 }
 

@@ -48,8 +48,7 @@ struct Matching {
 
   /// What one `audit` pass learned.
   struct Audit {
-    bool valid = false;       ///< every check the pass makes held
-    index_t cardinality = 0;  ///< |M|, counted by the same pass
+    bool valid = false;  ///< every check the pass makes held
     /// Matched rows whose column differs from the base's: the pairs the
     /// pass looked up in the graph (up to the first violation).
     index_t changed = 0;

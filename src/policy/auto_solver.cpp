@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "util/timer.hpp"
 
 namespace bpm::policy {
 
@@ -48,10 +47,9 @@ AutoSolver::Resolved AutoSolver::resolve(const InstanceFeatures& f) const {
   return out;
 }
 
-SolveResult AutoSolver::run(const SolveContext& ctx,
-                            const graph::BipartiteGraph& g,
-                            const matching::ValidMatching& init) const {
-  Timer t;
+AutoSolver::Output AutoSolver::solve_impl(
+    const SolveContext& ctx, const graph::BipartiteGraph& g,
+    const matching::ValidMatching& init) const {
   const Resolved resolved = resolve(compute_features(g, init.cardinality()));
   SolveResult result = resolved.solver->run(ctx, g, init);
   // The resolution provenance, ahead of the inner solver's own detail —
@@ -61,11 +59,7 @@ SolveResult AutoSolver::run(const SolveContext& ctx,
     << resolved.bucket << ", " << (resolved.fallback ? "fallback" : "model")
     << "]";
   if (!result.stats.detail.empty()) d << "; " << result.stats.detail;
-  result.stats.detail = d.str();
-  // Charge the full wall (features + resolution + solve): what the caller
-  // waited for.
-  result.stats.wall_ms = t.elapsed_ms();
-  return result;
+  return {std::move(result.matching), result.stats.iterations, d.str()};
 }
 
 }  // namespace bpm::policy

@@ -37,10 +37,8 @@ class AutoSolver final : public Solver {
 
   [[nodiscard]] SolverCaps caps() const override {
     // May resolve to any exact solver: claim the device (always provided
-    // by pipelines/harnesses/services) and multicore threads; never claim
-    // determinism — the pick may be a nondeterministic solver (p-dbfs).
-    return {.needs_device = true, .multicore = true, .deterministic = false,
-            .exact = true};
+    // by pipelines/harnesses/services).
+    return {.needs_device = true};
   }
 
   struct Resolved {
@@ -56,9 +54,11 @@ class AutoSolver final : public Solver {
   /// spec.
   [[nodiscard]] Resolved resolve(const InstanceFeatures& f) const;
 
+ protected:
   /// Features → resolve → run the chosen solver; prepends the choice to
-  /// `SolveStats::detail`.
-  [[nodiscard]] SolveResult run(
+  /// `SolveStats::detail`.  `run` charges the whole of it (features,
+  /// resolution and solve): what the caller waited for.
+  [[nodiscard]] Output solve_impl(
       const SolveContext& ctx, const graph::BipartiteGraph& g,
       const matching::ValidMatching& init) const override;
 

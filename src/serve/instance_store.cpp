@@ -45,12 +45,19 @@ InstanceStore::AddResult InstanceStore::add(std::string name,
   PipelineInstance instance =
       admit_instance(std::move(name), std::move(graph), {});
   instance.fingerprint = fingerprint;
-  return add(std::move(instance));
+  return insert(std::move(instance));
 }
 
 InstanceStore::AddResult InstanceStore::add(PipelineInstance instance) {
+  // Built elsewhere, its init may belong to another graph: prove it
+  // against this one (throws before anything is stored).
+  instance.init = matching::ValidMatching(instance.graph, instance.init.get());
   if (instance.fingerprint == 0)
     instance.fingerprint = graph::structural_fingerprint(instance.graph);
+  return insert(std::move(instance));
+}
+
+InstanceStore::AddResult InstanceStore::insert(PipelineInstance instance) {
   const std::size_t bytes = instance_bytes(instance);
   Dropped dropped;  // freed after the lock is released
   const std::scoped_lock lock(mutex_);

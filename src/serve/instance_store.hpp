@@ -73,10 +73,10 @@ class InstanceStore {
   AddResult add(std::string name, graph::BipartiteGraph graph);
 
   /// Admits an already-built instance (e.g. a harness's precomputed suite)
-  /// without redoing the init / feature work; the caller guarantees
-  /// its fields are consistent with `admit_instance`'s defaults, its init
-  /// valid included.  A zero fingerprint is computed; dedup applies as
-  /// usual.
+  /// without redoing the feature work.  Its init is proven again against
+  /// its graph (`matching::ValidMatching`): an init of another graph throws
+  /// `std::invalid_argument` and nothing is stored.  A zero fingerprint is
+  /// computed, a nonzero one is trusted; dedup applies as usual.
   AddResult add(PipelineInstance instance);
 
   /// The admitted instance behind a handle, valid until it is evicted.
@@ -138,6 +138,8 @@ class InstanceStore {
     std::vector<NameIndex::iterator> names;  ///< oldest first
   };
 
+  /// Stores an instance whose init and fingerprint are its graph's.
+  AddResult insert(PipelineInstance instance);
   /// Points `name` at `handle` (moving it off any other entry) and marks
   /// the entry used.  Caller holds `mutex_`.
   void bind_locked(std::string name, std::size_t handle);

@@ -70,13 +70,6 @@ InstanceStore::AddResult MatchingService::add_instance(
   return added;
 }
 
-InstanceStore::AddResult MatchingService::add_instance(
-    PipelineInstance instance) {
-  const InstanceStore::AddResult added = store_.add(std::move(instance));
-  metrics_.evicted->add(added.evicted);
-  return added;
-}
-
 Submission MatchingService::submit(Request request) {
   Submission out;
   // Instantiate outside the lock: spec validation (unknown name, unknown

@@ -184,8 +184,6 @@ class MatchingService {
   /// instance while it lives.
   InstanceStore::AddResult add_instance(std::string name,
                                         graph::BipartiteGraph graph);
-  /// Registers an already-admitted instance (init/features reused).
-  InstanceStore::AddResult add_instance(PipelineInstance instance);
   [[nodiscard]] const InstanceStore& instances() const { return store_; }
 
   /// Admits a request or rejects it with a reason (never blocks on a full

@@ -143,17 +143,20 @@ TransportStats SocketTransport::stats() const {
   const std::lock_guard lock(conns_mutex_);
   TransportStats s = stats_;
   s.open = conns_.size();
-  for (const auto& [id, c] : conns_) s.errors += c->session->errors();
-  for (const TransportClientStats& c : closed_clients_) s.errors += c.errors;
+  for (const auto& [id, c] : conns_) {
+    s.errors += c->session->errors();
+    s.requests += c->session->requests();
+    s.quota_rejections += c->session->quota_rejections();
+  }
   return s;
 }
 
 std::vector<TransportClientStats> SocketTransport::client_stats() const {
   const std::lock_guard lock(conns_mutex_);
-  std::vector<TransportClientStats> out = closed_clients_;
+  std::vector<TransportClientStats> out;
+  out.reserve(conns_.size());
   for (const auto& [id, c] : conns_)
     out.push_back({.id = c->id,
-                   .open = true,
                    .authed = c->session->authed(),
                    .requests = c->session->requests(),
                    .errors = c->session->errors(),
@@ -167,10 +170,9 @@ std::vector<std::string> SocketTransport::stats_lines() const {
   const std::vector<TransportClientStats> clients = client_stats();
   for (const TransportClientStats& c : clients) {
     std::ostringstream os;
-    os << "client id=" << c.id << " open=" << (c.open ? 1 : 0)
-       << " authed=" << (c.authed ? 1 : 0) << " requests=" << c.requests
-       << " quota=" << c.quota << " errors=" << c.errors
-       << " quota_rejected=" << c.quota_rejections;
+    os << "client id=" << c.id << " authed=" << (c.authed ? 1 : 0)
+       << " requests=" << c.requests << " quota=" << c.quota
+       << " errors=" << c.errors << " quota_rejected=" << c.quota_rejections;
     out.push_back(os.str());
   }
   const TransportStats s = stats();
@@ -179,7 +181,9 @@ std::vector<std::string> SocketTransport::stats_lines() const {
   // reading a multi-line stats reply consume until this prefix.
   os << "transport open=" << s.open << " accepted=" << s.accepted
      << " refused=" << s.refused << " closed=" << s.closed
-     << " lines=" << s.lines << " errors=" << s.errors;
+     << " lines=" << s.lines << " errors=" << s.errors
+     << " requests=" << s.requests
+     << " quota_rejected=" << s.quota_rejections;
   out.push_back(os.str());
   return out;
 }
@@ -390,14 +394,9 @@ void SocketTransport::poll_loop() {
           ++it;
           continue;
         }
-        closed_clients_.push_back(
-            {.id = c->id,
-             .open = false,
-             .authed = c->session->authed(),
-             .requests = c->session->requests(),
-             .errors = c->session->errors(),
-             .quota_rejections = c->session->quota_rejections(),
-             .quota = options_.session.quota});
+        stats_.errors += c->session->errors();
+        stats_.requests += c->session->requests();
+        stats_.quota_rejections += c->session->quota_rejections();
         ::shutdown(c->fd, SHUT_RDWR);
         ::close(c->fd);
         c->fd = -1;

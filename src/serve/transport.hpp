@@ -31,21 +31,23 @@ struct TransportOptions {
   Session::Options session;
 };
 
-/// Lifetime counters of a transport (mirrors `ServiceStats` style).
+/// Lifetime counters of a transport (mirrors `ServiceStats` style).  The
+/// per-connection counts sum every connection, open or closed.
 struct TransportStats {
   std::uint64_t accepted = 0;  ///< connections admitted
   std::uint64_t refused = 0;   ///< connections over max_clients
   std::uint64_t closed = 0;    ///< connections torn down
   std::uint64_t lines = 0;     ///< protocol lines executed
   std::uint64_t errors = 0;    ///< `error ...` responses sent
+  std::uint64_t requests = 0;  ///< commands admitted under the quota
+  std::uint64_t quota_rejections = 0;  ///< commands refused over it
   std::size_t open = 0;        ///< snapshot: currently connected
 };
 
-/// One connection's accounting, served under `stats` as a `client ...`
-/// line and queryable in-process for benches/tests.
+/// One open connection's accounting, served under `stats` as a
+/// `client ...` line and queryable in-process for benches/tests.
 struct TransportClientStats {
   std::uint64_t id = 0;
-  bool open = false;
   bool authed = false;
   std::uint64_t requests = 0;
   std::uint64_t errors = 0;
@@ -100,6 +102,7 @@ class SocketTransport {
   void stop();
 
   [[nodiscard]] TransportStats stats() const;
+  /// The open connections only; a closed one lives on in `stats()`.
   [[nodiscard]] std::vector<TransportClientStats> client_stats() const;
 
  private:
@@ -139,9 +142,9 @@ class SocketTransport {
   mutable std::mutex conns_mutex_;
   std::map<std::uint64_t, std::shared_ptr<Conn>> conns_;
   std::uint64_t next_conn_id_ = 1;
+  /// Lifetime counters; the per-connection ones hold closed connections
+  /// only, `stats()` adds the open ones.
   TransportStats stats_;
-  /// Accounting of already-closed connections folded into client_stats.
-  std::vector<TransportClientStats> closed_clients_;
 
   std::mutex work_mutex_;
   std::condition_variable work_cv_;

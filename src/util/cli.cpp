@@ -116,21 +116,6 @@ double CliParser::get_double(const std::string& name) const {
   }
 }
 
-std::vector<std::string> CliParser::get_string_list(
-    const std::string& name) const {
-  const std::string& value = find(name).value;
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= value.size()) {
-    const std::size_t comma = value.find(',', pos);
-    const std::size_t end = comma == std::string::npos ? value.size() : comma;
-    if (end > pos) out.push_back(value.substr(pos, end - pos));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
 void add_algo_flag(CliParser& cli, const std::string& default_value) {
   cli.add_option("algo",
                  "comma-separated solver specs, name[:key=val,key=val] — "
@@ -157,15 +142,12 @@ std::vector<SolverSpec> solver_specs_from_cli(const CliParser& cli) {
 void exit_if_list_algos(const CliParser& cli) {
   if (!cli.has("list-algos") || !cli.get_flag("list-algos")) return;
   const SolverRegistry& registry = SolverRegistry::instance();
-  std::cout
-      << "name         device  multicore  deterministic  exact  balanced\n";
+  std::cout << "name         device  exact\n";
   for (const std::string& name : registry.names()) {
     const SolverCaps caps = registry.create(name)->caps();
     const auto yn = [](bool b) { return b ? "yes" : "no "; };
     std::cout << name << std::string(name.size() < 13 ? 13 - name.size() : 1, ' ')
-              << yn(caps.needs_device) << "     " << yn(caps.multicore)
-              << "        " << yn(caps.deterministic) << "            "
-              << yn(caps.exact) << "    " << yn(caps.balanced) << "\n";
+              << yn(caps.needs_device) << "     " << yn(caps.exact) << "\n";
   }
   for (const auto& [alias, canonical] : registry.alias_list())
     std::cout << "alias: " << alias << " -> " << canonical << "\n";

@@ -47,11 +47,6 @@ class CliParser {
                                      std::int64_t min, std::int64_t max) const;
   [[nodiscard]] double get_double(const std::string& name) const;
 
-  /// The option's value split on commas, empty tokens dropped
-  /// ("a,b,c" → {"a", "b", "c"}).
-  [[nodiscard]] std::vector<std::string> get_string_list(
-      const std::string& name) const;
-
   /// True if a flag or option with this name was registered.
   [[nodiscard]] bool has(const std::string& name) const {
     return entries_.contains(name);

@@ -6,8 +6,6 @@
 // service suites so both layers are held to the same mutations.
 //
 //   test-mutant:mode=minus-one   a valid matching one pair short of maximum
-//   test-mutant:mode=stats-lie   the maximum matching, with stats claiming
-//                                one pair more than it holds
 //   test-mutant:mode=invalid     a matching that pairs a non-edge
 //   test-mutant:mode=one-sided   the maximum matching, with one pair carried
 //                                over unchanged from the init claimed by
@@ -31,8 +29,8 @@ class MutantSolver final : public Solver {
   [[nodiscard]] SolverCaps caps() const override { return {.exact = exact_}; }
   bool set_option(std::string_view key, std::string_view value) override {
     if (key == "mode") {
-      if (value != "minus-one" && value != "stats-lie" &&
-          value != "invalid" && value != "one-sided" && value != "throw")
+      if (value != "minus-one" && value != "invalid" &&
+          value != "one-sided" && value != "throw")
         throw std::invalid_argument("test-mutant: unknown mode");
       mode_ = value;
     } else if (key == "exact") {
@@ -42,10 +40,10 @@ class MutantSolver final : public Solver {
     }
     return true;
   }
-  [[nodiscard]] SolveResult run(
+  [[nodiscard]] Output solve_impl(
       const SolveContext&, const graph::BipartiteGraph& g,
       const matching::ValidMatching& init) const override {
-    SolveResult out{matching::hopcroft_karp(g, init), {}};
+    Output out{matching::hopcroft_karp(g, init)};
     matching::Matching& m = out.matching;
     if (mode_ == "minus-one") {
       for (graph::index_t u = 0; u < g.num_rows(); ++u) {
@@ -62,8 +60,6 @@ class MutantSolver final : public Solver {
     } else if (mode_ == "throw") {
       throw std::runtime_error("test-mutant: thrown after solving");
     }
-    out.stats.cardinality = m.cardinality();
-    if (mode_ == "stats-lie") out.stats.cardinality += 1;
     return out;
   }
 

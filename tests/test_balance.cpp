@@ -123,9 +123,6 @@ TEST(Balance, GprWbIsRegisteredAndDispatchable) {
   EXPECT_EQ(solver->name(), "g-pr-wb");
   EXPECT_TRUE(solver->caps().needs_device);
   EXPECT_TRUE(solver->caps().exact);
-  // g-pr-wb defaults to balance=auto, which counts as a balanced
-  // capability and reports its per-solve skew decision.
-  EXPECT_TRUE(solver->caps().balanced);
 
   const BipartiteGraph g = gen::skewed_hubs(120, 150, 4, 0.3, 2.0, 7);
   Device dev = test_support::fanout_device(4);

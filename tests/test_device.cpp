@@ -102,8 +102,10 @@ TEST_P(DeviceModes, LaunchCountsLaunches) {
   dev.launch(10, [](std::int64_t) {});
   dev.launch(0, [](std::int64_t) {});  // empty grids still count
   EXPECT_EQ(dev.launches(), 2u);
-  dev.reset_launch_count();
-  EXPECT_EQ(dev.launches(), 0u);
+  // The counter only grows: a caller diffs it around the launches it owns.
+  const std::uint64_t before = dev.launches();
+  dev.launch(5, [](std::int64_t) {});
+  EXPECT_EQ(dev.launches() - before, 1u);
 }
 
 TEST_P(DeviceModes, LaunchChunkedPartitionsRange) {

@@ -84,9 +84,8 @@ TEST(Harness, RunSolverRejectsEveryMutant) {
     return run_solver(*SolverSpec::parse(spec).instantiate(), dev, bi).ok;
   };
   for (const char* spec :
-       {"test-mutant:mode=minus-one", "test-mutant:mode=stats-lie",
-        "test-mutant:mode=invalid", "test-mutant:mode=one-sided",
-        "test-mutant:mode=throw"})
+       {"test-mutant:mode=minus-one", "test-mutant:mode=invalid",
+        "test-mutant:mode=one-sided", "test-mutant:mode=throw"})
     EXPECT_FALSE(accepted(spec)) << spec;
   EXPECT_TRUE(accepted("test-mutant:mode=minus-one,exact=0"));
 }

@@ -142,12 +142,10 @@ TEST(Pipeline, RecordsFailuresInsteadOfAborting) {
    public:
     [[nodiscard]] std::string name() const override { return "test-noop"; }
     [[nodiscard]] SolverCaps caps() const override { return {}; }
-    [[nodiscard]] SolveResult run(
+    [[nodiscard]] Output solve_impl(
         const SolveContext&, const graph::BipartiteGraph&,
         const matching::ValidMatching& init) const override {
-      SolveResult out{init, {}};
-      out.stats.cardinality = init.cardinality();
-      return out;
+      return {init};
     }
   };
   static bool registered = [] {
@@ -240,12 +238,10 @@ TEST(Pipeline, CertificateRejectsMutants) {
   pipe.add_instance("uniform", gen::random_uniform(400, 420, 2000, 5));
   const std::vector<std::pair<std::string, std::string>> mutants = {
       {"test-mutant:mode=minus-one", "Berge certificate failed"},
-      {"test-mutant:mode=stats-lie", "stats report cardinality"},
       {"test-mutant:exact=1,mode=invalid", "invalid matching"},
       {"test-mutant:exact=0,mode=invalid", "invalid matching"},
       {"test-mutant:mode=one-sided", "invalid matching"},
       {"test-mutant:exact=0,mode=one-sided", "invalid matching"},
-      {"test-mutant:exact=0,mode=stats-lie", "stats report cardinality"},
       {"test-mutant:mode=throw", "thrown after solving"}};
   std::vector<std::string> specs;
   for (const auto& [spec, error] : mutants) specs.push_back(spec);

@@ -108,12 +108,15 @@ TEST(DeviceModel, AccountedWorkIdenticalAcrossModes) {
   EXPECT_DOUBLE_EQ(run(1), run(4));
 }
 
-TEST(DeviceModel, ResetClearsAccumulator) {
+TEST(DeviceModel, DiffChargesOnlyTheLaunchesBetween) {
+  // The accumulator only grows; `Solver::run` charges a run by diffing it.
   device::Device dev({.num_threads = 1});
   dev.launch(100, [](std::int64_t) {});
-  EXPECT_GT(dev.modeled_ms(), 0.0);
-  dev.reset_modeled_time();
-  EXPECT_DOUBLE_EQ(dev.modeled_ms(), 0.0);
+  const double one_launch = dev.modeled_ms();
+  EXPECT_GT(one_launch, 0.0);
+  const double before = dev.modeled_ms();
+  dev.launch(100, [](std::int64_t) {});
+  EXPECT_NEAR(dev.modeled_ms() - before, one_launch, 1e-12);
 }
 
 TEST(DeviceModel, HugetraceAnchorFromDesignDoc) {

@@ -35,21 +35,17 @@ class ConformanceSleepSolver final : public Solver {
   [[nodiscard]] std::string name() const override {
     return "conformance-test-sleep";
   }
-  [[nodiscard]] SolverCaps caps() const override {
-    return {.deterministic = true, .exact = false};
-  }
+  [[nodiscard]] SolverCaps caps() const override { return {.exact = false}; }
   bool set_option(std::string_view key, std::string_view value) override {
     if (key != "ms") return false;
     ms_ = std::stoi(std::string(value));
     return true;
   }
-  [[nodiscard]] SolveResult run(
+  [[nodiscard]] Output solve_impl(
       const SolveContext&, const graph::BipartiteGraph&,
       const matching::ValidMatching& init) const override {
     std::this_thread::sleep_for(std::chrono::milliseconds(ms_));
-    SolveResult out{init, {}};
-    out.stats.cardinality = init.cardinality();
-    return out;
+    return {init};
   }
 
  private:

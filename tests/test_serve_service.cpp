@@ -37,21 +37,17 @@ namespace gen = graph::gen;
 class SleepSolver final : public Solver {
  public:
   [[nodiscard]] std::string name() const override { return "test-sleep"; }
-  [[nodiscard]] SolverCaps caps() const override {
-    return {.deterministic = true, .exact = false};
-  }
+  [[nodiscard]] SolverCaps caps() const override { return {.exact = false}; }
   bool set_option(std::string_view key, std::string_view value) override {
     if (key != "ms") return false;
     ms_ = std::stoi(std::string(value));
     return true;
   }
-  [[nodiscard]] SolveResult run(
+  [[nodiscard]] Output solve_impl(
       const SolveContext&, const graph::BipartiteGraph&,
       const matching::ValidMatching& init) const override {
     std::this_thread::sleep_for(std::chrono::milliseconds(ms_));
-    SolveResult out{init, {}};
-    out.stats.cardinality = init.cardinality();
-    return out;
+    return {init};
   }
 
  private:
@@ -132,6 +128,32 @@ TEST(InstanceStore, PrebuiltInstancesAdmitWithoutRecomputation) {
   const auto b = store.add("same-structure", gen::complete_bipartite(6, 6));
   EXPECT_TRUE(b.deduplicated);
   EXPECT_EQ(b.handle, a.handle);
+}
+
+TEST(InstanceStore, PrebuiltInstanceWithAnotherGraphsInitIsRejected) {
+  // A prebuilt instance's init is proven against its own graph: one built
+  // for another graph of the same shape pairs a non-edge, one of another
+  // shape would index out of range.  Both throw and store nothing.
+  const graph::BipartiteGraph g = gen::random_uniform(60, 60, 240, 3);
+  const graph::BipartiteGraph same_shape = gen::random_uniform(60, 60, 240, 4);
+  const graph::BipartiteGraph other_shape = gen::random_uniform(40, 50, 200, 5);
+  InstanceStore store;
+  for (const graph::BipartiteGraph* from : {&same_shape, &other_shape}) {
+    PipelineInstance inst;
+    inst.name = "foreign";
+    inst.graph = g;
+    inst.init = matching::cheap_matching(*from);
+    test_support::expect_proof_error(g, inst.init,
+                                     [&] { (void)store.add(inst); });
+    EXPECT_EQ(store.size(), 0u);
+    EXPECT_FALSE(store.find("foreign").has_value());
+  }
+  PipelineInstance own;
+  own.name = "own";
+  own.graph = g;
+  own.init = matching::cheap_matching(g);
+  EXPECT_EQ(store.get(store.add(own).handle).init.get().row_match,
+            own.init.get().row_match);
 }
 
 /// The bytes a store charges for `g` once admitted (under a short name).
@@ -710,7 +732,6 @@ TEST(Service, CertificateRejectsMutantsAndNeverCachesThem) {
       svc.add_instance("g", gen::random_uniform(300, 310, 1500, 11)).handle;
   const std::vector<std::pair<std::string, std::string>> mutants = {
       {"test-mutant:mode=minus-one", "Berge certificate failed"},
-      {"test-mutant:mode=stats-lie", "stats report cardinality"},
       {"test-mutant:mode=invalid", "invalid matching"},
       {"test-mutant:exact=0,mode=invalid", "invalid matching"},
       {"test-mutant:mode=one-sided", "invalid matching"},

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -155,6 +157,51 @@ TEST(ServeTransport, QuotaRejectionOverSocket) {
   EXPECT_EQ(clients[0].requests, 3u);
   EXPECT_EQ(clients[0].quota_rejections, 1u);
   EXPECT_EQ(clients[0].quota, 3u);
+}
+
+TEST(ServeTransport, ClosedClientsFoldIntoTheTransportTotals) {
+  // A closed connection leaves no `client` line behind; its requests,
+  // errors and quota rejections live on in the `transport` summary.
+  TransportOptions topt;
+  topt.session.quota = 1;
+  Server server(topt);
+  constexpr std::uint64_t kClosed = 50;
+  for (std::uint64_t i = 0; i < kClosed; ++i) {
+    LineClient client = server.client();
+    client.send_line("drain");  // the quota's one request
+    ASSERT_EQ(client.recv_line(), "drained");
+    client.send_line("drain");  // over the quota: an error
+    const auto line = client.recv_line();
+    ASSERT_TRUE(line && line->starts_with("error code=quota-exceeded"));
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.transport.stats().closed < kClosed &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
+  LineClient client = server.client();
+  client.send_line("stats");
+  std::size_t client_lines = 0;
+  std::optional<std::string> summary;
+  for (std::optional<std::string> l; (l = client.recv_line());) {
+    if (l->starts_with("client id=")) ++client_lines;
+    if (l->starts_with("transport ")) {
+      summary = *l;
+      break;
+    }
+  }
+  EXPECT_EQ(client_lines, 1u);
+  ASSERT_TRUE(summary.has_value());
+  for (const std::string field :
+       {" open=1 ", " closed=50 ", " errors=50 ", " requests=51 ",
+        " quota_rejected=50"})
+    EXPECT_NE(summary->find(field), std::string::npos) << *summary;
+  EXPECT_EQ(server.transport.client_stats().size(), 1u);
+  const TransportStats stats = server.transport.stats();
+  EXPECT_EQ(stats.closed, kClosed);
+  EXPECT_EQ(stats.errors, kClosed);
+  EXPECT_EQ(stats.quota_rejections, kClosed);
 }
 
 TEST(ServeTransport, AuthRequiredOverSocket) {

@@ -89,21 +89,44 @@ TEST(SolverRegistry, CapabilitiesMatchTheAlgorithmFamilies) {
   const auto caps = [](const std::string& name) {
     return SolverRegistry::instance().create(name)->caps();
   };
-  for (const std::string& name :
-       {"g-pr-shr", "g-pr-noshr", "g-pr-first", "g-hk", "g-hkdw"}) {
+  for (const std::string& name : {"g-pr-shr", "g-pr-noshr", "g-pr-first",
+                                  "g-pr-wb", "g-hk", "g-hkdw", "auto"}) {
     EXPECT_TRUE(caps(name).needs_device) << name;
-    EXPECT_FALSE(caps(name).deterministic) << name;
     EXPECT_TRUE(caps(name).exact) << name;
   }
-  EXPECT_TRUE(caps("p-dbfs").multicore);
-  EXPECT_FALSE(caps("p-dbfs").needs_device);
-  for (const std::string& name : {"seq-pr", "hk", "hkdw", "pf"}) {
+  for (const std::string& name : {"p-dbfs", "seq-pr", "hk", "hkdw", "pf"}) {
     EXPECT_FALSE(caps(name).needs_device) << name;
-    EXPECT_TRUE(caps(name).deterministic) << name;
     EXPECT_TRUE(caps(name).exact) << name;
   }
-  EXPECT_FALSE(caps("greedy").exact);
-  EXPECT_FALSE(caps("karp-sipser").exact);
+  for (const std::string& name : {"greedy", "karp-sipser"}) {
+    EXPECT_FALSE(caps(name).needs_device) << name;
+    EXPECT_FALSE(caps(name).exact) << name;
+  }
+}
+
+// `Solver::run` writes the stats every solver shares: the cardinality is
+// the returned matching's, and the device charge is exactly what the
+// stream counted during the run — nothing for a CPU solver.
+TEST(SolverRegistry, RunReportsTheMatchingAndTheStreamsOwnCounts) {
+  const BipartiteGraph g = gen::random_uniform(200, 210, 900, 5);
+  device::Device dev({.num_threads = 1});
+  const SolveContext ctx{.device = &dev, .threads = 1};
+  const matching::ValidMatching init = matching::cheap_matching(g);
+  for (const std::string& name : SolverRegistry::instance().names()) {
+    const auto solver = SolverRegistry::instance().create(name);
+    const std::uint64_t launches_before = dev.launches();
+    const double modeled_before = dev.modeled_ms();
+    const SolveResult r = solver->run(ctx, g, init);
+    EXPECT_EQ(r.stats.cardinality, r.matching.cardinality()) << name;
+    EXPECT_EQ(r.stats.device_launches,
+              static_cast<std::int64_t>(dev.launches() - launches_before))
+        << name;
+    EXPECT_EQ(r.stats.modeled_ms, dev.modeled_ms() - modeled_before) << name;
+    if (!solver->caps().needs_device) {
+      EXPECT_EQ(r.stats.device_launches, 0) << name;
+      EXPECT_EQ(r.stats.modeled_ms, 0.0) << name;
+    }
+  }
 }
 
 TEST(SolverRegistry, DeviceSolverWithoutDeviceThrows) {
@@ -185,13 +208,14 @@ class RecordingSolver final : public Solver {
       : inner_(std::move(inner)) {}
   [[nodiscard]] std::string name() const override { return inner_->name(); }
   [[nodiscard]] SolverCaps caps() const override { return inner_->caps(); }
-  [[nodiscard]] SolveResult run(
+  [[nodiscard]] Output solve_impl(
       const SolveContext& ctx, const BipartiteGraph& g,
       const matching::ValidMatching& init) const override {
     answer_.reset();
     SolveResult out = inner_->run(ctx, g, init);
     answer_ = out.matching;
-    return out;
+    return {std::move(out.matching), out.stats.iterations,
+            std::move(out.stats.detail)};
   }
   [[nodiscard]] const std::optional<matching::Matching>& answer() const {
     return answer_;
@@ -261,7 +285,7 @@ TEST(SolverRegistry, NoSolverTurnsAnInvalidInitIntoAnAcceptedAnswer) {
       EXPECT_EQ(out.error, "invalid matching: " + init.first_violation(g))
           << name;
       test_support::expect_proof_error(g, init, [&] {
-        (void)static_cast<const Solver&>(solver).run(ctx, g, init);
+        (void)solver.run(ctx, g, init);
       });
       EXPECT_FALSE(solver.answer().has_value()) << name << " ran";
     }
