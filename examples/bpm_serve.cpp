@@ -120,8 +120,11 @@ int main(int argc, char** argv) {
                  "max commands per socket connection (0 = unlimited)", "0");
   cli.add_option("max-line", "per-connection line budget in bytes", "65536");
   cli.add_option("max-clients", "concurrent socket connections", "64");
+  // Nothing reads this; ROADMAP item 2 deletes it with its benchmark uses.
   cli.add_option("transport-executors",
-                 "socket command executor threads (0 = 4)", "0");
+                 "ignored: every socket connection runs its commands on its "
+                 "own thread",
+                 "0");
   cli.add_flag("tolerate-errors",
                "script/stdin `error ...` responses do not fail the exit "
                "code (malformed-input smoke runs)");
@@ -164,7 +167,6 @@ int main(int argc, char** argv) {
       topt.port = static_cast<std::uint16_t>(
           cli.get_int("listen", 0, std::numeric_limits<std::uint16_t>::max()));
     topt.max_clients = size("max-clients");
-    topt.executors = count("transport-executors");
     topt.session.auth_token = cli.get_string("auth-token");
     topt.session.quota = size("quota");
     topt.session.limits = local_options.limits;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "device/mem.hpp"
-#include "util/timer.hpp"
 
 namespace bpm::gpu {
 
@@ -237,7 +236,6 @@ bool host_augment_once(const BipartiteGraph& g, HkDeviceState& st) {
 GhkResult g_hk(device::Device& dev, const BipartiteGraph& g,
                const matching::ValidMatching& init,
                const GhkOptions& options) {
-  Timer total;
   GhkResult result;
   GhkStats& stats = result.stats;
 
@@ -268,7 +266,6 @@ GhkResult g_hk(device::Device& dev, const BipartiteGraph& g,
 
   result.matching.row_match = st.mu_row.to_host();
   result.matching.col_match = st.mu_col.to_host();
-  stats.total_ms = total.elapsed_ms();
   return result;
 }
 

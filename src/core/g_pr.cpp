@@ -103,7 +103,6 @@ void run_active_list(device::Device& dev, const BipartiteGraph& g,
   device::relaxed_vector<index_t> i_a(static_cast<std::size_t>(g.num_cols()),
                                       -1);
   auto len = static_cast<std::int64_t>(initial.size());
-  stats.active_peak = static_cast<index_t>(len);
 
   std::int64_t loop = 0;
   RelabelScheduler relabels(options);
@@ -253,7 +252,6 @@ void run_balanced(device::Device& dev, const BipartiteGraph& g,
   RelabelScheduler relabels(options);
   Timer timer;
   std::int64_t len = f.size();
-  stats.active_peak = static_cast<index_t>(len);
 
   while (len > 0) {
     (void)relabels.on_loop(dev, g, st, loop, stats, timer);
@@ -291,8 +289,6 @@ void run_balanced(device::Device& dev, const BipartiteGraph& g,
     compact_sp.end();
 
     len = total;
-    stats.active_peak =
-        std::max(stats.active_peak, static_cast<index_t>(len));
     if (len == 0) {
       stats.push_ms += timer.elapsed_ms();
       if (observer) observer->on_loop_end(loop, st);

@@ -148,7 +148,6 @@ class RelabelScheduler {
     }
     ++stats.global_relabels;
     stats.gr_level_kernels += gr.level_kernels;
-    stats.last_max_level = gr.max_level;
     iter_gr_ = next_global_relabel_loop(options_, gr.max_level, loop);
     return true;
   }

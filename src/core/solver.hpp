@@ -112,6 +112,16 @@ class Solver {
   [[nodiscard]] virtual Output solve_impl(
       const SolveContext& ctx, const graph::BipartiteGraph& g,
       const matching::ValidMatching& init) const = 0;
+
+  /// `solver`'s `solve_impl`, for a solver that delegates its algorithm to
+  /// another (`policy::AutoSolver`): the delegating `run` has already done
+  /// the bookkeeping, so the delegate's must not run again.
+  [[nodiscard]] static Output solve_with(const Solver& solver,
+                                         const SolveContext& ctx,
+                                         const graph::BipartiteGraph& g,
+                                         const matching::ValidMatching& init) {
+    return solver.solve_impl(ctx, g, init);
+  }
 };
 
 /// A parsed solver specification: a registry name plus `set_option`

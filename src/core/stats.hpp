@@ -2,8 +2,6 @@
 
 #include <cstdint>
 
-#include "graph/bipartite_graph.hpp"
-
 namespace bpm::gpu {
 
 /// Execution counters and timing breakdown of one G-PR run.
@@ -17,8 +15,6 @@ struct GprStats {
   /// columns (0 when the solve never measured it, i.e. balance != auto).
   double balance_skew = 0.0;
   bool balanced = false;  ///< ran the workload-balanced frontier path
-  graph::index_t last_max_level = 0; ///< maxLevel of the final global relabel
-  graph::index_t active_peak = 0;    ///< longest active list observed
 
   double gr_ms = 0.0;     ///< time in global relabeling
   double push_ms = 0.0;   ///< time in INIT/PUSH/SHR kernels
@@ -34,7 +30,6 @@ struct GhkStats {
   std::int64_t dw_augmentations = 0;
   std::int64_t sequential_fallbacks = 0;  ///< host augmentations forced by
                                           ///< total claim-validation failure
-  double total_ms = 0.0;
 };
 
 }  // namespace bpm::gpu

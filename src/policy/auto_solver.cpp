@@ -51,15 +51,16 @@ AutoSolver::Output AutoSolver::solve_impl(
     const SolveContext& ctx, const graph::BipartiteGraph& g,
     const matching::ValidMatching& init) const {
   const Resolved resolved = resolve(compute_features(g, init.cardinality()));
-  SolveResult result = resolved.solver->run(ctx, g, init);
+  Output out = solve_with(*resolved.solver, ctx, g, init);
   // The resolution provenance, ahead of the inner solver's own detail —
   // this is how pipeline reports and ticket stats carry the chosen spec.
   std::ostringstream d;
   d << "auto -> " << resolved.spec.canonical() << " [bucket="
     << resolved.bucket << ", " << (resolved.fallback ? "fallback" : "model")
     << "]";
-  if (!result.stats.detail.empty()) d << "; " << result.stats.detail;
-  return {std::move(result.matching), result.stats.iterations, d.str()};
+  if (!out.detail.empty()) d << "; " << out.detail;
+  out.detail = d.str();
+  return out;
 }
 
 }  // namespace bpm::policy

@@ -55,7 +55,8 @@ class AutoSolver final : public Solver {
   [[nodiscard]] Resolved resolve(const InstanceFeatures& f) const;
 
  protected:
-  /// Features → resolve → run the chosen solver; prepends the choice to
+  /// Features → resolve → the chosen solver's `solve_impl` (this solver's
+  /// `run` already did the bookkeeping); prepends the choice to
   /// `SolveStats::detail`.  `run` charges the whole of it (features,
   /// resolution and solve): what the caller waited for.
   [[nodiscard]] Output solve_impl(

@@ -49,11 +49,11 @@ InstanceStore::AddResult InstanceStore::add(std::string name,
 }
 
 InstanceStore::AddResult InstanceStore::add(PipelineInstance instance) {
-  // Built elsewhere, its init may belong to another graph: prove it
-  // against this one (throws before anything is stored).
+  // Built elsewhere, its init and fingerprint may belong to another graph:
+  // prove the init against this one (throws before anything is stored) and
+  // recompute the fingerprint, so it cannot dedup onto another graph.
   instance.init = matching::ValidMatching(instance.graph, instance.init.get());
-  if (instance.fingerprint == 0)
-    instance.fingerprint = graph::structural_fingerprint(instance.graph);
+  instance.fingerprint = graph::structural_fingerprint(instance.graph);
   return insert(std::move(instance));
 }
 

@@ -75,8 +75,8 @@ class InstanceStore {
   /// Admits an already-built instance (e.g. a harness's precomputed suite)
   /// without redoing the feature work.  Its init is proven again against
   /// its graph (`matching::ValidMatching`): an init of another graph throws
-  /// `std::invalid_argument` and nothing is stored.  A zero fingerprint is
-  /// computed, a nonzero one is trusted; dedup applies as usual.
+  /// `std::invalid_argument` and nothing is stored.  Its fingerprint is
+  /// recomputed from its graph, whatever it carries; dedup applies as usual.
   AddResult add(PipelineInstance instance);
 
   /// The admitted instance behind a handle, valid until it is evicted.

@@ -282,8 +282,6 @@ void MatchingService::complete(Queued& q, Response&& response) {
   const std::unique_lock lock(mutex_);
   ++stats_.completed;
   if (!response.ok) ++stats_.failed;
-  stats_.queue_ms_total += response.queue_ms;
-  stats_.service_ms_total += response.service_ms;
   // Per-solver latency table: solved requests only (cache hits report a
   // zero service time that would poison the mean), keyed by the resolved
   // canonical spec so auto traffic is judged under its concrete picks.

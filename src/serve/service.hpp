@@ -128,8 +128,6 @@ struct ServiceStats {
   std::size_t queued = 0;     ///< snapshot: waiting for a worker
   std::size_t in_flight = 0;  ///< snapshot: being served right now
   std::size_t tickets_retained = 0;  ///< snapshot: ledger size (all states)
-  double queue_ms_total = 0.0;
-  double service_ms_total = 0.0;
 };
 
 /// Observed wall-time distribution of one resolved solver spec across the

@@ -66,7 +66,7 @@ class Session {
   [[nodiscard]] Outcome execute(std::string_view line);
 
   // Per-session accounting.  Atomics because a transport's `stats`
-  // command reads every session's counters from whichever executor
+  // command reads every session's counters from whichever connection's
   // thread serves it, concurrently with the owning thread updating them.
   [[nodiscard]] std::uint64_t requests() const {
     return requests_.load(std::memory_order_relaxed);

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 #include "obs/metrics.hpp"
 
@@ -20,21 +21,31 @@ namespace bpm::serve {
 
 namespace {
 
+/// How often the accept thread looks at `stop()` between connections.
 constexpr int kPollIntervalMs = 100;
-/// How long `stop()` keeps flushing pending responses before closing.
+/// How long `stop()` lets connections answer the lines they already
+/// received before closing them.
 constexpr auto kStopGrace = std::chrono::milliseconds(500);
-/// Past this, connections are torn down even with an executor blocked on
-/// them (the executor finishes against the still-alive Conn object).
-constexpr auto kStopForce = std::chrono::milliseconds(3000);
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
+/// One `recv`'s worth; the line buffer holds at most the line budget plus
+/// this.
+constexpr std::size_t kRecvBytes = 16384;
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::runtime_error("transport: " + what + ": " +
                            std::strerror(errno));
+}
+
+/// Blocking write of all of `bytes`; false if the connection is gone.
+bool send_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
 }
 
 }  // namespace
@@ -42,25 +53,8 @@ void set_nonblocking(int fd) {
 SocketTransport::SocketTransport(SessionContext& context,
                                  TransportOptions options)
     : context_(context), options_(std::move(options)) {
-  if (options_.executors == 0) options_.executors = 4;
-
-  int pipe_fds[2] = {-1, -1};
-  if (::pipe(pipe_fds) != 0) throw_errno("pipe");
-  wake_read_fd_ = pipe_fds[0];
-  wake_write_fd_ = pipe_fds[1];
-  set_nonblocking(wake_read_fd_);
-  set_nonblocking(wake_write_fd_);
-
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  const auto cleanup = [&] {
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    ::close(wake_read_fd_);
-    ::close(wake_write_fd_);
-  };
-  if (listen_fd_ < 0) {
-    cleanup();
-    throw_errno("socket");
-  }
+  if (listen_fd_ < 0) throw_errno("socket");
   int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
@@ -68,14 +62,14 @@ SocketTransport::SocketTransport(SessionContext& context,
   addr.sin_family = AF_INET;
   addr.sin_port = htons(options_.port);
   if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    cleanup();
+    ::close(listen_fd_);
     throw std::runtime_error("transport: bad bind address '" +
                              options_.host + "'");
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
           0 ||
       ::listen(listen_fd_, 128) != 0) {
-    cleanup();
+    ::close(listen_fd_);
     throw_errno("bind/listen on " + options_.host + ":" +
                 std::to_string(options_.port));
   }
@@ -83,84 +77,86 @@ SocketTransport::SocketTransport(SessionContext& context,
   socklen_t len = sizeof(bound);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
   port_ = ntohs(bound.sin_port);
-  set_nonblocking(listen_fd_);
+  // Non-blocking, so a connection that goes away between poll and accept
+  // cannot block the accept thread past a stop().
+  ::fcntl(listen_fd_, F_SETFL, ::fcntl(listen_fd_, F_GETFL, 0) | O_NONBLOCK);
 
-  poll_thread_ = std::thread([this] { poll_loop(); });
-  executors_.reserve(options_.executors);
-  for (unsigned e = 0; e < options_.executors; ++e)
-    executors_.emplace_back([this] { executor_loop(); });
+  accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
 SocketTransport::~SocketTransport() { stop(); }
 
-void SocketTransport::wake() {
-  const char byte = 'w';
-  [[maybe_unused]] const ssize_t n = ::write(wake_write_fd_, &byte, 1);
-}
-
 void SocketTransport::wait_shutdown() {
-  std::unique_lock lock(state_mutex_);
-  state_cv_.wait(lock, [&] { return shutdown_requested_ || stopping_; });
+  std::unique_lock lock(mutex_);
+  cv_.wait(lock, [&] { return shutdown_requested_ || stopping_; });
 }
 
 bool SocketTransport::shutdown_requested() const {
-  const std::lock_guard lock(state_mutex_);
+  const std::lock_guard lock(mutex_);
   return shutdown_requested_;
 }
 
 void SocketTransport::stop() {
-  {
-    std::unique_lock lock(state_mutex_);
-    if (stopping_) {
-      // A concurrent or repeated stop: wait for the first one to finish.
-      state_cv_.wait(lock, [&] { return stopped_; });
-      return;
-    }
-    stopping_ = true;
-    state_cv_.notify_all();
+  std::unique_lock lock(mutex_);
+  if (stopping_) {
+    // A concurrent or repeated stop: wait for the first one to finish.
+    cv_.wait(lock, [&] { return stopped_; });
+    return;
   }
-  wake();
-  if (poll_thread_.joinable()) poll_thread_.join();
-  {
-    const std::lock_guard lock(work_mutex_);
-    stop_executors_ = true;
-    work_cv_.notify_all();
+  stopping_ = true;
+  cv_.notify_all();
+  lock.unlock();
+  // Wakes the accept thread's poll at once on Linux; elsewhere it sees
+  // `stopping_` within kPollIntervalMs.
+  ::shutdown(listen_fd_, SHUT_RDWR);
+  accept_thread_.join();
+
+  // Reading ends: `recv` returns what was already received, then EOF, so
+  // received lines are still answered.  Past the grace, writing ends too.
+  lock.lock();
+  for (const auto& [id, c] : conns_) ::shutdown(c->fd, SHUT_RD);
+  if (!cv_.wait_for(lock, kStopGrace, [&] { return conns_.empty(); })) {
+    // A peer may keep sending after SHUT_RD, and lines with no reply
+    // (blank, comments) never fail a send: `closing_` ends those reads.
+    closing_.store(true);
+    for (const auto& [id, c] : conns_) ::shutdown(c->fd, SHUT_RDWR);
+    // A thread still executing a command (a `wait`, say) leaves when it
+    // finishes.
+    cv_.wait(lock, [&] { return conns_.empty(); });
   }
-  for (std::thread& t : executors_)
-    if (t.joinable()) t.join();
+  std::vector<std::thread> finished = std::move(finished_);
+  lock.unlock();
+  for (std::thread& t : finished) t.join();
   ::close(listen_fd_);
-  ::close(wake_read_fd_);
-  ::close(wake_write_fd_);
-  listen_fd_ = wake_read_fd_ = wake_write_fd_ = -1;
-  {
-    const std::lock_guard lock(state_mutex_);
-    stopped_ = true;
-    state_cv_.notify_all();
-  }
+  listen_fd_ = -1;
+
+  lock.lock();
+  stopped_ = true;
+  cv_.notify_all();
 }
 
 TransportStats SocketTransport::stats() const {
-  const std::lock_guard lock(conns_mutex_);
+  const std::lock_guard lock(mutex_);
   TransportStats s = stats_;
   s.open = conns_.size();
   for (const auto& [id, c] : conns_) {
-    s.errors += c->session->errors();
-    s.requests += c->session->requests();
-    s.quota_rejections += c->session->quota_rejections();
+    s.errors += c->session.errors();
+    s.requests += c->session.requests();
+    s.quota_rejections += c->session.quota_rejections();
   }
   return s;
 }
 
 std::vector<TransportClientStats> SocketTransport::client_stats() const {
-  const std::lock_guard lock(conns_mutex_);
+  const std::lock_guard lock(mutex_);
   std::vector<TransportClientStats> out;
   out.reserve(conns_.size());
   for (const auto& [id, c] : conns_)
     out.push_back({.id = c->id,
-                   .authed = c->session->authed(),
-                   .requests = c->session->requests(),
-                   .errors = c->session->errors(),
-                   .quota_rejections = c->session->quota_rejections(),
+                   .authed = c->session.authed(),
+                   .requests = c->session.requests(),
+                   .errors = c->session.errors(),
+                   .quota_rejections = c->session.quota_rejections(),
                    .quota = options_.session.quota});
   return out;
 }
@@ -188,301 +184,142 @@ std::vector<std::string> SocketTransport::stats_lines() const {
   return out;
 }
 
-void SocketTransport::handle_accept() {
+void SocketTransport::accept_loop() {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;  // EAGAIN or transient error: try again next poll
-    set_nonblocking(fd);
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    std::vector<std::thread> finished;
+    {
+      const std::lock_guard lock(mutex_);
+      if (stopping_) return;
+      finished.swap(finished_);
+    }
+    for (std::thread& t : finished) t.join();
 
-    const std::lock_guard lock(conns_mutex_);
-    if (conns_.size() >= options_.max_clients) {
-      const std::string refusal =
-          proto::error_line({proto::ErrorCode::kUnavailable,
+    pollfd p{listen_fd_, POLLIN, 0};
+    if (::poll(&p, 1, kPollIntervalMs) > 0) accept_one();
+  }
+}
+
+void SocketTransport::accept_one() {
+  const int fd = ::accept(listen_fd_, nullptr, nullptr);
+  if (fd < 0) return;  // gone already, or transient: try again next poll
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+
+  {
+    const std::lock_guard lock(mutex_);
+    if (conns_.size() < options_.max_clients) {
+      const std::uint64_t id = next_conn_id_++;
+      Conn& conn = *conns_
+                        .emplace(id, std::make_unique<Conn>(
+                                         fd, id, context_, options_.session))
+                        .first->second;
+      try {
+        conn.thread = std::thread([this, &conn] { serve(conn); });
+        ++stats_.accepted;
+        obs::Registry::global().counter("serve.transport.accepted").inc();
+        obs::Registry::global()
+            .gauge("serve.transport.open_connections")
+            .set(static_cast<double>(conns_.size()));
+        return;
+      } catch (const std::system_error&) {
+        conns_.erase(id);  // no thread to spare: refused like a full server
+      }
+    }
+    ++stats_.refused;
+  }
+  [[maybe_unused]] const bool sent = send_all(
+      fd, proto::error_line({proto::ErrorCode::kUnavailable,
                              "server full (" +
                                  std::to_string(options_.max_clients) +
                                  " clients)"}) +
-          "\n";
-      [[maybe_unused]] const ssize_t n =
-          ::send(fd, refusal.data(), refusal.size(), MSG_NOSIGNAL);
-      ::close(fd);
-      ++stats_.refused;
-      continue;
+              "\n");
+  ::close(fd);
+}
+
+void SocketTransport::serve(Conn& conn) {
+  const std::size_t budget = options_.session.limits.max_line_bytes;
+  std::string in;
+  char buf[kRecvBytes];
+  for (bool open = true; open && !closing_.load();) {
+    const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // peer closed, stop(), or a read error
+    in.append(buf, static_cast<std::size_t>(n));
+
+    std::size_t start = 0;
+    for (std::size_t nl;
+         open && (nl = in.find('\n', start)) != std::string::npos;
+         start = nl + 1) {
+      std::string_view line(in.data() + start, nl - start);
+      if (line.ends_with('\r')) line.remove_suffix(1);
+      open = answer(conn, line);
     }
-    auto conn = std::make_shared<Conn>();
-    conn->fd = fd;
-    conn->id = next_conn_id_++;
-    conn->session = std::make_unique<Session>(context_, options_.session);
-    conns_.emplace(conn->id, std::move(conn));
-    ++stats_.accepted;
-    obs::Registry::global().counter("serve.transport.accepted").inc();
+    in.erase(0, start);
+    if (open && in.size() > budget) {
+      // An unterminated line past the budget: the stream's framing is
+      // gone — answer once and end the connection.
+      [[maybe_unused]] const bool sent = send_all(
+          conn.fd, proto::error_line(
+                       {proto::ErrorCode::kLineTooLong,
+                        "unterminated line past the " +
+                            std::to_string(budget) + "-byte budget"}) +
+                       "\n");
+      obs::Registry::global().counter("serve.transport.errors").inc();
+      const std::lock_guard lock(mutex_);
+      ++stats_.errors;
+      open = false;
+    }
+  }
+
+  const int fd = conn.fd;
+  {
+    const std::lock_guard lock(mutex_);
+    stats_.errors += conn.session.errors();
+    stats_.requests += conn.session.requests();
+    stats_.quota_rejections += conn.session.quota_rejections();
+    ++stats_.closed;
+    finished_.push_back(std::move(conn.thread));
+    conns_.erase(conn.id);  // destroys `conn`
     obs::Registry::global()
         .gauge("serve.transport.open_connections")
         .set(static_cast<double>(conns_.size()));
+    cv_.notify_all();
   }
+  // Out of `conns_` first, so stop() never shuts down a reused fd number.
+  ::close(fd);
 }
 
-void SocketTransport::handle_read(const std::shared_ptr<Conn>& conn) {
-  char buf[16384];
-  std::string received;
-  bool eof = false;
-  for (;;) {
-    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      received.append(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n == 0) {
-      eof = true;
-    } else if (errno == EINTR) {
-      continue;
-    } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
-      eof = true;
-    }
-    break;
+bool SocketTransport::answer(Conn& conn, std::string_view line) {
+  const Session::Outcome outcome = conn.session.execute(line);
+  std::string reply;
+  std::uint64_t errors = 0;
+  for (const std::string& l : outcome.lines) {
+    if (l.starts_with("error ")) ++errors;
+    reply += l;
+    reply += '\n';
   }
-
-  bool overflowed = false;
+  if (outcome.stats)
+    for (const std::string& l : stats_lines()) {
+      reply += l;
+      reply += '\n';
+    }
   {
-    const std::lock_guard lock(conn->m);
-    conn->inbuf += received;
-    if (eof) conn->eof = true;
-    std::size_t start = 0;
-    for (std::size_t nl; (nl = conn->inbuf.find('\n', start)) !=
-                         std::string::npos;
-         start = nl + 1) {
-      std::string line = conn->inbuf.substr(start, nl - start);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      conn->pending.push_back(std::move(line));
-    }
-    conn->inbuf.erase(0, start);
-    if (conn->inbuf.size() > options_.session.limits.max_line_bytes) {
-      // An unterminated line past the budget: the stream's framing is
-      // gone — answer once, drop the blob, end the connection.
-      conn->outbuf +=
-          proto::error_line(
-              {proto::ErrorCode::kLineTooLong,
-               "unterminated line past the " +
-                   std::to_string(options_.session.limits.max_line_bytes) +
-                   "-byte budget"}) +
-          "\n";
-      conn->inbuf.clear();
-      conn->close_after_flush = true;
-      overflowed = true;
-    }
+    const std::lock_guard lock(mutex_);
+    ++stats_.lines;
   }
-  if (overflowed) {
-    // Counted outside conn->m: the lock order is conns_mutex_ -> conn->m,
-    // never the reverse.
-    obs::Registry::global().counter("serve.transport.errors").inc();
-    const std::lock_guard lock(conns_mutex_);
-    ++stats_.errors;
+  obs::Registry::global().counter("serve.transport.lines").inc();
+  if (errors > 0)
+    obs::Registry::global().counter("serve.transport.errors").add(errors);
+
+  const bool sent = send_all(conn.fd, reply);
+  if (outcome.shutdown) {
+    // Only now: `ok shutdown` is written before the owner can stop().  A
+    // client gone before it could read it still stops the server.
+    const std::lock_guard lock(mutex_);
+    shutdown_requested_ = true;
+    cv_.notify_all();
   }
-  maybe_schedule(conn);
-}
-
-void SocketTransport::handle_write(const std::shared_ptr<Conn>& conn) {
-  const std::lock_guard lock(conn->m);
-  while (!conn->outbuf.empty()) {
-    const ssize_t n = ::send(conn->fd, conn->outbuf.data(),
-                             conn->outbuf.size(), MSG_NOSIGNAL);
-    if (n > 0) {
-      conn->outbuf.erase(0, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (errno == EINTR) continue;
-    if (errno != EAGAIN && errno != EWOULDBLOCK) conn->eof = true;
-    break;
-  }
-}
-
-void SocketTransport::maybe_schedule(const std::shared_ptr<Conn>& conn) {
-  bool schedule = false;
-  {
-    const std::lock_guard lock(conn->m);
-    if (!conn->executing && !conn->pending.empty() &&
-        !conn->close_after_flush) {
-      conn->executing = true;
-      schedule = true;
-    }
-  }
-  if (schedule) {
-    const std::lock_guard lock(work_mutex_);
-    work_.push_back(conn);
-    work_cv_.notify_one();
-  }
-}
-
-void SocketTransport::poll_loop() {
-  std::vector<pollfd> fds;
-  std::vector<std::shared_ptr<Conn>> polled;
-  auto stop_seen = std::chrono::steady_clock::time_point::max();
-
-  for (;;) {
-    bool stopping;
-    {
-      const std::lock_guard lock(state_mutex_);
-      stopping = stopping_;
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (stopping && stop_seen == std::chrono::steady_clock::time_point::max())
-      stop_seen = now;
-
-    fds.clear();
-    polled.clear();
-    fds.push_back({wake_read_fd_, POLLIN, 0});
-    bool listening = false;
-    {
-      const std::lock_guard lock(conns_mutex_);
-      if (!stopping && conns_.size() <= options_.max_clients) {
-        // Keep polling the listener at the cap too, so over-limit
-        // connections are refused promptly instead of queueing.
-        fds.push_back({listen_fd_, POLLIN, 0});
-        listening = true;
-      }
-      for (const auto& [id, c] : conns_) {
-        short events = 0;
-        {
-          const std::lock_guard cl(c->m);
-          if (!c->eof && !c->close_after_flush && !stopping) events |= POLLIN;
-          if (!c->outbuf.empty()) events |= POLLOUT;
-        }
-        fds.push_back({c->fd, events, 0});
-        polled.push_back(c);
-      }
-    }
-
-    ::poll(fds.data(), static_cast<nfds_t>(fds.size()), kPollIntervalMs);
-
-    if (fds[0].revents & POLLIN) {
-      char drain[64];
-      while (::read(wake_read_fd_, drain, sizeof(drain)) > 0) {
-      }
-    }
-    std::size_t base = 1;
-    if (listening) {
-      if (fds[1].revents & POLLIN) handle_accept();
-      base = 2;
-    }
-    for (std::size_t i = 0; i < polled.size(); ++i) {
-      const short revents = fds[base + i].revents;
-      if (revents & (POLLIN | POLLHUP | POLLERR)) handle_read(polled[i]);
-      if (revents & POLLOUT) handle_write(polled[i]);
-    }
-
-    // Teardown sweep.  A connection leaves once no executor owns it and
-    // it has nothing left to say; a stop() flushes within the grace
-    // window, then force-closes (the Conn object itself stays alive for
-    // any executor still blocked on it).
-    {
-      const std::lock_guard lock(conns_mutex_);
-      for (auto it = conns_.begin(); it != conns_.end();) {
-        const std::shared_ptr<Conn>& c = it->second;
-        bool remove;
-        bool force = stopping && now - stop_seen > kStopForce;
-        {
-          const std::lock_guard cl(c->m);
-          const bool idle = !c->executing && c->pending.empty();
-          const bool flushed = c->outbuf.empty();
-          remove = force ||
-                   (idle && ((c->eof) || (c->close_after_flush && flushed) ||
-                             (stopping &&
-                              (flushed || now - stop_seen > kStopGrace))));
-        }
-        if (!remove) {
-          ++it;
-          continue;
-        }
-        stats_.errors += c->session->errors();
-        stats_.requests += c->session->requests();
-        stats_.quota_rejections += c->session->quota_rejections();
-        ::shutdown(c->fd, SHUT_RDWR);
-        ::close(c->fd);
-        c->fd = -1;
-        ++stats_.closed;
-        it = conns_.erase(it);
-      }
-      obs::Registry::global()
-          .gauge("serve.transport.open_connections")
-          .set(static_cast<double>(conns_.size()));
-      if (stopping && conns_.empty()) return;
-    }
-  }
-}
-
-void SocketTransport::executor_loop() {
-  for (;;) {
-    std::shared_ptr<Conn> conn;
-    {
-      std::unique_lock lock(work_mutex_);
-      work_cv_.wait(lock,
-                    [&] { return stop_executors_ || !work_.empty(); });
-      if (work_.empty()) return;
-      conn = std::move(work_.front());
-      work_.pop_front();
-    }
-
-    std::string line;
-    bool have = false;
-    {
-      const std::lock_guard lock(conn->m);
-      if (!conn->pending.empty()) {
-        line = std::move(conn->pending.front());
-        conn->pending.pop_front();
-        have = true;
-      }
-    }
-
-    Session::Outcome outcome;
-    if (have) outcome = conn->session->execute(line);
-    // Collected BEFORE taking conn->m: stats_lines locks conns_mutex_
-    // then each conn's mutex, and that order must hold everywhere.
-    std::vector<std::string> extra;
-    if (outcome.stats) extra = stats_lines();
-
-    std::uint64_t new_errors = 0;
-    for (const std::string& l : outcome.lines)
-      if (l.starts_with("error ")) ++new_errors;
-
-    bool more = false;
-    {
-      const std::lock_guard lock(conn->m);
-      for (const std::string& l : outcome.lines) {
-        conn->outbuf += l;
-        conn->outbuf += '\n';
-      }
-      for (const std::string& l : extra) {
-        conn->outbuf += l;
-        conn->outbuf += '\n';
-      }
-      if (outcome.close) conn->close_after_flush = true;
-      if (!conn->pending.empty() && !conn->close_after_flush)
-        more = true;
-      else
-        conn->executing = false;
-    }
-    if (have) {
-      const std::lock_guard lock(conns_mutex_);
-      ++stats_.lines;
-    }
-    if (have) obs::Registry::global().counter("serve.transport.lines").inc();
-    if (new_errors > 0)
-      obs::Registry::global()
-          .counter("serve.transport.errors")
-          .add(new_errors);
-    if (outcome.shutdown) {
-      const std::lock_guard lock(state_mutex_);
-      shutdown_requested_ = true;
-      state_cv_.notify_all();
-    }
-    if (more) {
-      const std::lock_guard lock(work_mutex_);
-      work_.push_back(conn);
-      work_cv_.notify_one();
-    }
-    wake();
-  }
+  return sent && !outcome.close;
 }
 
 // --- LineClient --------------------------------------------------------------
@@ -518,17 +355,9 @@ void LineClient::close() {
 }
 
 void LineClient::send_raw(std::string_view bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("line client: send failed: " +
-                               std::string(std::strerror(errno)));
-    }
-    sent += static_cast<std::size_t>(n);
-  }
+  if (!send_all(fd_, bytes))
+    throw std::runtime_error("line client: send failed: " +
+                             std::string(std::strerror(errno)));
 }
 
 void LineClient::send_line(std::string_view line) {

@@ -1,8 +1,8 @@
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -21,12 +21,9 @@ struct TransportOptions {
   /// 0 binds an ephemeral port; read the real one back from `port()`.
   std::uint16_t port = 0;
   /// Connections beyond this are refused with `error code=unavailable`.
+  /// Each admitted connection has one thread, so this also bounds the
+  /// commands in flight.
   std::size_t max_clients = 64;
-  /// Command executor threads.  Blocking commands (`wait`, `drain`) hold
-  /// an executor while they block, so size this at least as large as the
-  /// number of clients expected to block concurrently; others' commands
-  /// queue behind them but always make progress.  0 = 4.
-  unsigned executors = 0;
   /// Auth token, per-client quota, and line budget for every connection.
   Session::Options session;
 };
@@ -55,22 +52,27 @@ struct TransportClientStats {
   std::uint64_t quota = 0;  ///< configured limit (0 = unlimited)
 };
 
-/// A poll(2)-based line-protocol socket server multiplexing N concurrent
-/// clients onto one `MatchingService`.
+/// A line-protocol socket server running one thread per connection
+/// against one `MatchingService`.
 ///
-/// One poll thread owns all I/O: it accepts connections, splits reads
-/// into protocol lines (enforcing the per-connection line budget), and
-/// flushes response bytes.  Commands execute on a small executor pool —
-/// at most one in flight per connection, so each client sees strict FIFO
-/// request/response order, while different clients' commands (including
-/// blocking `wait`s) proceed concurrently.  Every response is produced by
-/// a per-connection `Session`, so quotas, auth, and the never-crash
-/// malformed-input guarantees are identical to the stdin driver.
+/// An accept thread admits connections (refusing those over
+/// `max_clients`).  Each admitted connection's thread owns its socket and
+/// its `Session` and runs the stdin driver's loop: block in `recv` until a
+/// whole line is buffered (an unterminated tail past the line budget ends
+/// the connection), execute it, write the reply with a blocking `send`.
+/// So each client sees strict FIFO request/response order, a blocking
+/// `wait` stalls only its own connection, and a client that stops reading
+/// stalls only its own thread: TCP backpressure bounds what it makes the
+/// server hold to one line budget plus the kernel's socket buffers.
+/// Every response is produced by the connection's `Session`, so quotas,
+/// auth, and the never-crash malformed-input guarantees are identical to
+/// the stdin driver.
 ///
 /// A client's `shutdown` command drains the service, answers
-/// `ok shutdown`, and unblocks `wait_shutdown()`; the owner then calls
-/// `stop()`, which stops accepting, flushes pending responses (bounded
-/// grace), closes every connection, and joins all threads.
+/// `ok shutdown`, and then unblocks `wait_shutdown()`; the owner then
+/// calls `stop()`, which stops accepting, lets every connection finish
+/// the lines it has received (bounded grace), closes them all, and joins
+/// every thread.
 ///
 /// ```
 /// serve::SessionContext ctx(service);
@@ -93,12 +95,14 @@ class SocketTransport {
 
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
-  /// Blocks until a client issues `shutdown` or `stop()` is called.
+  /// Blocks until a client's `ok shutdown` is written or `stop()` is
+  /// called.
   void wait_shutdown();
   [[nodiscard]] bool shutdown_requested() const;
 
-  /// Stops accepting, flushes pending responses (bounded grace), closes
-  /// every connection, joins the poll and executor threads.  Idempotent.
+  /// Stops accepting and ends every connection's reading; replies to the
+  /// lines already received are still written for a bounded grace, then
+  /// every connection is closed and every thread joined.  Idempotent.
   void stop();
 
   [[nodiscard]] TransportStats stats() const;
@@ -107,58 +111,50 @@ class SocketTransport {
 
  private:
   struct Conn {
-    int fd = -1;
-    std::uint64_t id = 0;
-    std::unique_ptr<Session> session;
-
-    std::mutex m;  ///< guards everything below (lock AFTER conns_mutex_)
-    std::string inbuf;
-    std::deque<std::string> pending;  ///< parsed lines awaiting execution
-    std::string outbuf;
-    bool executing = false;  ///< an executor owns this conn right now
-    bool eof = false;        ///< peer closed / read error; stop reading
-    bool close_after_flush = false;
+    Conn(int fd, std::uint64_t id, SessionContext& context,
+         const Session::Options& options)
+        : fd(fd), id(id), session(context, options) {}
+    const int fd;  ///< closed by the connection's own thread only
+    const std::uint64_t id;
+    Session session;
+    std::thread thread;  ///< set under `mutex_` before it can exit
   };
 
-  void poll_loop();
-  void executor_loop();
-  void handle_accept();
-  void handle_read(const std::shared_ptr<Conn>& conn);
-  void handle_write(const std::shared_ptr<Conn>& conn);
-  /// Queues the conn for execution if it has work and no executor.
-  void maybe_schedule(const std::shared_ptr<Conn>& conn);
+  void accept_loop();
+  void accept_one();
+  /// The connection thread: read, execute and answer lines until the peer
+  /// closes, the line budget is blown, or `stop()` ends it; then folds its
+  /// counters into `stats_`, leaves `conns_`, and closes its fd.
+  void serve(Conn& conn);
+  /// Executes one line and writes its reply; false ends the connection.
+  bool answer(Conn& conn, std::string_view line);
   /// `client ...` lines + the final `transport ...` summary appended to
   /// every `stats` response served over this transport.
   [[nodiscard]] std::vector<std::string> stats_lines() const;
-  void wake();
 
   SessionContext& context_;
   TransportOptions options_;
   int listen_fd_ = -1;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
   std::uint16_t port_ = 0;
 
-  mutable std::mutex conns_mutex_;
-  std::map<std::uint64_t, std::shared_ptr<Conn>> conns_;
+  /// Guards the members from here to `stopped_`.
+  mutable std::mutex mutex_;
+  /// Signals a connection leaving, a `shutdown`, and stop's progress.
+  std::condition_variable cv_;
+  std::map<std::uint64_t, std::unique_ptr<Conn>> conns_;
+  /// Threads of closed connections, joined by the accept thread or stop().
+  std::vector<std::thread> finished_;
   std::uint64_t next_conn_id_ = 1;
   /// Lifetime counters; the per-connection ones hold closed connections
   /// only, `stats()` adds the open ones.
   TransportStats stats_;
-
-  std::mutex work_mutex_;
-  std::condition_variable work_cv_;
-  std::deque<std::shared_ptr<Conn>> work_;
-  bool stop_executors_ = false;
-
-  mutable std::mutex state_mutex_;
-  std::condition_variable state_cv_;
   bool stopping_ = false;
   bool shutdown_requested_ = false;
   bool stopped_ = false;
+  /// Set once stop()'s grace is over: connection threads read no further.
+  std::atomic<bool> closing_{false};
 
-  std::thread poll_thread_;
-  std::vector<std::thread> executors_;
+  std::thread accept_thread_;
 };
 
 /// Minimal blocking line-protocol client for benches and tests: connects

@@ -25,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "serve/service.hpp"
 #include "serve/session.hpp"
+#include "sleep_solver.hpp"
 #include "valid_init.hpp"
 
 namespace bpm::serve {
@@ -32,33 +33,8 @@ namespace {
 
 namespace gen = graph::gen;
 
-/// A registered test solver that sleeps: lets tests hold a worker busy for
-/// a deterministic window (to fill queues, test priorities and deadlines).
-class SleepSolver final : public Solver {
- public:
-  [[nodiscard]] std::string name() const override { return "test-sleep"; }
-  [[nodiscard]] SolverCaps caps() const override { return {.exact = false}; }
-  bool set_option(std::string_view key, std::string_view value) override {
-    if (key != "ms") return false;
-    ms_ = std::stoi(std::string(value));
-    return true;
-  }
-  [[nodiscard]] Output solve_impl(
-      const SolveContext&, const graph::BipartiteGraph&,
-      const matching::ValidMatching& init) const override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms_));
-    return {init};
-  }
-
- private:
-  int ms_ = 20;
-};
-
-[[maybe_unused]] const bool kRegistered = [] {
-  SolverRegistry::instance().add("test-sleep",
-                                 [] { return std::make_unique<SleepSolver>(); });
-  return true;
-}();
+[[maybe_unused]] const bool kSleepRegistered =
+    (test_support::register_sleep_solver(), true);
 
 Request request(std::size_t instance, const std::string& spec,
                 int priority = 0, double deadline_ms = 0.0) {
@@ -154,6 +130,26 @@ TEST(InstanceStore, PrebuiltInstanceWithAnotherGraphsInitIsRejected) {
   own.init = matching::cheap_matching(g);
   EXPECT_EQ(store.get(store.add(own).handle).init.get().row_match,
             own.init.get().row_match);
+}
+
+TEST(InstanceStore, PrebuiltInstanceWithAnotherGraphsFingerprintGetsItsOwnHandle) {
+  // A prebuilt instance's fingerprint is recomputed from its own graph: one
+  // carrying a held graph's fingerprint must not dedup onto that graph (and
+  // be served its cached results).
+  InstanceStore store;
+  const auto held = store.add("held", gen::random_uniform(60, 60, 240, 3));
+  PipelineInstance inst;
+  inst.name = "impostor";
+  inst.graph = gen::random_uniform(60, 60, 240, 4);
+  inst.init = matching::cheap_matching(inst.graph);
+  inst.fingerprint = store.get(held.handle).fingerprint;
+  const auto added = store.add(inst);
+  EXPECT_FALSE(added.deduplicated);
+  EXPECT_NE(added.handle, held.handle);
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.get(added.handle).fingerprint,
+            graph::structural_fingerprint(inst.graph));
+  EXPECT_EQ(store.find("held"), held.handle);
 }
 
 /// The bytes a store charges for `g` once admitted (under a short name).

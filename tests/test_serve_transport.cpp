@@ -5,12 +5,22 @@
 // per-connection line budget (terminated and unterminated oversized
 // input), the malformed-input never-crash guarantee over the wire, the
 // `stats` per-client accounting lines, and clean shutdown — both by a
-// client's `shutdown` command and by stop() mid-connection.
+// client's `shutdown` command and by stop() mid-connection — and the
+// one-thread-per-connection properties: a client that never reads is held
+// back by TCP backpressure, and blocked `wait`s stall no other client.
 
+#include <arpa/inet.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -20,9 +30,13 @@
 #include "serve/service.hpp"
 #include "serve/session.hpp"
 #include "serve/transport.hpp"
+#include "sleep_solver.hpp"
 
 namespace bpm::serve {
 namespace {
+
+[[maybe_unused]] const bool kSleepRegistered =
+    (test_support::register_sleep_solver(), true);
 
 ServiceOptions tiny_service_options() {
   ServiceOptions opt;
@@ -360,6 +374,99 @@ TEST(ServeTransport, PipelinedCommandsAnswerInOrder) {
   line = client.recv_line();
   ASSERT_TRUE(line.has_value());
   EXPECT_EQ(*line, "drained");
+}
+
+TEST(ServeTransport, AClientThatNeverReadsIsHeldBackByBackpressure) {
+  // Pipelined `stats` lines, never a read: the server must stop taking
+  // bytes once the replies back up, instead of buffering without bound.
+  Server server;
+  LineClient probe = server.client();
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.transport.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK), 0);
+
+  constexpr std::size_t kCap = std::size_t{32} << 20;
+  std::string chunk;
+  while (chunk.size() < 60000) chunk += "stats\n";
+  std::size_t sent = 0;
+  bool blocked = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (sent < kCap && std::chrono::steady_clock::now() < deadline) {
+    const ssize_t n = ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      // Full for a while, not a momentary dip while the server reads.
+      pollfd p{fd, POLLOUT, 0};
+      if (::poll(&p, 1, 500) == 0) {
+        blocked = true;
+        break;
+      }
+      continue;
+    }
+    ASSERT_TRUE(n < 0 && errno == EINTR) << std::strerror(errno);
+  }
+  EXPECT_TRUE(blocked) << sent << " bytes sent without backpressure";
+  EXPECT_LT(sent, kCap);
+  ::close(fd);
+
+  // Other clients are unaffected.
+  probe.send_line("drain");
+  EXPECT_EQ(probe.recv_line(), "drained");
+}
+
+TEST(ServeTransport, BlockedWaitsDoNotStallOtherClients) {
+  // Four clients block in `wait` on solves that sleep 3 s; a fifth
+  // client's `stats` still answers at once.
+  ServiceOptions sopt = tiny_service_options();
+  sopt.workers = 4;
+  Server server(TransportOptions(), sopt);
+  {
+    LineClient setup = server.client();
+    setup.send_line("gen a planted 20 0.0 1");
+    ASSERT_TRUE(setup.recv_line().has_value());
+  }
+  std::vector<std::unique_ptr<LineClient>> waiters;
+  for (int i = 0; i < 4; ++i) {
+    auto& w = waiters.emplace_back(
+        std::make_unique<LineClient>("127.0.0.1", server.transport.port()));
+    w->send_line("submit a test-sleep:ms=3000");
+    const auto ticket = w->recv_line();
+    ASSERT_TRUE(ticket && ticket->starts_with("ticket "));
+    w->send_line("wait " + ticket->substr(7));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  LineClient fifth = server.client();
+  const auto begin = std::chrono::steady_clock::now();
+  fifth.send_line("stats");
+  std::optional<std::string> summary;
+  for (std::optional<std::string> l; (l = fifth.recv_line(1000));)
+    if (l->starts_with("transport ")) {
+      summary = *l;
+      break;
+    }
+  const auto took = std::chrono::steady_clock::now() - begin;
+  ASSERT_TRUE(summary.has_value()) << "stats did not answer within 1 s";
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(took)
+                .count(),
+            1000);
+  EXPECT_NE(summary->find("open=5"), std::string::npos) << *summary;
+
+  for (const auto& w : waiters) {
+    const auto result = w->recv_line(10000);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_NE(result->find(" ok=1 "), std::string::npos) << *result;
+  }
 }
 
 }  // namespace
