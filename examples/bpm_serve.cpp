@@ -45,9 +45,11 @@
 //                                      `client ...` accounting line per
 //                                      open connection and a final
 //                                      `transport ...` summary)
-//   metrics                            global metrics registry as JSON
-//                                      (queue depth, engine dispatches,
-//                                      cache hit rate, latency percentiles)
+//   metrics                            the service's metrics registry as
+//                                      JSON (counters, latency histograms,
+//                                      gauges read at the call) merged with
+//                                      the process-wide names such as
+//                                      device.launches
 //   trace-start <path>                 start recording a chrome://tracing
 //                                      timeline of every served request
 //   trace-dump                         write the timeline to the path given
@@ -96,7 +98,7 @@ int main(int argc, char** argv) {
   cli.add_option("queue-depth", "admission queue bound (>= 1)", "256");
   cli.add_option("retention",
                  "completed tickets kept for poll/wait before eviction "
-                 "(0 = keep all)",
+                 "(0 = keep none)",
                  "65536");
   cli.add_option("cache-bytes", "result cache budget in bytes (0 = no cache)",
                  std::to_string(std::size_t{64} << 20));

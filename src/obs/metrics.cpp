@@ -171,11 +171,27 @@ std::map<std::string, std::string> Registry::info_values() const {
   return info_;
 }
 
-std::string Registry::snapshot_json() const {
-  const auto counters = counter_values();
-  const auto gauges = gauge_values();
-  const auto histograms = histogram_snapshots();
-  const auto info = info_values();
+std::string Registry::snapshot_json() const { return json_of({this}); }
+
+std::string Registry::snapshot_json_with_global() const {
+  return json_of({this, &global()});
+}
+
+std::string Registry::json_of(
+    std::initializer_list<const Registry*> registries) {
+  // `merge` and `emplace` keep a name's first value: the earlier registry
+  // wins.
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, double> gauges;
+  std::map<std::string, Histogram::Snapshot> histograms;
+  std::map<std::string, std::string> info;
+  for (const Registry* r : registries) {
+    counters.merge(r->counter_values());
+    gauges.merge(r->gauge_values());
+    for (HistogramEntry& e : r->histogram_snapshots())
+      histograms.emplace(std::move(e.name), std::move(e.snapshot));
+    info.merge(r->info_values());
+  }
 
   std::string out = "{\n  \"counters\": {";
   bool first = true;
@@ -197,11 +213,10 @@ std::string Registry::snapshot_json() const {
 
   out += "  \"histograms\": {";
   first = true;
-  for (const auto& entry : histograms) {
+  for (const auto& [name, snap] : histograms) {
     out += first ? "\n" : ",\n";
     first = false;
-    const auto& snap = entry.snapshot;
-    out += "    " + quoted(entry.name) + ": {\"count\": " +
+    out += "    " + quoted(name) + ": {\"count\": " +
            std::to_string(snap.count) + ", \"sum\": " + number_json(snap.sum) +
            ", \"mean\": " + number_json(snap.mean()) +
            ", \"p50\": " + number_json(snap.percentile(50)) +

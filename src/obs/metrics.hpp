@@ -3,6 +3,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -78,9 +79,8 @@ class Histogram {
 
     /// Percentile estimate by linear interpolation inside the bucket the
     /// rank falls in (the overflow bucket reports its lower bound — the
-    /// histogram cannot see past its last boundary).  Mirrors the
-    /// `bpm::percentile` contract on degenerate inputs: 0 when empty,
-    /// and `pct` is clamped to [0, 100].
+    /// histogram cannot see past its last boundary).  0 when empty, and
+    /// `pct` is clamped to [0, 100].
     [[nodiscard]] double percentile(double pct) const;
     [[nodiscard]] double mean() const {
       return count == 0 ? 0.0 : sum / static_cast<double>(count);
@@ -105,11 +105,13 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// Process-wide metrics registry: named counters, gauges, histograms, and
-/// static info strings.  Registration (`counter()` et al.) takes a mutex
-/// and returns a stable reference — hot paths register once and hold the
-/// reference, so steady-state updates never touch the registry lock.
-/// Metric objects live as long as the registry.
+/// Metrics registry: named counters, gauges, histograms, and static info
+/// strings.  `global()` is the process-wide one; an owner whose counts
+/// must stay its own (a serving instance) keeps its own registry.
+/// Registration (`counter()` et al.) takes a mutex and returns a stable
+/// reference — per-launch paths register once and hold the reference, so
+/// their updates never touch the registry lock.  Metric objects live as
+/// long as the registry.
 ///
 /// `snapshot_json()` is deterministic for a fixed set of values: names
 /// are emitted in sorted order (std::map) with fixed number formatting,
@@ -143,11 +145,19 @@ class Registry {
   /// with sorted keys; histograms embed count/sum/mean, p50/p90/p99, and
   /// the per-bucket `{"le":bound,"count":n}` ladder.
   [[nodiscard]] std::string snapshot_json() const;
+  /// `snapshot_json()` merged with `global()`'s names, as one document:
+  /// for an owner that keeps its own registry (a serving instance) but
+  /// runs on process-wide instruments (`device.launches`, `policy.*`).  A
+  /// name both hold appears once, with this registry's value.
+  [[nodiscard]] std::string snapshot_json_with_global() const;
 
   /// Writes `snapshot_json()` to `path`; false on I/O failure.
   bool write_file(const std::string& path) const;
 
  private:
+  [[nodiscard]] static std::string json_of(
+      std::initializer_list<const Registry*> registries);
+
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;

@@ -8,15 +8,21 @@
 #include <utility>
 
 #include "policy/auto_solver.hpp"
-#include "util/stats.hpp"
+#include "util/timer.hpp"
 
 namespace bpm::serve {
 namespace {
 
-/// Recent-sample window behind each `SolverLatency::p90_ms` — deep enough
-/// for a stable tail estimate, bounded so the table never grows with
-/// uptime.
-constexpr std::size_t kSolverSampleWindow = 512;
+/// Registered at construction, so `metrics` lists each from zero.
+constexpr const char* kCounters[] = {
+    "serve.submitted", "serve.accepted",   "serve.rejected",
+    "serve.completed", "serve.failed",     "serve.expired",
+    "serve.cache_hits", "serve.dispatches", "serve.evicted_tickets"};
+constexpr const char* kHistograms[] = {
+    "serve.latency_ms", "serve.queue_ms", "serve.service_ms",
+    "serve.admit_ms", "serve.load_read_ms"};
+/// Prefix of the per-spec histograms behind `solver_stats()`.
+constexpr std::string_view kSolverMs = "serve.solver_ms.";
 
 double ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -34,20 +40,8 @@ MatchingService::MatchingService(ServiceOptions options)
     : options_(std::move(options)),
       engine_(std::make_shared<device::Engine>(options_.device_threads)),
       store_(options_.store_bytes) {
-  obs::Registry& reg = obs::Registry::global();
-  metrics_.submitted = &reg.counter("serve.submitted");
-  metrics_.accepted = &reg.counter("serve.accepted");
-  metrics_.rejected = &reg.counter("serve.rejected");
-  metrics_.completed = &reg.counter("serve.completed");
-  metrics_.failed = &reg.counter("serve.failed");
-  metrics_.expired = &reg.counter("serve.expired");
-  metrics_.cache_hits = &reg.counter("serve.cache_hits");
-  metrics_.dispatches = &reg.counter("serve.dispatches");
-  metrics_.evicted = &reg.counter("serve.evicted");
-  metrics_.queue_depth = &reg.gauge("serve.queue_depth");
-  metrics_.latency_ms = &reg.histogram("serve.latency_ms");
-  metrics_.queue_ms = &reg.histogram("serve.queue_ms");
-  metrics_.service_ms = &reg.histogram("serve.service_ms");
+  for (const char* name : kCounters) metrics_.counter(name);
+  for (const char* name : kHistograms) metrics_.histogram(name);
   tracer_.store(options_.tracer, std::memory_order_release);
 
   unsigned workers = options_.workers;
@@ -64,9 +58,10 @@ MatchingService::~MatchingService() { shutdown(); }
 
 InstanceStore::AddResult MatchingService::add_instance(
     std::string name, graph::BipartiteGraph graph) {
-  const InstanceStore::AddResult added =
+  const Timer timer;
+  InstanceStore::AddResult added =
       store_.add(std::move(name), std::move(graph));
-  metrics_.evicted->add(added.evicted);
+  metrics_.histogram("serve.admit_ms").observe(timer.elapsed_ms());
   return added;
 }
 
@@ -92,15 +87,13 @@ Submission MatchingService::submit(Request request) {
              std::to_string(request.instance);
 
   const std::unique_lock lock(mutex_);
-  ++stats_.submitted;
-  metrics_.submitted->add();
+  metrics_.counter("serve.submitted").inc();
   if (reject.empty() && !accepting_) reject = "service is shutting down";
   if (reject.empty() && queue_.size() >= options_.queue_depth)
     reject = "admission queue full (depth " +
              std::to_string(options_.queue_depth) + ")";
   if (!reject.empty()) {
-    ++stats_.rejected;
-    metrics_.rejected->add();
+    metrics_.counter("serve.rejected").inc();
     out.reason = std::move(reject);
     return out;
   }
@@ -121,10 +114,8 @@ Submission MatchingService::submit(Request request) {
   out.accepted = true;
   out.ticket = queued->ticket;
   out.future = pending.future;
-  ++stats_.accepted;
-  metrics_.accepted->add();
+  metrics_.counter("serve.accepted").inc();
   queue_.push_back(std::move(queued));
-  metrics_.queue_depth->set(static_cast<double>(queue_.size()));
   work_cv_.notify_one();
   return out;
 }
@@ -205,15 +196,9 @@ void MatchingService::serve_one(Queued& q) {
     r.service_ms = result.solve_ms;
   }
 
-  {
-    const std::unique_lock lock(mutex_);
-    if (expired) ++stats_.expired;
-    if (r.cached) ++stats_.cache_hits;
-    ++stats_.dispatches;
-  }
-  if (expired) metrics_.expired->add();
-  if (r.cached) metrics_.cache_hits->add();
-  metrics_.dispatches->add();
+  if (expired) metrics_.counter("serve.expired").inc();
+  if (r.cached) metrics_.counter("serve.cache_hits").inc();
+  metrics_.counter("serve.dispatches").inc();
   // Close the dispatch span before the response is delivered: a client
   // that sees its future ready must also see the dispatch in the trace,
   // and may stop (or destroy) the tracer as soon as it does.
@@ -228,12 +213,16 @@ void MatchingService::complete(Queued& q, Response&& response) {
   response.resolved_from = q.resolved_from;
   response.total_ms = ms_since(q.submitted);
 
-  metrics_.completed->add();
-  if (!response.ok) metrics_.failed->add();
-  metrics_.latency_ms->observe(response.total_ms);
-  metrics_.queue_ms->observe(response.queue_ms);
+  metrics_.histogram("serve.latency_ms").observe(response.total_ms);
+  metrics_.histogram("serve.queue_ms").observe(response.queue_ms);
   if (response.service_ms > 0.0)
-    metrics_.service_ms->observe(response.service_ms);
+    metrics_.histogram("serve.service_ms").observe(response.service_ms);
+  // Per-solver latency table: solved requests only (cache hits report a
+  // zero service time that would poison the mean), keyed by the resolved
+  // canonical spec so auto traffic is judged under its concrete picks.
+  if (response.ok && !response.cached && response.service_ms > 0.0)
+    metrics_.histogram(std::string(kSolverMs) + response.solver)
+        .observe(response.service_ms);
 
   // The ticket's admission→dispatch→complete lifecycle, reconstructed
   // from the measured waits now that they are known: a "request" span over
@@ -279,34 +268,20 @@ void MatchingService::complete(Queued& q, Response&& response) {
   // on the instance being evictable again.  The store never evicts a
   // pinned instance, so this never frees it.
   q.pin.reset();
+  // Counted under the lock `stats()` reads under, and before delivery: a
+  // client that sees its future ready sees its completion counted.
   const std::unique_lock lock(mutex_);
-  ++stats_.completed;
-  if (!response.ok) ++stats_.failed;
-  // Per-solver latency table: solved requests only (cache hits report a
-  // zero service time that would poison the mean), keyed by the resolved
-  // canonical spec so auto traffic is judged under its concrete picks.
-  if (response.ok && !response.cached && response.service_ms > 0.0) {
-    SolverObservation& o = solver_observed_[response.solver];
-    ++o.count;
-    o.total_ms += response.service_ms;
-    if (o.recent.size() < kSolverSampleWindow) {
-      o.recent.push_back(response.service_ms);
-    } else {
-      o.recent[o.next] = response.service_ms;
-      o.next = (o.next + 1) % kSolverSampleWindow;
-    }
-  }
+  metrics_.counter("serve.completed").inc();
+  if (!response.ok) metrics_.counter("serve.failed").inc();
   pending_.at(q.ticket).promise.set_value(std::move(response));
   // Ledger GC: evict the oldest completed tickets beyond the retention
   // bound, so a month-long submit loop holds bounded memory.  Futures a
   // client already holds stay valid (shared state outlives the map entry).
   completed_order_.push_back(q.ticket);
-  if (options_.completed_ticket_retention > 0) {
-    while (completed_order_.size() > options_.completed_ticket_retention) {
-      pending_.erase(completed_order_.front());
-      completed_order_.pop_front();
-      ++stats_.evicted_tickets;
-    }
+  while (completed_order_.size() > options_.completed_ticket_retention) {
+    pending_.erase(completed_order_.front());
+    completed_order_.pop_front();
+    metrics_.counter("serve.evicted_tickets").inc();
   }
 }
 
@@ -319,7 +294,6 @@ void MatchingService::worker_loop() {
       if (queue_.empty()) return;  // stopping, nothing left to serve
       q = take_best_locked();
       ++in_flight_;
-      metrics_.queue_depth->set(static_cast<double>(queue_.size()));
     }
 
     serve_one(*q);
@@ -395,47 +369,62 @@ void MatchingService::shutdown() {
 }
 
 std::vector<SolverLatency> MatchingService::solver_stats() const {
-  const std::unique_lock lock(mutex_);
   std::vector<SolverLatency> out;
-  out.reserve(solver_observed_.size());
-  for (const auto& [spec, o] : solver_observed_) {  // map: sorted by spec
-    SolverLatency row;
-    row.spec = spec;
-    row.count = o.count;
-    row.mean_ms = o.count > 0 ? o.total_ms / static_cast<double>(o.count) : 0.0;
-    row.p90_ms = percentile(o.recent, 90.0);
-    out.push_back(std::move(row));
-  }
+  // Sorted by name, so by spec.  A histogram is registered just before its
+  // first sample: skip one caught in between.
+  for (const auto& [name, h] : metrics_.histogram_snapshots())
+    if (name.starts_with(kSolverMs) && h.count > 0)
+      out.push_back({.spec = name.substr(kSolverMs.size()),
+                     .count = h.count,
+                     .mean_ms = h.mean(),
+                     .p90_ms = h.percentile(90.0)});
   return out;
 }
 
 ServiceStats MatchingService::stats() const {
   const std::unique_lock lock(mutex_);
-  ServiceStats out = stats_;
-  out.queued = queue_.size();
-  out.in_flight = in_flight_;
-  out.tickets_retained = pending_.size();
-  return out;
+  const std::map<std::string, std::uint64_t> c = metrics_.counter_values();
+  return {.submitted = c.at("serve.submitted"),
+          .accepted = c.at("serve.accepted"),
+          .rejected = c.at("serve.rejected"),
+          .completed = c.at("serve.completed"),
+          .failed = c.at("serve.failed"),
+          .expired = c.at("serve.expired"),
+          .cache_hits = c.at("serve.cache_hits"),
+          .dispatches = c.at("serve.dispatches"),
+          .evicted_tickets = c.at("serve.evicted_tickets"),
+          .queued = queue_.size(),
+          .in_flight = in_flight_,
+          .tickets_retained = pending_.size()};
 }
 
-void MatchingService::publish_metrics(obs::Registry& registry) const {
+std::string MatchingService::metrics_json() {
   const ServiceStats s = stats();
-  registry.gauge("serve.queue_depth").set(static_cast<double>(s.queued));
-  registry.gauge("serve.in_flight").set(static_cast<double>(s.in_flight));
-  registry.gauge("serve.tickets_retained")
-      .set(static_cast<double>(s.tickets_retained));
-  registry.gauge("serve.store_bytes")
-      .set(static_cast<double>(store_.stats().bytes));
+  const auto set = [&](const char* name, double value) {
+    metrics_.gauge(name).set(value);
+  };
+  set("serve.queue_depth", static_cast<double>(s.queued));
+  set("serve.in_flight", static_cast<double>(s.in_flight));
+  set("serve.tickets_retained", static_cast<double>(s.tickets_retained));
+  const StoreStats store = store_.stats();
+  set("serve.store_bytes", static_cast<double>(store.bytes));
+  set("serve.evicted", static_cast<double>(store.evicted));
   // `ResultCache` hits as a fraction of completions.
-  const double completed = static_cast<double>(s.completed);
-  registry.gauge("serve.cache_hit_rate")
-      .set(completed > 0.0 ? static_cast<double>(s.cache_hits) / completed
-                           : 0.0);
+  set("serve.cache_hit_rate",
+      s.completed > 0 ? static_cast<double>(s.cache_hits) /
+                            static_cast<double>(s.completed)
+                      : 0.0);
+  if (options_.cache) {
+    const CacheStats c = options_.cache->stats();
+    set("serve.cache_bytes", static_cast<double>(c.bytes));
+    set("serve.cache_entries", static_cast<double>(c.entries));
+  }
   // One dispatch that solves opens one stream, so streams opened is the
   // engine's dispatch count.
-  registry.gauge("serve.engine.0.dispatches")
-      .set(static_cast<double>(engine_->stats().streams_opened));
-  registry.set_info("serve.engine.0", engine_->descriptor().summary());
+  set("serve.engine.0.dispatches",
+      static_cast<double>(engine_->stats().streams_opened));
+  metrics_.set_info("serve.engine.0", engine_->descriptor().summary());
+  return metrics_.snapshot_json_with_global();
 }
 
 }  // namespace bpm::serve

@@ -101,7 +101,8 @@ struct ServiceOptions {
   /// Completed tickets kept for `poll`/`wait`; beyond it the oldest
   /// completed tickets are evicted (a month-long process must not grow
   /// its ledger forever) and polling them yields a distinct `evicted`
-  /// response.  0 = keep everything.
+  /// response.  0 keeps none: a result then reaches only the future
+  /// `submit` handed back.
   std::size_t completed_ticket_retention = 65536;
   /// Optional trace sink (swappable later via `set_tracer`): every served
   /// ticket records its admission→dispatch→complete lifecycle — a
@@ -113,8 +114,10 @@ struct ServiceOptions {
   obs::Tracer* tracer = nullptr;
 };
 
-/// Lifetime counters of a service.  Completed = hits + solved + expired +
-/// failed-verification; rejected never entered the queue.
+/// A read of a service's state.  The lifetime counters are read from the
+/// service's registry (`MatchingService::metrics()`), the snapshots under
+/// its lock.  Completed = hits + solved + expired + failed-verification;
+/// rejected never entered the queue.
 struct ServiceStats {
   std::uint64_t submitted = 0;
   std::uint64_t accepted = 0;
@@ -132,9 +135,9 @@ struct ServiceStats {
 
 /// Observed wall-time distribution of one resolved solver spec across the
 /// service's lifetime — the per-solver latency table behind `bpm_serve
-/// stats`.  Mean is over every solved (non-cached) request; p90 is over a
-/// bounded window of the most recent samples so a month-long process keeps
-/// a current tail, not an all-time one.
+/// stats`, read from the `serve.solver_ms.<spec>` histogram.  Count and
+/// mean are exact over every solved (non-cached) request; p90 is the
+/// histogram's lifetime p90, interpolated inside its bucket.
 struct SolverLatency {
   std::string spec;  ///< canonical resolved spec (post-policy)
   std::uint64_t count = 0;
@@ -167,6 +170,13 @@ struct SolverLatency {
 /// same (instance, spec) jobs: admission, solving, and verification all go
 /// through the same `admit_instance` / `run_admitted_job` /
 /// `run_verified` seams regardless of worker count.
+///
+/// The service owns an `obs::Registry`, the one home of its lifetime
+/// counters (`serve.submitted` … `serve.evicted_tickets`) and latency
+/// histograms (`serve.latency_ms`, `serve.queue_ms`, `serve.service_ms`,
+/// `serve.admit_ms`, `serve.load_read_ms`, `serve.solver_ms.<spec>`), so
+/// two services in one process never count into each other.  `stats()`
+/// and `solver_stats()` are reads of it.
 class MatchingService {
  public:
   explicit MatchingService(ServiceOptions options = {});
@@ -179,7 +189,7 @@ class MatchingService {
   /// Registers a graph (deduped by structural fingerprint) and returns its
   /// handle for `Request::instance`; may evict least recently used
   /// instances beyond `ServiceOptions::store_bytes`.  The result pins the
-  /// instance while it lives.
+  /// instance while it lives.  Timed into `serve.admit_ms`.
   InstanceStore::AddResult add_instance(std::string name,
                                         graph::BipartiteGraph graph);
   [[nodiscard]] const InstanceStore& instances() const { return store_; }
@@ -224,13 +234,15 @@ class MatchingService {
     return tracer_.load(std::memory_order_acquire);
   }
 
-  /// Publishes the service's live state into `registry` as gauges and
-  /// info entries — queue depth, in-flight count, store bytes, cache hit
-  /// rate, and the engine's `serve.engine.0.*` family (dispatches and the
-  /// `EngineDescriptor` summary) — next to the lifetime counters and
-  /// latency histograms the service streams in as it runs.  Call it right
-  /// before snapshotting the registry (`bpm_serve metrics` does).
-  void publish_metrics(obs::Registry& registry) const;
+  /// The service's registry.  Its counters and histograms are written as
+  /// the service runs; its gauges only by `metrics_json()`.
+  [[nodiscard]] obs::Registry& metrics() { return metrics_; }
+
+  /// Sets the registry's gauges from state with its own home — queue,
+  /// ledger, store, cache and the engine's `serve.engine.0.*` family —
+  /// then returns the registry merged with the process-wide names
+  /// (`device.launches`, `policy.*`) as one JSON document.
+  [[nodiscard]] std::string metrics_json();
 
   [[nodiscard]] const std::shared_ptr<ResultCache>& cache() const {
     return options_.cache;
@@ -265,25 +277,6 @@ class MatchingService {
     std::shared_future<Response> future;
   };
 
-  /// Live registry instruments, resolved once at construction from
-  /// `obs::Registry::global()` — the hot submit/dispatch/complete paths
-  /// touch striped counters and histograms, never the registry map.
-  struct LiveMetrics {
-    obs::Counter* submitted = nullptr;
-    obs::Counter* accepted = nullptr;
-    obs::Counter* rejected = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::Counter* failed = nullptr;
-    obs::Counter* expired = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* dispatches = nullptr;
-    obs::Counter* evicted = nullptr;  ///< instances the store evicted
-    obs::Gauge* queue_depth = nullptr;
-    obs::Histogram* latency_ms = nullptr;   ///< submission → completion
-    obs::Histogram* queue_ms = nullptr;     ///< admission queue wait
-    obs::Histogram* service_ms = nullptr;   ///< own solve + verify
-  };
-
   void worker_loop();
   /// Removes the best queued request (highest priority, FIFO within it).
   /// Caller holds `mutex_`.
@@ -297,7 +290,7 @@ class MatchingService {
   ServiceOptions options_;
   std::shared_ptr<device::Engine> engine_;
   InstanceStore store_;
-  LiveMetrics metrics_;
+  obs::Registry metrics_;
   std::atomic<obs::Tracer*> tracer_{nullptr};
 
   mutable std::mutex mutex_;
@@ -309,17 +302,6 @@ class MatchingService {
   std::map<std::uint64_t, Pending> pending_;  ///< ticket -> future state
   /// Completed tickets, oldest first — the GC order of the ledger.
   std::deque<std::uint64_t> completed_order_;
-  /// Per-resolved-spec wall-time accumulators behind `solver_stats()`:
-  /// lifetime count/total plus a bounded ring of recent samples for the
-  /// p90.  Guarded by `mutex_` (updated in `complete`).
-  struct SolverObservation {
-    std::uint64_t count = 0;
-    double total_ms = 0.0;
-    std::vector<double> recent;  ///< ring buffer, kSolverSampleWindow deep
-    std::size_t next = 0;        ///< ring cursor
-  };
-  std::map<std::string, SolverObservation> solver_observed_;
-  ServiceStats stats_;
   std::uint64_t next_ticket_ = 1;
   std::size_t in_flight_ = 0;
   bool accepting_ = true;

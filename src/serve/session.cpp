@@ -7,7 +7,6 @@
 #include "graph/generators.hpp"
 #include "graph/instances.hpp"
 #include "graph/matrix_market.hpp"
-#include "obs/metrics.hpp"
 #include "util/timer.hpp"
 
 namespace bpm::serve {
@@ -108,16 +107,12 @@ void Session::handle(const proto::AuthRequest& r, Outcome& out) {
 
 void Session::admit(std::string_view span_name, const std::string& name,
                     graph::BipartiteGraph g, Outcome& out) {
-  static obs::Histogram& admit_ms =
-      obs::Registry::global().histogram("serve.admit_ms");
   // `added.instance` pins it while the reply is written, so a concurrent
   // load cannot evict it first.
   InstanceStore::AddResult added;
   {
-    const Timer timer;
     auto sp = obs::span(&context_.tracer, span_name, "serve");
     added = context_.service.add_instance(name, std::move(g));
-    admit_ms.observe(timer.elapsed_ms());
     if (sp) {
       const PipelineInstance& inst = *added.instance;
       // The columns the init left for the solver to match.
@@ -136,8 +131,6 @@ void Session::admit(std::string_view span_name, const std::string& name,
 }
 
 void Session::handle(const proto::LoadRequest& r, Outcome& out) {
-  static obs::Histogram& read_ms =
-      obs::Registry::global().histogram("serve.load_read_ms");
   graph::BipartiteGraph g;
   {
     const Timer timer;
@@ -148,7 +141,9 @@ void Session::handle(const proto::LoadRequest& r, Outcome& out) {
       error(out, ErrorCode::kIo, e.what());
       return;
     }
-    read_ms.observe(timer.elapsed_ms());
+    context_.service.metrics()
+        .histogram("serve.load_read_ms")
+        .observe(timer.elapsed_ms());
   }
   admit("load.admit", r.name, std::move(g), out);
 }
@@ -268,19 +263,7 @@ void Session::handle(const proto::StatsRequest&, Outcome& out) {
 }
 
 void Session::handle(const proto::MetricsRequest&, Outcome& out) {
-  // Live registry snapshot: the service's streamed counters/histograms
-  // plus the point-in-time gauges published right now.
-  context_.service.publish_metrics(obs::Registry::global());
-  if (context_.service.cache()) {
-    const CacheStats c = context_.service.cache()->stats();
-    obs::Registry::global()
-        .gauge("serve.cache_bytes")
-        .set(static_cast<double>(c.bytes));
-    obs::Registry::global()
-        .gauge("serve.cache_entries")
-        .set(static_cast<double>(c.entries));
-  }
-  out.lines.push_back(obs::Registry::global().snapshot_json());
+  out.lines.push_back(context_.service.metrics_json());
 }
 
 void Session::handle(const proto::TraceStartRequest& r, Outcome& out) {

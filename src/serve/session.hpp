@@ -86,8 +86,8 @@ class Session {
   void dispatch(const proto::Command& command, Outcome& out);
   void error(Outcome& out, proto::ErrorCode code, std::string message);
   /// Registers `g` with the service (fingerprint, initial matching,
-  /// features) under a `span_name` span, timed into `serve.admit_ms`,
-  /// and answers the `instance ...` line.
+  /// features) under a `span_name` span and answers the `instance ...`
+  /// line.
   void admit(std::string_view span_name, const std::string& name,
              graph::BipartiteGraph g, Outcome& out);
 

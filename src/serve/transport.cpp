@@ -15,8 +15,6 @@
 #include <stdexcept>
 #include <system_error>
 
-#include "obs/metrics.hpp"
-
 namespace bpm::serve {
 
 namespace {
@@ -216,10 +214,6 @@ void SocketTransport::accept_one() {
       try {
         conn.thread = std::thread([this, &conn] { serve(conn); });
         ++stats_.accepted;
-        obs::Registry::global().counter("serve.transport.accepted").inc();
-        obs::Registry::global()
-            .gauge("serve.transport.open_connections")
-            .set(static_cast<double>(conns_.size()));
         return;
       } catch (const std::system_error&) {
         conns_.erase(id);  // no thread to spare: refused like a full server
@@ -264,7 +258,6 @@ void SocketTransport::serve(Conn& conn) {
                         "unterminated line past the " +
                             std::to_string(budget) + "-byte budget"}) +
                        "\n");
-      obs::Registry::global().counter("serve.transport.errors").inc();
       const std::lock_guard lock(mutex_);
       ++stats_.errors;
       open = false;
@@ -280,9 +273,6 @@ void SocketTransport::serve(Conn& conn) {
     ++stats_.closed;
     finished_.push_back(std::move(conn.thread));
     conns_.erase(conn.id);  // destroys `conn`
-    obs::Registry::global()
-        .gauge("serve.transport.open_connections")
-        .set(static_cast<double>(conns_.size()));
     cv_.notify_all();
   }
   // Out of `conns_` first, so stop() never shuts down a reused fd number.
@@ -292,9 +282,7 @@ void SocketTransport::serve(Conn& conn) {
 bool SocketTransport::answer(Conn& conn, std::string_view line) {
   const Session::Outcome outcome = conn.session.execute(line);
   std::string reply;
-  std::uint64_t errors = 0;
   for (const std::string& l : outcome.lines) {
-    if (l.starts_with("error ")) ++errors;
     reply += l;
     reply += '\n';
   }
@@ -307,9 +295,6 @@ bool SocketTransport::answer(Conn& conn, std::string_view line) {
     const std::lock_guard lock(mutex_);
     ++stats_.lines;
   }
-  obs::Registry::global().counter("serve.transport.lines").inc();
-  if (errors > 0)
-    obs::Registry::global().counter("serve.transport.errors").add(errors);
 
   const bool sent = send_all(conn.fd, reply);
   if (outcome.shutdown) {

@@ -28,8 +28,10 @@ struct TransportOptions {
   Session::Options session;
 };
 
-/// Lifetime counters of a transport (mirrors `ServiceStats` style).  The
-/// per-connection counts sum every connection, open or closed.
+/// Lifetime counters of a transport, their one home: a transport belongs
+/// to a listener, not to the service, so nothing of it enters the
+/// service's registry.  The per-connection counts sum every connection,
+/// open or closed.
 struct TransportStats {
   std::uint64_t accepted = 0;  ///< connections admitted
   std::uint64_t refused = 0;   ///< connections over max_clients

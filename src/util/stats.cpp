@@ -76,19 +76,6 @@ std::vector<PerformanceProfile> performance_profiles(
   return out;
 }
 
-double percentile(std::span<const double> values, double pct) {
-  if (values.empty()) return 0.0;
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double clamped = std::min(std::max(pct, 0.0), 100.0);
-  const double rank =
-      clamped / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  if (lo + 1 >= sorted.size()) return sorted.back();
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
-}
-
 Summary summarize(std::span<const double> values) {
   Summary s;
   s.count = values.size();

@@ -45,24 +45,6 @@ struct PerformanceProfile {
     std::span<const std::string> names,
     std::span<const std::vector<double>> times, std::span<const double> xs);
 
-/// Percentile by linear interpolation between order statistics: `pct` is
-/// the percentile in [0, 100], so `percentile(lat, 99)` is the p99.  Used
-/// by the service's per-solver latency table.
-///
-/// Contract (tested in tests/test_util.cpp):
-///  * empty input → 0.0 (the only case where the result is not drawn
-///    from the data; callers with "no samples ≠ 0 ms" semantics must
-///    check `values.empty()` themselves);
-///  * single element → that element, for every `pct`;
-///  * `pct` outside [0, 100] is clamped (−5 behaves as 0, 250 as 100),
-///    never thrown on;
-///  * `pct = 0` → the minimum, `pct = 100` → the maximum; between order
-///    statistics the result interpolates linearly (rank
-///    `pct/100 · (n−1)`), so it is monotone in `pct` and always within
-///    [min, max] of the input.  The input need not be sorted; NaNs are
-///    not handled.
-[[nodiscard]] double percentile(std::span<const double> values, double pct);
-
 /// Small descriptive summary used by test helpers and bench reports.
 struct Summary {
   double min = 0.0;

@@ -288,12 +288,15 @@ TEST(ServeSession, ValidFlow) {
   EXPECT_GT(field(engine, "launches"), 0) << engine;
 
   // A traced `load` shows where admission time goes: one span and one
-  // histogram sample for the read, one of each for the admission.
-  const auto samples = [](const std::string& name) {
-    return obs::Registry::global().histogram(name).snapshot().count;
+  // sample in the service's registry for the read, one of each for the
+  // admission.  So far the service saw no load and one admission (`gen`).
+  const auto samples = [&](const std::string& name) {
+    return service.metrics().histogram(name).snapshot().count;
   };
   const std::uint64_t reads = samples("serve.load_read_ms");
   const std::uint64_t admits = samples("serve.admit_ms");
+  EXPECT_EQ(reads, 0u);
+  EXPECT_EQ(admits, 1u);
   const std::filesystem::path mtx =
       std::filesystem::temp_directory_path() / "bpm_serve_proto_valid_flow.mtx";
   const graph::BipartiteGraph planted = graph::gen::planted_perfect(30, 1.0, 5);

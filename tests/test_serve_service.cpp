@@ -631,52 +631,117 @@ TEST(Service, CacheServesRepeatsAndCountsHits) {
 }
 
 TEST(Service, StreamsEveryCompletionIntoTheRegistry) {
-  // The registry is process-wide and every service in this binary feeds
-  // it, so compare deltas across this one service's lifetime.
-  obs::Registry& reg = obs::Registry::global();
-  const std::vector<std::string> counters = {
-      "serve.submitted", "serve.accepted", "serve.rejected", "serve.completed",
-      "serve.cache_hits"};
-  const std::vector<std::string> histograms = {
-      "serve.latency_ms", "serve.queue_ms", "serve.service_ms"};
-  const auto read = [&] {
-    std::vector<std::uint64_t> v;
-    for (const auto& name : counters) v.push_back(reg.counter(name).value());
-    for (const auto& name : histograms)
-      v.push_back(reg.histogram(name).snapshot().count);
-    return v;
-  };
-  const std::vector<std::uint64_t> before = read();
-
-  ServiceStats s;
-  {
-    MatchingService svc({.workers = 2,
-                         .cache = std::make_shared<ResultCache>()});
-    const auto handle =
-        svc.add_instance("g", gen::random_uniform(300, 310, 1500, 11)).handle;
-    const Submission hk = svc.submit(request(handle, "hk"));
-    const Submission pr = svc.submit(request(handle, "seq-pr"));
-    ASSERT_TRUE(hk.accepted && pr.accepted);
-    EXPECT_TRUE(hk.future.get().ok);
-    const Response repeat = svc.submit(request(handle, "hk")).future.get();
-    EXPECT_TRUE(repeat.cached);
-    EXPECT_FALSE(svc.submit(request(handle, "no-such-solver")).accepted);
-    EXPECT_TRUE(pr.future.get().ok);
-    s = svc.stats();
-  }
+  // The service's own registry holds only this service's traffic, so
+  // every count is exact.
+  MatchingService svc({.workers = 2,
+                       .cache = std::make_shared<ResultCache>()});
+  const auto handle =
+      svc.add_instance("g", gen::random_uniform(300, 310, 1500, 11)).handle;
+  const Submission hk = svc.submit(request(handle, "hk"));
+  const Submission pr = svc.submit(request(handle, "seq-pr"));
+  ASSERT_TRUE(hk.accepted && pr.accepted);
+  EXPECT_TRUE(hk.future.get().ok);
+  const Response repeat = svc.submit(request(handle, "hk")).future.get();
+  EXPECT_TRUE(repeat.cached);
+  EXPECT_FALSE(svc.submit(request(handle, "no-such-solver")).accepted);
+  EXPECT_TRUE(pr.future.get().ok);
+  const ServiceStats s = svc.stats();
   ASSERT_EQ(s.completed, 3u);
   ASSERT_EQ(s.cache_hits, 1u);
 
-  const std::vector<std::uint64_t> after = read();
-  const auto delta = [&](std::size_t i) { return after[i] - before[i]; };
-  EXPECT_EQ(delta(0), s.submitted);
-  EXPECT_EQ(delta(1), s.accepted);
-  EXPECT_EQ(delta(2), s.rejected);
-  EXPECT_EQ(delta(3), s.completed);
-  EXPECT_EQ(delta(4), s.cache_hits);
-  EXPECT_EQ(delta(5), 3u);  // latency: every completion
-  EXPECT_EQ(delta(6), 3u);  // queue wait: every completion
-  EXPECT_EQ(delta(7), 2u);  // service time: a cache hit records none
+  obs::Registry& reg = svc.metrics();
+  const auto count = [&](const char* name) {
+    return reg.counter(name).value();
+  };
+  const auto samples = [&](const char* name) {
+    return reg.histogram(name).snapshot().count;
+  };
+  EXPECT_EQ(count("serve.submitted"), 4u);
+  EXPECT_EQ(count("serve.accepted"), 3u);
+  EXPECT_EQ(count("serve.rejected"), 1u);
+  EXPECT_EQ(count("serve.completed"), 3u);
+  EXPECT_EQ(count("serve.cache_hits"), 1u);
+  EXPECT_EQ(count("serve.submitted"), s.submitted);
+  EXPECT_EQ(count("serve.accepted"), s.accepted);
+  EXPECT_EQ(count("serve.rejected"), s.rejected);
+  EXPECT_EQ(samples("serve.latency_ms"), 3u);  // every completion
+  EXPECT_EQ(samples("serve.queue_ms"), 3u);    // every completion
+  EXPECT_EQ(samples("serve.service_ms"), 2u);  // a cache hit records none
+  EXPECT_EQ(samples("serve.admit_ms"), 1u);    // the one add_instance
+  // The per-spec histograms behind the solver table: solved requests
+  // only, under their canonical specs.
+  EXPECT_EQ(samples("serve.solver_ms.hk"), 1u);
+  EXPECT_EQ(samples("serve.solver_ms.seq-pr"), 1u);
+  const std::vector<SolverLatency> table = svc.solver_stats();
+  ASSERT_EQ(table.size(), 2u);
+  EXPECT_EQ(table[0].spec, "hk");
+  EXPECT_EQ(table[0].count, 1u);
+  EXPECT_DOUBLE_EQ(table[0].mean_ms,
+                   reg.histogram("serve.solver_ms.hk").snapshot().sum);
+  EXPECT_EQ(table[1].spec, "seq-pr");
+}
+
+TEST(Service, TwoServicesInOneProcessCountOnlyTheirOwn) {
+  // Two services in one process, each with its own traffic: every read of
+  // one — `stats()`, the `stats` line and the `metrics` reply — shows its
+  // own counts and none of the other's.
+  struct Traffic {
+    const char* graph;
+    std::vector<const char*> specs;  // submitted and waited for in order
+    std::uint64_t cache_hits;
+  };
+  const Traffic traffic[] = {
+      {"gen g planted 40 1.0 3", {"hk", "hk"}, 1},
+      {"gen g uniform 60 60 240 5", {"seq-pr", "hk", "hk", "seq-pr", "hk"}, 3}};
+  MatchingService a({.workers = 1, .cache = std::make_shared<ResultCache>()});
+  MatchingService b({.workers = 2, .cache = std::make_shared<ResultCache>()});
+  SessionContext ca(a);
+  SessionContext cb(b);
+  Session sa(ca);
+  Session sb(cb);
+  Session* sessions[] = {&sa, &sb};
+  for (int i = 0; i < 2; ++i) {
+    Session& session = *sessions[i];
+    ASSERT_TRUE(reply(session, traffic[i].graph).starts_with("instance g"));
+    for (const char* spec : traffic[i].specs) {
+      const std::string ticket =
+          reply(session, std::string("submit g ") + spec);
+      ASSERT_TRUE(ticket.starts_with("ticket ")) << ticket;
+      const std::string result = reply(session, "wait " + ticket.substr(7));
+      EXPECT_EQ(field(result, "ok"), 1u) << result;
+    }
+  }
+
+  // The integer after `"name": ` (a counter) or `"name": {"count": ` (a
+  // histogram) in a `metrics` reply.
+  const auto json_count = [](const std::string& json, const std::string& key) {
+    const std::size_t at = json.find('"' + key + "\": ");
+    if (at == std::string::npos) return SIZE_MAX;
+    std::size_t from = at + key.size() + 4;
+    if (json.compare(from, 10, "{\"count\": ") == 0) from += 10;
+    return static_cast<std::size_t>(std::stoull(json.substr(from)));
+  };
+  MatchingService* services[] = {&a, &b};
+  for (int i = 0; i < 2; ++i) {
+    const std::size_t n = traffic[i].specs.size();
+    const std::uint64_t hits = traffic[i].cache_hits;
+    const ServiceStats s = services[i]->stats();
+    EXPECT_EQ(s.submitted, n) << i;
+    EXPECT_EQ(s.completed, n) << i;
+    EXPECT_EQ(s.cache_hits, hits) << i;
+
+    const std::string stats = reply(*sessions[i], "stats");
+    ASSERT_TRUE(stats.starts_with("stats ")) << stats;
+    EXPECT_EQ(field(stats, "submitted"), n) << stats;
+    EXPECT_EQ(field(stats, "completed"), n) << stats;
+    EXPECT_EQ(field(stats, "cache_hits"), hits) << stats;
+
+    const std::string metrics = reply(*sessions[i], "metrics");
+    EXPECT_EQ(json_count(metrics, "serve.submitted"), n) << metrics;
+    EXPECT_EQ(json_count(metrics, "serve.completed"), n) << metrics;
+    EXPECT_EQ(json_count(metrics, "serve.cache_hits"), hits) << metrics;
+    EXPECT_EQ(json_count(metrics, "serve.latency_ms"), n) << metrics;
+  }
 }
 
 TEST(Service, CacheSnapshotWarmsARestartedService) {
@@ -863,16 +928,14 @@ TEST(Service, CompletedTicketLedgerIsBoundedAndEvictsOldTickets) {
   EXPECT_TRUE(waited.evicted);
   EXPECT_EQ(waited.ticket, first_ticket);
 
-  // Retention 0 disables the GC entirely.
-  MatchingService unbounded(
-      {.workers = 1, .completed_ticket_retention = 0});
-  const auto h2 =
-      unbounded.add_instance("g", gen::complete_bipartite(4, 4)).handle;
+  // Retention 0 is a bound too: it keeps no completed ticket.
+  MatchingService none({.workers = 1, .completed_ticket_retention = 0});
+  const auto h2 = none.add_instance("g", gen::complete_bipartite(4, 4)).handle;
   for (int i = 0; i < 30; ++i)
-    (void)unbounded.submit(request(h2, "hk"));
-  unbounded.drain();
-  EXPECT_EQ(unbounded.stats().tickets_retained, 30u);
-  EXPECT_EQ(unbounded.stats().evicted_tickets, 0u);
+    (void)none.submit(request(h2, "hk"));
+  none.drain();
+  EXPECT_EQ(none.stats().tickets_retained, 0u);
+  EXPECT_EQ(none.stats().evicted_tickets, 30u);
 }
 
 TEST(Service, NeverIssuedTicketsThrowOnPollAndWait) {

@@ -71,51 +71,6 @@ TEST(Stats, PerformanceProfileRejectsRaggedInput) {
   EXPECT_THROW(performance_profiles(names, times, xs), std::invalid_argument);
 }
 
-// The documented percentile contract (see util/stats.hpp): empty → 0,
-// single element → that element, pct clamped, endpoints are min/max,
-// interior points interpolate linearly and stay monotone in pct.
-
-TEST(Stats, PercentileEmptyIsZero) {
-  const std::vector<double> none;
-  EXPECT_EQ(percentile(none, 0), 0.0);
-  EXPECT_EQ(percentile(none, 50), 0.0);
-  EXPECT_EQ(percentile(none, 100), 0.0);
-}
-
-TEST(Stats, PercentileSingleElementIsThatElementForEveryPct) {
-  const std::vector<double> one{7.5};
-  for (const double pct : {-10.0, 0.0, 1.0, 50.0, 99.0, 100.0, 400.0})
-    EXPECT_EQ(percentile(one, pct), 7.5) << "pct=" << pct;
-}
-
-TEST(Stats, PercentileClampsOutOfRangePct) {
-  const std::vector<double> v{3.0, 1.0, 2.0};  // unsorted on purpose
-  EXPECT_EQ(percentile(v, -5), percentile(v, 0));
-  EXPECT_EQ(percentile(v, 250), percentile(v, 100));
-  EXPECT_EQ(percentile(v, 0), 1.0);
-  EXPECT_EQ(percentile(v, 100), 3.0);
-}
-
-TEST(Stats, PercentileInterpolatesBetweenOrderStatistics) {
-  const std::vector<double> v{10.0, 20.0, 30.0, 40.0, 50.0};
-  EXPECT_NEAR(percentile(v, 50), 30.0, 1e-12);
-  // Rank 25/100 * 4 = 1.0 exactly; 30/100 * 4 = 1.2 → 20 + 0.2*10.
-  EXPECT_NEAR(percentile(v, 25), 20.0, 1e-12);
-  EXPECT_NEAR(percentile(v, 30), 22.0, 1e-12);
-}
-
-TEST(Stats, PercentileMonotoneInPctAndBounded) {
-  const std::vector<double> v{5.0, 0.5, 2.0, 9.0, 4.0, 4.0, 7.5};
-  double prev = percentile(v, 0);
-  for (int pct = 1; pct <= 100; ++pct) {
-    const double cur = percentile(v, pct);
-    EXPECT_GE(cur, prev) << "pct=" << pct;
-    EXPECT_GE(cur, 0.5);
-    EXPECT_LE(cur, 9.0);
-    prev = cur;
-  }
-}
-
 TEST(Stats, SummarizeBasics) {
   const std::vector<double> v{4.0, 1.0, 2.0};
   const Summary s = summarize(v);
