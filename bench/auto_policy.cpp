@@ -127,8 +127,7 @@ int main(int argc, char** argv) {
     for (std::size_t a = 0; a < solvers.size(); ++a) {
       AlgoResult best;
       for (int rep = 0; rep < reps; ++rep) {
-        const AlgoResult r = run_solver(*solvers[a], dev, inst.bi,
-                                        opt.threads);
+        const AlgoResult r = run_solver(*solvers[a], dev, inst.bi);
         all_ok &= r.ok;
         if (rep == 0 || r.seconds < best.seconds) best = r;
       }
@@ -144,8 +143,7 @@ int main(int argc, char** argv) {
     }
     AlgoResult auto_best;
     for (int rep = 0; rep < reps; ++rep) {
-      const AlgoResult r =
-          run_solver(auto_solver, dev, inst.bi, opt.threads);
+      const AlgoResult r = run_solver(auto_solver, dev, inst.bi);
       all_ok &= r.ok;
       if (rep == 0 || r.seconds < auto_best.seconds) auto_best = r;
     }

@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
     for (std::size_t a = 0; a < solvers.size(); ++a) {
       AlgoResult best;
       for (int rep = 0; rep < reps; ++rep) {
-        const AlgoResult r = run_solver(*solvers[a], dev, bi, opt.threads);
+        const AlgoResult r = run_solver(*solvers[a], dev, bi);
         all_ok &= r.ok;
         if (rep == 0 || r.seconds < best.seconds) best = r;
       }

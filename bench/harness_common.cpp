@@ -278,16 +278,15 @@ std::vector<BuiltInstance> build_suite(const SuiteOptions& opt) {
 }
 
 AlgoResult run_solver(const Solver& solver, device::Device& dev,
-                      const BuiltInstance& bi, unsigned threads) {
+                      const BuiltInstance& bi) {
   // Phase attribution: the tracer's per-phase totals are cumulative, so
   // this run's breakdown is the difference across the solve.
   obs::Tracer* const tracer = dev.tracer();
   const bool tracing = tracer != nullptr && tracer->enabled();
   std::map<std::string, double> before;
   if (tracing) before = tracer->totals_ms("phase");
-  const JobOutcome outcome =
-      run_verified(solver, SolveContext{.device = &dev, .threads = threads},
-                   bi.g, bi.init, /*verify=*/true);
+  const JobOutcome outcome = run_verified(solver, SolveContext{.device = &dev},
+                                          bi.g, bi.init, /*verify=*/true);
   AlgoResult r;
   if (tracing) {
     for (const auto& [phase, ms] : tracer->totals_ms("phase")) {
@@ -308,9 +307,8 @@ AlgoResult run_solver(const Solver& solver, device::Device& dev,
 }
 
 AlgoResult run_solver(const std::string& name, device::Device& dev,
-                      const BuiltInstance& bi, unsigned threads) {
-  return run_solver(*SolverRegistry::instance().create(name), dev, bi,
-                    threads);
+                      const BuiltInstance& bi) {
+  return run_solver(*SolverRegistry::instance().create(name), dev, bi);
 }
 
 // ---- machine-readable results (`--json`) -----------------------------------

@@ -22,7 +22,7 @@ struct SuiteOptions {
   double scale = 1.0 / 64.0;  ///< instance size relative to the paper's
   std::uint64_t seed = 1;
   int stride = 1;             ///< take every stride-th instance
-  unsigned threads = 0;       ///< device / multicore workers, 0 = hw
+  unsigned threads = 0;       ///< engine workers, every solver's; 0 = hw
   /// Concurrent jobs (`--jobs`, every harness): `build_suite` builds up to
   /// this many instances at once (0 = hardware).  Solves stay sequential,
   /// because the paper harnesses report per-run times, which overlapping
@@ -182,14 +182,12 @@ struct AlgoResult {
 /// one dispatch path every harness uses.  A failed check prints the
 /// certificate's error to stderr.
 [[nodiscard]] AlgoResult run_solver(const Solver& solver, device::Device& dev,
-                                    const BuiltInstance& bi,
-                                    unsigned threads = 0);
+                                    const BuiltInstance& bi);
 
 /// Registry-name convenience: `run_solver(*registry.create(name), ...)`.
 [[nodiscard]] AlgoResult run_solver(const std::string& name,
                                     device::Device& dev,
-                                    const BuiltInstance& bi,
-                                    unsigned threads = 0);
+                                    const BuiltInstance& bi);
 
 /// Prints the standard harness header (instance count, scale, hardware).
 void print_header(const std::string& title, const SuiteOptions& opt,

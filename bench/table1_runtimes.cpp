@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
         std::string("-")};
     bool have_mm = false;
     for (std::size_t i = 0; i < solvers.size(); ++i) {
-      const AlgoResult r = run_solver(*solvers[i], dev, bi, opt.threads);
+      const AlgoResult r = run_solver(*solvers[i], dev, bi);
       all_ok &= r.ok;
       if (!have_mm && r.ok && solvers[i]->caps().exact) {
         row[6] = static_cast<std::int64_t>(r.cardinality);

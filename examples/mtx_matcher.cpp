@@ -48,7 +48,6 @@ graph::BipartiteGraph load_graph(const CliParser& cli) {
 PipelineOptions pipeline_options(const CliParser& cli) {
   PipelineOptions opt;
   opt.device_threads = static_cast<unsigned>(cli.get_int("threads"));
-  opt.solver_threads = opt.device_threads;
   const std::string init = cli.get_string("init");
   if (init == "cheap") {
     opt.init_builder = matching::cheap_matching;
@@ -76,7 +75,7 @@ int main(int argc, char** argv) {
                  "");
   cli.add_option("scale", "scale for --instance", "0.015625");
   cli.add_option("seed", "seed for --instance", "1");
-  cli.add_option("threads", "device/multicore threads (0 = hardware)", "0");
+  cli.add_option("threads", "engine workers; every solver (0 = hardware)", "0");
   cli.add_flag("quiet", "print only the cardinality");
 
   try {

@@ -36,9 +36,7 @@ AdmittedJobResult run_admitted_job(
     }
   }
   Timer timer;
-  const SolveContext ctx{.device = &stream(),
-                         .threads = options.solver_threads,
-                         .tracer = options.tracer};
+  const SolveContext ctx{.device = &stream(), .tracer = options.tracer};
   out.outcome = run_verified(*job.solver, ctx, inst.graph, inst.init,
                              /*verify=*/true);
   out.solve_ms = timer.elapsed_ms();

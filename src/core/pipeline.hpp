@@ -22,8 +22,9 @@ class ResultCache;
 struct PipelineOptions {
   /// Nothing reads this; ROADMAP item 2 deletes it with its benchmark uses.
   device::Backend device_backend = device::Backend::kHost;
-  unsigned device_threads = 0;  ///< device pool workers (0 = hardware)
-  unsigned solver_threads = 0;  ///< multicore solver workers (0 = hardware)
+  unsigned device_threads = 0;  ///< every solver's workers (0 = hardware)
+  /// Nothing reads this; ROADMAP item 2 deletes it with its benchmark uses.
+  unsigned solver_threads = 0;
   /// Nothing reads this; ROADMAP item 2 deletes it with its benchmark uses.
   unsigned max_concurrent_jobs = 0;
   /// Build the initial matching once per instance and hand it to every

@@ -167,10 +167,15 @@ class PdbfsSolver final : public Solver {
   [[nodiscard]] Output solve_impl(
       const SolveContext& ctx, const graph::BipartiteGraph& g,
       const matching::ValidMatching& init) const override {
-    mc::PdbfsResult r = mc::p_dbfs(g, init, {.num_threads = ctx.threads});
+    // Rounds are pool batches, not device launches: they add no launch
+    // count and no modeled time.  Without a device the rounds run inline.
+    mc::PdbfsResult r = mc::p_dbfs(
+        g, init, ctx.device ? ctx.device->engine()->pool() : nullptr);
     std::ostringstream d;
     d << r.stats.rounds << " rounds, " << r.stats.augmentations
-      << " augmentations, " << r.stats.blocked_searches << " blocked searches";
+      << " augmentations, " << r.stats.blocked_searches
+      << " blocked searches, " << r.stats.sequential_cleanup
+      << " tail augmentations";
     return {std::move(r.matching), r.stats.rounds, d.str()};
   }
 };

@@ -52,7 +52,8 @@ struct SolveResult {
 /// context (and device) can be reused across many runs and solvers.
 struct SolveContext {
   device::Device* device = nullptr;  ///< required when caps().needs_device
-  unsigned threads = 0;  ///< workers for multicore solvers (0 = hardware)
+  /// Nothing reads this; ROADMAP item 2 deletes it with its benchmark uses.
+  unsigned threads = 0;
   /// Optional trace collector (`obs::Tracer`): when set and enabled, the
   /// run records solve-phase spans (push / global-relabel / frontier
   /// compaction) and per-launch device spans.  Must outlive the run;

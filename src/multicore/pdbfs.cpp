@@ -1,11 +1,10 @@
 #include "multicore/pdbfs.hpp"
 
 #include <atomic>
-#include <thread>
 #include <vector>
 
+#include "device/thread_pool.hpp"
 #include "matching/detail/augment_dfs.hpp"
-#include "util/timer.hpp"
 
 namespace bpm::mc {
 
@@ -29,25 +28,24 @@ struct Worker {
 
 PdbfsResult p_dbfs(const BipartiteGraph& g,
                    const matching::ValidMatching& init,
-                   const PdbfsOptions& options) {
-  Timer total;
+                   device::ThreadPool* pool) {
   PdbfsResult result;
   result.matching = init;
   PdbfsStats& stats = result.stats;
   auto& row_match = result.matching.row_match;
   auto& col_match = result.matching.col_match;
 
-  unsigned num_threads = options.num_threads;
-  if (num_threads == 0)
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
+  // One slot per pool worker; the caller runs slots too, so at most
+  // `slots` searches run at once.
+  const unsigned slots = pool != nullptr ? pool->size() : 1;
 
   const auto nrows = static_cast<std::size_t>(g.num_rows());
   // claim[u]: id of the BFS tree (root column) that owns row u this round.
   std::vector<std::atomic<index_t>> claim(nrows);
 
   std::vector<Worker> workers;
-  workers.reserve(num_threads);
-  for (unsigned t = 0; t < num_threads; ++t)
+  workers.reserve(slots);
+  for (unsigned t = 0; t < slots; ++t)
     workers.emplace_back(g.num_rows());
 
   enum class SearchOutcome { kAugmented, kBlocked, kHopeless };
@@ -136,14 +134,10 @@ PdbfsResult p_dbfs(const BipartiteGraph& g,
         }
       }
     };
-    {
-      std::vector<std::thread> threads;
-      threads.reserve(num_threads - 1);
-      for (unsigned t = 1; t < num_threads; ++t)
-        threads.emplace_back(run_worker, t);
+    if (pool != nullptr)
+      pool->run_tasks(slots, run_worker);
+    else
       run_worker(0);
-      for (auto& th : threads) th.join();
-    }
     stats.augmentations += augmented.load();
     stats.blocked_searches += blocked.load();
 
@@ -166,7 +160,6 @@ PdbfsResult p_dbfs(const BipartiteGraph& g,
   // Normalise retired columns for the caller.
   for (auto& cm : col_match)
     if (cm == matching::kUnmatchable) cm = kUnmatched;
-  stats.total_ms = total.elapsed_ms();
   return result;
 }
 

@@ -5,19 +5,17 @@
 #include "graph/bipartite_graph.hpp"
 #include "matching/matching.hpp"
 
-namespace bpm::mc {
+namespace bpm::device {
+class ThreadPool;
+}  // namespace bpm::device
 
-struct PdbfsOptions {
-  /// Worker threads; 0 = hardware concurrency.  The paper runs 8.
-  unsigned num_threads = 0;
-};
+namespace bpm::mc {
 
 struct PdbfsStats {
   std::int64_t rounds = 0;
   std::int64_t augmentations = 0;
   std::int64_t blocked_searches = 0;    ///< BFSs starved by others' claims
   std::int64_t sequential_cleanup = 0;  ///< tail augmentations done serially
-  double total_ms = 0.0;
 };
 
 struct PdbfsResult {
@@ -28,8 +26,10 @@ struct PdbfsResult {
 /// P-DBFS (Azad et al.): the multicore comparator the paper benchmarks
 /// against — parallel vertex-disjoint BFSs.
 ///
-/// Each round snapshots the unmatched columns and hands them to worker
-/// threads.  A worker grows a BFS tree from its column, acquiring every
+/// Each round snapshots the unmatched columns and runs one batch of
+/// `pool->size()` slots on the pool (the paper runs 8 threads); a null
+/// pool runs one slot on the calling thread.  Each slot claims columns
+/// from a shared cursor and grows a BFS tree from each, acquiring every
 /// row it touches with an atomic compare-and-swap on a claim array
 /// (multicore codes may use atomics, unlike the GPU kernels); rows owned
 /// by another tree are skipped, which keeps concurrently-found augmenting
@@ -41,6 +41,6 @@ struct PdbfsResult {
 /// maximality.
 PdbfsResult p_dbfs(const graph::BipartiteGraph& g,
                    const matching::ValidMatching& init,
-                   const PdbfsOptions& options = {});
+                   device::ThreadPool* pool);
 
 }  // namespace bpm::mc

@@ -21,7 +21,7 @@ constexpr const char* kCounters[] = {
 constexpr const char* kHistograms[] = {
     "serve.latency_ms", "serve.queue_ms", "serve.service_ms",
     "serve.admit_ms", "serve.load_read_ms"};
-/// Prefix of the per-spec histograms behind `solver_stats()`.
+/// Prefix of the per-solver histograms behind `solver_stats()`.
 constexpr std::string_view kSolverMs = "serve.solver_ms.";
 
 double ms_since(std::chrono::steady_clock::time_point start) {
@@ -180,7 +180,6 @@ void MatchingService::serve_one(Queued& q) {
       return *stream;
     };
     PipelineOptions run;
-    run.solver_threads = options_.solver_threads;
     run.tracer = tracer;
     AdmittedJobResult result =
         run_admitted_job({&inst, q.solver.get(), q.canonical}, provider,
@@ -219,9 +218,10 @@ void MatchingService::complete(Queued& q, Response&& response) {
     metrics_.histogram("serve.service_ms").observe(response.service_ms);
   // Per-solver latency table: solved requests only (cache hits report a
   // zero service time that would poison the mean), keyed by the resolved
-  // canonical spec so auto traffic is judged under its concrete picks.
+  // solver's registry name, so auto traffic is judged under its concrete
+  // picks and option values a client varies cannot grow the table.
   if (response.ok && !response.cached && response.service_ms > 0.0)
-    metrics_.histogram(std::string(kSolverMs) + response.solver)
+    metrics_.histogram(std::string(kSolverMs) + q.solver->name())
         .observe(response.service_ms);
 
   // The ticket's admission→dispatch→complete lifecycle, reconstructed
@@ -370,7 +370,7 @@ void MatchingService::shutdown() {
 
 std::vector<SolverLatency> MatchingService::solver_stats() const {
   std::vector<SolverLatency> out;
-  // Sorted by name, so by spec.  A histogram is registered just before its
+  // Sorted by name, so by solver.  A histogram is registered just before its
   // first sample: skip one caught in between.
   for (const auto& [name, h] : metrics_.histogram_snapshots())
     if (name.starts_with(kSolverMs) && h.count > 0)

@@ -82,8 +82,9 @@ struct ServiceOptions {
   /// device stream of the service's one engine (0 = hardware
   /// concurrency).
   unsigned workers = 1;
-  unsigned device_threads = 0;  ///< engine pool workers (0 = hardware)
-  unsigned solver_threads = 0;  ///< multicore solver workers (0 = hardware)
+  unsigned device_threads = 0;  ///< every solver's workers (0 = hardware)
+  /// Nothing reads this; ROADMAP item 2 deletes it with its benchmark uses.
+  unsigned solver_threads = 0;
   /// Nothing reads this; ROADMAP item 2 deletes it with its benchmark uses.
   device::Backend backend = device::Backend::kHost;
   /// Admission queue depth; a submit beyond it is rejected with a reason
@@ -133,13 +134,14 @@ struct ServiceStats {
   std::size_t tickets_retained = 0;  ///< snapshot: ledger size (all states)
 };
 
-/// Observed wall-time distribution of one resolved solver spec across the
+/// Observed wall-time distribution of one resolved solver across the
 /// service's lifetime — the per-solver latency table behind `bpm_serve
-/// stats`, read from the `serve.solver_ms.<spec>` histogram.  Count and
-/// mean are exact over every solved (non-cached) request; p90 is the
-/// histogram's lifetime p90, interpolated inside its bucket.
+/// stats`, read from the `serve.solver_ms.<solver>` histogram.  Keyed by
+/// registry name, not spec, so the table is bounded by the registry.
+/// Count and mean are exact over every solved (non-cached) request; p90 is
+/// the histogram's lifetime p90, interpolated inside its bucket.
 struct SolverLatency {
-  std::string spec;  ///< canonical resolved spec (post-policy)
+  std::string spec;  ///< registry name of the resolved solver (post-policy)
   std::uint64_t count = 0;
   double mean_ms = 0.0;
   double p90_ms = 0.0;
@@ -174,7 +176,7 @@ struct SolverLatency {
 /// The service owns an `obs::Registry`, the one home of its lifetime
 /// counters (`serve.submitted` … `serve.evicted_tickets`) and latency
 /// histograms (`serve.latency_ms`, `serve.queue_ms`, `serve.service_ms`,
-/// `serve.admit_ms`, `serve.load_read_ms`, `serve.solver_ms.<spec>`), so
+/// `serve.admit_ms`, `serve.load_read_ms`, `serve.solver_ms.<solver>`), so
 /// two services in one process never count into each other.  `stats()`
 /// and `solver_stats()` are reads of it.
 class MatchingService {
@@ -218,9 +220,9 @@ class MatchingService {
 
   [[nodiscard]] ServiceStats stats() const;
 
-  /// Per-solver latency table: one row per resolved canonical spec that
-  /// has completed at least one solved (non-cached) request, sorted by
-  /// spec.  `auto` traffic appears under the concrete specs the policy
+  /// Per-solver latency table: one row per resolved solver that has
+  /// completed at least one solved (non-cached) request, sorted by name.
+  /// `auto` traffic appears under the concrete solvers the policy
   /// resolved it to — this table is what the resolutions are judged by.
   [[nodiscard]] std::vector<SolverLatency> solver_stats() const;
 

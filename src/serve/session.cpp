@@ -237,7 +237,7 @@ void Session::handle(const proto::StatsRequest&, Outcome& out) {
        << " insertions=" << c.insertions << " evictions=" << c.evictions;
     out.lines.push_back(cs.str());
   }
-  // Per-solver latency table: one line per resolved spec that has solved
+  // Per-solver latency table: one line per resolved solver that has solved
   // at least one request — `auto` traffic shows up under its concrete
   // picks, so this table is how an operator judges the policy's choices.
   for (const SolverLatency& l : context_.service.solver_stats()) {

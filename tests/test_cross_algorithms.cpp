@@ -13,6 +13,7 @@
 
 #include "core/g_hk.hpp"
 #include "core/g_pr.hpp"
+#include "device/thread_pool.hpp"
 #include "graph/generators.hpp"
 #include "graph/instances.hpp"
 #include "matching/greedy.hpp"
@@ -53,7 +54,8 @@ std::vector<NamedMatcher> all_matchers() {
                    return matching::hkdw(g, init);
                  }});
   out.push_back({"p_dbfs", [](const auto& g, const auto& init) {
-                   return mc::p_dbfs(g, init, {.num_threads = 4}).matching;
+                   device::ThreadPool pool(4);
+                   return mc::p_dbfs(g, init, &pool).matching;
                  }});
   for (const auto variant :
        {gpu::GprVariant::kFirst, gpu::GprVariant::kNoShrink,

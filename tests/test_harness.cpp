@@ -56,7 +56,7 @@ TEST(Harness, RunnersReportOkAndConsistentCardinalities) {
 
   const AlgoResult gpr = run_solver("g-pr-shr", dev, bi);
   const AlgoResult ghkdw = run_solver("g-hkdw", dev, bi);
-  const AlgoResult pdbfs = run_solver("p-dbfs", dev, bi, 4);
+  const AlgoResult pdbfs = run_solver("p-dbfs", dev, bi);
   const AlgoResult pr = run_solver("seq-pr", dev, bi);
 
   const graph::index_t maximum = matching::reference_maximum_cardinality(bi.g);

@@ -8,6 +8,7 @@
 
 #include "core/g_hk.hpp"
 #include "core/g_pr.hpp"
+#include "device/thread_pool.hpp"
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
 #include "matching/hopcroft_karp.hpp"
@@ -62,8 +63,10 @@ class InitRobustness : public ::testing::TestWithParam<const char*> {
     const std::string algo = GetParam();
     if (algo == "seq_pr")
       return matching::seq_push_relabel(g, init).cardinality();
-    if (algo == "p_dbfs")
-      return mc::p_dbfs(g, init, {.num_threads = 4}).matching.cardinality();
+    if (algo == "p_dbfs") {
+      device::ThreadPool pool(4);
+      return mc::p_dbfs(g, init, &pool).matching.cardinality();
+    }
     if (algo == "g_hkdw") {
       Device dev({.num_threads = 4});
       return gpu::g_hk(dev, g, init).matching.cardinality();

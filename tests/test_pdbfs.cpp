@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "device/thread_pool.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
@@ -15,14 +16,17 @@ using graph::index_t;
 using test_support::empty_init;
 namespace gen = graph::gen;
 
+/// P-DBFS's rounds on a pool of `GetParam()` workers.
 class PdbfsThreads : public ::testing::TestWithParam<unsigned> {
  protected:
+  device::ThreadPool pool_{GetParam()};
+
   void check(const BipartiteGraph& g) {
     const index_t want = matching::reference_maximum_cardinality(g);
     for (const bool greedy_start : {false, true}) {
       const matching::ValidMatching init =
           greedy_start ? matching::cheap_matching(g) : empty_init(g);
-      const PdbfsResult r = p_dbfs(g, init, {.num_threads = GetParam()});
+      const PdbfsResult r = p_dbfs(g, init, &pool_);
       ASSERT_TRUE(r.matching.is_valid(g)) << r.matching.first_violation(g);
       EXPECT_EQ(r.matching.cardinality(), want);
       EXPECT_TRUE(matching::is_maximum(g, r.matching));
@@ -65,10 +69,10 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, PdbfsThreads,
 
 TEST(Pdbfs, StatsAccounting) {
   const BipartiteGraph g = gen::random_uniform(200, 200, 700, 3);
-  PdbfsResult r = p_dbfs(g, empty_init(g), {.num_threads = 4});
+  device::ThreadPool pool(4);
+  PdbfsResult r = p_dbfs(g, empty_init(g), &pool);
   EXPECT_GT(r.stats.rounds, 0);
   EXPECT_EQ(r.stats.augmentations, r.matching.cardinality());
-  EXPECT_GE(r.stats.total_ms, 0.0);
 }
 
 TEST(Pdbfs, RejectsInvalidInitialMatching) {
@@ -79,10 +83,11 @@ TEST(Pdbfs, RejectsInvalidInitialMatching) {
 }
 
 TEST(Pdbfs, OversubscribedThreadsStillCorrect) {
-  // More threads than unmatched columns and than cores.
+  // More pool workers than unmatched columns and than cores.
   const BipartiteGraph g = gen::random_uniform(40, 40, 120, 6);
   const index_t want = matching::reference_maximum_cardinality(g);
-  const PdbfsResult r = p_dbfs(g, empty_init(g), {.num_threads = 16});
+  device::ThreadPool pool(16);
+  const PdbfsResult r = p_dbfs(g, empty_init(g), &pool);
   EXPECT_EQ(r.matching.cardinality(), want);
 }
 

@@ -7,6 +7,7 @@
 
 #include "core/g_hk.hpp"
 #include "core/g_pr.hpp"
+#include "device/thread_pool.hpp"
 #include "fanout_device.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -31,8 +32,10 @@ index_t cardinality_of(const std::string& algo, const BipartiteGraph& g) {
   if (algo == "hk") return matching::hopcroft_karp(g, init).cardinality();
   if (algo == "pf") return matching::pothen_fan(g, init).cardinality();
   if (algo == "hkdw") return matching::hkdw(g, init).cardinality();
-  if (algo == "pdbfs")
-    return mc::p_dbfs(g, init, {.num_threads = 4}).matching.cardinality();
+  if (algo == "pdbfs") {
+    device::ThreadPool pool(4);
+    return mc::p_dbfs(g, init, &pool).matching.cardinality();
+  }
   if (algo == "g_pr") {
     Device dev = test_support::fanout_device(4);
     return gpu::g_pr(dev, g, init).matching.cardinality();

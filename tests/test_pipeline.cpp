@@ -37,7 +37,7 @@ const std::vector<std::string> kSolvers = {"g-pr-shr", "hk", "p-dbfs",
                                            "seq-pr"};
 
 TEST(Pipeline, RunsTheFullJobGridWithVerifiedResults) {
-  MatchingPipeline pipe({.device_threads = 4, .solver_threads = 4});
+  MatchingPipeline pipe({.device_threads = 4});
   for (auto& [name, g] : suite()) pipe.add_instance(name, std::move(g));
   ASSERT_EQ(pipe.instances().size(), 3u);
 
@@ -82,7 +82,7 @@ TEST(Pipeline, MatchesSingleRunResultsAndSharesTheGreedyInit) {
   // from the same shared init (all solvers are exact here, so equality of
   // cardinality is the right notion of "matches single-run results").
   device::Device dev({.num_threads = 2});
-  const SolveContext ctx{.device = &dev, .threads = 2};
+  const SolveContext ctx{.device = &dev};
   for (const PipelineJob& job : report.jobs) {
     const PipelineInstance& inst = pipe.instances()[job.instance];
     const SolveResult single = solve(job.solver, ctx, inst.graph, inst.init);

@@ -158,7 +158,7 @@ TEST(AutoSolver, ResolvesToAValidRegisteredSpecEverywhere) {
     EXPECT_TRUE(SolverRegistry::instance().contains(r.spec.name))
         << r.spec.canonical();
 
-    const SolveContext ctx{.device = &dev, .threads = 2};
+    const SolveContext ctx{.device = &dev};
     const SolveResult out = solver.run(ctx, g, init);
     const index_t truth = matching::reference_maximum_cardinality(g);
     EXPECT_EQ(out.stats.cardinality, truth);

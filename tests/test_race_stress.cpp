@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "core/g_hk.hpp"
 #include "core/g_pr.hpp"
+#include "core/solver.hpp"
 #include "fanout_device.hpp"
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
@@ -95,13 +99,39 @@ TEST(GhkRaceStress, TinyDenseGraphsManySeeds) {
 }
 
 TEST(PdbfsRaceStress, TinyGraphsManySeedsOversubscribed) {
+  device::ThreadPool pool(12);
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const BipartiteGraph g = gen::random_uniform(16, 16, 60, seed);
     const index_t want = matching::reference_maximum_cardinality(g);
-    const mc::PdbfsResult r =
-        mc::p_dbfs(g, empty_init(g), {.num_threads = 12});
+    const mc::PdbfsResult r = mc::p_dbfs(g, empty_init(g), &pool);
     ASSERT_EQ(r.matching.cardinality(), want) << "seed " << seed;
   }
+}
+
+TEST(PdbfsRaceStress, TwoSolvesShareOneEnginePool) {
+  // Two service workers solve P-DBFS at once, each on its own stream of
+  // the one engine, so both solves' rounds interleave on the same pool.
+  constexpr std::uint64_t kSeeds = 20;
+  std::vector<BipartiteGraph> graphs;
+  std::vector<index_t> want;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    graphs.push_back(gen::random_uniform(120, 120, 420, seed));
+    want.push_back(matching::reference_maximum_cardinality(graphs.back()));
+  }
+  const auto engine = std::make_shared<device::Engine>(4);
+  std::vector<index_t> got[2];
+  auto solve_all = [&](std::vector<index_t>& out) {
+    Device stream(engine);
+    const SolveContext ctx{.device = &stream};
+    const std::unique_ptr<Solver> solver =
+        SolverRegistry::instance().create("p-dbfs");
+    for (const BipartiteGraph& g : graphs)
+      out.push_back(solver->run(ctx, g, empty_init(g)).stats.cardinality);
+  };
+  std::thread other(solve_all, std::ref(got[1]));
+  solve_all(got[0]);
+  other.join();
+  for (const std::vector<index_t>& out : got) EXPECT_EQ(out, want);
 }
 
 TEST(DeterminismOfResult, CardinalityIsStableAcrossRacyRuns) {

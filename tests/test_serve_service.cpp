@@ -668,8 +668,8 @@ TEST(Service, StreamsEveryCompletionIntoTheRegistry) {
   EXPECT_EQ(samples("serve.queue_ms"), 3u);    // every completion
   EXPECT_EQ(samples("serve.service_ms"), 2u);  // a cache hit records none
   EXPECT_EQ(samples("serve.admit_ms"), 1u);    // the one add_instance
-  // The per-spec histograms behind the solver table: solved requests
-  // only, under their canonical specs.
+  // The per-solver histograms behind the solver table: solved requests
+  // only, under their solvers' registry names.
   EXPECT_EQ(samples("serve.solver_ms.hk"), 1u);
   EXPECT_EQ(samples("serve.solver_ms.seq-pr"), 1u);
   const std::vector<SolverLatency> table = svc.solver_stats();
@@ -679,6 +679,26 @@ TEST(Service, StreamsEveryCompletionIntoTheRegistry) {
   EXPECT_DOUBLE_EQ(table[0].mean_ms,
                    reg.histogram("serve.solver_ms.hk").snapshot().sum);
   EXPECT_EQ(table[1].spec, "seq-pr");
+}
+
+TEST(Service, SolverTableIsBoundedByTheRegistry) {
+  // A client that varies an option value on every request (`k=1.1`,
+  // `k=1.10`, ... are distinct specs) still adds to one row per solver.
+  MatchingService svc({.workers = 2});
+  const auto handle =
+      svc.add_instance("g", gen::random_uniform(120, 120, 500, 4)).handle;
+  std::vector<Submission> subs;
+  for (int i = 0; i < 50; ++i)
+    subs.push_back(svc.submit(request(handle, "seq-pr:k=1." +
+                                                  std::to_string(i))));
+  for (const Submission& s : subs) {
+    ASSERT_TRUE(s.accepted) << s.reason;
+    ASSERT_TRUE(s.future.get().ok);
+  }
+  const std::vector<SolverLatency> table = svc.solver_stats();
+  ASSERT_EQ(table.size(), 1u);
+  EXPECT_EQ(table[0].spec, "seq-pr");
+  EXPECT_EQ(table[0].count, 50u);
 }
 
 TEST(Service, TwoServicesInOneProcessCountOnlyTheirOwn) {

@@ -138,7 +138,7 @@ TEST(SolverSpec, MalformedOptionValueFailsAtInstantiate) {
 TEST(SolverSpec, InstantiatedTunedSolverRunsEndToEnd) {
   const auto g = graph::gen::random_uniform(200, 210, 900, 3);
   device::Device dev({.num_threads = 2});
-  const SolveContext ctx{.device = &dev, .threads = 2};
+  const SolveContext ctx{.device = &dev};
   const matching::Matching init(g);
 
   const auto tuned = SolverSpec::parse("g-pr-shr:k=1.5").instantiate();
