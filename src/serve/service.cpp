@@ -374,7 +374,7 @@ std::vector<SolverLatency> MatchingService::solver_stats() const {
   // first sample: skip one caught in between.
   for (const auto& [name, h] : metrics_.histogram_snapshots())
     if (name.starts_with(kSolverMs) && h.count > 0)
-      out.push_back({.spec = name.substr(kSolverMs.size()),
+      out.push_back({.solver = name.substr(kSolverMs.size()),
                      .count = h.count,
                      .mean_ms = h.mean(),
                      .p90_ms = h.percentile(90.0)});

@@ -84,8 +84,6 @@ struct ServiceOptions {
   unsigned workers = 1;
   unsigned device_threads = 0;  ///< every solver's workers (0 = hardware)
   /// Nothing reads this; ROADMAP item 2 deletes it with its benchmark uses.
-  unsigned solver_threads = 0;
-  /// Nothing reads this; ROADMAP item 2 deletes it with its benchmark uses.
   device::Backend backend = device::Backend::kHost;
   /// Admission queue depth; a submit beyond it is rejected with a reason
   /// (bounded memory and latency under overload).
@@ -141,7 +139,7 @@ struct ServiceStats {
 /// Count and mean are exact over every solved (non-cached) request; p90 is
 /// the histogram's lifetime p90, interpolated inside its bucket.
 struct SolverLatency {
-  std::string spec;  ///< registry name of the resolved solver (post-policy)
+  std::string solver;  ///< registry name of the resolved solver (post-policy)
   std::uint64_t count = 0;
   double mean_ms = 0.0;
   double p90_ms = 0.0;

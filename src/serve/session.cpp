@@ -242,7 +242,7 @@ void Session::handle(const proto::StatsRequest&, Outcome& out) {
   // picks, so this table is how an operator judges the policy's choices.
   for (const SolverLatency& l : context_.service.solver_stats()) {
     std::ostringstream ls;
-    ls << "solver " << l.spec << " count=" << l.count
+    ls << "solver " << l.solver << " count=" << l.count
        << " mean_ms=" << l.mean_ms << " p90_ms=" << l.p90_ms;
     out.lines.push_back(ls.str());
   }

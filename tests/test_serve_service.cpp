@@ -674,11 +674,11 @@ TEST(Service, StreamsEveryCompletionIntoTheRegistry) {
   EXPECT_EQ(samples("serve.solver_ms.seq-pr"), 1u);
   const std::vector<SolverLatency> table = svc.solver_stats();
   ASSERT_EQ(table.size(), 2u);
-  EXPECT_EQ(table[0].spec, "hk");
+  EXPECT_EQ(table[0].solver, "hk");
   EXPECT_EQ(table[0].count, 1u);
   EXPECT_DOUBLE_EQ(table[0].mean_ms,
                    reg.histogram("serve.solver_ms.hk").snapshot().sum);
-  EXPECT_EQ(table[1].spec, "seq-pr");
+  EXPECT_EQ(table[1].solver, "seq-pr");
 }
 
 TEST(Service, SolverTableIsBoundedByTheRegistry) {
@@ -697,7 +697,7 @@ TEST(Service, SolverTableIsBoundedByTheRegistry) {
   }
   const std::vector<SolverLatency> table = svc.solver_stats();
   ASSERT_EQ(table.size(), 1u);
-  EXPECT_EQ(table[0].spec, "seq-pr");
+  EXPECT_EQ(table[0].solver, "seq-pr");
   EXPECT_EQ(table[0].count, 50u);
 }
 
