@@ -1,6 +1,5 @@
 #include "core/g_pr.hpp"
 
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -15,14 +14,11 @@ namespace {
 using matching::kUnmatchable;
 using matching::kUnmatched;
 
-using detail::apply_push;
-using detail::BalancedFrontier;
 using detail::compact_survivors;
 using detail::is_active_column;
 using detail::loop_bound;
 using detail::loop_bound_exceeded;
 using detail::MinScan;
-using detail::PushOutcome;
 using detail::RelabelScheduler;
 using detail::scan_min_row;
 
@@ -83,10 +79,27 @@ void run_first(device::Device& dev, const BipartiteGraph& g, DeviceState& st,
   stats.loops = loop;
 }
 
-/// Variants kNoShrink / kShrink — Algorithms 7–9.
+/// Variants kNoShrink / kShrink — Algorithms 7–9 — and, when `balanced`,
+/// the workload-balanced schedule of every variant (GprOptions::balance,
+/// solver `g-pr-wb`, after Hsieh et al., arXiv:2404.00270).
+///
+/// The balanced schedule keeps the rules of Algorithms 7–9 (the same
+/// resolve/roll-back and the same iA conflict stamps, so their termination
+/// and maximality arguments carry over) and changes only when the list is
+/// compacted and how the push is launched:
+///
+///  * the list is compacted every loop, not just after a global relabel,
+///    so the push never visits a dead slot, and the compaction also emits
+///    each survivor's degree;
+///  * the degree prefix sum (device::balanced_offsets) feeds
+///    Device::launch_balanced, which splits the list's *edges* rather than
+///    its columns into equal chunks, so a hub column no longer serializes
+///    a chunk that also holds an equal share of everything else.  A single
+///    column is never split: one hub whose degree exceeds a chunk's share
+///    still bounds its launch.
 void run_active_list(device::Device& dev, const BipartiteGraph& g,
                      DeviceState& st, const GprOptions& options,
-                     GprStats& stats, GprObserver* observer) {
+                     bool balanced, GprStats& stats, GprObserver* observer) {
   const index_t psi_inf = g.psi_infinity();
   const std::int64_t max_loops = loop_bound(g, options);
   const bool with_shrink = options.variant == GprVariant::kShrink;
@@ -103,6 +116,9 @@ void run_active_list(device::Device& dev, const BipartiteGraph& g,
   device::relaxed_vector<index_t> i_a(static_cast<std::size_t>(g.num_cols()),
                                       -1);
   auto len = static_cast<std::int64_t>(initial.size());
+  // Balanced only: the compacted list's column degrees, slot-parallel with
+  // Ac.  Each slot has one writer per launch; the barrier publishes it.
+  std::vector<std::int64_t> degree;
 
   std::int64_t loop = 0;
   RelabelScheduler relabels(options);
@@ -118,7 +134,8 @@ void run_active_list(device::Device& dev, const BipartiteGraph& g,
     const auto loop_stamp = static_cast<index_t>(loop);
     timer.restart();
 
-    if (with_shrink && shrink && len >= options.shrink_threshold) {
+    if (balanced ||
+        (with_shrink && shrink && len >= options.shrink_threshold)) {
       // G-PR-SHRKRNL: resolve (roll back conflicts) and compact via the
       // shared two-pass stream compaction (paper §III-C2).
       auto shrink_sp = obs::span(dev.tracer(), "frontier-compaction", "phase");
@@ -134,17 +151,22 @@ void run_active_list(device::Device& dev, const BipartiteGraph& g,
           [&](std::int64_t survivors) {
             compacted = device::relaxed_vector<index_t>(
                 static_cast<std::size_t>(survivors), -1);
+            if (balanced) degree.assign(static_cast<std::size_t>(survivors), 0);
           },
           [&](std::int64_t out, index_t v) {
             compacted.store(static_cast<std::size_t>(out), v);
             i_a.store(static_cast<std::size_t>(v), loop_stamp);
+            if (balanced)
+              degree[static_cast<std::size_t>(out)] = g.col_degree(v);
           });
       ap = compacted;            // PUSH leaves forbidden slots untouched in
       ac = std::move(compacted);  // Ap; seeding both with v keeps the
                                   // roll-back path identical to INITKRNL's.
       // Model cost: two resolve passes (one µ(µ) gather per slot each)
-      // plus the scattered iA stamps of the survivors.
-      dev.charge_work(2 * len + total);
+      // plus the scattered iA stamps of the survivors; balanced, also the
+      // two CSR-bound gathers behind each survivor's degree.
+      dev.charge_work(2 * len + (balanced ? 3 : 1) * total);
+      if (shrink_sp) shrink_sp.arg("survivors", total);
       len = total;
       if (len > 0) act_exists.raise();
       ++stats.shrinks;
@@ -179,7 +201,7 @@ void run_active_list(device::Device& dev, const BipartiteGraph& g,
         push_sp.arg("loop", loop);
         push_sp.arg("active", len);
       }
-      dev.launch_accounted(len, [&](std::int64_t i) -> std::int64_t {
+      const auto push = [&](std::int64_t i) -> std::int64_t {
         const auto iz = static_cast<std::size_t>(i);
         const index_t v = ac.load(iz);
         if (v == -1) {
@@ -188,126 +210,40 @@ void run_active_list(device::Device& dev, const BipartiteGraph& g,
         }
         const index_t psi_v = st.psi_col.load(static_cast<std::size_t>(v));
         const MinScan r = scan_min_row(g, st, v, psi_v, psi_inf);
-        const PushOutcome p = apply_push(st, i_a, loop_stamp, psi_inf, v, r);
-        if (p.pushed) {
-          ap.store(iz, p.displaced);
-        } else if (r.psi_min >= psi_inf) {
+        if (r.psi_min >= psi_inf) {
+          st.mu_col.store(static_cast<std::size_t>(v), kUnmatchable);
           ac.store(iz, -1);  // v retired
           ap.store(iz, -1);
+          return r.scanned;
         }
-        // A blocked push leaves Ap(i) alone; the next INITKRNL rolls v back.
-        return r.scanned + p.work;
-      });
-      ac.swap(ap);  // line 18 of Algorithm 7
-    }
-    stats.push_ms += timer.elapsed_ms();
-    if (observer) observer->on_loop_end(loop, st);
-    if (++loop > max_loops) loop_bound_exceeded();
-  }
-  stats.loops = loop;
-}
-
-/// Workload-balanced driver (GprOptions::balance, solver `g-pr-wb`).
-///
-/// Semantically this is the shrink driver with compaction every iteration:
-/// the same resolve/roll-back rules (a slot's pusher rolls back while it
-/// is still active, otherwise the slot yields its displaced column or
-/// dies) and the same iA conflict stamps, so the termination and
-/// maximality arguments of Algorithms 7–9 carry over unchanged.  What
-/// changes is the execution schedule:
-///
-///  * every loop the active columns are compacted into a dense SoA
-///    frontier — column ids, cached ψ, flat CSR slice starts, and degrees
-///    — so the push kernel never scans a dead slot and never re-resolves
-///    `col_ptr`;
-///  * the degree prefix sum of the frontier (device::exclusive_scan via
-///    balanced_offsets) feeds Device::launch_balanced, which partitions
-///    the frontier's *edges* rather than its columns into equal chunks —
-///    a high-degree hub column no longer serializes a chunk that also
-///    holds an equal share of everything else (Hsieh et al.,
-///    arXiv:2404.00270).  A single column is never split, so one hub
-///    whose degree exceeds a chunk's share still bounds its launch.
-void run_balanced(device::Device& dev, const BipartiteGraph& g,
-                  DeviceState& st, const GprOptions& options, GprStats& stats,
-                  GprObserver* observer) {
-  const index_t psi_inf = g.psi_infinity();
-  const std::int64_t max_loops = loop_bound(g, options);
-  const std::vector<graph::offset_t>& col_ptr = g.col_ptr();
-  const index_t* col_adj = g.col_adj().data();
-
-  // `f` holds the current pushers (the Ap role) and `displaced` their push
-  // outputs (displaced columns or −1 — the Ac role), slot-parallel.
-  // Plain vectors: each slot has exactly one writer per launch and the
-  // launch barrier publishes the writes to the next loop's kernels.
-  BalancedFrontier f, next;
-  for (index_t v = 0; v < g.num_cols(); ++v)
-    if (st.mu_col.load(static_cast<std::size_t>(v)) == kUnmatched)
-      f.cols.push_back(v);
-  std::vector<index_t> displaced(f.cols.size(), kUnmatched);
-
-  device::relaxed_vector<index_t> i_a(static_cast<std::size_t>(g.num_cols()),
-                                      -1);
-
-  std::int64_t loop = 0;
-  RelabelScheduler relabels(options);
-  Timer timer;
-  std::int64_t len = f.size();
-
-  while (len > 0) {
-    (void)relabels.on_loop(dev, g, st, loop, stats, timer);
-    const auto loop_stamp = static_cast<index_t>(loop);
-    timer.restart();
-
-    // --- frontier compaction -------------------------------------------
-    // The shared SHRKRNL-shaped stream compaction, emitting the dense
-    // frontier SoA instead of a bare column list.
-    auto compact_sp = obs::span(dev.tracer(), "frontier-compaction", "phase");
-    if (compact_sp) compact_sp.arg("loop", loop);
-    const std::int64_t total = compact_survivors(
-        dev, len,
-        [&](std::int64_t i) -> index_t {
-          const index_t v_prev = f.cols[static_cast<std::size_t>(i)];
-          if (v_prev != -1 && is_active_column(st, v_prev)) return v_prev;
-          return displaced[static_cast<std::size_t>(i)];
-        },
-        [&](std::int64_t survivors) { next.resize_for(survivors); },
-        [&](std::int64_t out, index_t v) {
-          const auto oz = static_cast<std::size_t>(out);
-          const auto vz = static_cast<std::size_t>(v);
-          next.cols[oz] = v;
-          next.psi[oz] = st.psi_col.load(vz);
-          next.adj_begin[oz] = col_ptr[vz];
-          next.degree[oz] =
-              static_cast<std::int64_t>(col_ptr[vz + 1] - col_ptr[vz]);
-          i_a.store(vz, loop_stamp);
-        });
-    // Model cost: two resolve passes (one µ(µ) gather per slot each) plus
-    // the survivors' scattered iA stamps and gathered ψ/CSR metadata.
-    dev.charge_work(2 * len + 3 * total);
-    ++stats.frontier_builds;
-    if (compact_sp) compact_sp.arg("survivors", total);
-    compact_sp.end();
-
-    len = total;
-    if (len == 0) {
-      stats.push_ms += timer.elapsed_ms();
-      if (observer) observer->on_loop_end(loop, st);
-      if (++loop > max_loops) loop_bound_exceeded();
-      break;
-    }
-
-    f.swap(next);  // the fresh frontier becomes this loop's pusher buffer
-    displaced.assign(static_cast<std::size_t>(len), kUnmatched);
-
-    // --- edge-balanced push ----------------------------------------------
-    {
-      auto push_sp = obs::span(dev.tracer(), "push", "phase");
-      if (push_sp) {
-        push_sp.arg("loop", loop);
-        push_sp.arg("active", len);
+        // Capture the displaced column *before* overwriting µ(u); w == −1
+        // encodes a single push.
+        const index_t w = st.mu_row.load(static_cast<std::size_t>(r.u_min));
+        if (w != kUnmatched &&
+            i_a.load(static_cast<std::size_t>(w)) == loop_stamp) {
+          // µ(u)'s holder is active this loop — pushing would let one
+          // column enter the list twice (paper §III-C1).  A blocked push
+          // leaves Ap(i) alone; the next INITKRNL or compaction rolls v
+          // back.
+          return r.scanned + 1;  // µ(u) gather
+        }
+        st.mu_row.store(static_cast<std::size_t>(r.u_min), v);
+        st.mu_col.store(static_cast<std::size_t>(v), r.u_min);
+        st.psi_col.store(static_cast<std::size_t>(v), r.psi_min + 1);
+        st.psi_row.store(static_cast<std::size_t>(r.u_min), r.psi_min + 2);
+        ap.store(iz, w);
+        // µ(u) gather, iA(µ(u)) gather, scattered µ(u) and ψ(u) writes.
+        return r.scanned + (w == kUnmatched ? 3 : 4);
+      };
+      if (balanced) {
+        const std::vector<std::int64_t> offsets =
+            device::balanced_offsets(dev, degree);
+        dev.charge_work(2 * len);  // the scan's two passes over the degrees
+        dev.launch_balanced(offsets, push);
+      } else {
+        dev.launch_accounted(len, push);
       }
-      detail::balanced_push(dev, col_adj, st, f, i_a, loop_stamp, psi_inf,
-                            displaced);
+      ac.swap(ap);  // line 18 of Algorithm 7
     }
     stats.push_ms += timer.elapsed_ms();
     if (observer) observer->on_loop_end(loop, st);
@@ -338,9 +274,9 @@ GprResult g_pr(device::Device& dev, const BipartiteGraph& g,
   if (options.balance == BalanceMode::kAuto) {
     // Degree skew (max/mean) of the initially *unmatched* columns — the
     // columns the push kernels will actually iterate.  One O(n) host
-    // pass over the CSR row pointers; the frontier compaction this
-    // gates costs a scan + gather every main-loop iteration, so the
-    // probe pays for itself immediately.
+    // pass over the CSR row pointers; the per-loop compaction and degree
+    // scan this gates cost more than that every main-loop iteration, so
+    // the probe pays for itself immediately.
     const std::vector<graph::offset_t>& col_ptr = g.col_ptr();
     std::int64_t active = 0, edges = 0, max_deg = 0;
     for (index_t v = 0; v < g.num_cols(); ++v) {
@@ -354,27 +290,17 @@ GprResult g_pr(device::Device& dev, const BipartiteGraph& g,
     if (active > 0 && edges > 0) {
       stats.balance_skew = static_cast<double>(max_deg) * active /
                            static_cast<double>(edges);
-      balanced = stats.balance_skew >= options.balance_skew_threshold;
+      balanced = stats.balance_skew >= kAutoBalanceSkew;
     }
   }
   stats.balanced = balanced;
 
-  if (balanced) {
-    // The workload-balanced schedule subsumes the variant distinction:
-    // every variant's push work runs over the compacted frontier.  The
-    // vertex-parallel drivers below stay byte-for-byte the reference.
-    run_balanced(dev, g, st, options, stats, observer);
-  } else {
-    switch (options.variant) {
-      case GprVariant::kFirst:
-        run_first(dev, g, st, options, stats, observer);
-        break;
-      case GprVariant::kNoShrink:
-      case GprVariant::kShrink:
-        run_active_list(dev, g, st, options, stats, observer);
-        break;
-    }
-  }
+  // The balanced schedule subsumes the variant distinction: every
+  // variant's push runs over the list compacted each loop.
+  if (options.variant == GprVariant::kFirst && !balanced)
+    run_first(dev, g, st, options, stats, observer);
+  else
+    run_active_list(dev, g, st, options, balanced, stats, observer);
 
   Timer fix;
   {

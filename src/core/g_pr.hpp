@@ -45,6 +45,10 @@ class GprObserver {
 ///  * kShrink   — plus prefix-sum compaction of the list after each global
 ///                relabel while |Ac| ≥ options.shrink_threshold.
 ///
+/// With GprOptions::balance every variant runs the active-list driver's
+/// balanced schedule instead: the list is compacted every loop and the
+/// push is launched edge-balanced (`g-pr-wb`).
+///
 /// The paper starts from the cheap greedy matching.  The result is
 /// maximum (Berge certificate checked in tests) at any worker count of
 /// `dev`.

@@ -1,12 +1,11 @@
 #pragma once
 
 // Shared internals of the G-PR drivers (core/g_pr.cpp): the activity
-// test, the Γ(v) argmin scan, the SHRKRNL-shaped stream compaction, the
-// relabel scheduler, PUSHKRNL's write phase, and the edge-balanced push.
+// test, the Γ(v) argmin scan, the SHRKRNL-shaped stream compaction and
+// the relabel scheduler.
 // Internal header — nothing here is part of the public solver surface.
 
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -16,14 +15,12 @@
 #include "core/stats.hpp"
 #include "device/device.hpp"
 #include "device/mem.hpp"
-#include "device/scan.hpp"
 #include "matching/matching.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
 
 namespace bpm::gpu::detail {
 
-using matching::kUnmatchable;
 using matching::kUnmatched;
 
 /// The matching invariant's activity test: a column is
@@ -45,15 +42,10 @@ struct MinScan {
   std::int64_t scanned;  ///< adjacency entries inspected (device model work)
 };
 
-/// Flat-slice form: scans `adj[0, degree)` directly.  The balanced
-/// frontier caches each active column's CSR slice start so its push
-/// kernel reads the adjacency without resolving `col_ptr` again.
-inline MinScan scan_min_row(const index_t* adj, std::int64_t degree,
-                            const DeviceState& st, index_t psi_v,
-                            index_t psi_inf) {
+inline MinScan scan_min_row(const BipartiteGraph& g, const DeviceState& st,
+                            index_t v, index_t psi_v, index_t psi_inf) {
   MinScan r{psi_inf, kUnmatched, 0};
-  for (std::int64_t e = 0; e < degree; ++e) {
-    const index_t u = adj[e];
+  for (const index_t u : g.col_neighbors(v)) {
     ++r.scanned;
     const index_t pu = st.psi_row.load(static_cast<std::size_t>(u));
     if (pu < r.psi_min) {
@@ -65,17 +57,10 @@ inline MinScan scan_min_row(const index_t* adj, std::int64_t degree,
   return r;
 }
 
-inline MinScan scan_min_row(const BipartiteGraph& g, const DeviceState& st,
-                            index_t v, index_t psi_v, index_t psi_inf) {
-  const std::span<const index_t> nb = g.col_neighbors(v);
-  return scan_min_row(nb.data(), static_cast<std::int64_t>(nb.size()), st,
-                      psi_v, psi_inf);
-}
-
-/// G-PR-SHRKRNL's stream-compaction shape, shared by the shrink driver and
-/// the balanced frontier (paper §III-C2): per-worker survivor counting
-/// into cache-line-padded tallies, a serial prefix over the (tiny) worker
-/// counts, then per-worker writes into private output regions.
+/// G-PR-SHRKRNL's stream-compaction shape (paper §III-C2): per-worker
+/// survivor counting into cache-line-padded tallies, a serial prefix over
+/// the (tiny) worker counts, then per-worker writes into private output
+/// regions.
 /// `resolve(i)` names slot i's surviving column or −1; `prepare(total)`
 /// sizes the outputs between the passes; `emit(out, v)` stores survivor
 /// `v` at dense index `out` (each index written by exactly one worker).
@@ -156,103 +141,6 @@ class RelabelScheduler {
   const GprOptions& options_;
   std::int64_t iter_gr_ = 0;
 };
-
-/// Dense active-column frontier SoA (the compaction output the balanced
-/// push consumes): column ids, cached ψ, flat CSR slice starts, degrees.
-struct BalancedFrontier {
-  std::vector<index_t> cols, psi;
-  std::vector<graph::offset_t> adj_begin;
-  std::vector<std::int64_t> degree;
-
-  [[nodiscard]] std::int64_t size() const {
-    return static_cast<std::int64_t>(cols.size());
-  }
-  void resize_for(std::int64_t survivors) {
-    const auto sz = static_cast<std::size_t>(survivors);
-    cols.assign(sz, -1);
-    psi.assign(sz, 0);
-    adj_begin.assign(sz, 0);
-    degree.assign(sz, 0);
-  }
-  void swap(BalancedFrontier& other) noexcept {
-    cols.swap(other.cols);
-    psi.swap(other.psi);
-    adj_begin.swap(other.adj_begin);
-    degree.swap(other.degree);
-  }
-};
-
-/// What PUSHKRNL's write phase did for one pusher.
-struct PushOutcome {
-  std::int64_t work;  ///< model work units of the write phase
-  bool pushed;        ///< µ(u) ← v landed (false: blocked or retired)
-  index_t displaced;  ///< the captured double-push column; −1 for a single
-                      ///< push or when nothing was pushed
-};
-
-/// PUSHKRNL's write phase, shared by the active-list and balanced
-/// drivers: given column v's scanned minimum, perform the single/double
-/// push (guarded by the iA conflict stamp) or retire v.  The caller owns
-/// its slot rules: a blocked pusher leaves its slots alone, a pushed one
-/// records `displaced`, a retired one (r.psi_min == ψ∞) clears them.
-inline PushOutcome apply_push(DeviceState& st,
-                              const device::relaxed_vector<index_t>& i_a,
-                              index_t loop_stamp, index_t psi_inf, index_t v,
-                              const MinScan& r) {
-  PushOutcome out{0, false, kUnmatched};
-  if (r.psi_min < psi_inf) {
-    // Capture the displaced column *before* overwriting µ(u); w == −1
-    // encodes a single push.
-    const index_t w = st.mu_row.load(static_cast<std::size_t>(r.u_min));
-    ++out.work;  // µ(u) gather
-    if (w == kUnmatched ||
-        i_a.load(static_cast<std::size_t>(w)) != loop_stamp) {
-      if (w != kUnmatched) ++out.work;  // iA(µ(u)) gather
-      st.mu_row.store(static_cast<std::size_t>(r.u_min), v);
-      st.mu_col.store(static_cast<std::size_t>(v), r.u_min);
-      st.psi_col.store(static_cast<std::size_t>(v), r.psi_min + 1);
-      st.psi_row.store(static_cast<std::size_t>(r.u_min), r.psi_min + 2);
-      out.pushed = true;
-      out.displaced = w;
-      out.work += 2;  // scattered µ(u), ψ(u) writes
-    }
-    // else: µ(u)'s holder is active this loop — pushing would let one
-    // column enter the frontier twice (paper §III-C1).  The pusher stays
-    // active, so the next roll-back or compaction restores it.
-  } else {
-    st.mu_col.store(static_cast<std::size_t>(v), kUnmatchable);
-  }
-  return out;
-}
-
-/// One edge-balanced push over the frontier (G-PR-PUSHKRNL over the dense
-/// SoA): the frontier's degree prefix sum (device scan) feeds one
-/// `launch_balanced`, which hands each chunk an equal share of the
-/// frontier's edges; every item scans its column's slice and applies
-/// `apply_push`.  `displaced[i]` is the slot-parallel output over frontier
-/// items: the captured column of a landed push, untouched otherwise.
-/// Charges the scan passes to the model.
-inline void balanced_push(device::Device& dev, const index_t* col_adj,
-                          DeviceState& st, const BalancedFrontier& f,
-                          const device::relaxed_vector<index_t>& i_a,
-                          index_t loop_stamp, index_t psi_inf,
-                          std::vector<index_t>& displaced) {
-  const std::int64_t n = f.size();
-  if (n == 0) return;
-
-  const std::vector<std::int64_t> offsets =
-      device::balanced_offsets(dev, f.degree);
-  dev.charge_work(2 * n);  // the scan's two passes over the degrees
-  dev.launch_balanced(offsets, [&](std::int64_t i) -> std::int64_t {
-    const auto iz = static_cast<std::size_t>(i);
-    const MinScan r = scan_min_row(col_adj + f.adj_begin[iz], f.degree[iz],
-                                   st, f.psi[iz], psi_inf);
-    const PushOutcome p =
-        apply_push(st, i_a, loop_stamp, psi_inf, f.cols[iz], r);
-    if (p.pushed) displaced[iz] = p.displaced;
-    return r.scanned + p.work;
-  });
-}
 
 /// FIXMATCHING: repair the benign column-side inconsistencies; row
 /// matchings are authoritative and already correct.

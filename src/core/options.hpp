@@ -35,19 +35,23 @@ enum class RelabelStrategy {
 };
 
 /// Whether a G-PR solve uses the workload-balanced (edge-partitioned)
-/// push path.
+/// schedule of the active-list driver.
 enum class BalanceMode {
-  kOff,  ///< always the vertex-parallel active-list path
-  kOn,   ///< always the edge-balanced frontier path
+  kOff,  ///< always the variant's vertex-parallel schedule
+  kOn,   ///< always the balanced schedule
   /// Decide per solve from the measured degree skew (max/mean column
   /// degree over the initially unmatched columns): balanced when the
-  /// skew reaches `GprOptions::balance_skew_threshold`, vertex-parallel
-  /// otherwise.  This keeps the balanced path's win on skewed instances
-  /// without paying its frontier-compaction overhead on uniform ones
-  /// (the ~1% uniform-suite regression recorded in
-  /// BENCH_gpr_balance.json).
+  /// skew reaches kAutoBalanceSkew, vertex-parallel otherwise.  This
+  /// keeps the balanced schedule's win on skewed instances without
+  /// paying its per-loop compaction on uniform ones (the ~1%
+  /// uniform-suite regression recorded in BENCH_gpr_balance.json).
   kAuto,
 };
+
+/// BalanceMode::kAuto's decision threshold on max/mean unmatched-column
+/// degree.  Calibrated against the bench suites: uniform_random sits near
+/// 3.4 and planted near 4, the hub/power-law instances at 7.7+.
+inline constexpr double kAutoBalanceSkew = 4.5;
 
 struct GprOptions {
   GprVariant variant = GprVariant::kShrink;
@@ -69,23 +73,18 @@ struct GprOptions {
   /// `table1_runtimes --algo g-pr-shr,g-pr-shr:initial-gr=0`).
   bool initial_global_relabel = true;
 
-  /// Workload-balanced execution (Hsieh et al., arXiv:2404.00270): every
-  /// main-loop iteration compacts the active columns into a dense SoA
-  /// frontier (column ids, cached ψ, flat CSR slice starts, and a degree
-  /// prefix sum built with device::exclusive_scan) and runs the push
-  /// kernel through device::Device::launch_balanced, which partitions
-  /// *edges* rather than columns into equal chunks.  This removes the
-  /// straggler problem of the paper's one-thread-per-column grid on
-  /// degree-skewed graphs; the vertex-parallel path (kOff) remains the
-  /// faithful reference, and kAuto picks per solve by measured degree
-  /// skew.  Registered as the `g-pr-wb` solver (default auto), and
-  /// sweepable on any G-PR solver via the `balance=0|1|auto` option.
+  /// Workload-balanced execution (Hsieh et al., arXiv:2404.00270), for
+  /// every variant: the active-list driver compacts its list every
+  /// main-loop iteration (emitting each survivor's degree) and launches
+  /// the push through device::Device::launch_balanced over the degree
+  /// prefix sum (device::balanced_offsets), which partitions *edges*
+  /// rather than columns into equal chunks.  This removes the straggler
+  /// problem of the paper's one-thread-per-column grid on degree-skewed
+  /// graphs; the vertex-parallel schedule (kOff) remains the faithful
+  /// reference, and kAuto picks per solve by measured degree skew.
+  /// Registered as the `g-pr-wb` solver (default auto), and sweepable on
+  /// any G-PR solver via the `balance=0|1|auto` option.
   BalanceMode balance = BalanceMode::kOff;
-
-  /// kAuto's decision threshold on max/mean unmatched-column degree.
-  /// Calibrated against the bench suites: uniform_random sits near 3.4
-  /// and planted near 4, the hub/power-law instances at 7.7+.
-  double balance_skew_threshold = 4.5;
 
   /// Safety net against regressions in the termination argument: throw if
   /// the main loop exceeds `64·(m+n) + 1024` iterations.  0 disables.

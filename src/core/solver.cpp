@@ -98,8 +98,6 @@ class GprSolver final : public Solver {
       else
         options_.balance = parse_bool(key, value) ? gpu::BalanceMode::kOn
                                                   : gpu::BalanceMode::kOff;
-    } else if (key == "balance-skew") {
-      options_.balance_skew_threshold = parse_positive(key, value);
     } else {
       return false;
     }
@@ -116,8 +114,8 @@ class GprSolver final : public Solver {
     if (options_.balance == gpu::BalanceMode::kAuto)
       d << ", skew " << r.stats.balance_skew << " -> "
         << (r.stats.balanced ? "balanced" : "vertex-parallel");
-    if (r.stats.balanced)
-      d << ", " << r.stats.frontier_builds << " frontier builds";
+    else if (r.stats.balanced)
+      d << ", balanced";
     return {std::move(r.matching), r.stats.loops, d.str()};
   }
 
@@ -424,11 +422,11 @@ SolverRegistry::SolverRegistry() {
     return std::make_unique<GprSolver>("g-pr-first", gpu::GprVariant::kFirst);
   });
   add("g-pr-wb", [] {
-    // Workload-balanced G-PR: edge-balanced push over a per-loop compacted
-    // frontier (GprOptions::balance).  Defaults to balance=auto — the
-    // measured degree skew of the unmatched columns decides per solve, so
-    // uniform instances keep the vertex-parallel path's speed; force with
-    // balance=1 / balance=0.
+    // Workload-balanced G-PR: edge-balanced push over an active list
+    // compacted every loop (GprOptions::balance).  Defaults to
+    // balance=auto — the measured degree skew of the unmatched columns
+    // decides per solve, so uniform instances keep the vertex-parallel
+    // path's speed; force with balance=1 / balance=0.
     return std::make_unique<GprSolver>("g-pr-wb", gpu::GprVariant::kShrink,
                                        gpu::BalanceMode::kAuto);
   });

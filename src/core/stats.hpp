@@ -9,12 +9,11 @@ struct GprStats {
   std::int64_t loops = 0;            ///< main-loop iterations (Alg 3/7 line 4/5)
   std::int64_t global_relabels = 0;  ///< G-GR invocations
   std::int64_t gr_level_kernels = 0; ///< total G-GR-KRNL launches (BFS levels)
-  std::int64_t shrinks = 0;          ///< G-PR-SHRKRNL invocations
-  std::int64_t frontier_builds = 0;  ///< balanced-path frontier compactions
+  std::int64_t shrinks = 0;          ///< active-list compactions (SHRKRNL)
   /// balance=auto's input: max/mean degree over the initially unmatched
   /// columns (0 when the solve never measured it, i.e. balance != auto).
   double balance_skew = 0.0;
-  bool balanced = false;  ///< ran the workload-balanced frontier path
+  bool balanced = false;  ///< ran the workload-balanced schedule
 
   double gr_ms = 0.0;     ///< time in global relabeling
   double push_ms = 0.0;   ///< time in INIT/PUSH/SHR kernels

@@ -15,13 +15,10 @@ std::int64_t exclusive_scan(Device& dev, std::span<const std::int64_t> in,
 
   // Pass 1: per-worker partial sums.
   std::vector<std::int64_t> partial(dev.num_workers() + 1, 0);
-  std::vector<std::pair<std::int64_t, std::int64_t>> ranges(dev.num_workers(),
-                                                            {0, 0});
   dev.launch_chunked(n, [&](unsigned w, std::int64_t begin, std::int64_t end) {
     std::int64_t sum = 0;
     for (std::int64_t i = begin; i < end; ++i) sum += in[static_cast<std::size_t>(i)];
     partial[w + 1] = sum;
-    ranges[w] = {begin, end};
   });
 
   // Serial scan over the (tiny) per-worker totals.

@@ -1,9 +1,10 @@
-// Conformance and stress suite for the workload-balanced G-PR path
-// (GprOptions::balance / solver `g-pr-wb`): the edge-balanced frontier
-// driver must return the same maximum cardinality as every vertex-parallel
-// variant on every instance, at any worker count, under oversubscription —
-// and its frontier-compaction counters must be TSan-clean (this suite runs
-// in the CI ThreadSanitizer job).
+// Conformance and stress suite for the workload-balanced G-PR schedule
+// (GprOptions::balance / solver `g-pr-wb`): the active-list driver,
+// compacting every loop and launching its push edge-balanced, must return
+// the same maximum cardinality as every vertex-parallel variant on every
+// instance, at any worker count, under oversubscription — and its
+// compaction counters and balanced launch must be TSan-clean (this suite
+// runs in the CI ThreadSanitizer job).
 
 #include <gtest/gtest.h>
 
@@ -38,9 +39,10 @@ index_t balanced_cardinality(const BipartiteGraph& g, unsigned threads,
   EXPECT_TRUE(r.matching.is_valid(g)) << r.matching.first_violation(g);
   EXPECT_TRUE(matching::is_maximum(g, r.matching));
   // Any run that had unmatched columns to process went through the
-  // frontier compaction (greedy-perfect instances skip the loop entirely).
-  if (init.cardinality() < r.matching.cardinality())
-    EXPECT_GT(r.stats.frontier_builds, 0);
+  // per-loop compaction (greedy-perfect instances skip the loop entirely).
+  if (init.cardinality() < r.matching.cardinality()) {
+    EXPECT_GT(r.stats.shrinks, 0);
+  }
   return r.matching.cardinality();
 }
 
@@ -69,8 +71,8 @@ TEST(Balance, MatchesReferenceCardinalityAcrossRandomizedSuite) {
     for (const auto& [name, g] : randomized_suite(seed)) {
       const index_t want = matching::reference_maximum_cardinality(g);
       if (g.num_edges() == 0) {
-        // The balanced driver never builds a frontier on an empty graph;
-        // just check the result shape.
+        // The balanced schedule never compacts on an empty graph; just
+        // check the result shape.
         Device dev = test_support::fanout_device(4);
         gpu::GprOptions opt;
         opt.balance = gpu::BalanceMode::kOn;
@@ -85,7 +87,7 @@ TEST(Balance, MatchesReferenceCardinalityAcrossRandomizedSuite) {
   }
 }
 
-TEST(Balance, EveryVariantRoutesThroughTheBalancedDriver) {
+TEST(Balance, EveryVariantRoutesThroughTheBalancedSchedule) {
   // The balance knob subsumes the variant distinction; all three must
   // still agree with the reference.
   const BipartiteGraph g = gen::skewed_hubs(150, 180, 6, 0.25, 2.5, 9);
@@ -134,41 +136,43 @@ TEST(Balance, GprWbIsRegisteredAndDispatchable) {
   EXPECT_GT(dev.native_ms(), 0.0);
   EXPECT_NE(r.stats.detail.find("skew "), std::string::npos);
 
-  // Forcing the balanced path keeps the pre-auto behaviour (and its
-  // frontier-compaction counter in the detail line).
+  // Forcing the balanced schedule keeps the pre-auto behaviour, and the
+  // detail line says which schedule ran.
   auto forced = SolverRegistry::instance().create("g-pr-wb");
   ASSERT_TRUE(forced->set_option("balance", "1"));
   const SolveResult rf = forced->run(ctx, g, init);
   EXPECT_EQ(rf.stats.cardinality, r.stats.cardinality);
-  EXPECT_NE(rf.stats.detail.find("frontier builds"), std::string::npos);
+  EXPECT_NE(rf.stats.detail.find(", balanced"), std::string::npos);
 }
 
 TEST(Balance, AutoModeDecidesBySkewThreshold) {
-  // A hub-block instance whose max/mean unmatched-column degree is far
-  // above 1: with the threshold below the measured skew auto must run
-  // balanced, with it above auto must fall back to vertex-parallel —
-  // both agreeing on the cardinality.
-  const BipartiteGraph g =
-      gen::skewed_hubs(200, 240, 10, 0.2, 2.5, 11, /*scatter=*/false);
-  const index_t want = matching::reference_maximum_cardinality(g);
-  const matching::Matching init = matching::cheap_matching(g);
-  for (const double threshold : {1.0, 1e9}) {
+  // One instance on each side of kAutoBalanceSkew: from the empty start
+  // (every column unmatched, so the measured skew is the whole graph's
+  // max/mean column degree) a uniform random graph sits near 2.4 and must
+  // run vertex-parallel, a hub block near 10 and must run balanced — both
+  // agreeing with the reference cardinality.  (The cheap start would
+  // match most hubs away and leave the hub block below the constant.)
+  const std::pair<BipartiteGraph, bool> cases[] = {
+      {gen::random_uniform(200, 240, 900, 11), false},
+      {gen::skewed_hubs(200, 240, 10, 0.2, 2.5, 11, /*scatter=*/false), true},
+  };
+  for (const auto& [g, want_balanced] : cases) {
+    const index_t want = matching::reference_maximum_cardinality(g);
     Device dev = test_support::fanout_device(4);
     gpu::GprOptions opt;
     opt.balance = gpu::BalanceMode::kAuto;
-    opt.balance_skew_threshold = threshold;
-    const gpu::GprResult r = gpu::g_pr(dev, g, init, opt);
-    EXPECT_EQ(r.matching.cardinality(), want) << "threshold " << threshold;
+    const gpu::GprResult r = gpu::g_pr(dev, g, matching::Matching(g), opt);
+    EXPECT_EQ(r.matching.cardinality(), want);
     EXPECT_GT(r.stats.balance_skew, 0.0);
-    EXPECT_EQ(r.stats.balanced, threshold < r.stats.balance_skew);
-    if (init.cardinality() < want)
-      EXPECT_EQ(r.stats.frontier_builds > 0, r.stats.balanced);
+    EXPECT_EQ(r.stats.balance_skew >= gpu::kAutoBalanceSkew, want_balanced)
+        << "skew " << r.stats.balance_skew;
+    EXPECT_EQ(r.stats.balanced, want_balanced);
   }
 }
 
 TEST(Balance, BalanceOptionSweepsOnEveryGprSolver) {
   // `balance` is a SolverSpec-sweepable knob: g-pr-shr:balance=1 runs the
-  // balanced driver, g-pr-wb:balance=0 runs the vertex-parallel one.
+  // balanced schedule, g-pr-wb:balance=0 the vertex-parallel one.
   const BipartiteGraph g = gen::random_uniform(100, 100, 420, 3);
   const index_t want = matching::reference_maximum_cardinality(g);
   Device dev = test_support::fanout_device(4);
@@ -188,9 +192,9 @@ TEST(Balance, BalanceOptionSweepsOnEveryGprSolver) {
 // ---------------------------------------------------------- TSan stress ----
 
 TEST(Balance, FrontierCompactionCountersUnderConcurrentStreams) {
-  // The frontier-compaction counters (padded per-chunk tallies, the
-  // prefix over worker counts, the SoA write pass) and the balanced
-  // launch's work partials must be race-free when several streams drive
+  // The compaction counters (padded per-chunk tallies, the prefix over
+  // worker counts, the emit pass of list slots and degrees) and the
+  // balanced launch's work partials must be race-free when several streams drive
   // balanced runs through one shared engine concurrently — this is the
   // suite the CI TSan job audits.
   const auto engine = test_support::fanout_engine(4);

@@ -20,11 +20,12 @@ using graph::index_t;
 namespace gen = graph::gen;
 
 /// The full configuration grid: variant x device threads (1 runs every
-/// launch in order; 4 fans every launch out).
-using Config = std::tuple<GprVariant, unsigned>;
+/// launch in order; 4 fans every launch out) x balanced schedule
+/// (GprOptions::balance off / on).
+using Config = std::tuple<GprVariant, unsigned, bool>;
 
 std::string config_name(const ::testing::TestParamInfo<Config>& param_info) {
-  const auto [variant, threads] = param_info.param;
+  const auto [variant, threads, balanced] = param_info.param;
   std::string name;
   switch (variant) {
     case GprVariant::kFirst: name = "First"; break;
@@ -32,6 +33,7 @@ std::string config_name(const ::testing::TestParamInfo<Config>& param_info) {
     case GprVariant::kShrink: name = "Shr"; break;
   }
   name += threads == 1 ? "_Seq" : "_Conc";
+  if (balanced) name += "_Balanced";
   return name;
 }
 
@@ -40,6 +42,8 @@ class GprConfigs : public ::testing::TestWithParam<Config> {
   GprOptions options() const {
     GprOptions opt;
     opt.variant = std::get<0>(GetParam());
+    opt.balance =
+        std::get<2>(GetParam()) ? BalanceMode::kOn : BalanceMode::kOff;
     // A tiny shrink threshold so small test graphs exercise SHRKRNL.
     opt.shrink_threshold = 4;
     return opt;
@@ -139,7 +143,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(GprVariant::kFirst,
                                          GprVariant::kNoShrink,
                                          GprVariant::kShrink),
-                       ::testing::Values(1u, 4u)),
+                       ::testing::Values(1u, 4u), ::testing::Bool()),
     config_name);
 
 // ------------------------------------------------------------ invariants ----

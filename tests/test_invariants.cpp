@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/g_pr.hpp"
@@ -102,7 +104,10 @@ class InvariantObserver : public GprObserver {
   std::int64_t loops_seen_ = 0;
 };
 
-class InvariantSweep : public ::testing::TestWithParam<GprVariant> {
+/// Variant x balanced schedule (GprOptions::balance off / on).
+using SweepParam = std::tuple<GprVariant, bool>;
+
+class InvariantSweep : public ::testing::TestWithParam<SweepParam> {
  protected:
   void run(const BipartiteGraph& g, unsigned threads) {
     // The empty start maximises active columns (and hence invariant
@@ -112,7 +117,9 @@ class InvariantSweep : public ::testing::TestWithParam<GprVariant> {
       Device dev = test_support::fanout_device(threads);
       InvariantObserver obs(g);
       GprOptions opt;
-      opt.variant = GetParam();
+      opt.variant = std::get<0>(GetParam());
+      opt.balance = std::get<1>(GetParam()) ? BalanceMode::kOn
+                                            : BalanceMode::kOff;
       opt.shrink_threshold = 4;
       const matching::Matching init =
           greedy ? matching::cheap_matching(g) : matching::Matching(g);
@@ -153,18 +160,21 @@ TEST_P(InvariantSweep, ConcurrentRandom) {
     run(gen::random_uniform(40, 40, 160, seed), 4);
 }
 
-INSTANTIATE_TEST_SUITE_P(Variants, InvariantSweep,
-                         ::testing::Values(GprVariant::kFirst,
-                                           GprVariant::kNoShrink,
-                                           GprVariant::kShrink),
-                         [](const auto& param_info) {
-                           switch (param_info.param) {
-                             case GprVariant::kFirst: return "First";
-                             case GprVariant::kNoShrink: return "NoShr";
-                             case GprVariant::kShrink: return "Shr";
-                           }
-                           return "?";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Variants, InvariantSweep,
+    ::testing::Combine(::testing::Values(GprVariant::kFirst,
+                                         GprVariant::kNoShrink,
+                                         GprVariant::kShrink),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<SweepParam>& param_info) {
+      std::string name;
+      switch (std::get<0>(param_info.param)) {
+        case GprVariant::kFirst: name = "First"; break;
+        case GprVariant::kNoShrink: name = "NoShr"; break;
+        case GprVariant::kShrink: name = "Shr"; break;
+      }
+      return std::get<1>(param_info.param) ? name + "_Balanced" : name;
+    });
 
 }  // namespace
 }  // namespace bpm::gpu
