@@ -167,6 +167,11 @@ TEST(Balance, AutoModeDecidesBySkewThreshold) {
     EXPECT_EQ(r.stats.balance_skew >= gpu::kAutoBalanceSkew, want_balanced)
         << "skew " << r.stats.balance_skew;
     EXPECT_EQ(r.stats.balanced, want_balanced);
+    // The decision must reach the driver, not just the stats: the balanced
+    // schedule compacts every loop, while the vertex-parallel kShrink solve
+    // never reaches shrink_threshold on 240 columns and compacts none.
+    EXPECT_EQ(r.stats.shrinks > 0, r.stats.balanced);
+    if (r.stats.balanced) EXPECT_EQ(r.stats.shrinks, r.stats.loops);
   }
 }
 
