@@ -49,11 +49,10 @@ int main(int argc, char** argv) {
   const std::vector<std::string> variants = {"g-pr-first", "g-pr-noshr",
                                              "g-pr-shr"};
 
-  const auto suite = build_suite(opt);
+  device::Device dev({.num_threads = opt.threads});
+  const auto suite = build_suite(opt, dev);
   print_header("Figure 1 — global-relabeling strategy comparison", opt,
                suite.size());
-
-  device::Device dev({.num_threads = opt.threads});
   attach_tracer(opt, dev);
 
   bool all_ok = true;

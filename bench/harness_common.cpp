@@ -22,11 +22,10 @@ void register_suite_flags(CliParser& cli, int default_stride,
   cli.add_option("seed", "generator seed", "1");
   cli.add_option("stride", "use every stride-th instance of the 28",
                  std::to_string(default_stride));
-  cli.add_option("threads", "worker threads (0 = hardware)", "0");
-  cli.add_option("jobs",
-                 "concurrent jobs for suite building (0 = hardware, "
-                 "1 = sequential)",
-                 "1");
+  cli.add_option("threads",
+                 "engine worker threads for solves and suite building "
+                 "(0 = hardware)",
+                 "0");
   cli.add_flag("verbose", "per-instance rows in addition to aggregates");
   cli.add_flag("csv", "emit CSV instead of aligned tables");
   cli.add_flag("no-model",
@@ -46,15 +45,10 @@ void register_observability_flags(CliParser& cli) {
                  "record the run (solve phases, device launches) as "
                  "chrome://tracing JSON to this path (empty = off)",
                  "");
-  cli.add_option("metrics",
-                 "snapshot the global metrics registry as JSON to this path "
-                 "at exit (empty = off)",
-                 "");
 }
 
 void observability_from_cli(const CliParser& cli, SuiteOptions& opt) {
   if (cli.has("trace")) opt.trace_path = cli.get_string("trace");
-  if (cli.has("metrics")) opt.metrics_path = cli.get_string("metrics");
   if (!opt.trace_path.empty()) {
     opt.trace_sink = std::make_shared<obs::Tracer>();
     opt.trace_sink->enable();
@@ -76,11 +70,6 @@ void write_observability(const SuiteOptions& opt) {
       std::cout << ", " << dropped << " dropped";
     std::cout << ")\n";
   }
-  if (!opt.metrics_path.empty()) {
-    if (!obs::Registry::global().write_file(opt.metrics_path))
-      throw std::runtime_error("cannot write metrics to " + opt.metrics_path);
-    std::cout << "# metrics written to " << opt.metrics_path << '\n';
-  }
 }
 
 SuiteOptions suite_options_from_cli(const CliParser& cli) {
@@ -90,7 +79,6 @@ SuiteOptions suite_options_from_cli(const CliParser& cli) {
   opt.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   opt.stride = static_cast<int>(cli.get_int("stride"));
   opt.threads = static_cast<unsigned>(cli.get_int("threads"));
-  opt.jobs = static_cast<unsigned>(cli.get_int("jobs"));
   opt.verbose = cli.get_flag("verbose");
   opt.csv = cli.get_flag("csv");
   opt.no_model = cli.get_flag("no-model");
@@ -247,33 +235,25 @@ std::vector<PolicyInstance> build_policy_suite(graph::index_t n,
   return out;
 }
 
-std::vector<BuiltInstance> build_suite(const SuiteOptions& opt) {
+std::vector<BuiltInstance> build_suite(const SuiteOptions& opt,
+                                       device::Device& dev) {
   const std::vector<graph::Instance> metas =
       graph::select_instances(opt.stride);
   std::vector<BuiltInstance> out(metas.size());
-  unsigned jobs = opt.jobs ? opt.jobs : std::thread::hardware_concurrency();
-  if (jobs == 0) jobs = 1;
-  jobs = std::min<unsigned>(jobs, static_cast<unsigned>(metas.size()));
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < metas.size(); ++i)
-      out[i] = build_instance(metas[i], opt);
-    return out;
-  }
-  // Builds are independent and deterministic in (meta, opt), so a static
-  // claim order changes nothing but the wall time.
+  // Builds are independent and deterministic in (meta, opt), so the claim
+  // order changes nothing but the wall time.
   std::atomic<std::size_t> next{0};
-  const auto worker = [&] {
+  const std::function<void(unsigned)> slot = [&](unsigned) {
     while (true) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= metas.size()) return;
       out[i] = build_instance(metas[i], opt);
     }
   };
-  std::vector<std::thread> threads;
-  threads.reserve(jobs - 1);
-  for (unsigned t = 0; t + 1 < jobs; ++t) threads.emplace_back(worker);
-  worker();
-  for (std::thread& t : threads) t.join();
+  if (device::ThreadPool* const pool = dev.engine()->pool())
+    pool->run_tasks(pool->size(), slot);
+  else
+    slot(0);
   return out;
 }
 

@@ -10,7 +10,6 @@
 #include "device/device.hpp"
 #include "graph/instances.hpp"
 #include "matching/matching.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "policy/features.hpp"
 #include "util/cli.hpp"
@@ -22,12 +21,10 @@ struct SuiteOptions {
   double scale = 1.0 / 64.0;  ///< instance size relative to the paper's
   std::uint64_t seed = 1;
   int stride = 1;             ///< take every stride-th instance
-  unsigned threads = 0;       ///< engine workers, every solver's; 0 = hw
-  /// Concurrent jobs (`--jobs`, every harness): `build_suite` builds up to
-  /// this many instances at once (0 = hardware).  Solves stay sequential,
-  /// because the paper harnesses report per-run times, which overlapping
-  /// jobs on one host would skew.
-  unsigned jobs = 1;
+  /// Engine workers (`--threads`; 0 = hardware): every solver's, and
+  /// `build_suite`'s.  Solves stay sequential, because the paper harnesses
+  /// report per-run times, which overlapping jobs on one host would skew.
+  unsigned threads = 0;
   bool verbose = false;
   bool csv = false;
   /// Cross-architecture artifacts (Fig 2-4, Table I) use the modeled
@@ -49,9 +46,6 @@ struct SuiteOptions {
   /// written by `write_observability`.  Empty = tracing off (the hot
   /// paths see a single disabled-tracer check).
   std::string trace_path;
-  /// `--metrics <path>`: snapshot `obs::Registry::global()` to JSON at
-  /// harness end (`write_observability`).  Empty = off.
-  std::string metrics_path;
   /// The trace sink backing `--trace`, created enabled by
   /// `observability_from_cli`; null when tracing is off.  Attach it to
   /// harness streams with `attach_tracer` / `SolveContext::tracer`.
@@ -73,18 +67,18 @@ void register_suite_flags(CliParser& cli, int default_stride = 1,
                           bool with_json = false);
 [[nodiscard]] SuiteOptions suite_options_from_cli(const CliParser& cli);
 
-/// Registers `--trace` / `--metrics` alone — for harnesses with a
-/// hand-rolled flag set (`register_suite_flags` already includes them).
+/// Registers `--trace` alone — for harnesses with a hand-rolled flag set
+/// (`register_suite_flags` already includes it).
 void register_observability_flags(CliParser& cli);
-/// Reads `--trace` / `--metrics` into `opt` and creates the enabled trace
-/// sink when `--trace` is set.  `suite_options_from_cli` calls this;
+/// Reads `--trace` into `opt` and creates the enabled trace sink when it
+/// is set.  `suite_options_from_cli` calls this;
 /// hand-rolled harnesses call it after `cli.parse`.
 void observability_from_cli(const CliParser& cli, SuiteOptions& opt);
 /// Attaches the suite's trace sink (if any) to a device stream so its
 /// launches are recorded; returns `dev` for inline use.
 device::Device& attach_tracer(const SuiteOptions& opt, device::Device& dev);
-/// Writes the `--trace` / `--metrics` artifacts; no-op for empty paths,
-/// so every harness calls it unconditionally before exiting.  Throws
+/// Writes the `--trace` artifact; no-op for an empty path, so every
+/// harness calls it unconditionally before exiting.  Throws
 /// `std::runtime_error` on I/O failure.
 void write_observability(const SuiteOptions& opt);
 
@@ -110,11 +104,13 @@ struct BuiltInstance {
 /// builds its inits through this.
 void set_init(BuiltInstance& bi, matching::ValidMatching init);
 
-/// Generates the (strided) instance suite at the requested scale.
-/// Builds `opt.jobs` instances concurrently (generation and the init
-/// dominate harness start-up); the returned order and contents are
-/// identical at any concurrency.
-[[nodiscard]] std::vector<BuiltInstance> build_suite(const SuiteOptions& opt);
+/// Generates the (strided) instance suite at the requested scale.  The
+/// builds run as one batch on `dev`'s engine pool, one instance per slot
+/// claim (generation and the init dominate harness start-up), and inline
+/// at one worker; the returned order and contents are identical at any
+/// worker count.
+[[nodiscard]] std::vector<BuiltInstance> build_suite(const SuiteOptions& opt,
+                                                     device::Device& dev);
 
 /// Builds a single instance by Table I id (1–28).
 [[nodiscard]] BuiltInstance build_instance(const graph::Instance& meta,

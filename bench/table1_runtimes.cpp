@@ -89,10 +89,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto suite = build_suite(opt);
-  print_header("Table I — per-graph solver runtimes", opt, suite.size());
-
   device::Device dev({.num_threads = opt.threads});
+  const auto suite = build_suite(opt, dev);
+  print_header("Table I — per-graph solver runtimes", opt, suite.size());
   attach_tracer(opt, dev);
   std::vector<std::unique_ptr<Solver>> solvers;
   std::vector<std::string> names;

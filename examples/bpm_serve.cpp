@@ -47,14 +47,12 @@
 //                                      `transport ...` summary)
 //   metrics                            the service's metrics registry as
 //                                      JSON (counters, latency histograms,
-//                                      gauges read at the call) merged with
-//                                      the process-wide names such as
-//                                      device.launches
+//                                      gauges read at the call, such as
+//                                      serve.engine.0.launches)
 //   trace-start <path>                 start recording a chrome://tracing
 //                                      timeline of every served request
 //   trace-dump                         write the timeline to the path given
 //                                      at trace-start (recording continues)
-//   save-cache <path> | load-cache <path>
 //   shutdown                           stop accepting, drain, exit
 //
 // Every request is decoded against the typed schema in serve/proto:
@@ -75,7 +73,6 @@
 #include <limits>
 #include <string>
 
-#include "obs/metrics.hpp"
 #include "serve/service.hpp"
 #include "serve/session.hpp"
 #include "serve/transport.hpp"

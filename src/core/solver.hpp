@@ -133,13 +133,6 @@ class Solver {
 struct SolverSpec {
   std::string name;
   std::vector<std::pair<std::string, std::string>> options;
-  /// Provenance: the spec this one was resolved from (e.g. "auto" when
-  /// `policy::AutoSolver` picked it for an instance).  Deliberately
-  /// EXCLUDED from `canonical()` — the resolved configuration is the
-  /// identity, so an `auto` hit and an explicit hit on the same concrete
-  /// spec share result-cache entries.  Empty for specs parsed from user
-  /// input.
-  std::string resolved_from;
 
   /// Parses one spec.  Throws `std::invalid_argument` (naming the grammar
   /// and the registered solvers) on malformed input; the name itself is
@@ -153,8 +146,7 @@ struct SolverSpec {
       std::string_view list);
 
   /// The spec back as a string, options sorted by key — a stable identity
-  /// for cache keys, report headers, and round-tripping.  `resolved_from`
-  /// is provenance, not configuration, and never appears here.
+  /// for cache keys, report headers, and round-tripping.
   [[nodiscard]] std::string canonical() const;
 
   /// `SolverRegistry::create(name)` plus `set_option` for every pair.

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "device/thread_pool.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace bpm::device {
@@ -298,7 +297,7 @@ class Device {
   template <typename Kernel>
   void launch_chunked(std::int64_t n, Kernel&& kernel) {
     auto sp = launch_span("launch_chunked", n);
-    note_launch();
+    ++launches_;
     account(n, 0);
     if (n <= 0) return;
     const auto t0 = std::chrono::steady_clock::now();
@@ -321,16 +320,6 @@ class Device {
   }
 
  private:
-  /// One launch on this stream: the per-stream counter plus the always-on
-  /// process-wide `device.launches` registry counter (striped relaxed add
-  /// — cheap enough for the thousands-of-tiny-launches runs).
-  void note_launch() {
-    ++launches_;
-    if (launch_counter_ == nullptr)
-      launch_counter_ = &obs::Registry::global().counter("device.launches");
-    launch_counter_->inc();
-  }
-
   /// Span for one launch (inert when no tracer is attached or tracing is
   /// off), pre-annotated with the grid size.
   [[nodiscard]] obs::Span launch_span(std::string_view name, std::int64_t n) {
@@ -369,7 +358,7 @@ class Device {
   template <typename Kernel>
   std::int64_t run_items(std::int64_t n, std::span<const std::int64_t> offsets,
                          Kernel&& kernel) {
-    note_launch();
+    ++launches_;
     if (n <= 0) return 0;
     const auto t0 = std::chrono::steady_clock::now();
     const auto range_work = [&](std::int64_t begin, std::int64_t end) {
@@ -434,7 +423,6 @@ class Device {
   double modeled_us_ = 0.0;
   double native_us_ = 0.0;  ///< measured in-kernel wall time
   obs::Tracer* tracer_ = nullptr;
-  obs::Counter* launch_counter_ = nullptr;  ///< lazy, process-wide registry
 };
 
 }  // namespace bpm::device

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <functional>
-#include <thread>
 
 namespace bpm::obs {
 
@@ -29,12 +26,6 @@ std::string number_json(double value) {
 }
 
 }  // namespace
-
-std::size_t Counter::stripe() noexcept {
-  thread_local const std::size_t s =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) % kStripes;
-  return s;
-}
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
@@ -108,11 +99,6 @@ std::vector<double> Histogram::default_latency_bounds_ms() {
   return exponential_bounds(0.05, 2.0, 21);  // 0.05 ms .. ~52.4 s
 }
 
-Registry& Registry::global() {
-  static Registry instance;
-  return instance;
-}
-
 Counter& Registry::counter(const std::string& name) {
   std::lock_guard lock(mutex_);
   auto& slot = counters_[name];
@@ -171,31 +157,10 @@ std::map<std::string, std::string> Registry::info_values() const {
   return info_;
 }
 
-std::string Registry::snapshot_json() const { return json_of({this}); }
-
-std::string Registry::snapshot_json_with_global() const {
-  return json_of({this, &global()});
-}
-
-std::string Registry::json_of(
-    std::initializer_list<const Registry*> registries) {
-  // `merge` and `emplace` keep a name's first value: the earlier registry
-  // wins.
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, Histogram::Snapshot> histograms;
-  std::map<std::string, std::string> info;
-  for (const Registry* r : registries) {
-    counters.merge(r->counter_values());
-    gauges.merge(r->gauge_values());
-    for (HistogramEntry& e : r->histogram_snapshots())
-      histograms.emplace(std::move(e.name), std::move(e.snapshot));
-    info.merge(r->info_values());
-  }
-
+std::string Registry::snapshot_json() const {
   std::string out = "{\n  \"counters\": {";
   bool first = true;
-  for (const auto& [name, value] : counters) {
+  for (const auto& [name, value] : counter_values()) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    " + quoted(name) + ": " + std::to_string(value);
@@ -204,7 +169,7 @@ std::string Registry::json_of(
 
   out += "  \"gauges\": {";
   first = true;
-  for (const auto& [name, value] : gauges) {
+  for (const auto& [name, value] : gauge_values()) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    " + quoted(name) + ": " + number_json(value);
@@ -213,7 +178,7 @@ std::string Registry::json_of(
 
   out += "  \"histograms\": {";
   first = true;
-  for (const auto& [name, snap] : histograms) {
+  for (const auto& [name, snap] : histogram_snapshots()) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    " + quoted(name) + ": {\"count\": " +
@@ -234,7 +199,7 @@ std::string Registry::json_of(
 
   out += "  \"info\": {";
   first = true;
-  for (const auto& [name, value] : info) {
+  for (const auto& [name, value] : info_values()) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    " + quoted(name) + ": " + quoted(value);
@@ -242,13 +207,6 @@ std::string Registry::json_of(
   out += first ? "}\n" : "\n  }\n";
   out += "}\n";
   return out;
-}
-
-bool Registry::write_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << snapshot_json();
-  return static_cast<bool>(out);
 }
 
 }  // namespace bpm::obs

@@ -1,55 +1,36 @@
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
 namespace bpm::obs {
 
-/// Monotonic counter striped across cache-line-padded atomic cells: each
-/// thread increments the cell its id hashes to (relaxed), so concurrent
-/// hot-path increments from the worker pool never ping-pong one line.
-/// `value()` sums the stripes — exact once writers quiesce, a consistent
-/// floor while they run.  Cheap enough to leave on in per-launch paths.
+/// Monotonic counter: one relaxed atomic.  Its writers are per-request
+/// service paths, not per-launch ones, so a single cell is cheap enough.
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-    cells_[stripe()].v.fetch_add(n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
   void inc() noexcept { add(1); }
 
   [[nodiscard]] std::uint64_t value() const noexcept {
-    std::uint64_t total = 0;
-    for (const Cell& c : cells_) total += c.v.load(std::memory_order_relaxed);
-    return total;
+    return value_.load(std::memory_order_relaxed);
   }
 
  private:
-  static constexpr std::size_t kStripes = 16;
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> v{0};
-  };
-
-  static std::size_t stripe() noexcept;
-
-  std::array<Cell, kStripes> cells_{};
+  std::atomic<std::uint64_t> value_{0};
 };
 
 /// Last-write-wins instantaneous value (queue depth, in-flight count).
-/// `add` exists for callers that track a level by deltas.
 class Gauge {
  public:
   void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  void add(double delta) noexcept {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
   [[nodiscard]] double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
@@ -106,22 +87,17 @@ class Histogram {
 };
 
 /// Metrics registry: named counters, gauges, histograms, and static info
-/// strings.  `global()` is the process-wide one; an owner whose counts
-/// must stay its own (a serving instance) keeps its own registry.
-/// Registration (`counter()` et al.) takes a mutex and returns a stable
-/// reference — per-launch paths register once and hold the reference, so
-/// their updates never touch the registry lock.  Metric objects live as
-/// long as the registry.
+/// strings.  There is no process-wide one: each owner (a serving
+/// instance) keeps its own, so its counts stay its own.  Registration
+/// (`counter()` et al.) takes a mutex and returns a stable reference —
+/// hot paths register once and hold the reference, so their updates never
+/// touch the registry lock.  Metric objects live as long as the registry.
 ///
 /// `snapshot_json()` is deterministic for a fixed set of values: names
 /// are emitted in sorted order (std::map) with fixed number formatting,
 /// so two snapshots of equal state are byte-identical.
 class Registry {
  public:
-  /// The process-wide instance every production path publishes into.
-  /// Tests wanting isolation construct their own `Registry`.
-  static Registry& global();
-
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   /// Registers (or fetches) a histogram; `bounds` is used only on first
@@ -145,19 +121,8 @@ class Registry {
   /// with sorted keys; histograms embed count/sum/mean, p50/p90/p99, and
   /// the per-bucket `{"le":bound,"count":n}` ladder.
   [[nodiscard]] std::string snapshot_json() const;
-  /// `snapshot_json()` merged with `global()`'s names, as one document:
-  /// for an owner that keeps its own registry (a serving instance) but
-  /// runs on process-wide instruments (`device.launches`, `policy.*`).  A
-  /// name both hold appears once, with this registry's value.
-  [[nodiscard]] std::string snapshot_json_with_global() const;
-
-  /// Writes `snapshot_json()` to `path`; false on I/O failure.
-  bool write_file(const std::string& path) const;
 
  private:
-  [[nodiscard]] static std::string json_of(
-      std::initializer_list<const Registry*> registries);
-
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;

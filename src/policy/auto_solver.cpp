@@ -4,8 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/metrics.hpp"
-
 namespace bpm::policy {
 
 namespace {
@@ -16,13 +14,6 @@ constexpr const char* kFallbackSpec = "g-pr-wb";
 }  // namespace
 
 AutoSolver::Resolved AutoSolver::resolve(const InstanceFeatures& f) const {
-  static obs::Counter& resolves =
-      obs::Registry::global().counter("policy.resolves");
-  static obs::Counter& model_hits =
-      obs::Registry::global().counter("policy.model_hits");
-  static obs::Counter& fallbacks =
-      obs::Registry::global().counter("policy.fallbacks");
-
   const BucketId bucket = bucket_of(f);
   Resolved out;
   out.bucket = bucket.key();
@@ -39,11 +30,7 @@ AutoSolver::Resolved AutoSolver::resolve(const InstanceFeatures& f) const {
                ->first;
   }
   out.spec = SolverSpec::parse(best);
-  out.spec.resolved_from = "auto";
   out.solver = out.spec.instantiate();
-
-  resolves.add();
-  (out.fallback ? fallbacks : model_hits).add();
   return out;
 }
 

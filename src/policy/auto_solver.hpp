@@ -42,7 +42,7 @@ class AutoSolver final : public Solver {
   }
 
   struct Resolved {
-    SolverSpec spec;  ///< concrete, with `resolved_from` provenance set
+    SolverSpec spec;  ///< concrete: never `auto`
     std::unique_ptr<Solver> solver;
     std::string bucket;
     bool fallback = false;  ///< no calibrated bucket: resolved to g-pr-wb

@@ -333,14 +333,6 @@ Parsed parse_command(std::string_view line, const Limits& limits) {
     done(std::move(r), "trace-start <path>");
   } else if (cmd == "trace-dump") {
     done(TraceDumpRequest{}, "trace-dump");
-  } else if (cmd == "save-cache") {
-    SaveCacheRequest r;
-    r.path = d.str("path");
-    done(std::move(r), "save-cache <path>");
-  } else if (cmd == "load-cache") {
-    LoadCacheRequest r;
-    r.path = d.str("path");
-    done(std::move(r), "load-cache <path>");
   } else if (cmd == "shutdown") {
     done(ShutdownRequest{}, "shutdown");
   } else {
@@ -348,8 +340,7 @@ Parsed parse_command(std::string_view line, const Limits& limits) {
         ErrorCode::kBadCommand,
         "unknown command '" + cmd +
             "' (auth | load | gen | submit | poll | wait | drain | stats | "
-            "metrics | trace-start | trace-dump | save-cache | "
-            "load-cache | shutdown)"};
+            "metrics | trace-start | trace-dump | shutdown)"};
   }
   return out;
 }

@@ -136,19 +136,13 @@ struct TraceStartRequest {
   std::string path;
 };
 struct TraceDumpRequest {};
-struct SaveCacheRequest {
-  std::string path;
-};
-struct LoadCacheRequest {
-  std::string path;
-};
 struct ShutdownRequest {};
 
 using Command =
     std::variant<AuthRequest, LoadRequest, GenRequest, SubmitRequest,
                  PollRequest, WaitRequest, DrainRequest, StatsRequest,
                  MetricsRequest, TraceStartRequest, TraceDumpRequest,
-                 SaveCacheRequest, LoadCacheRequest, ShutdownRequest>;
+                 ShutdownRequest>;
 
 /// What one protocol line parsed into: exactly one of `command` / `error`
 /// is set, or neither for a blank / comment line (`ignorable`).

@@ -421,10 +421,11 @@ std::string MatchingService::metrics_json() {
   }
   // One dispatch that solves opens one stream, so streams opened is the
   // engine's dispatch count.
-  set("serve.engine.0.dispatches",
-      static_cast<double>(engine_->stats().streams_opened));
+  const device::EngineStats e = engine_->stats();
+  set("serve.engine.0.dispatches", static_cast<double>(e.streams_opened));
+  set("serve.engine.0.launches", static_cast<double>(e.launches));
   metrics_.set_info("serve.engine.0", engine_->descriptor().summary());
-  return metrics_.snapshot_json_with_global();
+  return metrics_.snapshot_json();
 }
 
 }  // namespace bpm::serve

@@ -239,9 +239,9 @@ class MatchingService {
   [[nodiscard]] obs::Registry& metrics() { return metrics_; }
 
   /// Sets the registry's gauges from state with its own home — queue,
-  /// ledger, store, cache and the engine's `serve.engine.0.*` family —
-  /// then returns the registry merged with the process-wide names
-  /// (`device.launches`, `policy.*`) as one JSON document.
+  /// ledger, store, cache and this service's engine odometer
+  /// (`serve.engine.0.dispatches`, `serve.engine.0.launches`) — then
+  /// returns the registry as one JSON document.
   [[nodiscard]] std::string metrics_json();
 
   [[nodiscard]] const std::shared_ptr<ResultCache>& cache() const {

@@ -254,7 +254,6 @@ void Session::handle(const proto::StatsRequest&, Outcome& out) {
   es << "engine 0 descriptor="
      << context_.service.engine()->descriptor().summary()
      << " dispatches=" << e.streams_opened
-     << " streams_opened=" << e.streams_opened
      << " streams_retired=" << e.streams_retired
      << " launches=" << e.launches << " modeled_ms=" << e.modeled_ms
      << " native_ms=" << e.native_ms;
@@ -289,34 +288,6 @@ void Session::handle(const proto::TraceDumpRequest&, Outcome& out) {
       "trace written to " + context_.trace_path + " (" +
       std::to_string(context_.tracer.events().size()) + " events, " +
       std::to_string(context_.tracer.dropped()) + " dropped)");
-}
-
-void Session::handle(const proto::SaveCacheRequest& r, Outcome& out) {
-  if (!context_.service.cache()) {
-    error(out, ErrorCode::kState, "service runs without a cache");
-    return;
-  }
-  if (!context_.service.cache()->save_file(r.path)) {
-    error(out, ErrorCode::kIo, "cannot write '" + r.path + "'");
-    return;
-  }
-  out.lines.push_back("cache saved to " + r.path);
-}
-
-void Session::handle(const proto::LoadCacheRequest& r, Outcome& out) {
-  if (!context_.service.cache()) {
-    error(out, ErrorCode::kState, "service runs without a cache");
-    return;
-  }
-  std::size_t n = 0;
-  try {
-    n = context_.service.cache()->load_file(r.path);
-  } catch (const std::exception& e) {
-    error(out, ErrorCode::kIo, e.what());
-    return;
-  }
-  out.lines.push_back("cache loaded " + std::to_string(n) +
-                      " entries from " + r.path);
 }
 
 void Session::handle(const proto::ShutdownRequest&, Outcome& out) {

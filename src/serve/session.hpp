@@ -103,8 +103,6 @@ class Session {
   void handle(const proto::MetricsRequest&, Outcome&);
   void handle(const proto::TraceStartRequest&, Outcome&);
   void handle(const proto::TraceDumpRequest&, Outcome&);
-  void handle(const proto::SaveCacheRequest&, Outcome&);
-  void handle(const proto::LoadCacheRequest&, Outcome&);
   void handle(const proto::ShutdownRequest&, Outcome&);
 
   SessionContext& context_;

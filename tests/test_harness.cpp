@@ -43,10 +43,34 @@ TEST(Harness, BuildInstanceKeepsThePapersCheapInit) {
 TEST(Harness, BuildSuiteHonoursStride) {
   SuiteOptions opt = tiny_options();
   opt.stride = 14;
-  const auto suite = build_suite(opt);
+  device::Device dev({.num_threads = 1});
+  const auto suite = build_suite(opt, dev);
   ASSERT_EQ(suite.size(), 2u);
   EXPECT_EQ(suite[0].meta.id, 1);
   EXPECT_EQ(suite[1].meta.id, 15);
+}
+
+TEST(Harness, BuildSuiteOnThePoolMatchesTheInlineBuild) {
+  // The builds run as one batch on the engine's pool; the worker count
+  // changes nothing in the suite but the wall time.
+  SuiteOptions opt = tiny_options();
+  opt.stride = 4;
+  device::Device one({.num_threads = 1});
+  device::Device four({.num_threads = 4});
+  const auto inline_suite = build_suite(opt, one);
+  const auto pooled = build_suite(opt, four);
+  ASSERT_EQ(pooled.size(), inline_suite.size());
+  for (std::size_t i = 0; i < pooled.size(); ++i) {
+    const BuiltInstance& a = inline_suite[i];
+    const BuiltInstance& b = pooled[i];
+    EXPECT_EQ(a.meta.id, b.meta.id);
+    EXPECT_EQ(a.g.row_ptr(), b.g.row_ptr()) << a.meta.name;
+    EXPECT_EQ(a.g.row_adj(), b.g.row_adj()) << a.meta.name;
+    EXPECT_EQ(a.g.col_ptr(), b.g.col_ptr()) << a.meta.name;
+    EXPECT_EQ(a.g.col_adj(), b.g.col_adj()) << a.meta.name;
+    EXPECT_EQ(a.init.get().row_match, b.init.get().row_match) << a.meta.name;
+    EXPECT_EQ(a.init.get().col_match, b.init.get().col_match) << a.meta.name;
+  }
 }
 
 TEST(Harness, RunnersReportOkAndConsistentCardinalities) {

@@ -3,8 +3,8 @@
 // identity — the committed table must be diffable), auto resolution
 // validity across the generator pool, resolution as a pure function of
 // (features, model) that served traffic never changes (TSan-stressable),
-// and the resolved_from provenance seam that lets auto requests share
-// result-cache entries with explicit ones.
+// and dispatch-time resolution that lets auto requests share result-cache
+// entries with explicit ones.
 
 #include <gtest/gtest.h>
 
@@ -153,7 +153,6 @@ TEST(AutoSolver, ResolvesToAValidRegisteredSpecEverywhere) {
     const InstanceFeatures f = compute_features(g, init.cardinality());
     const AutoSolver::Resolved r = solver.resolve(f);
     EXPECT_NE(r.spec.name, "auto");
-    EXPECT_EQ(r.spec.resolved_from, "auto");
     ASSERT_NE(r.solver, nullptr);
     EXPECT_TRUE(SolverRegistry::instance().contains(r.spec.name))
         << r.spec.canonical();
@@ -213,7 +212,6 @@ TEST(AutoSolver, FallsBackToGprWbOnAnEmptyModel) {
   const AutoSolver::Resolved r = AutoSolver(CostModel{}).resolve(f);
   EXPECT_TRUE(r.fallback);
   EXPECT_EQ(r.spec.canonical(), "g-pr-wb");
-  EXPECT_EQ(r.spec.resolved_from, "auto");
   EXPECT_NE(r.solver, nullptr);
 }
 
@@ -249,17 +247,10 @@ TEST(AutoSolver, ResolutionIgnoresServedTraffic) {
 
 // ------------------------------------------------- cache-sharing seam ------
 
-TEST(SolverSpec, ResolvedFromIsProvenanceNotIdentity) {
-  SolverSpec spec = SolverSpec::parse("hk");
-  const std::string plain = spec.canonical();
-  spec.resolved_from = "auto";
-  EXPECT_EQ(spec.canonical(), plain);
-}
-
 TEST(Service, AutoSharesResultCacheEntriesWithExplicitRequests) {
   // Solve the spec auto resolves to explicitly first; the auto request
-  // must then be served straight from the result cache — the whole point
-  // of excluding resolved_from from the cache key.
+  // must then be served straight from the result cache: the service keys
+  // the cache by the resolved spec, and keeps `auto` only as provenance.
   const auto g = gen::random_uniform(300, 310, 1500, 11);
   serve::MatchingService svc(
       {.workers = 1, .cache = std::make_shared<serve::ResultCache>()});

@@ -764,6 +764,37 @@ TEST(Service, TwoServicesInOneProcessCountOnlyTheirOwn) {
   }
 }
 
+TEST(Service, MetricsCountOnlyTheServicesOwnEngineLaunches) {
+  // Launch counts live in each stream and in the engine odometer it
+  // retires into; the `metrics` reply publishes that odometer, so a
+  // second service's launches never show up in the first one's reply.
+  const graph::BipartiteGraph graphs[] = {
+      gen::random_uniform(300, 310, 1500, 11),
+      gen::chung_lu(500, 520, 4.0, 2.4, 7)};
+  MatchingService a({.workers = 1});
+  MatchingService b({.workers = 1});
+  // `a` solves the first graph and `b` both, so `b` launches strictly more.
+  const std::pair<MatchingService*, const graph::BipartiteGraph*> solves[] = {
+      {&a, &graphs[0]}, {&b, &graphs[0]}, {&b, &graphs[1]}};
+  for (const auto& [svc, g] : solves) {
+    const auto handle = svc->add_instance("g", *g).handle;
+    const Response r = svc->submit(request(handle, "g-pr-shr")).future.get();
+    ASSERT_TRUE(r.ok) << r.error;
+  }
+  MatchingService* services[] = {&a, &b};
+  std::uint64_t launches[2] = {};
+  for (int i = 0; i < 2; ++i) {
+    const std::string json = services[i]->metrics_json();
+    const std::string key = "\"serve.engine.0.launches\": ";
+    const std::size_t at = json.find(key);
+    ASSERT_NE(at, std::string::npos) << json;
+    launches[i] = std::stoull(json.substr(at + key.size()));
+    EXPECT_GT(launches[i], 0u) << i;
+    EXPECT_EQ(launches[i], services[i]->engine_stats().launches) << i;
+  }
+  EXPECT_LT(launches[0], launches[1]);
+}
+
 TEST(Service, CacheSnapshotWarmsARestartedService) {
   const auto g = gen::random_uniform(300, 310, 1500, 11);
   const std::vector<std::string> specs = {"g-pr-shr:k=1.5", "hk"};
