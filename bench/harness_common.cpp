@@ -40,6 +40,40 @@ void register_suite_flags(CliParser& cli, int default_stride,
   if (!default_algos.empty()) add_algo_flag(cli, default_algos);
 }
 
+void register_generated_suite_flags(CliParser& cli,
+                                    const GeneratedSuiteDefaults& defaults) {
+  cli.add_option("n", "base column count of the generated instances",
+                 std::to_string(defaults.n));
+  cli.add_option("reps",
+                 "timed repetitions per (instance, spec); best wall wins",
+                 std::to_string(defaults.reps));
+  cli.add_option("seed", "generator seed", std::to_string(defaults.seed));
+  cli.add_option("threads", "engine worker threads (0 = hardware)", "0");
+  cli.add_flag("csv", "emit CSV instead of aligned tables");
+  cli.add_option("json",
+                 "write instance x spec results (time/launches/matched) as "
+                 "JSON to this path (empty = off)",
+                 "");
+  register_observability_flags(cli);
+  add_algo_flag(cli, defaults.algos);
+}
+
+SuiteOptions generated_suite_options_from_cli(const CliParser& cli) {
+  exit_if_list_algos(cli);
+  SuiteOptions opt;
+  opt.n = static_cast<graph::index_t>(cli.get_int("n"));
+  opt.reps = std::max(1, static_cast<int>(cli.get_int("reps")));
+  opt.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  opt.threads = static_cast<unsigned>(cli.get_int("threads"));
+  opt.csv = cli.get_flag("csv");
+  opt.json_path = cli.get_string("json");
+  opt.algos = solver_specs_from_cli(cli);
+  observability_from_cli(cli, opt);
+  if (opt.n < 64) throw std::invalid_argument("--n must be at least 64");
+  if (opt.algos.empty()) throw std::invalid_argument("--algo must be set");
+  return opt;
+}
+
 void register_observability_flags(CliParser& cli) {
   cli.add_option("trace",
                  "record the run (solve phases, device launches) as "
@@ -95,13 +129,14 @@ void set_init(BuiltInstance& bi, matching::ValidMatching init) {
 }
 
 BuiltInstance build_instance(const graph::Instance& meta,
-                             const SuiteOptions& opt) {
+                             const SuiteOptions& opt, InitFn init) {
   BuiltInstance bi{meta, meta.build(opt.scale, opt.seed + static_cast<std::uint64_t>(meta.id))};
-  set_init(bi, matching::cheap_matching(bi.g));
+  set_init(bi, init(bi.g));
   return bi;
 }
 
-std::vector<BuiltInstance> build_massive_suite(const SuiteOptions& opt) {
+std::vector<BuiltInstance> build_massive_suite(const SuiteOptions& opt,
+                                               InitFn init) {
   // ~10x the realised edge count of the largest Table I analogue at the
   // default 1/64 scale (~1.4M edges): both instances land near 13M edges
   // at scale 1.0.  Rows < cols keeps them deficient, so push-relabel
@@ -136,16 +171,15 @@ std::vector<BuiltInstance> build_massive_suite(const SuiteOptions& opt) {
     bi.meta.paper.cols = m.g.num_cols();
     bi.meta.paper.edges = m.g.num_edges();
     bi.g = std::move(m.g);
-    set_init(bi, matching::cheap_matching(bi.g));
+    set_init(bi, init(bi.g));
     out.push_back(std::move(bi));
   }
   return out;
 }
 
-std::vector<PolicyInstance> build_policy_suite(graph::index_t n,
-                                               double massive_scale,
+std::vector<SuiteMember> build_generated_suite(graph::index_t n,
                                                std::uint64_t seed,
-                                               double structured_scale) {
+                                               InitFn init) {
   namespace gen = graph::gen;
   using graph::index_t;
   const auto frac = [](index_t base, double f) {
@@ -156,15 +190,16 @@ std::vector<PolicyInstance> build_policy_suite(graph::index_t n,
     const char* suite;
     std::function<graph::BipartiteGraph()> make;
   };
-  // Mirrors balance_skew's instance_set: a uniform control group and a
-  // degree-skewed group, so the policy is calibrated across both regimes
-  // the balanced/vertex-parallel split distinguishes.
   const std::vector<Spec> specs{
+      // Uniform control group: no degree skew, so edge balancing must
+      // not hurt.
       {"uniform_random", "uniform",
        [n, seed] {
          return gen::random_uniform(n, n, 5 * static_cast<graph::offset_t>(n),
                                     seed);
        }},
+      // The skewed group's deficiency regime minus the skew: separates
+      // the frontier-compaction effect from the balancing one.
       {"uniform_deficient", "uniform",
        [n, seed, frac] {
          return gen::random_uniform(frac(n, 0.95), n,
@@ -172,6 +207,10 @@ std::vector<PolicyInstance> build_policy_suite(graph::index_t n,
        }},
       {"planted", "uniform",
        [n, seed] { return gen::planted_perfect(n, 2.0, seed); }},
+      // Skewed group: the hub-block instances keep their hubs as a
+      // contiguous crawl-ordered id block (scatter = false), so a static
+      // equal-column partition hands one chunk the whole block, the
+      // straggler case edge balancing removes.
       {"hub_block", "skew",
        [n, seed, frac] {
          return gen::skewed_hubs(frac(n, 0.9), n, std::max<index_t>(8, n / 16),
@@ -183,24 +222,33 @@ std::vector<PolicyInstance> build_policy_suite(graph::index_t n,
                                  std::max<index_t>(8, n / 12), 0.012, 2.5,
                                  seed, /*scatter=*/false);
        }},
+      // Deficient power law: the heavy tail stays in the active set.
       {"power_law", "skew",
        [n, seed, frac] {
          return gen::chung_lu(frac(n, 0.9), n, 6.0, 2.2, seed);
        }},
   };
-  // The service admits with Karp–Sipser (`admit_instance`'s default), so
-  // the policy is calibrated and evaluated from that init — including on
-  // the Table I and massive members, whose builders start from the
-  // paper's cheap one.
-  std::vector<PolicyInstance> out;
-  out.reserve(specs.size() + 2);
+  std::vector<SuiteMember> out;
+  out.reserve(specs.size());
   for (const Spec& s : specs) {
     BuiltInstance bi;
     bi.meta.name = s.name;
     bi.g = s.make();
-    set_init(bi, matching::karp_sipser(bi.g));
+    set_init(bi, init(bi.g));
     out.push_back({s.suite, std::move(bi)});
   }
+  return out;
+}
+
+std::vector<SuiteMember> build_policy_suite(graph::index_t n,
+                                            double massive_scale,
+                                            std::uint64_t seed,
+                                            double structured_scale) {
+  // The service admits with Karp–Sipser (`admit_instance`'s default), so
+  // the policy is calibrated and evaluated from that init, on every
+  // member.
+  std::vector<SuiteMember> out =
+      build_generated_suite(n, seed, matching::karp_sipser);
   if (structured_scale > 0.0) {
     // Table I shapes with near-perfect greedy inits (meshes, traces,
     // co-author graphs): short augmenting paths make the augmenting-path
@@ -218,19 +266,17 @@ std::vector<PolicyInstance> build_policy_suite(graph::index_t n,
       if (meta == nullptr)
         throw std::logic_error(std::string("policy suite lost instance ") +
                                name);
-      BuiltInstance bi = build_instance(*meta, so);
-      set_init(bi, matching::karp_sipser(bi.g));
-      out.push_back({"structured", std::move(bi)});
+      out.push_back(
+          {"structured", build_instance(*meta, so, matching::karp_sipser)});
     }
   }
   if (massive_scale > 0.0) {
     SuiteOptions massive;
     massive.scale = massive_scale;
     massive.seed = seed;
-    for (BuiltInstance& bi : build_massive_suite(massive)) {
-      set_init(bi, matching::karp_sipser(bi.g));
+    for (BuiltInstance& bi :
+         build_massive_suite(massive, matching::karp_sipser))
       out.push_back({"massive", std::move(bi)});
-    }
   }
   return out;
 }
@@ -286,9 +332,40 @@ AlgoResult run_solver(const Solver& solver, device::Device& dev,
   return r;
 }
 
-AlgoResult run_solver(const std::string& name, device::Device& dev,
-                      const BuiltInstance& bi) {
-  return run_solver(*SolverRegistry::instance().create(name), dev, bi);
+AlgoResult run_best_of(const Solver& solver, device::Device& dev,
+                       const BuiltInstance& bi, int reps) {
+  AlgoResult best = run_solver(solver, dev, bi);
+  bool all_ok = best.ok;
+  for (int rep = 1; rep < reps; ++rep) {
+    const AlgoResult r = run_solver(solver, dev, bi);
+    all_ok &= r.ok;
+    if (r.seconds < best.seconds) best = r;
+  }
+  best.ok = all_ok;
+  return best;
+}
+
+// ---- cost-model calibration (`auto_policy --emit-inc`) ---------------------
+
+void fold_into_model(policy::CostModel& model, const BuiltInstance& bi,
+                     const SolverSpec& spec, double seconds) {
+  if (spec.name == "auto") return;
+  model.record(policy::bucket_of(bi.features).key(), spec.canonical(),
+               seconds * 1e6 / static_cast<double>(bi.features.edges));
+}
+
+std::string model_inc(const policy::CostModel& model) {
+  return std::string(
+             "// Embedded default policy cost model — the committed offline\n"
+             "// calibration `CostModel::embedded_default()` returns.\n"
+             "// Regenerate with:\n"
+             "//   auto_policy --seed 1 --algo ") +
+         kPolicyPool +
+         " --emit-inc src/policy/default_model.inc\n"
+         "// (never edit by hand; the table must stay byte-identical to\n"
+         "// what CostModel::to_json emits so the round-trip test holds).\n"
+         "R\"bpm_policy_model(" +
+         model.to_json() + ")bpm_policy_model\"\n";
 }
 
 // ---- machine-readable results (`--json`) -----------------------------------

@@ -9,8 +9,10 @@
 #include "core/solver.hpp"
 #include "device/device.hpp"
 #include "graph/instances.hpp"
+#include "matching/greedy.hpp"
 #include "matching/matching.hpp"
 #include "obs/trace.hpp"
+#include "policy/cost_model.hpp"
 #include "policy/features.hpp"
 #include "util/cli.hpp"
 
@@ -50,6 +52,11 @@ struct SuiteOptions {
   /// `observability_from_cli`; null when tracing is off.  Attach it to
   /// harness streams with `attach_tracer` / `SolveContext::tracer`.
   std::shared_ptr<obs::Tracer> trace_sink;
+  /// Generated-suite harnesses only (`register_generated_suite_flags`):
+  /// the base column count of the generated instances (`--n`) and the
+  /// timed repetitions per (instance, spec) (`--reps`, see `run_best_of`).
+  graph::index_t n = 0;
+  int reps = 1;
 
   [[nodiscard]] obs::Tracer* tracer() const { return trace_sink.get(); }
 };
@@ -67,12 +74,30 @@ void register_suite_flags(CliParser& cli, int default_stride = 1,
                           bool with_json = false);
 [[nodiscard]] SuiteOptions suite_options_from_cli(const CliParser& cli);
 
-/// Registers `--trace` alone — for harnesses with a hand-rolled flag set
-/// (`register_suite_flags` already includes it).
+/// Defaults of the generated-suite flag block.
+struct GeneratedSuiteDefaults {
+  graph::index_t n = 0;
+  int reps = 1;
+  std::uint64_t seed = 1;
+  std::string algos;
+};
+
+/// Registers the flags every harness over generated instances
+/// (`auto_policy`, `balance_skew`) shares: `--n`, `--reps`, `--seed`,
+/// `--threads`, `--csv`, `--json`, `--trace` and `--algo`.  Read them
+/// with `generated_suite_options_from_cli` after `cli.parse`.
+void register_generated_suite_flags(CliParser& cli,
+                                    const GeneratedSuiteDefaults& defaults);
+/// Reads the generated-suite flag block (exits for `--list-algos`).
+/// Throws `std::invalid_argument` when `--n` is below 64 or `--algo` is
+/// empty.
+[[nodiscard]] SuiteOptions generated_suite_options_from_cli(
+    const CliParser& cli);
+
+/// Registers `--trace` alone (both flag blocks above include it).
 void register_observability_flags(CliParser& cli);
 /// Reads `--trace` into `opt` and creates the enabled trace sink when it
-/// is set.  `suite_options_from_cli` calls this;
-/// hand-rolled harnesses call it after `cli.parse`.
+/// is set.  Both `*_options_from_cli` readers call this.
 void observability_from_cli(const CliParser& cli, SuiteOptions& opt);
 /// Attaches the suite's trace sink (if any) to a device stream so its
 /// launches are recorded; returns `dev` for inline use.
@@ -104,6 +129,10 @@ struct BuiltInstance {
 /// builds its inits through this.
 void set_init(BuiltInstance& bi, matching::ValidMatching init);
 
+/// How a harness builds an instance's init: `matching::cheap_matching`
+/// (the paper's start) or `matching::karp_sipser` (the service's).
+using InitFn = matching::ValidMatching (*)(const graph::BipartiteGraph&);
+
 /// Generates the (strided) instance suite at the requested scale.  The
 /// builds run as one batch on `dev`'s engine pool, one instance per slot
 /// claim (generation and the init dominate harness start-up), and inline
@@ -112,29 +141,41 @@ void set_init(BuiltInstance& bi, matching::ValidMatching init);
 [[nodiscard]] std::vector<BuiltInstance> build_suite(const SuiteOptions& opt,
                                                      device::Device& dev);
 
-/// Builds a single instance by Table I id (1–28).
-[[nodiscard]] BuiltInstance build_instance(const graph::Instance& meta,
-                                           const SuiteOptions& opt);
+/// Builds a single Table I instance from `init` (default: the paper's
+/// cheap one).
+[[nodiscard]] BuiltInstance build_instance(
+    const graph::Instance& meta, const SuiteOptions& opt,
+    InitFn init = matching::cheap_matching);
 
 /// The `massive` suite: instances ~10x the edge count of the largest
 /// Table I analogue at default scale, built with the streamed
 /// `gen::huge_bipartite` (no intermediate edge list, so peak memory is
 /// the final CSR).  `opt.scale` multiplies the default-size vertex counts
 /// relative to 1.0 (NOT the 1/64 Table I convention — massive instances
-/// are already sized absolutely); `opt.seed` feeds the generator.  Results
-/// on it are certificate-checked like every other suite's.
+/// are already sized absolutely); `opt.seed` feeds the generator; each
+/// member starts from `init`.  Results on it are certificate-checked like
+/// every other suite's.
 [[nodiscard]] std::vector<BuiltInstance> build_massive_suite(
-    const SuiteOptions& opt);
+    const SuiteOptions& opt, InitFn init);
 
-/// One member of the policy calibration/evaluation suite.
-struct PolicyInstance {
+/// One member of a generated suite, tagged with its group.
+struct SuiteMember {
   std::string suite;  ///< "uniform" | "skew" | "massive" | "structured"
   BuiltInstance bi;
 };
 
-/// The shared instance suite behind `policy_calibrate` and `auto_policy`:
-/// the uniform and skew groups of `balance_skew` (same generators and
-/// parameters, sized by `n`), a structured group of Table I shapes
+/// The generated uniform and skew groups, sized by `n`: a uniform control
+/// group (no degree skew) and a degree-skewed group (hub blocks in crawl
+/// order, a power law).  `balance_skew` runs them from the paper's cheap
+/// init and `build_policy_suite` from Karp–Sipser; both draw from this
+/// one generator list, so the committed cost model's buckets describe the
+/// shapes both harnesses measure.
+[[nodiscard]] std::vector<SuiteMember> build_generated_suite(
+    graph::index_t n, std::uint64_t seed, InitFn init);
+
+/// The suite `auto_policy` calibrates and evaluates on:
+/// `build_generated_suite`'s uniform and skew groups, a structured group
+/// of Table I shapes
 /// (meshes, road networks, co-author graphs — near-perfect greedy inits
 /// where the augmenting-path family beats push-relabel, at
 /// `structured_scale` of the paper sizes; 0 skips the group), plus —
@@ -145,7 +186,7 @@ struct PolicyInstance {
 /// shapes they were measured on, and the headline auto-vs-oracle
 /// comparison re-generates the same shapes (different seeds still land in
 /// the same buckets).
-[[nodiscard]] std::vector<PolicyInstance> build_policy_suite(
+[[nodiscard]] std::vector<SuiteMember> build_policy_suite(
     graph::index_t n, double massive_scale, std::uint64_t seed,
     double structured_scale = 0.0);
 
@@ -180,10 +221,30 @@ struct AlgoResult {
 [[nodiscard]] AlgoResult run_solver(const Solver& solver, device::Device& dev,
                                     const BuiltInstance& bi);
 
-/// Registry-name convenience: `run_solver(*registry.create(name), ...)`.
-[[nodiscard]] AlgoResult run_solver(const std::string& name,
-                                    device::Device& dev,
-                                    const BuiltInstance& bi);
+/// Runs `solver` on `bi` `reps` times (at least once) and reports the
+/// fastest rep.  `ok` holds only when every rep passed its certificate:
+/// one failing rep fails the harness even when a faster rep passed.
+[[nodiscard]] AlgoResult run_best_of(const Solver& solver,
+                                     device::Device& dev,
+                                     const BuiltInstance& bi, int reps);
+
+// ---- cost-model calibration (`auto_policy --emit-inc`) ---------------------
+
+/// The fixed solver pool the committed cost model is calibrated over.
+inline constexpr const char* kPolicyPool =
+    "g-pr-wb,g-pr-shr,hk,hkdw,pf,p-dbfs,seq-pr";
+
+/// Folds one best-of-reps time into `model`: microseconds per edge of
+/// `bi`, keyed by `policy::bucket_of(bi.features)` and `spec`'s canonical
+/// form.  An `auto` spec is skipped: a model that names `auto` would
+/// resolve to itself.
+void fold_into_model(policy::CostModel& model, const BuiltInstance& bi,
+                     const SolverSpec& spec, double seconds);
+
+/// The text of `src/policy/default_model.inc` for `model`: a header
+/// comment with the regenerate recipe, then `model.to_json()` as a raw
+/// string literal, which `CostModel::embedded_default()` parses.
+[[nodiscard]] std::string model_inc(const policy::CostModel& model);
 
 /// Prints the standard harness header (instance count, scale, hardware).
 void print_header(const std::string& title, const SuiteOptions& opt,

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -30,8 +32,13 @@ BipartiteGraph Instance::build(double scale, std::uint64_t seed) const {
   // Target vertex count per side, never below a floor that keeps the
   // instance meaningful.
   const auto target = [&](std::int64_t paper_count) {
-    return static_cast<index_t>(
-        std::max<double>(1024.0, std::round(static_cast<double>(paper_count) * scale)));
+    const double count = std::max<double>(
+        1024.0, std::round(static_cast<double>(paper_count) * scale));
+    if (!(count <= static_cast<double>(std::numeric_limits<index_t>::max())))
+      throw std::invalid_argument("Instance::build: " + name + " at scale " +
+                                  std::to_string(scale) +
+                                  " does not fit a 32-bit vertex index");
+    return static_cast<index_t>(count);
   };
   const index_t n = target(paper.rows);
   const double avg_deg =

@@ -19,7 +19,7 @@ namespace bpm::policy {
 /// the instance's (nearest) feature bucket in the offline `CostModel`.
 /// The same features and the same model always give the same spec; no
 /// served traffic changes it.  A new calibration ships as a regenerated
-/// `default_model.inc` (`policy_calibrate --emit-inc`).  `auto` takes no
+/// `default_model.inc` (`auto_policy --emit-inc`).  `auto` takes no
 /// spec options.
 ///
 /// The serving layer resolves BEFORE dispatch (`resolve` on the admitted

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -146,14 +145,6 @@ std::string CostModel::to_json() const {
   return os.str();
 }
 
-void CostModel::save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cost model: cannot open " + path);
-  out << to_json();
-  if (!out.good())
-    throw std::runtime_error("cost model: write failed: " + path);
-}
-
 CostModel CostModel::from_json(std::string_view json) {
   CostModel model;
   Scanner s(json);
@@ -213,14 +204,6 @@ CostModel CostModel::from_json(std::string_view json) {
   s.expect('}');
   s.finish();
   return model;
-}
-
-CostModel CostModel::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cost model: cannot read " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return from_json(buffer.str());
 }
 
 const CostModel& CostModel::embedded_default() {

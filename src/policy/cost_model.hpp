@@ -18,12 +18,13 @@ struct CostEntry {
 };
 
 /// The offline calibration table: per (feature bucket, canonical solver
-/// spec) mean cost, produced by `bench/policy_calibrate`, committed as
-/// JSON, and embedded as the default model (`src/policy/default_model.inc`).
+/// spec) mean cost, folded from `bench/auto_policy`'s measured grid and
+/// embedded as the default model (`src/policy/default_model.inc`, written
+/// by `auto_policy --emit-inc`).
 ///
 /// The serialisation is deterministic — sorted maps, round-trippable
-/// number formatting — so load(save(m)) == m byte for byte, which is what
-/// keeps the committed table diffable across recalibrations.
+/// number formatting — so from_json(m.to_json()) == m byte for byte, which
+/// is what keeps the committed table diffable across recalibrations.
 class CostModel {
  public:
   using SpecTable = std::map<std::string, CostEntry>;
@@ -48,18 +49,14 @@ class CostModel {
 
   /// Deterministic JSON document (sorted, precision-17 numbers).
   [[nodiscard]] std::string to_json() const;
-  /// Writes `to_json()`; throws `std::runtime_error` on I/O failure.
-  void save(const std::string& path) const;
 
   /// Parses a `to_json()` document.  Throws `std::invalid_argument` on
   /// malformed input (the parser covers exactly the subset `to_json`
   /// emits, plus whitespace freedom).
   [[nodiscard]] static CostModel from_json(std::string_view json);
-  /// Reads and parses a file; throws on I/O or parse failure.
-  [[nodiscard]] static CostModel load(const std::string& path);
 
   /// The committed calibration table embedded in the library
-  /// (`default_model.inc`, regenerated by `policy_calibrate --emit-inc`).
+  /// (`default_model.inc`, regenerated by `auto_policy --emit-inc`).
   [[nodiscard]] static const CostModel& embedded_default();
 
  private:

@@ -1,6 +1,8 @@
 #include "serve/session.hpp"
 
+#include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 #include <variant>
 
@@ -15,9 +17,34 @@ namespace {
 
 using proto::ErrorCode;
 
-graph::BipartiteGraph generate(const proto::GenSpec& spec) {
+/// Throws `std::out_of_range` when `inst` at `scale` asks for more rows,
+/// cols or edges than a `gen` request may: the caps the other generator
+/// kinds get at decode, checked before anything allocates.
+void check_instance_size(const graph::Instance& inst, double scale,
+                         const proto::Limits& limits) {
+  const double dim_max = static_cast<double>(limits.max_dimension);
+  const double rows = std::round(static_cast<double>(inst.paper.rows) * scale);
+  const double cols = std::round(static_cast<double>(inst.paper.cols) * scale);
+  const double edges = static_cast<double>(inst.paper.edges) * scale;
+  if (!(rows <= dim_max && cols <= dim_max &&
+        edges <= static_cast<double>(limits.max_edges))) {
+    // The decoder bounds scale to 1e4, so every count fits an int64.
+    const auto count = [](double v) {
+      return std::to_string(static_cast<std::int64_t>(v));
+    };
+    throw std::out_of_range(
+        "instance " + inst.name + " at scale " + std::to_string(scale) +
+        " implies " + count(rows) + " x " + count(cols) + " with ~" +
+        count(edges) + " edges, caps are " +
+        std::to_string(limits.max_dimension) + " per side and " +
+        std::to_string(limits.max_edges) + " edges");
+  }
+}
+
+graph::BipartiteGraph generate(const proto::GenSpec& spec,
+                               const proto::Limits& limits) {
   return std::visit(
-      [](const auto& g) -> graph::BipartiteGraph {
+      [&limits](const auto& g) -> graph::BipartiteGraph {
         using T = std::decay_t<decltype(g)>;
         if constexpr (std::is_same_v<T, proto::GenUniform>) {
           return graph::gen::random_uniform(g.rows, g.cols, g.edges, g.seed);
@@ -27,8 +54,11 @@ graph::BipartiteGraph generate(const proto::GenSpec& spec) {
           return graph::gen::chung_lu(g.rows, g.cols, g.avg_degree, g.gamma,
                                       g.seed);
         } else if constexpr (std::is_same_v<T, proto::GenInstance>) {
-          for (const auto& inst : graph::paper_instances())
-            if (inst.name == g.paper_name) return inst.build(g.scale, g.seed);
+          for (const auto& inst : graph::paper_instances()) {
+            if (inst.name != g.paper_name) continue;
+            check_instance_size(inst, g.scale, limits);
+            return inst.build(g.scale, g.seed);
+          }
           throw std::invalid_argument("unknown paper instance '" +
                                       g.paper_name + "'");
         } else {
@@ -152,7 +182,10 @@ void Session::handle(const proto::GenRequest& r, Outcome& out) {
   graph::BipartiteGraph g;
   try {
     auto sp = obs::span(&context_.tracer, "gen.build", "serve");
-    g = generate(r.spec);
+    g = generate(r.spec, options_.limits);
+  } catch (const std::out_of_range& e) {
+    error(out, ErrorCode::kOutOfRange, e.what());
+    return;
   } catch (const std::exception& e) {
     // Schema bounds screen most of this; the generators' own `require`
     // messages cover the cross-field cases (e.g. more edges than pairs).

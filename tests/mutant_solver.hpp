@@ -12,11 +12,18 @@
 //                                its row but not by its column
 //   test-mutant:mode=throw       solves, then throws instead of returning
 //   ...,exact=0                  registers as a heuristic (default: exact)
+//   ...,first=<ms>               breaks only its first solve, after
+//                                sleeping <ms> ms; later solves return the
+//                                maximum (a slow failing rep, then fast
+//                                passing ones)
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 
 #include "core/solver.hpp"
 #include "matching/hopcroft_karp.hpp"
@@ -35,6 +42,8 @@ class MutantSolver final : public Solver {
       mode_ = value;
     } else if (key == "exact") {
       exact_ = value == "1";
+    } else if (key == "first") {
+      first_ms_ = std::stoi(std::string(value));
     } else {
       return false;
     }
@@ -45,6 +54,10 @@ class MutantSolver final : public Solver {
       const matching::ValidMatching& init) const override {
     Output out{matching::hopcroft_karp(g, init)};
     matching::Matching& m = out.matching;
+    if (first_ms_ >= 0) {
+      if (solves_.fetch_add(1) > 0) return out;
+      std::this_thread::sleep_for(std::chrono::milliseconds(first_ms_));
+    }
     if (mode_ == "minus-one") {
       for (graph::index_t u = 0; u < g.num_rows(); ++u) {
         const graph::index_t v = m.row_match[u];
@@ -98,6 +111,8 @@ class MutantSolver final : public Solver {
 
   std::string mode_ = "minus-one";
   bool exact_ = true;
+  int first_ms_ = -1;  ///< -1: break every solve
+  mutable std::atomic<int> solves_{0};
 };
 
 /// Registers `test-mutant` once per process.

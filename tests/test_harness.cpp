@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "harness_common.hpp"
 #include "matching/greedy.hpp"
 #include "matching/verify.hpp"
@@ -78,10 +81,13 @@ TEST(Harness, RunnersReportOkAndConsistentCardinalities) {
   const BuiltInstance bi = build_instance(meta, tiny_options());
   device::Device dev({.num_threads = 4});
 
-  const AlgoResult gpr = run_solver("g-pr-shr", dev, bi);
-  const AlgoResult ghkdw = run_solver("g-hkdw", dev, bi);
-  const AlgoResult pdbfs = run_solver("p-dbfs", dev, bi);
-  const AlgoResult pr = run_solver("seq-pr", dev, bi);
+  const auto run = [&](const char* name) {
+    return run_solver(*SolverRegistry::instance().create(name), dev, bi);
+  };
+  const AlgoResult gpr = run("g-pr-shr");
+  const AlgoResult ghkdw = run("g-hkdw");
+  const AlgoResult pdbfs = run("p-dbfs");
+  const AlgoResult pr = run("seq-pr");
 
   const graph::index_t maximum = matching::reference_maximum_cardinality(bi.g);
   for (const AlgoResult& r : {gpr, ghkdw, pdbfs, pr}) {
@@ -112,6 +118,77 @@ TEST(Harness, RunSolverRejectsEveryMutant) {
         "test-mutant:mode=one-sided", "test-mutant:mode=throw"})
     EXPECT_FALSE(accepted(spec)) << spec;
   EXPECT_TRUE(accepted("test-mutant:mode=minus-one,exact=0"));
+}
+
+TEST(Harness, BestOfFailsWhenAnyRepFails) {
+  // The fastest rep is reported, but every rep must pass: the first rep
+  // here is broken and 50 ms slow, the later ones pass in far less.
+  test_support::register_mutant_solver();
+  const BuiltInstance bi =
+      build_instance(graph::paper_instances()[3], tiny_options());
+  device::Device dev({.num_threads = 1});
+  const auto flaky =
+      SolverSpec::parse("test-mutant:mode=minus-one,first=50").instantiate();
+  const AlgoResult best = run_best_of(*flaky, dev, bi, 3);
+  EXPECT_FALSE(best.ok);
+  EXPECT_LT(best.seconds, 0.05);  // a passing rep was the fastest
+  EXPECT_EQ(best.cardinality, matching::reference_maximum_cardinality(bi.g));
+
+  const auto hk = SolverRegistry::instance().create("hk");
+  EXPECT_TRUE(run_best_of(*hk, dev, bi, 3).ok);
+}
+
+TEST(Harness, FoldKeysByBucketAndSpecAndSkipsAuto) {
+  // A grid with `auto` rows folds into a model that never names `auto`
+  // (it would resolve to itself); each fixed time lands as us per edge
+  // under the instance's bucket and the canonical spec.
+  SuiteOptions opt = tiny_options();
+  const BuiltInstance a = build_instance(graph::paper_instances()[3], opt);
+  const BuiltInstance b = build_instance(graph::paper_instances()[7], opt);
+  policy::CostModel model;
+  for (const BuiltInstance* bi : {&a, &b})
+    for (const char* spec : {"hk", "seq-pr:k=1", "auto"})
+      fold_into_model(model, *bi, SolverSpec::parse(spec), 0.002);
+  const std::string bucket_a = policy::bucket_of(a.features).key();
+  const std::string bucket_b = policy::bucket_of(b.features).key();
+  for (const auto& [bucket, specs] : model.buckets()) {
+    EXPECT_TRUE(bucket == bucket_a || bucket == bucket_b) << bucket;
+    EXPECT_FALSE(specs.contains("auto")) << bucket;
+  }
+  const policy::CostModel::SpecTable* table = model.find(bucket_a);
+  ASSERT_NE(table, nullptr);
+  ASSERT_TRUE(table->contains("hk"));
+  ASSERT_TRUE(table->contains(SolverSpec::parse("seq-pr:k=1").canonical()));
+  if (bucket_a != bucket_b) {
+    EXPECT_DOUBLE_EQ(table->at("hk").us_per_edge,
+                     0.002 * 1e6 / static_cast<double>(a.features.edges));
+  }
+}
+
+TEST(Harness, EmittedIncParsesBackToTheFoldedModel) {
+  policy::CostModel model;
+  model.record("s4.d2.k1.f2", "hk", 0.0125);
+  model.record("s4.d2.k1.f2", "g-pr-wb", 0.5);
+  model.record("s6.d1.k0.f0", "seq-pr", 12345.678901234567);
+  const std::string inc = model_inc(model);
+  // The body between the raw-string delimiters is what
+  // `CostModel::embedded_default()` parses.
+  const std::string open = "R\"bpm_policy_model(";
+  const std::string close = ")bpm_policy_model\"\n";
+  const std::size_t begin = inc.find(open);
+  ASSERT_NE(begin, std::string::npos);
+  ASSERT_TRUE(inc.ends_with(close));
+  const std::string body = inc.substr(
+      begin + open.size(), inc.size() - close.size() - begin - open.size());
+  EXPECT_EQ(body, model.to_json());
+  EXPECT_EQ(policy::CostModel::from_json(body).to_json(), model.to_json());
+  // Everything before the literal is comment: the recipe that made it.
+  std::istringstream header(inc.substr(0, begin));
+  for (std::string line; std::getline(header, line);)
+    EXPECT_TRUE(line.starts_with("//")) << line;
+  EXPECT_NE(inc.find("auto_policy --seed 1 --algo " +
+                     std::string(kPolicyPool)),
+            std::string::npos);
 }
 
 TEST(Harness, DeviceSecondsRespectsNoModel) {
@@ -155,8 +232,9 @@ TEST(Harness, ModeledTimeScalesWithInstanceSize) {
   // Sequential device: deterministic loop counts, so the comparison is
   // not subject to race-dependent variance.
   device::Device dev({.num_threads = 1});
-  const AlgoResult r_small = run_solver("g-pr-shr", dev, bi_small);
-  const AlgoResult r_large = run_solver("g-pr-shr", dev, bi_large);
+  const auto gpr = SolverRegistry::instance().create("g-pr-shr");
+  const AlgoResult r_small = run_solver(*gpr, dev, bi_small);
+  const AlgoResult r_large = run_solver(*gpr, dev, bi_large);
   EXPECT_TRUE(r_small.ok);
   EXPECT_TRUE(r_large.ok);
   EXPECT_GT(r_large.modeled_seconds, r_small.modeled_seconds);

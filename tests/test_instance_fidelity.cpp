@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "core/g_gr.hpp"
 #include "graph/instances.hpp"
 #include "matching/greedy.hpp"
@@ -107,6 +110,18 @@ TEST(InstanceFidelity, TraceMeshesAreTheDeepBfsClass) {
   const index_t kron_depth = gr_depth(kron);
   EXPECT_GT(trace_depth, 8 * kron_depth)
       << "trace " << trace_depth << " vs kron " << kron_depth;
+}
+
+TEST(InstanceFidelity, BuildRejectsAScaleBeyondTheVertexIndex) {
+  // 2^24 rows x 200 overflows a 32-bit index: the build throws instead
+  // of casting the count into a wrong, tiny graph.
+  const auto& instances = paper_instances();
+  const auto it = std::find_if(instances.begin(), instances.end(),
+                               [](const Instance& i) {
+                                 return i.name == "delaunay_n24";
+                               });
+  ASSERT_NE(it, instances.end());
+  EXPECT_THROW((void)it->build(200.0, 1), std::invalid_argument);
 }
 
 }  // namespace

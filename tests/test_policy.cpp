@@ -112,7 +112,7 @@ TEST(CostModel, JsonRoundTripIsByteIdentical) {
   EXPECT_EQ(hk.samples, 2);
 
   // The committed embedded table round-trips the same way — this is what
-  // keeps `policy_calibrate --emit-inc` output diffable.
+  // keeps `auto_policy --emit-inc` output diffable.
   const CostModel& dflt = CostModel::embedded_default();
   ASSERT_FALSE(dflt.empty());
   EXPECT_EQ(CostModel::from_json(dflt.to_json()).to_json(), dflt.to_json());

@@ -351,6 +351,26 @@ TEST(ServeSession, NoCommandWritesACacheSnapshotToAClientPath) {
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 
+TEST(ServeSession, OversizedPaperInstanceIsRejectedBeforeItIsBuilt) {
+  // `gen ... instance` gets the row, column and edge caps of the other
+  // generator kinds.  The first three lines scale delaunay_n24 past the
+  // per-side cap (and past a 32-bit vertex index); the last one scales
+  // kron_g500-logn20 inside the per-side cap but past the edge cap.
+  MatchingService service(tiny_service_options());
+  SessionContext context(service);
+  Session session(context);
+  for (const char* line : {"gen x instance delaunay_n24 200 1",
+                           "gen x instance delaunay_n24 1000 1",
+                           "gen x instance delaunay_n24 10000 1",
+                           "gen x instance kron_g500-logn20 200 1"}) {
+    const auto lines = run(session, line);
+    ASSERT_EQ(lines.size(), 1u) << line;
+    EXPECT_TRUE(lines[0].starts_with("error code=out-of-range")) << lines[0];
+  }
+  EXPECT_FALSE(service.instances().find("x").has_value());
+  EXPECT_EQ(service.instances().stats().instances, 0u);
+}
+
 TEST(ServeSession, MalformedLinesAnswerErrorsAndServiceSurvives) {
   MatchingService service(tiny_service_options());
   SessionContext context(service);
