@@ -38,7 +38,7 @@ AdmittedJobResult run_admitted_job(
   Timer timer;
   const SolveContext ctx{.device = &stream(), .tracer = options.tracer};
   out.outcome = run_verified(*job.solver, ctx, inst.graph, inst.init,
-                             /*verify=*/true);
+                             /*verify=*/true, &inst.proven_maximum);
   out.solve_ms = timer.elapsed_ms();
   if (cache && !job.cache_key.empty() && out.outcome.ok)
     cache->put(inst.fingerprint, job.cache_key, out.outcome);

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/solver.hpp"
@@ -45,7 +46,8 @@ struct PipelineOptions {
 };
 
 /// One graph admitted to the batch, with everything that is computed once
-/// and reused across all solvers that run on it.
+/// and reused across all solvers that run on it.  A copy or a move holds
+/// no proven maximum (see `proven_maximum`).
 struct PipelineInstance {
   std::string name;
   graph::BipartiteGraph graph;
@@ -59,10 +61,21 @@ struct PipelineInstance {
   matching::ValidMatching init{graph::BipartiteGraph{}, {}};
   graph::index_t initial_cardinality = 0;
   /// Never computed or read by the library: results are verified by
-  /// certificate, not against a reference maximum.  Kept only because the
-  /// end-to-end benchmark (`e2ebench/`) assigns it, until ROADMAP item 2
-  /// deletes that assignment and this field.
+  /// certificate, not against this reference maximum, and it is never the
+  /// proven one below.  Kept only because the end-to-end benchmark
+  /// (`e2ebench/`) assigns it, until ROADMAP item 2 deletes that assignment
+  /// and this field.
   graph::index_t maximum_cardinality = -1;
+  /// ν(graph), unproven at admission.  The first exact job whose answer
+  /// passes the full certificate (validity plus Berge search) records its
+  /// |M| here, and every later exact job on the instance is checked by
+  /// validity plus |M| == ν instead of searching again.  Sound because
+  /// `graph` never changes once admitted and a valid M is maximum exactly
+  /// when |M| = ν.  `mutable` because the store and the service's workers
+  /// share instances as `const`.  A copy or a move of the instance starts
+  /// unproven, and the store dedups by fingerprint, so every client that
+  /// loads one graph shares one proof.
+  mutable ProvenMaximum proven_maximum;
   /// Structural hash of the graph (dimensions + CSR arrays): two admitted
   /// instances with equal fingerprints are the same graph, which is what
   /// keys the result cache.
@@ -77,6 +90,11 @@ struct PipelineInstance {
   /// `fingerprint`.
   policy::InstanceFeatures features;
 };
+
+// A vector of instances must move them on reallocation, not deep-copy
+// their graphs.
+static_assert(std::is_nothrow_move_constructible_v<PipelineInstance>);
+static_assert(std::is_nothrow_move_assignable_v<PipelineInstance>);
 
 /// Builds the per-instance shared state the honoured `options` ask for:
 /// the shared init (Karp–Sipser unless `init_builder` says otherwise) and
@@ -135,7 +153,8 @@ struct AdmittedJobResult {
 
 /// Runs one pre-admitted job: probes `cache` (when the job carries a
 /// cache key), otherwise solves and verifies by certificate
-/// (`run_verified`), and publishes an `ok` result back.  `stream` is only
+/// (`run_verified`, against the instance's `proven_maximum` once a job has
+/// proven it), and publishes an `ok` result back.  `stream` is only
 /// invoked when the job actually solves, so a cache hit touches no device
 /// at all.  The per-job seam shared by `MatchingPipeline::run_specs`
 /// (which passes no cache) and `serve::MatchingService`'s dispatch.

@@ -513,7 +513,8 @@ SolveResult solve(const std::string& solver_name, const SolveContext& ctx,
 
 JobOutcome run_verified(const Solver& solver, const SolveContext& ctx,
                         const graph::BipartiteGraph& g,
-                        const matching::ValidMatching& init, bool verify) {
+                        const matching::ValidMatching& init, bool verify,
+                        ProvenMaximum* proof) {
   JobOutcome out;
   try {
     SolveResult result = solver.run(ctx, g, init);
@@ -524,19 +525,42 @@ JobOutcome run_verified(const Solver& solver, const SolveContext& ctx,
     // `init` is valid (its type), so only the pairs the solve changed need
     // an edge lookup.
     const matching::Matching::Audit audit = result.matching.audit(g, init);
+    const graph::index_t size = out.stats.cardinality;
+    const graph::index_t nu =
+        proof != nullptr ? proof->get() : ProvenMaximum::kUnproven;
+    std::string_view by;
     if (!audit.valid) {
       out.ok = false;
       out.error = "invalid matching: " + result.matching.first_violation(g);
-    } else if (solver.caps().exact &&
-               !matching::is_maximum(g, result.matching)) {
+    } else if (solver.caps().exact && nu == ProvenMaximum::kUnproven) {
       // Berge: a valid matching with no augmenting path is maximum.
-      out.ok = false;
-      out.error = "Berge certificate failed: an augmenting path exists";
+      by = "berge";
+      if (!matching::is_maximum(g, result.matching)) {
+        out.ok = false;
+        out.error = "Berge certificate failed: an augmenting path exists";
+      } else if (proof != nullptr) {
+        // Racing proofs of one graph all hold ν, so the first one stands.
+        graph::index_t unproven = ProvenMaximum::kUnproven;
+        proof->nu_.compare_exchange_strong(unproven, size);
+      }
+    } else if (solver.caps().exact) {
+      // A valid M is maximum exactly when |M| = ν: a shorter one has an
+      // augmenting path, and no valid one is longer.
+      by = "proven";
+      if (size < nu) {
+        out.ok = false;
+        out.error = "Berge certificate failed: an augmenting path exists";
+      } else if (size > nu) {
+        out.ok = false;
+        out.error = "certificate failed: |M| = " + std::to_string(size) +
+                    " exceeds the proven maximum " + std::to_string(nu);
+      }
     }
     if (sp) {
       sp.arg("solver", solver.name());
       sp.arg("ok", out.ok);
       sp.arg("changed", audit.changed);
+      if (!by.empty()) sp.arg("proof", by);
     }
   } catch (const std::exception& e) {
     out.ok = false;

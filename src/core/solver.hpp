@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -217,22 +218,34 @@ struct JobOutcome {
   std::string error;
 };
 
+class ProvenMaximum;
+
 /// Runs `solver` from `init` and, when `verify` is set, checks the result
 /// by an O(V+E) certificate instead of a second solve:
 ///   - the matching is valid: one O(V) pass (`Matching::audit`) checks
 ///     shape, range and µ agreement for every pair and looks up in `g`
 ///     only the pairs that differ from `init` — served solves start from
 ///     Karp–Sipser and change about 1% of its pairs;
-///   - for exact solvers, no augmenting path exists (Berge's theorem, via
-///     `matching::is_maximum`).
+///   - for exact solvers, the matching is maximum: no augmenting path
+///     exists (Berge's theorem, via `matching::is_maximum`), or, once
+///     `proof` holds ν(g), |M| == ν(g).  A valid M is maximum exactly when
+///     |M| = ν(g), so both checks reach the same verdict on every answer.
 /// Heuristic solvers are only held to the first.  `stats.cardinality`
 /// needs no check: `Solver::run` counts it from the matching.  On an invalid
-/// matching the error is `"invalid matching: "` + `first_violation(g)`.
+/// matching the error is `"invalid matching: "` + `first_violation(g)`; a
+/// valid M short of maximum fails with `"Berge certificate failed: ..."`
+/// either way, and one larger than a proven ν(g) with its own error.
 /// The run is guarded, so a throwing solver yields `ok == false` with the
 /// exception text, never an exception.  The check records a `"verify"`
-/// span (solver, ok, changed: the pairs looked up) on `ctx.tracer`.
+/// span (solver, ok, changed: the pairs looked up, proof: `berge` or
+/// `proven` when maximality was checked) on `ctx.tracer`.
 /// Shared by `MatchingPipeline` and `serve::MatchingService` so both
 /// layers accept and reject results by exactly the same rules.
+///
+/// `proof` is the memo of `g`'s maximum (`PipelineInstance::
+/// proven_maximum`); null searches every time, as the bench harnesses do.
+/// An exact answer that passes the Berge search records its |M| there,
+/// and is the only thing that ever does.
 ///
 /// The certificate takes every pair carried over from `init` as an edge;
 /// the type proves that, and neither this nor the solver checks `init`
@@ -245,7 +258,8 @@ struct JobOutcome {
                                       const SolveContext& ctx,
                                       const graph::BipartiteGraph& g,
                                       const matching::ValidMatching& init,
-                                      bool verify);
+                                      bool verify,
+                                      ProvenMaximum* proof = nullptr);
 
 /// Proves `init` valid for `g` first: an invalid one yields `ok == false`
 /// with the `ValidMatching` error and runs no solver.
@@ -253,5 +267,34 @@ struct JobOutcome {
                                       const SolveContext& ctx,
                                       const graph::BipartiteGraph& g,
                                       matching::Matching init, bool verify);
+
+/// ν(G), the maximum matching cardinality of one graph, once a Berge
+/// search has proven it; `kUnproven` until then.  Only `run_verified`
+/// writes it, so a value is always the |M| of an answer that passed the
+/// full certificate on that graph.  A copy or a move starts unproven (the
+/// proof belongs to the object that earned it, not to whatever graph the
+/// copy is given), and assigning one resets the target to unproven.
+class ProvenMaximum {
+ public:
+  static constexpr graph::index_t kUnproven = -1;
+
+  ProvenMaximum() noexcept = default;
+  ProvenMaximum(const ProvenMaximum& /*other*/) noexcept {}
+  ProvenMaximum& operator=(const ProvenMaximum& /*other*/) noexcept {
+    nu_.store(kUnproven);
+    return *this;
+  }
+
+  /// ν(G), or `kUnproven`.
+  [[nodiscard]] graph::index_t get() const noexcept { return nu_.load(); }
+
+ private:
+  friend JobOutcome run_verified(const Solver& solver, const SolveContext& ctx,
+                                 const graph::BipartiteGraph& g,
+                                 const matching::ValidMatching& init,
+                                 bool verify, ProvenMaximum* proof);
+
+  std::atomic<graph::index_t> nu_{kUnproven};
+};
 
 }  // namespace bpm

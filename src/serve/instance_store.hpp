@@ -77,6 +77,8 @@ class InstanceStore {
   /// its graph (`matching::ValidMatching`): an init of another graph throws
   /// `std::invalid_argument` and nothing is stored.  Its fingerprint is
   /// recomputed from its graph, whatever it carries; dedup applies as usual.
+  /// It is stored unproven (`PipelineInstance::proven_maximum`), whatever
+  /// the caller's instance had proven.
   AddResult add(PipelineInstance instance);
 
   /// The admitted instance behind a handle, valid until it is evicted.

@@ -24,6 +24,8 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/solver.hpp"
 #include "matching/hopcroft_karp.hpp"
@@ -114,6 +116,15 @@ class MutantSolver final : public Solver {
   int first_ms_ = -1;  ///< -1: break every solve
   mutable std::atomic<int> solves_{0};
 };
+
+/// Every mutant spec, each with the text its rejection must contain.
+inline const std::vector<std::pair<std::string, std::string>> kMutants = {
+    {"test-mutant:mode=minus-one", "Berge certificate failed"},
+    {"test-mutant:mode=invalid", "invalid matching"},
+    {"test-mutant:exact=0,mode=invalid", "invalid matching"},
+    {"test-mutant:mode=one-sided", "invalid matching"},
+    {"test-mutant:exact=0,mode=one-sided", "invalid matching"},
+    {"test-mutant:mode=throw", "thrown after solving"}};
 
 /// Registers `test-mutant` once per process.
 inline void register_mutant_solver() {

@@ -131,6 +131,12 @@ TEST(Pipeline, HeuristicSolversVerifyAsValidNotMaximum) {
   for (const PipelineJob& job : report.jobs)
     EXPECT_LE(job.stats.cardinality, maximum);
   EXPECT_EQ(report.jobs.back().stats.cardinality, maximum - 1);
+  // No heuristic proves the maximum, and on a proven instance a heuristic
+  // is still held to validity only.
+  const PipelineInstance& inst = pipe.instances().front();
+  EXPECT_EQ(inst.proven_maximum.get(), ProvenMaximum::kUnproven);
+  EXPECT_TRUE(pipe.run({"hk", "test-mutant:exact=0"}).all_ok());
+  EXPECT_EQ(inst.proven_maximum.get(), maximum);
 }
 
 TEST(Pipeline, RecordsFailuresInsteadOfAborting) {
@@ -230,38 +236,128 @@ TEST(Pipeline, AdmissionRejectsAnInvalidInit) {
 
 // ---- certificate-only verification: mutation tests -------------------------
 
+/// Each of `report.jobs[first ..]` is `kMutants` in order, `ok == false`
+/// with the check that caught it named in the error.
+void expect_mutants_rejected(const PipelineReport& report, std::size_t first) {
+  ASSERT_GE(report.jobs.size(), first + test_support::kMutants.size());
+  for (std::size_t i = 0; i < test_support::kMutants.size(); ++i) {
+    const PipelineJob& job = report.jobs[first + i];
+    EXPECT_FALSE(job.ok) << job.solver;
+    EXPECT_NE(job.error.find(test_support::kMutants[i].second),
+              std::string::npos)
+        << job.solver << ": " << job.error;
+  }
+}
+
+std::vector<std::string> mutant_specs() {
+  std::vector<std::string> specs;
+  for (const auto& [spec, error] : test_support::kMutants)
+    specs.push_back(spec);
+  return specs;
+}
+
 // Each mutant must come back `ok == false` with the check that caught it
 // named in the error; the honest `hk` control beside them is verified.
+// Every mutant runs before any honest solve, so each exact one meets the
+// Berge search.
 TEST(Pipeline, CertificateRejectsMutants) {
   test_support::register_mutant_solver();
   MatchingPipeline pipe;
   pipe.add_instance("uniform", gen::random_uniform(400, 420, 2000, 5));
-  const std::vector<std::pair<std::string, std::string>> mutants = {
-      {"test-mutant:mode=minus-one", "Berge certificate failed"},
-      {"test-mutant:exact=1,mode=invalid", "invalid matching"},
-      {"test-mutant:exact=0,mode=invalid", "invalid matching"},
-      {"test-mutant:mode=one-sided", "invalid matching"},
-      {"test-mutant:exact=0,mode=one-sided", "invalid matching"},
-      {"test-mutant:mode=throw", "thrown after solving"}};
-  std::vector<std::string> specs;
-  for (const auto& [spec, error] : mutants) specs.push_back(spec);
+  std::vector<std::string> specs = mutant_specs();
   specs.push_back("hk");
 
   const PipelineReport report = pipe.run(specs);
   ASSERT_EQ(report.jobs.size(), specs.size());
-  EXPECT_EQ(report.totals.failed, mutants.size());
-  for (std::size_t i = 0; i < mutants.size(); ++i) {
-    const PipelineJob& job = report.jobs[i];
-    EXPECT_FALSE(job.ok) << job.solver;
-    EXPECT_NE(job.error.find(mutants[i].second), std::string::npos)
-        << job.solver << ": " << job.error;
-  }
+  EXPECT_EQ(report.totals.failed, test_support::kMutants.size());
+  expect_mutants_rejected(report, 0);
   EXPECT_TRUE(report.jobs.back().ok) << report.jobs.back().error;
 }
 
+// Once an honest `hk` job has proven the instance's maximum, later exact
+// jobs are checked against it instead of by a Berge search: every mutant
+// is still rejected with the same error, and honest jobs still pass.
+TEST(Pipeline, ProvenMaximumStillRejectsEveryMutant) {
+  test_support::register_mutant_solver();
+  MatchingPipeline pipe;
+  pipe.add_instance("uniform", gen::random_uniform(400, 420, 2000, 5));
+  const PipelineInstance& inst = pipe.instances().front();
+  EXPECT_EQ(inst.proven_maximum.get(), ProvenMaximum::kUnproven);
+  std::vector<std::string> specs = {"hk"};
+  for (const std::string& spec : mutant_specs()) specs.push_back(spec);
+  specs.push_back("g-pr-shr");
+
+  const PipelineReport report = pipe.run(specs);
+  ASSERT_EQ(report.jobs.size(), specs.size());
+  EXPECT_TRUE(report.jobs.front().ok) << report.jobs.front().error;
+  EXPECT_EQ(inst.proven_maximum.get(),
+            matching::reference_maximum_cardinality(inst.graph));
+  expect_mutants_rejected(report, 1);
+  EXPECT_TRUE(report.jobs.back().ok) << report.jobs.back().error;
+  EXPECT_EQ(report.totals.failed, test_support::kMutants.size());
+}
+
+// The proof stays with the graph that earned it: copies, moves and
+// assignments of an instance start unproven.
+TEST(Pipeline, CopiesAndMovesOfAnInstanceStartUnproven) {
+  MatchingPipeline pipe;
+  pipe.add_instance("a", gen::random_uniform(300, 310, 1500, 11));
+  pipe.add_instance("b", gen::planted_perfect(200, 2.0, 9));
+  ASSERT_TRUE(pipe.run({"hk"}).all_ok());
+  const PipelineInstance& a = pipe.instances()[0];
+  const PipelineInstance& b = pipe.instances()[1];
+  ASSERT_EQ(a.proven_maximum.get(),
+            matching::reference_maximum_cardinality(a.graph));
+  ASSERT_EQ(b.proven_maximum.get(), 200);
+
+  PipelineInstance copy = a;
+  EXPECT_EQ(copy.proven_maximum.get(), ProvenMaximum::kUnproven);
+  const PipelineInstance moved = std::move(copy);
+  EXPECT_EQ(moved.proven_maximum.get(), ProvenMaximum::kUnproven);
+
+  // Prove a copy of `b`, then assign `a` over it: the target now holds
+  // `a`'s graph and must not keep `b`'s maximum.
+  PipelineInstance target = b;
+  const std::unique_ptr<Solver> hk = SolverRegistry::instance().create("hk");
+  ASSERT_TRUE(run_admitted_job({&target, hk.get(), {}},
+                               [&]() -> device::Device& { return pipe.device(); },
+                               nullptr, {})
+                  .outcome.ok);
+  ASSERT_EQ(target.proven_maximum.get(), 200);
+  target = a;
+  EXPECT_EQ(target.proven_maximum.get(), ProvenMaximum::kUnproven);
+  target = b;
+  EXPECT_EQ(target.proven_maximum.get(), ProvenMaximum::kUnproven);
+}
+
+// `run_verified` trusts a memo only for the graph it was proven on; handed
+// another graph's proof, a larger answer fails with its own error (and
+// leaves the proof alone) and a smaller one fails as Berge's would.
+TEST(Pipeline, AProofIsNeverOverwritten) {
+  const std::unique_ptr<Solver> hk = SolverRegistry::instance().create("hk");
+  const auto verify = [&](const BipartiteGraph& g, ProvenMaximum& proof) {
+    return run_verified(*hk, {}, g, test_support::empty_init(g), true, &proof);
+  };
+  ProvenMaximum proof;
+  ASSERT_TRUE(verify(gen::complete_bipartite(5, 5), proof).ok);
+  ASSERT_EQ(proof.get(), 5);
+
+  const JobOutcome larger = verify(gen::complete_bipartite(8, 8), proof);
+  EXPECT_FALSE(larger.ok);
+  EXPECT_NE(larger.error.find("exceeds the proven maximum 5"),
+            std::string::npos)
+      << larger.error;
+  const JobOutcome smaller = verify(gen::complete_bipartite(3, 3), proof);
+  EXPECT_FALSE(smaller.ok);
+  EXPECT_NE(smaller.error.find("Berge certificate failed"), std::string::npos)
+      << smaller.error;
+  EXPECT_TRUE(verify(gen::complete_bipartite(5, 7), proof).ok);
+  EXPECT_EQ(proof.get(), 5);
+}
+
 // The server's own trace shows what the certificate costs: one `verify`
-// span per job (every pipeline job solves), carrying the solver and the
-// verdict.
+// span per job (every pipeline job solves), carrying the solver, the
+// verdict and how maximality was checked.
 TEST(Pipeline, TracedBatchRecordsOneVerifySpanPerJob) {
   test_support::register_mutant_solver();
   obs::Tracer tracer;
@@ -274,11 +370,13 @@ TEST(Pipeline, TracedBatchRecordsOneVerifySpanPerJob) {
   tracer.disable();
   ASSERT_EQ(report.jobs.size(), 6u);
 
-  std::size_t spans = 0, rejecting = 0;
+  std::size_t spans = 0, rejecting = 0, searched = 0, compared = 0;
   for (const obs::TraceEvent& ev : tracer.events()) {
     if (ev.name != "verify") continue;
     ++spans;
     EXPECT_NE(ev.args.find("\"solver\":"), std::string::npos) << ev.args;
+    searched += ev.args.find("\"proof\":\"berge\"") != std::string::npos;
+    compared += ev.args.find("\"proof\":\"proven\"") != std::string::npos;
     if (ev.args.find("\"ok\":0") != std::string::npos) {
       ++rejecting;
       EXPECT_NE(ev.args.find("test-mutant"), std::string::npos) << ev.args;
@@ -289,6 +387,9 @@ TEST(Pipeline, TracedBatchRecordsOneVerifySpanPerJob) {
   EXPECT_EQ(spans, report.jobs.size());
   EXPECT_EQ(rejecting, report.totals.failed);
   EXPECT_EQ(report.totals.failed, 2u);
+  // `hk` proves each instance; the two jobs after it compare against that.
+  EXPECT_EQ(searched, 2u);
+  EXPECT_EQ(compared, 4u);
 }
 
 // The `changed` arg is the number of answer pairs that differ from the

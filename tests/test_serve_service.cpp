@@ -5,7 +5,8 @@
 // Session, and a concurrent churn), cache accounting across
 // requests (including canonical-spec identity and a snapshot-warmed
 // restart), the process-wide metrics registry stream, and
-// certificate-only verification rejecting (and never caching) mutants.
+// certificate-only verification rejecting (and never caching) mutants,
+// before and after an instance's maximum is proven.
 
 #include <gtest/gtest.h>
 
@@ -42,6 +43,15 @@ Request request(std::size_t instance, const std::string& spec,
           .spec = SolverSpec::parse(spec),
           .priority = priority,
           .deadline_ms = deadline_ms};
+}
+
+/// Runs `spec` on an admitted instance through the dispatch seam, no cache.
+JobOutcome run_on(const PipelineInstance& inst, const std::string& spec) {
+  device::Device dev({.num_threads = 1});
+  const std::unique_ptr<Solver> solver = SolverSpec::parse(spec).instantiate();
+  return run_admitted_job({&inst, solver.get(), {}},
+                          [&]() -> device::Device& { return dev; }, nullptr, {})
+      .outcome;
 }
 
 TEST(InstanceStore, DedupsByStructuralFingerprint) {
@@ -150,6 +160,59 @@ TEST(InstanceStore, PrebuiltInstanceWithAnotherGraphsFingerprintGetsItsOwnHandle
   EXPECT_EQ(store.get(added.handle).fingerprint,
             graph::structural_fingerprint(inst.graph));
   EXPECT_EQ(store.find("held"), held.handle);
+}
+
+TEST(InstanceStore, NoInstanceArrivesProven) {
+  // Only a job on the stored instance proves its maximum: a copy or a move
+  // of a proven instance is stored unproven.  A client loading a held
+  // graph again is handed the held instance, proof and all.
+  const graph::BipartiteGraph g = gen::random_uniform(300, 310, 1500, 11);
+  const graph::index_t nu = matching::reference_maximum_cardinality(g);
+  InstanceStore store;
+  const auto held = store.add("held", g);
+  EXPECT_EQ(held.instance->proven_maximum.get(), ProvenMaximum::kUnproven);
+  ASSERT_TRUE(run_on(*held.instance, "hk").ok);
+  EXPECT_EQ(held.instance->proven_maximum.get(), nu);
+  const auto again = store.add("again", g);
+  EXPECT_TRUE(again.deduplicated);
+  EXPECT_EQ(again.instance->proven_maximum.get(), nu);
+
+  InstanceStore other;
+  const auto copied = other.add(*held.instance);
+  EXPECT_EQ(copied.instance->proven_maximum.get(), ProvenMaximum::kUnproven);
+  PipelineInstance owned = admit_instance("owned", g, {});
+  ASSERT_TRUE(run_on(owned, "hk").ok);
+  ASSERT_EQ(owned.proven_maximum.get(), nu);
+  InstanceStore third;
+  const auto moved = third.add(std::move(owned));
+  EXPECT_EQ(moved.instance->proven_maximum.get(), ProvenMaximum::kUnproven);
+}
+
+TEST(InstanceStore, APrebuiltMaximumCardinalityProvesNothing) {
+  // `maximum_cardinality` is a caller's field, not the proof: with it set
+  // too low or too high, a mutant one pair short is rejected before and
+  // after an honest solve, and `hk` is accepted at the true maximum.
+  test_support::register_mutant_solver();
+  const graph::BipartiteGraph g = gen::random_uniform(300, 310, 1500, 11);
+  const graph::index_t nu = matching::reference_maximum_cardinality(g);
+  for (const graph::index_t claimed : {nu - 1, nu + 1}) {
+    PipelineInstance inst = admit_instance("prebuilt", g, {});
+    inst.maximum_cardinality = claimed;
+    InstanceStore store;
+    const PipelineInstance& held = *store.add(std::move(inst)).instance;
+    EXPECT_EQ(held.proven_maximum.get(), ProvenMaximum::kUnproven);
+    for (int pass = 0; pass < 2; ++pass) {
+      const JobOutcome mutant = run_on(held, "test-mutant:mode=minus-one");
+      EXPECT_FALSE(mutant.ok);
+      EXPECT_NE(mutant.error.find("Berge certificate failed"),
+                std::string::npos)
+          << mutant.error;
+      const JobOutcome hk = run_on(held, "hk");
+      EXPECT_TRUE(hk.ok) << hk.error;
+      EXPECT_EQ(hk.stats.cardinality, nu);
+      EXPECT_EQ(held.proven_maximum.get(), nu);
+    }
+  }
 }
 
 /// The bytes a store charges for `g` once admitted (under a short name).
@@ -833,22 +896,11 @@ TEST(Service, CacheSnapshotWarmsARestartedService) {
   EXPECT_EQ(restarted.stats().cache_hits, 2u);
 }
 
-TEST(Service, CertificateRejectsMutantsAndNeverCachesThem) {
-  // The service verifies exactly as the pipeline does: each mutant
-  // response is `ok == false`, is never published to the cache,
-  // and so fails again (uncached) when resubmitted.
-  test_support::register_mutant_solver();
-  auto cache = std::make_shared<ResultCache>();
-  MatchingService svc({.workers = 2, .cache = cache});
-  const auto handle =
-      svc.add_instance("g", gen::random_uniform(300, 310, 1500, 11)).handle;
-  const std::vector<std::pair<std::string, std::string>> mutants = {
-      {"test-mutant:mode=minus-one", "Berge certificate failed"},
-      {"test-mutant:mode=invalid", "invalid matching"},
-      {"test-mutant:exact=0,mode=invalid", "invalid matching"},
-      {"test-mutant:mode=one-sided", "invalid matching"},
-      {"test-mutant:exact=0,mode=one-sided", "invalid matching"},
-      {"test-mutant:mode=throw", "thrown after solving"}};
+/// Submits every `kMutants` spec twice on `handle`: each response is
+/// `ok == false` with its check's error and never a cache hit, so no
+/// mutant was published.  They are the service's only failures.
+void submit_every_mutant_twice(MatchingService& svc, std::size_t handle) {
+  const auto& mutants = test_support::kMutants;
   for (int pass = 0; pass < 2; ++pass)
     for (const auto& [spec, error] : mutants) {
       const Response r = svc.submit(request(handle, spec)).future.get();
@@ -857,8 +909,21 @@ TEST(Service, CertificateRejectsMutantsAndNeverCachesThem) {
       EXPECT_NE(r.error.find(error), std::string::npos) << spec << ": "
                                                         << r.error;
     }
-  EXPECT_EQ(cache->stats().entries, 0u);
   EXPECT_EQ(svc.stats().failed, 2 * mutants.size());
+}
+
+TEST(Service, CertificateRejectsMutantsAndNeverCachesThem) {
+  // The service verifies exactly as the pipeline does: each mutant
+  // response is `ok == false`, is never published to the cache,
+  // and so fails again (uncached) when resubmitted.  Every mutant runs
+  // before any honest solve, so each exact one meets the Berge search.
+  test_support::register_mutant_solver();
+  auto cache = std::make_shared<ResultCache>();
+  MatchingService svc({.workers = 2, .cache = cache});
+  const auto handle =
+      svc.add_instance("g", gen::random_uniform(300, 310, 1500, 11)).handle;
+  submit_every_mutant_twice(svc, handle);
+  EXPECT_EQ(cache->stats().entries, 0u);
 
   // The honest control beside them verifies against the independent
   // oracle and is the only entry cached.
@@ -867,6 +932,61 @@ TEST(Service, CertificateRejectsMutantsAndNeverCachesThem) {
   EXPECT_EQ(hk.stats.cardinality, matching::reference_maximum_cardinality(
                                       svc.instances().get(handle).graph));
   EXPECT_EQ(cache->stats().entries, 1u);
+}
+
+TEST(Service, ProvenInstanceStillRejectsMutantsAndNeverCachesThem) {
+  // An honest `hk` proves the instance first, so every later exact job is
+  // checked against the proven maximum: each mutant still fails with the
+  // same error and is never cached.
+  test_support::register_mutant_solver();
+  auto cache = std::make_shared<ResultCache>();
+  MatchingService svc({.workers = 2, .cache = cache});
+  const auto added =
+      svc.add_instance("g", gen::random_uniform(300, 310, 1500, 11));
+  const Response hk = svc.submit(request(added.handle, "hk")).future.get();
+  ASSERT_TRUE(hk.ok) << hk.error;
+  const graph::index_t nu =
+      matching::reference_maximum_cardinality(added.instance->graph);
+  EXPECT_EQ(hk.stats.cardinality, nu);
+  EXPECT_EQ(added.instance->proven_maximum.get(), nu);
+
+  submit_every_mutant_twice(svc, added.handle);
+  EXPECT_EQ(cache->stats().entries, 1u);
+  EXPECT_EQ(added.instance->proven_maximum.get(), nu);
+}
+
+TEST(Service, FirstProofsRaceAndEveryAnswerVerifies) {
+  // Workers take different exact specs on one fresh instance at once, so
+  // several first proofs (and mutant checks) race on its memo; every
+  // honest answer verifies at the true maximum, every mutant is rejected.
+  test_support::register_mutant_solver();
+  const std::vector<std::string> specs = {
+      "hk",     "g-pr-shr", "seq-pr", "p-dbfs",
+      "hkdw",   "pf",       "g-pr-wb", "test-mutant:mode=minus-one"};
+  MatchingService svc({.workers = 4, .device_threads = 2});
+  for (std::uint64_t round = 0; round < 8; ++round) {
+    const auto added =
+        svc.add_instance("g" + std::to_string(round),
+                         gen::random_uniform(300, 310, 1500, 20 + round));
+    const graph::index_t nu =
+        matching::reference_maximum_cardinality(added.instance->graph);
+    std::vector<Submission> subs;
+    for (const std::string& spec : specs)
+      subs.push_back(svc.submit(request(added.handle, spec)));
+    for (std::size_t i = 0; i < subs.size(); ++i) {
+      ASSERT_TRUE(subs[i].accepted) << subs[i].reason;
+      const Response r = subs[i].future.get();
+      if (specs[i].starts_with("test-mutant")) {
+        EXPECT_FALSE(r.ok) << specs[i];
+        EXPECT_NE(r.error.find("Berge certificate failed"), std::string::npos)
+            << r.error;
+      } else {
+        EXPECT_TRUE(r.ok) << specs[i] << ": " << r.error;
+        EXPECT_EQ(r.stats.cardinality, nu) << specs[i];
+      }
+    }
+    EXPECT_EQ(added.instance->proven_maximum.get(), nu);
+  }
 }
 
 TEST(Service, ManyClientThreadsManyRequestsAllVerify) {
